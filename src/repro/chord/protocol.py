@@ -45,7 +45,7 @@ believers from the state it stored via full heartbeats.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from itertools import accumulate
 from typing import (
     Callable,
     Dict,
@@ -65,23 +65,50 @@ from ..can.stats import MessageStats
 from ..net import IDENTITY, NetworkModel, NetworkSpec
 from ..obs.profiling import NULL_PROFILER
 from ..sim.monitor import TimeSeries
-from .keyspace import RING_SIZE
+from .keyspace import RING_BITS, RING_SIZE
 from .ring import ChordError, ChordRing
 
 __all__ = ["ChordMaintenanceProtocol", "ChordProtocolNode"]
 
 
 class DerivedStructure(NamedTuple):
-    """A node's believed ring structure, derived from its known peers."""
+    """A node's believed ring structure, derived from its known peers.
+
+    Distances are clockwise from the node's own key.  The last three
+    fields are all it takes to tell whether one more known id would be
+    selected (see :meth:`ChordMaintenanceProtocol._derived`).
+    """
 
     successors: Tuple[int, ...]
     predecessor: Optional[int]
     fingers: Tuple[int, ...]
     peers: Tuple[int, ...]  # deduped successors + predecessor + fingers
-    peer_set: frozenset
+    #: the heartbeat send plan: ``peers`` in id order, and the same without
+    #: the first successor (the one target that gets full state when the
+    #: scheme is not vanilla)
+    targets: Tuple[int, ...]
+    compact_targets: Tuple[int, ...]
+    #: an id closer than this joins the successor list
+    successor_span: int
+    #: an id at least this far replaces the predecessor
+    predecessor_distance: int
+    #: finger rank -> the nearest known distance of that rank; a nearer id
+    #: of the same rank takes over a finger target
+    finger_floor: Dict[int, int]
 
 
-_EMPTY = DerivedStructure((), None, (), (), frozenset())
+_EMPTY = DerivedStructure(
+    successors=(),
+    predecessor=None,
+    fingers=(),
+    peers=(),
+    targets=(),
+    compact_targets=(),
+    successor_span=RING_SIZE,  # whatever comes first is a successor
+    predecessor_distance=0,
+    finger_floor={},
+)
+_KEY_MASK = RING_SIZE - 1
 
 
 class ChordProtocolNode:
@@ -96,6 +123,7 @@ class ChordProtocolNode:
         "gap_attempts",
         "_derived_cache",
         "_derived_epoch",
+        "_added",
     )
 
     def __init__(self, node_id: int):
@@ -112,6 +140,10 @@ class ChordProtocolNode:
         self.gap_attempts = 0
         self._derived_cache: Optional[DerivedStructure] = None
         self._derived_epoch = -1
+        #: ids :meth:`~ChordMaintenanceProtocol._hear`/``_gossip`` inserted
+        #: since the cached derivation; when they account for every epoch
+        #: bump since, nothing else happened to ``known``
+        self._added: List[int] = []
 
 
 class ChordMaintenanceProtocol:
@@ -147,6 +179,12 @@ class ChordMaintenanceProtocol:
         #: append-only id -> ring key (node keys never change; believed
         #: records outliving the member still resolve)
         self._key: Dict[int, int] = {}
+        #: bit length of a clockwise distance -> how many configured
+        #: finger exponents ``e`` have ``2**e`` <= that distance
+        exponents = set(overlay.finger_exponents)
+        self._finger_rank: Tuple[int, ...] = tuple(
+            accumulate((e in exponents for e in range(RING_BITS)), initial=0)
+        )
         #: full-update replies in flight: (receiver id, responder id,
         #: responder known snapshot) — delivered next round
         self._reply_queue: List[Tuple[int, int, Dict[int, float]]] = []
@@ -188,51 +226,115 @@ class ChordMaintenanceProtocol:
     def _derived(self, pnode: ChordProtocolNode) -> DerivedStructure:
         """Believed structure from known peers, pruning irrelevant ids.
 
-        Pruning is stable: the derived structure over the kept peers equals
-        the structure over the full known set (every successor/predecessor/
-        finger is itself kept), so one recompute after a prune suffices.
+        Selection is by position in clockwise-distance order — the first
+        ``successor_list_size`` ids, the last one, and per configured
+        exponent ``e`` the first id at distance >= ``2**e`` — so removing
+        an id that was not selected leaves every selected id's claim
+        intact: the structure over the kept peers *is* the structure over
+        the full known set.  One derivation, one prune, one epoch bump.
+
+        The same argument run backwards is the fast path.  When ``known``
+        only gained ids since the cached derivation and none of them would
+        be selected next to the cached peers (each is tested on its own:
+        an id that loses to the cached peers loses to any superset), the
+        cached structure still stands and the gained ids are exactly what
+        a fresh derivation would prune.  Either way pruning happens here
+        and nowhere else, because ``known`` is observable between
+        derivations (reply sizes, gossip, stored state, broken links).
         """
+        cached = pnode._derived_cache
+        if cached is not None and pnode._derived_epoch == pnode.epoch:
+            return cached
+        known = pnode.known
+        added = pnode._added
+        drop: Sequence[int] = ()
         if (
-            pnode._derived_cache is not None
-            and pnode._derived_epoch == pnode.epoch
+            cached is not None
+            and pnode.epoch - pnode._derived_epoch == len(added)
+            and not self._any_selected(pnode, cached)
         ):
-            return pnode._derived_cache
-        while True:
-            derived = self._compute_derived(pnode)
-            drop = [n for n in pnode.known if n not in derived.peer_set]
-            if not drop:
-                pnode._derived_cache = derived
-                pnode._derived_epoch = pnode.epoch
-                return derived
+            derived, drop = cached, added
+        else:
+            derived = pnode._derived_cache = self._compute_derived(pnode)
+            if len(known) > len(derived.peers):
+                keep = set(derived.peers)
+                drop = [nid for nid in known if nid not in keep]
+        if drop:
             for nid in drop:
-                del pnode.known[nid]
+                del known[nid]
             pnode.epoch += 1
+        added.clear()
+        pnode._derived_epoch = pnode.epoch
+        return derived
+
+    def _any_selected(
+        self, pnode: ChordProtocolNode, cached: DerivedStructure
+    ) -> bool:
+        """Would any id inserted since ``cached`` enter its structure?
+
+        Equal distances resolve as the stable sort in
+        :meth:`_compute_derived` would: the later insertion sorts last.
+        """
+        key = self._key
+        own_key = key[pnode.node_id]
+        span = cached.successor_span
+        farthest = cached.predecessor_distance
+        floor = cached.finger_floor
+        rank = self._finger_rank
+        for nid in pnode._added:
+            d = (key[nid] - own_key) & _KEY_MASK
+            if (
+                d < span
+                or d >= farthest
+                or d < floor.get(rank[d.bit_length()], RING_SIZE)
+            ):
+                return True
+        return False
 
     def _compute_derived(self, pnode: ChordProtocolNode) -> DerivedStructure:
+        """One pass over the known ids in clockwise-distance order.
+
+        ``successor(own + 2**e)`` is the first id at distance >= ``2**e``,
+        so id *i* holds a finger target iff a configured ``2**e`` lies in
+        ``(d[i-1], d[i]]``, i.e. iff the finger rank rises from ``d[i-1]``
+        to ``d[i]``.  Walking *i* downwards lists fingers highest exponent
+        first; ids already in the structure as successors (the low end)
+        or predecessor (the far end) are not listed again.  A target past
+        every known id wraps to the first successor.
+        """
         if not pnode.known:
             return _EMPTY
         key = self._key
-        ids = sorted(pnode.known, key=key.__getitem__)
-        keys = [key[nid] for nid in ids]
-        n = len(ids)
         own_key = key[pnode.node_id]
-        pos = bisect_left(keys, own_key) % n
-        succ_count = min(self.overlay.successor_list_size, n)
-        successors = tuple(ids[(pos + j) % n] for j in range(succ_count))
-        predecessor = ids[(pos - 1) % n]
-        fingers: List[int] = []
-        seen: Set[int] = set(successors)
-        seen.add(predecessor)
-        for e in self.overlay.finger_exponents:
-            j = bisect_left(keys, (own_key + (1 << e)) % RING_SIZE) % n
-            fid = ids[j]
-            if fid not in seen:
-                seen.add(fid)
-                fingers.append(fid)
-        peers = successors + (predecessor,) + tuple(fingers)
-        peers = tuple(dict.fromkeys(peers))
+        distance = {
+            nid: (key[nid] - own_key) & _KEY_MASK for nid in pnode.known
+        }
+        ids = sorted(distance, key=distance.__getitem__)
+        dists = [distance[nid] for nid in ids]
+        rank = self._finger_rank
+        ranks = [rank[d.bit_length()] for d in dists]
+        n = len(ids)
+        k = self.overlay.successor_list_size
+        successors = tuple(ids[:k])
+        predecessor = ids[-1]
+        fingers = tuple(
+            [ids[i] for i in range(n - 2, k - 1, -1) if ranks[i] > ranks[i - 1]]
+        )
+        # with n <= k the predecessor is the last successor
+        peers = successors + (predecessor,) + fingers if n > k else successors
+        targets = tuple(sorted(peers))
+        heir = successors[0]
         return DerivedStructure(
-            successors, predecessor, tuple(fingers), peers, frozenset(peers)
+            successors=successors,
+            predecessor=predecessor,
+            fingers=fingers,
+            peers=peers,
+            targets=targets,
+            compact_targets=tuple([t for t in targets if t != heir]),
+            successor_span=dists[k - 1] if n >= k else RING_SIZE,
+            predecessor_distance=dists[-1],
+            # ascending distances, so the nearest of each rank is kept
+            finger_floor=dict(zip(reversed(ranks), reversed(dists))),
         )
 
     def believed_peers(self, node_id: int) -> Tuple[int, ...]:
@@ -247,11 +349,10 @@ class ChordMaintenanceProtocol:
         """A direct message from ``sender_id`` arrived: fresh evidence."""
         if sender_id == pnode.node_id:
             return
-        if sender_id in pnode.known:
-            pnode.known[sender_id] = now
-        else:
-            pnode.known[sender_id] = now
+        if sender_id not in pnode.known:
             pnode.epoch += 1
+            pnode._added.append(sender_id)
+        pnode.known[sender_id] = now
 
     def _gossip(
         self, pnode: ChordProtocolNode, subject_id: int, heard_at: float
@@ -263,6 +364,7 @@ class ChordMaintenanceProtocol:
         if existing is None:
             pnode.known[subject_id] = heard_at
             pnode.epoch += 1
+            pnode._added.append(subject_id)
         elif heard_at > existing:
             pnode.known[subject_id] = heard_at
 
@@ -334,13 +436,13 @@ class ChordMaintenanceProtocol:
         # Join notify: the splitter announces the newcomer to its believed
         # peers so predecessors/fingers can adopt it.
         targets = [
-            t for t in self._derived(splitter).peers if t != node_id
+            t for t in self._derived(splitter).targets if t != node_id
         ]
         self._record(
             now, MessageType.JOIN_NOTIFY, model.notify_bytes(dims), len(targets)
         )
         net_active = not self.net.is_identity
-        for target_id in sorted(targets):
+        for target_id in targets:
             if (
                 net_active
                 and self._transmit(splitter.node_id, target_id, now) is None
@@ -450,10 +552,12 @@ class ChordMaintenanceProtocol:
         prof = self.profiler if self.profiler is not None else NULL_PROFILER
         self._round += 1
         self._now = now
-        self.stats.track_population(now, len(self.overlay.alive_ids()))
+        population = len(self.overlay.alive_ids())
+        self.stats.track_population(now, population)
         with prof.scope(f"hb.round.{self.config.scheme.value}"):
             with prof.scope("hb.retry_joins"):
-                self._retry_pending_joins(now)
+                # the one step of a round that changes who is alive
+                population += self._retry_pending_joins(now)
             with prof.scope("hb.exchange"):
                 self._exchange_heartbeats(now)
             with prof.scope("hb.deliver_replies"):
@@ -473,7 +577,7 @@ class ChordMaintenanceProtocol:
                 now,
                 "hb.round",
                 round=self._round,
-                population=len(self.overlay.alive_ids()),
+                population=population,
                 broken_links=broken,
             )
 
@@ -490,21 +594,19 @@ class ChordMaintenanceProtocol:
                 continue  # ghosts are silent
             sender = self.nodes[node_id]
             derived = self._derived(sender)
-            targets = sorted(derived.peers)
-            if not targets:
+            if not derived.targets:
                 continue
             full_size = model.heartbeat_bytes_from_totals(
                 dims, 1, len(sender.known), len(sender.known)
             )
             if vanilla:
-                full_targets: List[int] = targets
-                compact_targets: List[int] = []
+                full_targets = derived.targets
+                compact_targets: Tuple[int, ...] = ()
             else:
                 # full state only to the believed take-over node: the first
                 # believed successor, which would absorb this node's arc
-                tset = set(derived.successors[:1])
-                full_targets = [t for t in targets if t in tset]
-                compact_targets = [t for t in targets if t not in tset]
+                full_targets = derived.successors[:1]
+                compact_targets = derived.compact_targets
             self._record(
                 now, MessageType.HEARTBEAT_FULL, full_size, len(full_targets)
             )
@@ -766,7 +868,7 @@ class ChordMaintenanceProtocol:
                 self.tracer.emit(
                     now, "hb.gap_found", node=node_id, attempt=pnode.gap_attempts + 1
                 )
-            targets = sorted(self._derived(pnode).peers)
+            targets = self._derived(pnode).targets
             self._record(
                 now,
                 MessageType.FULL_UPDATE_REQUEST,
@@ -857,7 +959,7 @@ class ChordMaintenanceProtocol:
             return None
         return self.nodes.get(node_id)
 
-    def _retry_pending_joins(self, now: float) -> None:
+    def _retry_pending_joins(self, now: float) -> int:
+        """Retry deferred joins; returns how many went through."""
         pending, self._pending_joins = self._pending_joins, []
-        for node_id, coord in pending:
-            self.join(node_id, coord, now)
+        return sum(self.join(node_id, coord, now) for node_id, coord in pending)

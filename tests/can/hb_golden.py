@@ -60,7 +60,13 @@ def run_case(
     Both engines must reproduce the same fingerprint: the goldens were
     produced by the object engine and the array engine is pinned to them.
     """
-    config = ChurnConfig(scheme=scheme, seed=seed, engine=engine, **CASES[case])
+    return fingerprint(
+        ChurnConfig(scheme=scheme, seed=seed, engine=engine, **CASES[case])
+    )
+
+
+def fingerprint(config: ChurnConfig) -> Dict[str, Any]:
+    """Run ``config`` traced and reduce it to what accounting can observe."""
     fd, trace_path = tempfile.mkstemp(suffix=".jsonl")
     os.close(fd)
     try:
