@@ -35,7 +35,7 @@ approximation the original system used.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from ..model.node import GridNode
 from .overlay import CanOverlay
 from .space import ResourceSpace
 
-__all__ = ["AggregationEngine", "FIELDS"]
+__all__ = ["AggregationEngine", "FIELDS", "FIELD_INDEX"]
 
 FIELDS = (
     "num_nodes",
@@ -56,6 +56,8 @@ FIELDS = (
     "pool_cores",
 )
 NF = len(FIELDS)
+#: field name -> column of an advertised aggregate vector
+FIELD_INDEX = {name: i for i, name in enumerate(FIELDS)}
 
 
 class AggregationEngine:
@@ -72,11 +74,30 @@ class AggregationEngine:
         self._topology_version = -1
         self._ids: List[int] = []
         self._index: Dict[int, int] = {}
-        # CSR out-neighbor structure per dimension: flat index array +
-        # row offsets, built lazily from the overlay.
-        self._csr: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # Out-neighbor edges of all dimensions fused into one CSR over the
+        # (D*N) rows of ``_ai`` viewed flat: edge e adds row ``_edge_src[e]``
+        # into row ``_edge_dst[e]``; ``_edge_counts[r]`` is row r's
+        # out-degree (1 where it is 0, so the mean divides safely).
+        self._edge_src = np.empty(0, dtype=np.int64)
+        self._edge_dst = np.empty(0, dtype=np.int64)
+        self._edge_counts = np.ones(0)
+        #: dimensions (index array) owned by each CE slot
+        self._slot_dims = {
+            slot: np.asarray(
+                [d.index for d in self.space.dimensions if d.slot == slot],
+                dtype=np.int64,
+            )
+            for slot in self.space.slots()
+        }
         self._ai: Optional[np.ndarray] = None  # (D, N, NF)
+        # Own-load records, kept across steps: (D, N, NF), plus the
+        # GridNode and ``load_version`` each row was last computed from.
+        self._own: Optional[np.ndarray] = None
+        self._own_nodes: List[Optional[GridNode]] = []
+        self._own_seen: List[int] = []
         self.rounds_run = 0
+        #: own-load rows recomputed so far (a full rebuild counts N)
+        self.rows_refreshed = 0
 
     # -- topology ------------------------------------------------------------------
     def is_stale(self) -> bool:
@@ -95,106 +116,120 @@ class AggregationEngine:
             return
         self._topology_version = self.overlay.topology_version
         self._ids = sorted(self.overlay.alive_ids())
-        self._index = {nid: i for i, nid in enumerate(self._ids)}
+        self._index = index = {nid: i for i, nid in enumerate(self._ids)}
         dims = self.space.dims
         n = len(self._ids)
-        buckets: List[List[List[int]]] = [
-            [[] for _ in range(n)] for _ in range(dims)
-        ]
-        for nid in self._ids:
-            i = self._index[nid]
-            for dim in range(dims):
-                for other in self.overlay.neighbors_along(nid, dim, +1):
-                    j = self._index.get(other)
-                    if j is not None:
-                        buckets[dim][i].append(j)
-        self._csr = []
+        src: List[int] = []
+        dst: List[int] = []
+        neighbors_along = self.overlay.neighbors_along
         for dim in range(dims):
-            flat: List[int] = []
-            rows: List[int] = []
-            counts = np.zeros(n, dtype=np.float64)
-            for i in range(n):
-                out = buckets[dim][i]
-                flat.extend(out)
-                rows.extend([i] * len(out))
-                counts[i] = len(out)
-            self._csr.append(
-                (
-                    np.asarray(flat, dtype=np.int64),
-                    np.asarray(rows, dtype=np.int64),
-                    counts,
-                )
-            )
-        old = self._ai
+            base = dim * n
+            for i, nid in enumerate(self._ids):
+                # set order, not sorted: it fixes the order the mean sums in
+                out = [
+                    base + index[other]
+                    for other in neighbors_along(nid, dim, +1)
+                    if other in index
+                ]
+                src.extend(out)
+                dst.extend([base + i] * len(out))
+        self._edge_src = np.asarray(src, dtype=np.int64)
+        self._edge_dst = np.asarray(dst, dtype=np.int64)
+        counts = np.bincount(self._edge_dst, minlength=dims * n)
+        self._edge_counts = np.maximum(counts, 1).astype(np.float64)
+        seeded = self._ai is not None
         self._ai = np.zeros((dims, n, NF))
+        self._own = None
         # A topology change resets the propagated state; it re-converges in
         # a few rounds, as it would in the real system.
-        if old is None:
-            self._seed_own()
-
-    def _seed_own(self) -> None:
-        assert self._ai is not None
-        self._ai[:] = self._own_records()
+        if not seeded:
+            self._ai[:] = self._own_records()
 
     # -- own load records -------------------------------------------------------------
     def _own_records(self) -> np.ndarray:
-        """(D, N, NF) array of every node's own contribution per dimension."""
-        dims = self.space.dims
-        n = len(self._ids)
-        own = np.zeros((dims, n, NF))
-        pool_required = np.zeros(n)
-        pool_cores = np.zeros(n)
-        free = np.zeros(n)
-        slot_stats: Dict[str, np.ndarray] = {
-            slot: np.zeros((n, 4)) for slot in self.space.slots()
-        }
-        for nid in self._ids:
-            i = self._index[nid]
-            gnode = self.grid_nodes.get(nid)
+        """(D, N, NF) array of every node's own contribution per dimension.
+
+        Kept across steps.  A step recomputes only the rows whose
+        ``GridNode`` changed load since the row was computed (or was
+        swapped in or out of ``grid_nodes``); a topology change drops the
+        array and the next call rebuilds every row.
+        """
+        get = self.grid_nodes.get
+        if self._own is None:
+            n = len(self._ids)
+            self._own = np.zeros((self.space.dims, n, NF))
+            self._own[:, :, 0] = 1.0
+            self._own_nodes = [None] * n
+            self._own_seen = [-1] * n
+            stale = list(range(n))
+        else:
+            nodes, seen = self._own_nodes, self._own_seen
+            stale = [
+                i
+                for i, nid in enumerate(self._ids)
+                if (node := get(nid)) is not nodes[i]
+                or (node is not None and node.load_version != seen[i])
+            ]
+        if stale:
+            self._refresh_rows(stale)
+        return self._own
+
+    def _refresh_rows(self, rows: Sequence[int]) -> None:
+        """Recompute the own-load records of ``rows`` from their GridNodes."""
+        own = self._own
+        assert own is not None
+        slot_pos = {slot: s for s, slot in enumerate(self._slot_dims)}
+        node_level = np.zeros((len(rows), 3))  # free, pool required, pool cores
+        slot_level = np.zeros((len(slot_pos), len(rows), 4))
+        for k, i in enumerate(rows):
+            gnode = self.grid_nodes.get(self._ids[i])
+            self._own_nodes[i] = gnode
             if gnode is None:
                 continue
-            free[i] = 1.0 if gnode.is_free() else 0.0
+            self._own_seen[i] = gnode.load_version
+            pool_required = pool_cores = 0
             for slot, ce in gnode.ces.items():
-                stats = slot_stats.get(slot)
-                req = float(ce.required_cores())
-                cores = float(ce.spec.cores)
-                if stats is not None:
-                    stats[i, 0] = req
-                    stats[i, 1] = cores
-                    stats[i, 2] = float(ce.job_queue_size)
-                    stats[i, 3] = 1.0 if ce.idle else 0.0
-                pool_required[i] += req
-                pool_cores[i] += cores
-        for dim_obj in self.space.dimensions:
-            d = dim_obj.index
-            own[d, :, 0] = 1.0
-            own[d, :, 1] = free
-            if not dim_obj.is_virtual:
-                stats = slot_stats[dim_obj.slot]
-                own[d, :, 2:6] = stats
-            own[d, :, 6] = pool_required
-            own[d, :, 7] = pool_cores
-        return own
+                req = ce.required_cores()
+                cores = ce.spec.cores
+                if slot in slot_pos:
+                    slot_level[slot_pos[slot], k] = (
+                        req, cores, ce.job_queue_size, ce.idle
+                    )
+                pool_required += req
+                pool_cores += cores
+            node_level[k] = (gnode.is_free(), pool_required, pool_cores)
+        own[:, rows, 1] = node_level[:, 0]
+        own[:, rows, 6:8] = node_level[:, 1:]
+        for stats, dims in zip(slot_level, self._slot_dims.values()):
+            own[dims[:, None], rows, 2:6] = stats
+        self.rows_refreshed += len(rows)
 
     # -- propagation --------------------------------------------------------------------
     def step(self) -> None:
-        """One heartbeat round of aggregation propagation."""
+        """One heartbeat round of aggregation propagation.
+
+        Every row takes its own record plus the mean of the rows its
+        out-edges point at, over the fused CSR: one gather and one
+        ``bincount`` per field.  ``bincount`` adds a row's edges in edge
+        order, like the ``np.add.at`` scatter it replaced, so the sums are
+        bit-identical; ``np.add.reduceat`` associates differently and is
+        not (1-ulp drifts).
+        """
         self._ensure_topology()
         assert self._ai is not None
         own = self._own_records()
-        dims = self.space.dims
-        new = np.empty_like(self._ai)
-        for d in range(dims):
-            flat, rows, counts = self._csr[d]
-            if flat.size == 0:
-                new[d] = own[d]
-                continue
-            gathered = self._ai[d][flat]  # (E, NF)
-            sums = np.zeros_like(own[d])
-            np.add.at(sums, rows, gathered)
-            safe_counts = np.where(counts == 0, 1.0, counts)
-            new[d] = own[d] + sums / safe_counts[:, None]
-        self._ai = new
+        rows = self._edge_counts.size
+        # field-major, so each field's gather and weights are contiguous
+        fields = np.ascontiguousarray(self._ai.reshape(rows, NF).T)
+        sums = np.empty((NF, rows))
+        for f in range(NF):
+            sums[f] = np.bincount(
+                self._edge_dst,
+                weights=fields[f][self._edge_src],
+                minlength=rows,
+            )
+        sums /= self._edge_counts
+        self._ai = own + sums.T.reshape(own.shape)
         self.rounds_run += 1
 
     def run_rounds(self, k: int) -> None:
@@ -217,4 +252,4 @@ class AggregationEngine:
         return self._ai[dim, i]
 
     def field(self, node_id: int, dim: int, name: str) -> float:
-        return float(self.advertised(node_id, dim)[FIELDS.index(name)])
+        return float(self.advertised(node_id, dim)[FIELD_INDEX[name]])

@@ -525,7 +525,6 @@ class HeartbeatProtocol:
         # membership and liveness are fixed for the duration of the
         # exchange, so target resolution is shared across all senders
         deliverable: Dict[int, Optional[ProtocolNode]] = {}
-        miss = _MISS
         net = self.net if not self.net.is_identity else None
         for node_id in self._sorted_node_ids():
             if not self.overlay.is_alive(node_id):

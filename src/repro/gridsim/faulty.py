@@ -272,6 +272,7 @@ class FaultyGridSimulation(GridSimulation):
         now = self.env.now
         victim = self.grid_nodes.pop(victim_id)
         lost = victim.fail()
+        self._outstanding -= len(lost)
         self.failures += 1
         self.jobs_lost += len(lost)
         self._churn_counter.add("failures")
@@ -392,7 +393,7 @@ class FaultyGridSimulation(GridSimulation):
             self.tracer.emit(
                 self.env.now, "grid.job_resubmit", job=job.job_id, attempt=attempts
             )
-        node.submit(job)
+        self._hand_over(node, job)
 
     def _degraded_search(self, job: Job) -> Optional[GridNode]:
         """Expanding-ring rescue when a placement fails on stale aggregates.

@@ -156,6 +156,8 @@ class GridSimulation:
         self.matchmaker.attach_profiler(profiler)
         self.unplaced = 0
         self._submitted = 0
+        #: jobs handed to a node and neither finished nor lost with it
+        self._outstanding = 0
         #: job ids never placed at arrival / abandoned after churn retries —
         #: kept as ids (not just counts) so the invariant checker can
         #: classify every job's state exactly
@@ -197,6 +199,7 @@ class GridSimulation:
     def _on_job_finished(self, node: GridNode, job: Job) -> None:
         # A job finishes at most once (a lost incarnation never reaches
         # _finish), so the sketch holds the same multiset as wait_times.
+        self._outstanding -= 1
         if job.wait_time is not None:
             self._wait_sketch.insert(job.wait_time)
         if job.turnaround is not None:
@@ -229,7 +232,11 @@ class GridSimulation:
                         self.env.now, "grid.job_unplaced", job=job.job_id
                     )
             else:
-                node.submit(job)
+                self._hand_over(node, job)
+
+    def _hand_over(self, node: GridNode, job: Job) -> None:
+        self._outstanding += 1
+        node.submit(job)
 
     def _aggregation_process(self):
         period = self.config.preset.heartbeat_period
@@ -239,11 +246,7 @@ class GridSimulation:
             self.aggregation.step()
 
     def _work_remaining(self) -> bool:
-        if self._submitted < len(self.jobs):
-            return True
-        return any(
-            not node.is_free() for node in self.grid_nodes.values()
-        )
+        return self._submitted < len(self.jobs) or self._outstanding > 0
 
     # -- run ------------------------------------------------------------------------
     def run(self) -> MatchmakingResult:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
 __all__ = ["CERequirement", "Job"]
@@ -78,12 +79,13 @@ class Job:
         self.requirements = dict(self.requirements)
 
     # -- dominant CE -------------------------------------------------------------
-    @property
+    @cached_property
     def dominant_slot(self) -> str:
         """Slot of the dominant CE: the largest :meth:`CERequirement.demand`.
 
         Ties break toward the lexicographically smallest slot so the choice
-        is deterministic.
+        is deterministic.  Computed once: requirements are fixed at
+        construction and matchmaking reads this at every candidate.
         """
         return min(
             self.requirements,

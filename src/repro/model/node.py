@@ -78,6 +78,13 @@ class GridNode:
         }
         self.completed_jobs: int = 0
         self.alive: bool = True
+        #: advanced by every call that changes a CE's ``running``/``queue``
+        #: (submit, dequeue, a job finishing, fail — the dispatches they
+        #: trigger included).  This class is the only code that mutates
+        #: them, so a reader that cached something derived from the node's
+        #: load (the aggregation engine's own-load records) revalidates
+        #: with one comparison.
+        self.load_version: int = 0
 
     @property
     def node_id(self) -> int:
@@ -107,7 +114,10 @@ class GridNode:
 
     def is_free(self) -> bool:
         """Free node: no running or waiting jobs on any CE (paper, Sec. II-B)."""
-        return all(ce.idle for ce in self.ces.values())
+        for ce in self.ces.values():
+            if not ce.idle:
+                return False
+        return True
 
     def is_acceptable(self, job: Job) -> bool:
         """Acceptable node: ``job`` could start executing immediately.
@@ -116,14 +126,15 @@ class GridNode:
         would otherwise delay the job), and immediate core availability on
         every required CE (paper, Section III-B, "Acceptable node").
         """
-        if not self.capable(job):
-            return False
-        if self.ces[job.dominant_slot].queue:
-            return False
-        return all(
-            self.ces[slot].can_host(req.cores)
-            for slot, req in job.requirements.items()
-        )
+        return self.capable(job) and self.can_start_now(job)
+
+    def can_start_now(self, job: Job) -> bool:
+        """The load half of :meth:`is_acceptable`, for a *capable* node.
+
+        Matchmakers filter candidates by capability once per hop and ask
+        only this of the survivors.
+        """
+        return not self.ces[job.dominant_slot].queue and self._startable(job)
 
     # -- score inputs --------------------------------------------------------------
     def ce(self, slot: str) -> Optional[ComputingElement]:
@@ -168,13 +179,29 @@ class GridNode:
         job.enqueue_time = self.env.now
         job.run_node_id = self.node_id
         self.ces[job.dominant_slot].queue.append(job)
+        self.load_version += 1
         self._dispatch()
 
+    def dequeue(self, job: Job) -> bool:
+        """Withdraw a still-queued ``job``; ``False`` when it is not queued.
+
+        Removing a blocked queue head unblocks the jobs behind it, so the
+        queues are re-dispatched at once.
+        """
+        queue = self.ces[job.dominant_slot].queue
+        if job not in queue:
+            return False
+        queue.remove(job)
+        self.load_version += 1
+        self._dispatch()
+        return True
+
     def _startable(self, job: Job) -> bool:
-        return all(
-            self.ces[slot].can_host(req.cores)
-            for slot, req in job.requirements.items()
-        )
+        ces = self.ces
+        for slot, req in job.requirements.items():
+            if not ces[slot].can_host(req.cores):
+                return False
+        return True
 
     def _dispatch(self) -> None:
         """Start every queue head that can claim its cores (FIFO per CE)."""
@@ -200,6 +227,7 @@ class GridNode:
             return  # node failed while the job ran; the job is lost
         for slot, req in job.requirements.items():
             self.ces[slot].detach(job, req.cores)
+        self.load_version += 1
         job.finish_time = self.env.now
         self.completed_jobs += 1
         if self.on_job_finished is not None:
@@ -209,6 +237,7 @@ class GridNode:
     def fail(self) -> List[Job]:
         """Mark the node dead; return jobs (running+queued) that are lost."""
         self.alive = False
+        self.load_version += 1
         lost: List[Job] = []
         seen = set()
         for ce in self.ces.values():

@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import abc
+import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from ..can.aggregation import AggregationEngine
 from ..can.overlay import CanOverlay
 from ..model.job import Job
 from ..model.node import GridNode
+from ..obs.profiling import NULL_PROFILER, profiled
+from .score import ai_field, push_objective, stop_probability
 
 __all__ = [
     "Matchmaker",
+    "CanMatchmaker",
     "MatchmakingStats",
     "fastest_dominant_clock",
-    "outward_capable_search",
     "expanding_ring_search",
 ]
 
@@ -127,39 +133,225 @@ class Matchmaker(abc.ABC):
         return node
 
 
-def outward_capable_search(
-    overlay: CanOverlay,
-    grid_nodes: Dict[int, GridNode],
-    origin_id: int,
-    job: Job,
-    budget: int = 256,
-) -> List[GridNode]:
-    """Breadth-first sweep of the job's satisfying region.
+class CanMatchmaker(Matchmaker):
+    """Algorithm 1's push walk, shared by can-het and can-hom.
 
-    Every node satisfying a job is reachable from the owner of the job's
-    coordinate by hops that only ever cross zone faces toward *higher*
-    coordinates (the straight line from the coordinate to the node's
-    coordinate passes through a monotone staircase of zones).  When the
-    probabilistic push walk strands without meeting a capable node — rare,
-    but real for scarce multi-CE machines — this expanding-ring search from
-    the routing origin is the CAN's fallback, bounded by ``budget`` visited
-    nodes.
+    1. route the job to the node owning its coordinate;
+    2. loop: end the search at a candidate (the current node or a
+       neighbor) that can take the job at once;
+    3. otherwise pick the outward (target node, dimension) minimising the
+       Equation 3 objective, stop probabilistically per Equation 4; on
+       stop, place on the minimum-score candidate; otherwise push.
+
+    The schemes differ in what ends the search early, whose aggregate
+    fields steer a push and which score picks the final node; subclasses
+    supply those.  All decisions use information a real node would have:
+    its own state, its neighbors' states (exchanged in heartbeats), and
+    the per-dimension aggregates propagated by the aggregation engine.
     """
-    dims = overlay.space.dims
-    seen = {origin_id}
-    queue = deque([origin_id])
-    capable: List[GridNode] = []
-    while queue and len(seen) <= budget:
-        current = queue.popleft()
-        node = grid_nodes.get(current)
-        if node is not None and node.alive and node.capable(job):
-            capable.append(node)
-        for dim in range(dims):
-            for nid in sorted(overlay.neighbors_along(current, dim, +1)):
-                if nid not in seen and overlay.is_alive(nid):
+
+    def __init__(
+        self,
+        overlay: CanOverlay,
+        grid_nodes: Dict[int, GridNode],
+        aggregation: AggregationEngine,
+        rng: np.random.Generator,
+        stopping_factor: float = 1.0,
+        max_hops: int = 64,
+    ):
+        super().__init__()
+        self.overlay = overlay
+        self.grid_nodes = grid_nodes
+        self.aggregation = aggregation
+        self.rng = rng
+        self.stopping_factor = stopping_factor
+        self.max_hops = max_hops
+        # node id -> (local candidate ids, outward corridor) at _hoods_version
+        self._hoods: Dict[int, Tuple[List[int], List[Tuple[int, int]]]] = {}
+        self._hoods_version = -1
+
+    # -- what a scheme supplies ---------------------------------------------------
+    @abc.abstractmethod
+    def _select_startable(
+        self, capable: List[GridNode], job: Job
+    ) -> Optional[GridNode]:
+        """The candidate that ends the search early, if any."""
+
+    @abc.abstractmethod
+    def _select_min_score(
+        self, capable: List[GridNode], job: Job
+    ) -> Optional[GridNode]:
+        """The least-loaded candidate by the scheme's score, if any."""
+
+    def _steering_slot(self, job: Job) -> Optional[str]:
+        """The CE slot whose aggregates steer pushes (``None``: pooled)."""
+        return None
+
+    def _score_of(self, node: Optional[GridNode], job: Job) -> Optional[float]:
+        """The chosen node's score for the ``mm.placed`` trace event."""
+        return None
+
+    # -- placement ----------------------------------------------------------------
+    def place(self, job: Job) -> Optional[GridNode]:
+        """One placement, timed end-to-end under ``mm.place.<scheme>``.
+
+        The push-walk phases (Eq 3/4 target choice, Eq 1/2 scoring, the
+        fallback sweep) carry their own child scopes via ``@profiled``.
+        """
+        prof = self.profiler if self.profiler is not None else NULL_PROFILER
+        with prof.scope(f"mm.place.{self.name}"):
+            return self._place(job)
+
+    def _place(self, job: Job) -> Optional[GridNode]:
+        coord = self.overlay.space.job_coordinate(
+            job, float(self.rng.random())
+        )
+        origin = self.overlay.locate_owner(coord)
+        slot = self._steering_slot(job)
+        current = origin
+        visited = {current}
+        hops = 0
+        for _ in range(self.max_hops):
+            capable = self._capable_candidates(current, job)
+            chosen = self._select_startable(capable, job)
+            if chosen is not None:
+                return self._record_placement(chosen, job, hops)
+
+            target = self._choose_push_target(current, visited, slot)
+            if target is None:
+                break  # nowhere outward left to go
+            target_id, dim = target
+            ai = self.aggregation.advertised(target_id, dim)
+            p_stop = stop_probability(
+                ai_field(ai, "num_nodes"), self.stopping_factor
+            )
+            if capable and self.rng.random() < p_stop:
+                self.stats.stopped_probabilistically += 1
+                break
+            if self.tracer is not None:
+                self._trace_push(job, current, target_id, dim, hop=hops)
+            current = target_id
+            visited.add(current)
+            hops += 1
+        else:
+            # Hop budget exhausted under continuous pushing: last resort.
+            capable = self._capable_candidates(current, job)
+        # Place on the least-loaded capable candidate, falling back to an
+        # expanding-ring search of the satisfying region when none was met.
+        chosen = self._select_min_score(capable, job)
+        if chosen is None:
+            chosen = self._fallback(origin, job)
+        return self._record_placement(
+            chosen, job, hops, score=self._score_of(chosen, job)
+        )
+
+    @profiled("mm.fallback")
+    def _fallback(self, origin: int, job: Job) -> Optional[GridNode]:
+        """Expanding-ring search when the push walk met no capable node."""
+        self.stats.fallback_searches += 1
+        capable = self._outward_capable_search(origin, job)
+        if not capable:
+            return None
+        startable = self._select_startable(capable, job)
+        if startable is not None:
+            return startable
+        return self._select_min_score(capable, job)
+
+    # -- steps --------------------------------------------------------------------
+    def _neighborhood(
+        self, node_id: int
+    ) -> Tuple[List[int], List[Tuple[int, int]]]:
+        """``node_id``'s local candidate ids and outward corridor.
+
+        The candidates are the node itself, then its alive neighbors by
+        id; the corridor lists ``(dim, neighbor id)`` for every alive
+        neighbor across a ``+dim`` face, by dimension, then id.  Both
+        derive from the overlay alone and are built once per
+        ``overlay.topology_version``, which liveness flips advance too.
+        """
+        overlay = self.overlay
+        if self._hoods_version != overlay.topology_version:
+            self._hoods_version = overlay.topology_version
+            self._hoods = {}
+        hood = self._hoods.get(node_id)
+        if hood is None:
+            alive = overlay.is_alive
+            candidates = [node_id] + sorted(
+                nid for nid in overlay.neighbors(node_id) if alive(nid)
+            )
+            corridor = [
+                (dim, nid)
+                for dim in range(overlay.space.dims)
+                for nid in sorted(overlay.neighbors_along(node_id, dim, +1))
+                if alive(nid)
+            ]
+            hood = self._hoods[node_id] = (candidates, corridor)
+        return hood
+
+    def _capable_candidates(self, node_id: int, job: Job) -> List[GridNode]:
+        get = self.grid_nodes.get
+        return [
+            node
+            for nid in self._neighborhood(node_id)[0]
+            if (node := get(nid)) is not None and node.capable(job)
+        ]
+
+    @profiled("mm.push_target.eq3")
+    def _choose_push_target(
+        self, node_id: int, visited: set, slot: Optional[str]
+    ) -> Optional[Tuple[int, int]]:
+        """Algorithm 1 line 11: minimise Equation 3 over (neighbor, dim).
+
+        Dimensions owned by the steering slot expose the per-slot
+        aggregate fields; other dimensions only carry pooled fields (that
+        is all their heartbeat aggregates contain).
+        """
+        best: Optional[Tuple[int, int]] = None
+        best_key: Tuple[int, float] = (2, math.inf)
+        dimensions = self.overlay.space.dimensions
+        grid, advertised = self.grid_nodes, self.aggregation.advertised
+        for dim, nid in self._neighborhood(node_id)[1]:
+            if nid in visited or nid not in grid:
+                continue
+            slot_dim = slot is not None and dimensions[dim].slot == slot
+            obj = push_objective(advertised(nid, dim), use_slot_fields=slot_dim)
+            if math.isinf(obj):
+                continue
+            # Prefer steering-slot dimensions: their aggregates speak
+            # directly about the CE the job's runtime depends on.
+            key = (0 if slot_dim else 1, obj)
+            if key < best_key:
+                best_key = key
+                best = (nid, dim)
+        return best
+
+    def _outward_capable_search(
+        self, origin_id: int, job: Job, budget: int = 256
+    ) -> List[GridNode]:
+        """Breadth-first sweep of the job's satisfying region.
+
+        Every node satisfying a job is reachable from the owner of the
+        job's coordinate by hops that only ever cross zone faces toward
+        *higher* coordinates (the straight line from the coordinate to the
+        node's coordinate passes through a monotone staircase of zones).
+        When the probabilistic push walk strands without meeting a capable
+        node — rare, but real for scarce multi-CE machines — this
+        expanding-ring search from the routing origin is the CAN's
+        fallback, bounded by ``budget`` visited nodes.
+        """
+        seen = {origin_id}
+        queue = deque([origin_id])
+        capable: List[GridNode] = []
+        while queue and len(seen) <= budget:
+            current = queue.popleft()
+            node = self.grid_nodes.get(current)
+            if node is not None and node.alive and node.capable(job):
+                capable.append(node)
+            for _, nid in self._neighborhood(current)[1]:
+                if nid not in seen:
                     seen.add(nid)
                     queue.append(nid)
-    return capable
+        return capable
 
 
 def expanding_ring_search(

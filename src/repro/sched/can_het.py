@@ -1,24 +1,19 @@
 """The paper's contribution: heterogeneity-aware decentralized matchmaking.
 
-This is Algorithm 1 verbatim:
+This is Algorithm 1 verbatim (the push walk itself lives in
+:class:`~repro.sched.base.CanMatchmaker`):
 
-1. route the job to the node owning its coordinate;
-2. loop: look for *acceptable* nodes among the current node and its
-   neighbors — prefer a free node with the fastest dominant-CE clock, then
-   any acceptable node with the fastest dominant-CE clock;
-3. otherwise pick the outward (target node, dimension) minimising the
-   Equation 3 objective, stop probabilistically per Equation 4; on stop,
-   place on the minimum Equation 1/2 score candidate; otherwise push.
-
-All decisions use information a real node would have: its own state, its
-neighbors' states (exchanged in heartbeats), and the per-dimension
-aggregates propagated hop-by-hop by the aggregation engine.
+* the search ends at an *acceptable* node among the current node and its
+  neighbors — prefer a free node with the fastest dominant-CE clock, then
+  any acceptable node with the fastest dominant-CE clock;
+* pushes minimise the Equation 3 objective on the *dominant CE's*
+  aggregates;
+* on stop, the job goes to the minimum Equation 1/2 score candidate.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -26,22 +21,19 @@ from ..can.aggregation import AggregationEngine
 from ..can.overlay import CanOverlay
 from ..model.job import Job
 from ..model.node import GridNode
-from ..obs.profiling import NULL_PROFILER, profiled
-from .base import Matchmaker, fastest_dominant_clock, outward_capable_search
+from ..obs.profiling import profiled
+from .base import CanMatchmaker, fastest_dominant_clock
 from .score import (
-    ai_field,
     min_pooled_score_node,
     min_score_node,
     node_score,
     pooled_node_score,
-    push_objective,
-    stop_probability,
 )
 
 __all__ = ["CanHetMatchmaker"]
 
 
-class CanHetMatchmaker(Matchmaker):
+class CanHetMatchmaker(CanMatchmaker):
     """Algorithm 1 — matchmaking and job pushing for heterogeneous jobs."""
 
     name = "can-het"
@@ -57,80 +49,16 @@ class CanHetMatchmaker(Matchmaker):
         use_acceptable_nodes: bool = True,
         use_dominant_ce: bool = True,
     ):
-        super().__init__()
-        self.overlay = overlay
-        self.grid_nodes = grid_nodes
-        self.aggregation = aggregation
-        self.rng = rng
-        self.stopping_factor = stopping_factor
-        self.max_hops = max_hops
+        super().__init__(
+            overlay, grid_nodes, aggregation, rng, stopping_factor, max_hops
+        )
         #: ablation switches (DESIGN.md): fall back to free-node-only search
         #: and/or to node-level scoring to isolate each mechanism's value
         self.use_acceptable_nodes = use_acceptable_nodes
         self.use_dominant_ce = use_dominant_ce
 
-    # ------------------------------------------------------------------ placement --
-    def place(self, job: Job) -> Optional[GridNode]:
-        """One placement, timed end-to-end under ``mm.place.can-het``.
-
-        The push-walk phases (Eq 3/4 target choice, Eq 1/2 scoring, the
-        fallback sweep) carry their own child scopes via ``@profiled``.
-        """
-        prof = self.profiler if self.profiler is not None else NULL_PROFILER
-        with prof.scope(f"mm.place.{self.name}"):
-            return self._place(job)
-
-    def _place(self, job: Job) -> Optional[GridNode]:
-        coord = self.overlay.space.job_coordinate(
-            job, float(self.rng.random())
-        )
-        origin = self.overlay.locate_owner(coord)
-        current = origin
-        visited = {current}
-        hops = 0
-        for _ in range(self.max_hops):
-            candidates = self._local_candidates(current)
-            capable = [n for n in candidates if n.capable(job)]
-            chosen = self._select_startable(capable, job)
-            if chosen is not None:
-                return self._record_placement(chosen, job, hops)
-
-            target = self._choose_push_target(current, job, visited)
-            if target is None:
-                # Nowhere outward left to go: place on the least-loaded
-                # capable candidate, falling back to an expanding-ring
-                # search of the satisfying region when none was met.
-                chosen = self._select_min_score(capable, job)
-                if chosen is None:
-                    chosen = self._fallback(origin, job)
-                return self._record_placement(
-                    chosen, job, hops, score=self._score_of(chosen, job)
-                )
-            target_id, dim = target
-            ai = self.aggregation.advertised(target_id, dim)
-            p_stop = stop_probability(
-                ai_field(ai, "num_nodes"), self.stopping_factor
-            )
-            if capable and self.rng.random() < p_stop:
-                self.stats.stopped_probabilistically += 1
-                chosen = self._select_min_score(capable, job)
-                return self._record_placement(
-                    chosen, job, hops, score=self._score_of(chosen, job)
-                )
-            if self.tracer is not None:
-                self._trace_push(job, current, target_id, dim, hop=hops)
-            current = target_id
-            visited.add(current)
-            hops += 1
-        # Hop budget exhausted under continuous pushing: last resort.
-        candidates = self._local_candidates(current)
-        capable = [n for n in candidates if n.capable(job)]
-        chosen = self._select_min_score(capable, job)
-        if chosen is None:
-            chosen = self._fallback(origin, job)
-        return self._record_placement(
-            chosen, job, hops, score=self._score_of(chosen, job)
-        )
+    def _steering_slot(self, job: Job) -> Optional[str]:
+        return job.dominant_slot if self.use_dominant_ce else None
 
     def _score_of(self, node: Optional[GridNode], job: Job) -> Optional[float]:
         """Equation 1/2 score for the trace; only computed when tracing."""
@@ -140,35 +68,12 @@ class CanHetMatchmaker(Matchmaker):
             return node_score(node, job)
         return pooled_node_score(node)
 
-    @profiled("mm.fallback")
-    def _fallback(self, origin: int, job: Job) -> Optional[GridNode]:
-        """Expanding-ring search when the push walk met no capable node."""
-        self.stats.fallback_searches += 1
-        capable = outward_capable_search(
-            self.overlay, self.grid_nodes, origin, job
-        )
-        if not capable:
-            return None
-        startable = self._select_startable(capable, job)
-        if startable is not None:
-            return startable
-        return self._select_min_score(capable, job)
-
-    # ------------------------------------------------------------------ steps --
-    def _local_candidates(self, node_id: int) -> List[GridNode]:
-        ids = [node_id] + sorted(
-            nid
-            for nid in self.overlay.neighbors(node_id)
-            if self.overlay.is_alive(nid)
-        )
-        return [self.grid_nodes[nid] for nid in ids if nid in self.grid_nodes]
-
     def _select_startable(
         self, capable: List[GridNode], job: Job
     ) -> Optional[GridNode]:
         """Algorithm 1 lines 3-9: acceptable nodes, free nodes first."""
         if self.use_acceptable_nodes:
-            acceptable = [n for n in capable if n.is_acceptable(job)]
+            acceptable = [n for n in capable if n.can_start_now(job)]
         else:
             acceptable = [n for n in capable if n.is_free()]
         if not acceptable:
@@ -176,41 +81,6 @@ class CanHetMatchmaker(Matchmaker):
         free = [n for n in acceptable if n.is_free()]
         pool = free if free else acceptable
         return fastest_dominant_clock(pool, job)
-
-    @profiled("mm.push_target.eq3")
-    def _choose_push_target(
-        self, node_id: int, job: Job, visited: set
-    ) -> Optional[Tuple[int, int]]:
-        """Algorithm 1 line 11: minimise Equation 3 over (neighbor, dim).
-
-        Dimensions owned by the job's dominant CE slot expose the per-slot
-        aggregate fields; other dimensions only carry pooled fields (that is
-        all their heartbeat aggregates contain).
-        """
-        dominant = job.dominant_slot if self.use_dominant_ce else None
-        best: Optional[Tuple[int, int]] = None
-        best_key: Tuple[int, float] = (2, math.inf)
-        for dim_obj in self.overlay.space.dimensions:
-            dim = dim_obj.index
-            slot_dim = dominant is not None and dim_obj.slot == dominant
-            for nid in sorted(
-                self.overlay.neighbors_along(node_id, dim, +1)
-            ):
-                if nid in visited or not self.overlay.is_alive(nid):
-                    continue
-                if nid not in self.grid_nodes:
-                    continue
-                ai = self.aggregation.advertised(nid, dim)
-                obj = push_objective(ai, use_slot_fields=slot_dim)
-                if math.isinf(obj):
-                    continue
-                # Prefer dominant-slot dimensions: their aggregates speak
-                # directly about the CE the job's runtime depends on.
-                key = (0 if slot_dim else 1, obj)
-                if key < best_key:
-                    best_key = key
-                    best = (nid, dim)
-        return best
 
     @profiled("mm.score.eq12")
     def _select_min_score(

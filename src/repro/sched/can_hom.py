@@ -19,145 +19,34 @@ run node can eventually run the job in the real system).
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-import numpy as np
-
-from ..can.aggregation import AggregationEngine
-from ..can.overlay import CanOverlay
 from ..model.job import Job
 from ..model.node import GridNode
-from ..obs.profiling import NULL_PROFILER, profiled
-from .base import Matchmaker, outward_capable_search
-from .score import (
-    ai_field,
-    min_pooled_score_node,
-    pooled_push_objective,
-    stop_probability,
-)
+from ..obs.profiling import profiled
+from .base import CanMatchmaker
+from .score import min_pooled_score_node
 
 __all__ = ["CanHomMatchmaker"]
 
 
-class CanHomMatchmaker(Matchmaker):
+class CanHomMatchmaker(CanMatchmaker):
     """Heterogeneity-oblivious CAN matchmaking (the prior system)."""
 
     name = "can-hom"
 
-    def __init__(
-        self,
-        overlay: CanOverlay,
-        grid_nodes: Dict[int, GridNode],
-        aggregation: AggregationEngine,
-        rng: np.random.Generator,
-        stopping_factor: float = 1.0,
-        max_hops: int = 64,
-    ):
-        super().__init__()
-        self.overlay = overlay
-        self.grid_nodes = grid_nodes
-        self.aggregation = aggregation
-        self.rng = rng
-        self.stopping_factor = stopping_factor
-        self.max_hops = max_hops
-
-    def place(self, job: Job) -> Optional[GridNode]:
-        prof = self.profiler if self.profiler is not None else NULL_PROFILER
-        with prof.scope(f"mm.place.{self.name}"):
-            return self._place(job)
-
-    def _place(self, job: Job) -> Optional[GridNode]:
-        coord = self.overlay.space.job_coordinate(job, float(self.rng.random()))
-        origin = self.overlay.locate_owner(coord)
-        current = origin
-        visited = {current}
-        hops = 0
-        for _ in range(self.max_hops):
-            candidates = self._local_candidates(current)
-            capable = [n for n in candidates if n.capable(job)]
-            free = [n for n in capable if n.is_free()]
-            if free:
-                # Fastest CPU clock among free nodes; can-hom's notion of
-                # "most capable" never looks at the GPU.
-                chosen = min(
-                    free, key=lambda n: (-n.ces["cpu"].spec.clock, n.node_id)
-                )
-                return self._record_placement(chosen, job, hops)
-
-            target = self._choose_push_target(current, visited)
-            if target is None:
-                chosen = self._select_min_score(capable)
-                if chosen is None:
-                    chosen = self._fallback(origin, job)
-                return self._record_placement(chosen, job, hops)
-            target_id, dim = target
-            ai = self.aggregation.advertised(target_id, dim)
-            p_stop = stop_probability(
-                ai_field(ai, "num_nodes"), self.stopping_factor
-            )
-            if capable and self.rng.random() < p_stop:
-                self.stats.stopped_probabilistically += 1
-                return self._record_placement(
-                    self._select_min_score(capable), job, hops
-                )
-            if self.tracer is not None:
-                self._trace_push(job, current, target_id, dim, hop=hops)
-            current = target_id
-            visited.add(current)
-            hops += 1
-        candidates = self._local_candidates(current)
-        capable = [n for n in candidates if n.capable(job)]
-        chosen = self._select_min_score(capable)
-        if chosen is None:
-            chosen = self._fallback(origin, job)
-        return self._record_placement(chosen, job, hops)
-
-    @profiled("mm.fallback")
-    def _fallback(self, origin: int, job: Job) -> Optional[GridNode]:
-        """Expanding-ring search when the push walk met no capable node.
-
-        can-hom still prefers a free node among what the sweep finds, then
-        the lowest pooled utilisation — its (CE-blind) selection rule.
-        """
-        self.stats.fallback_searches += 1
-        capable = outward_capable_search(
-            self.overlay, self.grid_nodes, origin, job
-        )
-        if not capable:
-            return None
+    def _select_startable(
+        self, capable: List[GridNode], job: Job
+    ) -> Optional[GridNode]:
         free = [n for n in capable if n.is_free()]
-        if free:
-            return min(free, key=lambda n: (-n.ces["cpu"].spec.clock, n.node_id))
-        return self._select_min_score(capable)
-
-    def _local_candidates(self, node_id: int) -> List[GridNode]:
-        ids = [node_id] + sorted(
-            nid
-            for nid in self.overlay.neighbors(node_id)
-            if self.overlay.is_alive(nid)
-        )
-        return [self.grid_nodes[nid] for nid in ids if nid in self.grid_nodes]
-
-    @profiled("mm.push_target.eq3")
-    def _choose_push_target(
-        self, node_id: int, visited: set
-    ) -> Optional[Tuple[int, int]]:
-        best: Optional[Tuple[int, int]] = None
-        best_obj = math.inf
-        for dim_obj in self.overlay.space.dimensions:
-            dim = dim_obj.index
-            for nid in sorted(self.overlay.neighbors_along(node_id, dim, +1)):
-                if nid in visited or not self.overlay.is_alive(nid):
-                    continue
-                if nid not in self.grid_nodes:
-                    continue
-                obj = pooled_push_objective(self.aggregation.advertised(nid, dim))
-                if obj < best_obj:
-                    best_obj = obj
-                    best = (nid, dim)
-        return best
+        if not free:
+            return None
+        # Fastest CPU clock among free nodes; can-hom's notion of "most
+        # capable" never looks at the GPU.
+        return min(free, key=lambda n: (-n.ces["cpu"].spec.clock, n.node_id))
 
     @profiled("mm.score.eq12")
-    def _select_min_score(self, capable: List[GridNode]) -> Optional[GridNode]:
+    def _select_min_score(
+        self, capable: List[GridNode], job: Job
+    ) -> Optional[GridNode]:
         return min_pooled_score_node(capable)

@@ -24,7 +24,7 @@ import numpy as np
 from ..model.ce import ComputingElement
 from ..model.job import Job
 from ..model.node import GridNode
-from ..can.aggregation import FIELDS
+from ..can.aggregation import FIELD_INDEX as _IDX
 
 __all__ = [
     "ce_score",
@@ -35,8 +35,6 @@ __all__ = [
     "min_score_node",
     "min_pooled_score_node",
 ]
-
-_IDX = {name: i for i, name in enumerate(FIELDS)}
 
 
 def ce_score(ce: ComputingElement) -> float:

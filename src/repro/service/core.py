@@ -548,14 +548,7 @@ class GridService:
         if record.status is JobStatus.MATCHED:
             node = self.grid_nodes.get(record.node_id)
             job = self._jobs.get(job_id)
-            dequeued = False
-            if node is not None and job is not None:
-                for ce in node.ces.values():
-                    if job in ce.queue:
-                        ce.queue.remove(job)
-                        dequeued = True
-                        break
-            if not dequeued:
+            if node is None or job is None or not node.dequeue(job):
                 raise CancelError(
                     f"job {job_id} is no longer queued; cannot cancel"
                 )

@@ -189,6 +189,22 @@ class TestExecution:
         assert big.start_time == 100.0
         assert small.start_time == 100.0  # starts alongside big (4 cores)
 
+    def test_dequeue_of_blocked_head_starts_its_follower(self, env):
+        node = make_grid_node(
+            env, cpu=make_cpu(cores=4), contention=NO_CONTENTION
+        )
+        node.submit(cpu_job(cores=3, duration=100.0))
+        big = cpu_job(cores=3, duration=10.0)
+        small = cpu_job(cores=1, duration=10.0)
+        node.submit(big)
+        node.submit(small)
+        env.run(until=20.0)
+        assert node.dequeue(big)
+        assert small.start_time == 20.0  # not the runner's finish at 100
+        assert big.start_time is None
+        assert not node.dequeue(big)  # no longer queued
+        assert not node.dequeue(small)  # running, not queued
+
     def test_fail_loses_jobs(self, env):
         node = make_grid_node(
             env, cpu=make_cpu(cores=1), contention=NO_CONTENTION

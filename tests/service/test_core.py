@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.gridsim.invariants import check_service_accounting
@@ -42,7 +44,7 @@ def build_service(ledger=None, **config_kwargs):
         ledger = open_ledger(None, clock=clock)
     else:
         ledger.clock = clock
-    config = ServiceConfig(preset=TINY_LOAD, **config_kwargs)
+    config = ServiceConfig(**{"preset": TINY_LOAD, **config_kwargs})
     service = GridService(config, ledger, clock)
     return env, service
 
@@ -115,6 +117,39 @@ class TestRetriesAndAbandonment:
         assert service.ledger.record(job_id).status is JobStatus.CANCELLED
         env.run(until=HORIZON)  # the cancelled retry timer must not fire
         assert service.ledger.record(job_id).status is JobStatus.CANCELLED
+        check_service_accounting(service, final=True)
+
+    def test_cancel_of_blocked_queue_head_starts_its_follower(self):
+        # Regression: cancel() removed the job from its CE queue without
+        # re-dispatching, so a follower the head had been blocking stayed
+        # queued until some unrelated job on the node finished.
+        one_node = replace(TINY_LOAD, nodes=1, gpu_slots=0, seed=2)
+        env, service = build_service(preset=one_node, heartbeat=False)
+        service.start()
+        (node,) = service.grid_nodes.values()
+        cores = node.ces["cpu"].spec.cores
+        assert cores >= 2  # the scenario needs a partly occupied CPU
+
+        def cpu_spec(need, duration):
+            return {
+                "job_id": None,
+                "submit_time": 0.0,
+                "base_duration": duration,
+                "requirements": {"cpu": {"cores": need}},
+            }
+
+        runner = service.submit(cpu_spec(cores - 1, 10_000.0))
+        head = service.submit(cpu_spec(cores, 10.0))  # blocked by runner
+        follower = service.submit(cpu_spec(1, 10.0))  # fits, but behind head
+        env.run(until=50.0)
+        assert service.ledger.record(runner).status is JobStatus.RUNNING
+        assert service.ledger.record(follower).status is JobStatus.MATCHED
+        service.cancel(head)
+        record = service.ledger.record(follower)
+        assert record.status is JobStatus.RUNNING
+        assert service._jobs[follower].start_time == 50.0
+        env.run(until=HORIZON)
+        assert service.ledger.record(follower).status is JobStatus.COMPLETED
         check_service_accounting(service, final=True)
 
     def test_cancel_running_job_refused(self):
