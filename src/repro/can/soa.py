@@ -512,10 +512,9 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
 
     Behaviourally identical to :class:`HeartbeatProtocol` (the goldens pin
     byte-identical seeded accounting); only the round's hot phases run as
-    array kernels.  A non-identity network channel (``set_network`` /
-    ``set_message_loss``) falls back to the inherited per-delivery
-    exchange, which runs exactly on array-backed tables via the
-    :class:`ArrayNeighborTable` interface.
+    array kernels.  A non-identity network channel (``set_network``) falls
+    back to the inherited per-delivery exchange, which runs exactly on
+    array-backed tables via the :class:`ArrayNeighborTable` interface.
     """
 
     def __init__(self, *args, **kwargs):
@@ -534,7 +533,7 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         self._prescan_cache: Optional[Tuple] = None
 
     # -- node lifecycle -------------------------------------------------------
-    def _make_node(self, node_id: int) -> ProtocolNode:
+    def _new_node(self, node_id: int) -> ProtocolNode:
         store = self.store
         row = store.alloc_row(node_id)
         table = ArrayNeighborTable(
@@ -555,8 +554,6 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             _store.mut_rows.add(_row)
 
         node._version_sink = sink
-        self.nodes[node_id] = node
-        self._nodes_order = None
         return node
 
     def _drop_node(self, node_id: int) -> None:

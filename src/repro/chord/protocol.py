@@ -1,8 +1,8 @@
 """The Chord maintenance protocol: heartbeats, failures, take-overs, repair.
 
 The information-plane rival of :class:`~repro.can.heartbeat
-.HeartbeatProtocol`, exposing the same external surface (the
-:class:`~repro.overlay.MaintenanceProtocol` protocol) so the churn/fault
+.HeartbeatProtocol`: both subclass :class:`~repro.overlay
+.MaintenanceProtocol`, which runs the round, so the churn/fault
 simulations and invariant checkers drive either substrate identically.
 Ground truth (ring order, arc ownership) lives in
 :class:`~repro.chord.ring.ChordRing`; what each node *believes* lives here.
@@ -36,37 +36,21 @@ Chord's *notify*: hearing from an unknown peer inserts it into the
 receiver's known set, where derivation keeps it iff it improves the
 predecessor/successor structure.
 
-Failure handling follows the CAN two-phase model byte-for-byte in shape:
-silent crashes are noticed by believers' timeouts (detection latency is
-emergent), and after ``failure_timeout`` the ring executes the take-over —
-the vacated arc merges into the successor, which notifies the dead node's
-believers from the state it stored via full heartbeats.
+Failure handling is the shared round's two-phase model: believers' timeouts
+notice a silent crash, and after ``failure_timeout`` the vacated arc merges
+into the successor, which notifies the dead node's believers from the state
+it stored via full heartbeats.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import (
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from ..can.heartbeat import HeartbeatScheme, ProtocolConfig
 from ..can.messages import MessageType
-from ..can.stats import MessageStats
-from ..net import IDENTITY, NetworkModel, NetworkSpec
-from ..obs.profiling import NULL_PROFILER
-from ..sim.monitor import TimeSeries
+from ..overlay.base import HeartbeatScheme, MaintenanceProtocol
 from .keyspace import RING_BITS, RING_SIZE
-from .ring import ChordError, ChordRing
+from .ring import ChordRing
 
 __all__ = ["ChordMaintenanceProtocol", "ChordProtocolNode"]
 
@@ -146,36 +130,13 @@ class ChordProtocolNode:
         self._added: List[int] = []
 
 
-class ChordMaintenanceProtocol:
-    """Drives heartbeat rounds plus the join/leave/failure protocol."""
+class ChordMaintenanceProtocol(MaintenanceProtocol):
+    """The maintenance round over believed ring peers."""
 
-    def __init__(
-        self,
-        overlay: ChordRing,
-        config: ProtocolConfig,
-        rng: Optional["np.random.Generator"] = None,
-        tracer: Optional[object] = None,
-        profiler: Optional[object] = None,
-        metrics: Optional[object] = None,
-    ):
-        self.overlay = overlay
-        self.config = config
-        self._rng = rng
-        self.tracer = tracer
-        self.metrics = metrics
-        self._detection_sketch = (
-            metrics.scope("hb").quantile_sketch("detection_latency")
-            if metrics is not None
-            else None
-        )
-        self.profiler = profiler
-        self.stats = MessageStats()
-        self.nodes: Dict[int, ChordProtocolNode] = {}
-        self.broken_links = TimeSeries("broken_links")
-        self._fail_times: Dict[int, float] = {}
-        self._pending_joins: List[Tuple[int, Tuple[float, ...]]] = []
-        self._round = 0
-        self._now = 0.0
+    event_prefix = "chord"
+
+    def __init__(self, overlay: ChordRing, *args, **kwargs):
+        super().__init__(overlay, *args, **kwargs)
         #: append-only id -> ring key (node keys never change; believed
         #: records outliving the member still resolve)
         self._key: Dict[int, int] = {}
@@ -185,38 +146,6 @@ class ChordMaintenanceProtocol:
         self._finger_rank: Tuple[int, ...] = tuple(
             accumulate((e in exponents for e in range(RING_BITS)), initial=0)
         )
-        #: full-update replies in flight: (receiver id, responder id,
-        #: responder known snapshot) — delivered next round
-        self._reply_queue: List[Tuple[int, int, Dict[int, float]]] = []
-        self.events = {"joins": 0, "leaves": 0, "failures": 0, "claims": 0}
-        #: reverse index of stored_state: subject id -> holder ids
-        self._stored_in: Dict[int, Set[int]] = {}
-        self.on_failure_detected: Optional[Callable[[int, float], None]] = None
-        self._detected_failures: Set[int] = set()
-        #: the network channel every unreliable send traverses; IDENTITY
-        #: is bypassed entirely (no RNG draws), keeping seeded runs
-        #: unchanged
-        self.net: NetworkModel = IDENTITY
-        #: heartbeats in flight with super-period latency, as (arrival,
-        #: kind, receiver id, sender id, known snapshot|None, send time)
-        self._deferred: List[
-            Tuple[float, str, int, int, Optional[Dict[int, float]], float]
-        ] = []
-        self._net_sketch = (
-            metrics.scope("net").quantile_sketch("delivery_latency")
-            if metrics is not None
-            else None
-        )
-
-    # ------------------------------------------------------------------ accounting --
-    def _record(
-        self, now: float, mtype: MessageType, size_bytes: int, copies: int = 1
-    ) -> None:
-        self.stats.record(mtype, size_bytes, copies)
-        if self.tracer is not None and copies:
-            self.tracer.emit(
-                now, "msg.sent", mtype=mtype.value, bytes=size_bytes, copies=copies
-            )
 
     # ------------------------------------------------------------------ derived state --
     def key_of(self, node_id: int) -> int:
@@ -377,54 +306,28 @@ class ChordMaintenanceProtocol:
         return False
 
     # ------------------------------------------------------------------ membership --
-    def _make_node(self, node_id: int) -> ChordProtocolNode:
-        node = ChordProtocolNode(node_id)
-        self.nodes[node_id] = node
+    def _new_node(self, node_id: int) -> ChordProtocolNode:
         self._key[node_id] = self.overlay.key_of(node_id)
-        return node
+        return ChordProtocolNode(node_id)
 
-    def _drop_node(self, node_id: int) -> None:
-        del self.nodes[node_id]
+    def _state_bytes(self, known: Dict[int, float]) -> int:
+        """Wire size of a full peer list plus its owner's own entry."""
+        entries = len(known) + 1
+        return self.config.size_model.table_bytes_from_totals(
+            self.overlay.space.dims, entries, entries
+        )
 
-    def bootstrap(self, node_id: int, coord: Sequence[float], now: float = 0.0) -> None:
-        """Insert the very first ring member."""
-        self.overlay.add_node(node_id, coord)
-        self._make_node(node_id)
-
-    def join(self, node_id: int, coord: Sequence[float], now: float) -> bool:
-        """A node joins; returns False when deferred (target arc in limbo)."""
-        coord = tuple(coord)
-        try:
-            result = self.overlay.add_node(node_id, coord)
-        except ChordError:
-            # The containing arc belongs to a failed-but-unclaimed node;
-            # retry once the take-over has happened.
-            self._pending_joins.append((node_id, coord))
-            if self.tracer is not None:
-                self.tracer.emit(now, "chord.join_deferred", node=node_id)
-            return False
-        self.events["joins"] += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                now, "chord.join", node=node_id, splitter=result.splitter_id
-            )
-        newcomer = self._make_node(node_id)
+    def _joined(self, newcomer: ChordProtocolNode, result, now: float) -> None:
+        node_id = newcomer.node_id
         if result.splitter_id is None:
-            return True
+            return
         splitter = self.nodes[result.splitter_id]
-
-        model = self.config.size_model
-        dims = self.overlay.space.dims
 
         # Join reply: the prior arc owner hands the newcomer its own entry
         # plus its full peer list — the newcomer derives its structure from
         # that (Chord's join-by-successor bootstrapping).
         self._record(
-            now,
-            MessageType.JOIN_REPLY,
-            model.table_bytes_from_totals(
-                dims, len(splitter.known) + 1, len(splitter.known) + 1
-            ),
+            now, MessageType.JOIN_REPLY, self._state_bytes(splitter.known)
         )
         for nid, heard_at in splitter.known.items():
             self._gossip(newcomer, nid, heard_at)
@@ -438,39 +341,21 @@ class ChordMaintenanceProtocol:
         targets = [
             t for t in self._derived(splitter).targets if t != node_id
         ]
-        self._record(
-            now, MessageType.JOIN_NOTIFY, model.notify_bytes(dims), len(targets)
-        )
-        net_active = not self.net.is_identity
-        for target_id in targets:
-            if (
-                net_active
-                and self._transmit(splitter.node_id, target_id, now) is None
-            ):
-                continue  # notify lost; heartbeats converge the structure
-            receiver = self._deliverable(target_id)
-            if receiver is None:
-                continue
+        for receiver in self._notify(
+            MessageType.JOIN_NOTIFY, splitter.node_id, targets, now
+        ):
             self._hear(receiver, splitter.node_id, now)
             self._gossip(receiver, node_id, now)
-        return True
 
-    def graceful_leave(self, node_id: int, now: float) -> None:
-        """Voluntary departure with explicit hand-off to the successor."""
-        leaver = self.nodes[node_id]
+    def _hand_off(
+        self, leaver: ChordProtocolNode, transfers: List, now: float
+    ) -> None:
+        node_id = leaver.node_id
         leaver_known = dict(leaver.known)
-        transfers = self.overlay.graceful_leave(node_id)
-        self.events["leaves"] += 1
-        if self.tracer is not None:
-            self.tracer.emit(now, "chord.leave", node=node_id)
-        model = self.config.size_model
-        dims = self.overlay.space.dims
-        handoff_size = model.table_bytes_from_totals(
-            dims, len(leaver_known) + 1, len(leaver_known) + 1
-        )
+        handoff_size = self._state_bytes(leaver_known)
         for transfer in transfers:
-            heir = self.nodes.get(transfer.to_node)
-            if heir is None or not self.overlay.is_alive(transfer.to_node):
+            heir = self._deliverable(transfer.to_node)
+            if heir is None:
                 continue  # the arc landed on a ghost; claimed later
             self._record(now, MessageType.HANDOFF, handoff_size)
             for nid, heard_at in leaver_known.items():
@@ -478,16 +363,6 @@ class ChordMaintenanceProtocol:
             self._forget(heir, node_id)
             heir.gap_dirty = True
             self._notify_takeover(heir, node_id, leaver_known, now)
-        self._drop_node(node_id)
-        self._purge_stored(node_id)
-
-    def fail(self, node_id: int, now: float) -> None:
-        """Silent crash: no messages; believers find out via timeouts."""
-        self.overlay.fail(node_id)
-        self.events["failures"] += 1
-        self._fail_times[node_id] = now
-        if self.tracer is not None:
-            self.tracer.emit(now, "chord.fail", node=node_id)
 
     def adopt_overlay(self, now: float = 0.0) -> None:
         """Warm-start believed state for a ring built outside the protocol.
@@ -510,77 +385,6 @@ class ChordMaintenanceProtocol:
                 if nid in self.nodes:
                     self._hear(pnode, nid, now)
 
-    def set_network(self, model: Optional[NetworkModel]) -> None:
-        """Install the channel every unreliable send traverses.
-
-        Same contract as the CAN protocol: heartbeats, notifies, and the
-        adaptive request/reply path all go through ``model.transmit``;
-        the join reply and graceful-leave hand-off stay reliable
-        (acknowledged transfers, not datagrams).
-        """
-        self.net = IDENTITY if model is None else model
-
-    def set_message_loss(
-        self, rate: float, rng: Optional["np.random.Generator"]
-    ) -> None:
-        """Drop each unreliable delivery independently with ``rate``.
-
-        Compatibility wrapper over :meth:`set_network`; ``rate == 1`` is
-        a total blackout (every send dropped).
-        """
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("loss rate must be in [0, 1]")
-        if rate == 0.0:
-            self.net = IDENTITY
-        else:
-            self.net = NetworkModel(NetworkSpec(loss=rate), rng)
-
-    def _transmit(self, src: int, dst: int, now: float) -> Optional[float]:
-        """Send one message through the channel: None = dropped in flight."""
-        lat = self.net.transmit(src, dst, now)
-        if lat is None:
-            if self.tracer is not None:
-                self.tracer.emit(now, "net.drop", src=src, dst=dst)
-            return None
-        if self._net_sketch is not None:
-            self._net_sketch.insert(lat)
-        return lat
-
-    # ------------------------------------------------------------------ the round --
-    def run_round(self, now: float) -> None:
-        """One heartbeat period: exchange, detect, claim, repair, measure."""
-        prof = self.profiler if self.profiler is not None else NULL_PROFILER
-        self._round += 1
-        self._now = now
-        population = len(self.overlay.alive_ids())
-        self.stats.track_population(now, population)
-        with prof.scope(f"hb.round.{self.config.scheme.value}"):
-            with prof.scope("hb.retry_joins"):
-                # the one step of a round that changes who is alive
-                population += self._retry_pending_joins(now)
-            with prof.scope("hb.exchange"):
-                self._exchange_heartbeats(now)
-            with prof.scope("hb.deliver_replies"):
-                self._deliver_replies(now)
-            with prof.scope("hb.detect_failures"):
-                self._detect_failures(now)
-            with prof.scope("hb.claim_zones"):
-                self._claim_timed_out_zones(now)
-            if self.config.scheme is HeartbeatScheme.ADAPTIVE:
-                with prof.scope("hb.gap_checks"):
-                    self._adaptive_gap_checks(now)
-            with prof.scope("hb.count_broken_links"):
-                broken = self.count_broken_links()
-        self.broken_links.record(now, float(broken))
-        if self.tracer is not None:
-            self.tracer.emit(
-                now,
-                "hb.round",
-                round=self._round,
-                population=population,
-                broken_links=broken,
-            )
-
     # -- heartbeat exchange -------------------------------------------------
     def _exchange_heartbeats(self, now: float) -> None:
         vanilla = self.config.scheme is HeartbeatScheme.VANILLA
@@ -589,7 +393,7 @@ class ChordMaintenanceProtocol:
         compact_size = model.heartbeat_bytes(dims, 1, None)
         net = self.net if not self.net.is_identity else None
         period = self.config.period
-        for node_id in sorted(self.nodes):
+        for node_id in self._sorted_node_ids():
             if not self.overlay.is_alive(node_id):
                 continue  # ghosts are silent
             sender = self.nodes[node_id]
@@ -665,140 +469,64 @@ class ChordMaintenanceProtocol:
                 ) is not None:
                     self._hear(sender, target_id, now)  # the (untallied) ack
 
-    def _deliver_deferred(self, now: float) -> None:
-        """Land heartbeats whose link latency outran the round period.
-
-        A late heartbeat proves the sender was alive at *send* time:
-        evidence (including the ack the sender gets back) is stamped with
-        the send time, so slow links delay detection-relevant freshness
-        instead of forging it.
-        """
-        if not self._deferred:
-            return
-        due = [entry for entry in self._deferred if entry[0] <= now]
-        if not due:
-            return
-        self._deferred = [entry for entry in self._deferred if entry[0] > now]
-        due.sort(key=lambda entry: entry[0])  # stable: FIFO within a round
-        for arrival, kind, receiver_id, sender_id, snapshot, sent_at in due:
-            receiver = self._deliverable(receiver_id)
-            if receiver is None:
-                continue  # receiver died while the message was in flight
-            if self.tracer is not None:
-                self.tracer.emit(
-                    now, "net.deliver_late", dst=receiver_id,
-                    src=sender_id, sent_at=sent_at,
-                )
-            self._gossip(receiver, sender_id, sent_at)
-            sender = self._deliverable(sender_id)
-            if sender is not None and self._transmit(
-                receiver_id, sender_id, now
-            ) is not None:
-                self._gossip(sender, receiver_id, sent_at)  # the late ack
-            if kind == "full" and snapshot is not None:
-                receiver.stored_state[sender_id] = snapshot
-                self._stored_in.setdefault(sender_id, set()).add(receiver_id)
-                for nid, heard_at in snapshot.items():
-                    self._gossip(receiver, nid, heard_at)
-
-    def _deliver_replies(self, now: float) -> None:
-        """Deliver last round's full-update replies to their requesters."""
-        self._deliver_deferred(now)
-        queue, self._reply_queue = self._reply_queue, []
-        for receiver_id, responder_id, snapshot in queue:
-            receiver = self._deliverable(receiver_id)
-            if receiver is None:
-                continue
-            self._hear(receiver, responder_id, now)
+    def _land_late(
+        self,
+        receiver: ChordProtocolNode,
+        sender_id: int,
+        snapshot: Optional[Dict[int, float]],
+        sent_at: float,
+        now: float,
+    ) -> None:
+        """Evidence — including the ack the sender gets back — is stamped
+        with the send time: slow links delay detection-relevant freshness
+        instead of forging it."""
+        receiver_id = receiver.node_id
+        self._gossip(receiver, sender_id, sent_at)
+        sender = self._deliverable(sender_id)
+        if sender is not None and self._transmit(
+            receiver_id, sender_id, now
+        ) is not None:
+            self._gossip(sender, receiver_id, sent_at)  # the late ack
+        if snapshot is not None:
+            receiver.stored_state[sender_id] = snapshot
+            self._stored_in.setdefault(sender_id, set()).add(receiver_id)
             for nid, heard_at in snapshot.items():
                 self._gossip(receiver, nid, heard_at)
-            if not self._detects_gap(receiver_id):
-                if self.tracer is not None and (
-                    receiver.gap_attempts or receiver.gap_dirty
-                ):
-                    self.tracer.emit(now, "hb.gap_repaired", node=receiver_id)
-                receiver.gap_attempts = 0
-                receiver.gap_dirty = False
 
     # -- failure detection & take-over --------------------------------------
-    def _detect_failures(self, now: float) -> None:
-        timeout = self.config.failure_timeout
-        for node_id in sorted(self.nodes):
-            if not self.overlay.is_alive(node_id):
-                continue
-            pnode = self.nodes[node_id]
-            stale = sorted(
-                nid
-                for nid, heard_at in pnode.known.items()
-                if now - heard_at > timeout
-            )
-            for stale_id in stale:
-                self._forget(pnode, stale_id)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        now, "hb.failure_detected", node=node_id, suspect=stale_id
-                    )
-                if (
-                    stale_id in self._fail_times
-                    and stale_id not in self._detected_failures
-                ):
-                    self._detected_failures.add(stale_id)
-                    if self._detection_sketch is not None:
-                        self._detection_sketch.insert(
-                            now - self._fail_times[stale_id]
-                        )
-                    if self.on_failure_detected is not None:
-                        self.on_failure_detected(stale_id, now)
-
-    def _claim_timed_out_zones(self, now: float) -> None:
-        """Execute ring take-overs for detected failures.
-
-        What differs per scheme is how much the claimant *knows*: whether
-        it stored the dead node's peer list (from full heartbeats) and can
-        notify the vacated arc's believers.
-        """
-        timeout = self.config.failure_timeout
-        due = sorted(
-            nid for nid, t in self._fail_times.items() if now - t >= timeout
+    def _detect_failures_at(
+        self, pnode: ChordProtocolNode, now: float, timeout: float
+    ) -> None:
+        stale = sorted(
+            nid
+            for nid, heard_at in pnode.known.items()
+            if now - heard_at > timeout
         )
-        for dead_id in due:
-            if dead_id not in self._detected_failures:
-                # fallback detection at claim time, so the recovery layer
-                # never waits forever
-                if self._detection_sketch is not None:
-                    self._detection_sketch.insert(
-                        now - self._fail_times[dead_id]
-                    )
-                if self.on_failure_detected is not None:
-                    self.on_failure_detected(dead_id, now)
-            self._detected_failures.discard(dead_id)
-            transfers = self.overlay.claim_zones(dead_id)
-            self.events["claims"] += 1
-            for transfer in transfers:
-                claimant = self.nodes.get(transfer.to_node)
-                if claimant is None or not self.overlay.is_alive(
-                    transfer.to_node
-                ):
-                    continue  # the arc landed on a ghost; claimed later
-                known_state = claimant.stored_state.get(dead_id)
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        now,
-                        "hb.takeover",
-                        claimant=claimant.node_id,
-                        dead=dead_id,
-                        informed=known_state is not None,
-                    )
-                self._forget(claimant, dead_id)
-                if known_state:
-                    for nid, heard_at in known_state.items():
-                        self._gossip(claimant, nid, heard_at)
-                self._notify_takeover(
-                    claimant, dead_id, known_state or {}, now
-                )
-            del self._fail_times[dead_id]
-            self._drop_node(dead_id)
-            self._purge_stored(dead_id)
+        for stale_id in stale:
+            self._forget(pnode, stale_id)
+            self._believer_timed_out(pnode.node_id, stale_id, now)
+
+    def _stored_copy(
+        self, holder: ChordProtocolNode, subject_id: int
+    ) -> Optional[Dict[int, float]]:
+        return holder.stored_state.get(subject_id)
+
+    def _discard_stored(self, holder: ChordProtocolNode, subject_id: int) -> None:
+        holder.stored_state.pop(subject_id, None)
+
+    def _claim_zone(
+        self,
+        claimant: ChordProtocolNode,
+        dead_id: int,
+        transfer,
+        known_state: Optional[Dict[int, float]],
+        now: float,
+    ) -> None:
+        self._forget(claimant, dead_id)
+        if known_state:
+            for nid, heard_at in known_state.items():
+                self._gossip(claimant, nid, heard_at)
+        self._notify_takeover(claimant, dead_id, known_state or {}, now)
 
     def _notify_takeover(
         self,
@@ -808,101 +536,41 @@ class ChordMaintenanceProtocol:
         now: float,
     ) -> None:
         """Announce the new arc ownership to everyone the claimant knows."""
-        model = self.config.size_model
-        dims = self.overlay.space.dims
         candidates = set(self._derived(claimant).peers)
         candidates.update(source_known)
         candidates.discard(claimant.node_id)
         candidates.discard(vacated_id)
-        targets = sorted(candidates)
-        self._record(
-            now, MessageType.TAKEOVER_NOTIFY, model.notify_bytes(dims), len(targets)
-        )
-        net_active = not self.net.is_identity
-        for target_id in targets:
-            if (
-                net_active
-                and self._transmit(claimant.node_id, target_id, now) is None
-            ):
-                continue  # notify lost; the believer times the ghost out
-            receiver = self._deliverable(target_id)
-            if receiver is None:
-                continue
+        for receiver in self._notify(
+            MessageType.TAKEOVER_NOTIFY, claimant.node_id, sorted(candidates), now
+        ):
             self._forget(receiver, vacated_id)
             self._hear(receiver, claimant.node_id, now)
 
-    def _purge_stored(self, dead_id: int) -> None:
-        for holder_id in self._stored_in.pop(dead_id, ()):
-            holder = self.nodes.get(holder_id)
-            if holder is not None:
-                holder.stored_state.pop(dead_id, None)
-
     # -- adaptive repair -----------------------------------------------------
-    def _adaptive_gap_checks(self, now: float) -> None:
-        model = self.config.size_model
-        dims = self.overlay.space.dims
-        periodic = (
-            self.config.periodic_gap_check_every
-            and self._round % self.config.periodic_gap_check_every == 0
-        )
-        candidates = sorted(
-            nid
-            for nid, pnode in self.nodes.items()
-            if pnode.gap_dirty or periodic
-        )
-        for node_id in candidates:
-            pnode = self.nodes.get(node_id)
-            if pnode is None or not self.overlay.is_alive(node_id):
-                continue
-            if self.config.gap_detection_prob < 1.0 and self._rng is not None:
-                if self._rng.random() >= self.config.gap_detection_prob:
-                    continue  # the local check missed the gap this round
-            # A dirty node just forgot a believed peer — that removal is
-            # local knowledge, so it requests repair even when its derived
-            # successor list has refilled to full length from farther ids
-            # (a substitution gap the length check cannot see).
-            if not pnode.gap_dirty and not self._detects_gap(node_id):
-                pnode.gap_attempts = 0
-                continue
-            if self.tracer is not None:
-                self.tracer.emit(
-                    now, "hb.gap_found", node=node_id, attempt=pnode.gap_attempts + 1
-                )
-            targets = self._derived(pnode).targets
-            self._record(
-                now,
-                MessageType.FULL_UPDATE_REQUEST,
-                model.request_bytes(),
-                len(targets),
-            )
-            net_active = not self.net.is_identity
-            for target_id in targets:
-                if (
-                    net_active
-                    and self._transmit(node_id, target_id, now) is None
-                ):
-                    continue  # request lost; the gap stays dirty, retried
-                responder = self._deliverable(target_id)
-                if responder is None:
-                    continue
-                self._record(
-                    now,
-                    MessageType.FULL_UPDATE_REPLY,
-                    model.table_bytes_from_totals(
-                        dims, len(responder.known) + 1, len(responder.known) + 1
-                    ),
-                )
-                if (
-                    net_active
-                    and self._transmit(target_id, node_id, now) is None
-                ):
-                    continue  # reply lost in flight (responder paid bytes)
-                # The reply crosses the network; it lands next round.
-                self._reply_queue.append(
-                    (node_id, target_id, dict(responder.known))
-                )
-            pnode.gap_attempts += 1
-            pnode.gap_dirty = pnode.gap_attempts < self.config.gap_retry_rounds
+    def _needs_repair(self, pnode: ChordProtocolNode) -> bool:
+        # A dirty node just forgot a believed peer — that removal is
+        # local knowledge, so it requests repair even when its derived
+        # successor list has refilled to full length from farther ids
+        # (a substitution gap the length check cannot see).
+        return pnode.gap_dirty or self._detects_gap(pnode.node_id)
+
+    def _repair_targets(self, pnode: ChordProtocolNode) -> Tuple[int, ...]:
+        return self._derived(pnode).targets
+
+    def _full_update_reply(self, responder: ChordProtocolNode) -> Tuple[int, tuple]:
+        known = responder.known
+        return self._state_bytes(known), (responder.node_id, dict(known))
+
+    def _land_reply(
+        self,
+        receiver: ChordProtocolNode,
+        payload: Tuple[int, Dict[int, float]],
+        now: float,
+    ) -> None:
+        responder_id, snapshot = payload
+        self._hear(receiver, responder_id, now)
+        for nid, heard_at in snapshot.items():
+            self._gossip(receiver, nid, heard_at)
 
     def _detects_gap(self, node_id: int) -> bool:
         """Would this node's local structure detector fire right now?
@@ -951,15 +619,3 @@ class ChordMaintenanceProtocol:
                 if nid not in known:
                     total += 1
         return total
-
-    # -- plumbing ------------------------------------------------------------
-    def _deliverable(self, node_id: int) -> Optional[ChordProtocolNode]:
-        """Target of a message: None when it is dead or gone (message lost)."""
-        if not self.overlay.is_alive(node_id):
-            return None
-        return self.nodes.get(node_id)
-
-    def _retry_pending_joins(self, now: float) -> int:
-        """Retry deferred joins; returns how many went through."""
-        pending, self._pending_joins = self._pending_joins, []
-        return sum(self.join(node_id, coord, now) for node_id, coord in pending)

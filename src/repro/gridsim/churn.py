@@ -15,6 +15,7 @@ from typing import Optional
 
 from ..can.heartbeat import ProtocolConfig
 from ..can.space import ResourceSpace
+from ..net import NetworkSpec
 from ..obs.registry import MetricsRegistry
 from ..overlay import get_substrate
 from ..sim.core import Environment
@@ -62,8 +63,10 @@ class ChurnSimulation:
             profiler=profiler,
         )
         if config.message_loss > 0.0:
-            self.protocol.set_message_loss(
-                config.message_loss, self.rngs.stream("hb-loss")
+            self.protocol.set_network(
+                NetworkSpec(loss=config.message_loss).build(
+                    self.rngs.stream("hb-loss")
+                )
             )
         #: scripted adversity: installed once, before any process runs, so
         #: burst callbacks and the network model are part of the seeded run

@@ -1,10 +1,9 @@
-"""The overlay-substrate protocol: what a DHT must provide to host the grid.
+"""The overlay-substrate surface: what a DHT must provide to host the grid.
 
 The matchmakers (:mod:`repro.sched`), the aggregation engine, and the
 churn/fault simulations were written against the concrete surface of
-:class:`~repro.can.overlay.CanOverlay`.  This module names that surface as
-an abstract protocol so a rival substrate (``repro.chord``) can slot in
-underneath them unchanged.  Two protocols are defined:
+:class:`~repro.can.overlay.CanOverlay`.  This module names that surface so
+a rival substrate (``repro.chord``) can slot in underneath them unchanged:
 
 * :class:`OverlaySubstrate` — the *ground-truth* structure: membership,
   coordinates, ownership of the resource space, neighbor queries, and the
@@ -15,27 +14,33 @@ underneath them unchanged.  Two protocols are defined:
   ``claim_zones`` executes the predetermined take-over of a dead member's
   region (CAN: split-history zone transfers; Chord: arc absorption by the
   successor), and ``check_invariants`` audits full coverage of the space
-  (CAN: the zone partition; Chord: full-ring key coverage).
+  (CAN: the zone partition; Chord: full-ring key coverage).  A
+  :func:`typing.runtime_checkable` structural protocol — overlays conform
+  without inheriting from anything here.
 
-* :class:`MaintenanceProtocol` — the *information* plane: the per-node
-  believed state driven by heartbeat rounds, with failure detection,
-  take-over execution, message accounting and the broken-link time series.
-  Substrates ship their own implementation (beliefs are substrate-shaped:
-  neighbor-zone tables for CAN, successor lists and fingers for Chord) but
-  expose the same external surface, so :class:`~repro.gridsim.churn
-  .ChurnSimulation`, :class:`~repro.gridsim.faulty.FaultyGridSimulation`
-  and the invariant checkers drive either one identically.
-
-Both are :func:`typing.runtime_checkable` structural protocols — existing
-classes conform without inheriting from anything here.
+* :class:`MaintenanceProtocol` — the *information* plane: per-node believed
+  state driven by heartbeat rounds, with failure detection, take-over
+  execution, message accounting and the broken-link time series.  The
+  paper's Section IV policy (heartbeat, time out, take over, repair on a
+  detected broken link; vanilla / compact / adaptive) is one policy, so
+  this is the concrete base class that implements the round once;
+  substrates subclass it and supply only what is shaped like their beliefs
+  (neighbor-zone tables for CAN, successor lists and fingers for Chord).
+  :class:`~repro.gridsim.churn.ChurnSimulation`,
+  :class:`~repro.gridsim.faulty.FaultyGridSimulation` and the invariant
+  checkers drive either substrate through this one surface.
 """
 
 from __future__ import annotations
 
+import enum
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -45,7 +50,19 @@ from typing import (
     runtime_checkable,
 )
 
-__all__ = ["OverlaySubstrate", "MaintenanceProtocol", "SubstrateError"]
+from ..can.messages import MessageType, SizeModel
+from ..can.stats import MessageStats
+from ..net import IDENTITY, NetworkModel
+from ..obs.profiling import NULL_PROFILER
+from ..sim.monitor import TimeSeries
+
+__all__ = [
+    "OverlaySubstrate",
+    "MaintenanceProtocol",
+    "HeartbeatScheme",
+    "ProtocolConfig",
+    "SubstrateError",
+]
 
 
 class SubstrateError(Exception):
@@ -149,58 +166,591 @@ class OverlaySubstrate(Protocol):
         ...
 
 
-@runtime_checkable
-class MaintenanceProtocol(Protocol):
-    """The believed-state machinery a substrate runs under churn.
+class HeartbeatScheme(enum.Enum):
+    VANILLA = "vanilla"
+    COMPACT = "compact"
+    ADAPTIVE = "adaptive"
 
-    Implementations: :class:`~repro.can.heartbeat.HeartbeatProtocol` (and
-    its array-engine subclass), :class:`~repro.chord.protocol
-    .ChordMaintenanceProtocol`.  The churn/fault simulations and
-    :mod:`repro.gridsim.invariants` use exactly this surface.
+
+@dataclass(frozen=True)
+class ProtocolConfig:
+    """Tunables of the maintenance protocol."""
+
+    scheme: HeartbeatScheme = HeartbeatScheme.VANILLA
+    #: heartbeat period in simulated seconds
+    period: float = 60.0
+    #: a neighbor is declared failed after this many silent periods
+    failure_timeout_periods: float = 2.5
+    #: adaptive: how many consecutive rounds a node keeps re-requesting
+    #: full updates while its detected gap persists before giving up
+    gap_retry_rounds: int = 2
+    #: adaptive: also run the coverage check every k rounds even without a
+    #: local table change (0 disables the periodic check)
+    periodic_gap_check_every: int = 0
+    #: adaptive: probability that a real coverage gap is noticed by the
+    #: local coverage computation in a given round.  In high dimension a
+    #: stale believed zone can spuriously cover a vacated area, hiding the
+    #: gap — 1.0 models a perfect checker (see DESIGN.md)
+    gap_detection_prob: float = 1.0
+    #: adaptive's gap detector: "coverage" runs the real local zone-face
+    #: coverage computation over believed zones (repro.can.coverage);
+    #: "oracle" compares against ground truth (an idealised upper bound)
+    detection: str = "coverage"
+    size_model: SizeModel = field(default_factory=SizeModel)
+
+    def __post_init__(self) -> None:
+        if self.period <= 0:
+            raise ValueError("period must be positive")
+        if self.failure_timeout_periods < 1:
+            raise ValueError("failure timeout must be at least one period")
+        if self.gap_retry_rounds < 0 or self.periodic_gap_check_every < 0:
+            raise ValueError("retry/periodic settings must be non-negative")
+        if not 0.0 <= self.gap_detection_prob <= 1.0:
+            raise ValueError("gap_detection_prob must be a probability")
+        if self.detection not in ("coverage", "oracle"):
+            raise ValueError(f"unknown detection mode {self.detection!r}")
+
+    @property
+    def failure_timeout(self) -> float:
+        return self.period * self.failure_timeout_periods
+
+
+class MaintenanceProtocol:
+    """The maintenance round every substrate runs under churn.
+
+    Owns the policy: phase order, what crosses the channel, when a late
+    message lands and with which evidence stamp, when a crash counts as
+    detected, when territory is claimed and stored state purged, and the
+    adaptive request -> reply-next-round loop.  Subclasses
+    (:class:`~repro.can.heartbeat.HeartbeatProtocol` and its array-engine
+    subclass, :class:`~repro.chord.protocol.ChordMaintenanceProtocol`) own
+    the believed-state representation and override the methods grouped
+    under "substrate hooks" below; their per-node state objects expose
+    ``node_id``, ``gap_dirty`` and ``gap_attempts``.
+
+    Hooks fire per phase, per node a phase visits, or per repair/claim
+    event — never per delivered heartbeat: the exchange loop belongs to the
+    substrate whole, because that is where a round's time goes.
     """
 
-    overlay: OverlaySubstrate
-    #: per-message-type counts and bytes (drives the fig8 rates)
-    stats: Any
-    #: believed ground-truth divergence over time (drives fig7)
-    broken_links: Any
-    #: node_id -> per-node protocol state, one entry per overlay member
-    nodes: Dict[int, Any]
-    #: joins/leaves/failures/claims counters (the membership ledger)
-    events: Dict[str, int]
-    #: crash time per failed-but-unclaimed member
-    _fail_times: Dict[int, float]
-    #: fired once per failed node when the protocol first notices the crash
-    on_failure_detected: Optional[Callable[[int, float], None]]
-    #: the network channel (repro.net.NetworkModel) every unreliable send
-    #: traverses; the identity model is bypassed with no RNG draws
-    net: Any
+    #: prefix of the substrate's membership trace events (``can.join`` ...)
+    event_prefix = ""
 
-    def bootstrap(self, node_id: int, coord: Sequence[float], now: float = 0.0) -> None: ...
+    def __init__(
+        self,
+        overlay: OverlaySubstrate,
+        config: ProtocolConfig,
+        rng: Optional[Any] = None,
+        tracer: Optional[Any] = None,
+        profiler: Optional[Any] = None,
+        metrics: Optional[Any] = None,
+    ):
+        self.overlay = overlay
+        self.config = config
+        self._rng = rng
+        #: optional repro.obs.Tracer; None keeps every emit site to a
+        #: single attribute test (the default, benchmark-grade path)
+        self.tracer = tracer
+        #: optional repro.obs.MetricsRegistry; when present the protocol
+        #: streams crash->detection latencies into a constant-memory
+        #: quantile sketch under ``hb.detection_latency`` and one-way
+        #: delivery latencies under ``net.delivery_latency``
+        self.metrics = metrics
+        self._detection_sketch = (
+            metrics.scope("hb").quantile_sketch("detection_latency")
+            if metrics is not None
+            else None
+        )
+        self._net_sketch = (
+            metrics.scope("net").quantile_sketch("delivery_latency")
+            if metrics is not None
+            else None
+        )
+        #: optional repro.obs.Profiler; run_round wraps its phases in
+        #: scopes (a handful of no-op context managers per round when off)
+        self.profiler = profiler
+        #: per-message-type counts and bytes (drives the fig8 rates)
+        self.stats = MessageStats()
+        #: node_id -> per-node protocol state, one entry per overlay member
+        self.nodes: Dict[int, Any] = {}
+        #: cached sorted member ids; None after any membership change
+        self._nodes_order: Optional[List[int]] = None
+        #: believed/ground-truth divergence over time (drives fig7)
+        self.broken_links = TimeSeries("broken_links")
+        #: the membership ledger
+        self.events = {"joins": 0, "leaves": 0, "failures": 0, "claims": 0}
+        #: crash time per failed-but-unclaimed member
+        self._fail_times: Dict[int, float] = {}
+        self._pending_joins: List[Tuple[int, Tuple[float, ...]]] = []
+        self._round = 0
+        self._now = 0.0
+        #: full-update replies in flight, as (requester id, payload) — sent
+        #: in one round, delivered with the next round's messages (one
+        #: heartbeat period of latency)
+        self._reply_queue: List[Tuple[int, Any]] = []
+        #: reverse index of the per-node stored full-state copies: subject
+        #: id -> ids of nodes holding a copy.  Lets a departure purge the
+        #: subject's entries without sweeping the whole population.
+        self._stored_in: Dict[int, Set[int]] = {}
+        #: optional hook fired once per genuinely-failed node, the first
+        #: time any live believer times it out (or at claim time, whichever
+        #: comes first): ``fn(dead_id, now)``.  The faulty-grid layer hangs
+        #: job resubmission off this, so recovery starts when the *protocol*
+        #: notices a crash rather than after a modelled constant.
+        self.on_failure_detected: Optional[Callable[[int, float], None]] = None
+        #: failed ids already reported through on_failure_detected
+        self._detected_failures: Set[int] = set()
+        #: the network channel every unreliable send traverses (loss,
+        #: partitions, flapping links, latency).  The IDENTITY default is
+        #: bypassed entirely — no RNG draws — keeping seeded runs unchanged.
+        self.net: NetworkModel = IDENTITY
+        #: heartbeats in flight with super-period latency, as (arrival,
+        #: kind, receiver id, sender id, payload, send time); drained by
+        #: the first round at/after arrival
+        self._deferred: List[Tuple[float, str, int, int, Any, float]] = []
+
+    def _record(
+        self, now: float, mtype: MessageType, size_bytes: int, copies: int = 1
+    ) -> None:
+        """Account a send in MessageStats and mirror it onto the tracer.
+
+        Emitting from the same call site that feeds the stats keeps traces
+        consistent with :class:`MessageStats` by construction.
+        """
+        self.stats.record(mtype, size_bytes, copies)
+        if self.tracer is not None and copies:
+            self.tracer.emit(
+                now, "msg.sent", mtype=mtype.value, bytes=size_bytes, copies=copies
+            )
+
+    # ------------------------------------------------------------------ membership --
+    def _make_node(self, node_id: int) -> Any:
+        node = self.nodes[node_id] = self._new_node(node_id)
+        self._nodes_order = None
+        return node
+
+    def _drop_node(self, node_id: int) -> None:
+        del self.nodes[node_id]
+        self._nodes_order = None
+
+    def _sorted_node_ids(self) -> List[int]:
+        """Sorted member ids, cached until the membership changes.
+
+        Callers iterate but never mutate the returned list; any join or
+        departure resets ``_nodes_order`` to None.
+        """
+        order = self._nodes_order
+        if order is None:
+            order = self._nodes_order = sorted(self.nodes)
+        return order
+
+    def bootstrap(self, node_id: int, coord: Sequence[float], now: float = 0.0) -> None:
+        """Insert the very first member."""
+        self.overlay.add_node(node_id, coord)
+        self._make_node(node_id)
 
     def join(self, node_id: int, coord: Sequence[float], now: float) -> bool:
-        """Returns False when the join is deferred (target region in limbo)."""
-        ...
+        """A node joins; returns False when deferred (target region in limbo)."""
+        coord = tuple(coord)
+        try:
+            result = self.overlay.add_node(node_id, coord)
+        except SubstrateError:
+            # The containing region belongs to a failed-but-unclaimed node;
+            # retry once the take-over has happened.
+            self._pending_joins.append((node_id, coord))
+            if self.tracer is not None:
+                self.tracer.emit(
+                    now, f"{self.event_prefix}.join_deferred", node=node_id
+                )
+            return False
+        self.events["joins"] += 1
+        if self.tracer is not None:
+            self.tracer.emit(
+                now,
+                f"{self.event_prefix}.join",
+                node=node_id,
+                splitter=result.splitter_id,
+            )
+        self._joined(self._make_node(node_id), result, now)
+        return True
 
-    def graceful_leave(self, node_id: int, now: float) -> None: ...
+    def _retry_pending_joins(self, now: float) -> int:
+        """Retry deferred joins; returns how many went through."""
+        pending, self._pending_joins = self._pending_joins, []
+        return sum(self.join(node_id, coord, now) for node_id, coord in pending)
 
-    def fail(self, node_id: int, now: float) -> None: ...
+    def graceful_leave(self, node_id: int, now: float) -> None:
+        """Voluntary departure with explicit hand-off of the territory."""
+        leaver = self.nodes[node_id]
+        transfers = self.overlay.graceful_leave(node_id)
+        self.events["leaves"] += 1
+        if self.tracer is not None:
+            self.tracer.emit(now, f"{self.event_prefix}.leave", node=node_id)
+        self._hand_off(leaver, transfers, now)
+        self._drop_node(node_id)
+        self._purge_stored(node_id)
 
+    def fail(self, node_id: int, now: float) -> None:
+        """Silent crash: no messages; believers find out via timeouts."""
+        self.overlay.fail(node_id)
+        self.events["failures"] += 1
+        self._fail_times[node_id] = now
+        if self.tracer is not None:
+            self.tracer.emit(now, f"{self.event_prefix}.fail", node=node_id)
+
+    def _purge_stored(self, gone_id: int) -> None:
+        """Drop every stored copy of a departed node's state.
+
+        Visits exactly the holders (the reverse index) instead of sweeping
+        the whole population; runs on take-over *and* on graceful leave.
+        """
+        for holder_id in self._stored_in.pop(gone_id, ()):
+            holder = self.nodes.get(holder_id)
+            if holder is not None:
+                self._discard_stored(holder, gone_id)
+
+    # ------------------------------------------------------------------ the channel --
+    def set_network(self, model: Optional[NetworkModel]) -> None:
+        """Install the channel every unreliable send traverses.
+
+        Heartbeats (full and compact), join/take-over notifies, and the
+        adaptive scheme's full-update requests and replies all go through
+        ``model.transmit``.  Connection-oriented handshakes stay reliable
+        by design: the join reply and the graceful-leave hand-off model
+        acknowledged transfers, not fire-and-forget datagrams.  ``None``
+        (or the identity model) restores the ideal channel with no RNG
+        draws at all.
+        """
+        self.net = IDENTITY if model is None else model
+
+    def _transmit(self, src: int, dst: int, now: float) -> Optional[float]:
+        """Send one message through the channel: None = dropped in flight.
+
+        The obs wiring lives here so every send path reports identically:
+        drops emit a ``net.drop`` trace event, deliveries stream their
+        one-way latency into the ``net.delivery_latency`` sketch.
+        """
+        lat = self.net.transmit(src, dst, now)
+        if lat is None:
+            if self.tracer is not None:
+                self.tracer.emit(now, "net.drop", src=src, dst=dst)
+            return None
+        if self._net_sketch is not None:
+            self._net_sketch.insert(lat)
+        return lat
+
+    def _deliverable(self, node_id: int) -> Optional[Any]:
+        """Target of a message: None when it is dead or gone (message lost)."""
+        if not self.overlay.is_alive(node_id):
+            return None
+        return self.nodes.get(node_id)
+
+    def _send(self, src: int, dst: int, now: float) -> Optional[Any]:
+        """One notify/request datagram: the live receiver it reached, or None.
+
+        A lost datagram is not retried here: heartbeats converge the
+        neighborhood, a believer times the ghost out, a gap stays dirty.
+        """
+        if not self.net.is_identity and self._transmit(src, dst, now) is None:
+            return None
+        return self._deliverable(dst)
+
+    def _notify(
+        self, mtype: MessageType, src: int, targets: Sequence[int], now: float
+    ) -> Iterator[Any]:
+        """Account a notify fan-out, then yield each live receiver it reaches."""
+        self._record(
+            now,
+            mtype,
+            self.config.size_model.notify_bytes(self.overlay.space.dims),
+            len(targets),
+        )
+        for target_id in targets:
+            receiver = self._send(src, target_id, now)
+            if receiver is not None:
+                yield receiver
+
+    # ------------------------------------------------------------------ the round --
     def run_round(self, now: float) -> None:
-        """One heartbeat period: exchange, detect, claim, repair, measure."""
-        ...
+        """One heartbeat period: exchange, detect, claim, repair, measure.
+
+        Each phase runs under a profiler scope named for the scheme
+        (``hb.round.vanilla/hb.exchange`` ...), so per-scheme heartbeat
+        generation/processing cost is separable in bench profiles.
+        """
+        prof = self.profiler if self.profiler is not None else NULL_PROFILER
+        self._round += 1
+        self._now = now
+        population = len(self.overlay.alive_ids())
+        self.stats.track_population(now, population)
+        with prof.scope(f"hb.round.{self.config.scheme.value}"):
+            with prof.scope("hb.retry_joins"):
+                # the one step of a round that changes who is alive
+                population += self._retry_pending_joins(now)
+            with prof.scope("hb.exchange"):
+                self._exchange_heartbeats(now)
+            with prof.scope("hb.deliver_replies"):
+                self._deliver_replies(now)
+            with prof.scope("hb.detect_failures"):
+                self._detect_failures(now)
+            with prof.scope("hb.claim_zones"):
+                self._claim_timed_out_zones(now)
+            if self.config.scheme is HeartbeatScheme.ADAPTIVE:
+                with prof.scope("hb.gap_checks"):
+                    self._adaptive_gap_checks(now)
+            with prof.scope("hb.count_broken_links"):
+                broken = self.count_broken_links()
+        self.broken_links.record(now, float(broken))
+        if self.tracer is not None:
+            self.tracer.emit(
+                now,
+                "hb.round",
+                round=self._round,
+                population=population,
+                broken_links=broken,
+            )
+
+    def _deliver_deferred(self, now: float) -> None:
+        """Land heartbeats whose link latency outran the round period.
+
+        A late heartbeat proves the sender was alive at *send* time, so
+        :meth:`_land_late` advances freshness to the send stamp, not
+        ``now`` — a message stuck behind a slow link cannot launder stale
+        evidence into fresh evidence.
+        """
+        if not self._deferred:
+            return
+        due = [entry for entry in self._deferred if entry[0] <= now]
+        if not due:
+            return
+        self._deferred = [entry for entry in self._deferred if entry[0] > now]
+        due.sort(key=lambda entry: entry[0])  # stable: FIFO within a round
+        for _arrival, _kind, receiver_id, sender_id, payload, sent_at in due:
+            receiver = self._deliverable(receiver_id)
+            if receiver is None:
+                continue  # receiver died while the message was in flight
+            if self.tracer is not None:
+                self.tracer.emit(
+                    now, "net.deliver_late", dst=receiver_id,
+                    src=sender_id, sent_at=sent_at,
+                )
+            self._land_late(receiver, sender_id, payload, sent_at, now)
+            if sender_id not in self.nodes:
+                # the sender departed while its heartbeat was in flight: a
+                # stored copy of its state would never be read or purged
+                self._purge_stored(sender_id)
+
+    def _deliver_replies(self, now: float) -> None:
+        """Deliver last round's full-update replies to their requesters."""
+        self._deliver_deferred(now)
+        queue, self._reply_queue = self._reply_queue, []
+        for receiver_id, payload in queue:
+            receiver = self._deliverable(receiver_id)
+            if receiver is None:
+                continue
+            self._land_reply(receiver, payload, now)
+            if not self._detects_gap(receiver_id):
+                if (
+                    self.tracer is not None
+                    and (receiver.gap_attempts or receiver.gap_dirty)
+                ):
+                    self.tracer.emit(now, "hb.gap_repaired", node=receiver_id)
+                receiver.gap_attempts = 0
+                receiver.gap_dirty = False
+
+    # -- failure detection & take-over -------------------------------------------------
+    def _detect_failures(self, now: float) -> None:
+        timeout = self.config.failure_timeout
+        for node_id in self._sorted_node_ids():
+            if self.overlay.is_alive(node_id):
+                self._detect_failures_at(self.nodes[node_id], now, timeout)
+
+    def _believer_timed_out(self, node_id: int, stale_id: int, now: float) -> None:
+        """``node_id`` just dropped ``stale_id`` after a silent timeout.
+
+        The first believer to time out a *genuinely* failed node defines
+        the protocol's detection instant.  Timeouts of live-but-silenced
+        nodes (message loss) are just broken links, not detections.
+        """
+        if self.tracer is not None:
+            self.tracer.emit(
+                now, "hb.failure_detected", node=node_id, suspect=stale_id
+            )
+        if stale_id in self._fail_times:
+            self._crash_noticed(stale_id, now)
+
+    def _crash_noticed(self, dead_id: int, now: float) -> None:
+        """Report a crash's detection once, however many notice it."""
+        if dead_id in self._detected_failures:
+            return
+        self._detected_failures.add(dead_id)
+        if self._detection_sketch is not None:
+            self._detection_sketch.insert(now - self._fail_times[dead_id])
+        if self.on_failure_detected is not None:
+            self.on_failure_detected(dead_id, now)
+
+    def _claim_timed_out_zones(self, now: float) -> None:
+        """Execute predetermined take-overs for detected failures.
+
+        The overlay performs the transfers at detection time regardless of
+        scheme (territory reassignment always eventually happens); what
+        differs per scheme is how much the claimant *knows* — whether it
+        stored the dead node's state (from full heartbeats) and can notify
+        the vacated territory's believers.
+        """
+        timeout = self.config.failure_timeout
+        due = sorted(
+            nid for nid, t in self._fail_times.items() if now - t >= timeout
+        )
+        for dead_id in due:
+            # Fallback detection: a crash nobody's table timed out (e.g.
+            # every believer died first) is noticed at claim time at the
+            # latest, so the recovery layer never waits forever.
+            self._crash_noticed(dead_id, now)
+            self._detected_failures.discard(dead_id)
+            transfers = self.overlay.claim_zones(dead_id)
+            self.events["claims"] += 1
+            for transfer in transfers:
+                claimant = self._deliverable(transfer.to_node)
+                if claimant is None:
+                    continue  # the territory landed on a ghost; claimed later
+                known = self._stored_copy(claimant, dead_id)
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        now,
+                        "hb.takeover",
+                        claimant=claimant.node_id,
+                        dead=dead_id,
+                        informed=known is not None,
+                    )
+                self._claim_zone(claimant, dead_id, transfer, known, now)
+            del self._fail_times[dead_id]
+            self._drop_node(dead_id)
+            self._purge_stored(dead_id)
+
+    # -- adaptive repair -----------------------------------------------------------------
+    def _adaptive_gap_checks(self, now: float) -> None:
+        config = self.config
+        periodic = bool(
+            config.periodic_gap_check_every
+            and self._round % config.periodic_gap_check_every == 0
+        )
+        net_active = not self.net.is_identity
+        for node_id in self._gap_candidates(periodic):
+            pnode = self._deliverable(node_id)
+            if pnode is None:
+                continue
+            if config.gap_detection_prob < 1.0 and self._rng is not None:
+                if self._rng.random() >= config.gap_detection_prob:
+                    continue  # the local check missed the gap this round
+            if not self._needs_repair(pnode):
+                pnode.gap_dirty = False
+                pnode.gap_attempts = 0
+                continue
+            if self.tracer is not None:
+                self.tracer.emit(
+                    now, "hb.gap_found", node=node_id, attempt=pnode.gap_attempts + 1
+                )
+            # Broadcast a full-update request to every believed peer; each
+            # live one answers with its full state.
+            targets = self._repair_targets(pnode)
+            self._record(
+                now,
+                MessageType.FULL_UPDATE_REQUEST,
+                config.size_model.request_bytes(),
+                len(targets),
+            )
+            for target_id in targets:
+                # a lost request leaves the gap dirty; it is retried
+                responder = self._send(node_id, target_id, now)
+                if responder is None:
+                    continue
+                size, payload = self._full_update_reply(responder)
+                self._record(now, MessageType.FULL_UPDATE_REPLY, size)
+                if (
+                    net_active
+                    and self._transmit(target_id, node_id, now) is None
+                ):
+                    continue  # reply lost in flight (responder paid bytes)
+                # The reply crosses the network; it lands next round.
+                self._reply_queue.append((node_id, payload))
+            pnode.gap_attempts += 1
+            pnode.gap_dirty = pnode.gap_attempts < config.gap_retry_rounds
+
+    # ------------------------------------------------------------------ substrate hooks --
+    def _new_node(self, node_id: int) -> Any:
+        """Create (not register) the per-node state of a new member."""
+        raise NotImplementedError
+
+    def _joined(self, newcomer: Any, result: Any, now: float) -> None:
+        """The join handshake past the overlay split: reply, then notifies."""
+        raise NotImplementedError
+
+    def _hand_off(self, leaver: Any, transfers: List[Any], now: float) -> None:
+        """A graceful leaver's acknowledged hand-off to each heir."""
+        raise NotImplementedError
 
     def adopt_overlay(self, now: float = 0.0) -> None:
         """Warm-start believed state for an overlay built outside the
         protocol (grid bootstrap paths skip join-message accounting)."""
-        ...
+        raise NotImplementedError
 
-    def set_message_loss(self, rate: float, rng: Any) -> None:
-        """Compatibility wrapper: a loss-only network model."""
-        ...
+    def _exchange_heartbeats(self, now: float) -> None:
+        """Every live node's heartbeats for this round: account, transmit,
+        apply; sends slower than the period go to ``_deferred``."""
+        raise NotImplementedError
 
-    def set_network(self, model: Any) -> None:
-        """Install a repro.net.NetworkModel as the message channel."""
-        ...
+    def _land_late(
+        self, receiver: Any, sender_id: int, payload: Any, sent_at: float, now: float
+    ) -> None:
+        """Apply a ``_deferred`` heartbeat with send-time evidence."""
+        raise NotImplementedError
 
-    def count_broken_links(self) -> int: ...
+    def _land_reply(self, receiver: Any, payload: Any, now: float) -> None:
+        """Apply the snapshot half of a :meth:`_full_update_reply`."""
+        raise NotImplementedError
+
+    def _detect_failures_at(self, pnode: Any, now: float, timeout: float) -> None:
+        """Drop each silent believed peer, then :meth:`_believer_timed_out`."""
+        raise NotImplementedError
+
+    def _stored_copy(self, holder: Any, subject_id: int) -> Optional[Any]:
+        """The subject's full state as last stored at ``holder``, if any."""
+        raise NotImplementedError
+
+    def _discard_stored(self, holder: Any, subject_id: int) -> None:
+        raise NotImplementedError
+
+    def _claim_zone(
+        self, claimant: Any, dead_id: int, transfer: Any, known: Optional[Any], now: float
+    ) -> None:
+        """The claimant absorbs what it ``known`` and notifies believers."""
+        raise NotImplementedError
+
+    def _gap_candidates(self, periodic: bool) -> Iterable[int]:
+        """Ids to gap-check, sorted: the dirty ones, or all when periodic."""
+        ids = self._sorted_node_ids()
+        if periodic:
+            return ids
+        return [nid for nid in ids if self.nodes[nid].gap_dirty]
+
+    def _needs_repair(self, pnode: Any) -> bool:
+        """Should this candidate request full updates?  Asked after the
+        detection-probability draw, so candidates fix the RNG order."""
+        return self._detects_gap(pnode.node_id)
+
+    def _repair_targets(self, pnode: Any) -> Sequence[int]:
+        raise NotImplementedError
+
+    def _full_update_reply(self, responder: Any) -> Tuple[int, Any]:
+        """Wire size of the responder's full state and a snapshot of it,
+        frozen at request time, for :meth:`_land_reply`."""
+        raise NotImplementedError
+
+    def _detects_gap(self, node_id: int) -> bool:
+        """Would this node's local broken-link detector fire right now?"""
+        raise NotImplementedError
+
+    def count_broken_links(self) -> int:
+        """Directed count of ground-truth links missing from beliefs."""
+        raise NotImplementedError

@@ -6,7 +6,6 @@ from .core import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     StopSimulation,
@@ -24,7 +23,6 @@ __all__ = [
     "SimClock",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "StopSimulation",

@@ -33,7 +33,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "SimulationError",
     "StopSimulation",
     "AllOf",
@@ -55,17 +54,6 @@ class StopSimulation(Exception):
     def __init__(self, value: Any = None):
         super().__init__(value)
         self.value = value
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -175,39 +163,19 @@ class Process(Event):
     thrown into the generator if it failed).
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
             raise TypeError("Process requires a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
     @property
     def is_alive(self) -> bool:
         return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._triggered:
-            raise SimulationError(f"{self!r} has already terminated")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._triggered = True
-        event.callbacks.append(self._resume)
-        self.env._schedule(event, URGENT)
-        # Detach from the event we were waiting on so the stale wake-up
-        # does not resume us twice.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
 
     def _resume(self, event: Event) -> None:
         self.env._active_process = self
@@ -241,7 +209,6 @@ class Process(Event):
                     event = target
                     continue
                 target.callbacks.append(self._resume)
-                self._target = target
                 return
         finally:
             self.env._active_process = None

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from typing import Any, Dict
@@ -24,6 +25,8 @@ from typing import Any, Dict
 from repro.can.heartbeat import HeartbeatScheme
 from repro.gridsim import ChurnSimulation
 from repro.gridsim.config import ChurnConfig
+from repro.gridsim.faults import FaultPlan
+from repro.net import LatencySpec, NetworkSpec
 from repro.obs.events import Tracer
 from repro.obs.trace import JsonlTraceWriter
 
@@ -32,13 +35,24 @@ GOLDEN_PATH = os.path.join(
 )
 
 #: (name, config kwargs) — one high-churn fig7 shape and one sparser,
-#: larger-population fig8 shape, each small enough for the test suite
+#: larger-population fig8 shape, each small enough for the test suite, plus
+#: the fig7 shape over a channel that drops a tenth of the sends and delays
+#: one in seven past the period (the deferred-delivery and lost-ack paths).
+#: Both substrates' golden modules read this one table.
+_FIG7 = dict(initial_nodes=40, event_gap_mean=15.0, duration=1_800.0)
 CASES = {
-    "fig7": dict(
-        initial_nodes=40, event_gap_mean=15.0, duration=1_800.0
-    ),
+    "fig7": _FIG7,
     "fig8": dict(
         initial_nodes=60, event_gap_mean=120.0, duration=900.0
+    ),
+    "lossy": dict(
+        _FIG7,
+        plan=FaultPlan(
+            network=NetworkSpec(
+                loss=0.1,
+                latency=LatencySpec("lognormal", mu=math.log(20.0), sigma=1.0),
+            )
+        ),
     ),
 }
 

@@ -1,5 +1,7 @@
 """Unit and scenario tests for the heartbeat protocol engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from repro.can.heartbeat import (
 from repro.can.messages import MessageType
 from repro.can.overlay import CanOverlay
 from repro.can.space import ResourceSpace
+from repro.gridsim import ChurnSimulation
+from repro.gridsim.config import ChurnConfig
+from repro.gridsim.faults import FaultPlan
+from repro.net import LatencySpec, NetworkSpec
 
 
 def build_protocol(n=12, scheme=HeartbeatScheme.VANILLA, seed=0, **cfg_kwargs):
@@ -253,3 +259,46 @@ class TestMessageAccounting:
         base = counts[HeartbeatScheme.VANILLA]
         for scheme, c in counts.items():
             assert abs(c - base) / base < 0.2, f"{scheme} count diverged"
+
+
+GRACEFUL = dict(
+    initial_nodes=60,
+    scheme=HeartbeatScheme.COMPACT,
+    leave_mode="graceful",
+    duration=7_200.0,
+    seed=3,
+)
+#: crashes under a channel whose latency tail outlives the take-over, so
+#: full heartbeats land after their sender was claimed
+LATE = dict(
+    initial_nodes=40,
+    scheme=HeartbeatScheme.VANILLA,
+    duration=1_800.0,
+    plan=FaultPlan(
+        network=NetworkSpec(
+            loss=0.1,
+            latency=LatencySpec("lognormal", mu=math.log(20.0), sigma=1.0),
+        )
+    ),
+)
+
+
+@pytest.mark.parametrize("substrate", ["can", "chord"])
+@pytest.mark.parametrize("shape", [GRACEFUL, LATE], ids=["graceful", "late"])
+def test_departures_purge_stored_state(substrate, shape):
+    """Every way out of the overlay drops every stored copy of the leaver's
+    state: a clean leave exactly as a take-over (CAN's leave used to skip
+    the purge, so holders and the reverse index grew with every departure),
+    and a heartbeat that lands after its sender is gone stores nothing."""
+    sim = ChurnSimulation(ChurnConfig(substrate=substrate, **shape))
+    sim.run()
+    proto = sim.protocol
+    assert proto.events["leaves"] + proto.events["claims"] > 50
+    members = set(proto.nodes)
+    assert set(proto._stored_in) <= members
+    for node in proto.nodes.values():
+        if substrate == "can":
+            assert set(node.stored_tables) <= members
+            assert set(node.processed_epoch) <= members
+        else:
+            assert set(node.stored_state) <= members

@@ -11,36 +11,16 @@ deliberate protocol change regenerates the file and says so in review::
 """
 
 import json
-import math
 import os
 
 import pytest
 
 from repro.gridsim.config import ChurnConfig
-from repro.gridsim.faults import FaultPlan
-from repro.net import LatencySpec, NetworkSpec
-from tests.can.hb_golden import CASES as CAN_CASES
-from tests.can.hb_golden import SCHEMES, fingerprint
+from tests.can.hb_golden import CASES, SCHEMES, fingerprint
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "goldens", "maintenance_accounting.json"
 )
-
-#: the CAN goldens' fig7/fig8 shapes, plus the fig7 shape over a channel
-#: that drops a tenth of the sends and delays one in seven past the period
-#: (the deferred-delivery and lost-ack paths)
-CASES = {
-    **CAN_CASES,
-    "lossy": dict(
-        CAN_CASES["fig7"],
-        plan=FaultPlan(
-            network=NetworkSpec(
-                loss=0.1,
-                latency=LatencySpec("lognormal", mu=math.log(20.0), sigma=1.0),
-            )
-        ),
-    ),
-}
 
 PARAMS = [(case, scheme) for case in CASES for scheme in SCHEMES]
 

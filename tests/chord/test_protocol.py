@@ -8,6 +8,7 @@ from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
 from repro.can.space import ResourceSpace
 from repro.chord.protocol import ChordMaintenanceProtocol
 from repro.chord.ring import ChordRing
+from repro.net import NetworkSpec
 
 PERIOD = 60.0
 
@@ -167,7 +168,7 @@ def test_message_loss_delays_but_does_not_break_detection():
 
     ring, proto = build(n=12)
     run_rounds(proto, 2)
-    proto.set_message_loss(0.5, np.random.default_rng(0))
+    proto.set_network(NetworkSpec(loss=0.5).build(np.random.default_rng(0)))
     victim = next(iter(ring.members))
     proto.fail(victim, now=2 * PERIOD + 1.0)
     run_rounds(proto, 12, start=3)
@@ -176,12 +177,12 @@ def test_message_loss_delays_but_does_not_break_detection():
     assert proto.events["claims"] >= 1
     assert victim not in ring.members
     # the closed interval is accepted: 1.0 is a total blackout
-    proto.set_message_loss(1.0, np.random.default_rng(0))
+    proto.set_network(NetworkSpec(loss=1.0).build(np.random.default_rng(0)))
     assert not proto.net.is_identity
     with pytest.raises(ValueError):
-        proto.set_message_loss(1.1, np.random.default_rng(0))
+        NetworkSpec(loss=1.1)
     with pytest.raises(ValueError):
-        proto.set_message_loss(-0.1, np.random.default_rng(0))
+        NetworkSpec(loss=-0.1)
 
 
 def test_broken_links_counts_missing_truth_neighbors():

@@ -70,7 +70,7 @@ class TestBlackout:
         proto = build_can(scheme=HeartbeatScheme.VANILLA)
         run_rounds(proto, 2)
         sent_before = proto.stats.count[MessageType.HEARTBEAT_FULL]
-        proto.set_message_loss(1.0, np.random.default_rng(5))
+        proto.set_network(NetworkSpec(loss=1.0).build(np.random.default_rng(5)))
         run_rounds(proto, 2, start=3)
         assert proto.stats.count[MessageType.HEARTBEAT_FULL] > sent_before
         assert proto.net.attempts > 0
@@ -87,7 +87,7 @@ class TestBlackout:
         the adaptive repair loop has no peers left to broadcast to."""
         proto = build_can(scheme=HeartbeatScheme.ADAPTIVE)
         run_rounds(proto, 2)
-        proto.set_message_loss(1.0, np.random.default_rng(5))
+        proto.set_network(NetworkSpec(loss=1.0).build(np.random.default_rng(5)))
         # well past the failure timeout: every belief times out at once
         run_rounds(proto, 6, start=3)
         assert all(not node.table.ids() for node in proto.nodes.values())
@@ -121,7 +121,7 @@ class TestBlackout:
     def test_chord_blackout_starves_evidence(self):
         ring, proto = build_chord()
         run_rounds(proto, 2)
-        proto.set_message_loss(1.0, random.Random(5))
+        proto.set_network(NetworkSpec(loss=1.0).build(random.Random(5)))
         run_rounds(proto, 2, start=3)
         assert proto.net.attempts > 0
         assert proto.net.delivered == 0

@@ -7,7 +7,6 @@ from repro.sim.core import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
     Timeout,
 )
@@ -208,30 +207,6 @@ class TestProcesses:
     def test_non_generator_rejected(self, env):
         with pytest.raises(TypeError):
             env.process(lambda: None)
-
-    def test_interrupt(self, env):
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-                log.append("finished")
-            except Interrupt as intr:
-                log.append(("interrupted", intr.cause, env.now))
-
-        proc = env.process(sleeper(env))
-        env.schedule_callback(5.0, lambda: proc.interrupt("wake"))
-        env.run()
-        assert log == [("interrupted", "wake", 5.0)]
-
-    def test_interrupt_terminated_raises(self, env):
-        def quick(env):
-            yield env.timeout(1.0)
-
-        proc = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            proc.interrupt()
 
     def test_is_alive(self, env):
         def quick(env):
