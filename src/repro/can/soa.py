@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..net import NetworkModel
 from ..obs.profiling import NULL_PROFILER
 from .heartbeat import (
     HeartbeatProtocol,
@@ -66,12 +67,9 @@ __all__ = [
     "EdgeStore",
     "ArrayNeighborTable",
     "ArrayHeartbeatProtocol",
+    "protocol_class",
     "build_protocol",
-    "ENGINES",
 ]
-
-#: valid values of the ``engine`` config flag
-ENGINES = ("object", "array")
 
 #: sentinel distinguishing "not resolved yet" from "resolved to undeliverable"
 _MISS = object()
@@ -782,15 +780,27 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                 self._detect_failures_at(pnode, now, timeout)
 
 
+def protocol_class(scheme: HeartbeatScheme, network: Optional[NetworkModel]) -> type:
+    """Which heartbeat implementation a run gets: the measured crossover.
+
+    The array kernels pay off where most heartbeats carry no table and no
+    delivery needs a verdict (compact/adaptive, ideal channel); vanilla's
+    full tables and any non-identity channel take the per-delivery path,
+    where array-backed tables only cost.  Numbers, and why no population
+    threshold: DESIGN.md, "Object or array: the crossover".
+    """
+    ideal = network is None or network.is_identity
+    if scheme is not HeartbeatScheme.VANILLA and ideal:
+        return ArrayHeartbeatProtocol
+    return HeartbeatProtocol
+
+
 def build_protocol(
     overlay: CanOverlay,
     config: ProtocolConfig,
-    engine: str = "object",
+    network: Optional[NetworkModel] = None,
     **kwargs,
 ) -> HeartbeatProtocol:
-    """Construct a heartbeat protocol for the requested engine."""
-    if engine == "array":
-        return ArrayHeartbeatProtocol(overlay, config, **kwargs)
-    if engine != "object":
-        raise ValueError(f"unknown heartbeat engine {engine!r}")
-    return HeartbeatProtocol(overlay, config, **kwargs)
+    """Construct CAN's heartbeat protocol on ``network`` (None = ideal)."""
+    cls = protocol_class(config.scheme, network)
+    return cls.build(overlay, config, network, **kwargs)

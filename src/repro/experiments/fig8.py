@@ -45,7 +45,6 @@ def fig8_config(
     gpu_slots: int,
     fast: bool = False,
     seed: int | None = None,
-    engine: str = "object",
     substrate: str = "can",
 ) -> ChurnConfig:
     """Slow-churn configuration used for the cost measurements.
@@ -62,7 +61,6 @@ def fig8_config(
         event_gap_mean=120.0,
         leave_mode="fail",
         duration=1_200.0 if fast else 1_800.0,
-        engine=engine,
         substrate=substrate,
     )
     if seed is not None:
@@ -77,7 +75,6 @@ def run(
     gpu_slot_sweep: Sequence[int] = GPU_SLOT_SWEEP,
     recorder: RunRecorder | None = None,
     schemes: Sequence[HeartbeatScheme] = tuple(HeartbeatScheme),
-    engine: str = "object",
     substrate: str = "can",
 ) -> Dict[Tuple[str, int, int], ChurnResult]:
     """Results keyed by (scheme, nodes, dims)."""
@@ -90,7 +87,7 @@ def run(
             for gpu_slots in gpu_slot_sweep:
                 cfg = fig8_config(
                     scheme, nodes, gpu_slots, fast=fast, seed=seed,
-                    engine=engine, substrate=substrate,
+                    substrate=substrate,
                 )
                 label = f"fig8 {scheme.value} n={nodes} d={cfg.dims}"
                 if recorder is not None:
@@ -194,12 +191,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help="single-cell heartbeat scheme (default: all three)",
     )
-    parser.add_argument(
-        "--engine",
-        choices=["object", "array"],
-        default="object",
-        help="heartbeat engine (identical results; array scales to 10k+)",
-    )
     args = parser.parse_args(argv)
     single_cell = args.nodes is not None or args.gpu_slots is not None
     node_sweep = [args.nodes] if args.nodes is not None else None
@@ -221,16 +212,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             gpu_slot_sweep=gpu_slot_sweep,
             recorder=rec,
             schemes=schemes,
-            engine=args.engine,
             substrate=args.substrate,
         )
         print(report(results, args.out))
         rec.close(
-            config={
-                "fast": args.fast,
-                "engine": args.engine,
-                "substrate": args.substrate,
-            },
+            config={"fast": args.fast, "substrate": args.substrate},
             artifacts=["fig8_scalability.csv"],
         )
     return 0

@@ -32,6 +32,7 @@ from ..gridsim import (
     MatchmakingConfig,
     empirical_cdf,
 )
+from ..net import NetworkSpec
 from ..obs import RunRecorder
 from ..workload import TINY_LOAD
 from .common import (
@@ -69,7 +70,7 @@ def recovery_config(
         mean_time_between_joins=300.0,
         detection_mode="protocol",
         heartbeat_scheme=scheme,
-        faults=FaultPlan(message_loss=MESSAGE_LOSS),
+        faults=FaultPlan(network=NetworkSpec(loss=MESSAGE_LOSS)),
         invariant_check_every=5,
     )
 

@@ -3,7 +3,6 @@
 from .churn import ChurnSimulation
 from .config import ChurnConfig, MatchmakingConfig
 from .faults import (
-    ChurnFaultDriver,
     CrashBurst,
     DiurnalChurn,
     FaultInjector,
@@ -28,7 +27,6 @@ __all__ = [
     "ChurnSimulation",
     "ChurnConfig",
     "MatchmakingConfig",
-    "ChurnFaultDriver",
     "CrashBurst",
     "DiurnalChurn",
     "FaultInjector",

@@ -15,14 +15,13 @@ from typing import Optional
 
 from ..can.heartbeat import ProtocolConfig
 from ..can.space import ResourceSpace
-from ..net import NetworkSpec
 from ..obs.registry import MetricsRegistry
 from ..overlay import get_substrate
 from ..sim.core import Environment
 from ..sim.rng import RngRegistry
 from ..workload.nodes import NodeDistribution, generate_node_specs
 from .config import ChurnConfig
-from .faults import ChurnFaultDriver
+from .faults import FaultInjector
 from .results import ChurnResult
 
 __all__ = ["ChurnSimulation"]
@@ -54,26 +53,16 @@ class ChurnSimulation:
                 scheme=config.scheme,
                 period=config.heartbeat_period,
                 failure_timeout_periods=config.failure_timeout_periods,
-                gap_retry_rounds=config.gap_retry_rounds,
-                periodic_gap_check_every=config.periodic_gap_check_every,
-                detection=config.detection,
             ),
-            engine=config.engine,
+            # the channel is stated once, in the plan, and exists before
+            # the protocol does: the substrate's factory reads it
+            network=config.plan.build_network(self.rngs),
             tracer=tracer,
             profiler=profiler,
         )
-        if config.message_loss > 0.0:
-            self.protocol.set_network(
-                NetworkSpec(loss=config.message_loss).build(
-                    self.rngs.stream("hb-loss")
-                )
-            )
-        #: scripted adversity: installed once, before any process runs, so
-        #: burst callbacks and the network model are part of the seeded run
-        self.fault_driver: Optional[ChurnFaultDriver] = None
-        if not config.plan.empty:
-            self.fault_driver = ChurnFaultDriver(self, config.plan)
-            self.fault_driver.install()
+        #: scripted bursts: scheduled once, before any process runs, so
+        #: their callbacks are part of the seeded run
+        FaultInjector(self, config.plan).install()
         self.metrics = MetricsRegistry()
         proto_scope = self.metrics.scope("protocol")
         proto_scope.register("broken_links", self.protocol.broken_links)
@@ -128,35 +117,50 @@ class ChurnSimulation:
         cfg = self.config
         warmup_time = cfg.heartbeat_period * (cfg.warmup_rounds + 1)
         yield self.env.timeout(warmup_time)
-        driver = self.fault_driver
         while self.env.now < cfg.duration:
             gap = float(self._event_rng.exponential(cfg.event_gap_mean))
-            if driver is not None:
-                # diurnal curve: scale the gap, never the draw — the RNG
-                # stream is identical with and without the modulation
-                gap *= driver.gap_multiplier(self.env.now)
+            # diurnal curve: scale the gap, never the draw — the RNG
+            # stream is identical with and without the modulation
+            gap *= cfg.plan.gap_multiplier(self.env.now)
             yield self.env.timeout(max(gap, 1e-6))
             if self.env.now >= cfg.duration:
                 return
             self._one_event()
 
-    def _one_event(self) -> None:
-        alive = self.overlay.alive_ids()
-        join = self._event_rng.random() < 0.5
-        if not join and len(alive) <= max(4, self.config.initial_nodes // 4):
-            join = True  # keep the population from collapsing
-        if join:
-            node_id, coord = self._new_coord()
-            self.protocol.join(node_id, coord, now=self.env.now)
-        else:
-            victim = int(alive[int(self._event_rng.integers(len(alive)))])
-            if self.config.leave_mode == "fail":
-                self.protocol.fail(victim, now=self.env.now)
-            else:
-                self.protocol.graceful_leave(victim, now=self.env.now)
+    def population_floor(self) -> int:
+        """Neither background churn nor a burst shrinks the grid below this."""
+        return max(4, self.config.initial_nodes // 4)
+
+    def _population_changed(self) -> None:
         self._population.update(
             self.env.now, float(len(self.overlay.alive_ids()))
         )
+
+    def join_node(self) -> None:
+        """One fresh node joins now."""
+        node_id, coord = self._new_coord()
+        self.protocol.join(node_id, coord, now=self.env.now)
+        self._population_changed()
+
+    def crash_node(self, node_id: int) -> None:
+        """One node crashes silently now."""
+        self.protocol.fail(node_id, now=self.env.now)
+        self._population_changed()
+
+    def _one_event(self) -> None:
+        alive = self.overlay.alive_ids()
+        join = self._event_rng.random() < 0.5
+        if not join and len(alive) <= self.population_floor():
+            join = True  # keep the population from collapsing
+        if join:
+            self.join_node()
+        else:
+            victim = int(alive[int(self._event_rng.integers(len(alive)))])
+            if self.config.leave_mode == "fail":
+                self.crash_node(victim)
+            else:
+                self.protocol.graceful_leave(victim, now=self.env.now)
+                self._population_changed()
         every = self.config.invariant_check_every
         if every:
             self._events_since_check += 1

@@ -71,27 +71,15 @@ class ChurnConfig:
     #: stats window opens after this many settle rounds post-bootstrap
     warmup_rounds: int = 3
     seed: int = 20110926
-    gap_retry_rounds: int = 2
-    periodic_gap_check_every: int = 0
-    #: adaptive's broken-link detector: the real local zone-coverage check
-    #: ("coverage") or the idealised ground-truth comparison ("oracle")
-    detection: str = "coverage"
-    #: probability that any single heartbeat delivery is lost in flight
-    #: (fault injection; 0 keeps the loss-free deterministic path)
-    message_loss: float = 0.0
-    #: heartbeat engine: "object" (dict-per-node reference implementation)
-    #: or "array" (struct-of-arrays batched round kernels, same results);
-    #: which engines exist depends on the substrate
-    engine: str = "object"
     #: overlay substrate under churn ("can", "chord", or any registered name)
     substrate: str = "can"
     #: run the full ground-truth + ledger invariant checker every N churn
     #: events mid-run (0 = only when the caller asks); catches structural
     #: corruption at the event that introduced it instead of at the end
     invariant_check_every: int = 0
-    #: scripted adversity (crash/join bursts, diurnal curve, network
-    #: model) layered onto the background churn; the empty default plan
-    #: changes nothing
+    #: scripted adversity (crash/join bursts, diurnal curve) and the run's
+    #: channel (``plan.network``: loss, latency, partitions, flaps); the
+    #: default plan is the ideal channel and changes nothing
     plan: FaultPlan = FaultPlan()
 
     def __post_init__(self) -> None:
@@ -99,7 +87,7 @@ class ChurnConfig:
 
         if self.initial_nodes < 2:
             raise ValueError("need at least two nodes")
-        get_substrate(self.substrate).check_engine(self.engine)
+        get_substrate(self.substrate)  # an unknown name fails here
         if self.invariant_check_every < 0:
             raise ValueError("invariant_check_every must be non-negative")
         if self.leave_mode not in ("fail", "graceful"):
@@ -108,13 +96,6 @@ class ChurnConfig:
             raise ValueError("periods must be positive")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if not 0.0 <= self.message_loss <= 1.0:
-            raise ValueError("message_loss must be in [0, 1]")
-        if self.message_loss > 0.0 and not self.plan.empty:
-            if self.plan.network_spec() is not None:
-                raise ValueError(
-                    "set loss via message_loss or the plan's network, not both"
-                )
 
     @property
     def dims(self) -> int:

@@ -11,13 +11,11 @@ gaps).  This module adds *scripted* adversity on top:
 * :class:`JoinBurst` — a flash crowd: ``count`` nodes join at once.
 * :class:`DiurnalChurn` — a day/night curve modulating the background
   churn process's event gaps (amplitude 0 leaves the process untouched).
-* :class:`FaultPlan` — an immutable schedule of the above plus a network
-  description: either the legacy ``message_loss`` Bernoulli knob or a
-  full :class:`repro.net.NetworkSpec` (latency, asymmetric partitions,
-  flapping links).
-* :class:`FaultInjector` — wires a plan into a running
-  :class:`~repro.gridsim.faulty.FaultyGridSimulation`;
-  :class:`ChurnFaultDriver` does the same for
+* :class:`FaultPlan` — an immutable schedule of the above plus the
+  run's channel, a :class:`repro.net.NetworkSpec` (loss, latency,
+  asymmetric partitions, flapping links).
+* :class:`FaultInjector` — fires a plan's bursts inside a running
+  :class:`~repro.gridsim.faulty.FaultyGridSimulation` or
   :class:`~repro.gridsim.churn.ChurnSimulation`.
 * :func:`scenario_pack` — the named adversarial scenarios the
   ``python -m repro.experiments scenarios`` harness runs.
@@ -35,7 +33,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..net import FlapSpec, NetworkSpec
+from ..net import FlapSpec, NetworkModel, NetworkSpec
 
 __all__ = [
     "CrashBurst",
@@ -43,7 +41,6 @@ __all__ = [
     "DiurnalChurn",
     "FaultPlan",
     "FaultInjector",
-    "ChurnFaultDriver",
     "Scenario",
     "scenario_pack",
 ]
@@ -119,44 +116,32 @@ class FaultPlan:
     """A scripted fault schedule layered onto the background churn."""
 
     bursts: Tuple[CrashBurst, ...] = ()
-    #: probability that any single unreliable delivery is lost in flight
-    #: (legacy Bernoulli knob; closed interval — 1.0 is a total blackout)
-    message_loss: float = 0.0
     #: flash-crowd arrivals
     joins: Tuple[JoinBurst, ...] = ()
     #: day/night churn-rate curve (ChurnSimulation only)
     diurnal: Optional[DiurnalChurn] = None
-    #: full network model (latency/partitions/flaps); mutually exclusive
-    #: with the legacy ``message_loss`` knob
+    #: the channel every unreliable send traverses (loss, latency,
+    #: partitions, flaps); None is the ideal channel
     network: Optional[NetworkSpec] = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.message_loss <= 1.0:
-            raise ValueError("message_loss must be in [0, 1]")
-        if self.network is not None and self.message_loss > 0.0:
-            raise ValueError(
-                "set loss inside the NetworkSpec, not alongside it"
-            )
         object.__setattr__(self, "bursts", tuple(self.bursts))
         object.__setattr__(self, "joins", tuple(self.joins))
 
     @property
-    def empty(self) -> bool:
-        return (
-            not self.bursts
-            and not self.joins
-            and self.diurnal is None
-            and self.message_loss == 0.0
-            and (self.network is None or self.network.identity)
-        )
+    def ideal_channel(self) -> bool:
+        return self.network is None or self.network.identity
 
-    def network_spec(self) -> Optional[NetworkSpec]:
-        """The channel this plan installs, or None for the ideal channel."""
-        if self.network is not None and not self.network.identity:
-            return self.network
-        if self.message_loss > 0.0:
-            return NetworkSpec(loss=self.message_loss)
-        return None
+    def build_network(self, rngs) -> Optional[NetworkModel]:
+        """The run's live channel on its seeded ``hb-loss`` stream (None =
+        ideal), built before the protocol: the substrate's factory takes it."""
+        if self.ideal_channel:
+            return None
+        return self.network.build(rngs.stream("hb-loss"))
+
+    def gap_multiplier(self, now: float) -> float:
+        """Diurnal scaling of a background churn gap (1.0 without a curve)."""
+        return 1.0 if self.diurnal is None else self.diurnal.gap_multiplier(now)
 
 
 def _burst_victims(
@@ -200,76 +185,13 @@ def _burst_victims(
 
 
 class FaultInjector:
-    """Applies a :class:`FaultPlan` to a FaultyGridSimulation."""
+    """Fires a :class:`FaultPlan`'s scripted bursts inside a simulation.
 
-    def __init__(self, sim, plan: FaultPlan):
-        self.sim = sim
-        self.plan = plan
-        self.bursts_fired = 0
-        self.crashes_injected = 0
-        self.joins_injected = 0
-
-    def install(self) -> None:
-        """Schedule the plan; call once before the simulation runs."""
-        sim = self.sim
-        spec = self.plan.network_spec()
-        if spec is not None and sim.protocol is not None:
-            sim.protocol.set_network(spec.build(sim.rngs.stream("hb-loss")))
-        for burst in self.plan.bursts:
-            sim.env.schedule_callback(
-                burst.at - sim.env.now, lambda b=burst: self._fire(b)
-            )
-        for jburst in self.plan.joins:
-            sim.env.schedule_callback(
-                jburst.at - sim.env.now, lambda b=jburst: self._fire_joins(b)
-            )
-
-    def _fire(self, burst: CrashBurst) -> None:
-        sim = self.sim
-        victims = self._pick_victims(burst, sim.rngs.stream("fault-bursts"))
-        for victim_id in victims:
-            sim._fail_node(victim_id)
-        self.bursts_fired += 1
-        self.crashes_injected += len(victims)
-        if sim.tracer is not None:
-            sim.tracer.emit(
-                sim.env.now,
-                "fault.burst",
-                count=len(victims),
-                correlated=burst.correlated,
-                victims=victims,
-            )
-
-    def _fire_joins(self, burst: JoinBurst) -> None:
-        sim = self.sim
-        join_rng = sim.rngs.stream("fault-joins")
-        for _ in range(burst.count):
-            sim._join_new_node(join_rng)
-        self.joins_injected += burst.count
-        if sim.tracer is not None:
-            sim.tracer.emit(
-                sim.env.now, "fault.flash_crowd", count=burst.count
-            )
-
-    def _pick_victims(
-        self, burst: CrashBurst, rng: np.random.Generator
-    ) -> List[int]:
-        """Victims for one burst, honouring the population floor."""
-        sim = self.sim
-        alive = sorted(sim.overlay.alive_ids())
-        floor = int(
-            sim.config.preset.nodes * sim.fault_config.min_population_fraction
-        )
-        count = min(burst.count, max(len(alive) - floor, 0))
-        return _burst_victims(burst, alive, count, rng, sim.overlay)
-
-
-class ChurnFaultDriver:
-    """Applies a :class:`FaultPlan` to a ChurnSimulation.
-
-    The network model goes onto the maintenance protocol, scripted
-    crash/join bursts become kernel callbacks, and the diurnal curve is
-    consulted by the simulation's churn process for each event gap.
+    The simulation supplies the three things a burst needs and owns:
+    ``crash_node(node_id)``, ``join_node()`` (one scripted arrival, on the
+    simulation's own seeded stream) and ``population_floor()`` (bursts
+    never shrink the grid below it).  The channel is not installed here:
+    the simulation builds it from the plan when it builds its protocol.
     """
 
     def __init__(self, sim, plan: FaultPlan):
@@ -277,42 +199,30 @@ class ChurnFaultDriver:
         self.plan = plan
         self.bursts_fired = 0
         self.crashes_injected = 0
-        self.joins_injected = 0
 
     def install(self) -> None:
-        sim = self.sim
-        spec = self.plan.network_spec()
-        if spec is not None:
-            sim.protocol.set_network(spec.build(sim.rngs.stream("hb-loss")))
+        """Schedule the plan; call once before the simulation runs."""
+        env = self.sim.env
         for burst in self.plan.bursts:
-            sim.env.schedule_callback(
-                burst.at - sim.env.now, lambda b=burst: self._fire_crash(b)
+            env.schedule_callback(
+                burst.at - env.now, lambda b=burst: self._fire_crash(b)
             )
         for jburst in self.plan.joins:
-            sim.env.schedule_callback(
-                jburst.at - sim.env.now, lambda b=jburst: self._fire_joins(b)
+            env.schedule_callback(
+                jburst.at - env.now, lambda b=jburst: self._fire_joins(b)
             )
-
-    def gap_multiplier(self, now: float) -> float:
-        diurnal = self.plan.diurnal
-        return 1.0 if diurnal is None else diurnal.gap_multiplier(now)
 
     def _fire_crash(self, burst: CrashBurst) -> None:
         sim = self.sim
         alive = sorted(sim.overlay.alive_ids())
-        # same floor the background churn respects: never collapse the grid
-        floor = max(4, sim.config.initial_nodes // 4)
-        count = min(burst.count, max(len(alive) - floor, 0))
+        count = min(burst.count, max(len(alive) - sim.population_floor(), 0))
         victims = _burst_victims(
             burst, alive, count, sim.rngs.stream("fault-bursts"), sim.overlay
         )
         for victim_id in victims:
-            sim.protocol.fail(victim_id, now=sim.env.now)
+            sim.crash_node(victim_id)
         self.bursts_fired += 1
         self.crashes_injected += len(victims)
-        sim._population.update(
-            sim.env.now, float(len(sim.overlay.alive_ids()))
-        )
         if sim.tracer is not None:
             sim.tracer.emit(
                 sim.env.now,
@@ -325,12 +235,7 @@ class ChurnFaultDriver:
     def _fire_joins(self, burst: JoinBurst) -> None:
         sim = self.sim
         for _ in range(burst.count):
-            node_id, coord = sim._new_coord()
-            sim.protocol.join(node_id, coord, now=sim.env.now)
-        self.joins_injected += burst.count
-        sim._population.update(
-            sim.env.now, float(len(sim.overlay.alive_ids()))
-        )
+            sim.join_node()
         if sim.tracer is not None:
             sim.tracer.emit(
                 sim.env.now, "fault.flash_crowd", count=burst.count

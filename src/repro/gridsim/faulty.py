@@ -73,14 +73,13 @@ class FaultyGridConfig:
     heartbeat_scheme: HeartbeatScheme = HeartbeatScheme.VANILLA
     #: protocol mode: silent periods before a neighbor is declared failed
     failure_timeout_periods: float = 2.5
-    #: protocol mode: heartbeat engine ("object" or "array"); identical
-    #: results, array scales to much larger populations
-    engine: str = "object"
     #: resubmission backoff/budget policy
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: never let churn shrink the grid below this fraction of the start size
     min_population_fraction: float = 0.5
-    #: scripted crash bursts and heartbeat message loss
+    #: scripted crash/join bursts and the heartbeat channel
+    #: (``faults.network``; protocol mode only — fixed mode has no
+    #: heartbeats to carry it)
     faults: FaultPlan = field(default_factory=FaultPlan)
     #: audit the simulation every N heartbeat rounds and once after the
     #: run (0 disables; fixed mode checks only at the end)
@@ -99,7 +98,12 @@ class FaultyGridConfig:
             raise ValueError("min_population_fraction must be in (0, 1]")
         if self.invariant_check_every < 0:
             raise ValueError("invariant_check_every must be non-negative")
-        get_substrate(self.matchmaking.substrate).check_engine(self.engine)
+        get_substrate(self.matchmaking.substrate)  # an unknown name fails here
+        if self.detection_mode == "fixed" and not self.faults.ideal_channel:
+            raise ValueError(
+                "faults.network needs heartbeats to act on: "
+                'detection_mode="fixed" runs no protocol and would ignore it'
+            )
         # failure_timeout_periods is validated by ProtocolConfig; construct
         # one eagerly so a bad value fails at config time, not mid-run
         if self.detection_mode == "protocol":
@@ -203,7 +207,7 @@ class FaultyGridSimulation(GridSimulation):
                     period=config.matchmaking.preset.heartbeat_period,
                     failure_timeout_periods=config.failure_timeout_periods,
                 ),
-                engine=config.engine,
+                network=config.faults.build_network(self.rngs),
                 tracer=tracer,
                 profiler=profiler,
                 metrics=self.metrics,
@@ -243,7 +247,7 @@ class FaultyGridSimulation(GridSimulation):
                 gap = float(join_rng.exponential(cfg.mean_time_between_joins))
                 fire = yield from wait(gap)
                 if fire:
-                    self._join_new_node(join_rng)
+                    self._join_from(join_rng)
 
         return failures(), joins()
 
@@ -259,15 +263,18 @@ class FaultyGridSimulation(GridSimulation):
             if every and rounds % every == 0:
                 check_faulty_invariants(self)
 
-    def _fail_random_node(self, rng: np.random.Generator) -> None:
+    def population_floor(self) -> int:
+        """Neither background churn nor a burst shrinks the grid below this."""
         cfg = self.fault_config
-        alive = [nid for nid in self.overlay.alive_ids()]
-        floor = int(self.config.preset.nodes * cfg.min_population_fraction)
-        if len(alive) <= floor:
-            return
-        self._fail_node(int(alive[int(rng.integers(len(alive)))]))
+        return int(self.config.preset.nodes * cfg.min_population_fraction)
 
-    def _fail_node(self, victim_id: int) -> None:
+    def _fail_random_node(self, rng: np.random.Generator) -> None:
+        alive = list(self.overlay.alive_ids())
+        if len(alive) <= self.population_floor():
+            return
+        self.crash_node(int(alive[int(rng.integers(len(alive)))]))
+
+    def crash_node(self, victim_id: int) -> None:
         """Crash one node: jobs are lost, detection is set in motion."""
         now = self.env.now
         victim = self.grid_nodes.pop(victim_id)
@@ -304,7 +311,11 @@ class FaultyGridSimulation(GridSimulation):
                 lambda v=victim_id: self._on_node_detected(v, self.env.now),
             )
 
-    def _join_new_node(self, rng: np.random.Generator) -> None:
+    def join_node(self) -> None:
+        """One scripted arrival (a flash crowd's), on its own stream."""
+        self._join_from(self.rngs.stream("fault-joins"))
+
+    def _join_from(self, rng: np.random.Generator) -> None:
         spec = generate_node_specs(
             1,
             self.config.preset.gpu_slots,

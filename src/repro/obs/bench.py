@@ -28,10 +28,11 @@ than the threshold — CI runs it against the committed baseline.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -95,14 +96,32 @@ def _grid_run(scheme: str, preset, seed: int, **config_kwargs):
     return fn
 
 
-def _churn_run(scheme, seed: int, **config_kwargs):
+@contextlib.contextmanager
+def _can_protocol_pinned(protocol_cls):
+    """Have the "can" substrate build ``protocol_cls`` (None: its own rule).
+
+    Only a row that compares the two heartbeat classes on one run needs it.
+    """
+    from ..overlay import get_substrate, register_substrate
+
+    original = get_substrate("can")
+    if protocol_cls is not None:
+        register_substrate(replace(original, make_protocol=protocol_cls.build))
+    try:
+        yield
+    finally:
+        register_substrate(original)
+
+
+def _churn_run(scheme, seed: int, protocol_cls=None, **config_kwargs):
     """One fig7/fig8-shaped churn run; returns a metrics dict."""
     from ..gridsim import ChurnSimulation
     from ..gridsim.config import ChurnConfig
 
     def fn(profiler: Profiler) -> Dict[str, Any]:
         config = ChurnConfig(scheme=scheme, seed=seed, **config_kwargs)
-        sim = ChurnSimulation(config, profiler=profiler)
+        with _can_protocol_pinned(protocol_cls):
+            sim = ChurnSimulation(config, profiler=profiler)
         t0 = CLOCK()
         result = sim.run()
         wall = CLOCK() - t0
@@ -173,8 +192,9 @@ def _micro_chord_route(routes: int, nodes: int, seed: int):
     return fn
 
 
-def _build_protocol(scheme, nodes: int, seed: int, profiler=None, engine="object"):
-    """A populated heartbeat protocol on a fresh overlay (shared harness)."""
+def _build_protocol(scheme, nodes: int, seed: int, profiler=None, protocol_cls=None):
+    """A populated heartbeat protocol on a fresh overlay (shared harness):
+    what a run of ``scheme`` gets, or the class a row names on purpose."""
     from ..can.heartbeat import ProtocolConfig
     from ..can.overlay import CanOverlay
     from ..can.soa import build_protocol
@@ -183,10 +203,8 @@ def _build_protocol(scheme, nodes: int, seed: int, profiler=None, engine="object
 
     space = ResourceSpace(gpu_slots=2)
     overlay = CanOverlay(space)
-    proto = build_protocol(
-        overlay, ProtocolConfig(scheme=scheme), engine=engine,
-        profiler=profiler,
-    )
+    make = build_protocol if protocol_cls is None else protocol_cls
+    proto = make(overlay, ProtocolConfig(scheme=scheme), profiler=profiler)
     rng = np.random.default_rng(seed)
     specs = generate_node_specs(nodes, 2, rng)
     proto.bootstrap(
@@ -202,10 +220,10 @@ def _build_protocol(scheme, nodes: int, seed: int, profiler=None, engine="object
     return proto
 
 
-def _micro_heartbeat(scheme, rounds: int, nodes: int, seed: int, engine="object"):
+def _micro_heartbeat(scheme, rounds: int, nodes: int, seed: int, protocol_cls=None):
     def fn(profiler: Profiler) -> Dict[str, Any]:
         proto = _build_protocol(
-            scheme, nodes, seed, profiler=profiler, engine=engine
+            scheme, nodes, seed, profiler=profiler, protocol_cls=protocol_cls
         )
         t0 = CLOCK()
         for i in range(rounds):
@@ -501,7 +519,8 @@ def _micro_metrics(iterations: int, wall: float) -> Dict[str, Any]:
 # --------------------------------------------------------------------- the suite --
 def _suite(mode: str, seed: int) -> List[Tuple[str, str, str, Callable]]:
     """(name, group, kind, workload) rows for one bench invocation."""
-    from ..can.heartbeat import HeartbeatScheme
+    from ..can.heartbeat import HeartbeatProtocol, HeartbeatScheme
+    from ..can.soa import ArrayHeartbeatProtocol
     from ..workload import SMALL_LOAD, TINY_LOAD
 
     smoke = mode == "smoke"
@@ -586,13 +605,13 @@ def _suite(mode: str, seed: int) -> List[Tuple[str, str, str, Callable]]:
             ),
         )
     )
-    # fig8 at scale (full mode only): the object/array engine pair at 1k
-    # nodes pins the speedup, and the array engine carries the 10k/100k
-    # populations the object engine cannot reach in reasonable time.  The
-    # 1k pair measures steady maintenance throughput (the fig8 regime —
-    # events slower than the period), so its churn is sparse enough that
-    # repair storms do not overlap the round kernels under comparison;
-    # the 10k/100k rows keep the standard fig8 event density.
+    # fig8 at scale (full mode only): the 1k pair names each heartbeat
+    # class to pin the speedup; the 10k/100k rows get the array class from
+    # the factory's rule (adaptive, ideal channel), the only one that
+    # reaches those populations in reasonable time.  The 1k pair measures
+    # steady maintenance throughput (the fig8 regime — events slower than
+    # the period), so repair storms do not overlap the round kernels under
+    # comparison; the 10k/100k rows keep the standard fig8 event density.
     if not smoke:
         scale_churn = dict(event_gap_mean=120.0, leave_mode="fail")
         pair_churn = dict(event_gap_mean=600.0, leave_mode="fail")
@@ -603,7 +622,8 @@ def _suite(mode: str, seed: int) -> List[Tuple[str, str, str, Callable]]:
                 "sim",
                 _churn_run(
                     HeartbeatScheme.ADAPTIVE, seed, initial_nodes=1_000,
-                    duration=21_600.0, engine="object", **pair_churn,
+                    duration=21_600.0, protocol_cls=HeartbeatProtocol,
+                    **pair_churn,
                 ),
             ),
             (
@@ -612,7 +632,8 @@ def _suite(mode: str, seed: int) -> List[Tuple[str, str, str, Callable]]:
                 "sim",
                 _churn_run(
                     HeartbeatScheme.ADAPTIVE, seed, initial_nodes=1_000,
-                    duration=21_600.0, engine="array", **pair_churn,
+                    duration=21_600.0, protocol_cls=ArrayHeartbeatProtocol,
+                    **pair_churn,
                 ),
             ),
             (
@@ -621,7 +642,7 @@ def _suite(mode: str, seed: int) -> List[Tuple[str, str, str, Callable]]:
                 "sim",
                 _churn_run(
                     HeartbeatScheme.ADAPTIVE, seed, initial_nodes=10_000,
-                    duration=1_200.0, engine="array", **scale_churn,
+                    duration=1_200.0, **scale_churn,
                 ),
             ),
             (
@@ -634,8 +655,7 @@ def _suite(mode: str, seed: int) -> List[Tuple[str, str, str, Callable]]:
                 "sim",
                 _churn_run(
                     HeartbeatScheme.ADAPTIVE, seed, initial_nodes=100_000,
-                    gpu_slots=0, duration=600.0, engine="array",
-                    **scale_churn,
+                    gpu_slots=0, duration=600.0, **scale_churn,
                 ),
             ),
         ]
@@ -663,9 +683,9 @@ def _suite(mode: str, seed: int) -> List[Tuple[str, str, str, Callable]]:
             for s in hb_schemes
         ),
         (
-            # the array engine's batched per-round kernels, on a converged
+            # the array class's batched per-round kernels, on a converged
             # population (pure clean-path rounds); compare against
-            # micro.heartbeat_round.vanilla for the per-round speedup
+            # micro.heartbeat_round.vanilla (object) for the per-round speedup
             "micro.round_kernel",
             "micro",
             "micro",
@@ -674,7 +694,7 @@ def _suite(mode: str, seed: int) -> List[Tuple[str, str, str, Callable]]:
                 200 if smoke else 400,
                 100 if smoke else 200,
                 seed,
-                engine="array",
+                protocol_cls=ArrayHeartbeatProtocol,
             ),
         ),
         (

@@ -187,11 +187,6 @@ class ProtocolConfig:
     #: adaptive: also run the coverage check every k rounds even without a
     #: local table change (0 disables the periodic check)
     periodic_gap_check_every: int = 0
-    #: adaptive: probability that a real coverage gap is noticed by the
-    #: local coverage computation in a given round.  In high dimension a
-    #: stale believed zone can spuriously cover a vacated area, hiding the
-    #: gap — 1.0 models a perfect checker (see DESIGN.md)
-    gap_detection_prob: float = 1.0
     #: adaptive's gap detector: "coverage" runs the real local zone-face
     #: coverage computation over believed zones (repro.can.coverage);
     #: "oracle" compares against ground truth (an idealised upper bound)
@@ -205,8 +200,6 @@ class ProtocolConfig:
             raise ValueError("failure timeout must be at least one period")
         if self.gap_retry_rounds < 0 or self.periodic_gap_check_every < 0:
             raise ValueError("retry/periodic settings must be non-negative")
-        if not 0.0 <= self.gap_detection_prob <= 1.0:
-            raise ValueError("gap_detection_prob must be a probability")
         if self.detection not in ("coverage", "oracle"):
             raise ValueError(f"unknown detection mode {self.detection!r}")
 
@@ -240,14 +233,12 @@ class MaintenanceProtocol:
         self,
         overlay: OverlaySubstrate,
         config: ProtocolConfig,
-        rng: Optional[Any] = None,
         tracer: Optional[Any] = None,
         profiler: Optional[Any] = None,
         metrics: Optional[Any] = None,
     ):
         self.overlay = overlay
         self.config = config
-        self._rng = rng
         #: optional repro.obs.Tracer; None keeps every emit site to a
         #: single attribute test (the default, benchmark-grade path)
         self.tracer = tracer
@@ -308,6 +299,14 @@ class MaintenanceProtocol:
         #: kind, receiver id, sender id, payload, send time); drained by
         #: the first round at/after arrival
         self._deferred: List[Tuple[float, str, int, int, Any, float]] = []
+
+    @classmethod
+    def build(cls, overlay, config, network: Optional[NetworkModel] = None, **kwargs):
+        """The substrate-factory form (``SubstrateDescriptor.make_protocol``):
+        construct on ``network``, None being the ideal channel."""
+        proto = cls(overlay, config, **kwargs)
+        proto.set_network(network)
+        return proto
 
     def _record(
         self, now: float, mtype: MessageType, size_bytes: int, copies: int = 1
@@ -640,9 +639,6 @@ class MaintenanceProtocol:
             pnode = self._deliverable(node_id)
             if pnode is None:
                 continue
-            if config.gap_detection_prob < 1.0 and self._rng is not None:
-                if self._rng.random() >= config.gap_detection_prob:
-                    continue  # the local check missed the gap this round
             if not self._needs_repair(pnode):
                 pnode.gap_dirty = False
                 pnode.gap_attempts = 0

@@ -7,7 +7,7 @@ between substrates:
 
 * how to build the ground-truth overlay over a :class:`ResourceSpace`;
 * how to build the maintenance protocol that keeps believed state under
-  churn (including which heartbeat ``engine`` values it supports);
+  churn, on the channel the run states;
 * how to route over ground truth and over believed state (greedy
   zone-distance descent for CAN, finger-table key hops for Chord).
 
@@ -18,7 +18,7 @@ importing :mod:`repro.overlay` never drags in both substrate packages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List
 
 from .base import MaintenanceProtocol, OverlaySubstrate
 
@@ -39,25 +39,18 @@ class SubstrateDescriptor:
     #: build the ground-truth overlay: ``make_overlay(space)``
     make_overlay: Callable[[Any], OverlaySubstrate]
     #: build the maintenance protocol:
-    #: ``make_protocol(overlay, config, engine=..., tracer=..., profiler=...,
-    #: metrics=..., rng=...)`` — ``config`` is a
+    #: ``make_protocol(overlay, config, network=None, tracer=...,
+    #: profiler=..., metrics=...)`` — ``config`` is a
     #: :class:`~repro.can.heartbeat.ProtocolConfig` (shared across
-    #: substrates; each interprets the scheme/detection knobs its own way)
+    #: substrates; each interprets the scheme/detection knobs its own way),
+    #: ``network`` the live :class:`~repro.net.NetworkModel` every
+    #: unreliable send traverses (None = the ideal channel)
     make_protocol: Callable[..., MaintenanceProtocol]
     #: ground-truth route: ``route(overlay, start_id, point)`` -> node path
     route: Callable[..., List[int]]
     #: believed-state route: ``route_on_beliefs(protocol, start_id, point)``
     #: -> result with ``delivered``/``hops``/``path``
     route_on_beliefs: Callable[..., Any]
-    #: heartbeat engines the protocol factory accepts
-    engines: Tuple[str, ...] = ("object",)
-
-    def check_engine(self, engine: str) -> None:
-        if engine not in self.engines:
-            raise ValueError(
-                f"substrate {self.name!r} has no heartbeat engine "
-                f"{engine!r} (supported: {', '.join(self.engines)})"
-            )
 
 
 _REGISTRY: Dict[str, SubstrateDescriptor] = {}
@@ -72,19 +65,15 @@ def register_substrate(descriptor: SubstrateDescriptor) -> SubstrateDescriptor:
 def _register_builtin_can() -> SubstrateDescriptor:
     from ..can.overlay import CanOverlay
     from ..can.routing import route, route_on_beliefs
-    from ..can.soa import ENGINES, build_protocol
-
-    def make_protocol(overlay, config, engine="object", **kwargs):
-        return build_protocol(overlay, config, engine=engine, **kwargs)
+    from ..can.soa import build_protocol
 
     return register_substrate(
         SubstrateDescriptor(
             name="can",
             make_overlay=CanOverlay,
-            make_protocol=make_protocol,
+            make_protocol=build_protocol,
             route=route,
             route_on_beliefs=route_on_beliefs,
-            engines=tuple(ENGINES),
         )
     )
 
@@ -94,21 +83,13 @@ def _register_builtin_chord() -> SubstrateDescriptor:
     from ..chord.ring import ChordRing
     from ..chord.routing import chord_route, chord_route_on_beliefs
 
-    def make_protocol(overlay, config, engine="object", **kwargs):
-        if engine != "object":
-            raise ValueError(
-                f"chord substrate has no heartbeat engine {engine!r}"
-            )
-        return ChordMaintenanceProtocol(overlay, config, **kwargs)
-
     return register_substrate(
         SubstrateDescriptor(
             name="chord",
             make_overlay=ChordRing,
-            make_protocol=make_protocol,
+            make_protocol=ChordMaintenanceProtocol.build,
             route=chord_route,
             route_on_beliefs=chord_route_on_beliefs,
-            engines=("object",),
         )
     )
 

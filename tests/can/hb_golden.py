@@ -15,20 +15,24 @@ Regenerate (only when a *deliberate* protocol change alters the numbers)::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 from typing import Any, Dict
 
-from repro.can.heartbeat import HeartbeatScheme
+from repro.can.heartbeat import HeartbeatProtocol, HeartbeatScheme
+from repro.can.soa import ArrayHeartbeatProtocol
 from repro.gridsim import ChurnSimulation
 from repro.gridsim.config import ChurnConfig
 from repro.gridsim.faults import FaultPlan
 from repro.net import LatencySpec, NetworkSpec
 from repro.obs.events import Tracer
 from repro.obs.trace import JsonlTraceWriter
+from repro.overlay import get_substrate, register_substrate
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "goldens", "heartbeat_accounting.json"
@@ -63,6 +67,32 @@ SCHEMES = [
 ]
 
 
+#: the two CAN heartbeat implementations, by the name the test ids use
+ENGINE_CLASSES = {
+    "object": HeartbeatProtocol,
+    "array": ArrayHeartbeatProtocol,
+}
+
+
+@contextlib.contextmanager
+def pinned_engine(engine: str):
+    """Have the "can" substrate build one named class, whatever the run.
+
+    The factory picks a class from scheme + channel; the equivalence tests
+    need *both* classes on every scheme and channel (vanilla and lossy on
+    array included), so they override CAN's ``make_protocol`` through the
+    registry — the public extension point — and restore it afterwards.
+    """
+    original = get_substrate("can")
+    register_substrate(
+        replace(original, make_protocol=ENGINE_CLASSES[engine].build)
+    )
+    try:
+        yield
+    finally:
+        register_substrate(original)
+
+
 def run_case(
     case: str,
     scheme: HeartbeatScheme,
@@ -71,12 +101,13 @@ def run_case(
 ) -> Dict[str, Any]:
     """One seeded churn run reduced to its accounting fingerprint.
 
-    Both engines must reproduce the same fingerprint: the goldens were
-    produced by the object engine and the array engine is pinned to them.
+    Both classes must reproduce the same fingerprint: the goldens were
+    produced by the object class and the array class is pinned to them.
     """
-    return fingerprint(
-        ChurnConfig(scheme=scheme, seed=seed, engine=engine, **CASES[case])
-    )
+    with pinned_engine(engine):
+        return fingerprint(
+            ChurnConfig(scheme=scheme, seed=seed, **CASES[case])
+        )
 
 
 def fingerprint(config: ChurnConfig) -> Dict[str, Any]:

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
 from repro.can.overlay import CanOverlay
-from repro.can.soa import EdgeStore, build_protocol
+from repro.can.soa import EdgeStore
 from repro.can.space import ResourceSpace
+from tests.can.hb_golden import ENGINE_CLASSES
 
 INITIAL_NODES = 8
 
@@ -31,10 +32,8 @@ op = st.tuples(
 def run_engine(engine: str, scheme: HeartbeatScheme, ops):
     space = ResourceSpace(gpu_slots=1)
     overlay = CanOverlay(space)
-    proto = build_protocol(
-        overlay,
-        ProtocolConfig(scheme=scheme, period=60.0),
-        engine=engine,
+    proto = ENGINE_CLASSES[engine](
+        overlay, ProtocolConfig(scheme=scheme, period=60.0)
     )
     if engine == "array":
         # tiny capacities so every example reallocates the store's arrays

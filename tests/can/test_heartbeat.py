@@ -23,7 +23,7 @@ def build_protocol(n=12, scheme=HeartbeatScheme.VANILLA, seed=0, **cfg_kwargs):
     space = ResourceSpace(gpu_slots=0)
     overlay = CanOverlay(space)
     config = ProtocolConfig(scheme=scheme, period=60.0, **cfg_kwargs)
-    proto = HeartbeatProtocol(overlay, config, rng=np.random.default_rng(seed))
+    proto = HeartbeatProtocol(overlay, config)
     rng = np.random.default_rng(seed)
     coords = [tuple(rng.random(space.dims) * 0.998 + 0.001) for _ in range(n)]
     proto.bootstrap(0, coords[0])

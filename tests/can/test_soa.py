@@ -5,9 +5,19 @@ import pytest
 
 from repro.can.geometry import Zone
 from repro.can.neighbor import _NEG_INF, BeliefRecord, NeighborTable
-from repro.can.soa import ArrayNeighborTable, EdgeStore, build_protocol
+from repro.can.heartbeat import HeartbeatProtocol, HeartbeatScheme, ProtocolConfig
+from repro.can.overlay import CanOverlay
+from repro.can.soa import (
+    ArrayHeartbeatProtocol,
+    ArrayNeighborTable,
+    EdgeStore,
+    build_protocol,
+)
+from repro.can.space import ResourceSpace
 from repro.gridsim.config import ChurnConfig
 from repro.gridsim.faulty import FaultyGridConfig
+from repro.net import LatencySpec, NetworkSpec, PartitionSpec
+from tests.can.hb_golden import ENGINE_CLASSES
 
 
 def rec(nid: int, version: int = 0) -> BeliefRecord:
@@ -125,23 +135,67 @@ class TestArrayTableMatchesObjectTable:
         assert [h for _, h in obj_delta] == [h for _, h in arr_delta]
 
 
+#: channel name -> the ``network`` argument a run would hand the factory
+CHANNELS = {
+    "none": lambda: None,
+    "identity": lambda: NetworkSpec().build(),
+    "loss": lambda: NetworkSpec(loss=0.05).build(np.random.default_rng(1)),
+    "partition": lambda: NetworkSpec(
+        partitions=(PartitionSpec(src=(1, 2)),)
+    ).build(),
+    "latency": lambda: NetworkSpec(
+        latency=LatencySpec("constant", low=5.0)
+    ).build(),
+}
+IDEAL = {"none", "identity"}
+
+
+class TestEngineRule:
+    """The factory's one rule: array iff not vanilla and the channel is ideal."""
+
+    @pytest.mark.parametrize("channel", list(CHANNELS))
+    @pytest.mark.parametrize("scheme", list(HeartbeatScheme))
+    def test_scheme_and_channel_pick_the_class(self, scheme, channel):
+        network = CHANNELS[channel]()
+        proto = build_protocol(
+            CanOverlay(ResourceSpace(gpu_slots=0)),
+            ProtocolConfig(scheme=scheme),
+            network=network,
+        )
+        array = scheme is not HeartbeatScheme.VANILLA and channel in IDEAL
+        want = ArrayHeartbeatProtocol if array else HeartbeatProtocol
+        assert type(proto) is want
+        # the channel is installed by the factory, not after it
+        if network is None:
+            assert proto.net.is_identity
+        else:
+            assert proto.net is network
+
+
 class TestEngineFlag:
+    """The ``engine`` option is gone: nothing accepts one any more."""
+
     def test_build_protocol_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            build_protocol(None, None, engine="simd")
+        overlay = CanOverlay(ResourceSpace(gpu_slots=0))
+        with pytest.raises(TypeError):
+            build_protocol(overlay, ProtocolConfig(), engine="array")
 
     def test_churn_config_validates_engine(self):
+        with pytest.raises(TypeError):
+            ChurnConfig(engine="array")
+        with pytest.raises(TypeError):
+            ChurnConfig(message_loss=0.1)
+        # the channel is said one way, and its range is NetworkSpec's
         with pytest.raises(ValueError):
-            ChurnConfig(engine="simd")
-        assert ChurnConfig(engine="array").engine == "array"
+            NetworkSpec(loss=1.1)
 
     def test_faulty_config_validates_engine(self):
         from repro.gridsim.config import MatchmakingConfig
         from repro.workload.presets import TINY_LOAD
 
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             FaultyGridConfig(
-                matchmaking=MatchmakingConfig(preset=TINY_LOAD), engine="simd"
+                matchmaking=MatchmakingConfig(preset=TINY_LOAD), engine="array"
             )
 
 
@@ -151,15 +205,10 @@ class TestArrayGrowth:
     def test_version_sink_survives_row_growth(self):
         import itertools
 
-        from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
-        from repro.can.overlay import CanOverlay
-        from repro.can.space import ResourceSpace
-
         space = ResourceSpace(gpu_slots=0)
         overlay = CanOverlay(space)
-        proto = build_protocol(
-            overlay, ProtocolConfig(scheme=HeartbeatScheme.VANILLA),
-            engine="array",
+        proto = ArrayHeartbeatProtocol(
+            overlay, ProtocolConfig(scheme=HeartbeatScheme.VANILLA)
         )
         # tiny capacities: every few joins reallocate the row/slot arrays,
         # so any closure holding a stale array diverges immediately
@@ -184,17 +233,12 @@ class TestExchangeKernel:
     def test_array_round_advances_freshness_like_object(self):
         import itertools
 
-        from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
-        from repro.can.overlay import CanOverlay
-        from repro.can.space import ResourceSpace
-
         protos = {}
         for engine in ("object", "array"):
             space = ResourceSpace(gpu_slots=0)
             overlay = CanOverlay(space)
-            proto = build_protocol(
-                overlay, ProtocolConfig(scheme=HeartbeatScheme.VANILLA),
-                engine=engine,
+            proto = ENGINE_CLASSES[engine](
+                overlay, ProtocolConfig(scheme=HeartbeatScheme.VANILLA)
             )
             rng = np.random.default_rng(7)
             ids = itertools.count()

@@ -99,7 +99,7 @@ def test_protocol_ledger_balances_under_any_schedule(schedule, seed, scheme):
     rng = random.Random(seed)
     ring = ChordRing(SPACE, successor_list_size=3)
     cfg = ProtocolConfig(scheme=scheme, period=60.0)
-    proto = ChordMaintenanceProtocol(ring, cfg, rng=random.Random(seed + 1))
+    proto = ChordMaintenanceProtocol(ring, cfg)
     proto.bootstrap(0, [rng.random() for _ in range(SPACE.dims)])
     next_id, now = 1, 0.0
     for op, entropy in schedule:

@@ -20,7 +20,7 @@ def build(n=20, scheme=HeartbeatScheme.VANILLA, seed=13, succ=4, **cfg_kwargs):
     for nid in range(n):
         ring.add_node(nid, [rng.random() for _ in range(space.dims)])
     cfg = ProtocolConfig(scheme=scheme, period=PERIOD, **cfg_kwargs)
-    proto = ChordMaintenanceProtocol(ring, cfg, rng=random.Random(seed + 1))
+    proto = ChordMaintenanceProtocol(ring, cfg)
     proto.adopt_overlay(now=0.0)
     return ring, proto
 

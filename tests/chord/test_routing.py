@@ -71,7 +71,7 @@ def test_route_to_ghost_owner_raises():
 def warmed_protocol(n=20, seed=8, rounds=6):
     ring, rng = make_ring(n=n, seed=seed)
     cfg = ProtocolConfig(scheme=HeartbeatScheme.VANILLA, period=60.0)
-    proto = ChordMaintenanceProtocol(ring, cfg, rng=random.Random(seed))
+    proto = ChordMaintenanceProtocol(ring, cfg)
     proto.adopt_overlay(now=0.0)
     for r in range(1, rounds + 1):
         proto.run_round(now=r * cfg.period)

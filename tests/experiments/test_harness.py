@@ -95,7 +95,7 @@ class TestRecovery:
     def test_config_shapes(self):
         fast = recovery.recovery_config(HeartbeatScheme.VANILLA, fast=True)
         assert fast.detection_mode == "protocol"
-        assert fast.faults.message_loss == recovery.MESSAGE_LOSS
+        assert fast.faults.network.loss == recovery.MESSAGE_LOSS
         full = recovery.recovery_config(HeartbeatScheme.COMPACT, fast=False)
         assert full.matchmaking.preset.jobs > fast.matchmaking.preset.jobs
         assert full.heartbeat_scheme is HeartbeatScheme.COMPACT

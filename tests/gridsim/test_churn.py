@@ -3,7 +3,12 @@
 import pytest
 
 from repro.can.heartbeat import HeartbeatScheme
-from repro.gridsim import ChurnConfig, ChurnSimulation
+from repro.gridsim import ChurnConfig, ChurnSimulation, FaultPlan
+from repro.net import NetworkSpec
+
+
+def lossy_plan(loss):
+    return FaultPlan(network=NetworkSpec(loss=loss))
 
 
 def quick_config(scheme=HeartbeatScheme.VANILLA, **kwargs):
@@ -130,22 +135,29 @@ class TestInvariantsAndLoss:
         sim.check_invariants()
 
     def test_message_loss_degrades_but_stays_consistent(self):
-        sim = ChurnSimulation(quick_config(message_loss=0.3))
+        sim = ChurnSimulation(quick_config(plan=lossy_plan(0.3)))
         res = sim.run()
         sim.check_invariants()
         assert res.final_population > 10
 
     def test_message_loss_validation(self):
-        # the closed interval is accepted: 1.0 is a total blackout
-        assert quick_config(message_loss=1.0).message_loss == 1.0
+        # loss is said one way, in the plan's NetworkSpec, and its range is
+        # validated there; the closed interval is accepted: 1.0 is a
+        # total blackout
+        assert lossy_plan(1.0).network.loss == 1.0
         with pytest.raises(ValueError):
-            quick_config(message_loss=1.1)
+            lossy_plan(1.1)
         with pytest.raises(ValueError):
-            quick_config(message_loss=-0.1)
+            lossy_plan(-0.1)
+        with pytest.raises(TypeError):
+            quick_config(message_loss=0.1)
+        # and the channel is on the protocol from construction
+        sim = ChurnSimulation(quick_config(plan=lossy_plan(0.25)))
+        assert sim.protocol.net.spec.loss == 0.25
 
     def test_total_blackout_starves_all_evidence(self):
         """rate == 1.0 drops every unreliable send: nothing delivers."""
-        sim = ChurnSimulation(quick_config(message_loss=1.0))
+        sim = ChurnSimulation(quick_config(plan=lossy_plan(1.0)))
         sim.run()
         sim.check_invariants()
         net = sim.protocol.net

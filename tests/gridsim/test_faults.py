@@ -11,6 +11,7 @@ from repro.gridsim import (
     FaultyGridSimulation,
     MatchmakingConfig,
 )
+from repro.net import NetworkSpec
 from repro.obs import Tracer
 from repro.workload import TINY_LOAD
 
@@ -32,15 +33,21 @@ class TestPlanValidation:
             CrashBurst(at=0.0, count=0)
 
     def test_plan_validation_and_empty(self):
-        # the closed interval is accepted: 1.0 is a total blackout
-        assert FaultPlan(message_loss=1.0).message_loss == 1.0
+        # loss lives in the plan's NetworkSpec, validated there; the
+        # closed interval is accepted: 1.0 is a total blackout
+        assert FaultPlan(network=NetworkSpec(loss=1.0)).network.loss == 1.0
         with pytest.raises(ValueError):
-            FaultPlan(message_loss=1.5)
+            FaultPlan(network=NetworkSpec(loss=1.5))
         with pytest.raises(ValueError):
-            FaultPlan(message_loss=-0.1)
-        assert FaultPlan().empty
-        assert not FaultPlan(message_loss=0.1).empty
-        assert not FaultPlan(bursts=(CrashBurst(at=10.0),)).empty
+            FaultPlan(network=NetworkSpec(loss=-0.1))
+        with pytest.raises(TypeError):
+            FaultPlan(message_loss=0.1)
+        # the default plan changes nothing: no bursts, the ideal channel
+        assert FaultPlan() == FaultPlan(bursts=(), joins=(), network=None)
+        assert FaultPlan().ideal_channel
+        assert FaultPlan(network=NetworkSpec()).ideal_channel  # identity spec
+        assert not FaultPlan(network=NetworkSpec(loss=0.1)).ideal_channel
+        assert FaultPlan(bursts=(CrashBurst(at=10.0),)).ideal_channel
 
     def test_bursts_normalised_to_tuple(self):
         plan = FaultPlan(bursts=[CrashBurst(at=5.0), CrashBurst(at=9.0)])
@@ -84,12 +91,23 @@ class TestInjection:
         assert sim._injector.crashes_injected == TINY_LOAD.nodes - floor
 
     def test_message_loss_installed_on_protocol(self):
+        # at construction: the protocol factory needs the channel to pick
+        # its class, so there is no install step left to forget
         sim = FaultyGridSimulation(
-            quiet_config(faults=FaultPlan(message_loss=0.25))
+            quiet_config(faults=FaultPlan(network=NetworkSpec(loss=0.25)))
         )
-        assert sim.protocol.net.is_identity  # not yet installed
-        sim._injector.install()
         assert sim.protocol.net.spec.loss == 0.25
+        assert not FaultyGridSimulation(quiet_config()).protocol.net.attempts
+
+    def test_network_without_heartbeats_is_rejected(self):
+        """Regression: fixed mode used to ignore the plan's channel silently."""
+        plan = FaultPlan(network=NetworkSpec(loss=0.25))
+        with pytest.raises(ValueError, match="faults.network.*detection_mode"):
+            quiet_config(faults=plan, detection_mode="fixed")
+        # nothing to ignore: an ideal channel is fine in fixed mode
+        quiet_config(faults=FaultPlan(network=NetworkSpec()), detection_mode="fixed")
+        bursts = FaultPlan(bursts=(CrashBurst(at=500.0),))
+        quiet_config(faults=bursts, detection_mode="fixed")
 
     def test_seeded_plan_replays_identically(self):
         plan = FaultPlan(
@@ -97,7 +115,7 @@ class TestInjection:
                 CrashBurst(at=400.0, count=2),
                 CrashBurst(at=900.0, count=3, correlated=True),
             ),
-            message_loss=0.1,
+            network=NetworkSpec(loss=0.1),
         )
         runs = [
             FaultyGridSimulation(quiet_config(faults=plan)).run()

@@ -15,6 +15,7 @@ from repro.gridsim import (
     check_matchmaking_accounting,
 )
 from repro.gridsim.recovery import PendingRecovery
+from repro.net import NetworkSpec
 from repro.workload import TINY_LOAD
 
 
@@ -123,7 +124,7 @@ class TestProtocolDetection:
                 mtbf=300.0,
                 mtbj=300.0,
                 heartbeat_scheme=scheme,
-                faults=FaultPlan(message_loss=0.2),
+                faults=FaultPlan(network=NetworkSpec(loss=0.2)),
             )
             res = FaultyGridSimulation(cfg).run()
             assert res.detection_latencies.size > 0

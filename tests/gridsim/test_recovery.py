@@ -153,7 +153,7 @@ class TestResubmissionTransitions:
             state["broken"] = True
             for nid in sorted(sim.grid_nodes):
                 if not sim.grid_nodes[nid].is_free():
-                    sim._fail_node(nid)
+                    sim.crash_node(nid)
                     return
             raise AssertionError("no busy node to crash")
 

@@ -32,8 +32,7 @@ def build_can(n=12, scheme=HeartbeatScheme.VANILLA, seed=0, **cfg_kwargs):
     space = ResourceSpace(gpu_slots=0)
     overlay = CanOverlay(space)
     proto = HeartbeatProtocol(
-        overlay, ProtocolConfig(scheme=scheme, period=PERIOD, **cfg_kwargs),
-        rng=np.random.default_rng(seed),
+        overlay, ProtocolConfig(scheme=scheme, period=PERIOD, **cfg_kwargs)
     )
     rng = np.random.default_rng(seed)
     coords = [tuple(rng.random(space.dims) * 0.998 + 0.001) for _ in range(n)]
@@ -50,8 +49,7 @@ def build_chord(n=12, scheme=HeartbeatScheme.VANILLA, seed=13):
     for nid in range(n):
         ring.add_node(nid, [rng.random() for _ in range(space.dims)])
     proto = ChordMaintenanceProtocol(
-        ring, ProtocolConfig(scheme=scheme, period=PERIOD),
-        rng=random.Random(seed + 1),
+        ring, ProtocolConfig(scheme=scheme, period=PERIOD)
     )
     proto.adopt_overlay(now=0.0)
     return ring, proto

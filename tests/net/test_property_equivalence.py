@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 
 from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
 from repro.can.overlay import CanOverlay
-from repro.can.soa import build_protocol
 from repro.can.space import ResourceSpace
 from repro.chord.protocol import ChordMaintenanceProtocol
 from repro.chord.ring import ChordRing
 from repro.gridsim.invariants import InvariantViolation, _check_network
 from repro.net import FlapSpec, NetworkSpec, PartitionSpec
+from tests.can.hb_golden import ENGINE_CLASSES
 
 INITIAL_NODES = 8
 PERIOD = 60.0
@@ -72,8 +72,8 @@ def network_specs(draw):
 def run_can_engine(engine, scheme, spec, ops):
     space = ResourceSpace(gpu_slots=1)
     overlay = CanOverlay(space)
-    proto = build_protocol(
-        overlay, ProtocolConfig(scheme=scheme, period=PERIOD), engine=engine
+    proto = ENGINE_CLASSES[engine](
+        overlay, ProtocolConfig(scheme=scheme, period=PERIOD)
     )
     rng = np.random.default_rng(20110926)
     ids = itertools.count()
@@ -136,8 +136,7 @@ def run_chord(scheme, spec, ops):
     for _ in range(INITIAL_NODES):
         ring.add_node(next(ids), [rng.random() for _ in range(space.dims)])
     proto = ChordMaintenanceProtocol(
-        ring, ProtocolConfig(scheme=scheme, period=PERIOD),
-        rng=random.Random(7),
+        ring, ProtocolConfig(scheme=scheme, period=PERIOD)
     )
     proto.adopt_overlay(now=0.0)
     proto.set_network(spec.build(np.random.default_rng(99)))

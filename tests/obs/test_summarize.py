@@ -30,7 +30,7 @@ def traced_protocol(n=12, scheme=HeartbeatScheme.VANILLA, seed=0, sink=None):
     if sink is not None:
         tracer.subscribe(sink)
     proto = HeartbeatProtocol(
-        overlay, config, rng=np.random.default_rng(seed), tracer=tracer
+        overlay, config, tracer=tracer
     )
     rng = np.random.default_rng(seed)
     coords = [tuple(rng.random(space.dims) * 0.998 + 0.001) for _ in range(n)]

@@ -1,5 +1,6 @@
 """Substrate registry: conformance, engine gating, substrate-parametric sims."""
 
+import numpy as np
 import pytest
 
 from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
@@ -59,15 +60,33 @@ def test_create_overlay_shorthand(name):
 
 
 def test_engine_gating():
-    can = get_substrate("can")
-    chord = get_substrate("chord")
-    can.check_engine("object")
-    can.check_engine("array")
-    chord.check_engine("object")
-    with pytest.raises(ValueError, match="no heartbeat engine"):
-        chord.check_engine("array")
-    with pytest.raises(ValueError, match="no heartbeat engine"):
-        can.check_engine("simd")
+    """No descriptor names an engine; each factory builds on the stated channel."""
+    from repro.can.heartbeat import HeartbeatProtocol
+    from repro.can.soa import ArrayHeartbeatProtocol
+    from repro.chord.protocol import ChordMaintenanceProtocol
+    from repro.net import NetworkSpec
+
+    space = ResourceSpace(gpu_slots=1)
+    adaptive = ProtocolConfig(scheme=HeartbeatScheme.ADAPTIVE)
+    lossy = NetworkSpec(loss=0.1)
+    for name, on_ideal, on_lossy in [
+        ("can", ArrayHeartbeatProtocol, HeartbeatProtocol),
+        ("chord", ChordMaintenanceProtocol, ChordMaintenanceProtocol),
+    ]:
+        substrate = get_substrate(name)
+        assert not hasattr(substrate, "engines")
+        assert not hasattr(substrate, "check_engine")
+        proto = substrate.make_protocol(substrate.make_overlay(space), adaptive)
+        assert type(proto) is on_ideal and proto.net.is_identity
+        network = lossy.build(np.random.default_rng(0))
+        proto = substrate.make_protocol(
+            substrate.make_overlay(space), adaptive, network=network
+        )
+        assert type(proto) is on_lossy and proto.net is network
+        with pytest.raises(TypeError):
+            substrate.make_protocol(
+                substrate.make_overlay(space), adaptive, engine="array"
+            )
 
 
 def test_register_substrate_overrides_and_restores():
@@ -78,7 +97,6 @@ def test_register_substrate_overrides_and_restores():
         make_protocol=original.make_protocol,
         route=original.route,
         route_on_beliefs=original.route_on_beliefs,
-        engines=("object",),
     )
     try:
         register_substrate(fake)
@@ -130,5 +148,6 @@ def test_substrate_config_validation():
 
     with pytest.raises(ValueError, match="unknown substrate"):
         ChurnConfig(initial_nodes=10, substrate="kademlia")
-    with pytest.raises(ValueError, match="no heartbeat engine"):
+    # no substrate takes an engine any more: the field is gone, not gated
+    with pytest.raises(TypeError, match="engine"):
         ChurnConfig(initial_nodes=10, substrate="chord", engine="array")
