@@ -14,7 +14,7 @@ smallest would be meaningless.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = ["Zone"]
 
@@ -207,9 +207,3 @@ class Zone:
             f"[{a:.3g},{b:.3g})" for a, b in zip(self.lo, self.hi)
         )
         return f"Zone({spans})"
-
-
-def any_abuts(zones_a: Iterable[Zone], zones_b: Iterable[Zone]) -> bool:
-    """True when some zone of A shares a face with some zone of B."""
-    zones_b = list(zones_b)
-    return any(za.abuts(zb) for za in zones_a for zb in zones_b)

@@ -164,20 +164,18 @@ class HeartbeatProtocol(MaintenanceProtocol):
         self._gap_dirty_ids.discard(node_id)
 
     def _joined(self, newcomer: ProtocolNode, result, now: float) -> None:
-        node_id = newcomer.node_id
         splitter = self.nodes[result.splitter_id]
         splitter.bump_version()
 
         model = self.config.size_model
         dims = self.overlay.space.dims
-        new_zones = self.overlay.zones_of(node_id)
 
         # Join reply: the splitter hands the newcomer its own record plus the
         # slice of its believed table relevant to the newcomer's zone.
         slice_records = [
             (rec, heard_at)
             for rec, heard_at in splitter.table.snapshot().pairs()
-            if self._record_relevant(newcomer, rec, new_zones)
+            if self._record_relevant(newcomer, rec)
         ]
         self._record(
             now,
@@ -192,12 +190,11 @@ class HeartbeatProtocol(MaintenanceProtocol):
         # The splitter's zone shrank: drop neighbors now adjacent only to
         # the newcomer, and add the newcomer itself.
         notify_ids = splitter.table.sorted_ids()
-        splitter_zones = self.overlay.zones_of(splitter.node_id)
         for rec in splitter.table.records():
-            if not self._record_relevant(splitter, rec, splitter_zones):
+            if not self._record_relevant(splitter, rec):
                 splitter.table.remove(rec.node_id)
         new_record = newcomer.own_record(self.overlay)
-        if self._record_relevant(splitter, new_record, splitter_zones):
+        if self._record_relevant(splitter, new_record):
             splitter.table.upsert(new_record, now)
         splitter.gap_dirty = True
 
@@ -243,7 +240,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
             if node_id not in self.nodes:
                 self._make_node(node_id)
         for node_id, pnode in self.nodes.items():
-            for nid in sorted(self.overlay.neighbor_set(node_id)):
+            for nid in sorted(self.overlay.neighbor_ids(node_id)):
                 other = self.nodes.get(nid)
                 if other is not None:
                     pnode.table.upsert(other.own_record(self.overlay), now)
@@ -383,13 +380,9 @@ class HeartbeatProtocol(MaintenanceProtocol):
             # Only the sender's table advanced: merging the delta suffices.
             # (Local removals or zone changes force a full re-merge below —
             # an unchanged remote record may then become relevant again.)
-            own_zones = self.overlay.zones_of(receiver.node_id)
             for rec, heard_at in sender.table.records_since(last[0]):
                 if rec.node_id != receiver.node_id:
-                    self._receive_record(
-                        receiver, rec, now, heard_at=heard_at,
-                        own_zones=own_zones,
-                    )
+                    self._receive_record(receiver, rec, now, heard_at=heard_at)
         else:
             self._absorb_table(receiver, snap, now)
         receiver.processed_epoch[sender.node_id] = key
@@ -408,7 +401,6 @@ class HeartbeatProtocol(MaintenanceProtocol):
         dict once is safe: only the record id being processed can mutate
         (and rebind) it, and every id appears at most once per snapshot.
         """
-        own_zones = self.overlay.zones_of(receiver.node_id)
         receiver_id = receiver.node_id
         receive = self._receive_record
         rtable = receiver.table
@@ -422,10 +414,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
             if existing is not None and rec.version <= existing.version:
                 advance(nid, heard_get(nid, _NEG_INF))
             else:
-                receive(
-                    receiver, rec, now,
-                    heard_at=heard_get(nid, _NEG_INF), own_zones=own_zones,
-                )
+                receive(receiver, rec, now, heard_at=heard_get(nid, _NEG_INF))
 
     def _receive_record(
         self,
@@ -434,7 +423,6 @@ class HeartbeatProtocol(MaintenanceProtocol):
         now: float,
         heard: bool = False,
         heard_at: Optional[float] = None,
-        own_zones: Optional[List] = None,
     ) -> None:
         """Apply one advertised record to a believed table.
 
@@ -460,9 +448,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
             and receiver._non_abutting.get(memo_key) == receiver.own_version
         ):
             return  # same record, same zones: still not our neighbor
-        if own_zones is None:
-            own_zones = self.overlay.zones_of(receiver.node_id)
-        if not self._record_relevant(receiver, record, own_zones):
+        if not self._record_relevant(receiver, record):
             if existing is not None:
                 receiver.table.remove(record.node_id)
                 receiver.gap_dirty = True
@@ -475,19 +461,16 @@ class HeartbeatProtocol(MaintenanceProtocol):
         receiver.table.upsert(record, now, heard=heard, heard_at=heard_at)
 
     def _record_relevant(
-        self,
-        receiver: ProtocolNode,
-        record: BeliefRecord,
-        own_zones: List,
+        self, receiver: ProtocolNode, record: BeliefRecord
     ) -> bool:
         """Does this record's subject abut the receiver's zones?
 
         When the record carries the subject's *current* version and the
         subject still holds zones in the overlay, the record's zones are by
         construction the subject's ground-truth zones (overlay mutation
-        always precedes the version bump), so abutment reduces to a lookup
-        in the overlay's leaf-adjacency index.  Stale records (an old
-        version, or a subject whose zones were handed off) fall back to the
+        always precedes the version bump), so abutment is one probe of the
+        overlay's neighbor-pair counters.  Stale records (an old version,
+        or a subject whose zones were handed off) fall back to the
         geometric scan — their zones exist nowhere but in the record.
         """
         subject = self.nodes.get(record.node_id)
@@ -496,8 +479,8 @@ class HeartbeatProtocol(MaintenanceProtocol):
             and subject.own_version == record.version
             and record.node_id in self.overlay.members
         ):
-            return record.node_id in self.overlay.neighbor_set(receiver.node_id)
-        return record.abuts_any(own_zones)
+            return self.overlay.are_neighbors(receiver.node_id, record.node_id)
+        return record.abuts_any(self.overlay.zones_of(receiver.node_id))
 
     # -- failure detection & take-over -------------------------------------------------
     def _detect_failures_at(
@@ -656,7 +639,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
     def _missing_neighbors(self, node_id: int) -> Set[int]:
         truth = {
             nid
-            for nid in self.overlay.neighbor_set(node_id)
+            for nid in self.overlay.neighbor_ids(node_id)
             if self.overlay.is_alive(nid)
         }
         return truth - self.nodes[node_id].table.ids()
@@ -681,7 +664,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
                 continue
             believed = pnode.table.ids_view()
             missing = 0
-            for nid in overlay.neighbor_set(node_id):
+            for nid in overlay.neighbor_ids(node_id):
                 if nid not in believed and alive(nid):
                     missing += 1
             pnode._broken_cache = (key, missing)

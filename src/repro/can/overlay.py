@@ -16,14 +16,23 @@ protocol layer calls it when the failure is detected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, KeysView, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..overlay.base import SubstrateError
-from .geometry import Zone
+from .geometry import _EPS, Zone
 from .space import ResourceSpace
 from .split_tree import Leaf, SplitTree
 
 __all__ = ["CanOverlay", "JoinResult", "Transfer", "OverlayError"]
+
+
+#: what a member without a ground-truth neighbour reads from the counters
+_NO_NEIGHBORS: Dict[int, int] = {}
+#: adjacent pairs the invariant audit evaluates per array expression: bounds
+#: its scratch to a few MB however large the overlay
+_AUDIT_PAIRS = 1 << 14
 
 
 class OverlayError(SubstrateError):
@@ -79,12 +88,12 @@ class CanOverlay:
         #: therefore most per-node caches — intact.
         self._nbr_tick: int = 0
         self._nbr_stamp: Dict[int, int] = {}
-        self._nbr_sets: Dict[int, Tuple[int, frozenset]] = {}
         #: incremental neighbor-pair counters: ``_nbr_counts[a][b]`` is the
         #: number of adjacent leaf pairs whose owners are (a, b), a != b.
         #: A pure function of (leaf adjacency, owner map), maintained at the
         #: same sites that mutate ``_adj`` / leaf ownership, so
-        #: :meth:`neighbors` is O(degree) instead of a leaf-set rebuild.
+        #: :meth:`neighbors` is O(degree) instead of a leaf-set rebuild and
+        #: :meth:`are_neighbors` is one dict probe.
         self._nbr_counts: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------ queries --
@@ -109,31 +118,28 @@ class CanOverlay:
     def neighbors(self, node_id: int) -> Set[int]:
         """Ground-truth neighbor ids: owners of leaves abutting any owned leaf."""
         self._member(node_id)
-        row = self._nbr_counts.get(node_id)
-        return set(row) if row else set()
+        return set(self.neighbor_ids(node_id))
 
     def neighborhood_stamp(self, node_id: int) -> int:
         """Monotone counter advancing when this node's neighborhood changes.
 
         Covers adjacency changes (splits, merges, transfers, drops) *and*
         liveness flips of adjacent owners, so any value derived from
-        :meth:`neighbor_set` plus member liveness can be cached against it.
+        :meth:`neighbor_ids` plus member liveness can be cached against it.
         """
         return self._nbr_stamp.get(node_id, 0)
 
-    def neighbor_set(self, node_id: int) -> frozenset:
-        """:meth:`neighbors` as a frozenset, cached per neighborhood stamp.
+    def neighbor_ids(self, node_id: int) -> KeysView[int]:
+        """:meth:`neighbors` without the copy: a live, read-only key view."""
+        return self._nbr_counts.get(node_id, _NO_NEIGHBORS).keys()
 
-        The believed-table layer resolves record relevance against this set
-        (membership test) instead of pairwise zone abutment scans.
+    def are_neighbors(self, a: int, b: int) -> bool:
+        """Does some leaf of ``a`` share a face with some leaf of ``b``?
+
+        The believed-table layer resolves record relevance with this one
+        probe of the pair counters instead of pairwise zone abutment scans.
         """
-        stamp = self._nbr_stamp.get(node_id, 0)
-        cached = self._nbr_sets.get(node_id)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-        nset = frozenset(self.neighbors(node_id))
-        self._nbr_sets[node_id] = (stamp, nset)
-        return nset
+        return b in self._nbr_counts.get(a, _NO_NEIGHBORS)
 
     def _touch_nodes(self, node_ids: Iterable[int]) -> None:
         """Advance the neighborhood stamp of every listed node."""
@@ -247,7 +253,7 @@ class CanOverlay:
             (owner_id, node_id) if new_high else (node_id, owner_id)
         )
         low, high = self.tree.split_leaf(target, dim, at, low_owner, high_owner)
-        self._split_adjacency(target.leaf_id, owner_id, low, high)
+        self._split_adjacency(target.leaf_id, owner_id, low, high, dim)
         self._owner_leaves[owner_id].discard(target.leaf_id)
         owner_leaf = low if new_high else high
         self._owner_leaves[owner_id].add(owner_leaf.leaf_id)
@@ -290,7 +296,6 @@ class CanOverlay:
     def _forget_member(self, node_id: int) -> None:
         """Drop per-node cache state of a departed member (ids never recur)."""
         self._nbr_stamp.pop(node_id, None)
-        self._nbr_sets.pop(node_id, None)
         self._nbr_counts.pop(node_id, None)
 
     def _pair_inc(self, a: int, b: int) -> None:
@@ -379,34 +384,70 @@ class CanOverlay:
         self.tree.leaves.pop(leaf_id, None)
 
     def _split_adjacency(
-        self, old_id: int, old_owner: int, low: Leaf, high: Leaf
+        self, old_id: int, old_owner: int, low: Leaf, high: Leaf, dim: int
     ) -> None:
+        """Rewire adjacency after the leaf ``old_id`` split along ``dim``.
+
+        The halves equal the old zone on every axis but ``dim``, so an old
+        neighbour's relation to each half can differ from its relation to
+        the old zone along ``dim`` only — one axis decides, with the
+        ``_EPS`` convention of :meth:`Zone.abuts`.  A neighbour touching the
+        old zone's low (high) face along ``dim`` keeps touching that half
+        alone; any other neighbour touches along another axis and abuts a
+        half iff its ``dim`` extent overlaps that half's with positive
+        measure.  (Exact while every extent exceeds ``2 * _EPS``.)
+
+        One half keeps the old owner, so only the net change reaches the
+        pair counters: the old owner loses neighbours that abut the
+        newcomer's half alone, the newcomer gains those that abut its half.
+        """
         assert self.tree is not None
-        old_adj = self._adj.pop(old_id)
+        leaves = self.tree.leaves
+        adj = self._adj
+        low_id, high_id = low.leaf_id, high.leaf_id
+        zlo = low.zone.lo[dim]
+        at = low.zone.hi[dim]
+        zhi = high.zone.hi[dim]
+        old_keeps_low = low.owner == old_owner
+        newcomer = high.owner if old_keeps_low else low.owner
+        old_adj = adj.pop(old_id)
         low_adj: Set[int] = set()
         high_adj: Set[int] = set()
+        touched = {low.owner, high.owner}
         for other_id in old_adj:
-            self._adj[other_id].discard(old_id)
-            other = self.tree.leaves[other_id]
-            other_zone = other.zone
-            self._pair_dec(old_owner, other.owner)
-            if low.zone.abuts(other_zone):
+            other = leaves[other_id]
+            olo = other.zone.lo[dim]
+            ohi = other.zone.hi[dim]
+            if abs(ohi - zlo) <= _EPS:
+                in_low, in_high = True, False
+            elif abs(zhi - olo) <= _EPS:
+                in_low, in_high = False, True
+            else:
+                in_low = min(ohi, at) - max(olo, zlo) > _EPS
+                in_high = min(ohi, zhi) - max(olo, at) > _EPS
+            other_adj = adj[other_id]
+            other_adj.discard(old_id)
+            if in_low:
                 low_adj.add(other_id)
-                self._adj[other_id].add(low.leaf_id)
-                self._pair_inc(low.owner, other.owner)
-            if high.zone.abuts(other_zone):
+                other_adj.add(low_id)
+            if in_high:
                 high_adj.add(other_id)
-                self._adj[other_id].add(high.leaf_id)
-                self._pair_inc(high.owner, other.owner)
-        low_adj.add(high.leaf_id)
-        high_adj.add(low.leaf_id)
+                other_adj.add(high_id)
+            other_owner = other.owner
+            touched.add(other_owner)
+            in_kept, in_new = (
+                (in_low, in_high) if old_keeps_low else (in_high, in_low)
+            )
+            if not in_kept:
+                self._pair_dec(old_owner, other_owner)
+            if in_new:
+                self._pair_inc(newcomer, other_owner)
+        low_adj.add(high_id)
+        high_adj.add(low_id)
         self._pair_inc(low.owner, high.owner)
-        self._adj[low.leaf_id] = low_adj
-        self._adj[high.leaf_id] = high_adj
-        leaves = self.tree.leaves
-        self._touch_nodes(
-            {leaves[oid].owner for oid in old_adj} | {low.owner, high.owner}
-        )
+        adj[low_id] = low_adj
+        adj[high_id] = high_adj
+        self._touch_nodes(touched)
 
     def _merge_adjacency(self, a: Leaf, b: Leaf, merged: Leaf) -> None:
         assert self.tree is not None
@@ -480,21 +521,17 @@ class CanOverlay:
     def check_invariants(self) -> None:
         """Partitioning + adjacency symmetry + ownership consistency.
 
-        Used by tests and property-based checks; O(leaves * avg-degree).
+        Used by tests, property-based checks and every churn run; the
+        abutment audit is one array expression over all adjacent pairs.
         """
         if self.tree is None:
             return
         self.tree.check_partition()
         for lid, adj in self._adj.items():
-            leaf = self.tree.leaves[lid]
             for other_id in adj:
-                other = self.tree.leaves[other_id]
-                if not leaf.zone.abuts(other.zone):
-                    raise AssertionError(
-                        f"adjacency lists non-abutting leaves {lid},{other_id}"
-                    )
                 if lid not in self._adj[other_id]:
                     raise AssertionError(f"asymmetric adjacency {lid}->{other_id}")
+        self._check_adjacent_leaves_abut()
         for node_id, lids in self._owner_leaves.items():
             for lid in lids:
                 if self.tree.leaves[lid].owner != node_id:
@@ -515,3 +552,45 @@ class CanOverlay:
         counts = {k: v for k, v in self._nbr_counts.items() if v}
         if counts != expect:
             raise AssertionError("neighbor-pair counters desynced from adjacency")
+
+    def _check_adjacent_leaves_abut(self) -> None:
+        """Every pair the adjacency graph lists shares a (d-1)-face.
+
+        The oracle for the incremental adjacency updates, so it stays the
+        full definition — all d axes of both boxes, exactly one touching,
+        positive overlap on the rest — evaluated for all pairs at once on
+        stacked bounds; it shares nothing with the one-axis rule
+        :meth:`_split_adjacency` applies.
+        """
+        assert self.tree is not None
+        leaves = self.tree.leaves
+        index = {lid: i for i, lid in enumerate(leaves)}
+        lo = np.array([leaf.zone.lo for leaf in leaves.values()])
+        hi = np.array([leaf.zone.hi for leaf in leaves.values()])
+        pairs = np.array(
+            [
+                (index[lid], index[other_id])
+                for lid, adj in self._adj.items()
+                for other_id in adj
+                if lid < other_id
+            ],
+            dtype=np.intp,
+        ).reshape(-1, 2)
+        for start in range(0, len(pairs), _AUDIT_PAIRS):
+            a, b = pairs[start : start + _AUDIT_PAIRS].T
+            touching = (np.abs(hi[a] - lo[b]) <= _EPS) | (
+                np.abs(hi[b] - lo[a]) <= _EPS
+            )
+            overlapping = (
+                np.minimum(hi[a], hi[b]) - np.maximum(lo[a], lo[b]) > _EPS
+            )
+            abut = (touching.sum(axis=1) == 1) & (touching | overlapping).all(
+                axis=1
+            )
+            if not abut.all():
+                ids = list(leaves)
+                bad = int(np.flatnonzero(~abut)[0])
+                raise AssertionError(
+                    "adjacency lists non-abutting leaves "
+                    f"{ids[a[bad]]},{ids[b[bad]]}"
+                )

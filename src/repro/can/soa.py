@@ -16,9 +16,9 @@ Design in brief:
   heard), ``owner_row``/``subj_row`` (node row indices), ``rev`` (the
   reverse edge's slot, -1 when the belief is not mutual), and
   ``edge_version`` (the believed record's version).  Per-node rows carry
-  ``alive``, ``own_version`` and a table-epoch mirror.  Node rows are
-  allocated monotonically and never reused (node ids never recur), so a
-  stale ``subj_row`` always points at a permanently-dead row.
+  ``alive`` and ``own_version``.  Node rows are allocated monotonically
+  and never reused (node ids never recur), so a stale ``subj_row`` always
+  points at a permanently-dead row.
 
 * :class:`ArrayNeighborTable` subclasses
   :class:`~repro.can.neighbor.NeighborTable` and reroutes every freshness
@@ -102,7 +102,6 @@ class EdgeStore:
         self._row_cap = row_capacity
         self.alive = np.zeros(row_capacity, dtype=bool)
         self.own_version = np.zeros(row_capacity, dtype=np.int64)
-        self.epoch_of_row = np.zeros(row_capacity, dtype=np.int64)
         self.row_of: Dict[int, int] = {}
         self.node_of_row: List[int] = []
         self.tables_by_row: List[Optional["ArrayNeighborTable"]] = []
@@ -135,12 +134,10 @@ class EdgeStore:
             new_cap = self._row_cap * 2
             self.alive = _grown(self.alive, new_cap, False)
             self.own_version = _grown(self.own_version, new_cap, 0)
-            self.epoch_of_row = _grown(self.epoch_of_row, new_cap, 0)
             self._row_cap = new_cap
         self.n_rows = row + 1
         self.alive[row] = True
         self.own_version[row] = 0
-        self.epoch_of_row[row] = 0
         self.row_of[node_id] = row
         self.node_of_row.append(node_id)
         self.tables_by_row.append(None)
@@ -154,7 +151,19 @@ class EdgeStore:
         return self.tables_by_row[row]
 
     # -- slots ----------------------------------------------------------------
-    def alloc_slot(self, owner_row: int, subject_id: int) -> int:
+    def alloc_slot(
+        self,
+        owner_row: int,
+        subject_id: int,
+        partner: int = -1,
+        version: int = 0,
+        heard: float = _NEG_INF,
+    ) -> int:
+        """A slot for ``owner_row`` believing ``subject_id``, fully written.
+
+        ``partner`` is the reverse edge's slot (-1: the belief is not
+        mutual); both ends get linked.
+        """
         free = self.free_slots
         if free:
             s = free.pop()
@@ -175,9 +184,11 @@ class EdgeStore:
         srow = self.row_of.get(subject_id, -1)
         self.owner_row[s] = owner_row
         self.subj_row[s] = srow
-        self.rev[s] = -1
-        self.edge_version[s] = 0
-        self.eh[s] = _NEG_INF
+        self.rev[s] = partner
+        if partner >= 0:
+            self.rev[partner] = s
+        self.edge_version[s] = version
+        self.eh[s] = heard
         self.active[s] = True
         self.struct_gen += 1
         self.mut_rows.add(owner_row)
@@ -368,21 +379,18 @@ class ArrayNeighborTable(NeighborTable):
                 return False  # too stale to (re-)introduce
             self._own_records()
             self._records[nid] = record
-            s = store.alloc_slot(self._row, nid)
-            self._slots[nid] = s
             partner = store.table_for(nid)
-            if partner is not None:
-                ps = partner._slots.get(self._node_id)
-                if ps is not None:
-                    store.rev[s] = ps
-                    store.rev[ps] = s
-            store.eh[s] = evidence
-            store.edge_version[s] = record.version
+            self._slots[nid] = store.alloc_slot(
+                self._row,
+                nid,
+                -1 if partner is None else partner._slots.get(self._node_id, -1),
+                record.version,
+                evidence,
+            )
             self._heard_gen += 1
             self._slots_vec = None
             self._total_zones += max(len(record.zones), 1)
             self.epoch += 1
-            store.epoch_of_row[self._row] = self.epoch
             self._record_seq[nid] = self.epoch
             return True
         s = self._slots[nid]
@@ -400,7 +408,6 @@ class ArrayNeighborTable(NeighborTable):
             len(current.zones), 1
         )
         self.epoch += 1
-        store.epoch_of_row[self._row] = self.epoch
         self._record_seq[nid] = self.epoch
         return True
 
@@ -420,7 +427,6 @@ class ArrayNeighborTable(NeighborTable):
         self._total_zones -= max(len(record.zones), 1)
         self.epoch += 1
         self.removals_epoch += 1
-        store.epoch_of_row[self._row] = self.epoch
         return True
 
     def release(self) -> None:

@@ -118,7 +118,7 @@ class FaultPlan:
     bursts: Tuple[CrashBurst, ...] = ()
     #: flash-crowd arrivals
     joins: Tuple[JoinBurst, ...] = ()
-    #: day/night churn-rate curve (ChurnSimulation only)
+    #: day/night curve over the background churn gaps of either simulation
     diurnal: Optional[DiurnalChurn] = None
     #: the channel every unreliable send traverses (loss, latency,
     #: partitions, flaps); None is the ideal channel

@@ -235,17 +235,21 @@ class FaultyGridSimulation(GridSimulation):
                 yield self.env.timeout(min(check_interval, deadline - self.env.now))
             return self._work_remaining() and self.env.now >= deadline
 
+        # diurnal curve: scale the gap, never the draw — the RNG streams
+        # are identical with and without the modulation
+        gap_multiplier = cfg.faults.gap_multiplier
+
         def failures():
             while self._work_remaining():
                 gap = float(fail_rng.exponential(cfg.mean_time_between_failures))
-                fire = yield from wait(gap)
+                fire = yield from wait(gap * gap_multiplier(self.env.now))
                 if fire:
                     self._fail_random_node(fail_rng)
 
         def joins():
             while self._work_remaining():
                 gap = float(join_rng.exponential(cfg.mean_time_between_joins))
-                fire = yield from wait(gap)
+                fire = yield from wait(gap * gap_multiplier(self.env.now))
                 if fire:
                     self._join_from(join_rng)
 

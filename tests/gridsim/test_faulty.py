@@ -7,6 +7,7 @@ import pytest
 
 from repro.can.heartbeat import HeartbeatScheme
 from repro.gridsim import (
+    DiurnalChurn,
     FaultPlan,
     FaultyGridConfig,
     FaultyGridSimulation,
@@ -80,6 +81,34 @@ class TestFaultyGrid:
         assert np.array_equal(
             a.resubmission_latencies, b.resubmission_latencies
         )
+
+    def test_diurnal_plan_scales_the_background_churn_gaps(self):
+        def failure_schedule(plan):
+            sim = FaultyGridSimulation(config(faults=plan))
+            crash, crashes = sim.crash_node, []
+
+            def recording(victim_id):
+                crashes.append((sim.env.now, victim_id))
+                crash(victim_id)
+
+            sim.crash_node = recording
+            sim.run()
+            return crashes
+
+        plain = failure_schedule(FaultPlan())
+        flat = failure_schedule(
+            FaultPlan(diurnal=DiurnalChurn(period=3600.0, amplitude=0.0))
+        )
+        curved = failure_schedule(
+            FaultPlan(diurnal=DiurnalChurn(period=3600.0, amplitude=0.7))
+        )
+        # no curve, or a flat one: the gap is the draw, byte for byte
+        assert flat == plain
+        # the curve scales the gap, never the draw: the first gap starts at
+        # t=0 where the multiplier is 1, every later one is stretched or
+        # squeezed by where in the day it starts
+        assert curved[0] == plain[0]
+        assert [t for t, _ in curved[1:4]] != [t for t, _ in plain[1:4]]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
