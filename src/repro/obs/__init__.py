@@ -18,10 +18,6 @@ The observability layer for the whole simulation stack:
   replacement for ad-hoc stderr progress prints (rate + ETA lines);
 * :mod:`~repro.obs.summarize` — offline trace analysis, also available as
   ``python -m repro.obs summarize <trace.jsonl>``;
-* :mod:`~repro.obs.bench` — the canonical benchmark suite
-  (``python -m repro.obs bench``) writing schema-versioned
-  ``BENCH_*.json`` trajectory points, and the ``compare`` regression
-  gate;
 * :mod:`~repro.obs.schema` — the artifact schema version and the
   major-version compatibility check every reader applies;
 * :mod:`~repro.obs.spans` — causal per-job :class:`Span` trees rebuilt
@@ -36,16 +32,6 @@ The observability layer for the whole simulation stack:
   the live gateway's ``/metrics``.
 """
 
-from .bench import (
-    BenchComparison,
-    bench_payload_from_pytest,
-    compare_files,
-    compare_payloads,
-    load_bench,
-    render_compare,
-    run_bench,
-    validate_bench_payload,
-)
 from .events import EV, EventBus, TraceEvent, Tracer
 from .manifest import RunManifest, git_describe
 from .profiling import (
@@ -107,12 +93,4 @@ __all__ = [
     "render_summary",
     "SCHEMA_VERSION",
     "check_schema_version",
-    "run_bench",
-    "load_bench",
-    "validate_bench_payload",
-    "bench_payload_from_pytest",
-    "compare_payloads",
-    "compare_files",
-    "render_compare",
-    "BenchComparison",
 ]

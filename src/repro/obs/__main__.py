@@ -11,12 +11,6 @@ Commands:
     critical-path <trace.jsonl>     per-job (or fleet-aggregate) chain of
           [--job N]                 top-level segments: matchmaking, queue,
                                     run, detection latency, retry backoff
-    bench [--smoke] [--out PATH]    run the canonical performance benchmark
-          [--filter SUBSTRING]      suite (or the subset whose names contain
-                                    SUBSTRING) and write a
-                                    BENCH_<timestamp>.json trajectory point
-    compare A.json B.json           diff two BENCH files; nonzero exit when
-                                    any run/scope regressed past --threshold
 """
 
 from __future__ import annotations
@@ -25,13 +19,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from .bench import (
-    DEFAULT_SEED,
-    compare_files,
-    render_compare,
-    run_bench,
-)
-from .progress import ProgressReporter
 from .spans import (
     build_spans_from_file,
     render_critical_path,
@@ -89,46 +76,10 @@ def _cmd_critical_path(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    progress = ProgressReporter()
-    mode = "smoke" if args.smoke else "full"
-    progress.start("bench")
-    payload, path = run_bench(
-        mode=mode,
-        seed=args.seed,
-        out_path=args.out,
-        progress=progress,
-        name_filter=args.filter,
-    )
-    progress.done("bench", events=len(payload["runs"]))
-    print(path)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    kwargs = {"threshold": args.threshold}
-    if args.min_seconds is not None:
-        kwargs["min_seconds"] = args.min_seconds
-    try:
-        comparison = compare_files(args.old, args.new, **kwargs)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_compare(comparison, args.old, args.new))
-    if comparison.ok:
-        return 0
-    if args.warn_only:
-        print("warn-only: not failing on regressions", file=sys.stderr)
-        return 0
-    return 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description=(
-            "Inspect observability artifacts (JSONL traces, BENCH files)."
-        ),
+        description="Inspect observability artifacts (JSONL traces).",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -159,54 +110,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--job", type=int, default=None, help="one job's chain instead of the aggregate"
     )
 
-    p_bench = sub.add_parser(
-        "bench", help="run the canonical benchmark suite"
-    )
-    p_bench.add_argument(
-        "--smoke",
-        action="store_true",
-        help="reduced-scale suite (seconds, for CI); default is full",
-    )
-    p_bench.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="workload seed"
-    )
-    p_bench.add_argument(
-        "--out",
-        default=None,
-        help="output path (default: results/BENCH_<timestamp>.json)",
-    )
-    p_bench.add_argument(
-        "--filter",
-        default=None,
-        metavar="SUBSTRING",
-        help="run only scenarios whose name contains SUBSTRING "
-        "(e.g. 'micro.heartbeat' or 'fig7')",
-    )
-
-    p_cmp = sub.add_parser(
-        "compare", help="diff two BENCH_*.json files, gate on regressions"
-    )
-    p_cmp.add_argument("old", help="baseline BENCH_*.json")
-    p_cmp.add_argument("new", help="candidate BENCH_*.json")
-    p_cmp.add_argument(
-        "--threshold",
-        type=float,
-        default=20.0,
-        help="max tolerated slowdown percent per run/scope (default 20)",
-    )
-    p_cmp.add_argument(
-        "--warn-only",
-        action="store_true",
-        help="report regressions but exit 0 (PR builds)",
-    )
-    p_cmp.add_argument(
-        "--min-seconds",
-        type=float,
-        default=None,
-        help="noise floor: skip timings where both sides are below this "
-        "(default 0.05)",
-    )
-
     args = parser.parse_args(argv)
     if args.command == "summarize":
         return _cmd_summarize(args)
@@ -214,10 +117,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_spans(args)
     if args.command == "critical-path":
         return _cmd_critical_path(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
     parser.print_help()
     return 2
 

@@ -1,7 +1,7 @@
-"""Artifact schema versioning shared by traces, manifests, and bench files.
+"""Artifact schema versioning shared by traces, manifests, and ledgers.
 
-Every machine-readable artifact the observability layer writes — JSONL
-trace headers, run manifests, and ``BENCH_*.json`` trajectory points —
+Every machine-readable artifact this tree writes — JSONL trace headers,
+run manifests, the service's sqlite ledger and recorded workloads —
 embeds a ``schema_version`` string so readers written against one layout
 never silently misread another.  Versions are ``"<major>.<minor>"``:
 
@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 __all__ = ["SCHEMA_VERSION", "schema_major", "check_schema_version"]
 
-#: the schema version this tree writes (traces, manifests, bench files)
+#: the schema version this tree writes (traces, manifests, ledgers)
 SCHEMA_VERSION = "1.0"
 
 

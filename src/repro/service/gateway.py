@@ -52,6 +52,14 @@ class _HttpError(Exception):
         self.message = message
 
 
+async def _read_line(reader: asyncio.StreamReader) -> str:
+    try:
+        raw = await reader.readline()
+    except ValueError:  # longer than the stream reader's 64 KiB limit
+        raise _HttpError(400, "request or header line too long")
+    return raw.decode("latin-1").strip()
+
+
 class Gateway:
     """Serve one :class:`GridService` over HTTP on the running loop."""
 
@@ -154,7 +162,7 @@ class Gateway:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, str, Dict[str, str], Optional[Dict], Dict[str, str]]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        request_line = await _read_line(reader)
         if not request_line:
             raise _HttpError(400, "empty request")
         parts = request_line.split()
@@ -164,7 +172,7 @@ class Gateway:
         content_length = 0
         headers: Dict[str, str] = {}
         while True:
-            line = (await reader.readline()).decode("latin-1").strip()
+            line = await _read_line(reader)
             if not line:
                 break
             name, _, value = line.partition(":")
@@ -174,6 +182,8 @@ class Gateway:
                     content_length = int(value.strip())
                 except ValueError:
                     raise _HttpError(400, "bad Content-Length")
+        if content_length < 0:
+            raise _HttpError(400, "bad Content-Length")
         if content_length > _MAX_BODY:
             raise _HttpError(400, "request body too large")
         body: Optional[Dict] = None

@@ -2,8 +2,6 @@
 
 from .clock import CallbackHandle, Clock, SimClock
 from .core import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Process,
@@ -16,8 +14,6 @@ from .queues import FifoStore, PriorityStore, Resource
 from .rng import RngRegistry
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "CallbackHandle",
     "Clock",
     "SimClock",

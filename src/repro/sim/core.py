@@ -26,7 +26,7 @@ Example
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 __all__ = [
     "Environment",
@@ -35,8 +35,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "StopSimulation",
-    "AllOf",
-    "AnyOf",
 ]
 
 # Event priorities: lower fires first among events at the same time.
@@ -214,62 +212,6 @@ class Process(Event):
             self.env._active_process = None
 
 
-class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
-
-    __slots__ = ("_events", "_pending")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events: Tuple[Event, ...] = tuple(events)
-        for ev in self._events:
-            if ev.env is not env:
-                raise SimulationError("events belong to different environments")
-        self._pending = 0
-        for ev in self._events:
-            if ev._processed:
-                self._check(ev)
-            else:
-                self._pending += 1
-                ev.callbacks.append(self._check)
-        if not self._triggered and self._done():
-            self.succeed(self._collect())
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self._pending -= 1
-        if self._done():
-            self.succeed(self._collect())
-
-    def _done(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> Any:
-        return {ev: ev._value for ev in self._events if ev._processed and ev._ok}
-
-
-class AllOf(_Condition):
-    """Fires when every constituent event has fired."""
-
-    __slots__ = ()
-
-    def _done(self) -> bool:
-        return all(ev._processed for ev in self._events)
-
-
-class AnyOf(_Condition):
-    """Fires when at least one constituent event has fired."""
-
-    __slots__ = ()
-
-    def _done(self) -> bool:
-        return any(ev._processed for ev in self._events)
-
-
 class Environment:
     """The simulation clock plus the pending-event queue.
 
@@ -323,12 +265,6 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         """Launch a process coroutine."""
         return Process(self, generator, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def schedule_callback(
         self, delay: float, fn: Callable[[], Any], priority: int = NORMAL

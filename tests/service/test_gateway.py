@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import socket
 
 import pytest
@@ -27,10 +28,15 @@ DILATION = 2_000.0
 
 def run_gateway(scenario, metrics=None, **config_kwargs):
     """Host a gateway on an ephemeral port; run ``scenario(client, service)``
-    in a worker thread (the blocking client must stay off the loop)."""
+    in a worker thread (the blocking client must stay off the loop).  No
+    scenario may leave an unhandled exception on the event loop."""
 
     async def main():
         loop = asyncio.get_running_loop()
+        loop_errors = []
+        loop.set_exception_handler(
+            lambda _loop, context: loop_errors.append(context)
+        )
         clock = AsyncioClock(loop=loop, dilation=DILATION)
         ledger = open_ledger(None, clock=clock)
         config = ServiceConfig(preset=TINY_LOAD, **config_kwargs)
@@ -39,9 +45,12 @@ def run_gateway(scenario, metrics=None, **config_kwargs):
         await gateway.start()
         try:
             client = ServiceClient(gateway.url, timeout=30.0)
-            return await asyncio.to_thread(scenario, client, service)
+            result = await asyncio.to_thread(scenario, client, service)
         finally:
             await gateway.stop()
+        gc.collect()  # a never-retrieved task exception reports on collection
+        assert not loop_errors, loop_errors
+        return result
 
     return asyncio.run(main())
 
@@ -206,6 +215,28 @@ class TestHttpErrors:
             return client.health()["status"]
 
         assert run_gateway(scenario) == "ok"
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["negative-content-length", "header-line-over-64KiB"],
+    )
+    def test_hostile_request_gets_400(self, request_head):
+        """Fail closed: a 400 status line, nothing unhandled on the loop
+        (``run_gateway`` asserts it), and the next request is served."""
+
+        def scenario(client, service):
+            with socket.create_connection(
+                (client.host, client.port), timeout=5.0
+            ) as raw:
+                raw.sendall(request_head)
+                status_line = raw.recv(1024).split(b"\r\n", 1)[0]
+            return status_line, client.health()["status"]
+
+        assert run_gateway(scenario) == (b"HTTP/1.1 400 Bad Request", "ok")
 
     def test_unknown_status_filter_is_400(self, trace_jobs):
         def scenario(client, service):

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.sim.core import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     SimulationError,
@@ -217,42 +215,3 @@ class TestProcesses:
         env.run()
         assert not proc.is_alive
 
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self, env):
-        done = []
-
-        def proc(env):
-            yield env.all_of([env.timeout(1.0), env.timeout(3.0)])
-            done.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert done == [3.0]
-
-    def test_any_of_fires_on_first(self, env):
-        done = []
-
-        def proc(env):
-            yield env.any_of([env.timeout(5.0), env.timeout(2.0)])
-            done.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert done == [2.0]
-
-    def test_all_of_empty_fires_immediately(self, env):
-        done = []
-
-        def proc(env):
-            yield env.all_of([])
-            done.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert done == [0.0]
-
-    def test_mixed_environment_rejected(self, env):
-        other = Environment()
-        with pytest.raises(SimulationError):
-            env.all_of([env.timeout(1.0), other.timeout(1.0)])
