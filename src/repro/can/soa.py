@@ -39,6 +39,17 @@ Design in brief:
   exactly.  The detection phase becomes one vectorised timeout scan that
   falls back to the shared per-node path only for flagged owners.
 
+* A *settled streak* removes the per-sender loop from a quiet round.  After
+  a round in which every alive sender was clean, every full-table delivery
+  hit the ``processed_epoch`` skip and every receiver was deliverable, the
+  same will hold for as long as the structural state stands still
+  (``struct_gen``, the sender-order list, the topology version), so such a
+  round re-adds the captured byte totals, freezes one array of what every
+  owner's table reads at its own turn, and runs the bulk advance.  The
+  stored full tables the loop would have re-written each round are written
+  once, from the last frozen array, when the streak ends or a stored copy
+  is asked for.
+
 Equivalence is pinned by the seeded goldens in ``tests/can/hb_golden.py``
 (both engines must produce byte-identical accounting and traces) and by a
 hypothesis property test driving random churn through both engines.
@@ -47,7 +58,7 @@ hypothesis property test driving random churn through both engines.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -511,6 +522,20 @@ class ArrayNeighborTable(NeighborTable):
         return snap
 
 
+class _Streak(NamedTuple):
+    """What a round that was clean throughout decided for the ones after it."""
+
+    gen: int  # the structural state it holds for: struct_gen, ...
+    order: List[int]
+    topology_version: int
+    #: that round's accounting: full bytes, full count, compact bytes, count
+    totals: Tuple[int, int, int, int]
+    turn: np.ndarray  # per slot: the subject's turn comes before the owner's
+    #: flat, four entries a clean sender with full-table targets:
+    #: sender id, target ids, its snapshot, its slot vector
+    senders: list
+
+
 class ArrayHeartbeatProtocol(HeartbeatProtocol):
     """The heartbeat protocol with batched per-round kernels.
 
@@ -535,6 +560,12 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         self._order_rows_for: Optional[List[int]] = None
         #: (struct_gen, order, pos, adv, avail, suspect_l, alive_l)
         self._prescan_cache: Optional[Tuple] = None
+        self._streak: Optional[_Streak] = None
+        #: per-slot freshness as each owner read it at its turn in the last
+        #: settled round; None until the streak has had one
+        self._streak_seen: Optional[np.ndarray] = None
+        #: rounds whose exchange ran without the per-sender loop
+        self.settled_rounds = 0
 
     # -- node lifecycle -------------------------------------------------------
     def _new_node(self, node_id: int) -> ProtocolNode:
@@ -582,6 +613,7 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             # per-delivery channel verdicts (loss draws, partition/flap
             # checks, latency): the inherited object path runs exactly on
             # array-backed tables, so both engines share one RNG stream
+            self._end_streak()  # the channel changed under a streak
             return super()._exchange_heartbeats(now)
         store = self.store
         prof = self.profiler if self.profiler is not None else NULL_PROFILER
@@ -593,6 +625,22 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             self._fid_cache_tv = tv
         fid_cache = self._fid_cache
         order = self._sorted_node_ids()
+        tracer = self.tracer
+        streak = self._streak
+        if (
+            streak is not None
+            and streak.gen == store.struct_gen
+            and streak.order is order
+            and streak.topology_version == tv
+            and tracer is None
+        ):
+            with prof.scope("hb.exchange.settled"):
+                self._settled_exchange(now, streak)
+            return
+        # not kept bound through the loop below: the snapshots it holds
+        # would outlive their replacements, all garbage-collector work
+        del streak
+        self._end_streak()
         with prof.scope("hb.exchange.prescan"):
             # the masks are pure functions of the store's structural state
             # and the sender order, so a settled CAN (no joins, versions,
@@ -660,9 +708,12 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                 )
             store.begin_exchange(now, adv, pos, avail)
         deliverable: Dict[int, Optional[ProtocolNode]] = {}
-        tracer = self.tracer
         miss = _MISS
         full_count = full_bytes = comp_count = comp_bytes = 0
+        gen = store.struct_gen
+        #: clean senders' deferred stored-table writes, should this round
+        #: begin a streak; None once any delivery needed real handling
+        streak_senders: Optional[list] = [] if tracer is None else None
         with prof.scope("hb.exchange.senders"):
             nodes = self.nodes
             mut_rows = store.mut_rows
@@ -683,6 +734,7 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                     self._exchange_one_sender(
                         sender, takeovers, vanilla, now, deliverable, None
                     )
+                    streak_senders = None
                     continue
                 own = sender.own_record(self.overlay)
                 # inlined _heartbeat_sizes memo hit (the overwhelming case)
@@ -739,6 +791,7 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                         receiver = self._deliverable(target_id)
                         deliverable[target_id] = receiver
                     if receiver is None:
+                        streak_senders = None
                         continue
                     last = receiver.processed_epoch.get(node_id)
                     if (
@@ -752,6 +805,23 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                         receiver.stored_tables[node_id] = snap
                         continue
                     self._merge_full_table(receiver, sender, now)
+                    streak_senders = None
+                if snap is not None and streak_senders is not None:
+                    # four fields flat, not a tuple a sender: an allocation
+                    # a sender a round is what sets off the cyclic collector
+                    add = streak_senders.append
+                    add(node_id)
+                    add(full_ids)
+                    add(snap)
+                    add(table._slots_vec)
+            if streak_senders is not None:
+                n = store.n_slots
+                self._streak = _Streak(
+                    gen, order, tv,
+                    (full_bytes, full_count, comp_bytes, comp_count),
+                    avail[:n] < pos[store.owner_row[:n]],
+                    streak_senders,
+                )
             if tracer is None:
                 self.stats.record_bulk(
                     MessageType.HEARTBEAT_FULL, full_bytes, full_count
@@ -761,6 +831,51 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                 )
         with prof.scope("hb.exchange.advance"):
             store.end_exchange()
+
+    # -- the settled streak ---------------------------------------------------
+    def _settled_exchange(self, now: float, streak: _Streak) -> None:
+        """The exchange of a round the streak's first round already decided."""
+        store = self.store
+        _, _, pos, adv, avail, _, _ = self._prescan_cache
+        full_bytes, full_count, comp_bytes, comp_count = streak.totals
+        self.stats.record_bulk(MessageType.HEARTBEAT_FULL, full_bytes, full_count)
+        self.stats.record_bulk(MessageType.HEARTBEAT, comp_bytes, comp_count)
+        turn = streak.turn
+        # what _LazyHeard would have frozen per sender, for all of them
+        self._streak_seen = np.where(turn, now, store.eh[: turn.shape[0]])
+        store.begin_exchange(now, adv, pos, avail)
+        store.end_exchange()
+        self.settled_rounds += 1
+
+    def _end_streak(self) -> None:
+        """Write the stored tables the settled rounds deferred; forget the streak.
+
+        A holder that departed, or whose copy of the sender was purged in
+        between (the sender left), gets nothing: a purged copy stays purged.
+        """
+        streak, seen = self._streak, self._streak_seen
+        self._streak = self._streak_seen = None
+        if seen is None:
+            return
+        nodes = self.nodes
+        fields = iter(streak.senders)
+        for node_id, full_ids, snap, vec in zip(fields, fields, fields, fields):
+            records = snap.records
+            frozen = TableSnapshot(
+                records,
+                _LazyHeard(records, seen[vec], None, -1, 0.0),
+                snap.total_zones,
+            )
+            for holder_id in full_ids:
+                holder = nodes.get(holder_id)
+                if holder is not None and node_id in holder.processed_epoch:
+                    holder.stored_tables[node_id] = frozen
+
+    def _stored_copy(
+        self, holder: ProtocolNode, subject_id: int
+    ) -> Optional[TableSnapshot]:
+        self._end_streak()
+        return super()._stored_copy(holder, subject_id)
 
     # -- the detection kernel -------------------------------------------------
     def _detect_failures(self, now: float) -> None:
@@ -774,9 +889,12 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             stale = store.active[:n] & ((now - store.eh[:n]) > timeout)
             if not stale.any():
                 return
-            rows = np.unique(store.owner_row[:n][stale])
+            # not np.unique: its first call in a process imports numpy.ma,
+            # milliseconds inside the first round that detects a failure
             node_of_row = store.node_of_row
-            flagged = sorted(node_of_row[r] for r in rows)
+            flagged = sorted(
+                {node_of_row[r] for r in store.owner_row[:n][stale].tolist()}
+            )
         overlay_alive = self.overlay.is_alive
         for node_id in flagged:
             if not overlay_alive(node_id):

@@ -93,6 +93,17 @@ def pinned_engine(engine: str):
         register_substrate(original)
 
 
+def stored_payload(proto, holder, subject_id: int):
+    """What a take-over by ``holder`` would absorb of ``subject_id``'s table:
+    record versions, the freshness the sender last sent, the zone total."""
+    copy = proto._stored_copy(holder, subject_id)
+    return (
+        {nid: rec.version for nid, rec in copy.records.items()},
+        {nid: copy.heard.get(nid) for nid in copy.records},
+        copy.total_zones,
+    )
+
+
 def run_case(
     case: str,
     scheme: HeartbeatScheme,

@@ -4,7 +4,8 @@ Drives random join/leave/fail/round sequences through both engines with
 identical seeds and asserts the full observable protocol state matches:
 message counts and byte volumes, protocol events, detected failures,
 take-over outcomes (the alive set and final believed tables, freshness
-included), and the broken-link count.  The seeded goldens pin the engines
+included), every stored full-table copy with the freshness it carries, and
+the broken-link count.  The seeded goldens pin the engines
 to the committed reference numbers; this test covers the operation
 sequences the goldens' two churn shapes never reach.
 """
@@ -19,12 +20,14 @@ from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
 from repro.can.overlay import CanOverlay
 from repro.can.soa import EdgeStore
 from repro.can.space import ResourceSpace
-from tests.can.hb_golden import ENGINE_CLASSES
+from tests.can.hb_golden import ENGINE_CLASSES, stored_payload
 
 INITIAL_NODES = 8
 
+#: "quiet" is 3-6 consecutive rounds: long enough for the array class to
+#: form a settled streak, which the next join / crash / leave then ends
 op = st.tuples(
-    st.sampled_from(["round", "round", "join", "fail", "leave"]),
+    st.sampled_from(["round", "round", "quiet", "join", "fail", "leave"]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 
@@ -50,9 +53,10 @@ def run_engine(engine: str, scheme: HeartbeatScheme, ops):
         proto.join(next(ids), coord(), now=0.0)
     now = 0.0
     for kind, r in ops:
-        if kind == "round":
-            now += 60.0
-            proto.run_round(now)
+        if kind in ("round", "quiet"):
+            for _ in range(1 if kind == "round" else 3 + r % 4):
+                now += 60.0
+                proto.run_round(now)
             continue
         now += 1.0
         if kind == "join":
@@ -92,12 +96,19 @@ def fingerprint(proto, overlay):
             }
             for nid, node in proto.nodes.items()
         },
+        # the payload a take-over would absorb: what each holder stored of
+        # each sender's full table, freshness as the sender last sent it
+        "stored": {
+            (nid, sid): stored_payload(proto, node, sid)
+            for nid, node in proto.nodes.items()
+            for sid in sorted(node.stored_tables)
+        },
     }
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    ops=st.lists(op, max_size=14),
+    ops=st.lists(op, max_size=24),
     scheme=st.sampled_from(list(HeartbeatScheme)),
 )
 def test_engines_equivalent_under_random_churn(ops, scheme):

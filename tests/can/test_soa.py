@@ -17,7 +17,7 @@ from repro.can.space import ResourceSpace
 from repro.gridsim.config import ChurnConfig
 from repro.gridsim.faulty import FaultyGridConfig
 from repro.net import LatencySpec, NetworkSpec, PartitionSpec
-from tests.can.hb_golden import ENGINE_CLASSES
+from tests.can.hb_golden import ENGINE_CLASSES, stored_payload
 
 
 def rec(nid: int, version: int = 0) -> BeliefRecord:
@@ -260,3 +260,130 @@ class TestExchangeKernel:
                 assert node.table.last_heard(other) == anode.table.last_heard(
                     other
                 )
+
+
+def _population(engine, scheme, nodes=64, tracer=None):
+    """A bootstrapped 11-dimensional CAN on one named heartbeat class."""
+    import itertools
+
+    space = ResourceSpace(gpu_slots=2)
+    assert space.dims == 11
+    proto = ENGINE_CLASSES[engine](
+        CanOverlay(space), ProtocolConfig(scheme=scheme), tracer=tracer
+    )
+    rng = np.random.default_rng(11)
+    ids = itertools.count()
+    proto.bootstrap(next(ids), space.clamp_point(rng.random(space.dims)))
+    for _ in range(nodes - 1):
+        proto.join(next(ids), space.clamp_point(rng.random(space.dims)), now=0.0)
+    return proto, lambda: (next(ids), space.clamp_point(rng.random(space.dims)))
+
+
+def _rounds(proto, count, now=0.0):
+    for _ in range(count):
+        now += 60.0
+        proto.run_round(now)
+    return now
+
+
+@pytest.mark.parametrize("scheme", list(HeartbeatScheme))
+class TestSettledStreak:
+    """The loop-free round runs when the CAN is quiet and stops when not."""
+
+    def test_quiet_rounds_settle(self, scheme):
+        proto, _ = _population("array", scheme)
+        _rounds(proto, 20)
+        assert proto.settled_rounds >= 17
+
+    def test_round_after_churn_is_not_settled(self, scheme):
+        proto, newcomer = _population("array", scheme)
+        now = _rounds(proto, 5)
+        events = (
+            lambda t: proto.fail(sorted(proto.overlay.alive_ids())[7], t),
+            lambda t: proto.join(*newcomer(), now=t),
+            lambda t: proto.graceful_leave(sorted(proto.overlay.alive_ids())[9], t),
+        )
+        for event in events:
+            assert proto._streak is not None
+            event(now + 1.0)
+            before = proto.settled_rounds
+            now = _rounds(proto, 1, now)
+            assert proto.settled_rounds == before
+            # detection, take-over and repair drain, then streaks re-form
+            now = _rounds(proto, 8, now)
+            assert proto.settled_rounds > before
+
+    def test_leaver_stored_tables_stay_purged(self, scheme):
+        proto, _ = _population("array", scheme)
+        now = _rounds(proto, 8)
+        assert proto.settled_rounds >= 5
+        leaver = min(sid for sid, holders in proto._stored_in.items() if holders)
+        proto.graceful_leave(leaver, now + 1.0)
+        _rounds(proto, 1, now)  # ends the streak: deferred copies get written
+        assert proto._streak_seen is None
+        assert not any(leaver in n.stored_tables for n in proto.nodes.values())
+
+    def test_crash_after_streak_claimant_knows_what_object_class_knows(self, scheme):
+        payloads = {}
+        for engine in ("object", "array"):
+            proto, _ = _population(engine, scheme)
+            now = _rounds(proto, 8)
+            victim = min(sid for sid, holders in proto._stored_in.items() if holders)
+            proto.fail(victim, now + 1.0)
+            claimants = sorted(proto.overlay.takeover_targets(victim))
+            assert claimants
+            copies = {
+                c: stored_payload(proto, proto.nodes[c], victim) for c in claimants
+            }
+            # the copy sent in the last round (the first sender in a round
+            # has heard nobody yet), not the one that began the streak
+            assert all(
+                max(heard.values()) >= now - 60.0 for _, heard, _ in copies.values()
+            )
+            now = _rounds(proto, 4, now)
+            assert proto.events["claims"] == 1
+            tables = {
+                nid: {r.node_id: (r.version, n.table.last_heard(r.node_id))
+                      for r in n.table.records()}
+                for nid, n in proto.nodes.items()
+            }
+            payloads[engine] = (copies, tables, proto.stats.totals())
+        assert payloads["array"] == payloads["object"]
+
+    def test_traced_run_never_settles_and_accounts_the_same(self, scheme):
+        from repro.obs.events import Tracer
+
+        plain, _ = _population("array", scheme)
+        traced, _ = _population("array", scheme, tracer=Tracer())
+        _rounds(plain, 12)
+        _rounds(traced, 12)
+        assert plain.settled_rounds > 0
+        assert traced.settled_rounds == 0
+        assert traced.stats.count == plain.stats.count
+        assert traced.stats.bytes == plain.stats.bytes
+
+
+def test_detecting_a_crash_does_not_import_numpy_ma():
+    """np.unique's first call imports numpy.ma: 8.5 ms inside one round."""
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import sys
+from tests.can.test_soa import _population, _rounds
+from repro.can.heartbeat import HeartbeatScheme
+before = "numpy.ma" in sys.modules
+proto, _ = _population("array", HeartbeatScheme.ADAPTIVE, nodes=16)
+now = _rounds(proto, 2)
+proto.fail(3, now + 1.0)
+_rounds(proto, 4, now)
+assert proto.events["claims"] == 1
+print(before, "numpy.ma" in sys.modules)
+"""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        cwd=root, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+    )
+    assert out.stdout.split() == ["False", "False"]
