@@ -300,6 +300,12 @@ class HeartbeatProtocol(MaintenanceProtocol):
         )
         miss = _MISS
         period = self.config.period
+        #: receivers whose copy of the table needs a merge, and from which
+        #: sender-table epoch on (-1: all of it)
+        merge_at: List[ProtocolNode] = []
+        merge_since: List[int] = []
+        # one snapshot serves the turn: deliveries only change receivers
+        snap = sender.table.snapshot() if full_targets else None
         for target_id in full_targets:
             if net is not None:
                 lat = self._transmit(node_id, target_id, now)
@@ -309,8 +315,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
                     # slower than the round granularity: lands later, with
                     # the evidence it carried at send time
                     self._deferred.append(
-                        (now + lat, "full", target_id, node_id,
-                         (own, sender.table.snapshot()), now)
+                        (now + lat, "full", target_id, node_id, (own, snap), now)
                     )
                     continue
             receiver = deliverable.get(target_id, miss)
@@ -321,7 +326,12 @@ class HeartbeatProtocol(MaintenanceProtocol):
                 continue
             if not receiver.table.heard_from(own, now):
                 self._receive_record(receiver, own, now, heard=True)
-            self._merge_full_table(receiver, sender, now)
+            since = self._deliver_full_table(receiver, sender, snap)
+            if since is not None:
+                merge_at.append(receiver)
+                merge_since.append(since)
+        if merge_at:
+            self._merge_live(sender, snap, merge_at, merge_since, now)
         for target_id in compact_targets:
             if net is not None:
                 lat = self._transmit(node_id, target_id, now)
@@ -356,10 +366,17 @@ class HeartbeatProtocol(MaintenanceProtocol):
         sender._wire_cache = (key, full, compact)
         return full, compact
 
-    def _merge_full_table(
-        self, receiver: ProtocolNode, sender: ProtocolNode, now: float
-    ) -> None:
-        """Process a full neighbor table, skipping unchanged re-sends."""
+    def _deliver_full_table(
+        self, receiver: ProtocolNode, sender: ProtocolNode, snap: TableSnapshot
+    ) -> Optional[int]:
+        """Store a full neighbor table; say what of it needs a merge.
+
+        None for an unchanged re-send, else the sender-table epoch after
+        which records have to be merged (-1: all of them).  The sender
+        merges once, at the end of its turn (:meth:`_merge_live`):
+        deliveries to different receivers touch different tables, so
+        nothing can tell.
+        """
         key = (
             sender.table.epoch,
             receiver.own_version,
@@ -372,20 +389,34 @@ class HeartbeatProtocol(MaintenanceProtocol):
             self._stored_in.setdefault(sender.node_id, set()).add(
                 receiver.node_id
             )
-        snap = sender.table.snapshot()
         receiver.stored_tables[sender.node_id] = snap
         if last == key:
-            return
+            return None
+        receiver.processed_epoch[sender.node_id] = key
+        # Only the sender's table advanced: merging the delta suffices.
+        # (Local removals or zone changes force a full re-merge —
+        # an unchanged remote record may then become relevant again.)
         if last is not None and last[1:] == key[1:]:
-            # Only the sender's table advanced: merging the delta suffices.
-            # (Local removals or zone changes force a full re-merge below —
-            # an unchanged remote record may then become relevant again.)
-            for rec, heard_at in sender.table.records_since(last[0]):
+            return last[0]
+        return -1
+
+    def _merge_live(
+        self,
+        sender: ProtocolNode,
+        snap: TableSnapshot,
+        receivers: List[ProtocolNode],
+        sinces: List[int],
+        now: float,
+    ) -> None:
+        """Merge the sender's current table (``snap``) at each receiver: the
+        records that changed after the sender-table epoch given (-1: all)."""
+        for receiver, since in zip(receivers, sinces):
+            if since < 0:
+                self._absorb_table(receiver, snap, now)
+                continue
+            for rec, heard_at in sender.table.records_since(since):
                 if rec.node_id != receiver.node_id:
                     self._receive_record(receiver, rec, now, heard_at=heard_at)
-        else:
-            self._absorb_table(receiver, snap, now)
-        receiver.processed_epoch[sender.node_id] = key
 
     def _absorb_table(
         self,

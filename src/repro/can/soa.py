@@ -50,9 +50,25 @@ Design in brief:
   once, from the last frozen array, when the streak ends or a stored copy
   is asked for.
 
+* A *batched merge* decides a sender's whole turn of full-table merges at
+  once.  The loop it replaces visits every record of the table at every
+  receiver, and nearly always does one of two things that need no Python:
+  a freshness max on a record the receiver already believes, or nothing,
+  for a record it memoised as not abutting.  The sender's records go into a
+  store-owned row -> column scratch; each receiver's cached view (subject
+  rows with the slot it holds or the version it memoised) is gathered
+  through it into one receivers x records matrix; the two cheap cases are a
+  compare and one masked store into ``eh``; the cells left over go to the
+  inherited ``_receive_record`` in the loop's order.  Receivers that only
+  lack what the sender's table changed since an epoch visit those few
+  records directly.  This is what vanilla's every-delivery merge needed to
+  stop losing to dict-backed tables (DESIGN.md, "Object or array").
+
 Equivalence is pinned by the seeded goldens in ``tests/can/hb_golden.py``
-(both engines must produce byte-identical accounting and traces) and by a
-hypothesis property test driving random churn through both engines.
+(both engines must produce byte-identical accounting and traces), by a
+hypothesis property test driving random churn through both engines, and by
+``tests/can/test_merge_kernel.py``, which runs the batched merge against
+the loop it replaces on identical array-backed state.
 """
 
 from __future__ import annotations
@@ -87,6 +103,11 @@ _MISS = object()
 
 _POS_MAX = np.iinfo(np.int64).max
 
+#: what a merge reads where a receiver holds no slot for a sender's record:
+#: nothing known, or (``_MEMO - version``, so anything at or below it) a
+#: version memoised as not abutting
+_UNKNOWN, _MEMO = -1, -2
+
 
 def _grown(arr: np.ndarray, new_cap: int, fill) -> np.ndarray:
     out = np.full(new_cap, fill, dtype=arr.dtype)
@@ -108,11 +129,18 @@ class EdgeStore:
         self.edge_version = np.zeros(slot_capacity, dtype=np.int64)
         self.active = np.zeros(slot_capacity, dtype=bool)
         self.free_slots: List[int] = []
+        #: live slots whose subject has no row (a record gossiped about a
+        #: node that already left); the merge kernel steps aside for them
+        self.rowless = 0
         # -- per-node rows (allocated monotonically, never reused) -----------
         self.n_rows = 0
         self._row_cap = row_capacity
         self.alive = np.zeros(row_capacity, dtype=bool)
         self.own_version = np.zeros(row_capacity, dtype=np.int64)
+        #: row -> position in the table being merged, -1 elsewhere: a merge
+        #: scatters the sender's record positions in, gathers at each
+        #: receiver's subject rows, and wipes it again
+        self.col_of_row = np.full(row_capacity, -1, dtype=np.int64)
         self.row_of: Dict[int, int] = {}
         self.node_of_row: List[int] = []
         self.tables_by_row: List[Optional["ArrayNeighborTable"]] = []
@@ -145,6 +173,7 @@ class EdgeStore:
             new_cap = self._row_cap * 2
             self.alive = _grown(self.alive, new_cap, False)
             self.own_version = _grown(self.own_version, new_cap, 0)
+            self.col_of_row = _grown(self.col_of_row, new_cap, -1)
             self._row_cap = new_cap
         self.n_rows = row + 1
         self.alive[row] = True
@@ -193,6 +222,8 @@ class EdgeStore:
                 self._slot_cap = new_cap
             self.n_slots = s + 1
         srow = self.row_of.get(subject_id, -1)
+        if srow < 0:
+            self.rowless += 1
         self.owner_row[s] = owner_row
         self.subj_row[s] = srow
         self.rev[s] = partner
@@ -212,6 +243,8 @@ class EdgeStore:
             self.rev[s] = -1
         self.active[s] = False
         self.eh[s] = _NEG_INF
+        if self.subj_row[s] < 0:
+            self.rowless -= 1
         # a slot freed mid-exchange must not receive the end-of-round bulk
         # write (or read as advanced) if it gets reused for a different edge
         mask = self.adv_mask
@@ -282,13 +315,18 @@ class _LazyHeard(Mapping):
         self._now = now
         self._d: Optional[Dict[int, float]] = None
 
+    def array(self) -> np.ndarray:
+        """The values, in record order, without building the dict."""
+        if self._avail is not None:
+            # the mid-exchange position filter, applied once
+            self._raw = np.where(self._avail < self._cur, self._now, self._raw)
+            self._avail = None
+        return self._raw
+
     def _dict(self) -> Dict[int, float]:
         d = self._d
         if d is None:
-            vals = self._raw
-            if self._avail is not None:
-                vals = np.where(self._avail < self._cur, self._now, vals)
-            d = self._d = dict(zip(self._records, vals.tolist()))
+            d = self._d = dict(zip(self._records, self.array().tolist()))
         return d
 
     def __getitem__(self, key):
@@ -340,6 +378,20 @@ class ArrayNeighborTable(NeighborTable):
         self._snap_key: Optional[Tuple] = None
         #: cached ``np.fromiter(_slots.values())``; None after slot changes
         self._slots_vec: Optional[np.ndarray] = None
+        #: (slot vector, its subjects' rows)
+        self._rows_vec: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: what a batched merge reads of this table as a *sender*
+        #: (``merge_source``), less the freshness: (epoch, ...)
+        self._epoch_src: Optional[Tuple] = None
+        #: and as a *receiver* (``merge_view``); None after a slot, memo or
+        #: own-version change
+        self._merge_view: Optional[Tuple] = None
+        #: the owner's ``_non_abutting`` memo as parallel arrays (subject row,
+        #: ``_MEMO - version``), for the one ``own_version`` they were
+        #: collected at; a subset of the dict's current entries, which is
+        #: all a memo has to be
+        self._memo_version = -1
+        self._memo_rows = self._memo_vals = None
 
     # -- freshness ------------------------------------------------------------
     def advance_freshness(self, node_id: int, evidence: Optional[float]) -> None:
@@ -399,7 +451,7 @@ class ArrayNeighborTable(NeighborTable):
                 evidence,
             )
             self._heard_gen += 1
-            self._slots_vec = None
+            self._slots_vec = self._merge_view = None
             self._total_zones += max(len(record.zones), 1)
             self.epoch += 1
             self._record_seq[nid] = self.epoch
@@ -433,7 +485,7 @@ class ArrayNeighborTable(NeighborTable):
         store = self._store
         store.free_slot(self._slots.pop(node_id))
         self._heard_gen += 1
-        self._slots_vec = None
+        self._slots_vec = self._merge_view = None
         self._record_seq.pop(node_id, None)
         self._total_zones -= max(len(record.zones), 1)
         self.epoch += 1
@@ -447,7 +499,7 @@ class ArrayNeighborTable(NeighborTable):
             store.free_slot(s)
         self._slots.clear()
         self._heard_gen += 1
-        self._slots_vec = None
+        self._slots_vec = self._merge_view = None
 
     # -- reads ----------------------------------------------------------------
     def records_since(self, epoch: int) -> List[Tuple[BeliefRecord, float]]:
@@ -474,11 +526,85 @@ class ArrayNeighborTable(NeighborTable):
             return _NEG_INF
         return float(self._store.heard_value(s))
 
+    # -- array views for the batched merge --------------------------------------
+    def slot_vector(self) -> np.ndarray:
+        """The slots, in record order."""
+        vec = self._slots_vec
+        if vec is None:
+            slots = self._slots
+            vec = self._slots_vec = np.fromiter(
+                slots.values(), dtype=np.int64, count=len(slots)
+            )
+        return vec
+
+    def slot_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(slots, their subjects' rows), in record order."""
+        vec = self.slot_vector()
+        cached = self._rows_vec
+        if cached is None or cached[0] is not vec:
+            # as wide as an index: these rows index the merge scratch
+            cached = self._rows_vec = (
+                vec, self._store.subj_row[vec].astype(np.int64)
+            )
+        return cached
+
+    def merge_source(self, snap: TableSnapshot) -> Tuple:
+        """The sender side of a batched merge of ``snap``, a snapshot just
+        taken of this table, all in record order: (subject rows, the epoch
+        each record last changed at, versions, what a memo of each version
+        reads, frozen freshness).  The last three carry one spare entry —
+        the merge matrix's spare column — newer than anything believed and
+        never heard."""
+        by_epoch = self._epoch_src
+        if by_epoch is None or by_epoch[0] != self.epoch:
+            vec, rows = self.slot_rows()
+            n = len(vec)
+            versions = np.empty(n + 1, dtype=np.int64)
+            versions[:n] = self._store.edge_version[vec]
+            versions[n] = _POS_MAX
+            by_epoch = self._epoch_src = (
+                self.epoch,
+                rows,
+                # ``_record_seq`` mirrors the record dict's insertion order
+                np.fromiter(self._record_seq.values(), dtype=np.int64, count=n),
+                versions,
+                _MEMO - versions,
+            )
+        heard = np.empty(len(by_epoch[1]) + 1)
+        heard[:-1] = snap.heard.array()
+        heard[-1] = _NEG_INF
+        return by_epoch[1:] + (heard,)
+
+    def merge_view(self, own_version: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """The receiver side: what the owner (at ``own_version``) knows of
+        every subject it knows anything of — (rows, values, how many).
+
+        A value is the slot of a believed record, or ``_MEMO - version`` for
+        a record version memoised as not abutting; the owner's own row
+        reads as its current version memoised (a merge skips that record).
+        Memo entries come first: where a subject has both, the later store —
+        the believed slot — is the one that stays.
+        """
+        if self._memo_version != own_version:
+            # zones changed: every earlier verdict is about other zones
+            self._memo_version = own_version
+            self._memo_rows = np.array([self._row], dtype=np.int64)
+            self._memo_vals = np.array([_MEMO - own_version], dtype=np.int64)
+        vec, rows = self.slot_rows()
+        rows = np.concatenate((self._memo_rows, rows))
+        view = self._merge_view = (
+            rows, np.concatenate((self._memo_vals, vec)), len(rows)
+        )
+        return view
+
+    def memoise(self, rows: np.ndarray, memo_values: np.ndarray) -> None:
+        self._memo_rows = np.concatenate((self._memo_rows, rows))
+        self._memo_vals = np.concatenate((self._memo_vals, memo_values))
+        self._merge_view = None
+
     def stale_ids(self, now: float, timeout: float) -> List[int]:
-        eh = self._store.eh
-        return [
-            nid for nid, s in self._slots.items() if now - eh[s] > timeout
-        ]
+        stale = now - self._store.eh[self.slot_vector()] > timeout
+        return [nid for nid, late in zip(self._slots, stale.tolist()) if late]
 
     def snapshot(self) -> TableSnapshot:
         store = self._store
@@ -491,13 +617,8 @@ class ArrayNeighborTable(NeighborTable):
         snap = self._snap_cache
         if snap is not None and self._snap_key == key:
             return snap
-        slots = self._slots
-        vec = self._slots_vec
-        if vec is None:
-            vec = self._slots_vec = np.fromiter(
-                slots.values(), dtype=np.int64, count=len(slots)
-            )
-        if not len(slots):
+        vec = self.slot_vector()
+        if not len(vec):
             heard = {}
         else:
             # freeze the two mutable inputs now (eh advances in later
@@ -540,10 +661,11 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
     """The heartbeat protocol with batched per-round kernels.
 
     Behaviourally identical to :class:`HeartbeatProtocol` (the goldens pin
-    byte-identical seeded accounting); only the round's hot phases run as
-    array kernels.  A non-identity network channel (``set_network``) falls
-    back to the inherited per-delivery exchange, which runs exactly on
-    array-backed tables via the :class:`ArrayNeighborTable` interface.
+    byte-identical seeded accounting); only the round's hot phases and a
+    turn's full-table merges run as array kernels.  A non-identity network
+    channel (``set_network``) falls back to the inherited per-delivery
+    exchange, which runs exactly on array-backed tables via the
+    :class:`ArrayNeighborTable` interface.
     """
 
     def __init__(self, *args, **kwargs):
@@ -587,6 +709,7 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             _store.own_version[_row] = version
             _store.struct_gen += 1
             _store.mut_rows.add(_row)
+            table._merge_view = None  # it reads the owner at one version
 
         node._version_sink = sink
         return node
@@ -717,6 +840,10 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         with prof.scope("hb.exchange.senders"):
             nodes = self.nodes
             mut_rows = store.mut_rows
+            #: a clean sender's full-table deliveries that need a merge,
+            #: and from which sender-table epoch on (-1: all of it)
+            merge_at: List[ProtocolNode] = []
+            merge_since: List[int] = []
             for i, node_id in enumerate(order):
                 sender = nodes[node_id]
                 table = sender.table
@@ -782,7 +909,8 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                 # full-table merges remain.  The dominant case — the target
                 # already processed this exact table state — is inlined:
                 # nothing can change mid-loop (merges only mutate the
-                # receiver), so one snapshot serves every skip.
+                # receiver, and run when the loop is over), so one snapshot
+                # serves every target.
                 snap = None
                 epoch = table.epoch
                 for target_id in full_ids:
@@ -793,18 +921,26 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                     if receiver is None:
                         streak_senders = None
                         continue
+                    if snap is None:
+                        snap = table.snapshot()
+                    receiver.stored_tables[node_id] = snap
+                    key = (
+                        epoch, receiver.own_version, receiver.table.removals_epoch
+                    )
                     last = receiver.processed_epoch.get(node_id)
-                    if (
-                        last is not None
-                        and last[0] == epoch
-                        and last[1] == receiver.own_version
-                        and last[2] == receiver.table.removals_epoch
-                    ):
-                        if snap is None:
-                            snap = table.snapshot()
-                        receiver.stored_tables[node_id] = snap
+                    if last == key:
                         continue
-                    self._merge_full_table(receiver, sender, now)
+                    # the rest of _deliver_full_table, inlined with it
+                    if last is None:
+                        self._stored_in.setdefault(node_id, set()).add(target_id)
+                    receiver.processed_epoch[node_id] = key
+                    merge_at.append(receiver)
+                    delta = last is not None and last[1:] == key[1:]
+                    merge_since.append(last[0] if delta else -1)
+                if merge_at:
+                    self._merge_live(sender, snap, merge_at, merge_since, now)
+                    merge_at.clear()
+                    merge_since.clear()
                     streak_senders = None
                 if snap is not None and streak_senders is not None:
                     # four fields flat, not a tuple a sender: an allocation
@@ -831,6 +967,135 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                 )
         with prof.scope("hb.exchange.advance"):
             store.end_exchange()
+
+    # -- the merge kernel -----------------------------------------------------
+    def _merge_live(
+        self,
+        sender: ProtocolNode,
+        snap: TableSnapshot,
+        receivers: List[ProtocolNode],
+        sinces: List[int],
+        now: float,
+    ) -> None:
+        """The inherited per-record merge, decided for a whole turn at once.
+
+        A receiver that only lacks what the sender's table changed since an
+        epoch visits those few records as the loop would.  The others — all
+        of the table each — are one matrix, a cell per (receiver, record),
+        and per cell the loop does one of three things, of which two are
+        data-parallel.  *Believed at this version or a newer one*: a
+        freshness max, one masked store into ``eh``.  *Unknown, and memoised
+        as non-abutting at the receiver's current* ``own_version``: nothing.
+        Whatever is left — a newer version, an unknown record never tested
+        against these zones — goes to :meth:`_receive_record` cell by cell,
+        receivers in delivery order and records in snapshot order, which is
+        the only place a table, an epoch or a memo can change.
+        """
+        if (
+            # one row does not pay for setting the matrix up (compact and
+            # adaptive senders, which have a take-over target or two)
+            sinces.count(-1) < 2
+            # a subject without a row cannot be found through the scratch
+            or self.store.rowless
+        ):
+            return super()._merge_live(sender, snap, receivers, sinces, now)
+        srow, schanged, sver, smemo, sheard = sender.table.merge_source(snap)
+        recs = list(snap.records.values())
+        heard_at = sheard.tolist()
+        #: (receiver, record) positions left to the per-record path
+        rest: List[Tuple[int, int]] = []
+        full: List[int] = []
+        changed: Dict[int, List[int]] = {}
+        for j, since in enumerate(sinces):
+            if since < 0:
+                full.append(j)
+                continue
+            cols = changed.get(since)
+            if cols is None:
+                cols = changed[since] = np.flatnonzero(schanged > since).tolist()
+            receiver = receivers[j]
+            table = receiver.table
+            believed_get = table._records.get
+            for i in cols:
+                rec = recs[i]
+                existing = believed_get(rec.node_id)
+                if existing is None or rec.version > existing.version:
+                    rest.append((j, i))
+                else:
+                    table.advance_freshness(rec.node_id, heard_at[i])
+        #: the matrix's share of them: unknown or outdated at its receiver
+        undecided: List[Tuple[int, int]] = []
+        if full:
+            undecided = [
+                (full[j], i)
+                for j, i in self._merge_matrix(
+                    [receivers[j] for j in full], srow, sver, smemo, sheard
+                )
+            ]
+            if undecided:
+                rest = sorted(rest + undecided) if rest else undecided
+        receive = self._receive_record
+        for j, i in rest:
+            receive(receivers[j], recs[i], now, heard_at=heard_at[i])
+        # what the loop just tested and memoised joins the memo arrays
+        new: Dict[int, List[int]] = {}
+        for j, i in undecided:
+            receiver, rec = receivers[j], recs[i]
+            if (
+                receiver._non_abutting.get((rec.node_id, rec.version))
+                == receiver.own_version
+            ):
+                new.setdefault(j, []).append(i)
+        for j, at in new.items():
+            receivers[j].table.memoise(srow[at], smemo[at])
+
+    def _merge_matrix(
+        self,
+        receivers: List[ProtocolNode],
+        srow: np.ndarray,
+        sver: np.ndarray,
+        smemo: np.ndarray,
+        sheard: np.ndarray,
+    ) -> List[Tuple[int, int]]:
+        """Merge a whole table (``merge_source``'s arrays) at each receiver;
+        return the cells the arrays cannot decide, in row-major order."""
+        store = self.store
+        views = [
+            receiver.table._merge_view
+            or receiver.table.merge_view(receiver.own_version)
+            for receiver in receivers
+        ]
+        k, m = len(receivers), len(srow)
+        # what receiver j knows of sender record i.  A subject that is not in
+        # the sender's table reads -1 in the scratch, which lands it in the
+        # spare last column of the row before.
+        width = m + 1
+        col = store.col_of_row
+        col[srow] = np.arange(m)
+        at = col[np.concatenate([view[0] for view in views])]
+        col[srow] = -1
+        at += np.repeat(
+            np.arange(0, k * width, width), [view[2] for view in views]
+        )
+        known = np.empty(k * width, dtype=np.int64)
+        known.fill(_UNKNOWN)
+        known[at] = np.concatenate([view[1] for view in views])
+        slot = np.maximum(known, 0)  # where a slot is known; anything elsewhere
+        known = known.reshape(k, width)
+        believed = (known >= 0) & (sver <= store.edge_version[slot].reshape(k, width))
+        eh = store.eh
+        fresher = np.flatnonzero(believed & (sheard > eh[slot].reshape(k, width)))
+        if len(fresher):
+            eh[slot[fresher]] = sheard[fresher % width]
+            for j, n in enumerate(np.bincount(fresher // width).tolist()):
+                receivers[j].table._heard_gen += n
+        rest = ~believed & (known != smemo)
+        rest[:, m] = False
+        rest = np.flatnonzero(rest)
+        if not len(rest):
+            return []
+        rest_j, rest_i = np.divmod(rest, width)
+        return list(zip(rest_j.tolist(), rest_i.tolist()))
 
     # -- the settled streak ---------------------------------------------------
     def _settled_exchange(self, now: float, streak: _Streak) -> None:
@@ -904,17 +1169,18 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                 self._detect_failures_at(pnode, now, timeout)
 
 
-def protocol_class(scheme: HeartbeatScheme, network: Optional[NetworkModel]) -> type:
+def protocol_class(network: Optional[NetworkModel]) -> type:
     """Which heartbeat implementation a run gets: the measured crossover.
 
-    The array kernels pay off where most heartbeats carry no table and no
-    delivery needs a verdict (compact/adaptive, ideal channel); vanilla's
-    full tables and any non-identity channel take the per-delivery path,
-    where array-backed tables only cost.  Numbers, and why no population
-    threshold: DESIGN.md, "Object or array: the crossover".
+    The array class iff the channel is the identity: its round is a few
+    kernels, a settled one has no loop over senders at all, and a turn's
+    full-table merges are one matrix, whatever the scheme.  Any loss,
+    latency, partition or flap needs a verdict per delivery, which the
+    inherited per-sender loop gives faster on dict-backed tables.  Numbers,
+    and why no population threshold: DESIGN.md, "Object or array: the
+    crossover".
     """
-    ideal = network is None or network.is_identity
-    if scheme is not HeartbeatScheme.VANILLA and ideal:
+    if network is None or network.is_identity:
         return ArrayHeartbeatProtocol
     return HeartbeatProtocol
 
@@ -926,5 +1192,4 @@ def build_protocol(
     **kwargs,
 ) -> HeartbeatProtocol:
     """Construct CAN's heartbeat protocol on ``network`` (None = ideal)."""
-    cls = protocol_class(config.scheme, network)
-    return cls.build(overlay, config, network, **kwargs)
+    return protocol_class(network).build(overlay, config, network, **kwargs)

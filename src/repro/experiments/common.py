@@ -31,6 +31,7 @@ __all__ = [
     "reporter",
     "recorder_for",
     "config_dict",
+    "churn_config_dict",
     "WAIT_GRID",
     "SCHEMES",
 ]
@@ -111,6 +112,15 @@ def config_dict(cfg: Any) -> Dict[str, Any]:
     if dataclasses.is_dataclass(cfg) and not isinstance(cfg, type):
         return dataclasses.asdict(cfg)
     return {"repr": repr(cfg)}
+
+
+def churn_config_dict(sim: Any) -> Dict[str, Any]:
+    """A churn run's manifest config: what it stated, and the maintenance
+    class its substrate's factory built from that."""
+    return {
+        **config_dict(sim.config),
+        "heartbeat_class": type(sim.protocol).__name__,
+    }
 
 
 def results_path(out_dir: str, name: str) -> str:

@@ -21,7 +21,7 @@ from ..gridsim import ChurnConfig, ChurnSimulation
 from ..gridsim.results import ChurnResult
 from ..obs import RunRecorder
 from .common import (
-    config_dict,
+    churn_config_dict,
     experiment_argparser,
     recorder_for,
     results_path,
@@ -88,7 +88,7 @@ def run(
                 now=sim.env.now
             )
             recorder.manifest.config.setdefault(
-                scheme.value, config_dict(cfg)
+                scheme.value, churn_config_dict(sim)
             )
     return out
 

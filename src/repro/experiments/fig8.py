@@ -21,7 +21,7 @@ from ..gridsim import ChurnConfig, ChurnSimulation
 from ..gridsim.results import ChurnResult
 from ..obs import RunRecorder
 from .common import (
-    config_dict,
+    churn_config_dict,
     experiment_argparser,
     recorder_for,
     results_path,
@@ -105,7 +105,7 @@ def run(
                         now=sim.env.now
                     )
                     recorder.manifest.config.setdefault(
-                        label, config_dict(cfg)
+                        label, churn_config_dict(sim)
                     )
     return out
 

@@ -10,6 +10,7 @@ the job's execution time is governed by that CE's clock (Section III-B).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
@@ -36,8 +37,9 @@ class CERequirement:
     def __post_init__(self) -> None:
         if self.cores <= 0:
             raise ValueError("required cores must be positive")
-        if min(self.clock, self.memory, self.disk) < 0:
-            raise ValueError("requirement thresholds must be non-negative")
+        # written so that NaN fails too: it compares false with everything
+        if not all(0 <= x < math.inf for x in (self.clock, self.memory, self.disk)):
+            raise ValueError("requirement thresholds must be finite and non-negative")
 
     def demand(self) -> float:
         """Scalar resource demand used to pick the dominant CE.
@@ -74,8 +76,10 @@ class Job:
     def __post_init__(self) -> None:
         if not self.requirements:
             raise ValueError("a job must require at least one CE slot")
-        if self.base_duration <= 0:
-            raise ValueError("base_duration must be positive")
+        if not 0 < self.base_duration < math.inf:
+            raise ValueError("base_duration must be positive and finite")
+        if not math.isfinite(self.submit_time):
+            raise ValueError("submit_time must be finite")
         self.requirements = dict(self.requirements)
 
     # -- dominant CE -------------------------------------------------------------

@@ -89,7 +89,7 @@ class EV:
     NET_DELIVER_LATE = "net.deliver_late"  # src, dst, sent_at (> period)
 
     # -- live service (gateway + persistent ledger)
-    SERVICE_START = "service.start"  # nodes, scheme, recovered
+    SERVICE_START = "service.start"  # nodes, scheme, heartbeat_class, recovered
     SERVICE_STOP = "service.stop"
     SERVICE_LISTEN = "service.listen"  # host, port
     SERVICE_SUBMIT = "service.submit"  # job

@@ -193,6 +193,9 @@ class GridService:
                 "service.start",
                 nodes=len(self.grid_nodes),
                 scheme=self.config.scheme,
+                heartbeat_class=(
+                    None if self.protocol is None else type(self.protocol).__name__
+                ),
                 recovered=len(self._jobs),
             )
 
@@ -274,10 +277,12 @@ class GridService:
         The ledger row is durable before any scheduling happens; the
         recorded ``job_id`` (if any) is ignored — ids are the ledger's.
         """
+        # parsed first: a spec that is refused must leave no ledger row
+        job = job_from_dict(spec, job_id=-1)
         record = self.ledger.submit(
             {**spec, "job_id": None}, now=self.clock.now
         )
-        job = job_from_dict(spec, job_id=record.job_id)
+        job.job_id = record.job_id
         self._jobs[job.job_id] = job
         job.submit_time = self.clock.now
         if self._job_counter is not None:

@@ -261,9 +261,13 @@ class Gateway:
     @staticmethod
     def _job_id(raw: str) -> int:
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise _HttpError(400, f"bad id {raw!r}")
+        if not -(2**63) <= value < 2**63:
+            # no ledger or grid ever issued it (and sqlite cannot bind it)
+            raise _HttpError(404, f"id {raw[:24]}... not found")
+        return value
 
     # -- handlers ----------------------------------------------------------------
     def _submit(self, body: Optional[Dict]) -> Tuple[int, Any]:
@@ -275,7 +279,7 @@ class Gateway:
             )
         try:
             job_id = self.service.submit(body)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise _HttpError(400, f"bad job spec: {exc}")
         return 201, {"job_id": job_id}
 

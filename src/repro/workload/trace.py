@@ -49,7 +49,17 @@ def job_to_dict(job: Job) -> Dict[str, Any]:
 
 
 def job_from_dict(data: Dict[str, Any], job_id: Optional[int] = None) -> Job:
-    """Rebuild a :class:`Job`; ``job_id`` overrides the recorded id."""
+    """Rebuild a :class:`Job`; ``job_id`` overrides the recorded id.
+
+    Anything but a mapping of slots to mappings of numbers raises
+    ``TypeError`` / ``ValueError`` / ``OverflowError`` (the service answers
+    those with a 400); :class:`Job` rejects what is not finite.
+    """
+    requirements = data["requirements"]
+    if not isinstance(requirements, dict) or not all(
+        isinstance(fields, dict) for fields in requirements.values()
+    ):
+        raise TypeError("requirements must map each slot to an object")
     reqs = {
         slot: CERequirement(
             cores=int(fields.get("cores", 1)),
@@ -57,7 +67,7 @@ def job_from_dict(data: Dict[str, Any], job_id: Optional[int] = None) -> Job:
             memory=float(fields.get("memory", 0.0)),
             disk=float(fields.get("disk", 0.0)),
         )
-        for slot, fields in data["requirements"].items()
+        for slot, fields in requirements.items()
     }
     recorded = data.get("job_id")
     return Job(

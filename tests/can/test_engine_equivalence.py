@@ -25,9 +25,12 @@ from tests.can.hb_golden import ENGINE_CLASSES, stored_payload
 INITIAL_NODES = 8
 
 #: "quiet" is 3-6 consecutive rounds: long enough for the array class to
-#: form a settled streak, which the next join / crash / leave then ends
+#: form a settled streak, which the next join / crash / leave then ends;
+#: "dense" is 3-6 rounds with a join or a crash before every one, the regime
+#: in which every full-table delivery is a merge (the array class's batched
+#: kernel against the object class's per-record loop)
 op = st.tuples(
-    st.sampled_from(["round", "round", "quiet", "join", "fail", "leave"]),
+    st.sampled_from(["round", "round", "quiet", "dense", "join", "fail", "leave"]),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 
@@ -52,24 +55,30 @@ def run_engine(engine: str, scheme: HeartbeatScheme, ops):
     for _ in range(INITIAL_NODES - 1):
         proto.join(next(ids), coord(), now=0.0)
     now = 0.0
-    for kind, r in ops:
-        if kind in ("round", "quiet"):
-            for _ in range(1 if kind == "round" else 3 + r % 4):
-                now += 60.0
-                proto.run_round(now)
-            continue
-        now += 1.0
+
+    def event(kind, r, now):
         if kind == "join":
             proto.join(next(ids), coord(), now=now)
-            continue
+            return
         alive = sorted(overlay.alive_ids())
         if len(alive) <= 4:
-            continue  # keep the population claimable
+            return  # keep the population claimable
         victim = alive[r % len(alive)]
         if kind == "fail":
             proto.fail(victim, now)
         else:
             proto.graceful_leave(victim, now)
+
+    for kind, r in ops:
+        if kind in ("round", "quiet", "dense"):
+            for i in range(1 if kind == "round" else 3 + r % 4):
+                if kind == "dense":
+                    event("join" if (r >> (i + 2)) & 1 else "fail", r >> 8, now + 1.0)
+                now += 60.0
+                proto.run_round(now)
+            continue
+        now += 1.0
+        event(kind, r, now)
     # drain in-flight failures through detection and take-over
     for _ in range(4):
         now += 60.0
@@ -117,3 +126,21 @@ def test_engines_equivalent_under_random_churn(ops, scheme):
     for key in obj:
         assert obj[key] == arr[key], f"{key} diverged between engines"
     assert obj == arr
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["dense", "dense", "quiet", "leave"]),
+            st.integers(min_value=0, max_value=2**31 - 1),
+        ),
+        min_size=2,
+        max_size=8,
+    )
+)
+def test_engines_equivalent_under_dense_vanilla_churn(ops):
+    obj = fingerprint(*run_engine("object", HeartbeatScheme.VANILLA, ops))
+    arr = fingerprint(*run_engine("array", HeartbeatScheme.VANILLA, ops))
+    for key in obj:
+        assert obj[key] == arr[key], f"{key} diverged between engines"

@@ -32,3 +32,37 @@ def test_accounting_fingerprint_matches_golden(case, scheme, engine):
     for field in want:
         assert got[field] == want[field], f"{field} drifted"
     assert got == want
+
+
+def test_dense_vanilla_on_the_array_class_ignores_the_hash_seed():
+    """The batched merge hands records over in array order where the loop
+    iterated dicts, right where traced events are emitted: the dense vanilla
+    case must hash the same trace in fresh interpreters under three hash
+    seeds (and the same as the golden, which the object class produced)."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import json;"
+        "from repro.can.heartbeat import HeartbeatScheme;"
+        "from tests.can.hb_golden import run_case;"
+        "print(json.dumps(run_case('fig7', HeartbeatScheme.VANILLA, engine='array')))"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            cwd=root,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.path.join(root, "src"),
+                "PYTHONHASHSEED": seed,
+            },
+        )
+        for seed in ("0", "1", "4242")
+    ]
+    for run in runs:
+        out, _ = run.communicate(timeout=120)
+        assert run.returncode == 0
+        assert json.loads(out) == GOLDENS["fig7.vanilla"]

@@ -151,7 +151,7 @@ IDEAL = {"none", "identity"}
 
 
 class TestEngineRule:
-    """The factory's one rule: array iff not vanilla and the channel is ideal."""
+    """The factory's one rule: array iff the channel is ideal, any scheme."""
 
     @pytest.mark.parametrize("channel", list(CHANNELS))
     @pytest.mark.parametrize("scheme", list(HeartbeatScheme))
@@ -162,8 +162,7 @@ class TestEngineRule:
             ProtocolConfig(scheme=scheme),
             network=network,
         )
-        array = scheme is not HeartbeatScheme.VANILLA and channel in IDEAL
-        want = ArrayHeartbeatProtocol if array else HeartbeatProtocol
+        want = ArrayHeartbeatProtocol if channel in IDEAL else HeartbeatProtocol
         assert type(proto) is want
         # the channel is installed by the factory, not after it
         if network is None:

@@ -72,6 +72,23 @@ class TestFig8:
         assert "Figure 8(a)" in text and "Figure 8(b)" in text
         assert os.path.exists(tmp_path / "fig8_scalability.csv")
 
+    def test_manifest_names_the_class_the_factory_built(self, tmp_path):
+        from repro.obs import RunRecorder
+
+        for substrate, want in (
+            ("can", "ArrayHeartbeatProtocol"),  # ideal channel, every scheme
+            ("chord", "ChordMaintenanceProtocol"),
+        ):
+            with RunRecorder(str(tmp_path / substrate), "fig8") as recorder:
+                fig8.run(
+                    fast=True, node_sweep=(12,), gpu_slot_sweep=(0,),
+                    recorder=recorder, substrate=substrate,
+                )
+            configs = recorder.manifest.config
+            assert len(configs) == 3
+            assert {c["heartbeat_class"] for c in configs.values()} == {want}
+            assert all(c["initial_nodes"] == 12 for c in configs.values())
+
     def test_fig8_config_slow_churn(self):
         cfg = fig8.fig8_config(HeartbeatScheme.VANILLA, 500, 2)
         assert cfg.event_gap_mean > cfg.heartbeat_period

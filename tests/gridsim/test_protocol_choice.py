@@ -1,9 +1,9 @@
 """What a run states (scheme, channel, substrate) decides the protocol class.
 
-No simulation takes an ``engine``: CAN's factory picks the array class for
-compact/adaptive on the ideal channel and the object class otherwise (the
-rule itself is table-tested in ``tests/can/test_soa.py``); Chord has one
-class.  These tests pin that the three hosts of a maintenance protocol hand
+No simulation takes an ``engine``: CAN's factory picks the array class on
+the ideal channel, whatever the scheme, and the object class on any other
+(the rule itself is table-tested in ``tests/can/test_soa.py``); Chord has
+one class.  These tests pin that the three hosts of a maintenance protocol hand
 the factory the channel their configuration states.
 """
 
@@ -34,7 +34,8 @@ LOSSY = FaultPlan(network=NetworkSpec(loss=0.05))
 CASES = [
     pytest.param(ADAPTIVE, IDEAL, "can", ArrayHeartbeatProtocol, id="adaptive-ideal"),
     pytest.param(ADAPTIVE, LOSSY, "can", HeartbeatProtocol, id="adaptive-lossy"),
-    pytest.param(VANILLA, IDEAL, "can", HeartbeatProtocol, id="vanilla"),
+    pytest.param(VANILLA, IDEAL, "can", ArrayHeartbeatProtocol, id="vanilla"),
+    pytest.param(VANILLA, LOSSY, "can", HeartbeatProtocol, id="vanilla-lossy"),
     pytest.param(ADAPTIVE, IDEAL, "chord", ChordMaintenanceProtocol, id="chord"),
 ]
 
@@ -70,7 +71,7 @@ def test_faulty_grid_simulation(scheme, plan, substrate, want):
 
 
 @pytest.mark.parametrize(
-    "scheme,plan,substrate,want", [c for c in CASES if c.id != "adaptive-lossy"]
+    "scheme,plan,substrate,want", [c for c in CASES if c.values[1] is IDEAL]
 )
 def test_grid_service(scheme, plan, substrate, want):
     # the service has no fault plan: its channel is always the ideal one

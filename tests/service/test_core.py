@@ -15,7 +15,7 @@ from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 from repro.workload.jobs import JobDistribution, generate_jobs
 from repro.workload.nodes import generate_node_specs
-from repro.workload.presets import TINY_LOAD
+from repro.workload.presets import SMALL_LOAD, TINY_LOAD
 from repro.workload.trace import job_to_dict
 
 HORIZON = 500_000.0
@@ -263,3 +263,65 @@ class TestRestartRecovery:
         assert service2.recover() == 0  # nothing in flight, nothing re-enters
         for job_id in ids:
             assert service2.ledger.completions(job_id) == 1
+
+
+class TestHeartbeatClass:
+    """The service's channel is the ideal one, so its vanilla heartbeat runs
+    on the array class: quiet rounds settle, and a crash is taken over from
+    the same stored copy the object class would have read."""
+
+    def test_start_event_names_the_class(self):
+        from repro.obs.events import Tracer
+
+        seen = []
+        tracer = Tracer()
+        tracer.subscribe(seen.append)
+        env = Environment()
+        clock = SimClock(env)
+        GridService(
+            ServiceConfig(preset=TINY_LOAD), open_ledger(None, clock=clock), clock,
+            tracer=tracer,
+        ).start()
+        (start,) = [e for e in seen if e.etype == "service.start"]
+        assert start.fields["heartbeat_class"] == "ArrayHeartbeatProtocol"
+        assert start.fields["scheme"] == "can-het"
+
+    def test_quiet_vanilla_service_settles(self):
+        env, service = build_service(preset=SMALL_LOAD)
+        assert len(service.grid_nodes) == 200
+        service.start()
+        rounds = 20
+        env.run(until=(rounds + 0.5) * SMALL_LOAD.heartbeat_period)
+        assert service.protocol._round == rounds
+        assert service.protocol.settled_rounds >= 0.9 * rounds
+
+    def test_takeover_reads_the_same_stored_copy_on_both_classes(self):
+        from tests.can.hb_golden import pinned_engine, stored_payload
+
+        seen = {}
+        for engine in ("object", "array"):
+            with pinned_engine(engine):
+                env, service = build_service(preset=SMALL_LOAD)
+            proto = service.protocol
+            period = SMALL_LOAD.heartbeat_period
+            service.start()
+            env.run(until=6.5 * period)
+            victim = sorted(service.grid_nodes)[17]
+            service.fail_node(victim)
+            claimants = sorted(service.overlay.takeover_targets(victim))
+            assert claimants
+            copies = {
+                c: stored_payload(proto, proto.nodes[c], victim) for c in claimants
+            }
+            env.run(until=12.5 * period)
+            assert proto.events["claims"] == 1
+            tables = {
+                nid: {
+                    r.node_id: (r.version, node.table.last_heard(r.node_id))
+                    for r in node.table.records()
+                }
+                for nid, node in proto.nodes.items()
+            }
+            seen[engine] = (copies, tables, proto.stats.totals())
+        assert type(proto).__name__ == "ArrayHeartbeatProtocol"
+        assert seen["array"] == seen["object"]

@@ -26,10 +26,11 @@ from repro.workload.trace import load_jobs
 DILATION = 2_000.0
 
 
-def run_gateway(scenario, metrics=None, **config_kwargs):
+def run_gateway(scenario, metrics=None, ledger_path=None, **config_kwargs):
     """Host a gateway on an ephemeral port; run ``scenario(client, service)``
     in a worker thread (the blocking client must stay off the loop).  No
-    scenario may leave an unhandled exception on the event loop."""
+    scenario may leave an unhandled exception on the event loop.  The ledger
+    is in memory unless ``ledger_path`` names a sqlite file."""
 
     async def main():
         loop = asyncio.get_running_loop()
@@ -38,7 +39,7 @@ def run_gateway(scenario, metrics=None, **config_kwargs):
             lambda _loop, context: loop_errors.append(context)
         )
         clock = AsyncioClock(loop=loop, dilation=DILATION)
-        ledger = open_ledger(None, clock=clock)
+        ledger = open_ledger(ledger_path, clock=clock)
         config = ServiceConfig(preset=TINY_LOAD, **config_kwargs)
         service = GridService(config, ledger, clock, metrics=metrics)
         gateway = Gateway(service, metrics=metrics)
@@ -237,6 +238,54 @@ class TestHttpErrors:
             return status_line, client.health()["status"]
 
         assert run_gateway(scenario) == (b"HTTP/1.1 400 Bad Request", "ok")
+
+    @pytest.mark.parametrize(
+        "method,target,body,status_line",
+        [
+            # Python's json reads the bare tokens NaN / Infinity; a job that
+            # runs for ever would hold its node as RUNNING for ever
+            ("POST", "/jobs", b'{"requirements": {"cpu": {}}, "base_duration": NaN}', 400),
+            ("POST", "/jobs", b'{"requirements": {"cpu": {}}, "base_duration": Infinity}', 400),
+            ("POST", "/jobs", b'{"requirements": {"cpu": {"clock": NaN}}, "base_duration": 60}', 400),
+            ("POST", "/jobs", b'{"requirements": {"cpu": {"cores": Infinity}}, "base_duration": 60}', 400),
+            ("POST", "/jobs", b'{"requirements": {"cpu": {}}, "base_duration": 60, "submit_time": Infinity}', 400),
+            ("POST", "/jobs", b'{"requirements": [1, 2], "base_duration": 60}', 400),
+            ("POST", "/jobs", b'{"requirements": {"cpu": [1]}, "base_duration": 60}', 400),
+            ("GET", "/jobs/" + "9" * 400, b"", 404),
+            ("DELETE", "/jobs/-" + "9" * 400, b"", 404),
+        ],
+        ids=[
+            "duration-nan", "duration-inf", "clock-nan", "cores-inf",
+            "submit-time-inf", "requirements-list", "slot-list",
+            "get-id-past-int64", "delete-id-past-int64",
+        ],
+    )
+    def test_hostile_value_is_refused(
+        self, method, target, body, status_line, tmp_path
+    ):
+        """Fail closed on well-formed requests carrying values no job or id
+        can have: a 4xx status line, no ledger row, nothing unhandled on the
+        loop (``run_gateway`` asserts it), and the next request is served.
+        On the durable ledger: sqlite is what cannot bind a 400-digit id."""
+
+        def scenario(client, service):
+            head = (
+                f"{method} {target} HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+            ).encode("latin-1")
+            with socket.create_connection(
+                (client.host, client.port), timeout=5.0
+            ) as raw:
+                raw.sendall(head + body)
+                answer = raw.recv(4096).split(b"\r\n", 1)[0]
+            return answer, client.health(), service.ledger.records()
+
+        answer, health, rows = run_gateway(
+            scenario, ledger_path=str(tmp_path / "ledger.sqlite")
+        )
+        phrase = {400: b"Bad Request", 404: b"Not Found"}[status_line]
+        assert answer == b"HTTP/1.1 %d %s" % (status_line, phrase)
+        assert health["status"] == "ok"
+        assert rows == []  # a refused spec is not durable either
 
     def test_unknown_status_filter_is_400(self, trace_jobs):
         def scenario(client, service):
