@@ -19,7 +19,7 @@ from .invariants import (
     check_matchmaking_accounting,
 )
 from .metrics import cdf_at, empirical_cdf, jains_fairness, wait_time_table
-from .recovery import PendingRecovery, RecoveryTracker, RetryPolicy
+from .recovery import PendingRecovery, RecoveryLoop, RecoveryTracker, RetryPolicy
 from .results import ChurnResult, MatchmakingResult
 from .simulation import GridSimulation, build_grid
 
@@ -42,6 +42,7 @@ __all__ = [
     "check_faulty_invariants",
     "check_matchmaking_accounting",
     "PendingRecovery",
+    "RecoveryLoop",
     "RecoveryTracker",
     "RetryPolicy",
     "cdf_at",

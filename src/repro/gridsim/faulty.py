@@ -40,13 +40,13 @@ from ..can.heartbeat import HeartbeatScheme, ProtocolConfig
 from ..model.job import Job
 from ..overlay import MaintenanceProtocol, SubstrateError, get_substrate
 from ..model.node import GridNode
-from ..sched.base import expanding_ring_search, fastest_dominant_clock
+from ..sim.clock import SimClock
 from ..workload.jobs import JobDistribution
 from ..workload.nodes import NodeDistribution, generate_node_specs
 from .config import MatchmakingConfig
 from .faults import FaultInjector, FaultPlan
 from .invariants import check_faulty_invariants, check_matchmaking_accounting
-from .recovery import RecoveryTracker, RetryPolicy
+from .recovery import RecoveryLoop, RetryPolicy
 from .results import MatchmakingResult
 from .simulation import GridSimulation
 
@@ -184,19 +184,19 @@ class FaultyGridSimulation(GridSimulation):
         self.jobs_lost = 0
         self.jobs_resubmitted = 0
         self.jobs_abandoned = 0
-        self.tracker = RecoveryTracker()
-        self._retry_rng = self.rngs.stream("retry")
         self._churn_counter = self.metrics.scope("grid").counter("churn")
-        recovery_metrics = self.metrics.scope("recovery")
-        self._recovery_counter = recovery_metrics.counter("events")
-        #: streaming latency distributions (crash -> detection, crash ->
-        #: successful resubmission) — constant memory regardless of churn
-        self._detection_sketch = recovery_metrics.quantile_sketch(
-            "detection_latency"
+        #: the crash -> detect -> place-with-retry path (shared with the live
+        #: service); this class adds only its counters and the hand-over
+        self.recovery = RecoveryLoop(
+            self,
+            config.retry,
+            SimClock(self.env),
+            placed=self._job_recovered,
+            abandoned=self._job_abandoned,
+            detection_delay=config.detection_delay,
+            metrics=self.metrics,
         )
-        self._resubmission_sketch = recovery_metrics.quantile_sketch(
-            "resubmission_latency"
-        )
+        self.tracker = self.recovery.tracker
         self.protocol: Optional[MaintenanceProtocol] = None
         if config.detection_mode == "protocol":
             substrate = get_substrate(config.matchmaking.substrate)
@@ -215,7 +215,7 @@ class FaultyGridSimulation(GridSimulation):
             # the grid bootstraps its CAN outside the protocol (no join
             # message accounting wanted); adopt it in converged state
             self.protocol.adopt_overlay(0.0)
-            self.protocol.on_failure_detected = self._on_node_detected
+            self.protocol.on_failure_detected = self.recovery.detected
         self._injector = FaultInjector(self, config.faults)
 
     # ------------------------------------------------------------------ churn --
@@ -280,40 +280,11 @@ class FaultyGridSimulation(GridSimulation):
 
     def crash_node(self, victim_id: int) -> None:
         """Crash one node: jobs are lost, detection is set in motion."""
-        now = self.env.now
-        victim = self.grid_nodes.pop(victim_id)
-        lost = victim.fail()
+        lost = self.recovery.crash(victim_id)
         self._outstanding -= len(lost)
         self.failures += 1
         self.jobs_lost += len(lost)
         self._churn_counter.add("failures")
-        self.tracker.node_crashed(victim_id, now)
-        for job in lost:
-            job.enqueue_time = None
-            job.start_time = None
-            job.finish_time = None
-            job.run_node_id = None
-            self.tracker.job_lost(job, victim_id, now)
-        if self.tracer is not None:
-            self.tracer.emit(
-                now, "grid.crash", node=victim_id, jobs_lost=len(lost)
-            )
-            for job in lost:
-                self.tracer.emit(
-                    now, "grid.job_lost", job=job.job_id, node=victim_id
-                )
-        if self.protocol is not None:
-            # zones linger as ghosts until believers time the victim out
-            # and the take-over path claims them; detection arrives via
-            # on_failure_detected
-            self.protocol.fail(victim_id, now)
-        else:
-            self.overlay.fail(victim_id)
-            self.overlay.claim_zones(victim_id)
-            self.env.schedule_callback(
-                self.fault_config.detection_delay,
-                lambda v=victim_id: self._on_node_detected(v, self.env.now),
-            )
 
     def join_node(self) -> None:
         """One scripted arrival (a flash crowd's), on its own stream."""
@@ -359,91 +330,15 @@ class FaultyGridSimulation(GridSimulation):
             self.tracer.emit(self.env.now, "grid.join", node=spec.node_id)
 
     # ------------------------------------------------------------------ jobs --
-    def _on_node_detected(self, node_id: int, now: float) -> None:
-        """A crash was noticed; resubmit the jobs that died with it."""
-        latency, released = self.tracker.node_detected(node_id, now)
-        if latency is None:
-            return  # already detected through another path
-        self._recovery_counter.add("detections")
-        self._detection_sketch.insert(latency)
-        if self.tracer is not None:
-            self.tracer.emit(
-                now,
-                "recovery.detected",
-                node=node_id,
-                latency=latency,
-                jobs=len(released),
-            )
-        for job in released:
-            self._resubmit(job)
-
-    def _resubmit(self, job: Job) -> None:
-        policy = self.fault_config.retry
-        attempts = self.tracker.begin_attempt(job.job_id)
-        if policy.exhausted(attempts):
-            self.tracker.job_abandoned(job.job_id)
-            self.jobs_abandoned += 1
-            self.abandoned_ids.add(job.job_id)
-            self._churn_counter.add("jobs_abandoned")
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.env.now,
-                    "grid.job_abandoned",
-                    job=job.job_id,
-                    attempts=attempts - 1,
-                )
-            return
-        node = self.matchmaker.place(job)
-        if node is None:
-            node = self._degraded_search(job)
-        if node is None:
-            delay = policy.delay(attempts, self._retry_rng)
-            self.env.schedule_callback(delay, lambda j=job: self._resubmit(j))
-            return
+    def _job_recovered(self, job: Job, node: GridNode) -> None:
         self.jobs_resubmitted += 1
-        self.tracker.job_resubmitted(job.job_id, self.env.now)
-        self._resubmission_sketch.insert(self.tracker.resubmission_latencies[-1])
         self._churn_counter.add("jobs_resubmitted")
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.env.now, "grid.job_resubmit", job=job.job_id, attempt=attempts
-            )
         self._hand_over(node, job)
 
-    def _degraded_search(self, job: Job) -> Optional[GridNode]:
-        """Expanding-ring rescue when a placement fails on stale aggregates.
-
-        Right after a crash the matchmaker's directional summaries still
-        describe the pre-crash topology (and are reset on the next
-        aggregation step), so "no candidate found" is weak evidence.  A
-        bounded ring search over the ground-truth overlay answers the real
-        question — does a live capable node exist near the job's
-        coordinate — at the cost the paper already budgets for rare
-        fallback sweeps.
-        """
-        policy = self.fault_config.retry
-        if not policy.ring_fallback or self.config.scheme == "central":
-            return None
-        if not self.aggregation.is_stale():
-            return None
-        coord = self.space.job_coordinate(job, float(self._retry_rng.random()))
-        origin = self.overlay.locate_owner(coord)
-        candidates = expanding_ring_search(
-            self.overlay, self.grid_nodes, origin, job, policy.ring_budget
-        )
-        if not candidates:
-            return None
-        self._recovery_counter.add("ring_fallbacks")
-        chosen = fastest_dominant_clock(candidates, job)
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.env.now,
-                "recovery.fallback",
-                job=job.job_id,
-                node=chosen.node_id,
-                candidates=len(candidates),
-            )
-        return chosen
+    def _job_abandoned(self, job: Job, attempts: int) -> None:
+        self.jobs_abandoned += 1
+        self.abandoned_ids.add(job.job_id)
+        self._churn_counter.add("jobs_abandoned")
 
     def _work_remaining(self) -> bool:
         if super()._work_remaining():

@@ -352,11 +352,7 @@ class SpanBuilder:
 
     def _on_detected(self, t: float, fields: Dict[str, Any]) -> None:
         node = fields.get("node")
-        waiting = self._awaiting.pop(node, [])
-        # service ledgers record FAILED transitions without a node id; a
-        # detection event then releases those unattributed jobs too
-        waiting += self._awaiting.pop(None, [])
-        for job in waiting:
+        for job in self._awaiting.pop(node, []):
             state = self._jobs.get(job)
             if state is None or state.detect is None:
                 continue
@@ -414,7 +410,10 @@ class SpanBuilder:
             if state.root.end is None:
                 self._open_queue(state, t, fields.get("node"))
         elif to == "FAILED":
-            self._on_lost(t, {"job": job, "node": fields.get("node")})
+            # the edge clears node_id; grid.job_lost (emitted first, by the
+            # shared crash path) already opened the node-attributed detect span
+            if state.detect is None:
+                self._on_lost(t, {"job": job, "node": fields.get("node")})
         elif to == "COMPLETED":
             self._on_finish(t, {"job": job})
         elif to == "CANCELLED":

@@ -482,6 +482,10 @@ class MaintenanceProtocol:
         self._now = now
         population = len(self.overlay.alive_ids())
         self.stats.track_population(now, population)
+        if not population:
+            # nobody is left to send, to time a neighbor out or to take a
+            # zone over: the round is counted and nothing else happens
+            return
         with prof.scope(f"hb.round.{self.config.scheme.value}"):
             with prof.scope("hb.retry_joins"):
                 # the one step of a round that changes who is alive

@@ -15,13 +15,13 @@ use; :class:`GridService` only changes three things:
 * submissions arrive one at a time through :meth:`submit` instead of a
   pre-generated arrival process.
 
-Crash recovery composes the two previous PRs' machinery: a node failure
-routes lost jobs through the :class:`~repro.gridsim.recovery`
-``RecoveryTracker``/``RetryPolicy`` pair exactly as the faulty-grid
-simulation does, and a *process* restart (:meth:`recover`, run at
-startup) treats every non-terminal ledger row the same way — a
-``MATCHED``/``RUNNING`` job whose node vanished with the old process is
-"lost to a crash" whose detection is immediate.
+Crash recovery is not re-implemented here: the service hosts the same
+:class:`~repro.gridsim.recovery.RecoveryLoop` the faulty-grid simulation
+does (crash, detection, placement with retry, abandonment) and
+contributes only the ledger edges around it.  A *process* restart
+(:meth:`recover`, run at startup) treats every non-terminal ledger row
+the same way — a ``MATCHED``/``RUNNING`` job whose node vanished with the
+old process is "lost to a crash" whose detection is immediate.
 """
 
 from __future__ import annotations
@@ -34,17 +34,16 @@ from ..can.heartbeat import HeartbeatScheme, ProtocolConfig
 from ..can.space import ResourceSpace
 from ..overlay import MaintenanceProtocol, get_substrate
 from ..gridsim.config import MatchmakingConfig
-from ..gridsim.recovery import RecoveryTracker, RetryPolicy
-from ..gridsim.simulation import build_matchmaker
+from ..gridsim.recovery import RecoveryLoop, RetryPolicy
+from ..gridsim.simulation import build_grid, build_matchmaker
 from ..model.job import Job
 from ..model.node import GridNode
-from ..sched.base import expanding_ring_search, fastest_dominant_clock
 from ..sim.clock import CallbackHandle, Clock
 from ..sim.rng import RngRegistry
 from ..workload.nodes import generate_node_specs
 from ..workload.presets import TINY_LOAD, WorkloadPreset
 from ..workload.trace import job_from_dict
-from .ledger import JobLedger, JobStatus, TERMINAL_STATES
+from .ledger import JobLedger, JobStatus
 
 __all__ = ["ServiceConfig", "GridService", "CancelError"]
 
@@ -105,23 +104,19 @@ class GridService:
         preset = config.preset
         self.rngs = RngRegistry(preset.seed)
         self.space = ResourceSpace(gpu_slots=preset.gpu_slots)
-        self._substrate = get_substrate(config.substrate)
-        self.overlay = self._substrate.make_overlay(self.space)
-        self.grid_nodes: Dict[int, GridNode] = {}
         mm_config = config.matchmaking()
-        virtual_rng = self.rngs.stream("virtual")
-        for spec in generate_node_specs(
-            preset.nodes, preset.gpu_slots, self.rngs.stream("nodes")
-        ):
-            coord = self.space.node_coordinate(spec, float(virtual_rng.random()))
-            self.overlay.add_node(spec.node_id, coord)
-            self.grid_nodes[spec.node_id] = GridNode(
-                spec,
-                clock,
-                contention=mm_config.contention,
-                on_job_started=self._on_job_started,
-                on_job_finished=self._on_job_finished,
-            )
+        self.overlay, self.grid_nodes = build_grid(
+            generate_node_specs(
+                preset.nodes, preset.gpu_slots, self.rngs.stream("nodes")
+            ),
+            clock,
+            self.space,
+            self.rngs.stream("virtual"),
+            mm_config,
+        )
+        for node in self.grid_nodes.values():
+            node.on_job_started = self._on_job_started
+            node.on_job_finished = self._on_job_finished
         self.aggregation = AggregationEngine(self.overlay, self.grid_nodes)
         self.matchmaker = build_matchmaker(
             mm_config,
@@ -132,19 +127,25 @@ class GridService:
         )
         self.matchmaker.attach_tracer(tracer, lambda: self.clock.now)
         self.matchmaker.attach_profiler(profiler)
-        self.tracker = RecoveryTracker()
-        self._retry_rng = self.rngs.stream("retry")
         #: live Job objects for every non-terminal ledger row
         self._jobs: Dict[int, Job] = {}
-        #: pending retry timers, cancellable on cancel()/stop()
-        self._retry_handles: Dict[int, CallbackHandle] = {}
         self._periodic: List[CallbackHandle] = []
-        #: submit-side attempt counts for jobs that were never lost to a
-        #: crash (the tracker only ledgers crash recoveries)
-        self._submit_attempts: Dict[int, int] = {}
+        #: the crash -> detect -> place-with-retry path, shared with
+        #: FaultyGridSimulation; the callbacks are this host's ledger edges
+        self.recovery = RecoveryLoop(
+            self,
+            config.retry,
+            clock,
+            crashed=self._node_crashed,
+            placed=self._job_placed,
+            abandoned=self._job_abandoned,
+            retrying=self._job_retrying,
+            metrics=metrics,
+        )
+        self.tracker = self.recovery.tracker
         self.protocol: Optional[MaintenanceProtocol] = None
         if config.heartbeat:
-            self.protocol = self._substrate.make_protocol(
+            self.protocol = get_substrate(config.substrate).make_protocol(
                 self.overlay,
                 ProtocolConfig(
                     scheme=config.heartbeat_scheme,
@@ -156,7 +157,7 @@ class GridService:
                 metrics=metrics,
             )
             self.protocol.adopt_overlay(self.clock.now)
-            self.protocol.on_failure_detected = self._on_node_detected
+            self.protocol.on_failure_detected = self.recovery.detected
         if metrics is not None:
             scope = metrics.scope("service")
             self._job_counter = scope.counter("jobs")
@@ -204,9 +205,9 @@ class GridService:
         for handle in self._periodic:
             handle.cancel()
         self._periodic.clear()
-        for handle in self._retry_handles.values():
+        for handle in self.recovery.timers.values():
             handle.cancel()
-        self._retry_handles.clear()
+        self.recovery.timers.clear()
         if self.tracer is not None:
             self.tracer.emit(self.clock.now, "service.stop")
         self._started = False
@@ -217,13 +218,14 @@ class GridService:
 
         ``MATCHED``/``RUNNING`` rows are orphans: whatever node they were
         on, the run state died with the previous process (and the node
-        itself may be gone from the rebuilt population).  They take the
-        node-crash path — ``FAILED`` in the ledger, a loss in the
-        :class:`RecoveryTracker` with immediate detection, then the
-        :class:`RetryPolicy` loop — so the PR 4 accounting identity keeps
-        holding across restarts.  ``SUBMITTED``/``RETRYING``/``FAILED``
-        rows simply re-enter placement.  Returns the number of jobs
-        re-entered.
+        itself may be gone from the rebuilt population); a ``FAILED`` row
+        means the kill landed between the FAILED write and the RETRYING
+        one.  All three take the node-crash path — ``FAILED`` in the
+        ledger, a loss in the :class:`RecoveryTracker` whose detection is
+        immediate (the crashed node *is* the old process), then the
+        :class:`RecoveryLoop` — so the PR 4 accounting identity keeps
+        holding across restarts.  ``SUBMITTED``/``RETRYING`` rows simply
+        re-enter placement.  Returns the number of jobs re-entered.
         """
         now = self.clock.now
         recovered = 0
@@ -231,43 +233,24 @@ class GridService:
             job = job_from_dict(rec.spec, job_id=rec.job_id)
             self._jobs[job.job_id] = job
             recovered += 1
-            if rec.status in (
-                JobStatus.MATCHED,
-                JobStatus.RUNNING,
-                JobStatus.FAILED,
-            ):
-                # MATCHED/RUNNING rows are orphans of the dead process; a
-                # FAILED row means the kill landed between the FAILED write
-                # and the RETRYING one.  All three are "lost to a crash"
-                # whose detection is immediate — the crashed node *is* the
-                # old process.
-                orphan_node = rec.node_id if rec.node_id is not None else -1
-                vanished = orphan_node not in self.grid_nodes
-                self.tracker.node_crashed(orphan_node, now)
-                self.tracker.job_lost(job, orphan_node, now)
-                if rec.status is not JobStatus.FAILED:
-                    self.ledger.transition(
-                        rec.job_id,
-                        JobStatus.FAILED,
-                        now=now,
-                        node_id=None,
-                        detail=(
-                            "node vanished across restart"
-                            if vanished
-                            else "orphaned by restart"
-                        ),
-                    )
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        now,
-                        "service.orphan",
-                        job=rec.job_id,
-                        node=orphan_node,
-                        vanished=vanished,
-                    )
-                self._on_node_detected(orphan_node, now)
-            else:  # SUBMITTED or RETRYING: re-enter placement directly
-                self._try_place(job)
+            if rec.status in (JobStatus.SUBMITTED, JobStatus.RETRYING):
+                self.recovery.attempt(job)
+                continue
+            orphan_node = rec.node_id if rec.node_id is not None else -1
+            vanished = orphan_node not in self.grid_nodes
+            self.recovery.lose(orphan_node, [job], now)
+            why = "node vanished across restart" if vanished else "orphaned by restart"
+            if rec.status is not JobStatus.FAILED:
+                self._edge(rec.job_id, JobStatus.FAILED, node_id=None, detail=why)
+            if self.tracer is not None:
+                self.tracer.emit(
+                    now,
+                    "service.orphan",
+                    job=rec.job_id,
+                    node=orphan_node,
+                    vanished=vanished,
+                )
+            self.recovery.detected(orphan_node, now)
         return recovered
 
     # -- submission --------------------------------------------------------------
@@ -291,99 +274,46 @@ class GridService:
             self.tracer.emit(
                 self.clock.now, "service.submit", job=record.job_id
             )
-        self._try_place(job)
+        self.recovery.attempt(job)
         self._sample_depth()
         return record.job_id
 
-    def _try_place(self, job: Job) -> None:
-        """One placement attempt from SUBMITTED/RETRYING (not crash retry).
+    # -- ledger edges of the recovery loop -----------------------------------------
+    def _edge(self, job_id: int, to: JobStatus, **changes) -> None:
+        self.ledger.transition(job_id, to, now=self.clock.now, **changes)
 
-        Attempt accounting mirrors :class:`RetryPolicy`'s contract (and the
-        faulty grid's resubmission loop): the budget is checked *before*
-        each attempt, so a job gets exactly ``max_attempts`` failed
-        placements before abandonment.
-        """
-        attempts = self._submit_attempts.get(job.job_id, 0) + 1
-        self._submit_attempts[job.job_id] = attempts
-        policy = self.config.retry
-        if policy.exhausted(attempts):
-            self._abandon(job, attempts - 1)
-            return
-        node = self.matchmaker.place(job)
-        if node is None:
-            node = self._degraded_search(job)
-        if node is not None:
-            self.ledger.transition(
-                job.job_id,
-                JobStatus.MATCHED,
-                now=self.clock.now,
-                node_id=node.node_id,
-            )
-            node.submit(job)
-            return
-        record = self.ledger.record(job.job_id)
-        if record.status is not JobStatus.RETRYING:
-            self.ledger.transition(
-                job.job_id,
-                JobStatus.RETRYING,
-                now=self.clock.now,
-                attempts=attempts,
-                detail="no capable node available",
-            )
-        delay = policy.delay(attempts, self._retry_rng)
-        self._retry_handles[job.job_id] = self.clock.schedule_callback(
-            delay, lambda j=job: self._retry_tick(j)
-        )
+    def _job_placed(self, job: Job, node: GridNode) -> None:
+        self._edge(job.job_id, JobStatus.MATCHED, node_id=node.node_id)
+        node.submit(job)
 
-    def _retry_tick(self, job: Job) -> None:
-        self._retry_handles.pop(job.job_id, None)
-        if self.ledger.record(job.job_id).status in TERMINAL_STATES:
-            return
-        if job.job_id in self.tracker.pending:
-            self._resubmit(job)
-        else:
-            self._try_place(job)
+    def _job_retrying(self, job: Job, attempts: int) -> None:
+        """FAILED -> RETRYING before a crash retry's placement (FAILED ->
+        MATCHED is no ledger edge), SUBMITTED -> RETRYING after a first miss."""
+        status = self.ledger.record(job.job_id).status
+        if status is not JobStatus.RETRYING:
+            # a FAILED row keeps its "node N crashed"
+            why = None if status is JobStatus.FAILED else "no capable node available"
+            self._edge(job.job_id, JobStatus.RETRYING, attempts=attempts, detail=why)
 
-    def _abandon(self, job: Job, attempts: int) -> None:
-        self.ledger.transition(
-            job.job_id,
-            JobStatus.ABANDONED,
-            now=self.clock.now,
-            attempts=attempts,
-        )
-        if job.job_id in self.tracker.pending:
-            self.tracker.job_abandoned(job.job_id)
+    def _job_abandoned(self, job: Job, attempts: int) -> None:
+        # FAILED -> ABANDONED and RETRYING -> ABANDONED are both legal, so
+        # no intermediate transition is needed whichever state the budget
+        # ran out in
+        self._edge(job.job_id, JobStatus.ABANDONED, attempts=attempts)
         self._forget(job.job_id)
         if self._job_counter is not None:
             self._job_counter.add("abandoned")
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.clock.now,
-                "grid.job_abandoned",
-                job=job.job_id,
-                attempts=attempts,
-            )
 
     def _forget(self, job_id: int) -> None:
         self._jobs.pop(job_id, None)
-        self._submit_attempts.pop(job_id, None)
-        handle = self._retry_handles.pop(job_id, None)
-        if handle is not None:
-            handle.cancel()
+        self.recovery.forget(job_id)
 
     # -- node callbacks ----------------------------------------------------------
     def _on_job_started(self, node: GridNode, job: Job) -> None:
-        self.ledger.transition(
-            job.job_id,
-            JobStatus.RUNNING,
-            now=self.clock.now,
-            node_id=node.node_id,
-        )
+        self._edge(job.job_id, JobStatus.RUNNING, node_id=node.node_id)
 
     def _on_job_finished(self, node: GridNode, job: Job) -> None:
-        self.ledger.transition(
-            job.job_id, JobStatus.COMPLETED, now=self.clock.now
-        )
+        self._edge(job.job_id, JobStatus.COMPLETED)
         self._forget(job.job_id)
         if self._job_counter is not None:
             self._job_counter.add("completed")
@@ -400,138 +330,16 @@ class GridService:
     def fail_node(self, node_id: int) -> List[int]:
         """Crash one node; returns the ids of the jobs lost with it.
 
-        Detection then follows the heartbeat protocol (believers time the
-        node out, the take-over path reclaims its zones) exactly as in the
-        faulty-grid simulation; without a protocol the loss is detected
-        immediately.
+        Detection follows the heartbeat protocol (believers time the node
+        out, the take-over path reclaims its zones); without a protocol the
+        loss is detected immediately.
         """
-        now = self.clock.now
-        victim = self.grid_nodes.pop(node_id)
-        lost = victim.fail()
-        self.tracker.node_crashed(node_id, now)
+        return [job.job_id for job in self.recovery.crash(node_id)]
+
+    def _node_crashed(self, node_id: int, lost: List[Job]) -> None:
+        detail = f"node {node_id} crashed"
         for job in lost:
-            job.enqueue_time = None
-            job.start_time = None
-            job.finish_time = None
-            job.run_node_id = None
-            self.tracker.job_lost(job, node_id, now)
-            self.ledger.transition(
-                job.job_id,
-                JobStatus.FAILED,
-                now=now,
-                node_id=None,
-                detail=f"node {node_id} crashed",
-            )
-        if self.tracer is not None:
-            self.tracer.emit(
-                now, "grid.crash", node=node_id, jobs_lost=len(lost)
-            )
-        if self.protocol is not None:
-            self.protocol.fail(node_id, now)
-        else:
-            self.overlay.fail(node_id)
-            self.overlay.claim_zones(node_id)
-            self._on_node_detected(node_id, now)
-        return [job.job_id for job in lost]
-
-    def _on_node_detected(self, node_id: int, now: float) -> None:
-        latency, released = self.tracker.node_detected(node_id, now)
-        if latency is None:
-            return
-        if self.tracer is not None:
-            self.tracer.emit(
-                now,
-                "recovery.detected",
-                node=node_id,
-                latency=latency,
-                jobs=len(released),
-            )
-        for job in released:
-            self._resubmit(job)
-
-    def _resubmit(self, job: Job) -> None:
-        """The crash-recovery retry loop (FAILED -> RETRYING -> MATCHED)."""
-        policy = self.config.retry
-        attempts = self.tracker.begin_attempt(job.job_id)
-        if policy.exhausted(attempts):
-            self.tracker.job_abandoned(job.job_id)
-            # FAILED -> ABANDONED and RETRYING -> ABANDONED are both legal,
-            # so no intermediate transition is needed whichever state the
-            # budget ran out in
-            self.ledger.transition(
-                job.job_id,
-                JobStatus.ABANDONED,
-                now=self.clock.now,
-                attempts=attempts - 1,
-            )
-            self._forget(job.job_id)
-            if self._job_counter is not None:
-                self._job_counter.add("abandoned")
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.clock.now,
-                    "grid.job_abandoned",
-                    job=job.job_id,
-                    attempts=attempts - 1,
-                )
-            return
-        record = self.ledger.record(job.job_id)
-        if record.status is JobStatus.FAILED:
-            self.ledger.transition(
-                job.job_id,
-                JobStatus.RETRYING,
-                now=self.clock.now,
-                attempts=attempts,
-            )
-        node = self.matchmaker.place(job)
-        if node is None:
-            node = self._degraded_search(job)
-        if node is None:
-            delay = policy.delay(attempts, self._retry_rng)
-            self._retry_handles[job.job_id] = self.clock.schedule_callback(
-                delay, lambda j=job: self._retry_tick(j)
-            )
-            return
-        self.tracker.job_resubmitted(job.job_id, self.clock.now)
-        self.ledger.transition(
-            job.job_id,
-            JobStatus.MATCHED,
-            now=self.clock.now,
-            node_id=node.node_id,
-        )
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.clock.now,
-                "grid.job_resubmit",
-                job=job.job_id,
-                attempt=attempts,
-            )
-        node.submit(job)
-
-    def _degraded_search(self, job: Job) -> Optional[GridNode]:
-        """Bounded ring search when the aggregates are stale (see faulty.py)."""
-        policy = self.config.retry
-        if not policy.ring_fallback or self.config.scheme == "central":
-            return None
-        if not self.aggregation.is_stale():
-            return None
-        coord = self.space.job_coordinate(job, float(self._retry_rng.random()))
-        origin = self.overlay.locate_owner(coord)
-        candidates = expanding_ring_search(
-            self.overlay, self.grid_nodes, origin, job, policy.ring_budget
-        )
-        if not candidates:
-            return None
-        chosen = fastest_dominant_clock(candidates, job)
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.clock.now,
-                "recovery.fallback",
-                job=job.job_id,
-                node=chosen.node_id,
-                candidates=len(candidates),
-            )
-        return chosen
+            self._edge(job.job_id, JobStatus.FAILED, node_id=None, detail=detail)
 
     # -- cancel / queries --------------------------------------------------------
     def cancel(self, job_id: int) -> None:
@@ -557,12 +365,10 @@ class GridService:
                 raise CancelError(
                     f"job {job_id} is no longer queued; cannot cancel"
                 )
-        if job_id in self.tracker.pending:
-            # a crash recovery resolved by the user: ledger says CANCELLED,
-            # the tracker books it with the abandonments (resolved without
-            # resubmission) so its loss identity keeps balancing
-            self.tracker.job_abandoned(job_id)
-        self.ledger.transition(job_id, JobStatus.CANCELLED, now=self.clock.now)
+        self._edge(job_id, JobStatus.CANCELLED)
+        # drops the pending retry; a crash recovery resolved by the user is
+        # booked with the tracker's abandonments (resolved without
+        # resubmission)
         self._forget(job_id)
         if self._job_counter is not None:
             self._job_counter.add("cancelled")
@@ -575,7 +381,7 @@ class GridService:
         queued = sum(
             node.queued_jobs() for node in self.grid_nodes.values()
         )
-        return queued + len(self._retry_handles)
+        return queued + len(self.recovery.timers)
 
     def running_jobs(self) -> int:
         return sum(node.running_jobs() for node in self.grid_nodes.values())
@@ -591,7 +397,7 @@ class GridService:
     def health(self) -> Dict:
         counts = self.ledger.counts()
         return {
-            "status": "ok",
+            "status": "ok" if self.grid_nodes else "no nodes",
             "now": self.clock.now,
             "scheme": self.config.scheme,
             "population": len(self.grid_nodes),

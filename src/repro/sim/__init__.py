@@ -10,7 +10,6 @@ from .core import (
     Timeout,
 )
 from .monitor import Counter, TimeSeries, TimeWeighted
-from .queues import FifoStore, PriorityStore, Resource
 from .rng import RngRegistry
 
 __all__ = [
@@ -26,8 +25,5 @@ __all__ = [
     "Counter",
     "TimeSeries",
     "TimeWeighted",
-    "FifoStore",
-    "PriorityStore",
-    "Resource",
     "RngRegistry",
 ]

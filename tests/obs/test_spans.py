@@ -1,7 +1,5 @@
 """Causal span reconstruction: hand-built streams, live sims, CLI."""
 
-import os
-
 import pytest
 
 from repro.gridsim import (
@@ -109,6 +107,40 @@ class TestHandBuiltStreams:
         ])
         assert b.validate() == []
         assert b.root(4).status == "abandoned"
+
+    def test_two_crashes_keep_their_own_detection(self):
+        """The live service's stream: ``grid.job_lost`` names the node, the
+        ledger's FAILED edge (which clears ``node_id``) follows it.  Each
+        job's detect span must close on *its* node's detection, not on the
+        first detection of anything."""
+        b = build_spans([
+            {"t": 0.0, "type": "service.submit", "job": 1},
+            {"t": 0.0, "type": "service.job_status", "job": 1, "frm": "SUBMITTED", "to": "MATCHED", "node": 7},
+            {"t": 0.0, "type": "service.submit", "job": 2},
+            {"t": 0.0, "type": "service.job_status", "job": 2, "frm": "SUBMITTED", "to": "MATCHED", "node": 9},
+            {"t": 10.0, "type": "grid.crash", "node": 7, "jobs_lost": 1},
+            {"t": 10.0, "type": "grid.job_lost", "job": 1, "node": 7},
+            {"t": 10.0, "type": "service.job_status", "job": 1, "frm": "MATCHED", "to": "FAILED"},
+            {"t": 20.0, "type": "grid.crash", "node": 9, "jobs_lost": 1},
+            {"t": 20.0, "type": "grid.job_lost", "job": 2, "node": 9},
+            {"t": 20.0, "type": "service.job_status", "job": 2, "frm": "MATCHED", "to": "FAILED"},
+            {"t": 100.0, "type": "recovery.detected", "node": 7, "latency": 90.0, "jobs": 1},
+            {"t": 100.0, "type": "grid.job_resubmit", "job": 1, "attempt": 1},
+            {"t": 400.0, "type": "recovery.detected", "node": 9, "latency": 380.0, "jobs": 1},
+            {"t": 400.0, "type": "grid.job_resubmit", "job": 2, "attempt": 1},
+        ])
+        by_job = {
+            job: {s.kind: s for s in b.job_spans(job)} for job in (1, 2)
+        }
+        for job, node, detected_at, latency in ((1, 7, 100.0, 90.0), (2, 9, 400.0, 380.0)):
+            spans = by_job[job]
+            assert [s.kind for s in b.job_spans(job)].count("crash") == 1
+            assert spans["crash"].attrs == {"node": node}
+            assert spans["detect"].end == detected_at
+            assert spans["detect"].attrs == {"node": node, "latency": latency}
+            assert spans["detect"].status == "detected"
+            assert spans["retry"].start == detected_at
+            assert spans["retry"].attrs["node"] == node
 
     def test_incomplete_trace_reports_problems(self):
         b = build_spans(HAPPY_PATH[:-1])  # no finish

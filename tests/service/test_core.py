@@ -214,6 +214,75 @@ class TestNodeCrash:
         check_service_accounting(service, final=True)
 
 
+    @pytest.mark.parametrize("heartbeat", [True, False], ids=["heartbeat", "inline"])
+    def test_total_loss_abandons_instead_of_raising(self, heartbeat):
+        """Fail closed: crash every node.  A grid with no node left has no
+        candidate, so each lost job backs off and is abandoned on budget;
+        nothing raises out of ``fail_node`` or out of a clock callback (the
+        heartbeat tick would not be re-armed), and the rounds keep coming."""
+        env, service = build_service(heartbeat=heartbeat)
+        service.start()
+        ids = [service.submit(spec) for spec in preset_specs(30)]
+        env.run(until=env.now + 1.0)
+        for node_id in sorted(service.grid_nodes):
+            service.fail_node(node_id)
+        assert service.health()["population"] == 0
+        assert service.health()["status"] != "ok"
+        rounds = service.protocol._round if heartbeat else None
+        period = TINY_LOAD.heartbeat_period
+        env.run(until=env.now + 8.5 * period)
+        if heartbeat:
+            assert service.protocol._round == rounds + 8
+        env.run(until=HORIZON)
+        assert service.quiesced()
+        counts = service.ledger.counts()
+        assert counts[JobStatus.ABANDONED] + counts[JobStatus.COMPLETED] == len(ids)
+        assert counts[JobStatus.ABANDONED] > 0
+        assert service.tracker.balances() and not service.tracker.has_pending()
+        check_service_accounting(service, final=True)
+
+    def test_recovery_metrics_are_the_simulators(self):
+        """The shared loop records on the service what it records on the
+        faulty grid: both latency sketches and the recovery event counter."""
+        from repro.obs.registry import MetricsRegistry
+
+        env = Environment()
+        clock = SimClock(env)
+        metrics = MetricsRegistry()
+        service = GridService(
+            ServiceConfig(preset=TINY_LOAD, heartbeat=False),
+            open_ledger(None, clock=clock),
+            clock,
+            metrics=metrics,
+        )
+        service.start()
+        [service.submit(spec) for spec in preset_specs(10)]
+        env.run(until=env.now + 1.0)
+        victim = max(
+            service.grid_nodes.values(),
+            key=lambda n: n.queued_jobs() + n.running_jobs(),
+        )
+        # the first placement after the crash misses: the aggregates are
+        # stale, so the loop's ring search takes over
+        real_place, missed = service.matchmaker.place, []
+
+        def flaky_place(job):
+            if not missed:
+                missed.append(job.job_id)
+                return None
+            return real_place(job)
+
+        service.matchmaker.place = flaky_place
+        lost = service.fail_node(victim.node_id)
+        assert lost and missed
+        snapshot = metrics.snapshot(now=clock.now)
+        assert snapshot["recovery.events"]["counts"] == {
+            "detections": 1, "ring_fallbacks": 1,
+        }
+        assert snapshot["recovery.detection_latency"]["count"] == 1
+        assert snapshot["recovery.resubmission_latency"]["count"] == len(lost)
+
+
 class TestRestartRecovery:
     def test_orphans_recovered_from_persistent_ledger(self, tmp_path):
         path = str(tmp_path / "ledger.sqlite")

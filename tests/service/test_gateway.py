@@ -174,6 +174,60 @@ class TestEndToEnd:
                 JobStatus.ABANDONED,
             )
 
+    def test_chaos_recovery_shows_in_metrics(self, trace_jobs):
+        """The service records what the faulty grid does, for the same reason:
+        one loop.  After a crash with work on it, ``GET /metrics`` carries both
+        recovery latency sketches and the recovery event counter."""
+
+        def scenario(client, service):
+            ids = [client.submit(j) for j in trace_jobs[:15]]
+            lost = []
+            for view in map(client.status, ids):
+                if view.status is JobStatus.RUNNING and view.node_id is not None:
+                    lost = client.fail_node(view.node_id)
+                    if lost:
+                        break
+            client.wait(ids, timeout=60.0)
+            scraped = raw_get(client.host, client.port, "/metrics?format=prom")
+            return lost, client.metrics(), scraped[1]
+
+        lost, payload, text = run_gateway(scenario, metrics=MetricsRegistry())
+        assert lost, "no running job was found to crash"
+        monitors = payload["monitors"]
+        assert monitors["recovery.events"]["counts"]["detections"] >= 1
+        # the counter ring_fallbacks is counted on (zero or more in this run)
+        assert monitors["recovery.events"]["kind"] == "counter"
+        assert monitors["recovery.detection_latency"]["count"] >= 1
+        resolved = monitors["recovery.resubmission_latency"]["count"]
+        abandoned = payload["jobs"].get("ABANDONED", 0)
+        assert resolved + abandoned >= len(lost)
+        assert "repro_recovery_detection_latency" in text
+        assert "repro_recovery_resubmission_latency" in text
+
+    def test_total_loss_fails_closed(self, trace_jobs):
+        """``POST /nodes/<id>/fail`` for every node: all answer 200, nothing
+        reaches the loop's exception handler (``run_gateway`` asserts it),
+        every job ends terminal, the heartbeat keeps ticking and ``/health``
+        stops saying "ok" about a grid of zero nodes."""
+
+        def scenario(client, service):
+            ids = [client.submit(j) for j in trace_jobs[:30]]
+            for node_id in sorted(service.grid_nodes):
+                client.fail_node(node_id)
+            rounds = service.protocol._round
+            views = client.wait(ids, timeout=60.0)
+            return views, client.health(), service.protocol._round - rounds
+
+        views, health, rounds = run_gateway(scenario)
+        assert all(v.terminal for v in views.values())
+        assert {v.status for v in views.values()} <= {
+            JobStatus.ABANDONED, JobStatus.COMPLETED,
+        }
+        assert health["population"] == 0 and health["status"] != "ok"
+        assert set(health["jobs"]) <= {"ABANDONED", "COMPLETED"}
+        # the retry budget alone spans ~30 heartbeat periods
+        assert rounds >= 8
+
 
 class TestHttpErrors:
     def test_unknown_job_is_404(self, trace_jobs):

@@ -1,13 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.core import (
-    Environment,
-    Event,
-    SimulationError,
-    Timeout,
-)
+from repro.sim.core import Environment, SimulationError
 
 
 class TestEnvironmentBasics:
@@ -90,6 +87,17 @@ class TestEventOrdering:
             env.schedule_callback(delay, lambda d=delay: order.append(d))
         env.run()
         assert order == [1.0, 2.0, 3.0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(delays=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30))
+    def test_events_fire_in_time_order(self, delays):
+        env = Environment()
+        fired = []
+        for d in delays:
+            env.schedule_callback(d, lambda d=d: fired.append(d))
+        env.run()
+        assert fired == sorted(fired)
+        assert env.now == max(delays)
 
     def test_deterministic_replay(self):
         def trace():
