@@ -7,7 +7,15 @@ take-over, per-dimension load aggregation, and the three heartbeat schemes
 """
 
 from .aggregation import AggregationEngine, FIELDS
-from .coverage import Face, face_of, find_gaps, has_gap, uncovered_fraction, union_measure
+from .coverage import (
+    Face,
+    face_of,
+    find_gaps,
+    has_gap,
+    have_gaps,
+    uncovered_fraction,
+    union_measure,
+)
 from .geometry import Zone
 from .heartbeat import (
     HeartbeatProtocol,
@@ -37,6 +45,7 @@ __all__ = [
     "face_of",
     "find_gaps",
     "has_gap",
+    "have_gaps",
     "uncovered_fraction",
     "union_measure",
     "HeartbeatProtocol",

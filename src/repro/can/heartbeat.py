@@ -25,11 +25,12 @@ times between rounds.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..net import NetworkModel
+from ..obs.profiling import NULL_PROFILER
 from ..overlay.base import HeartbeatScheme, MaintenanceProtocol, ProtocolConfig
-from .coverage import has_gap
+from .coverage import have_gaps
 from .messages import MessageType
 from .neighbor import _NEG_INF, BeliefRecord, NeighborTable, TableSnapshot
 from .overlay import CanOverlay, Transfer
@@ -125,6 +126,9 @@ class ProtocolNode:
     def bump_version(self) -> None:
         self.own_version += 1
         self._record_cache = None
+        # every entry was written under an older own_version, and
+        # own_version only grows: none can match again
+        self._non_abutting.clear()
         if self._version_sink is not None:
             self._version_sink(self.own_version)
 
@@ -152,6 +156,10 @@ class HeartbeatProtocol(MaintenanceProtocol):
         #: per-round coverage check needs to visit (kept in lock-step with
         #: the per-node flags by the ProtocolNode.gap_dirty property)
         self._gap_dirty_ids: Set[int] = set()
+        #: coverage verdicts decided without geometry (:meth:`_tiled`) and
+        #: by the coverage kernel; plain ints, in no digest or manifest
+        self.gap_verdicts_proved = 0
+        self.gap_verdicts_measured = 0
 
     # ------------------------------------------------------------------ topology --
     def _new_node(self, node_id: int) -> ProtocolNode:
@@ -300,15 +308,27 @@ class HeartbeatProtocol(MaintenanceProtocol):
         )
         miss = _MISS
         period = self.config.period
+        #: the turn's channel verdicts, full targets then compact ones (the
+        #: order they are sent in); None on the ideal channel
+        lats = None
+        if net is not None:
+            prof = self.profiler if self.profiler is not None else NULL_PROFILER
+            with prof.scope("hb.exchange.channel"):
+                lats = net.transmit_many(
+                    node_id, [*full_targets, *compact_targets], now
+                )
+        observed = self.tracer is not None or self._net_sketch is not None
         #: receivers whose copy of the table needs a merge, and from which
         #: sender-table epoch on (-1: all of it)
         merge_at: List[ProtocolNode] = []
         merge_since: List[int] = []
         # one snapshot serves the turn: deliveries only change receivers
         snap = sender.table.snapshot() if full_targets else None
-        for target_id in full_targets:
-            if net is not None:
-                lat = self._transmit(node_id, target_id, now)
+        for i, target_id in enumerate(full_targets):
+            if lats is not None:
+                lat = lats[i]
+                if observed:
+                    self._report(node_id, target_id, lat, now)
                 if lat is None:
                     continue  # dropped in flight (sender still paid bytes)
                 if lat > period:
@@ -332,9 +352,11 @@ class HeartbeatProtocol(MaintenanceProtocol):
                 merge_since.append(since)
         if merge_at:
             self._merge_live(sender, snap, merge_at, merge_since, now)
-        for target_id in compact_targets:
-            if net is not None:
-                lat = self._transmit(node_id, target_id, now)
+        for i, target_id in enumerate(compact_targets, len(full_targets)):
+            if lats is not None:
+                lat = lats[i]
+                if observed:
+                    self._report(node_id, target_id, lat, now)
                 if lat is None:
                     continue
                 if lat > period:
@@ -636,35 +658,87 @@ class HeartbeatProtocol(MaintenanceProtocol):
         replies change none of the inputs.
         """
         pnode = self.nodes[node_id]
-        key = (
+        memo = pnode._gap_memo
+        if memo is None or memo[0] != self._gap_key(pnode):
+            self._decide_gaps((pnode,))
+            memo = pnode._gap_memo
+        return memo[1]
+
+    def _gap_key(self, pnode: ProtocolNode) -> Tuple:
+        return (
             self._now,
             self.overlay.topology_version,
             pnode.table.epoch,
             pnode.own_version,
         )
-        memo = pnode._gap_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        verdict = self._detects_gap_uncached(node_id, pnode)
-        pnode._gap_memo = (key, verdict)
-        return verdict
 
-    def _detects_gap_uncached(self, node_id: int, pnode: ProtocolNode) -> bool:
-        if self.config.detection == "oracle":
-            return bool(self._missing_neighbors(node_id))
-        believed = [z for rec in pnode.table.records() for z in rec.zones]
-        # a just-removed (suspected-failed) neighbor's zone is not a broken
-        # link yet: its predetermined take-over is in flight
-        believed += pnode.table.grace_zones(
-            self._now, self.config.failure_timeout
-        )
+    def _decide_gaps(self, pnodes: Sequence[ProtocolNode]) -> None:
+        """Memoise the verdict of every node given that has none for its
+        current state.  The coverage check's is proved where the overlay's
+        pair counters allow (:meth:`_tiled`) and measured otherwise, all
+        such nodes in one :func:`~repro.can.coverage.have_gaps` call."""
+        oracle = self.config.detection == "oracle"
+        measure: List[Tuple[ProtocolNode, Tuple]] = []
+        for pnode in pnodes:
+            key = self._gap_key(pnode)
+            memo = pnode._gap_memo
+            if memo is not None and memo[0] == key:
+                continue
+            if oracle:
+                missing = self._missing_neighbors(pnode.node_id)
+                pnode._gap_memo = (key, bool(missing))
+            elif self._tiled(pnode):
+                pnode._gap_memo = (key, False)
+                self.gap_verdicts_proved += 1
+            else:
+                measure.append((pnode, key))
+        if not measure:
+            return
+        self.gap_verdicts_measured += len(measure)
+        zones_of = self.overlay.zones_of
+        grace = self.config.failure_timeout
         dims = self.overlay.space.dims
-        return has_gap(
-            self.overlay.zones_of(node_id),
-            believed,
+        verdicts = have_gaps(
+            [
+                (
+                    zones_of(pnode.node_id),
+                    [z for rec in pnode.table.records() for z in rec.zones]
+                    # a just-removed (suspected-failed) neighbor's zone is
+                    # not a broken link yet: its predetermined take-over
+                    # is in flight
+                    + pnode.table.grace_zones(self._now, grace),
+                )
+                for pnode, _ in measure
+            ],
             [0.0] * dims,
             [1.0] * dims,
         )
+        for (pnode, key), verdict in zip(measure, verdicts):
+            pnode._gap_memo = (key, verdict)
+
+    def _tiled(self, pnode: ProtocolNode) -> bool:
+        """Can the coverage check only answer "no gap" for this node?
+
+        Yes when every ground-truth neighbor — ghosts included: they hold
+        their zones until claimed — is believed at its current version
+        while still a member: such a record's zones *are* the subject's
+        zones (the condition :meth:`_record_relevant` trusts), so the
+        believed zones contain the partition's own tiling of every interior
+        face of the node's zones.  Whatever else is believed, stale or in
+        its grace period, only adds area, and the check sums.
+        """
+        nodes = self.nodes
+        members = self.overlay.members
+        believed = pnode.table.get
+        for nid in self.overlay.neighbor_ids(pnode.node_id):
+            record = believed(nid)
+            if (
+                record is None
+                or nid not in members
+                or record.version != nodes[nid].own_version
+            ):
+                return False
+        return True
 
     # -- metrics -----------------------------------------------------------------------
     def _missing_neighbors(self, node_id: int) -> Set[int]:

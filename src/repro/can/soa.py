@@ -688,6 +688,9 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         self._streak_seen: Optional[np.ndarray] = None
         #: rounds whose exchange ran without the per-sender loop
         self.settled_rounds = 0
+        #: ((topology version, struct_gen), total) of the last broken-link
+        #: count — see :meth:`count_broken_links`
+        self._broken_total: Optional[Tuple[Tuple[int, int], int]] = None
 
     # -- node lifecycle -------------------------------------------------------
     def _new_node(self, node_id: int) -> ProtocolNode:
@@ -1167,6 +1170,21 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             pnode = self.nodes.get(node_id)
             if pnode is not None:
                 self._detect_failures_at(pnode, now, timeout)
+
+    # -- metrics --------------------------------------------------------------
+    def count_broken_links(self) -> int:
+        """The inherited count, skipped while nothing it reads can have moved.
+
+        It reads who is a member and who is alive, the ground-truth
+        neighborhoods, and which ids each table believes.  The overlay bumps
+        ``topology_version`` on every join, crash and transfer; the store
+        bumps ``struct_gen`` on every row or slot allocated or freed.
+        """
+        key = (self.overlay.topology_version, self.store.struct_gen)
+        cached = self._broken_total
+        if cached is None or cached[0] != key:
+            cached = self._broken_total = (key, super().count_broken_links())
+        return cached[1]
 
 
 def protocol_class(network: Optional[NetworkModel]) -> type:

@@ -265,9 +265,11 @@ def _check_network(protocol) -> None:
     """Channel accounting: every attempted send delivered xor dropped.
 
     Holds mid-flight under any scenario (loss, partitions, flap storms):
-    the network model counts verdicts at the single transmit choke point,
-    so a send path that bypassed the channel or double-counted a verdict
-    shows up as an accounting leak here.
+    the network model has two entry points (``transmit``, and
+    ``transmit_many`` for a sender's turn or a fan-out at once) with one
+    verdict order, and both have counted every verdict by the time they
+    return, so a send path that bypassed the channel or double-counted a
+    verdict shows up as an accounting leak here.
     """
     net = getattr(protocol, "net", None)
     if net is None or net.is_identity:

@@ -414,7 +414,9 @@ class MaintenanceProtocol:
 
         Heartbeats (full and compact), join/take-over notifies, and the
         adaptive scheme's full-update requests and replies all go through
-        ``model.transmit``.  Connection-oriented handshakes stay reliable
+        the model: a sender's turn of heartbeats and a notify fan-out as
+        one ``transmit_many``, the request/reply pairs send by send.
+        Connection-oriented handshakes stay reliable
         by design: the join reply and the graceful-leave hand-off model
         acknowledged transfers, not fire-and-forget datagrams.  ``None``
         (or the identity model) restores the ideal channel with no RNG
@@ -425,18 +427,26 @@ class MaintenanceProtocol:
     def _transmit(self, src: int, dst: int, now: float) -> Optional[float]:
         """Send one message through the channel: None = dropped in flight.
 
-        The obs wiring lives here so every send path reports identically:
-        drops emit a ``net.drop`` trace event, deliveries stream their
-        one-way latency into the ``net.delivery_latency`` sketch.
+        For a send whose verdict decides whether the next one happens (a
+        request and its reply, a heartbeat and its ack); a fan-out asks
+        ``net.transmit_many`` once and passes each verdict to
+        :meth:`_report` where it handles that send, so traces read the
+        same either way.
         """
         lat = self.net.transmit(src, dst, now)
+        self._report(src, dst, lat, now)
+        return lat
+
+    def _report(self, src: int, dst: int, lat: Optional[float], now: float) -> None:
+        """The obs wiring of one channel verdict, so every send path
+        reports identically: a drop emits a ``net.drop`` trace event, a
+        delivery streams its one-way latency into the
+        ``net.delivery_latency`` sketch."""
         if lat is None:
             if self.tracer is not None:
                 self.tracer.emit(now, "net.drop", src=src, dst=dst)
-            return None
-        if self._net_sketch is not None:
+        elif self._net_sketch is not None:
             self._net_sketch.insert(lat)
-        return lat
 
     def _deliverable(self, node_id: int) -> Optional[Any]:
         """Target of a message: None when it is dead or gone (message lost)."""
@@ -445,7 +455,7 @@ class MaintenanceProtocol:
         return self.nodes.get(node_id)
 
     def _send(self, src: int, dst: int, now: float) -> Optional[Any]:
-        """One notify/request datagram: the live receiver it reached, or None.
+        """One request datagram: the live receiver it reached, or None.
 
         A lost datagram is not retried here: heartbeats converge the
         neighborhood, a believer times the ghost out, a gap stays dirty.
@@ -457,15 +467,29 @@ class MaintenanceProtocol:
     def _notify(
         self, mtype: MessageType, src: int, targets: Sequence[int], now: float
     ) -> Iterator[Any]:
-        """Account a notify fan-out, then yield each live receiver it reaches."""
+        """Account a notify fan-out, then yield each live receiver it reaches.
+
+        The whole fan-out's channel verdicts are drawn before the first
+        receiver is yielded, so a caller must exhaust the iterator (all
+        three do) and must not send in between.
+        """
         self._record(
             now,
             mtype,
             self.config.size_model.notify_bytes(self.overlay.space.dims),
             len(targets),
         )
-        for target_id in targets:
-            receiver = self._send(src, target_id, now)
+        lats = (
+            None
+            if self.net.is_identity
+            else self.net.transmit_many(src, targets, now)
+        )
+        for i, target_id in enumerate(targets):
+            if lats is not None:
+                self._report(src, target_id, lats[i], now)
+                if lats[i] is None:
+                    continue  # lost in flight
+            receiver = self._deliverable(target_id)
             if receiver is not None:
                 yield receiver
 
@@ -639,10 +663,19 @@ class MaintenanceProtocol:
             and self._round % config.periodic_gap_check_every == 0
         )
         net_active = not self.net.is_identity
-        for node_id in self._gap_candidates(periodic):
-            pnode = self._deliverable(node_id)
-            if pnode is None:
-                continue
+        # nothing the loop does changes who is alive or what anyone
+        # believes (requests and replies only queue), so the candidates
+        # and all their verdicts can be settled before it starts
+        candidates = [
+            pnode
+            for pnode in map(self._deliverable, self._gap_candidates(periodic))
+            if pnode is not None
+        ]
+        prof = self.profiler if self.profiler is not None else NULL_PROFILER
+        with prof.scope("hb.gap_checks.verdicts"):
+            self._decide_gaps(candidates)
+        for pnode in candidates:
+            node_id = pnode.node_id
             if not self._needs_repair(pnode):
                 pnode.gap_dirty = False
                 pnode.gap_attempts = 0
@@ -734,9 +767,15 @@ class MaintenanceProtocol:
             return ids
         return [nid for nid in ids if self.nodes[nid].gap_dirty]
 
+    def _decide_gaps(self, pnodes: Sequence[Any]) -> None:
+        """Called with every live candidate before the repair loop asks
+        :meth:`_needs_repair` of each: a substrate whose verdicts are
+        cheaper by the batch decides them here and memoises (default:
+        nothing, each is decided when asked)."""
+
     def _needs_repair(self, pnode: Any) -> bool:
-        """Should this candidate request full updates?  Asked after the
-        detection-probability draw, so candidates fix the RNG order."""
+        """Should this candidate request full updates?  Asked in candidate
+        order, after :meth:`_decide_gaps` saw all of them."""
         return self._detects_gap(pnode.node_id)
 
     def _repair_targets(self, pnode: Any) -> Sequence[int]:

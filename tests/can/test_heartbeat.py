@@ -1,10 +1,12 @@
 """Unit and scenario tests for the heartbeat protocol engine."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import repro.can.coverage as coverage
 from repro.can.heartbeat import (
     HeartbeatProtocol,
     HeartbeatScheme,
@@ -13,10 +15,14 @@ from repro.can.heartbeat import (
 from repro.can.messages import MessageType
 from repro.can.overlay import CanOverlay
 from repro.can.space import ResourceSpace
+from repro.experiments.scenarios import scenario_config
 from repro.gridsim import ChurnSimulation
 from repro.gridsim.config import ChurnConfig
-from repro.gridsim.faults import FaultPlan
-from repro.net import LatencySpec, NetworkSpec
+from repro.gridsim.faults import FaultPlan, scenario_pack
+from repro.net import LatencySpec, NetworkModel, NetworkSpec
+from repro.overlay.base import MaintenanceProtocol
+from tests.can.hb_golden import CASES, GOLDEN_PATH, fingerprint
+from tests.can.test_coverage import oracle_has_gap
 
 
 def build_protocol(n=12, scheme=HeartbeatScheme.VANILLA, seed=0, **cfg_kwargs):
@@ -302,3 +308,197 @@ def test_departures_purge_stored_state(substrate, shape):
             assert set(node.processed_epoch) <= members
         else:
             assert set(node.stored_state) <= members
+
+
+# ------------------------------------------------ gap verdicts, by the round --
+def _lossy_adaptive(**overrides):
+    """The lossy golden's shape (tests/can/hb_golden.CASES) on adaptive."""
+    return ChurnConfig(
+        **{
+            **CASES["lossy"],
+            "scheme": HeartbeatScheme.ADAPTIVE,
+            "seed": 20110926,
+            **overrides,
+        }
+    )
+
+
+def _flap_storm():
+    scenario = {
+        s.name: s for s in scenario_pack(duration=3_600.0, nodes=40)
+    }["flap_storm"]
+    return scenario_config(
+        scenario, HeartbeatScheme.ADAPTIVE, "can", fast=True, seed=None
+    )
+
+
+class TestTilingProof:
+    """``_tiled`` answers for the coverage check without running it: armed
+    here (never in ``src/``) with the routine the kernel replaced."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            _lossy_adaptive(),
+            _flap_storm(),
+            # dense crashes on the ideal channel: take-overs, multi-zone
+            # owners, stale and grace zones (the array class)
+            ChurnConfig(
+                scheme=HeartbeatScheme.ADAPTIVE, seed=20110926, **CASES["fig7"]
+            ),
+        ],
+        ids=["lossy-golden", "flap-storm", "take-overs"],
+    )
+    def test_tiled_means_the_check_finds_no_gap(self, config, monkeypatch):
+        proved = []
+        tiled = HeartbeatProtocol._tiled
+
+        def armed(self, pnode):
+            verdict = tiled(self, pnode)
+            if verdict:
+                dims = self.overlay.space.dims
+                believed = [z for r in pnode.table.records() for z in r.zones]
+                believed += pnode.table.grace_zones(
+                    self._now, self.config.failure_timeout
+                )
+                proved.append(pnode.node_id)
+                assert not oracle_has_gap(
+                    self.overlay.zones_of(pnode.node_id),
+                    believed,
+                    [0.0] * dims,
+                    [1.0] * dims,
+                ), f"node {pnode.node_id} proved tiled, but has a gap"
+            return verdict
+
+        monkeypatch.setattr(HeartbeatProtocol, "_tiled", armed)
+        sim = ChurnSimulation(config)
+        sim.run()
+        proto = sim.protocol
+        assert proto.events["claims"] > 0
+        # the proof carries a real share, and the rest is measured
+        assert len(proved) == proto.gap_verdicts_proved > 50
+        assert proto.gap_verdicts_measured > 50
+
+    def _settled(self):
+        proto = build_protocol(14, HeartbeatScheme.ADAPTIVE)
+        run_rounds(proto, 2)
+        assert all(proto._tiled(p) for p in proto.nodes.values())
+        a, b = _adjacent_pair(proto)
+        return proto, proto.nodes[a], proto.nodes[b]
+
+    def test_a_record_one_version_behind_is_not_tiled(self):
+        proto, believer, subject = self._settled()
+        subject.bump_version()  # its zones may be anything now
+        assert not proto._tiled(believer)
+        believer.table.upsert(subject.own_record(proto.overlay), 120.0)
+        assert proto._tiled(believer)
+
+    def test_a_subject_that_left_the_members_is_not_tiled(self):
+        proto, believer, subject = self._settled()
+        # mid-departure: territory handed on, version not bumped anywhere yet
+        del proto.overlay.members[subject.node_id]
+        assert not proto._tiled(believer)
+
+    def test_a_missing_ghost_neighbor_is_not_tiled(self):
+        proto, believer, subject = self._settled()
+        proto.fail(subject.node_id, 130.0)
+        assert proto._tiled(believer)  # a ghost still holds its zones
+        believer.table.remove(subject.node_id, 130.0)
+        assert not proto._tiled(believer)
+        # ... although its grace zones keep the check itself quiet
+        proto._now = 130.0
+        assert not proto._detects_gap(believer.node_id)
+        assert proto.gap_verdicts_measured == 1
+
+    def test_oracle_detection_is_left_alone(self):
+        proto = build_protocol(14, HeartbeatScheme.ADAPTIVE, detection="oracle")
+        a, b = _adjacent_pair(proto)
+        _break_mutually(proto, a, b)
+        proto.nodes[a].gap_dirty = True
+        run_rounds(proto, 3)
+        assert proto.count_broken_links() == 0
+        assert proto.gap_verdicts_proved == proto.gap_verdicts_measured == 0
+
+
+@pytest.mark.parametrize("pass_zones", [1, 7, 16_384])
+def test_the_round_kernel_reads_the_same_in_any_pass_size(pass_zones, monkeypatch):
+    """A lossy adaptive run whose coverage kernel works in passes of 1, 7
+    and 16 384 candidate zones: same statistics, events and trace."""
+    monkeypatch.setattr(coverage, "_PASS_ZONES", pass_zones)
+    seen = fingerprint(_lossy_adaptive())
+    with open(GOLDEN_PATH) as fh:
+        assert seen == json.load(fh)["lossy.adaptive"]
+
+
+# ------------------------------------------ channel verdicts, by the turn --
+@pytest.mark.parametrize("substrate", ["can", "chord"])
+def test_every_notify_fan_out_is_exhausted(substrate, monkeypatch):
+    """``_notify`` draws its whole fan-out's channel verdicts before the
+    first receiver is yielded: a caller that stopped early would have drawn
+    for sends it never made.  All three callers (the join, CAN's and
+    Chord's take-over notify) run it to the end, on a lossy channel, under
+    joins, crashes with take-overs and graceful hand-offs."""
+    opened, exhausted = [], []
+    notify = MaintenanceProtocol._notify
+
+    def spy(self, mtype, src, targets, now):
+        opened.append(mtype)
+        yield from notify(self, mtype, src, targets, now)
+        exhausted.append(mtype)  # not reached by a closed generator
+
+    monkeypatch.setattr(MaintenanceProtocol, "_notify", spy)
+    for leave_mode in ("fail", "graceful"):
+        ChurnSimulation(
+            _lossy_adaptive(substrate=substrate, leave_mode=leave_mode)
+        ).run()
+    assert opened == exhausted
+    assert {MessageType.JOIN_NOTIFY, MessageType.TAKEOVER_NOTIFY} == set(opened)
+    assert opened.count(MessageType.TAKEOVER_NOTIFY) > 20
+
+
+def test_full_targets_draw_before_compact_targets():
+    """A sender's turn asks the channel once, for its full-table targets
+    followed by its compact ones — the order the sends were drawn in one by
+    one."""
+    proto = build_protocol(14, HeartbeatScheme.COMPACT)
+    asked = []
+
+    class Recording(NetworkModel):
+        __slots__ = ()
+
+        def transmit_many(self, src, dsts, now):
+            asked.append((src, list(dsts)))
+            return super().transmit_many(src, dsts, now)
+
+    proto.set_network(
+        Recording(NetworkSpec(loss=0.1), np.random.default_rng(3))
+    )
+    takeovers = proto._takeover_targets_map()
+    proto.run_round(60.0)
+    assert len(asked) == 14
+    for src, dsts in asked:
+        table = proto.nodes[src].table.sorted_ids()
+        full = [t for t in table if t in takeovers[src]]
+        assert full and dsts == full + [t for t in table if t not in full]
+
+
+# ------------------------------------------------------- small memo fixes --
+def test_the_non_abutting_memo_holds_one_generation():
+    """Entries written under an older ``own_version`` can never match again
+    (it only grows), so a version bump drops them: after two splits a
+    splitter's memo holds what it learned since the second one."""
+    proto = build_protocol(30, HeartbeatScheme.VANILLA, seed=4)
+    run_rounds(proto, 3)
+    splitter = max(proto.nodes.values(), key=lambda n: len(n._non_abutting))
+    assert splitter._non_abutting
+    for newcomer in (100, 101):
+        # a point of the splitter's zone: it is the one that splits
+        zone = proto.overlay.zones_of(splitter.node_id)[0]
+        coord = tuple(lo + 0.25 * (hi - lo) for lo, hi in zip(zone.lo, zone.hi))
+        before = splitter.own_version
+        proto.join(newcomer, coord, now=200.0)
+        assert splitter.own_version == before + 1
+        assert not splitter._non_abutting
+    run_rounds(proto, 2, start=240.0)
+    assert splitter._non_abutting
+    assert set(splitter._non_abutting.values()) == {splitter.own_version}

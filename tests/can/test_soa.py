@@ -14,10 +14,12 @@ from repro.can.soa import (
     build_protocol,
 )
 from repro.can.space import ResourceSpace
+from repro.gridsim import ChurnSimulation
 from repro.gridsim.config import ChurnConfig
 from repro.gridsim.faulty import FaultyGridConfig
 from repro.net import LatencySpec, NetworkSpec, PartitionSpec
-from tests.can.hb_golden import ENGINE_CLASSES, stored_payload
+from tests.can.hb_golden import CASES, ENGINE_CLASSES, stored_payload
+from tests.can.test_incremental_consistency import _brute_broken_links
 
 
 def rec(nid: int, version: int = 0) -> BeliefRecord:
@@ -386,3 +388,38 @@ print(before, "numpy.ma" in sys.modules)
         cwd=root, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
     )
     assert out.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        CASES["fig8"],  # sparse: most rounds settle, the total stands still
+        CASES["fig7"],  # dense: joins, crashes and take-overs every round
+        dict(CASES["fig7"], leave_mode="graceful"),
+    ],
+    ids=["sparse", "dense", "graceful"],
+)
+def test_the_cached_broken_link_total_is_a_recount(shape):
+    """The array class returns its previous total while ``topology_version``
+    and ``struct_gen`` stand still; recounted from scratch after every
+    round (and after the events in between), nothing else moves it."""
+    sim = ChurnSimulation(
+        ChurnConfig(scheme=HeartbeatScheme.ADAPTIVE, seed=20110926, **shape)
+    )
+    proto = sim.protocol
+    assert type(proto) is ArrayHeartbeatProtocol
+    run_round = proto.run_round
+    kept = []
+
+    def checked_round(now):
+        # what happened since the last round may not read the cached total
+        assert proto.count_broken_links() == _brute_broken_links(proto)
+        before = proto._broken_total
+        run_round(now)
+        assert proto.count_broken_links() == _brute_broken_links(proto)
+        assert proto.broken_links.values[-1] == _brute_broken_links(proto)
+        kept.append(proto._broken_total == before)
+
+    proto.run_round = checked_round
+    sim.run()
+    assert True in kept and False in kept

@@ -1,7 +1,11 @@
 """Unit tests for the deterministic network model (repro.net)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import (
     IDENTITY,
@@ -222,3 +226,109 @@ class TestAccounting:
             "dropped_partition",
             "dropped_link_down",
         }
+
+
+# ---------------------------------------------------- transmit_many ≡ loop --
+_LATENCIES = st.sampled_from(
+    [
+        None,
+        LatencySpec(kind="constant", low=3.5),
+        LatencySpec(kind="uniform", low=1.0, high=90.0),
+        LatencySpec(kind="lognormal", mu=math.log(20.0), sigma=1.0),
+    ]
+)
+_IDS = st.integers(0, 11)
+_PARTITIONS = st.lists(
+    st.builds(
+        PartitionSpec,
+        src=st.lists(_IDS, max_size=4).map(tuple),
+        dst=st.lists(_IDS, max_size=4).map(tuple),
+        start=st.sampled_from([0.0, 100.0]),
+        end=st.sampled_from([150.0, math.inf]),
+        symmetric=st.booleans(),
+    ),
+    max_size=2,
+).map(tuple)
+_FLAPS = st.lists(
+    st.builds(
+        FlapSpec,
+        down=st.sampled_from([30.0, 200.0]),
+        up=st.sampled_from([0.0, 45.0]),
+        fraction=st.sampled_from([0.3, 0.6, 1.0]),
+        start=st.sampled_from([0.0, 60.0]),
+    ),
+    max_size=2,
+).map(tuple)
+_SPECS = st.builds(
+    NetworkSpec,
+    loss=st.sampled_from([0.0, 0.05, 1.0]),
+    latency=_LATENCIES,
+    partitions=_PARTITIONS,
+    flaps=_FLAPS,
+    seed=st.integers(0, 3),
+)
+#: a run of sender turns: (src, dsts, now), empty and 1-element fan-outs too
+_TURNS = st.lists(
+    st.tuples(
+        _IDS,
+        st.lists(_IDS, max_size=9),
+        st.sampled_from([0.0, 59.0, 120.0, 149.0, 150.0, 700.0]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestTransmitMany:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_SPECS, turns=_TURNS, rng_seed=st.integers(0, 5))
+    def test_a_batch_is_the_loop_of_scalar_sends(self, spec, turns, rng_seed):
+        """Verdicts, counters, the loss stream's state and the latency cache
+        after ``transmit_many`` are those of ``transmit`` per destination."""
+        batch = spec.build(np.random.default_rng(rng_seed))
+        twin = spec.build(np.random.default_rng(rng_seed))
+        for src, dsts, now in turns:
+            expected = [twin.transmit(src, dst, now) for dst in dsts]
+            assert batch.transmit_many(src, dsts, now) == expected
+            # at every instant a checker can look
+            assert batch.attempts == batch.delivered + batch.dropped
+            assert batch.counters() == twin.counters()
+            assert batch._latency_cache == twin._latency_cache
+            assert (
+                batch._rng.bit_generator.state == twin._rng.bit_generator.state
+            )
+
+    def test_survivors_alone_draw(self):
+        """A send a partition or a flap cut consumes nothing of the loss
+        stream: the k survivors draw k uniforms, in their order."""
+        spec = NetworkSpec(
+            loss=0.5,
+            partitions=(PartitionSpec(src=(0,), dst=(2, 4)),),
+            flaps=(FlapSpec(down=50.0, up=50.0, fraction=0.5),),
+        )
+        model = spec.build(np.random.default_rng(11))
+        reference = np.random.default_rng(11)
+        dsts = list(range(1, 12))
+        verdicts = model.transmit_many(0, dsts, 10.0)
+        cut = model.drops["partition"] + model.drops["link_down"]
+        assert model.drops["partition"] == 2 and 0 < cut < len(dsts)
+        draws = reference.random(len(dsts) - cut)
+        assert reference.bit_generator.state == model._rng.bit_generator.state
+        survivors = [
+            dst
+            for dst in dsts
+            if dst not in (2, 4)
+            and not spec.flaps[0].link_down(0, dst, 10.0, spec.seed)
+        ]
+        assert [v is None for v in (verdicts[d - 1] for d in survivors)] == [
+            bool(u < 0.5) for u in draws
+        ]
+
+    def test_identity_batch_bypasses_accounting(self):
+        assert IDENTITY.transmit_many(1, [2, 3, 4], 100.0) == [0.0, 0.0, 0.0]
+        assert IDENTITY.transmit_many(1, [], 100.0) == []
+        assert IDENTITY.attempts == 0
+
+    def test_identity_is_decided_once(self):
+        assert IDENTITY.is_identity
+        assert not NetworkSpec(latency=LatencySpec(low=1.0)).build().is_identity
