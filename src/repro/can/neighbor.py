@@ -294,12 +294,6 @@ class NeighborTable:
             self._last_heard[record.node_id] = now
         return True
 
-    def touch(self, node_id: int, now: float) -> None:
-        """Record direct contact without new content."""
-        if node_id in self._records and now > self._last_heard.get(node_id, -1e30):
-            self._own_heard()
-            self._last_heard[node_id] = now
-
     def remove(self, node_id: int, now: Optional[float] = None) -> bool:
         """Drop an entry; with ``now``, remember its zones for a grace period
         (used when removing a *suspected-failed* neighbor whose zone will be
@@ -356,18 +350,3 @@ class NeighborTable:
             for nid, t in self._last_heard.items()
             if now - t > timeout and nid in self._records
         ]
-
-    def prune_non_abutting(self, own_zones: List[Zone]) -> List[int]:
-        """Drop believed neighbors whose zones no longer touch ours.
-
-        Called when our own zone set changes (split away, merged) and when a
-        neighbor advertises a moved zone.
-        """
-        gone = [
-            nid
-            for nid, rec in self._records.items()
-            if not rec.abuts_any(own_zones)
-        ]
-        for nid in gone:
-            self.remove(nid)
-        return gone

@@ -416,15 +416,6 @@ class ArrayNeighborTable(NeighborTable):
             self._heard_gen += 1
         return True
 
-    def touch(self, node_id: int, now: float) -> None:
-        s = self._slots.get(node_id)
-        if s is None:
-            return
-        store = self._store
-        if now > store.eh[s]:
-            store.eh[s] = now
-            self._heard_gen += 1
-
     # -- updates --------------------------------------------------------------
     def upsert(
         self,

@@ -40,7 +40,6 @@ from ..can.heartbeat import HeartbeatScheme, ProtocolConfig
 from ..model.job import Job
 from ..overlay import MaintenanceProtocol, SubstrateError, get_substrate
 from ..model.node import GridNode
-from ..sim.clock import SimClock
 from ..workload.jobs import JobDistribution
 from ..workload.nodes import NodeDistribution, generate_node_specs
 from .config import MatchmakingConfig
@@ -190,7 +189,7 @@ class FaultyGridSimulation(GridSimulation):
         self.recovery = RecoveryLoop(
             self,
             config.retry,
-            SimClock(self.env),
+            self.env,
             placed=self._job_recovered,
             abandoned=self._job_abandoned,
             detection_delay=config.detection_delay,

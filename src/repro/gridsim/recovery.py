@@ -182,9 +182,6 @@ class RecoveryTracker:
     def has_pending(self) -> bool:
         return bool(self.pending)
 
-    def awaiting_detection_count(self) -> int:
-        return sum(1 for r in self.pending.values() if r.awaiting_detection)
-
     def undetected_crashes(self) -> List[int]:
         return list(self._crash_times)
 

@@ -6,21 +6,19 @@ that queue can claim cores on *every* CE it requires (dedicated CEs must be
 idle, non-dedicated CEs need enough free cores).  Completions are scheduled
 on the node's clock; finishing a job re-dispatches the queues.
 
-The node is written against the :class:`~repro.sim.clock.Clock` seam —
-anything with a ``now`` property and ``schedule_callback(delay, fn)``.  A
-DES :class:`~repro.sim.core.Environment` satisfies it directly (virtual
-time), and the live service hands nodes an
-:class:`~repro.service.aclock.AsyncioClock` (dilated wall time); the job
-engine is identical under both.
+The node is written against the :class:`~repro.sim.clock.Clock` seam — a
+``now`` property and ``schedule_callback(delay, fn)``.  The simulators
+hand nodes their DES :class:`~repro.sim.core.Environment` (virtual time),
+the live service an :class:`~repro.service.aclock.AsyncioClock` (dilated
+wall time); the job engine is identical under both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.clock import Clock
-from ..sim.core import Environment
 from .ce import CESpec, ComputingElement, CPU_SLOT, specs_by_slot
 from .contention import ContentionModel
 from .job import Job
@@ -63,7 +61,7 @@ class GridNode:
     def __init__(
         self,
         spec: NodeSpec,
-        env: Union[Environment, Clock],
+        env: Clock,
         contention: Optional[ContentionModel] = None,
         on_job_finished: Optional[Callable[["GridNode", Job], None]] = None,
         on_job_started: Optional[Callable[["GridNode", Job], None]] = None,

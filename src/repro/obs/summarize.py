@@ -16,7 +16,7 @@ accounting by construction.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..analysis.tables import format_table
 from .trace import read_trace
@@ -38,20 +38,6 @@ class TraceSummary:
         self.total_events = 0
 
     # -- derived views ---------------------------------------------------------
-    def run_message_totals(self) -> List[Tuple[str, str, int, float]]:
-        """Rows of (run label, scheme, messages, kbytes)."""
-        rows = []
-        for label, info in self.runs.items():
-            rows.append(
-                (
-                    label,
-                    str(info.get("scheme", "?")),
-                    sum(info["messages"].values()),
-                    sum(info["bytes"].values()) / 1024.0,
-                )
-            )
-        return rows
-
     def heartbeat_volume_by_scheme(self) -> Dict[str, float]:
         """Scheme -> total heartbeat bytes (full + compact), summed over runs."""
         out: Dict[str, float] = {}

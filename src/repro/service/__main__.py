@@ -118,7 +118,11 @@ async def _run_serve(args) -> int:
         await gateway.stop()
         recorder.close(config={"scheme": args.scheme, "db": args.db})
         ledger.close()
-    return 0
+    failure = service.clock.failure
+    if failure is None:
+        return 0
+    print(f"clock stopped by {failure!r}", file=sys.stderr)
+    return 1
 
 
 async def _run_replay(args) -> int:

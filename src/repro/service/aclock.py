@@ -10,6 +10,12 @@ code in tens of milliseconds.
 
 Only this module (and the rest of :mod:`repro.service`) touches asyncio;
 the protocol modules import the seam, never the loop.
+
+A model that raises stops this clock as it stops a DES run.  An event loop
+logs what a callback raises and carries on, so the clock keeps the first
+exception in :attr:`AsyncioClock.failure` and runs no callback after it:
+periodic ticks end, pending timers lapse, and the gateway reports the
+failure instead of serving a half-updated grid.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ class AsyncioClock(Clock):
     across restarts).
     """
 
-    __slots__ = ("_loop", "dilation", "_t0", "_origin")
+    __slots__ = ("_loop", "dilation", "_t0", "_origin", "failure")
 
     def __init__(
         self,
@@ -45,6 +51,8 @@ class AsyncioClock(Clock):
         self.dilation = float(dilation)
         self._t0 = self._loop.time()
         self._origin = float(origin)
+        #: the exception that stopped this clock, if a callback raised
+        self.failure: Optional[Exception] = None
 
     @property
     def now(self) -> float:
@@ -55,5 +63,14 @@ class AsyncioClock(Clock):
     ) -> CallbackHandle:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        timer = self._loop.call_later(delay / self.dilation, fn)
+        timer = self._loop.call_later(delay / self.dilation, self._run, fn)
         return CallbackHandle(timer.cancel)
+
+    def _run(self, fn: Callable[[], Any]) -> None:
+        if self.failure is not None:
+            return
+        try:
+            fn()
+        except Exception as exc:
+            self.failure = exc
+            raise  # to the loop's exception handler, which logs it

@@ -5,10 +5,12 @@ service.  The overlay, aggregation engine, matchmakers, heartbeat
 protocol, and retry policy are the *same objects* the batch experiments
 use; :class:`GridService` only changes three things:
 
-* time comes from a :class:`~repro.sim.clock.Clock` — the DES kernel's
-  :class:`~repro.sim.clock.SimClock` in tests, an
+* time comes from a :class:`~repro.sim.clock.Clock` — a DES
+  :class:`~repro.sim.core.Environment` in tests, an
   :class:`~repro.service.aclock.AsyncioClock` under the gateway — so this
-  module contains no asyncio and no DES-vs-wall-clock branches;
+  module contains no asyncio and no DES-vs-wall-clock branches.  Neither
+  clock swallows an exception from this stack: the DES run raises it, the
+  asyncio clock stops on it and the gateway answers 503;
 * job state lives in the persistent :class:`~repro.service.ledger`
   (status transitions are the single source of truth; the in-memory
   :class:`~repro.model.job.Job` objects are a cache of it);

@@ -6,7 +6,7 @@ body; every response is ``Connection: close``).  The point of this module
 is not a web framework — it is that the *protocol stack underneath runs
 unchanged*: the gateway owns an :class:`~repro.service.aclock.AsyncioClock`
 and hands it to the same ``GridService``/heartbeat/matchmaker objects the
-DES drives with a :class:`~repro.sim.clock.SimClock`.
+DES drives with its :class:`~repro.sim.core.Environment`.
 
 Routes::
 
@@ -20,6 +20,11 @@ Routes::
 
 All handlers run on the event loop thread, so service state needs no
 locking; job execution "runs" as dilated-clock timers on the same loop.
+
+Fail closed: once a clock callback has raised, the clock runs nothing more
+(:attr:`~repro.service.aclock.AsyncioClock.failure`), ``GET /health``
+answers 503 with ``"status": "failed"`` and the exception, and
+``POST /jobs`` answers 503 — the grid state behind it stopped mid-update.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ _STATUS_PHRASES = {
     405: "Method Not Allowed",
     409: "Conflict",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 _MAX_BODY = 1 << 20  # 1 MiB; job specs are tiny
 
@@ -246,7 +252,7 @@ class Gateway:
                 return self._cancel(job_id)
             raise _HttpError(405, f"{method} not allowed on /jobs/<id>")
         if segments == ["health"] and method == "GET":
-            return 200, self.service.health()
+            return self._health()
         if segments == ["metrics"] and method == "GET":
             return self._metrics(query, headers or {})
         if (
@@ -270,7 +276,18 @@ class Gateway:
         return value
 
     # -- handlers ----------------------------------------------------------------
+    def _health(self) -> Tuple[int, Any]:
+        failure = self.service.clock.failure
+        if failure is None:
+            return 200, self.service.health()
+        return 503, {
+            **self.service.health(), "status": "failed", "error": repr(failure)
+        }
+
     def _submit(self, body: Optional[Dict]) -> Tuple[int, Any]:
+        failure = self.service.clock.failure
+        if failure is not None:
+            raise _HttpError(503, f"the grid clock stopped on {failure!r}")
         if not isinstance(body, dict):
             raise _HttpError(400, "job spec body required")
         if "requirements" not in body or "base_duration" not in body:

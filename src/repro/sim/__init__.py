@@ -1,12 +1,11 @@
-"""Discrete-event simulation kernel (SimPy-style, written from scratch)."""
+"""Discrete-event simulation kernel (written from scratch) and the Clock seam."""
 
-from .clock import CallbackHandle, Clock, SimClock
+from .clock import CallbackHandle, Clock
 from .core import (
     Environment,
     Event,
     Process,
     SimulationError,
-    StopSimulation,
     Timeout,
 )
 from .monitor import Counter, TimeSeries, TimeWeighted
@@ -15,12 +14,10 @@ from .rng import RngRegistry
 __all__ = [
     "CallbackHandle",
     "Clock",
-    "SimClock",
     "Environment",
     "Event",
     "Process",
     "SimulationError",
-    "StopSimulation",
     "Timeout",
     "Counter",
     "TimeSeries",

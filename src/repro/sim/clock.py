@@ -1,17 +1,17 @@
 """The clock/scheduler seam: protocol code runs on *a* clock, not *the* kernel.
 
-Historically every time-driven component held a full DES
-:class:`~repro.sim.core.Environment`.  The only things any of them actually
-use are three operations — read the current time, run a callback after a
-delay, run a callback periodically — so this module names that contract:
+What a time-driven component needs from its host is three operations —
+read the current time, run a callback after a delay, run a callback
+periodically — so this module names that contract:
 
-* :class:`Clock` — the abstract seam.  ``now`` is a property (matching
-  ``Environment.now``), :meth:`schedule_callback` mirrors
-  ``Environment.schedule_callback`` but returns a cancelable handle, and
-  :meth:`call_every` builds a periodic callback out of one-shot scheduling,
-  so backends only implement the two primitives.
-* :class:`SimClock` — the DES backend: a thin adapter over an
-  :class:`~repro.sim.core.Environment` (virtual time, deterministic order).
+* :class:`Clock` — the abstract seam.  ``now`` is a property,
+  :meth:`~Clock.schedule_callback` returns a cancelable handle, and
+  :meth:`~Clock.call_every` builds a periodic callback out of one-shot
+  scheduling, so backends only implement the two primitives.
+* The DES backend is the kernel itself:
+  :class:`~repro.sim.core.Environment` subclasses :class:`Clock` (virtual
+  time, deterministic order), so every batch simulation runs on the seam
+  by type.  The kernel imports this module, never the reverse.
 * The wall-clock backend lives in :mod:`repro.service.aclock`
   (:class:`~repro.service.aclock.AsyncioClock`, with a time-dilation
   factor); this module stays free of asyncio so the simulation kernel and
@@ -29,15 +29,16 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Optional
 
-__all__ = ["Clock", "CallbackHandle", "SimClock"]
+__all__ = ["Clock", "CallbackHandle"]
 
 
 class CallbackHandle:
     """Cancelable handle for a scheduled (or periodic) callback.
 
-    Cancellation is cooperative: backends that cannot unschedule (the DES
-    kernel's event queue is append-only) simply skip the callback when it
-    fires.  ``cancel`` is idempotent.
+    Cancellation is cooperative: a backend that cannot unschedule (the DES
+    kernel's queue is append-only, so its handle *is* the queued entry)
+    skips the callback when it fires.  ``cancel`` is idempotent, and a
+    no-op once the callback has run.
     """
 
     __slots__ = ("_cancelled", "_cancel_fn")
@@ -64,9 +65,8 @@ class CallbackHandle:
 class Clock(abc.ABC):
     """What time-driven protocol code needs from its host: nothing more.
 
-    The contract is deliberately shaped like the :class:`Environment`
-    surface the code already used (``now`` property, ``schedule_callback``),
-    so adopting the seam is a type change, not a rewrite.
+    Two primitives per backend; :meth:`call_every` is written once here, so
+    periodic callbacks behave identically on virtual and on wall time.
     """
 
     @property
@@ -75,9 +75,7 @@ class Clock(abc.ABC):
         """Current time in *model* seconds (virtual or dilated wall time)."""
 
     @abc.abstractmethod
-    def schedule_callback(
-        self, delay: float, fn: Callable[[], Any]
-    ) -> CallbackHandle:
+    def schedule_callback(self, delay: float, fn: Callable[[], Any]) -> CallbackHandle:
         """Run ``fn()`` once, ``delay`` model seconds from now."""
 
     def call_every(
@@ -108,29 +106,4 @@ class Clock(abc.ABC):
             period if start_delay is None else start_delay, tick
         )
         handle._chain(first.cancel)
-        return handle
-
-
-class SimClock(Clock):
-    """The DES backend: virtual time from an :class:`Environment`."""
-
-    __slots__ = ("env",)
-
-    def __init__(self, env) -> None:
-        self.env = env
-
-    @property
-    def now(self) -> float:
-        return self.env.now
-
-    def schedule_callback(
-        self, delay: float, fn: Callable[[], Any]
-    ) -> CallbackHandle:
-        handle = CallbackHandle()
-
-        def guarded() -> None:
-            if not handle.cancelled:
-                fn()
-
-        self.env.schedule_callback(delay, guarded)
         return handle

@@ -1,7 +1,5 @@
 """Unit tests for believed neighbor tables."""
 
-import pytest
-
 from repro.can.geometry import Zone
 from repro.can.neighbor import BeliefRecord, NeighborTable
 
@@ -93,21 +91,6 @@ class TestLifecycle:
         t.upsert(record(nid=2, lo=(0.0, 1.0), hi=(1.0, 2.0)), 80.0, heard=True)
         assert t.stale_ids(now=100.0, timeout=50.0) == [1]
 
-    def test_touch(self):
-        t = NeighborTable()
-        t.upsert(record(), 0.0, heard=True)
-        t.touch(1, 30.0)
-        assert t.last_heard(1) == 30.0
-        t.touch(99, 30.0)  # unknown: no-op
-
-    def test_prune_non_abutting(self):
-        t = NeighborTable()
-        t.upsert(record(nid=1), 0.0, heard=True)
-        t.upsert(record(nid=2, lo=(7.0, 7.0), hi=(8.0, 8.0)), 0.0, heard=True)
-        gone = t.prune_non_abutting(OWN)
-        assert gone == [2]
-        assert t.ids() == {1}
-
 
 class TestSnapshot:
     def test_snapshot_contents(self):
@@ -123,7 +106,7 @@ class TestSnapshot:
         t.upsert(record(), 0.0, heard=True)
         s1 = t.snapshot()
         assert t.snapshot() is s1  # cached
-        t.touch(1, 5.0)
+        assert t.heard_from(record(), 5.0)
         s2 = t.snapshot()
         assert s2 is not s1
         assert s2[1][1] == 5.0
@@ -141,7 +124,7 @@ class TestSnapshot:
         t.upsert(record(nid=1), 0.0, heard=True)
         snap = t.snapshot()
         t.upsert(record(nid=2, lo=(0.0, 1.0), hi=(1.0, 2.0)), 1.0, heard=True)
-        t.touch(1, 9.0)
+        assert t.heard_from(record(nid=1), 9.0)
         t.remove(1)
         assert list(snap) == [1]
         assert snap[1][1] == 0.0

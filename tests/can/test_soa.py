@@ -117,7 +117,7 @@ class TestArrayTableMatchesObjectTable:
             table.upsert(rec(1), now=1.0)
             snap = table.snapshot()
             table.upsert(rec(2), now=2.0)
-            table.touch(1, 50.0)
+            assert table.heard_from(rec(1), 50.0)
             assert list(snap.records) == [1]
             assert snap.heard == {1: 1.0}
             fresh = table.snapshot()

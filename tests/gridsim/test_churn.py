@@ -3,7 +3,7 @@
 import pytest
 
 from repro.can.heartbeat import HeartbeatScheme
-from repro.gridsim import ChurnConfig, ChurnSimulation, FaultPlan
+from repro.gridsim import ChurnConfig, ChurnSimulation, FaultPlan, invariants
 from repro.net import NetworkSpec
 
 
@@ -133,6 +133,25 @@ class TestInvariantsAndLoss:
         sim = ChurnSimulation(quick_config(leave_mode="graceful"))
         sim.run()
         sim.check_invariants()
+
+    def test_mid_run_violation_fails_the_run(self, monkeypatch):
+        """The oracle can fail a run: what the checker raises inside the
+        churn-event process leaves run(), at the event it was raised on."""
+        violation = invariants.InvariantViolation("seeded")
+        calls = []
+
+        def check(sim):
+            calls.append(sim.env.now)
+            if len(calls) == 3:
+                raise violation
+
+        monkeypatch.setattr(invariants, "check_churn_invariants", check)
+        sim = ChurnSimulation(quick_config(invariant_check_every=1))
+        with pytest.raises(invariants.InvariantViolation) as raised:
+            sim.run()
+        assert raised.value is violation
+        assert len(calls) == 3 and sim.env.now == calls[-1]
+        assert sum(sim.protocol.events.values()) < 45  # stopped, of ~120 due
 
     def test_message_loss_degrades_but_stays_consistent(self):
         sim = ChurnSimulation(quick_config(plan=lossy_plan(0.3)))

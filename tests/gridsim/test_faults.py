@@ -63,6 +63,20 @@ class TestInjection:
         assert sim._injector.crashes_injected == 3
         assert res.failures == 3  # background churn is off
 
+    def test_burst_that_raises_fails_the_run(self, monkeypatch):
+        plan = FaultPlan(bursts=(CrashBurst(at=500.0, count=3),))
+        sim = FaultyGridSimulation(quiet_config(faults=plan))
+        boom = RuntimeError("burst")
+
+        def crash(victim_id):
+            raise boom
+
+        monkeypatch.setattr(sim, "crash_node", crash)
+        with pytest.raises(RuntimeError) as raised:
+            sim.run()
+        assert raised.value is boom
+        assert sim.env.now == 500.0 and sim._injector.bursts_fired == 0
+
     def test_correlated_burst_takes_a_neighborhood(self):
         plan = FaultPlan(bursts=(CrashBurst(at=500.0, count=4, correlated=True),))
         tracer = Tracer()

@@ -1,16 +1,19 @@
 """Tests for matchmaking under churn (the faulty-grid extension)."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import repro.gridsim.faulty as faulty_module
 from repro.can.heartbeat import HeartbeatScheme
 from repro.gridsim import (
     DiurnalChurn,
     FaultPlan,
     FaultyGridConfig,
     FaultyGridSimulation,
+    InvariantViolation,
     MatchmakingConfig,
     RetryPolicy,
     check_matchmaking_accounting,
@@ -183,6 +186,43 @@ class TestProtocolDetection:
         )
         res = FaultyGridSimulation(cfg).run()
         assert res.failures > 0
+
+    def test_mid_run_violation_fails_the_run(self, monkeypatch):
+        """The oracle can fail a run: what the mid-run check raises inside
+        the heartbeat process leaves run(), at the round it was raised on.
+
+        A kernel that swallowed it would leave the heartbeat process dead,
+        crashes undetected and ``_work_remaining()`` true forever — hence
+        the worker thread and the wall-clock limit on joining it."""
+        violation = InvariantViolation("seeded")
+        period = TINY_LOAD.heartbeat_period
+        calls = []
+
+        def check(sim, final=False):
+            calls.append(sim.env.now)
+            if len(calls) == 3:
+                raise violation
+
+        monkeypatch.setattr(faulty_module, "check_faulty_invariants", check)
+        sim = FaultyGridSimulation(config(invariant_check_every=1))
+        raised = []
+
+        def run():
+            try:
+                sim.run()
+            except InvariantViolation as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=60.0)
+        if worker.is_alive():
+            sim._work_remaining = lambda: False  # let the dead run drain
+            worker.join(timeout=60.0)
+            pytest.fail("run() outlived a mid-run InvariantViolation")
+        assert raised == [violation]
+        assert calls == [period, 2 * period, 3 * period]
+        assert sim.env.now == 3 * period
 
     def test_work_remaining_counts_jobs_awaiting_detection(self):
         # Regression: jobs lost but not yet *detected* (no attempts on

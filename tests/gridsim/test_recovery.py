@@ -80,11 +80,11 @@ class TestRecoveryTracker:
         t.node_crashed(7, now=100.0)
         t.job_lost(_job(1), 7, now=100.0)
         t.job_lost(_job(2), 7, now=100.0)
-        assert t.awaiting_detection_count() == 2
+        assert [r.awaiting_detection for r in t.pending.values()] == [True, True]
         latency, released = t.node_detected(7, now=350.0)
         assert latency == 250.0
         assert [j.job_id for j in released] == [1, 2]
-        assert t.awaiting_detection_count() == 0
+        assert not any(r.awaiting_detection for r in t.pending.values())
         assert t.begin_attempt(1) == 1
         t.job_resubmitted(1, now=400.0)
         assert t.resubmission_latencies == [300.0]

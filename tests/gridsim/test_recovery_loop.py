@@ -23,7 +23,7 @@ from repro.obs.events import Tracer
 from repro.obs.registry import MetricsRegistry
 from repro.service.core import GridService, ServiceConfig
 from repro.service.ledger import JobStatus, open_ledger
-from repro.sim.clock import Clock, SimClock
+from repro.sim.clock import Clock
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 from repro.workload.presets import TINY_LOAD
@@ -254,7 +254,7 @@ class TestLoopContract:
         host.grid_nodes[0].submit(job)
         host.matchmaker.answers = [host.grid_nodes[2]]
         loop.crash(0)
-        assert loop.tracker.awaiting_detection_count() == 1
+        assert loop.tracker.undetected_crashes() == [0]
         driver.advance(20.0)
         assert host.matchmaker.calls == []
         driver.advance(60.0)
@@ -391,7 +391,7 @@ def _run_on_sim():
     )
     sim.recovery.detection_delay = 0.0  # the config refuses 0; the loop does not
     sim.aggregation.run_rounds(sim.config.aggregation_warmup_rounds)
-    SimClock(sim.env).call_every(
+    sim.env.call_every(
         TINY_LOAD.heartbeat_period, sim.aggregation.step
     )
     job_ids = []
@@ -420,7 +420,7 @@ def _run_on_service():
     tracer = Tracer()
     tracer.subscribe(seen.append)
     env = Environment()
-    clock = SimClock(env)
+    clock = env
     service = GridService(
         ServiceConfig(preset=TINY_LOAD, heartbeat=False, retry=RETRY),
         open_ledger(None, clock=clock),

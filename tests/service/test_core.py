@@ -10,7 +10,6 @@ from repro.gridsim.invariants import check_service_accounting
 from repro.gridsim.recovery import RetryPolicy
 from repro.service.core import CancelError, GridService, ServiceConfig
 from repro.service.ledger import JobLedger, JobStatus, SqliteBackend, open_ledger
-from repro.sim.clock import SimClock
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 from repro.workload.jobs import JobDistribution, generate_jobs
@@ -39,7 +38,7 @@ def preset_specs(jobs=20):
 
 def build_service(ledger=None, **config_kwargs):
     env = Environment()
-    clock = SimClock(env)
+    clock = env
     if ledger is None:
         ledger = open_ledger(None, clock=clock)
     else:
@@ -247,7 +246,7 @@ class TestNodeCrash:
         from repro.obs.registry import MetricsRegistry
 
         env = Environment()
-        clock = SimClock(env)
+        clock = env
         metrics = MetricsRegistry()
         service = GridService(
             ServiceConfig(preset=TINY_LOAD, heartbeat=False),
@@ -346,7 +345,7 @@ class TestHeartbeatClass:
         tracer = Tracer()
         tracer.subscribe(seen.append)
         env = Environment()
-        clock = SimClock(env)
+        clock = env
         GridService(
             ServiceConfig(preset=TINY_LOAD), open_ledger(None, clock=clock), clock,
             tracer=tracer,

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import json
+import signal
 import socket
+import time
 
 import pytest
 
@@ -26,15 +29,19 @@ from repro.workload.trace import load_jobs
 DILATION = 2_000.0
 
 
-def run_gateway(scenario, metrics=None, ledger_path=None, **config_kwargs):
+def run_gateway(
+    scenario, metrics=None, ledger_path=None, loop_errors=None, **config_kwargs
+):
     """Host a gateway on an ephemeral port; run ``scenario(client, service)``
     in a worker thread (the blocking client must stay off the loop).  No
-    scenario may leave an unhandled exception on the event loop.  The ledger
-    is in memory unless ``ledger_path`` names a sqlite file."""
+    scenario may leave an unhandled exception on the event loop, unless it
+    passes a ``loop_errors`` list to receive them.  The ledger is in memory
+    unless ``ledger_path`` names a sqlite file."""
+    expected = loop_errors is not None
+    loop_errors = loop_errors if expected else []
 
     async def main():
         loop = asyncio.get_running_loop()
-        loop_errors = []
         loop.set_exception_handler(
             lambda _loop, context: loop_errors.append(context)
         )
@@ -50,7 +57,7 @@ def run_gateway(scenario, metrics=None, ledger_path=None, **config_kwargs):
         finally:
             await gateway.stop()
         gc.collect()  # a never-retrieved task exception reports on collection
-        assert not loop_errors, loop_errors
+        assert expected or not loop_errors, loop_errors
         return result
 
     return asyncio.run(main())
@@ -227,6 +234,118 @@ class TestEndToEnd:
         assert set(health["jobs"]) <= {"ABANDONED", "COMPLETED"}
         # the retry budget alone spans ~30 heartbeat periods
         assert rounds >= 8
+
+
+def fail_second_round(service, boom):
+    """Make the heartbeat round raise ``boom`` on its 2nd call from now."""
+    rounds = []
+    run_round = service.protocol.run_round
+
+    def failing(now):
+        rounds.append(now)
+        if len(rounds) == 2:
+            raise boom
+        run_round(now)
+
+    service.protocol.run_round = failing
+    return rounds
+
+
+class TestClockFailure:
+    """A model that raises stops the wall clock as it stops a DES run."""
+
+    PERIOD_S = TINY_LOAD.heartbeat_period / DILATION
+
+    def test_raising_callback_stops_every_timer(self):
+        boom = RuntimeError("boom")
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop_errors = []
+            loop.set_exception_handler(lambda _loop, ctx: loop_errors.append(ctx))
+            clock = AsyncioClock(loop=loop, dilation=DILATION)
+            service = GridService(
+                ServiceConfig(preset=TINY_LOAD), open_ledger(None, clock=clock), clock
+            )
+            steps = []
+            step = service.aggregation.step
+            service.aggregation.step = lambda: (steps.append(clock.now), step())
+            service.start()
+            warmup = len(steps)
+            rounds = fail_second_round(service, boom)
+            late = []
+            clock.schedule_callback(
+                8 * TINY_LOAD.heartbeat_period, lambda: late.append(clock.now)
+            )
+            deadline = loop.time() + 30.0
+            while clock.failure is None and loop.time() < deadline:
+                await asyncio.sleep(self.PERIOD_S / 4)
+            await asyncio.sleep(10 * self.PERIOD_S)
+            service.stop()
+            return clock.failure, rounds, len(steps) - warmup, late, loop_errors
+
+        failure, rounds, steps, late, loop_errors = asyncio.run(main())
+        assert failure is boom
+        # the round that raised never ran a 3rd time, the other periodic
+        # timer ended with it, and a pending one-shot lapsed
+        assert len(rounds) == 2 and steps == 2 and late == []
+        # still reported the way the loop reports any callback's exception
+        assert [ctx["exception"] for ctx in loop_errors] == [boom]
+
+    def test_gateway_answers_503_once_the_clock_stopped(self, trace_jobs):
+        boom = RuntimeError("boom")
+
+        def scenario(client, service):
+            job_id = client.submit(trace_jobs[0])
+            fail_second_round(service, boom)
+            deadline = time.monotonic() + 30.0
+            while service.clock.failure is None and time.monotonic() < deadline:
+                time.sleep(self.PERIOD_S / 4)
+            with pytest.raises(ServiceError) as health:
+                client.health()
+            with pytest.raises(ServiceError) as submit:
+                client.submit(trace_jobs[1])
+            head, body = raw_get(client.host, client.port, "/health")
+            return health.value, submit.value, head, json.loads(body), (
+                client.status(job_id)  # queries keep answering
+            )
+
+        loop_errors = []
+        health, submit, head, body, view = run_gateway(
+            scenario, loop_errors=loop_errors
+        )
+        assert health.status == 503 and "RuntimeError('boom')" in health.message
+        assert submit.status == 503 and "RuntimeError('boom')" in submit.message
+        assert "503 Service Unavailable" in head
+        assert body["status"] == "failed" and body["error"] == repr(boom)
+        assert body["population"] == TINY_LOAD.nodes
+        assert view.job_id is not None
+        assert [ctx["exception"] for ctx in loop_errors] == [boom]
+
+    def test_serve_exits_nonzero_after_a_clock_failure(self, monkeypatch, capsys):
+        import repro.service.__main__ as cli
+
+        boom = RuntimeError("boom")
+        build = cli._build_stack
+
+        def build_and_break(args, loop):
+            stack = build(args, loop)
+            service = stack[2]
+
+            def bad():
+                raise boom
+
+            service.clock.schedule_callback(1.0, bad)
+            loop.call_later(0.2, signal.raise_signal, signal.SIGTERM)
+            loop.set_exception_handler(lambda _loop, _ctx: None)
+            return stack
+
+        monkeypatch.setattr(cli, "_build_stack", build_and_break)
+        code = cli.main(
+            ["serve", "--port", "0", "--preset", "tiny", "--dilation", str(DILATION)]
+        )
+        assert code == 1
+        assert "RuntimeError('boom')" in capsys.readouterr().err
 
 
 class TestHttpErrors:

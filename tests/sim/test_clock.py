@@ -7,7 +7,7 @@ import asyncio
 import pytest
 
 from repro.service.aclock import AsyncioClock
-from repro.sim.clock import CallbackHandle, Clock, SimClock
+from repro.sim.clock import CallbackHandle, Clock
 from repro.sim.core import Environment
 
 from ..conftest import cpu_job, make_grid_node
@@ -18,13 +18,12 @@ DILATION = 2_000.0
 
 
 class SimDriver:
-    """DES backend: advancing is running the kernel to a virtual time."""
+    """DES backend: the kernel is the clock; advancing is running it."""
 
     name = "sim"
 
     def __init__(self):
-        self.env = Environment()
-        self.clock = SimClock(self.env)
+        self.env = self.clock = Environment()
 
     def advance(self, model_seconds: float) -> None:
         self.env.run(until=self.env.now + model_seconds)
@@ -144,11 +143,10 @@ def test_asyncio_clock_origin_offsets_model_time():
 
 
 def test_environment_satisfies_the_seam_shape():
-    """GridNode and friends accept a bare Environment: same surface."""
+    """GridNode and friends accept a bare Environment: it is a Clock."""
     env = Environment()
-    assert hasattr(env, "now") and callable(env.schedule_callback)
-    clock = SimClock(env)
-    assert isinstance(clock, Clock)
+    assert isinstance(env, Clock)
+    assert isinstance(env.schedule_callback(1.0, lambda: None), CallbackHandle)
 
 
 def test_protocol_modules_stay_asyncio_free():

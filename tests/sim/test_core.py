@@ -66,11 +66,19 @@ class TestEnvironmentBasics:
         with pytest.raises(SimulationError):
             env.step()
 
-    def test_stop_from_callback(self, env):
-        env.schedule_callback(1.0, lambda: env.stop("halted"))
+    def test_raising_callback_stops_the_run(self, env):
+        boom = RuntimeError("boom")
+
+        def bad():
+            raise boom
+
+        env.schedule_callback(1.0, bad)
         env.schedule_callback(2.0, lambda: pytest.fail("must not run"))
-        assert env.run() == "halted"
-        assert env.now == 1.0
+        with pytest.raises(RuntimeError) as raised:
+            env.run(until=10.0)
+        assert raised.value is boom
+        assert env.now == 1.0  # neither past the failing entry nor at until
+        assert env.peek() == 2.0  # what was due later is still queued
 
 
 class TestEventOrdering:
@@ -99,6 +107,19 @@ class TestEventOrdering:
         assert fired == sorted(fired)
         assert env.now == max(delays)
 
+    def test_process_start_outranks_what_was_queued_first(self, env):
+        """The priority is part of the heap key, ahead of insertion order."""
+        order = []
+
+        def proc(env):
+            order.append("process")
+            yield env.timeout(0.0)
+
+        env.schedule_callback(0.0, lambda: order.append("callback"))
+        env.process(proc(env))
+        env.run()
+        assert order == ["process", "callback"]
+
     def test_deterministic_replay(self):
         def trace():
             env = Environment()
@@ -119,43 +140,6 @@ class TestEventOrdering:
 
 
 class TestEvents:
-    def test_succeed_delivers_value(self, env):
-        ev = env.event()
-        got = []
-
-        def proc(env, ev):
-            got.append((yield ev))
-
-        env.process(proc(env, ev))
-        env.schedule_callback(2.0, lambda: ev.succeed(42))
-        env.run()
-        assert got == [42]
-
-    def test_double_trigger_rejected(self, env):
-        ev = env.event()
-        ev.succeed(1)
-        with pytest.raises(SimulationError):
-            ev.succeed(2)
-
-    def test_fail_requires_exception(self, env):
-        with pytest.raises(TypeError):
-            env.event().fail("not an exception")
-
-    def test_fail_raises_in_process(self, env):
-        caught = []
-
-        def proc(env, ev):
-            try:
-                yield ev
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        ev = env.event()
-        env.process(proc(env, ev))
-        env.schedule_callback(1.0, lambda: ev.fail(RuntimeError("boom")))
-        env.run()
-        assert caught == ["boom"]
-
     def test_yield_already_processed_event(self, env):
         ev = env.timeout(0.5, value="early")
         got = []
@@ -184,42 +168,82 @@ class TestProcesses:
         env.run()
         assert parent_got == ["result"]
 
-    def test_exception_propagates_to_waiter(self, env):
+    def test_exception_in_process_stops_the_run(self, env):
+        """What a generator raises leaves run() as the same object, at the
+        simulated time it happened, with everything later still queued —
+        it is not delivered to whoever waits on the process."""
+        boom = ValueError("child died")
+        resumed = []
+
         def child(env):
             yield env.timeout(1.0)
-            raise ValueError("child died")
-
-        caught = []
+            raise boom
 
         def parent(env):
-            try:
-                yield env.process(child(env))
-            except ValueError as exc:
-                caught.append(str(exc))
+            yield env.process(child(env))
+            resumed.append(env.now)
 
-        env.process(parent(env))
-        env.run()
-        assert caught == ["child died"]
+        def bystander(env):
+            yield env.timeout(5.0)
 
-    def test_non_event_yield_fails_process(self, env):
+        waiting = env.process(parent(env))
+        env.process(bystander(env))
+        with pytest.raises(ValueError) as raised:
+            env.run(until=10.0)
+        assert raised.value is boom
+        assert env.now == 1.0
+        assert env.peek() == 5.0
+        assert resumed == [] and waiting.callbacks is not None
+
+    def test_non_event_yield_stops_the_run(self, env):
         def bad(env):
+            yield env.timeout(2.0)
             yield 42
 
-        proc = env.process(bad(env))
-        env.run()
-        assert not proc.ok
-        assert isinstance(proc.value, SimulationError)
+        env.process(bad(env), name="bad")
+        with pytest.raises(SimulationError, match="'bad' yielded a non-event: 42"):
+            env.run()
+        assert env.now == 2.0
 
     def test_non_generator_rejected(self, env):
         with pytest.raises(TypeError):
             env.process(lambda: None)
 
-    def test_is_alive(self, env):
-        def quick(env):
-            yield env.timeout(1.0)
 
-        proc = env.process(quick(env))
-        assert proc.is_alive
+class TestCallbacks:
+    """The heap entry is the handle; cancellation is read when it fires."""
+
+    def test_cancelled_entry_never_fires(self, env):
+        fired = []
+        handle = env.schedule_callback(1.0, lambda: fired.append("cancelled"))
+        env.schedule_callback(1.0, lambda: fired.append("kept"))
+        handle.cancel()
         env.run()
-        assert not proc.is_alive
+        assert fired == ["kept"]
+        assert env.now == 1.0
 
+    def test_cancel_after_firing_is_a_noop(self, env):
+        fired = []
+        handle = env.schedule_callback(1.0, lambda: fired.append(env.now))
+        env.run()
+        handle.cancel()
+        handle.cancel()
+        env.run(until=5.0)
+        assert fired == [1.0]
+
+    def test_call_every_stops_when_cancelled_inside_its_own_tick(self, env):
+        ticks = []
+
+        def tick():
+            ticks.append(env.now)
+            if len(ticks) == 3:
+                handle.cancel()
+
+        handle = env.call_every(10.0, tick)
+        env.run()  # returns: the cancelled timer left nothing queued
+        assert ticks == [10.0, 20.0, 30.0]
+        assert env.peek() == float("inf")
+
+    def test_negative_delay_rejected(self, env):
+        with pytest.raises(ValueError):
+            env.schedule_callback(-1.0, lambda: None)
