@@ -124,7 +124,7 @@ class ChordProtocolNode:
         self.gap_attempts = 0
         self._derived_cache: Optional[DerivedStructure] = None
         self._derived_epoch = -1
-        #: ids :meth:`~ChordMaintenanceProtocol._hear`/``_gossip`` inserted
+        #: ids :meth:`~ChordMaintenanceProtocol._hear`/``_absorb`` inserted
         #: since the cached derivation; when they account for every epoch
         #: bump since, nothing else happened to ``known``
         self._added: List[int] = []
@@ -283,19 +283,22 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
             pnode._added.append(sender_id)
         pnode.known[sender_id] = now
 
-    def _gossip(
-        self, pnode: ChordProtocolNode, subject_id: int, heard_at: float
+    def _absorb(
+        self, pnode: ChordProtocolNode, entries: Dict[int, float]
     ) -> None:
-        """A third-party entry arrived: evidence capped at the source's."""
-        if subject_id == pnode.node_id:
-            return
-        existing = pnode.known.get(subject_id)
-        if existing is None:
-            pnode.known[subject_id] = heard_at
-            pnode.epoch += 1
-            pnode._added.append(subject_id)
-        elif heard_at > existing:
-            pnode.known[subject_id] = heard_at
+        """Third-party entries arrived: evidence capped at the source's.
+        Self is skipped; a known id keeps the larger stamp."""
+        known = pnode.known
+        get = known.get
+        for subject_id, heard_at in entries.items():
+            existing = get(subject_id)
+            if existing is None:
+                if subject_id != pnode.node_id:
+                    known[subject_id] = heard_at
+                    pnode.epoch += 1
+                    pnode._added.append(subject_id)
+            elif heard_at > existing:
+                known[subject_id] = heard_at
 
     def _forget(self, pnode: ChordProtocolNode, subject_id: int) -> bool:
         if subject_id in pnode.known:
@@ -329,8 +332,7 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         self._record(
             now, MessageType.JOIN_REPLY, self._state_bytes(splitter.known)
         )
-        for nid, heard_at in splitter.known.items():
-            self._gossip(newcomer, nid, heard_at)
+        self._absorb(newcomer, splitter.known)
         self._hear(newcomer, splitter.node_id, now)
         newcomer.gap_dirty = True
         self._hear(splitter, node_id, now)
@@ -341,11 +343,12 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         targets = [
             t for t in self._derived(splitter).targets if t != node_id
         ]
+        newcomer_entry = {node_id: now}
         for receiver in self._notify(
             MessageType.JOIN_NOTIFY, splitter.node_id, targets, now
         ):
             self._hear(receiver, splitter.node_id, now)
-            self._gossip(receiver, node_id, now)
+            self._absorb(receiver, newcomer_entry)
 
     def _hand_off(
         self, leaver: ChordProtocolNode, transfers: List, now: float
@@ -358,8 +361,7 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
             if heir is None:
                 continue  # the arc landed on a ghost; claimed later
             self._record(now, MessageType.HANDOFF, handoff_size)
-            for nid, heard_at in leaver_known.items():
-                self._gossip(heir, nid, heard_at)
+            self._absorb(heir, leaver_known)
             self._forget(heir, node_id)
             heir.gap_dirty = True
             self._notify_takeover(heir, node_id, leaver_known, now)
@@ -393,15 +395,22 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         compact_size = model.heartbeat_bytes(dims, 1, None)
         net = self.net if not self.net.is_identity else None
         period = self.config.period
+        # nothing a turn does changes who is alive: one read of the ring
+        is_alive = self.overlay.is_alive
+        live = {nid: pnode for nid, pnode in self.nodes.items() if is_alive(nid)}
+        hear, absorb, stored_in = self._hear, self._absorb, self._stored_in
         for node_id in self._sorted_node_ids():
-            if not self.overlay.is_alive(node_id):
+            sender = live.get(node_id)
+            if sender is None:
                 continue  # ghosts are silent
-            sender = self.nodes[node_id]
             derived = self._derived(sender)
             if not derived.targets:
                 continue
+            # after _derived, targets <= peers <= known: an ack never
+            # inserts, it only stamps
+            known = sender.known
             full_size = model.heartbeat_bytes_from_totals(
-                dims, 1, len(sender.known), len(sender.known)
+                dims, 1, len(known), len(known)
             )
             if vanilla:
                 full_targets = derived.targets
@@ -427,13 +436,13 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
                         # (the ack shares the forward message's fate)
                         self._deferred.append(
                             (now + lat, "full", target_id, node_id,
-                             dict(sender.known), now)
+                             dict(known), now)
                         )
                         continue
-                receiver = self._deliverable(target_id)
+                receiver = live.get(target_id)
                 if receiver is None:
                     continue  # dead target: no ack, sender's evidence ages
-                self._hear(receiver, node_id, now)
+                hear(receiver, node_id, now)
                 # the (untallied) ack travels the reverse link, so a cut
                 # of target->sender starves the sender's evidence even
                 # when the forward direction delivers; ack latency is a
@@ -441,11 +450,10 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
                 if net is None or self._transmit(
                     target_id, node_id, now
                 ) is not None:
-                    self._hear(sender, target_id, now)
-                receiver.stored_state[node_id] = dict(sender.known)
-                self._stored_in.setdefault(node_id, set()).add(target_id)
-                for nid, heard_at in sender.known.items():
-                    self._gossip(receiver, nid, heard_at)
+                    known[target_id] = now
+                snapshot = receiver.stored_state[node_id] = dict(known)
+                stored_in.setdefault(node_id, set()).add(target_id)
+                absorb(receiver, snapshot)
             for target_id in compact_targets:
                 if net is not None:
                     lat = self._transmit(node_id, target_id, now)
@@ -457,17 +465,17 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
                              None, now)
                         )
                         continue
-                receiver = self._deliverable(target_id)
+                receiver = live.get(target_id)
                 if receiver is None:
                     continue  # dead target: no ack, sender's evidence ages
                 # doubles as stabilize/notify: an unknown sender enters the
                 # receiver's known set and survives iff it improves the
                 # derived predecessor/successor structure
-                self._hear(receiver, node_id, now)
+                hear(receiver, node_id, now)
                 if net is None or self._transmit(
                     target_id, node_id, now
                 ) is not None:
-                    self._hear(sender, target_id, now)  # the (untallied) ack
+                    known[target_id] = now  # the (untallied) ack
 
     def _land_late(
         self,
@@ -481,26 +489,26 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         with the send time: slow links delay detection-relevant freshness
         instead of forging it."""
         receiver_id = receiver.node_id
-        self._gossip(receiver, sender_id, sent_at)
+        self._absorb(receiver, {sender_id: sent_at})
         sender = self._deliverable(sender_id)
         if sender is not None and self._transmit(
             receiver_id, sender_id, now
         ) is not None:
-            self._gossip(sender, receiver_id, sent_at)  # the late ack
+            self._absorb(sender, {receiver_id: sent_at})  # the late ack
         if snapshot is not None:
             receiver.stored_state[sender_id] = snapshot
             self._stored_in.setdefault(sender_id, set()).add(receiver_id)
-            for nid, heard_at in snapshot.items():
-                self._gossip(receiver, nid, heard_at)
+            self._absorb(receiver, snapshot)
 
     # -- failure detection & take-over --------------------------------------
     def _detect_failures_at(
         self, pnode: ChordProtocolNode, now: float, timeout: float
     ) -> None:
+        known = pnode.known
+        if not known or now - min(known.values()) <= timeout:
+            return  # the oldest evidence is fresh enough: nothing is stale
         stale = sorted(
-            nid
-            for nid, heard_at in pnode.known.items()
-            if now - heard_at > timeout
+            nid for nid, heard_at in known.items() if now - heard_at > timeout
         )
         for stale_id in stale:
             self._forget(pnode, stale_id)
@@ -524,8 +532,7 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
     ) -> None:
         self._forget(claimant, dead_id)
         if known_state:
-            for nid, heard_at in known_state.items():
-                self._gossip(claimant, nid, heard_at)
+            self._absorb(claimant, known_state)
         self._notify_takeover(claimant, dead_id, known_state or {}, now)
 
     def _notify_takeover(
@@ -561,16 +568,25 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         known = responder.known
         return self._state_bytes(known), (responder.node_id, dict(known))
 
-    def _land_reply(
+    def _land_replies(
         self,
         receiver: ChordProtocolNode,
-        payload: Tuple[int, Dict[int, float]],
+        payloads: List[Tuple[int, Dict[int, float]]],
         now: float,
     ) -> None:
-        responder_id, snapshot = payload
-        self._hear(receiver, responder_id, now)
-        for nid, heard_at in snapshot.items():
-            self._gossip(receiver, nid, heard_at)
+        """Land all of a requester's replies, then take one gap verdict —
+        exact against a verdict after each (``sel(S | R) == sel(sel(S) |
+        R)``, and neither detector reopens a gap as ``known`` grows; see
+        DESIGN.md, "How believed structure is derived")."""
+        for responder_id, snapshot in payloads:
+            self._hear(receiver, responder_id, now)
+            self._absorb(receiver, snapshot)
+        grown = len(receiver.known)
+        self._settle_gap(receiver, now)
+        if 2 * len(receiver.known) < grown:
+            # the prune dropped more than it kept, and a dict never gives
+            # back the table it grew to: rebuild it (order kept)
+            receiver.known = dict(receiver.known)
 
     def _detects_gap(self, node_id: int) -> bool:
         """Would this node's local structure detector fire right now?
@@ -589,33 +605,20 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         return len(derived.successors) < self.overlay.successor_list_size
 
     # -- metrics -------------------------------------------------------------
-    def _truth_neighbors(self, node_id: int) -> Set[int]:
-        """Ground-truth *correctness-critical* ring links: the alive members
-        of the successor list plus the predecessor.  Fingers are derived
-        performance state and excluded, the analogue of CAN counting only
-        abutting neighbors."""
-        overlay = self.overlay
-        truth: Set[int] = {
-            nid
-            for nid in overlay.successor_list(node_id)
-            if overlay.is_alive(nid)
-        }
-        pred = overlay.predecessor(node_id)
-        if pred is not None and overlay.is_alive(pred):
-            truth.add(pred)
-        return truth
-
+    # Truth is the ring's link table (by id); ``known`` is read through
+    # ``self.nodes`` each time, because a reply batch may replace the dict.
     def _missing_neighbors(self, node_id: int) -> Set[int]:
-        return self._truth_neighbors(node_id) - set(self.nodes[node_id].known)
+        known = self.nodes[node_id].known
+        return {n for n in self.overlay.live_links()[node_id] if n not in known}
 
     def count_broken_links(self) -> int:
-        """Directed count of ground-truth ring links missing from beliefs."""
+        """Directed count of ground-truth ring links (alive successors and
+        predecessor; fingers are performance state) missing from beliefs."""
+        nodes = self.nodes
         total = 0
-        for node_id, pnode in self.nodes.items():
-            if not self.overlay.is_alive(node_id):
-                continue
-            known = pnode.known
-            for nid in self._truth_neighbors(node_id):
+        for node_id, links in self.overlay.live_links().items():
+            known = nodes[node_id].known
+            for nid in links:
                 if nid not in known:
                     total += 1
         return total

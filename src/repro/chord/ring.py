@@ -98,6 +98,7 @@ class ChordRing:
         self._dir_cache: Dict[int, Dict[Tuple[int, int], Set[int]]] = {}
         self._succ_cache: Dict[int, Tuple[int, ...]] = {}
         self._finger_cache: Dict[int, Tuple[int, ...]] = {}
+        self._links: Optional[Dict[int, Tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------ queries --
     @property
@@ -153,6 +154,29 @@ class ChordRing:
         )
         self._succ_cache[node_id] = succ
         return succ
+
+    def live_links(self) -> Dict[int, Tuple[int, ...]]:
+        """Every alive member's correctness-critical links — its alive
+        successors, then its predecessor if alive and not among them —
+        built in one walk of the key order, kept until the next change."""
+        self._fresh_caches()
+        if self._links is None:
+            ids = [self._by_key[key] for key in self._ring]
+            alive = [self.members[nid].alive for nid in ids]
+            n = len(ids)
+            span = min(self.successor_list_size, n - 1)
+            ring_ids, ring_alive = ids + ids[:span], alive + alive[:span]  # no wrap
+            links = self._links = {}
+            for i, node_id in enumerate(ids):
+                if not alive[i]:
+                    continue
+                mine = [
+                    ring_ids[j] for j in range(i + 1, i + 1 + span) if ring_alive[j]
+                ]
+                if n > 1 and alive[i - 1] and ids[i - 1] not in mine:
+                    mine.append(ids[i - 1])
+                links[node_id] = tuple(mine)
+        return self._links
 
     def predecessor(self, node_id: int) -> Optional[int]:
         member = self._member(node_id)
@@ -253,6 +277,7 @@ class ChordRing:
             self._dir_cache = {}
             self._succ_cache = {}
             self._finger_cache = {}
+            self._links = None
 
     def add_node(self, node_id: int, coord: Sequence[float]) -> ChordJoinResult:
         """Bootstrap (first member) or join by taking over part of an arc."""

@@ -317,6 +317,10 @@ def check_churn_invariants(sim) -> None:
     members = set(sim.overlay.members)
     if set(protocol.nodes) != members:
         _fail("protocol node set out of sync with overlay membership")
+    # the stored-copy index names live holders (read only: ends no streak)
+    for subject_id, holders in protocol._stored_in.items():
+        if not holders <= protocol.nodes.keys():
+            _fail(f"stored copies of {subject_id} indexed at departed holders")
     dead = members - alive
     if set(protocol._fail_times) != dead:
         _fail(

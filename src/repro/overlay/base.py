@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -331,6 +333,9 @@ class MaintenanceProtocol:
     def _drop_node(self, node_id: int) -> None:
         del self.nodes[node_id]
         self._nodes_order = None
+        # its stored copies went with it: the reverse index names live holders
+        for holders in self._stored_in.values():
+            holders.discard(node_id)
 
     def _sorted_node_ids(self) -> List[int]:
         """Sorted member ids, cached until the membership changes.
@@ -568,22 +573,24 @@ class MaintenanceProtocol:
                 self._purge_stored(sender_id)
 
     def _deliver_replies(self, now: float) -> None:
-        """Deliver last round's full-update replies to their requesters."""
+        """Deliver last round's full-update replies, a requester at a time
+        (its repair loop queued them next to each other)."""
         self._deliver_deferred(now)
         queue, self._reply_queue = self._reply_queue, []
-        for receiver_id, payload in queue:
+        for receiver_id, group in groupby(queue, key=itemgetter(0)):
             receiver = self._deliverable(receiver_id)
-            if receiver is None:
-                continue
-            self._land_reply(receiver, payload, now)
-            if not self._detects_gap(receiver_id):
-                if (
-                    self.tracer is not None
-                    and (receiver.gap_attempts or receiver.gap_dirty)
-                ):
-                    self.tracer.emit(now, "hb.gap_repaired", node=receiver_id)
-                receiver.gap_attempts = 0
-                receiver.gap_dirty = False
+            if receiver is not None:
+                self._land_replies(receiver, [p for _, p in group], now)
+
+    def _settle_gap(self, receiver: Any, now: float) -> None:
+        """The gap verdict after a landing: a quiet detector clears the
+        requester's flags (``hb.gap_repaired`` if they were set)."""
+        if self._detects_gap(receiver.node_id):
+            return
+        if self.tracer is not None and (receiver.gap_attempts or receiver.gap_dirty):
+            self.tracer.emit(now, "hb.gap_repaired", node=receiver.node_id)
+        receiver.gap_attempts = 0
+        receiver.gap_dirty = False
 
     # -- failure detection & take-over -------------------------------------------------
     def _detect_failures(self, now: float) -> None:
@@ -739,8 +746,15 @@ class MaintenanceProtocol:
         """Apply a ``_deferred`` heartbeat with send-time evidence."""
         raise NotImplementedError
 
+    def _land_replies(self, receiver: Any, payloads: List[Any], now: float) -> None:
+        """Apply one requester's replies in queue order.  Default: a gap
+        verdict after each (a landed CAN record may remove a neighbour)."""
+        for payload in payloads:
+            self._land_reply(receiver, payload, now)
+            self._settle_gap(receiver, now)
+
     def _land_reply(self, receiver: Any, payload: Any, now: float) -> None:
-        """Apply the snapshot half of a :meth:`_full_update_reply`."""
+        """Apply one reply (for the default :meth:`_land_replies`)."""
         raise NotImplementedError
 
     def _detect_failures_at(self, pnode: Any, now: float, timeout: float) -> None:
@@ -783,7 +797,7 @@ class MaintenanceProtocol:
 
     def _full_update_reply(self, responder: Any) -> Tuple[int, Any]:
         """Wire size of the responder's full state and a snapshot of it,
-        frozen at request time, for :meth:`_land_reply`."""
+        frozen at request time, for :meth:`_land_replies`."""
         raise NotImplementedError
 
     def _detects_gap(self, node_id: int) -> bool:

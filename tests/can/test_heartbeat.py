@@ -310,6 +310,31 @@ def test_departures_purge_stored_state(substrate, shape):
             assert set(node.stored_state) <= members
 
 
+@pytest.mark.parametrize("substrate", ["can", "chord"])
+@pytest.mark.parametrize("shape", [GRACEFUL, LATE], ids=["graceful", "late"])
+def test_stored_index_names_only_live_holders(substrate, shape):
+    """A departing *holder* leaves the reverse index too: its copies went
+    with it, so no subject's entry may still name it (the churn audit,
+    ``check_churn_invariants``, asserts the same mid-run)."""
+    sim = ChurnSimulation(ChurnConfig(substrate=substrate, **shape))
+    drop = sim.protocol._drop_node
+    holders_dropped = []
+
+    def dropped(node_id):
+        holders_dropped.append(
+            any(node_id in h for h in sim.protocol._stored_in.values())
+        )
+        drop(node_id)
+
+    sim.protocol._drop_node = dropped
+    sim.run()
+    proto = sim.protocol
+    assert sum(holders_dropped) > 5  # holders did depart
+    for holders in proto._stored_in.values():
+        assert holders <= proto.nodes.keys()
+    sim.check_invariants()
+
+
 # ------------------------------------------------ gap verdicts, by the round --
 def _lossy_adaptive(**overrides):
     """The lossy golden's shape (tests/can/hb_golden.CASES) on adaptive."""

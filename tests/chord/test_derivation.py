@@ -179,7 +179,7 @@ def test_incremental_derivation_equals_from_scratch(
     # start from a structure derived over the first ``settled`` ids, so the
     # steps mostly land between its successor span and its predecessor
     for nid in range(1, min(settled, len(distances)) + 1):
-        proto._gossip(pnode, nid, 0.0)
+        proto._absorb(pnode, {nid: 0.0})
         ref.add(nid, 0.0)
     steps = [("derive", 0), *steps]
     for clock, (op, entropy) in enumerate(steps, start=1):
@@ -188,7 +188,7 @@ def test_incremental_derivation_equals_from_scratch(
             proto._hear(pnode, nid, float(clock))
             ref.add(nid, float(clock))
         elif op == "gossip":
-            proto._gossip(pnode, nid, float(clock))
+            proto._absorb(pnode, {nid: float(clock)})
             ref.add(nid, float(clock))
         elif op == "forget":
             proto._forget(pnode, nid)
