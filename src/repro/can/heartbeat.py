@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..net import NetworkModel
-from ..obs.profiling import NULL_PROFILER
 from ..overlay.base import HeartbeatScheme, MaintenanceProtocol, ProtocolConfig
 from .coverage import have_gaps
 from .messages import MessageType
@@ -312,11 +311,9 @@ class HeartbeatProtocol(MaintenanceProtocol):
         #: order they are sent in); None on the ideal channel
         lats = None
         if net is not None:
-            prof = self.profiler if self.profiler is not None else NULL_PROFILER
-            with prof.scope("hb.exchange.channel"):
-                lats = net.transmit_many(
-                    node_id, [*full_targets, *compact_targets], now
-                )
+            lats = net.transmit_many(
+                node_id, [*full_targets, *compact_targets], now
+            )
         observed = self.tracer is not None or self._net_sketch is not None
         #: receivers whose copy of the table needs a merge, and from which
         #: sender-table epoch on (-1: all of it)

@@ -59,19 +59,8 @@ def route(
     start_id: int,
     point: Sequence[float],
     max_hops: int = 10_000,
-    profiler=None,
 ) -> List[int]:
-    """Greedy path of node ids from ``start_id`` to the owner of ``point``.
-
-    ``profiler`` (a :class:`repro.obs.Profiler`) times the whole walk under
-    a ``can.route`` scope; ``None`` — the default — adds no work.
-    """
-    if profiler is not None and profiler.enabled:
-        profiler.push("can.route")
-        try:
-            return route(overlay, start_id, point, max_hops)
-        finally:
-            profiler.pop()
+    """Greedy path of node ids from ``start_id`` to the owner of ``point``."""
     point = tuple(float(p) for p in point)
     current = start_id
     path = [current]
@@ -128,7 +117,6 @@ def route_on_beliefs(
     start_id: int,
     point: Sequence[float],
     max_hops: int = 10_000,
-    profiler=None,
 ) -> BeliefRouteResult:
     """Greedy-route using only what each node *believes* about its neighbors.
 
@@ -139,12 +127,6 @@ def route_on_beliefs(
 
     ``protocol`` is a :class:`~repro.can.heartbeat.HeartbeatProtocol`.
     """
-    if profiler is not None and profiler.enabled:
-        profiler.push("can.route_on_beliefs")
-        try:
-            return route_on_beliefs(protocol, start_id, point, max_hops)
-        finally:
-            profiler.pop()
     overlay = protocol.overlay
     point = tuple(float(p) for p in point)
     current = start_id

@@ -79,7 +79,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..net import NetworkModel
-from ..obs.profiling import NULL_PROFILER
 from .heartbeat import (
     HeartbeatProtocol,
     HeartbeatScheme,
@@ -733,7 +732,6 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             self._end_streak()  # the channel changed under a streak
             return super()._exchange_heartbeats(now)
         store = self.store
-        prof = self.profiler if self.profiler is not None else NULL_PROFILER
         vanilla = self.config.scheme is HeartbeatScheme.VANILLA
         takeovers = {} if vanilla else self._takeover_targets_map()
         tv = self.overlay.topology_version
@@ -751,79 +749,77 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             and streak.topology_version == tv
             and tracer is None
         ):
-            with prof.scope("hb.exchange.settled"):
-                self._settled_exchange(now, streak)
+            self._settled_exchange(now, streak)
             return
         # not kept bound through the loop below: the snapshots it holds
         # would outlive their replacements, all garbage-collector work
         del streak
         self._end_streak()
-        with prof.scope("hb.exchange.prescan"):
-            # the masks are pure functions of the store's structural state
-            # and the sender order, so a settled CAN (no joins, versions,
-            # suspects, or slot churn since last round) reuses last round's
-            # prescan wholesale — only freshness moved, and freshness is
-            # not a mask input
-            cache = self._prescan_cache
-            if (
-                cache is not None
-                and cache[0] == store.struct_gen
-                and cache[1] is order
-            ):
-                _, _, pos, adv, avail, suspect_l, alive_l = cache
-            else:
-                n = store.n_slots
-                nrows = store.n_rows
-                pos = np.full(nrows, _POS_MAX, dtype=np.int64)
-                if self._order_rows_for is not order:
-                    row_of = store.row_of
-                    self._order_rows = np.fromiter(
-                        (row_of[nid] for nid in order),
-                        dtype=np.int64,
-                        count=len(order),
-                    )
-                    self._order_rows_for = order
-                pos[self._order_rows] = np.arange(len(order), dtype=np.int64)
-                active = store.active[:n]
-                owner = store.owner_row[:n]
-                subj = store.subj_row[:n]
-                rev = store.rev[:n]
-                edge_ver = store.edge_version[:n]
-                alive = store.alive[:nrows]
-                own_ver = store.own_version[:nrows]
-                subj_ok = subj >= 0
-                subj_idx = np.where(subj_ok, subj, 0)
-                live_edge = active & alive[owner] & subj_ok & alive[subj_idx]
-                # X: sender-side slots whose reverse belief is missing or
-                # version-stale — exactly the deliveries that can mutate the
-                # receiver's table.  Their senders run the full object path.
-                rev_idx = np.where(rev >= 0, rev, 0)
-                x_mask = live_edge & (
-                    (rev < 0) | (edge_ver[rev_idx] < own_ver[owner])
+        # the masks are pure functions of the store's structural state
+        # and the sender order, so a settled CAN (no joins, versions,
+        # suspects, or slot churn since last round) reuses last round's
+        # prescan wholesale — only freshness moved, and freshness is
+        # not a mask input
+        cache = self._prescan_cache
+        if (
+            cache is not None
+            and cache[0] == store.struct_gen
+            and cache[1] is order
+        ):
+            _, _, pos, adv, avail, suspect_l, alive_l = cache
+        else:
+            n = store.n_slots
+            nrows = store.n_rows
+            pos = np.full(nrows, _POS_MAX, dtype=np.int64)
+            if self._order_rows_for is not order:
+                row_of = store.row_of
+                self._order_rows = np.fromiter(
+                    (row_of[nid] for nid in order),
+                    dtype=np.int64,
+                    count=len(order),
                 )
-                suspect = np.zeros(nrows, dtype=bool)
-                if x_mask.any():
-                    suspect[owner[x_mask]] = True
-                # every other delivery is a pure freshness advance: mutual,
-                # version-current edges between live endpoints whose
-                # subject's sends need no structural handling
-                adv = (
-                    live_edge
-                    & (rev >= 0)
-                    & ~suspect[subj_idx]
-                    & (edge_ver == own_ver[subj_idx])
-                )
-                avail = np.full(store.eh.shape[0], _POS_MAX, dtype=np.int64)
-                avail[:n] = np.where(adv, pos[subj_idx], _POS_MAX)
-                # plain lists: the senders loop reads these once per sender,
-                # where a numpy scalar index costs several times a list one
-                suspect_l = suspect.tolist()
-                alive_l = alive.tolist()
-                self._prescan_cache = (
-                    store.struct_gen, order, pos, adv, avail,
-                    suspect_l, alive_l,
-                )
-            store.begin_exchange(now, adv, pos, avail)
+                self._order_rows_for = order
+            pos[self._order_rows] = np.arange(len(order), dtype=np.int64)
+            active = store.active[:n]
+            owner = store.owner_row[:n]
+            subj = store.subj_row[:n]
+            rev = store.rev[:n]
+            edge_ver = store.edge_version[:n]
+            alive = store.alive[:nrows]
+            own_ver = store.own_version[:nrows]
+            subj_ok = subj >= 0
+            subj_idx = np.where(subj_ok, subj, 0)
+            live_edge = active & alive[owner] & subj_ok & alive[subj_idx]
+            # X: sender-side slots whose reverse belief is missing or
+            # version-stale — exactly the deliveries that can mutate the
+            # receiver's table.  Their senders run the full object path.
+            rev_idx = np.where(rev >= 0, rev, 0)
+            x_mask = live_edge & (
+                (rev < 0) | (edge_ver[rev_idx] < own_ver[owner])
+            )
+            suspect = np.zeros(nrows, dtype=bool)
+            if x_mask.any():
+                suspect[owner[x_mask]] = True
+            # every other delivery is a pure freshness advance: mutual,
+            # version-current edges between live endpoints whose
+            # subject's sends need no structural handling
+            adv = (
+                live_edge
+                & (rev >= 0)
+                & ~suspect[subj_idx]
+                & (edge_ver == own_ver[subj_idx])
+            )
+            avail = np.full(store.eh.shape[0], _POS_MAX, dtype=np.int64)
+            avail[:n] = np.where(adv, pos[subj_idx], _POS_MAX)
+            # plain lists: the senders loop reads these once per sender,
+            # where a numpy scalar index costs several times a list one
+            suspect_l = suspect.tolist()
+            alive_l = alive.tolist()
+            self._prescan_cache = (
+                store.struct_gen, order, pos, adv, avail,
+                suspect_l, alive_l,
+            )
+        store.begin_exchange(now, adv, pos, avail)
         deliverable: Dict[int, Optional[ProtocolNode]] = {}
         miss = _MISS
         full_count = full_bytes = comp_count = comp_bytes = 0
@@ -831,136 +827,134 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         #: clean senders' deferred stored-table writes, should this round
         #: begin a streak; None once any delivery needed real handling
         streak_senders: Optional[list] = [] if tracer is None else None
-        with prof.scope("hb.exchange.senders"):
-            nodes = self.nodes
-            mut_rows = store.mut_rows
-            #: a clean sender's full-table deliveries that need a merge,
-            #: and from which sender-table epoch on (-1: all of it)
-            merge_at: List[ProtocolNode] = []
-            merge_since: List[int] = []
-            for i, node_id in enumerate(order):
-                sender = nodes[node_id]
-                table = sender.table
-                row = table._row
-                # the store's alive flags mirror overlay liveness for every
-                # protocol member (the kernels above already rely on it)
-                if not alive_l[row]:
-                    continue  # ghosts are silent
-                if not table._records:
-                    continue
-                store.cur_pos = i
-                if suspect_l[row] or row in mut_rows:
-                    # pre-round exceptional edges, or mutated mid-round by
-                    # an earlier sender's merge: full object path
-                    self._exchange_one_sender(
-                        sender, takeovers, vanilla, now, deliverable, None
-                    )
-                    streak_senders = None
-                    continue
-                own = sender.own_record(self.overlay)
-                # inlined _heartbeat_sizes memo hit (the overwhelming case)
-                wc = sender._wire_cache
-                if wc is not None and wc[0] == (table.epoch, own.zone_count):
-                    full_size, compact_size = wc[1], wc[2]
-                else:
-                    full_size, compact_size = self._heartbeat_sizes(
-                        sender, own
-                    )
-                if vanilla:
-                    full_ids = table.sorted_ids()
-                    n_full = len(full_ids)
-                elif takeovers.get(node_id):
-                    cached = fid_cache.get(node_id)
-                    if cached is not None and cached[0] == table.epoch:
-                        full_ids = cached[1]
-                    else:
-                        full_ids = sorted(
-                            t
-                            for t in takeovers[node_id]
-                            if t in table._records
-                        )
-                        fid_cache[node_id] = (table.epoch, full_ids)
-                    n_full = len(full_ids)
-                else:
-                    full_ids = ()
-                    n_full = 0
-                n_comp = len(table._records) - n_full
-                if tracer is None:
-                    full_count += n_full
-                    full_bytes += full_size * n_full
-                    comp_count += n_comp
-                    comp_bytes += compact_size * n_comp
-                else:
-                    self._record(
-                        now, MessageType.HEARTBEAT_FULL, full_size, n_full
-                    )
-                    self._record(
-                        now, MessageType.HEARTBEAT, compact_size, n_comp
-                    )
-                # a clean sender's targets all hold its record at the
-                # current version (anything else is an X edge), so direct
-                # freshness is covered by the bulk advance; only the
-                # full-table merges remain.  The dominant case — the target
-                # already processed this exact table state — is inlined:
-                # nothing can change mid-loop (merges only mutate the
-                # receiver, and run when the loop is over), so one snapshot
-                # serves every target.
-                snap = None
-                epoch = table.epoch
-                for target_id in full_ids:
-                    receiver = deliverable.get(target_id, miss)
-                    if receiver is miss:
-                        receiver = self._deliverable(target_id)
-                        deliverable[target_id] = receiver
-                    if receiver is None:
-                        streak_senders = None
-                        continue
-                    if snap is None:
-                        snap = table.snapshot()
-                    receiver.stored_tables[node_id] = snap
-                    key = (
-                        epoch, receiver.own_version, receiver.table.removals_epoch
-                    )
-                    last = receiver.processed_epoch.get(node_id)
-                    if last == key:
-                        continue
-                    # the rest of _deliver_full_table, inlined with it
-                    if last is None:
-                        self._stored_in.setdefault(node_id, set()).add(target_id)
-                    receiver.processed_epoch[node_id] = key
-                    merge_at.append(receiver)
-                    delta = last is not None and last[1:] == key[1:]
-                    merge_since.append(last[0] if delta else -1)
-                if merge_at:
-                    self._merge_live(sender, snap, merge_at, merge_since, now)
-                    merge_at.clear()
-                    merge_since.clear()
-                    streak_senders = None
-                if snap is not None and streak_senders is not None:
-                    # four fields flat, not a tuple a sender: an allocation
-                    # a sender a round is what sets off the cyclic collector
-                    add = streak_senders.append
-                    add(node_id)
-                    add(full_ids)
-                    add(snap)
-                    add(table._slots_vec)
-            if streak_senders is not None:
-                n = store.n_slots
-                self._streak = _Streak(
-                    gen, order, tv,
-                    (full_bytes, full_count, comp_bytes, comp_count),
-                    avail[:n] < pos[store.owner_row[:n]],
-                    streak_senders,
+        nodes = self.nodes
+        mut_rows = store.mut_rows
+        #: a clean sender's full-table deliveries that need a merge,
+        #: and from which sender-table epoch on (-1: all of it)
+        merge_at: List[ProtocolNode] = []
+        merge_since: List[int] = []
+        for i, node_id in enumerate(order):
+            sender = nodes[node_id]
+            table = sender.table
+            row = table._row
+            # the store's alive flags mirror overlay liveness for every
+            # protocol member (the kernels above already rely on it)
+            if not alive_l[row]:
+                continue  # ghosts are silent
+            if not table._records:
+                continue
+            store.cur_pos = i
+            if suspect_l[row] or row in mut_rows:
+                # pre-round exceptional edges, or mutated mid-round by
+                # an earlier sender's merge: full object path
+                self._exchange_one_sender(
+                    sender, takeovers, vanilla, now, deliverable, None
                 )
+                streak_senders = None
+                continue
+            own = sender.own_record(self.overlay)
+            # inlined _heartbeat_sizes memo hit (the overwhelming case)
+            wc = sender._wire_cache
+            if wc is not None and wc[0] == (table.epoch, own.zone_count):
+                full_size, compact_size = wc[1], wc[2]
+            else:
+                full_size, compact_size = self._heartbeat_sizes(
+                    sender, own
+                )
+            if vanilla:
+                full_ids = table.sorted_ids()
+                n_full = len(full_ids)
+            elif takeovers.get(node_id):
+                cached = fid_cache.get(node_id)
+                if cached is not None and cached[0] == table.epoch:
+                    full_ids = cached[1]
+                else:
+                    full_ids = sorted(
+                        t
+                        for t in takeovers[node_id]
+                        if t in table._records
+                    )
+                    fid_cache[node_id] = (table.epoch, full_ids)
+                n_full = len(full_ids)
+            else:
+                full_ids = ()
+                n_full = 0
+            n_comp = len(table._records) - n_full
             if tracer is None:
-                self.stats.record_bulk(
-                    MessageType.HEARTBEAT_FULL, full_bytes, full_count
+                full_count += n_full
+                full_bytes += full_size * n_full
+                comp_count += n_comp
+                comp_bytes += compact_size * n_comp
+            else:
+                self._record(
+                    now, MessageType.HEARTBEAT_FULL, full_size, n_full
                 )
-                self.stats.record_bulk(
-                    MessageType.HEARTBEAT, comp_bytes, comp_count
+                self._record(
+                    now, MessageType.HEARTBEAT, compact_size, n_comp
                 )
-        with prof.scope("hb.exchange.advance"):
-            store.end_exchange()
+            # a clean sender's targets all hold its record at the
+            # current version (anything else is an X edge), so direct
+            # freshness is covered by the bulk advance; only the
+            # full-table merges remain.  The dominant case — the target
+            # already processed this exact table state — is inlined:
+            # nothing can change mid-loop (merges only mutate the
+            # receiver, and run when the loop is over), so one snapshot
+            # serves every target.
+            snap = None
+            epoch = table.epoch
+            for target_id in full_ids:
+                receiver = deliverable.get(target_id, miss)
+                if receiver is miss:
+                    receiver = self._deliverable(target_id)
+                    deliverable[target_id] = receiver
+                if receiver is None:
+                    streak_senders = None
+                    continue
+                if snap is None:
+                    snap = table.snapshot()
+                receiver.stored_tables[node_id] = snap
+                key = (
+                    epoch, receiver.own_version, receiver.table.removals_epoch
+                )
+                last = receiver.processed_epoch.get(node_id)
+                if last == key:
+                    continue
+                # the rest of _deliver_full_table, inlined with it
+                if last is None:
+                    self._stored_in.setdefault(node_id, set()).add(target_id)
+                receiver.processed_epoch[node_id] = key
+                merge_at.append(receiver)
+                delta = last is not None and last[1:] == key[1:]
+                merge_since.append(last[0] if delta else -1)
+            if merge_at:
+                self._merge_live(sender, snap, merge_at, merge_since, now)
+                merge_at.clear()
+                merge_since.clear()
+                streak_senders = None
+            if snap is not None and streak_senders is not None:
+                # four fields flat, not a tuple a sender: an allocation
+                # a sender a round is what sets off the cyclic collector
+                add = streak_senders.append
+                add(node_id)
+                add(full_ids)
+                add(snap)
+                add(table._slots_vec)
+        if streak_senders is not None:
+            n = store.n_slots
+            self._streak = _Streak(
+                gen, order, tv,
+                (full_bytes, full_count, comp_bytes, comp_count),
+                avail[:n] < pos[store.owner_row[:n]],
+                streak_senders,
+            )
+        if tracer is None:
+            self.stats.record_bulk(
+                MessageType.HEARTBEAT_FULL, full_bytes, full_count
+            )
+            self.stats.record_bulk(
+                MessageType.HEARTBEAT, comp_bytes, comp_count
+            )
+        store.end_exchange()
 
     # -- the merge kernel -----------------------------------------------------
     def _merge_live(
@@ -1139,21 +1133,19 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
     # -- the detection kernel -------------------------------------------------
     def _detect_failures(self, now: float) -> None:
         store = self.store
-        prof = self.profiler if self.profiler is not None else NULL_PROFILER
         timeout = self.config.failure_timeout
-        with prof.scope("hb.detect.scan"):
-            n = store.n_slots
-            if not n:
-                return
-            stale = store.active[:n] & ((now - store.eh[:n]) > timeout)
-            if not stale.any():
-                return
-            # not np.unique: its first call in a process imports numpy.ma,
-            # milliseconds inside the first round that detects a failure
-            node_of_row = store.node_of_row
-            flagged = sorted(
-                {node_of_row[r] for r in store.owner_row[:n][stale].tolist()}
-            )
+        n = store.n_slots
+        if not n:
+            return
+        stale = store.active[:n] & ((now - store.eh[:n]) > timeout)
+        if not stale.any():
+            return
+        # not np.unique: its first call in a process imports numpy.ma,
+        # milliseconds inside the first round that detects a failure
+        node_of_row = store.node_of_row
+        flagged = sorted(
+            {node_of_row[r] for r in store.owner_row[:n][stale].tolist()}
+        )
         overlay_alive = self.overlay.is_alive
         for node_id in flagged:
             if not overlay_alive(node_id):

@@ -92,7 +92,6 @@ def chord_route(
     start_id: int,
     point: Sequence[float],
     max_hops: int = 10_000,
-    profiler=None,
 ) -> List[int]:
     """Path of node ids from ``start_id`` to the owner of ``point``.
 
@@ -100,12 +99,6 @@ def chord_route(
     router skips dead zone neighbors); raises :class:`ChordError` when the
     walk cannot progress — e.g. the owner is an unclaimed ghost.
     """
-    if profiler is not None and profiler.enabled:
-        profiler.push("chord.route")
-        try:
-            return chord_route(overlay, start_id, point, max_hops)
-        finally:
-            profiler.pop()
     target = overlay.keyspace.point_key(tuple(float(p) for p in point))
     owner = overlay.successor_of_key(target)
     path, delivered = _walk(
@@ -131,7 +124,6 @@ def chord_route_on_beliefs(
     start_id: int,
     point: Sequence[float],
     max_hops: int = 10_000,
-    profiler=None,
 ) -> BeliefRouteResult:
     """Route using only each hop's believed successor/finger peers.
 
@@ -141,12 +133,6 @@ def chord_route_on_beliefs(
     unusable) and peers missing from beliefs are invisible — a stuck walk
     reports ``delivered=False``.
     """
-    if profiler is not None and profiler.enabled:
-        profiler.push("chord.route_on_beliefs")
-        try:
-            return chord_route_on_beliefs(protocol, start_id, point, max_hops)
-        finally:
-            profiler.pop()
     overlay = protocol.overlay
     target = overlay.keyspace.point_key(tuple(float(p) for p in point))
     owner = overlay.successor_of_key(target)

@@ -35,15 +35,11 @@ class ChurnSimulation:
         config: ChurnConfig,
         node_dist: Optional[NodeDistribution] = None,
         tracer=None,
-        profiler=None,
     ):
         self.config = config
         self.rngs = RngRegistry(config.seed)
         self.tracer = tracer
-        #: optional repro.obs.Profiler threaded into the kernel's event
-        #: dispatch and the heartbeat protocol's round phases
-        self.profiler = profiler
-        self.env = Environment(tracer=tracer, profiler=profiler)
+        self.env = Environment(tracer=tracer)
         self.space = ResourceSpace(gpu_slots=config.gpu_slots)
         self.substrate = get_substrate(config.substrate)
         self.overlay = self.substrate.make_overlay(self.space)
@@ -58,7 +54,6 @@ class ChurnSimulation:
             # the protocol does: the substrate's factory reads it
             network=config.plan.build_network(self.rngs),
             tracer=tracer,
-            profiler=profiler,
         )
         #: scripted bursts: scheduled once, before any process runs, so
         #: their callbacks are part of the seeded run

@@ -164,15 +164,8 @@ class FaultyGridSimulation(GridSimulation):
         node_dist: Optional[NodeDistribution] = None,
         job_dist: Optional[JobDistribution] = None,
         tracer=None,
-        profiler=None,
     ):
-        super().__init__(
-            config.matchmaking,
-            node_dist,
-            job_dist,
-            tracer=tracer,
-            profiler=profiler,
-        )
+        super().__init__(config.matchmaking, node_dist, job_dist, tracer=tracer)
         self.fault_config = config
         self._node_dist = node_dist or NodeDistribution()
         self._next_node_id = itertools.count(
@@ -208,7 +201,6 @@ class FaultyGridSimulation(GridSimulation):
                 ),
                 network=config.faults.build_network(self.rngs),
                 tracer=tracer,
-                profiler=profiler,
                 metrics=self.metrics,
             )
             # the grid bootstraps its CAN outside the protocol (no join

@@ -37,7 +37,7 @@ import numpy as np
 from ..model.job import Job
 from ..model.node import GridNode
 from ..obs.registry import MetricsRegistry
-from ..sched.base import expanding_ring_search, fastest_dominant_clock
+from ..sched.base import fastest_dominant_clock, ring_search
 from ..sim.clock import CallbackHandle, Clock
 
 __all__ = ["RetryPolicy", "PendingRecovery", "RecoveryTracker", "RecoveryLoop"]
@@ -62,7 +62,7 @@ class RetryPolicy:
     #: degrade to an expanding-ring search over the ground-truth overlay
     #: instead of waiting out a full backoff period
     ring_fallback: bool = True
-    #: node-visit budget of that expanding-ring search
+    #: how many nodes that search may discover (:func:`ring_search`)
     ring_budget: int = 128
 
     def __post_init__(self) -> None:
@@ -382,8 +382,10 @@ class RecoveryLoop:
             return None
         coord = host.space.job_coordinate(job, float(self.rng.random()))
         origin = host.overlay.locate_owner(coord)
-        candidates = expanding_ring_search(
-            host.overlay, host.grid_nodes, origin, job, policy.ring_budget
+        neighbors = host.overlay.neighbors
+        candidates = ring_search(
+            host.grid_nodes, origin, job,
+            lambda nid: sorted(neighbors(nid)), policy.ring_budget,
         )
         if not candidates:
             return None

@@ -115,16 +115,12 @@ class GridSimulation:
         node_dist: Optional[NodeDistribution] = None,
         job_dist: Optional[JobDistribution] = None,
         tracer=None,
-        profiler=None,
     ):
         self.config = config
         preset = config.preset
         self.rngs = RngRegistry(preset.seed)
         self.tracer = tracer
-        #: optional repro.obs.Profiler threaded into the kernel's event
-        #: dispatch and the matchmaker's placement/scoring scopes
-        self.profiler = profiler
-        self.env = Environment(tracer=tracer, profiler=profiler)
+        self.env = Environment(tracer=tracer)
         self.metrics = MetricsRegistry()
         self.space = ResourceSpace(gpu_slots=preset.gpu_slots)
 
@@ -153,7 +149,6 @@ class GridSimulation:
         self.aggregation = AggregationEngine(self.overlay, self.grid_nodes)
         self.matchmaker = self._build_matchmaker()
         self.matchmaker.attach_tracer(tracer, lambda: self.env.now)
-        self.matchmaker.attach_profiler(profiler)
         self.unplaced = 0
         self._submitted = 0
         #: jobs handed to a node and neither finished nor lost with it

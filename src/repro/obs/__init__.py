@@ -1,4 +1,4 @@
-"""repro.obs — structured tracing, metrics, profiling, and run manifests.
+"""repro.obs — structured tracing, metrics, and run manifests.
 
 The observability layer for the whole simulation stack:
 
@@ -6,10 +6,6 @@ The observability layer for the whole simulation stack:
   the :class:`Tracer` handle components hold (zero-cost when absent);
 * :mod:`~repro.obs.registry` — :class:`MetricsRegistry`, hierarchical
   names over the ``sim.monitor`` primitives with JSON-able snapshots;
-* :mod:`~repro.obs.profiling` — the hierarchical wall-clock
-  :class:`Profiler` threaded through the kernel's event dispatch, the
-  heartbeat protocol, routing, and the matchmakers (and the no-op
-  :class:`NullProfiler`, so unprofiled runs pay nothing);
 * :mod:`~repro.obs.trace` — JSONL export and the per-run
   :class:`RunRecorder` harness;
 * :mod:`~repro.obs.manifest` — :class:`RunManifest` (config, seeds,
@@ -30,17 +26,15 @@ The observability layer for the whole simulation stack:
   monitor kinds;
 * :mod:`~repro.obs.prom` — Prometheus text exposition of a registry for
   the live gateway's ``/metrics``.
+
+Wall time is attributed from outside ``src/``: the end-to-end benchmark's
+tracer (``benchmarks/e2e/trace.py``) wraps the bound methods each layer is
+entered through and reports calls, total and self time per layer.
+Nothing in this package needs turning on for that.
 """
 
 from .events import EV, EventBus, TraceEvent, Tracer
 from .manifest import RunManifest, git_describe
-from .profiling import (
-    NULL_PROFILER,
-    NullProfiler,
-    Profiler,
-    profiled,
-    render_profile,
-)
 from .progress import ProgressReporter, quiet_from_env
 from .prom import prom_name, render_prometheus
 from .registry import MetricsRegistry
@@ -75,11 +69,6 @@ __all__ = [
     "critical_path_summary",
     "render_spans",
     "render_critical_path",
-    "Profiler",
-    "NullProfiler",
-    "NULL_PROFILER",
-    "profiled",
-    "render_profile",
     "JsonlTraceWriter",
     "RunRecorder",
     "read_trace",

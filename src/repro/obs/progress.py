@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 from typing import Any, Callable, Dict, Optional, TextIO
 
 from .events import Tracer
-from .profiling import CLOCK
 
 __all__ = ["ProgressReporter", "quiet_from_env"]
 
@@ -34,9 +34,9 @@ def quiet_from_env(default: bool = False) -> bool:
 class ProgressReporter:
     """Labelled start/progress/done/info lines with optional trace mirroring.
 
-    :meth:`start` stamps the label with the profiler clock
-    (:data:`repro.obs.profiling.CLOCK`); :meth:`progress` derives a
-    completion rate and an ETA from that stamp, and :meth:`done` derives
+    :meth:`start` stamps the label with ``clock`` (default
+    :func:`time.perf_counter`); :meth:`progress` derives a completion
+    rate and an ETA from that stamp, and :meth:`done` derives
     elapsed seconds and an events/sec rate when the caller reports how
     many events the phase processed.
     """
@@ -53,7 +53,7 @@ class ProgressReporter:
         #: reporters pick up fixture/benchmark environment changes
         self._quiet = quiet
         self.tracer = tracer
-        self._clock = clock if clock is not None else CLOCK
+        self._clock = clock if clock is not None else time.perf_counter
         #: label -> clock stamp from the matching start()
         self._started: Dict[str, float] = {}
 

@@ -55,7 +55,6 @@ from typing import (
 from ..can.messages import MessageType, SizeModel
 from ..can.stats import MessageStats
 from ..net import IDENTITY, NetworkModel
-from ..obs.profiling import NULL_PROFILER
 from ..sim.monitor import TimeSeries
 
 __all__ = [
@@ -236,7 +235,6 @@ class MaintenanceProtocol:
         overlay: OverlaySubstrate,
         config: ProtocolConfig,
         tracer: Optional[Any] = None,
-        profiler: Optional[Any] = None,
         metrics: Optional[Any] = None,
     ):
         self.overlay = overlay
@@ -259,9 +257,6 @@ class MaintenanceProtocol:
             if metrics is not None
             else None
         )
-        #: optional repro.obs.Profiler; run_round wraps its phases in
-        #: scopes (a handful of no-op context managers per round when off)
-        self.profiler = profiler
         #: per-message-type counts and bytes (drives the fig8 rates)
         self.stats = MessageStats()
         #: node_id -> per-node protocol state, one entry per overlay member
@@ -502,11 +497,10 @@ class MaintenanceProtocol:
     def run_round(self, now: float) -> None:
         """One heartbeat period: exchange, detect, claim, repair, measure.
 
-        Each phase runs under a profiler scope named for the scheme
-        (``hb.round.vanilla/hb.exchange`` ...), so per-scheme heartbeat
-        generation/processing cost is separable in bench profiles.
+        Every phase is a method called through ``self``, so wrapping it on
+        the instance from outside (``benchmarks/e2e/trace.py``'s
+        ``Tracer.wrap``) times it; a phase inlined here would be invisible.
         """
-        prof = self.profiler if self.profiler is not None else NULL_PROFILER
         self._round += 1
         self._now = now
         population = len(self.overlay.alive_ids())
@@ -515,23 +509,15 @@ class MaintenanceProtocol:
             # nobody is left to send, to time a neighbor out or to take a
             # zone over: the round is counted and nothing else happens
             return
-        with prof.scope(f"hb.round.{self.config.scheme.value}"):
-            with prof.scope("hb.retry_joins"):
-                # the one step of a round that changes who is alive
-                population += self._retry_pending_joins(now)
-            with prof.scope("hb.exchange"):
-                self._exchange_heartbeats(now)
-            with prof.scope("hb.deliver_replies"):
-                self._deliver_replies(now)
-            with prof.scope("hb.detect_failures"):
-                self._detect_failures(now)
-            with prof.scope("hb.claim_zones"):
-                self._claim_timed_out_zones(now)
-            if self.config.scheme is HeartbeatScheme.ADAPTIVE:
-                with prof.scope("hb.gap_checks"):
-                    self._adaptive_gap_checks(now)
-            with prof.scope("hb.count_broken_links"):
-                broken = self.count_broken_links()
+        # the one step of a round that changes who is alive
+        population += self._retry_pending_joins(now)
+        self._exchange_heartbeats(now)
+        self._deliver_replies(now)
+        self._detect_failures(now)
+        self._claim_timed_out_zones(now)
+        if self.config.scheme is HeartbeatScheme.ADAPTIVE:
+            self._adaptive_gap_checks(now)
+        broken = self.count_broken_links()
         self.broken_links.record(now, float(broken))
         if self.tracer is not None:
             self.tracer.emit(
@@ -678,9 +664,7 @@ class MaintenanceProtocol:
             for pnode in map(self._deliverable, self._gap_candidates(periodic))
             if pnode is not None
         ]
-        prof = self.profiler if self.profiler is not None else NULL_PROFILER
-        with prof.scope("hb.gap_checks.verdicts"):
-            self._decide_gaps(candidates)
+        self._decide_gaps(candidates)
         for pnode in candidates:
             node_id = pnode.node_id
             if not self._needs_repair(pnode):

@@ -40,7 +40,7 @@ class SubstrateDescriptor:
     make_overlay: Callable[[Any], OverlaySubstrate]
     #: build the maintenance protocol:
     #: ``make_protocol(overlay, config, network=None, tracer=...,
-    #: profiler=..., metrics=...)`` — ``config`` is a
+    #: metrics=...)`` — ``config`` is a
     #: :class:`~repro.can.heartbeat.ProtocolConfig` (shared across
     #: substrates; each interprets the scheme/detection knobs its own way),
     #: ``network`` the live :class:`~repro.net.NetworkModel` every

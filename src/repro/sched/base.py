@@ -6,7 +6,7 @@ import abc
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from ..can.aggregation import AggregationEngine
 from ..can.overlay import CanOverlay
 from ..model.job import Job
 from ..model.node import GridNode
-from ..obs.profiling import NULL_PROFILER, profiled
 from .score import ai_field, push_objective, stop_probability
 
 __all__ = [
@@ -22,7 +21,7 @@ __all__ = [
     "CanMatchmaker",
     "MatchmakingStats",
     "fastest_dominant_clock",
-    "expanding_ring_search",
+    "ring_search",
 ]
 
 
@@ -57,8 +56,6 @@ class Matchmaker(abc.ABC):
         self.stats = MatchmakingStats()
         self.tracer = None
         self.clock = None
-        #: optional repro.obs.Profiler; see attach_profiler
-        self.profiler = None
 
     @abc.abstractmethod
     def place(self, job: Job) -> Optional[GridNode]:
@@ -68,15 +65,6 @@ class Matchmaker(abc.ABC):
         """Wire a :class:`repro.obs.Tracer` plus a ``() -> now`` clock."""
         self.tracer = tracer
         self.clock = clock
-
-    def attach_profiler(self, profiler) -> None:
-        """Wire a :class:`repro.obs.Profiler` (or ``None`` to detach).
-
-        Profiled matchmakers time each placement and its scoring/push
-        phases; with ``None`` every instrumented site is one attribute
-        test, exactly like the tracer guard.
-        """
-        self.profiler = profiler
 
     def _t(self) -> float:
         return self.clock() if self.clock is not None else 0.0
@@ -193,16 +181,6 @@ class CanMatchmaker(Matchmaker):
 
     # -- placement ----------------------------------------------------------------
     def place(self, job: Job) -> Optional[GridNode]:
-        """One placement, timed end-to-end under ``mm.place.<scheme>``.
-
-        The push-walk phases (Eq 3/4 target choice, Eq 1/2 scoring, the
-        fallback sweep) carry their own child scopes via ``@profiled``.
-        """
-        prof = self.profiler if self.profiler is not None else NULL_PROFILER
-        with prof.scope(f"mm.place.{self.name}"):
-            return self._place(job)
-
-    def _place(self, job: Job) -> Optional[GridNode]:
         coord = self.overlay.space.job_coordinate(
             job, float(self.rng.random())
         )
@@ -245,11 +223,20 @@ class CanMatchmaker(Matchmaker):
             chosen, job, hops, score=self._score_of(chosen, job)
         )
 
-    @profiled("mm.fallback")
     def _fallback(self, origin: int, job: Job) -> Optional[GridNode]:
-        """Expanding-ring search when the push walk met no capable node."""
+        """Sweep the satisfying region when the push walk met no capable node.
+
+        Every node satisfying a job is reachable from the owner of the
+        job's coordinate by hops that only ever cross zone faces toward
+        *higher* coordinates (the straight line from the coordinate to the
+        node's coordinate passes through a monotone staircase of zones), so
+        the sweep follows the ``+dim`` corridors of :meth:`_neighborhood`
+        alone.  It is rare, but real for scarce multi-CE machines.
+        """
         self.stats.fallback_searches += 1
-        capable = self._outward_capable_search(origin, job)
+        capable = ring_search(
+            self.grid_nodes, origin, job, self._corridor_ids, budget=256
+        )
         if not capable:
             return None
         startable = self._select_startable(capable, job)
@@ -296,7 +283,6 @@ class CanMatchmaker(Matchmaker):
             if (node := get(nid)) is not None and node.capable(job)
         ]
 
-    @profiled("mm.push_target.eq3")
     def _choose_push_target(
         self, node_id: int, visited: set, slot: Optional[str]
     ) -> Optional[Tuple[int, int]]:
@@ -325,53 +311,34 @@ class CanMatchmaker(Matchmaker):
                 best = (nid, dim)
         return best
 
-    def _outward_capable_search(
-        self, origin_id: int, job: Job, budget: int = 256
-    ) -> List[GridNode]:
-        """Breadth-first sweep of the job's satisfying region.
-
-        Every node satisfying a job is reachable from the owner of the
-        job's coordinate by hops that only ever cross zone faces toward
-        *higher* coordinates (the straight line from the coordinate to the
-        node's coordinate passes through a monotone staircase of zones).
-        When the probabilistic push walk strands without meeting a capable
-        node — rare, but real for scarce multi-CE machines — this
-        expanding-ring search from the routing origin is the CAN's
-        fallback, bounded by ``budget`` visited nodes.
-        """
-        seen = {origin_id}
-        queue = deque([origin_id])
-        capable: List[GridNode] = []
-        while queue and len(seen) <= budget:
-            current = queue.popleft()
-            node = self.grid_nodes.get(current)
-            if node is not None and node.alive and node.capable(job):
-                capable.append(node)
-            for _, nid in self._neighborhood(current)[1]:
-                if nid not in seen:
-                    seen.add(nid)
-                    queue.append(nid)
-        return capable
+    def _corridor_ids(self, node_id: int) -> List[int]:
+        """Ids across ``node_id``'s ``+dim`` faces, by dimension, then id."""
+        return [nid for _, nid in self._neighborhood(node_id)[1]]
 
 
-def expanding_ring_search(
-    overlay: CanOverlay,
+def ring_search(
     grid_nodes: Dict[int, GridNode],
     origin_id: int,
     job: Job,
-    budget: int = 128,
+    adjacent: Callable[[int], Iterable[int]],
+    budget: int,
 ) -> List[GridNode]:
-    """Ring-by-ring flood over *all* zone adjacencies from ``origin_id``.
+    """Breadth-first flood from ``origin_id``; the live capable nodes met.
 
-    The recovery path's degraded-mode search: right after a crash the
-    directional aggregates are stale (the matchmaker may see only emptied
-    corridors) and zones may sit unclaimed, so the monotone
-    :func:`outward_capable_search` can be cut off.  This search expands
-    through every adjacency — dead/ghost zones are crossed but never
-    selected, modelling neighbor-of-neighbor knowledge from stored tables —
-    and collects live capable nodes until ``budget`` zones were visited.
-    The origin may itself be dead (it usually is: it owned the crashed
-    job's coordinate).
+    ``adjacent(node_id)`` lists the ids a node expands to, in queue order.
+    Nodes are examined in discovery order and the alive ones able to run
+    ``job`` are returned in that order; ids missing from ``grid_nodes``
+    are crossed but never returned.  ``budget`` counts *discovered* ids,
+    the origin included, not examined ones: the search stops once more
+    than ``budget`` were discovered, so the expansion that crosses it
+    queues ids that are never examined.
+
+    The matchmaker's fallback passes the ``+dim`` corridor
+    (:meth:`CanMatchmaker._fallback`).  The recovery path's degraded-mode
+    search passes every zone adjacency: dead or unclaimed zones are
+    crossed but never selected (neighbor-of-neighbor knowledge from
+    stored tables), and its origin is usually dead — it owned the crashed
+    job's coordinate.
     """
     seen = {origin_id}
     queue = deque([origin_id])
@@ -381,7 +348,7 @@ def expanding_ring_search(
         node = grid_nodes.get(current)
         if node is not None and node.alive and node.capable(job):
             capable.append(node)
-        for nid in sorted(overlay.neighbors(current)):
+        for nid in adjacent(current):
             if nid not in seen:
                 seen.add(nid)
                 queue.append(nid)

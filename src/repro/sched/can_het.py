@@ -21,7 +21,6 @@ from ..can.aggregation import AggregationEngine
 from ..can.overlay import CanOverlay
 from ..model.job import Job
 from ..model.node import GridNode
-from ..obs.profiling import profiled
 from .base import CanMatchmaker, fastest_dominant_clock
 from .score import (
     min_pooled_score_node,
@@ -82,7 +81,6 @@ class CanHetMatchmaker(CanMatchmaker):
         pool = free if free else acceptable
         return fastest_dominant_clock(pool, job)
 
-    @profiled("mm.score.eq12")
     def _select_min_score(
         self, capable: List[GridNode], job: Job
     ) -> Optional[GridNode]:

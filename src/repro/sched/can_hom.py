@@ -23,7 +23,6 @@ from typing import List, Optional
 
 from ..model.job import Job
 from ..model.node import GridNode
-from ..obs.profiling import profiled
 from .base import CanMatchmaker
 from .score import min_pooled_score_node
 
@@ -45,7 +44,6 @@ class CanHomMatchmaker(CanMatchmaker):
         # capable" never looks at the GPU.
         return min(free, key=lambda n: (-n.ces["cpu"].spec.clock, n.node_id))
 
-    @profiled("mm.score.eq12")
     def _select_min_score(
         self, capable: List[GridNode], job: Job
     ) -> Optional[GridNode]:

@@ -96,7 +96,6 @@ class GridService:
         clock: Clock,
         tracer=None,
         metrics=None,
-        profiler=None,
     ):
         self.config = config
         self.ledger = ledger
@@ -128,7 +127,6 @@ class GridService:
             self.rngs.stream("matchmaking"),
         )
         self.matchmaker.attach_tracer(tracer, lambda: self.clock.now)
-        self.matchmaker.attach_profiler(profiler)
         #: live Job objects for every non-terminal ledger row
         self._jobs: Dict[int, Job] = {}
         self._periodic: List[CallbackHandle] = []
@@ -155,7 +153,6 @@ class GridService:
                     failure_timeout_periods=config.failure_timeout_periods,
                 ),
                 tracer=tracer,
-                profiler=profiler,
                 metrics=metrics,
             )
             self.protocol.adopt_overlay(self.clock.now)

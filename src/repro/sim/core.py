@@ -159,24 +159,13 @@ class Environment(Clock):
     environment find the run's tracer (``env.tracer``), and it stays
     ``None`` unless observability was requested, so instrumented call
     sites cost one attribute test on the default path.
-
-    ``profiler`` is an optional :class:`repro.obs.Profiler`.  When set,
-    :meth:`run` times every dispatch under a per-entry-type scope
-    (``sim.dispatch.Timeout``, ``sim.dispatch.Process``, ...); when
-    ``None`` the run loop does nothing but pop and fire.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        tracer: Optional[Any] = None,
-        profiler: Optional[Any] = None,
-    ):
+    def __init__(self, initial_time: float = 0.0, tracer: Optional[Any] = None):
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Any]] = []
         self._eid = 0
         self.tracer = tracer
-        self.profiler = profiler
 
     @property
     def now(self) -> float:
@@ -226,32 +215,7 @@ class Environment(Clock):
         limit = float("inf") if until is None else float(until)
         if limit < self._now:
             raise ValueError(f"until={until!r} lies in the past (now={self._now!r})")
-        profiler = self.profiler
-        if profiler is None or not profiler.enabled:
-            while self._queue and self._queue[0][0] <= limit:
-                self.step()
-        else:
-            self._run_profiled(limit, profiler)
+        while self._queue and self._queue[0][0] <= limit:
+            self.step()
         if until is not None:
             self._now = limit
-
-    def _run_profiled(self, limit: float, profiler: Any) -> None:
-        """The run loop with per-entry-type dispatch timing.
-
-        Scope names are cached per entry class: the profiled loop adds two
-        profiler calls and two dict probes per entry, nothing else.
-        """
-        queue = self._queue
-        names: dict = {}
-        while queue and queue[0][0] <= limit:
-            when, _prio, _eid, entry = heapq.heappop(queue)
-            self._now = when
-            cls = entry.__class__
-            name = names.get(cls)
-            if name is None:
-                name = names[cls] = "sim.dispatch." + cls.__name__
-            profiler.push(name)
-            try:
-                entry._fire()
-            finally:
-                profiler.pop()

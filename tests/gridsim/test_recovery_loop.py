@@ -486,7 +486,7 @@ def test_hosts_contain_no_copy_of_the_loop():
     import repro.service.core
 
     forbidden = {
-        "expanding_ring_search", "begin_attempt", "exhausted", "delay",
+        "ring_search", "begin_attempt", "exhausted", "delay",
         "job_lost", "job_resubmitted",
     }
     for module in (repro.gridsim.faulty, repro.service.core):

@@ -139,6 +139,40 @@ def test_matchmaking_fingerprint_matches_golden(name):
     assert got == want
 
 
+def test_recovery_case_ignores_the_hash_seed():
+    """The recovery loop walks ``tracker.pending`` (a dict) when a detection
+    releases a node's jobs, and the case takes 25 fallback searches and 32
+    resubmissions: it must reproduce the golden in fresh interpreters under
+    three hash seeds."""
+    import subprocess
+    import sys
+
+    script = (
+        "import json;"
+        "from tests.sched.test_matchmaking_goldens import run_case;"
+        "print(json.dumps(run_case('recovery.can-het')))"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            cwd=root,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.path.join(root, "src"),
+                "PYTHONHASHSEED": seed,
+            },
+        )
+        for seed in ("0", "1", "4242")
+    ]
+    with open(GOLDEN_PATH) as fh:
+        want = json.load(fh)["recovery.can-het"]
+    for run in runs:
+        out, _ = run.communicate(timeout=120)
+        assert run.returncode == 0
+        assert json.loads(out) == want
+
+
 if __name__ == "__main__":
     payload = {name: run_case(name) for name in CASES}
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
