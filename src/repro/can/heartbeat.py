@@ -611,15 +611,128 @@ class HeartbeatProtocol(MaintenanceProtocol):
         )
         return size, (responder.own_record(self.overlay), table.snapshot())
 
-    def _land_reply(
+    def _land_replies(
         self,
         receiver: ProtocolNode,
-        payload: Tuple[BeliefRecord, TableSnapshot],
+        payloads: List[Tuple[BeliefRecord, TableSnapshot]],
         now: float,
     ) -> None:
-        own_record, snapshot = payload
-        self._receive_record(receiver, own_record, now)
-        self._absorb_table(receiver, snapshot, now)
+        """Land one requester's replies as one batch, exactly as reply by
+        reply (the responder's record received, its snapshot absorbed, a
+        gap verdict) would; DESIGN.md, "A requester's replies land as one
+        batch".
+
+        Nothing a landing does bumps ``own_version`` or moves the overlay,
+        and a record changes only its own subject's entry, so each subject
+        is classified once against the table the batch found: (a) believed
+        at every version offered or a newer one — its freshness takes one
+        max after the batch; (b) unknown and memoised as not abutting, or
+        (c) unknown and offered at its current version while a member and
+        not a ground-truth neighbour (:meth:`_record_relevant`'s own test,
+        so "not relevant") — nothing; (d) any other — every record about
+        it goes to :meth:`_receive_record` in queue order.  Only a (d)
+        record that updates or removes a believed one can shrink the
+        believed area, so a verdict is taken before each reply holding one
+        (or one that replaces its responder within the reply,
+        :meth:`_replaced_in_reply`) and once at the end: in between, the
+        detector can only go from gap to no gap.
+        """
+        rid = receiver.node_id
+        table = receiver.table
+        believed_get = table._records.get
+        memo_get = receiver._non_abutting.get
+        own_version = receiver.own_version
+        nodes_get = self.nodes.get
+        members = self.overlay.members
+        neighbors = self.overlay.neighbor_ids(rid)
+        #: (a): subject -> the freshest evidence offered for it
+        fresh: Dict[int, float] = {}
+        fresh_get = fresh.get
+        #: (d): subjects whose every record lands through _receive_record
+        slow: Set[int] = set()
+        for own, snap in payloads:
+            # a responder's own record carries no last-heard evidence, so
+            # believed at its version or a newer one it changes nothing
+            existing = believed_get(own.node_id)
+            if existing is None or own.version > existing.version:
+                slow.add(own.node_id)
+            heard_get = snap.heard.get
+            for nid, rec in snap.records.items():
+                version = rec.version
+                existing = believed_get(nid)
+                if existing is not None:
+                    if version <= existing.version:
+                        heard = heard_get(nid, _NEG_INF)
+                        if heard > fresh_get(nid, _NEG_INF):
+                            fresh[nid] = heard
+                        continue
+                elif memo_get((nid, version)) == own_version:
+                    continue
+                else:
+                    subject = nodes_get(nid)
+                    if (
+                        subject is not None
+                        and subject.own_version == version
+                        and nid in members
+                        and nid not in neighbors
+                    ):
+                        continue
+                slow.add(nid)
+        slow.discard(rid)  # a record about the requester is never received
+        settle = self._settle_gap
+        if slow:
+            receive = self._receive_record
+            # the live table: a landed record may have copied the dict
+            # (copy-on-write) that ``believed_get`` was bound to
+            believed = table.get
+            for k, (own, snap) in enumerate(payloads):
+                records = snap.records
+                if own.node_id not in slow and slow.isdisjoint(records):
+                    continue
+                heard_get = snap.heard.get
+                cells = [(own, None)] if own.node_id in slow else []
+                cells += [
+                    (records[nid], heard_get(nid, _NEG_INF))
+                    for nid in records
+                    if nid in slow
+                ]
+                if k and (
+                    any(
+                        (existing := believed(rec.node_id)) is not None
+                        and rec.version > existing.version
+                        for rec, _ in cells
+                    )
+                    or self._replaced_in_reply(receiver, own, records)
+                ):
+                    settle(receiver, now)
+                for rec, heard in cells:
+                    receive(receiver, rec, now, heard_at=heard)
+        advance = table.advance_freshness
+        for nid, heard in fresh.items():
+            if nid not in slow:
+                advance(nid, heard)
+        settle(receiver, now)
+
+    def _replaced_in_reply(
+        self,
+        receiver: ProtocolNode,
+        own: BeliefRecord,
+        records: Dict[int, BeliefRecord],
+    ) -> bool:
+        """Will this reply insert its responder from ``own`` and then update
+        or remove that record from a newer one in its own snapshot?  The
+        responder is the one subject a reply can name twice.  A table never
+        holds its owner, so a run never gets here with True; the batch still
+        lands such a reply exactly."""
+        twin = records.get(own.node_id)
+        return (
+            twin is not None
+            and twin.version > own.version
+            and own.node_id not in receiver.table
+            and receiver._non_abutting.get((own.node_id, own.version))
+            != receiver.own_version
+            and self._record_relevant(receiver, own)
+        )
 
     def _land_late(
         self,

@@ -321,8 +321,10 @@ class NetworkModel:
             for i in alive:
                 out[i] = 0.0
         else:
+            cached = self._latency_cache.get
             for i in alive:
-                out[i] = self._latency(src, dsts[i])
+                lat = cached((src, dsts[i]))
+                out[i] = self._latency(src, dsts[i]) if lat is None else lat
         return out
 
     def _cut(self, src: int, dst: int, now: float) -> bool:

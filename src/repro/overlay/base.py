@@ -731,14 +731,8 @@ class MaintenanceProtocol:
         raise NotImplementedError
 
     def _land_replies(self, receiver: Any, payloads: List[Any], now: float) -> None:
-        """Apply one requester's replies in queue order.  Default: a gap
-        verdict after each (a landed CAN record may remove a neighbour)."""
-        for payload in payloads:
-            self._land_reply(receiver, payload, now)
-            self._settle_gap(receiver, now)
-
-    def _land_reply(self, receiver: Any, payload: Any, now: float) -> None:
-        """Apply one reply (for the default :meth:`_land_replies`)."""
+        """Apply one requester's replies in queue order, settling its gap
+        flags (:meth:`_settle_gap`) as a verdict after each reply would."""
         raise NotImplementedError
 
     def _detect_failures_at(self, pnode: Any, now: float, timeout: float) -> None:
