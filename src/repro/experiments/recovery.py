@@ -68,7 +68,6 @@ def recovery_config(
         MatchmakingConfig(preset, substrate=substrate),
         mean_time_between_failures=300.0,
         mean_time_between_joins=300.0,
-        detection_mode="protocol",
         heartbeat_scheme=scheme,
         faults=FaultPlan(network=NetworkSpec(loss=MESSAGE_LOSS)),
         invariant_check_every=5,

@@ -12,15 +12,12 @@ two — the regime a real desktop grid lives in:
 * fresh nodes join, extending the CAN and the eligible population;
 * the aggregation engine tracks the changing topology.
 
-Failure detection comes in two modes.  The default, ``"protocol"``, runs a
-real :class:`~repro.can.heartbeat.HeartbeatProtocol` alongside the
-matchmaker: a crash is noticed when believers' heartbeat timeouts fire
-(per-scheme — vanilla/compact/adaptive differ in how beliefs are
-maintained), vacated zones recover through the split-tree take-over path,
-and resubmission is triggered by the protocol's detection events.  The
-legacy ``"fixed"`` mode models detection as a constant delay with
-immediate zone hand-off — useful as a controlled baseline, and what this
-simulation did before the protocol integration.
+A crash is noticed one way: the substrate's maintenance protocol (a
+:class:`~repro.can.heartbeat.HeartbeatProtocol` on CAN) runs alongside the
+matchmaker, and the crash is detected when believers' heartbeat timeouts
+fire (per-scheme — vanilla/compact/adaptive differ in how beliefs are
+maintained).  Vacated zones recover through the take-over path, and
+resubmission is triggered by the protocol's detection events.
 
 Scripted adversity (crash bursts, correlated zone failures, heartbeat
 message loss) is layered on via :class:`~repro.gridsim.faults.FaultPlan`,
@@ -62,54 +59,34 @@ class FaultyGridConfig:
     #: mean time between node joins (seconds); equal rates keep the
     #: population in dynamic equilibrium, as in the paper's Section V-B
     mean_time_between_joins: float = 300.0
-    #: "protocol": failures are detected by a live HeartbeatProtocol's
-    #: timeouts and zones recover via take-over; "fixed": the legacy
-    #: constant-delay detection model with immediate zone hand-off
-    detection_mode: str = "protocol"
-    #: fixed mode only: how long until a failure is noticed
-    detection_delay: float = 150.0
-    #: protocol mode: which heartbeat scheme maintains beliefs
+    #: which heartbeat scheme maintains beliefs
     heartbeat_scheme: HeartbeatScheme = HeartbeatScheme.VANILLA
-    #: protocol mode: silent periods before a neighbor is declared failed
+    #: silent periods before a neighbor is declared failed
     failure_timeout_periods: float = 2.5
     #: resubmission backoff/budget policy
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: never let churn shrink the grid below this fraction of the start size
     min_population_fraction: float = 0.5
-    #: scripted crash/join bursts and the heartbeat channel
-    #: (``faults.network``; protocol mode only — fixed mode has no
-    #: heartbeats to carry it)
+    #: scripted crash/join bursts and the heartbeat channel (``faults.network``)
     faults: FaultPlan = field(default_factory=FaultPlan)
     #: audit the simulation every N heartbeat rounds and once after the
-    #: run (0 disables; fixed mode checks only at the end)
+    #: run (0 disables)
     invariant_check_every: int = 0
 
     def __post_init__(self) -> None:
-        if min(
-            self.mean_time_between_failures,
-            self.mean_time_between_joins,
-            self.detection_delay,
-        ) <= 0:
+        if min(self.mean_time_between_failures, self.mean_time_between_joins) <= 0:
             raise ValueError("all churn timings must be positive")
-        if self.detection_mode not in ("protocol", "fixed"):
-            raise ValueError(f"unknown detection_mode {self.detection_mode!r}")
         if not 0 < self.min_population_fraction <= 1:
             raise ValueError("min_population_fraction must be in (0, 1]")
         if self.invariant_check_every < 0:
             raise ValueError("invariant_check_every must be non-negative")
         get_substrate(self.matchmaking.substrate)  # an unknown name fails here
-        if self.detection_mode == "fixed" and not self.faults.ideal_channel:
-            raise ValueError(
-                "faults.network needs heartbeats to act on: "
-                'detection_mode="fixed" runs no protocol and would ignore it'
-            )
         # failure_timeout_periods is validated by ProtocolConfig; construct
         # one eagerly so a bad value fails at config time, not mid-run
-        if self.detection_mode == "protocol":
-            ProtocolConfig(
-                scheme=self.heartbeat_scheme,
-                failure_timeout_periods=self.failure_timeout_periods,
-            )
+        ProtocolConfig(
+            scheme=self.heartbeat_scheme,
+            failure_timeout_periods=self.failure_timeout_periods,
+        )
 
     def with_scheme(self, scheme: HeartbeatScheme) -> "FaultyGridConfig":
         return replace(self, heartbeat_scheme=scheme)
@@ -127,7 +104,7 @@ class FaultyGridResult:
     jobs_abandoned: int  # exceeded the retry budget
     final_population: int
     #: crash -> first-detection latency, one sample per detected crash
-    #: (constant in fixed mode; emergent from timeouts in protocol mode)
+    #: (emergent from heartbeat timeouts)
     detection_latencies: np.ndarray = field(
         default_factory=lambda: np.empty(0)
     )
@@ -185,28 +162,25 @@ class FaultyGridSimulation(GridSimulation):
             self.env,
             placed=self._job_recovered,
             abandoned=self._job_abandoned,
-            detection_delay=config.detection_delay,
             metrics=self.metrics,
         )
         self.tracker = self.recovery.tracker
-        self.protocol: Optional[MaintenanceProtocol] = None
-        if config.detection_mode == "protocol":
-            substrate = get_substrate(config.matchmaking.substrate)
-            self.protocol = substrate.make_protocol(
-                self.overlay,
-                ProtocolConfig(
-                    scheme=config.heartbeat_scheme,
-                    period=config.matchmaking.preset.heartbeat_period,
-                    failure_timeout_periods=config.failure_timeout_periods,
-                ),
-                network=config.faults.build_network(self.rngs),
-                tracer=tracer,
-                metrics=self.metrics,
-            )
-            # the grid bootstraps its CAN outside the protocol (no join
-            # message accounting wanted); adopt it in converged state
-            self.protocol.adopt_overlay(0.0)
-            self.protocol.on_failure_detected = self.recovery.detected
+        substrate = get_substrate(config.matchmaking.substrate)
+        self.protocol: MaintenanceProtocol = substrate.make_protocol(
+            self.overlay,
+            ProtocolConfig(
+                scheme=config.heartbeat_scheme,
+                period=config.matchmaking.preset.heartbeat_period,
+                failure_timeout_periods=config.failure_timeout_periods,
+            ),
+            network=config.faults.build_network(self.rngs),
+            tracer=tracer,
+            metrics=self.metrics,
+        )
+        # the grid bootstraps its CAN outside the protocol (no join
+        # message accounting wanted); adopt it in converged state
+        self.protocol.adopt_overlay(0.0)
+        self.protocol.on_failure_detected = self.recovery.detected
         self._injector = FaultInjector(self, config.faults)
 
     # ------------------------------------------------------------------ churn --
@@ -247,7 +221,7 @@ class FaultyGridSimulation(GridSimulation):
         return failures(), joins()
 
     def _heartbeat_process(self):
-        """Protocol mode: tick heartbeat rounds next to the aggregation."""
+        """Tick heartbeat rounds next to the aggregation."""
         period = self.config.preset.heartbeat_period
         every = self.fault_config.invariant_check_every
         rounds = 0
@@ -290,28 +264,22 @@ class FaultyGridSimulation(GridSimulation):
             first_id=next(self._next_node_id),
         )[0]
         coord = self.space.node_coordinate(spec, float(rng.random()))
-        if self.protocol is not None:
-            # Substrate-agnostic probe: the owner of the newcomer's target
-            # region must be alive, otherwise the zone/arc is in limbo
-            # awaiting take-over and the join would be deferred.
-            try:
-                owner = self.overlay.locate_owner(coord)
-            except SubstrateError:
-                return
-            if not self.overlay.is_alive(owner):
-                return  # target region in limbo awaiting take-over; skip
-            if not self.protocol.join(spec.node_id, coord, now=self.env.now):
-                # The only remaining failure is an unsplittable zone; the
-                # protocol queued a retry, but grid-level joins are
-                # Poisson-plentiful — withdraw instead of tracking a
-                # node the grid layer never registered.
-                self.protocol._pending_joins.pop()
-                return
-        else:
-            try:
-                self.overlay.add_node(spec.node_id, coord)
-            except SubstrateError:
-                return  # coordinate collision or zone in limbo; skip
+        # Substrate-agnostic probe: the owner of the newcomer's target
+        # region must be alive, otherwise the zone/arc is in limbo
+        # awaiting take-over and the join would be deferred.
+        try:
+            owner = self.overlay.locate_owner(coord)
+        except SubstrateError:
+            return
+        if not self.overlay.is_alive(owner):
+            return  # target region in limbo awaiting take-over; skip
+        if not self.protocol.join(spec.node_id, coord, now=self.env.now):
+            # The only remaining failure is an unsplittable zone; the
+            # protocol queued a retry, but grid-level joins are
+            # Poisson-plentiful — withdraw instead of tracking a
+            # node the grid layer never registered.
+            self.protocol._pending_joins.pop()
+            return
         node = GridNode(spec, self.env, contention=self.config.contention)
         self._wire_node(node)
         self.grid_nodes[spec.node_id] = node
@@ -344,8 +312,7 @@ class FaultyGridSimulation(GridSimulation):
     def run(self) -> FaultyGridResult:  # type: ignore[override]
         cfg = self.fault_config
         self._injector.install()
-        if self.protocol is not None:
-            self.env.process(self._heartbeat_process(), name="heartbeats")
+        self.env.process(self._heartbeat_process(), name="heartbeats")
         fail_proc, join_proc = self._churn_processes()
         self.env.process(fail_proc, name="failures")
         self.env.process(join_proc, name="joins")

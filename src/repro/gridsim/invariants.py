@@ -21,8 +21,13 @@ Checked for a :class:`~repro.gridsim.faulty.FaultyGridSimulation`:
   space with symmetric adjacency; for Chord, the sorted ring is a
   bijection whose arcs cover the full key circle and whose derived
   successor/predecessor/finger structure matches an independent scan;
-* the grid-node population mirrors the overlay's alive set, and the
-  population ledger balances (initial + joins - failures);
+* the maintenance protocol's books balance against the overlay
+  (:func:`_check_protocol`, shared with :func:`check_churn_invariants`):
+  channel accounting, ``members == initial + joins - leaves - claims`` and
+  ``alive == members - (failures - claims)`` from ``protocol.events``,
+  protocol state for exactly the members, stored-copy holders all live,
+  and failed-but-unclaimed nodes exactly the dead members;
+* the grid-node population mirrors the overlay's alive set;
 * every non-finished job is exactly one of: not yet submitted, queued or
   running on a live node, awaiting detection / between retries (in the
   recovery tracker), abandoned, or unplaced-at-arrival;
@@ -169,8 +174,8 @@ def _check_overlay(overlay) -> None:
 def check_faulty_invariants(sim, final: bool = False) -> None:
     """All invariants of a (possibly mid-run) FaultyGridSimulation."""
     _check_overlay(sim.overlay)
-    if sim.protocol is not None:
-        _check_network(sim.protocol)
+    # the grid adopts its preset population into the protocol in one step
+    _check_protocol(sim.overlay, sim.protocol, initial=sim.config.preset.nodes)
 
     alive = set(sim.overlay.alive_ids())
     grid_ids = set(sim.grid_nodes)
@@ -179,25 +184,6 @@ def check_faulty_invariants(sim, final: bool = False) -> None:
             "grid population out of sync with overlay: "
             f"overlay-only={sorted(alive - grid_ids)[:5]} "
             f"grid-only={sorted(grid_ids - alive)[:5]}"
-        )
-
-    # population ledger: members = initial + joins - claimed dead nodes
-    initial = sim.config.preset.nodes
-    if sim.protocol is not None:
-        ev = sim.protocol.events
-        expected_members = initial + ev["joins"] - ev["leaves"] - ev["claims"]
-        expected_alive = expected_members - (ev["failures"] - ev["claims"])
-    else:
-        expected_members = expected_alive = initial + sim.joins - sim.failures
-    if len(sim.overlay.members) != expected_members:
-        _fail(
-            f"membership ledger leak: {len(sim.overlay.members)} members, "
-            f"expected {expected_members}"
-        )
-    if len(alive) != expected_alive:
-        _fail(
-            f"population ledger leak: {len(alive)} alive, "
-            f"expected {expected_alive}"
         )
 
     # recovery ledger
@@ -290,21 +276,24 @@ def _check_network(protocol) -> None:
             )
 
 
-def check_churn_invariants(sim) -> None:
-    """Invariants of a (possibly mid-run) ChurnSimulation."""
-    _check_overlay(sim.overlay)
-    protocol = sim.protocol
+def _check_protocol(overlay, protocol, initial: int) -> None:
+    """A maintenance protocol's books against the overlay it maintains.
+
+    ``initial`` is how many members the protocol started with before its
+    first join: one bootstrap node for a churn run, the whole adopted
+    population for a faulty grid.
+    """
     _check_network(protocol)
     ev = protocol.events
 
-    # membership ledger: one bootstrap node, then joins/leaves/claims
-    expected_members = 1 + ev["joins"] - ev["leaves"] - ev["claims"]
-    if len(sim.overlay.members) != expected_members:
+    # membership ledger: the initial members, then joins/leaves/claims
+    expected_members = initial + ev["joins"] - ev["leaves"] - ev["claims"]
+    if len(overlay.members) != expected_members:
         _fail(
-            f"membership ledger leak: {len(sim.overlay.members)} members, "
+            f"membership ledger leak: {len(overlay.members)} members, "
             f"expected {expected_members}"
         )
-    alive = set(sim.overlay.alive_ids())
+    alive = set(overlay.alive_ids())
     expected_alive = expected_members - (ev["failures"] - ev["claims"])
     if len(alive) != expected_alive:
         _fail(
@@ -314,7 +303,7 @@ def check_churn_invariants(sim) -> None:
 
     # protocol-state mirrors: every member has protocol state and failed-
     # but-unclaimed nodes are exactly the dead members
-    members = set(sim.overlay.members)
+    members = set(overlay.members)
     if set(protocol.nodes) != members:
         _fail("protocol node set out of sync with overlay membership")
     # the stored-copy index names live holders (read only: ends no streak)
@@ -327,3 +316,10 @@ def check_churn_invariants(sim) -> None:
             "fail-time ledger out of sync: "
             f"{sorted(set(protocol._fail_times) ^ dead)[:5]}"
         )
+
+
+def check_churn_invariants(sim) -> None:
+    """Invariants of a (possibly mid-run) ChurnSimulation."""
+    _check_overlay(sim.overlay)
+    # a churn run grows from one bootstrap node
+    _check_protocol(sim.overlay, sim.protocol, initial=1)

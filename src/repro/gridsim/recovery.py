@@ -200,10 +200,13 @@ class RecoveryLoop:
     """Crash → detect → place-with-retry, for whichever host holds the grid.
 
     ``host`` supplies the ``retry`` stream of its ``rngs`` and the stack the
-    loop acts on — ``grid_nodes``, ``overlay``, ``protocol`` (None: no
-    heartbeats, detection after ``detection_delay``), ``matchmaker``,
-    ``aggregation``, ``space``, ``tracer``, ``config.scheme`` — read at call
-    time, so a host may wrap or replace them after construction.  What
+    loop acts on — ``grid_nodes``, ``overlay``, ``protocol``,
+    ``matchmaker``, ``aggregation``, ``space``, ``tracer``,
+    ``config.scheme`` — read at call time, so a host may wrap or replace
+    them after construction.  A crash is detected one way: the host wires
+    the protocol's ``on_failure_detected`` to :meth:`detected`, which fires
+    when believers' heartbeat timeouts do (or, with no believer left, at
+    once).  What
     *differs* between hosts (counters on one, persistent-ledger edges on the
     other) are callbacks:
 
@@ -234,12 +237,10 @@ class RecoveryLoop:
         abandoned: Callable[[Job, int], None],
         crashed: Callable[[int, List[Job]], None] = _no_edge,
         retrying: Callable[[Job, int], None] = _no_edge,
-        detection_delay: float = 0.0,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.host, self.policy, self.clock = host, policy, clock
         self.rng = host.rngs.stream("retry")
-        self.detection_delay = detection_delay
         self.tracker = RecoveryTracker()
         self._placed, self._abandoned = placed, abandoned
         self._crashed, self._retrying = crashed, retrying
@@ -269,24 +270,13 @@ class RecoveryLoop:
         self._emit(now, "grid.crash", node=node_id, jobs_lost=len(lost))
         self.lose(node_id, lost, now)
         self._crashed(node_id, lost)
-        if host.protocol is not None:
-            # zones linger as ghosts until believers time the victim out
-            # and the take-over path claims them; detection arrives via
-            # on_failure_detected
-            host.protocol.fail(node_id, now)
-            if not host.grid_nodes:
-                # no believer is left to time anyone out: the host notices
-                for dead_id in self.tracker.undetected_crashes():
-                    self.detected(dead_id, now)
-            return lost
-        host.overlay.fail(node_id)
-        host.overlay.claim_zones(node_id)
-        if self.detection_delay > 0:
-            self.clock.schedule_callback(
-                self.detection_delay, lambda: self.detected(node_id, self.clock.now)
-            )
-        else:
-            self.detected(node_id, now)
+        # zones linger as ghosts until believers time the victim out and the
+        # take-over path claims them; detection arrives via on_failure_detected
+        host.protocol.fail(node_id, now)
+        if not host.grid_nodes:
+            # no believer is left to time anyone out: the host notices
+            for dead_id in self.tracker.undetected_crashes():
+                self.detected(dead_id, now)
         return lost
 
     def lose(self, node_id: int, jobs: List[Job], now: float) -> None:
@@ -297,7 +287,10 @@ class RecoveryLoop:
             self._emit(now, "grid.job_lost", job=job.job_id, node=node_id)
 
     def detected(self, node_id: int, now: float) -> None:
-        """A crash was noticed; retry the jobs that died with it."""
+        """A crash was noticed; retry the jobs that died with it.
+
+        The one detection entry point: the protocol's ``on_failure_detected``,
+        a total loss in :meth:`crash`, and a restarted service's orphans."""
         latency, released = self.tracker.node_detected(node_id, now)
         if latency is None:
             return  # already detected through another path

@@ -61,11 +61,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         help="model seconds per wall second (default: 60)",
     )
     parser.add_argument(
-        "--no-heartbeat",
-        action="store_true",
-        help="skip the live heartbeat protocol (failures detected inline)",
-    )
-    parser.add_argument(
         "--trace-dir",
         default=None,
         metavar="DIR",
@@ -89,11 +84,7 @@ def _build_stack(args, loop: asyncio.AbstractEventLoop):
     origin = max((r.updated_at for r in ledger.records()), default=0.0)
     clock = AsyncioClock(loop=loop, dilation=args.dilation, origin=origin)
     ledger.clock = clock
-    config = ServiceConfig(
-        preset=PRESETS[args.preset],
-        scheme=args.scheme,
-        heartbeat=not args.no_heartbeat,
-    )
+    config = ServiceConfig(preset=PRESETS[args.preset], scheme=args.scheme)
     metrics = MetricsRegistry()
     service = GridService(
         config, ledger, clock, tracer=recorder.tracer, metrics=metrics

@@ -29,7 +29,7 @@ old process is "lost to a crash" whose detection is immediate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..can.aggregation import AggregationEngine
 from ..can.heartbeat import HeartbeatScheme, ProtocolConfig
@@ -62,9 +62,8 @@ class ServiceConfig:
     #: the preset's job-stream fields are ignored — jobs arrive via submit()
     preset: WorkloadPreset = TINY_LOAD
     scheme: str = "can-het"  # can-het | can-hom | central
-    #: run a live HeartbeatProtocol next to the matchmaker (crash detection
-    #: through missed-heartbeat timeouts, zone take-over on failure)
-    heartbeat: bool = True
+    #: scheme of the live heartbeat protocol next to the matchmaker (crash
+    #: detection through missed-heartbeat timeouts, zone take-over on failure)
     heartbeat_scheme: HeartbeatScheme = HeartbeatScheme.VANILLA
     failure_timeout_periods: float = 2.5
     #: backoff/budget for retrying lost and not-yet-placeable jobs
@@ -143,20 +142,20 @@ class GridService:
             metrics=metrics,
         )
         self.tracker = self.recovery.tracker
-        self.protocol: Optional[MaintenanceProtocol] = None
-        if config.heartbeat:
-            self.protocol = get_substrate(config.substrate).make_protocol(
-                self.overlay,
-                ProtocolConfig(
-                    scheme=config.heartbeat_scheme,
-                    period=preset.heartbeat_period,
-                    failure_timeout_periods=config.failure_timeout_periods,
-                ),
-                tracer=tracer,
-                metrics=metrics,
-            )
-            self.protocol.adopt_overlay(self.clock.now)
-            self.protocol.on_failure_detected = self.recovery.detected
+        self.protocol: MaintenanceProtocol = get_substrate(
+            config.substrate
+        ).make_protocol(
+            self.overlay,
+            ProtocolConfig(
+                scheme=config.heartbeat_scheme,
+                period=preset.heartbeat_period,
+                failure_timeout_periods=config.failure_timeout_periods,
+            ),
+            tracer=tracer,
+            metrics=metrics,
+        )
+        self.protocol.adopt_overlay(self.clock.now)
+        self.protocol.on_failure_detected = self.recovery.detected
         if metrics is not None:
             scope = metrics.scope("service")
             self._job_counter = scope.counter("jobs")
@@ -180,22 +179,19 @@ class GridService:
         self._periodic.append(
             self.clock.call_every(period, self.aggregation.step)
         )
-        if self.protocol is not None:
-            self._periodic.append(
-                self.clock.call_every(
-                    self.protocol.config.period,
-                    lambda: self.protocol.run_round(self.clock.now),
-                )
+        self._periodic.append(
+            self.clock.call_every(
+                self.protocol.config.period,
+                lambda: self.protocol.run_round(self.clock.now),
             )
+        )
         if self.tracer is not None:
             self.tracer.emit(
                 self.clock.now,
                 "service.start",
                 nodes=len(self.grid_nodes),
                 scheme=self.config.scheme,
-                heartbeat_class=(
-                    None if self.protocol is None else type(self.protocol).__name__
-                ),
+                heartbeat_class=type(self.protocol).__name__,
                 recovered=len(self._jobs),
             )
 
@@ -329,9 +325,9 @@ class GridService:
     def fail_node(self, node_id: int) -> List[int]:
         """Crash one node; returns the ids of the jobs lost with it.
 
-        Detection follows the heartbeat protocol (believers time the node
-        out, the take-over path reclaims its zones); without a protocol the
-        loss is detected immediately.
+        Detection follows the heartbeat protocol: believers time the node
+        out and the take-over path reclaims its zones.  With no node left
+        to believe anything, the loss is detected at once.
         """
         return [job.job_id for job in self.recovery.crash(node_id)]
 

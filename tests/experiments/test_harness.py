@@ -111,7 +111,6 @@ class TestAblations:
 class TestRecovery:
     def test_config_shapes(self):
         fast = recovery.recovery_config(HeartbeatScheme.VANILLA, fast=True)
-        assert fast.detection_mode == "protocol"
         assert fast.faults.network.loss == recovery.MESSAGE_LOSS
         full = recovery.recovery_config(HeartbeatScheme.COMPACT, fast=False)
         assert full.matchmaking.preset.jobs > fast.matchmaking.preset.jobs

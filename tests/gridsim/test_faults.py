@@ -113,16 +113,6 @@ class TestInjection:
         assert sim.protocol.net.spec.loss == 0.25
         assert not FaultyGridSimulation(quiet_config()).protocol.net.attempts
 
-    def test_network_without_heartbeats_is_rejected(self):
-        """Regression: fixed mode used to ignore the plan's channel silently."""
-        plan = FaultPlan(network=NetworkSpec(loss=0.25))
-        with pytest.raises(ValueError, match="faults.network.*detection_mode"):
-            quiet_config(faults=plan, detection_mode="fixed")
-        # nothing to ignore: an ideal channel is fine in fixed mode
-        quiet_config(faults=FaultPlan(network=NetworkSpec()), detection_mode="fixed")
-        bursts = FaultPlan(bursts=(CrashBurst(at=500.0),))
-        quiet_config(faults=bursts, detection_mode="fixed")
-
     def test_seeded_plan_replays_identically(self):
         plan = FaultPlan(
             bursts=(

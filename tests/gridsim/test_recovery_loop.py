@@ -1,20 +1,26 @@
-"""The one crash-recovery loop: unit contract, cross-host contract, guard.
+"""The one crash-recovery loop: unit contract, cross-host contract, guards.
 
 ``RecoveryLoop`` is the only implementation of crash -> detect ->
-place-with-retry; ``FaultyGridSimulation`` and ``GridService`` host it.
-The unit half drives it against a fake host and a scripted matchmaker on
-both clock backends; the contract half runs one scripted scenario on both
-real hosts and requires the same ledger, events and random draws.
+place-with-retry; ``FaultyGridSimulation`` and ``GridService`` host it, and
+a crash is detected one way, by the maintenance protocol's heartbeat
+timeouts.  The unit half drives the loop against a fake host (a real
+protocol over a 3-node CAN) and a scripted matchmaker on both clock
+backends; the contract half runs one scripted scenario on both real hosts,
+heartbeats on, and requires the same ledger, events and random draws.
 """
 
 from __future__ import annotations
 
 import ast
+import pathlib
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+import repro
+from repro.can.heartbeat import ProtocolConfig
+from repro.can.soa import build_protocol
 from repro.can.space import ResourceSpace
 from repro.gridsim import FaultyGridConfig, FaultyGridSimulation, MatchmakingConfig
 from repro.gridsim.invariants import check_service_accounting
@@ -43,6 +49,9 @@ LOOP_EVENTS = {
     "recovery.fallback",
 }
 SEED = 11
+#: the fake host's heartbeat period; a crash times out 2.5 periods after
+#: the victim's last heartbeat
+PERIOD = 60.0
 
 
 class RecordingClock(Clock):
@@ -74,7 +83,9 @@ class ScriptedMatchmaker:
 
 
 class FakeHost:
-    """Three CPU nodes on a real 5-dim CAN; everything else is a stand-in."""
+    """Three CPU nodes on a real 5-dim CAN maintained by a real heartbeat
+    protocol (rounds tick only where a test ticks them); everything else is
+    a stand-in."""
 
     def __init__(self, clock, scheme="can-het", stale=False, nodes=3):
         self.rngs = RngRegistry(SEED)
@@ -89,7 +100,8 @@ class FakeHost:
                 for i, node in self.grid_nodes.items()
             ]
         )
-        self.protocol = None
+        self.protocol = build_protocol(self.overlay, ProtocolConfig(period=PERIOD))
+        self.protocol.adopt_overlay(clock.now)
         self.config = SimpleNamespace(scheme=scheme)
         self.stale = stale
         self.aggregation = SimpleNamespace(is_stale=lambda: self.stale)
@@ -116,7 +128,11 @@ class FakeHost:
             ),
             metrics=self.metrics,
         )
+        self.protocol.on_failure_detected = self.recovery.detected
         return self.recovery
+
+    def tick_rounds(self, clock):
+        clock.call_every(PERIOD, lambda: self.protocol.run_round(clock.now))
 
     def kinds(self):
         return [e.etype for e in self.events]
@@ -233,33 +249,44 @@ class TestLoopContract:
         job = cpu_job(job_id=6)
         victim.submit(job)
         host.matchmaker.answers = [host.grid_nodes[1]]
-        assert loop.crash(0) == [job]  # no protocol, no delay: detected inline
+        assert loop.crash(0) == [job]
         assert 0 not in host.grid_nodes and not host.overlay.is_alive(0)
+        assert host.placed == [] and loop.tracker.undetected_crashes() == [0]
+        loop.detected(0, driver.clock.now)  # what a believer's timeout calls
         assert host.placed == [(6, 1)]
         before = (list(host.kinds()), list(host.matchmaker.calls))
         loop.detected(0, driver.clock.now)
         loop.detected(0, driver.clock.now + 5.0)
+        # the protocol's own timeout of the victim, rounds later, is a no-op
+        host.tick_rounds(driver.clock)
+        driver.advance(4 * PERIOD)
+        assert host.protocol.events["claims"] == 1
         assert (host.kinds(), host.matchmaker.calls) == before
         assert host.kinds() == [
             "grid.crash", "grid.job_lost", "recovery.detected", "grid.job_resubmit",
         ]
-        assert loop.tracker.detection_latencies == [0.0]
+        assert len(loop.tracker.detection_latencies) == 1
         assert loop.tracker.balances()
 
     def test_detection_waits_for_the_configured_delay(self, driver):
+        """The delay is the protocol's failure timeout: the survivors last
+        heard the victim at adoption, so the round at 3 periods (2.5 past
+        it) is the first to time it out, and the loop hears of it then."""
         host = FakeHost(driver.clock)
         loop = host.loop(driver.clock)
-        loop.detection_delay = 50.0
+        host.tick_rounds(driver.clock)
         job = cpu_job(job_id=2)
         host.grid_nodes[0].submit(job)
         host.matchmaker.answers = [host.grid_nodes[2]]
         loop.crash(0)
         assert loop.tracker.undetected_crashes() == [0]
-        driver.advance(20.0)
-        assert host.matchmaker.calls == []
-        driver.advance(60.0)
+        driver.advance(2 * PERIOD + 10.0)
+        assert host.matchmaker.calls == [] and host.kinds()[-1] == "grid.job_lost"
+        driver.advance(2 * PERIOD)
         assert host.placed == [(2, 2)]
-        assert loop.tracker.detection_latencies[0] >= 50.0
+        (latency,) = loop.tracker.detection_latencies
+        assert latency >= host.protocol.config.failure_timeout
+        assert host.protocol.events["claims"] == 1
         assert loop.tracker.balances()
 
     @pytest.mark.parametrize("lost", [False, True], ids=["unplaced", "crash-lost"])
@@ -299,10 +326,12 @@ class TestLoopContract:
 
 # -- one scenario, both hosts -----------------------------------------------------
 def _scenario(host, submit, crash, advance, job_ids):
-    """Three crashes: a plain one (each lost job is re-placed at once, or —
-    when the victim was its only capable node — backs off into abandonment),
-    one whose first retry misses on stale aggregates (the ring search rescues
-    it), one that takes the only node capable of the picky job."""
+    """Four crashes: a plain one (each lost job is re-placed when the crash
+    is detected, or — when the victim was its only capable node — backs off
+    into abandonment), one whose lost job misses at detection and again at
+    its first retry (the ring search rescues it), one that takes the only
+    node capable of the picky job, and one that leaves the aggregates stale
+    for that retry."""
     specs = preset_specs(14)
     # a job only the fastest CPU of the population can run
     fastest = max(host.grid_nodes.values(), key=lambda n: n.ces["cpu"].spec.clock)
@@ -328,25 +357,34 @@ def _scenario(host, submit, crash, advance, job_ids):
     # 1: a plain crash
     crash(busiest(exclude={fastest.node_id}))
     advance(200.0)
-    # 2: the first placement after this crash misses while the aggregates
-    # are stale, so the ring search runs for real
-    real_place = host.matchmaker.place
-    missed = []
+    # 2: a job lost here misses twice.  Heartbeat timeouts fire after the
+    # aggregation step that follows a crash, so the detection attempt misses
+    # on fresh aggregates and backs off; crash 4, 1 s later, leaves them
+    # stale when the retry fires (before the next step), so the second miss
+    # runs the ring search for real
+    victim = busiest(exclude={fastest.node_id})
+    crash(victim)
+    lost = {jid for jid, rec in host.tracker.pending.items() if rec.node_id == victim}
+    assert lost, "crash 2 lost no job"
+    clock, real_place, missed = host.recovery.clock, host.matchmaker.place, []
 
     def flaky_place(job):
-        if not missed:
+        if job.job_id in lost and missed in ([], [job.job_id]):
+            if not missed:
+                clock.schedule_callback(
+                    1.0, lambda: crash(busiest(exclude={fastest.node_id}))
+                )
             missed.append(job.job_id)
             return None
         return real_place(job)
 
     host.matchmaker.place = flaky_place  # the loop must look it up per call
-    crash(busiest(exclude={fastest.node_id}))
-    del host.matchmaker.place
-    assert missed, "crash 2 lost no job"
     advance(200.0)
     # 3: the only capable node of the picky job dies with it
     crash(fastest.node_id)
     advance(5_000.0)
+    del host.matchmaker.place
+    assert len(missed) == 2
     return picky_id, missed[0]
 
 
@@ -381,19 +419,15 @@ def _run_on_sim():
     tracer = Tracer()
     tracer.subscribe(seen.append)
     sim = FaultyGridSimulation(
-        FaultyGridConfig(
-            MatchmakingConfig(replace(TINY_LOAD, jobs=1)),
-            detection_mode="fixed",
-            detection_delay=1.0,
-            retry=RETRY,
-        ),
+        FaultyGridConfig(MatchmakingConfig(replace(TINY_LOAD, jobs=1)), retry=RETRY),
         tracer=tracer,
     )
-    sim.recovery.detection_delay = 0.0  # the config refuses 0; the loop does not
+    # GridService.start()'s order: warm-up, then the aggregation step and
+    # the heartbeat round on the same period, the step first
     sim.aggregation.run_rounds(sim.config.aggregation_warmup_rounds)
-    sim.env.call_every(
-        TINY_LOAD.heartbeat_period, sim.aggregation.step
-    )
+    period = TINY_LOAD.heartbeat_period
+    sim.env.call_every(period, sim.aggregation.step)
+    sim.env.call_every(period, lambda: sim.protocol.run_round(sim.env.now))
     job_ids = []
 
     def submit(spec):
@@ -422,7 +456,7 @@ def _run_on_service():
     env = Environment()
     clock = env
     service = GridService(
-        ServiceConfig(preset=TINY_LOAD, heartbeat=False, retry=RETRY),
+        ServiceConfig(preset=TINY_LOAD, retry=RETRY),
         open_ledger(None, clock=clock),
         clock,
         tracer=tracer,
@@ -443,9 +477,10 @@ def _run_on_service():
 
 
 def test_both_hosts_run_the_same_recovery():
-    """Same scenario, same seed: the simulator and the service must ledger
-    the same losses, emit the same loop events at the same model times and
-    leave the ``retry`` stream in the same state."""
+    """Same scenario, same seed, heartbeats on both hosts: the simulator and
+    the service must ledger the same losses and detection latencies, emit
+    the same loop events at the same model times and leave the ``retry``
+    stream in the same state."""
     sim, sim_seen, sim_ids, sim_missed = _run_on_sim()
     service, svc_seen, svc_ids, svc_missed = _run_on_service()
     assert sim_ids.index(sim_missed) == svc_ids.index(svc_missed)
@@ -465,7 +500,7 @@ def test_both_hosts_run_the_same_recovery():
     sim_events = _loop_events(sim_seen, sim_ids)
     assert sim_events == _loop_events(svc_seen, svc_ids)
     kinds = [etype for _t, etype, _f in sim_events]
-    assert kinds.count("grid.crash") == 3
+    assert kinds.count("grid.crash") == 4
     assert kinds.count("recovery.fallback") == 1
     assert kinds.count("grid.job_abandoned") == sim.tracker.abandonments
     assert kinds.count("grid.job_resubmit") == sim.tracker.resubmissions >= 2
@@ -478,7 +513,64 @@ def test_both_hosts_run_the_same_recovery():
     assert draws >= 1 + RETRY.max_attempts
 
 
-# -- structural guard ---------------------------------------------------------------
+# -- structural guards --------------------------------------------------------------
+def _callee(call: ast.Call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _modules(*packages):
+    """``(path relative to src/repro, parsed tree)`` of every module under
+    ``packages`` (all of ``repro`` when none is named)."""
+    root = pathlib.Path(repro.__file__).parent
+    for package in packages or (".",):
+        for path in sorted((root / package).rglob("*.py")):
+            yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
+
+
+def _calls_to(tree, name, scope=()):
+    """``Class.method`` (or function) enclosing each call to ``name``."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_to(child, name, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call) and _callee(child) == name:
+            yield ".".join(scope)
+        yield from _calls_to(child, name, scope)
+
+
+def test_a_crash_is_detected_one_way():
+    """Zones change hands only where heartbeat timeouts decide a take-over,
+    and no host keeps a protocol-less branch: the maintenance protocol's
+    ``_claim_timed_out_zones`` is the one caller of ``claim_zones`` in the
+    package, and nothing under ``gridsim/`` or ``service/`` compares a
+    ``protocol`` with None."""
+    claims = [
+        (path, where)
+        for path, tree in _modules()
+        for where in _calls_to(tree, "claim_zones")
+    ]
+    assert claims == [
+        ("overlay/base.py", "MaintenanceProtocol._claim_timed_out_zones")
+    ]
+
+    def names_protocol(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "protocol") or (
+            isinstance(node, ast.Name) and node.id == "protocol"
+        )
+
+    for path, tree in _modules("gridsim", "service"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            is_none = [isinstance(o, ast.Constant) and o.value is None for o in operands]
+            assert not (any(is_none) and any(map(names_protocol, operands))), (
+                f"{path}:{node.lineno} tests a protocol against None; every "
+                "host runs one, and a crash is detected only through it"
+            )
+
+
 def test_hosts_contain_no_copy_of_the_loop():
     """In the style of ``test_protocol_modules_stay_asyncio_free``: the two
     hosts may call the shared object, never the steps it is made of."""
@@ -494,10 +586,7 @@ def test_hosts_contain_no_copy_of_the_loop():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(
-                func, "id", None
-            )
+            name = _callee(node)
             assert name not in forbidden, (
                 f"{module.__name__}:{node.lineno} calls {name}(); that step "
                 "belongs to gridsim.recovery.RecoveryLoop"

@@ -123,7 +123,7 @@ class TestRetriesAndAbandonment:
         # re-dispatching, so a follower the head had been blocking stayed
         # queued until some unrelated job on the node finished.
         one_node = replace(TINY_LOAD, nodes=1, gpu_slots=0, seed=2)
-        env, service = build_service(preset=one_node, heartbeat=False)
+        env, service = build_service(preset=one_node)
         service.start()
         (node,) = service.grid_nodes.values()
         cores = node.ces["cpu"].spec.cores
@@ -198,28 +198,12 @@ class TestNodeCrash:
             assert service.ledger.completions(job_id) <= 1
         check_service_accounting(service, final=True)
 
-    def test_crash_without_heartbeat_detects_inline(self):
-        env, service = build_service(heartbeat=False)
-        service.start()
-        [service.submit(spec) for spec in preset_specs(10)]
-        env.run(until=env.now + 1.0)
-        victim = max(
-            service.grid_nodes.values(),
-            key=lambda n: n.queued_jobs() + n.running_jobs(),
-        )
-        service.fail_node(victim.node_id)
-        env.run(until=HORIZON)
-        assert service.ledger.counts()[JobStatus.COMPLETED] == 10
-        check_service_accounting(service, final=True)
-
-
-    @pytest.mark.parametrize("heartbeat", [True, False], ids=["heartbeat", "inline"])
-    def test_total_loss_abandons_instead_of_raising(self, heartbeat):
+    def test_total_loss_abandons_instead_of_raising(self):
         """Fail closed: crash every node.  A grid with no node left has no
         candidate, so each lost job backs off and is abandoned on budget;
         nothing raises out of ``fail_node`` or out of a clock callback (the
         heartbeat tick would not be re-armed), and the rounds keep coming."""
-        env, service = build_service(heartbeat=heartbeat)
+        env, service = build_service()
         service.start()
         ids = [service.submit(spec) for spec in preset_specs(30)]
         env.run(until=env.now + 1.0)
@@ -227,11 +211,10 @@ class TestNodeCrash:
             service.fail_node(node_id)
         assert service.health()["population"] == 0
         assert service.health()["status"] != "ok"
-        rounds = service.protocol._round if heartbeat else None
+        rounds = service.protocol._round
         period = TINY_LOAD.heartbeat_period
         env.run(until=env.now + 8.5 * period)
-        if heartbeat:
-            assert service.protocol._round == rounds + 8
+        assert service.protocol._round == rounds + 8
         env.run(until=HORIZON)
         assert service.quiesced()
         counts = service.ledger.counts()
@@ -249,7 +232,7 @@ class TestNodeCrash:
         clock = env
         metrics = MetricsRegistry()
         service = GridService(
-            ServiceConfig(preset=TINY_LOAD, heartbeat=False),
+            ServiceConfig(preset=TINY_LOAD),
             open_ledger(None, clock=clock),
             clock,
             metrics=metrics,
@@ -261,19 +244,33 @@ class TestNodeCrash:
             service.grid_nodes.values(),
             key=lambda n: n.queued_jobs() + n.running_jobs(),
         )
-        # the first placement after the crash misses: the aggregates are
-        # stale, so the loop's ring search takes over
+        lost = service.fail_node(victim.node_id)
+        assert lost
+        # the detection attempt of one lost job and its first retry miss.
+        # Heartbeat timeouts fire after the aggregates stepped past the
+        # crash, so a second crash 1 s after the first miss makes them stale
+        # when the retry fires, and the loop's ring search takes over
         real_place, missed = service.matchmaker.place, []
 
         def flaky_place(job):
-            if not missed:
+            if job.job_id in lost and missed in ([], [job.job_id]):
+                if not missed:
+                    clock.schedule_callback(1.0, crash_an_idle_node)
                 missed.append(job.job_id)
                 return None
             return real_place(job)
 
+        def crash_an_idle_node():
+            idle = min(
+                n.node_id
+                for n in service.grid_nodes.values()
+                if not n.queued_jobs() + n.running_jobs()
+            )
+            assert not service.fail_node(idle)
+
         service.matchmaker.place = flaky_place
-        lost = service.fail_node(victim.node_id)
-        assert lost and missed
+        env.run(until=env.now + 5 * TINY_LOAD.heartbeat_period)
+        assert len(missed) == 2
         snapshot = metrics.snapshot(now=clock.now)
         assert snapshot["recovery.events"]["counts"] == {
             "detections": 1, "ring_fallbacks": 1,
