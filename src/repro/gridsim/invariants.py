@@ -96,6 +96,7 @@ def check_service_accounting(service, final: bool = False) -> None:
     * ledger statuses partition the submissions (every job is in exactly
       one status, so the counts sum to the number of rows);
     * the recovery tracker's loss ledger balances;
+    * every node's queued-job count equals what its CE queues hold;
     * no job has more than one recorded ``RUNNING -> COMPLETED`` edge
       (the zero-duplicate-execution guarantee across restarts);
     * every ``MATCHED``/``RUNNING`` job is actually queued or running on
@@ -121,6 +122,14 @@ def check_service_accounting(service, final: bool = False) -> None:
             f"lost={t.losses} != resubmitted={t.resubmissions} "
             f"+ abandoned={t.abandonments} + pending={len(t.pending)}"
         )
+
+    for node in service.grid_nodes.values():
+        in_queues = sum(len(ce.queue) for ce in node.ces.values())
+        if node.queued_jobs() != in_queues:
+            _fail(
+                f"node {node.node_id} counts {node.queued_jobs()} queued "
+                f"jobs but its CE queues hold {in_queues}"
+            )
 
     for record in records:
         completions = ledger.completions(record.job_id)

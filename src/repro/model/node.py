@@ -83,6 +83,9 @@ class GridNode:
         #: load (the aggregation engine's own-load records) revalidates
         #: with one comparison.
         self.load_version: int = 0
+        #: jobs waiting in the CE queues, kept by the same four calls that
+        #: change a queue (submit, dequeue, a start, fail)
+        self._queued: int = 0
 
     @property
     def node_id(self) -> int:
@@ -154,7 +157,7 @@ class GridNode:
         return demand / total if total else 0.0
 
     def queued_jobs(self) -> int:
-        return sum(len(ce.queue) for ce in self.ces.values())
+        return self._queued
 
     def running_jobs(self) -> int:
         # A job running on several CEs is counted once (by dominant slot).
@@ -177,6 +180,7 @@ class GridNode:
         job.enqueue_time = self.env.now
         job.run_node_id = self.node_id
         self.ces[job.dominant_slot].queue.append(job)
+        self._queued += 1
         self.load_version += 1
         self._dispatch()
 
@@ -190,6 +194,7 @@ class GridNode:
         if job not in queue:
             return False
         queue.remove(job)
+        self._queued -= 1
         self.load_version += 1
         self._dispatch()
         return True
@@ -205,6 +210,7 @@ class GridNode:
         """Start every queue head that can claim its cores (FIFO per CE)."""
         for ce in self.ces.values():
             while ce.queue and self._startable(ce.queue[0]):
+                self._queued -= 1
                 self._start(ce.queue.pop(0))
 
     def _start(self, job: Job) -> None:
@@ -245,6 +251,7 @@ class GridNode:
                     lost.append(job)
             lost.extend(ce.queue)
             ce.queue.clear()
+        self._queued = 0
         return lost
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -122,13 +122,16 @@ async def _run_replay(args) -> int:
         jobs = jobs[: args.limit]
     if args.url is not None:
         client = ServiceClient(args.url)
-        summary = await asyncio.to_thread(
-            replay_trace,
-            client,
-            jobs,
-            dilation=args.dilation if args.pace else None,
-            timeout=args.timeout,
-        )
+        try:
+            summary = await asyncio.to_thread(
+                replay_trace,
+                client,
+                jobs,
+                dilation=args.dilation if args.pace else None,
+                timeout=args.timeout,
+            )
+        finally:
+            client.close()
         print(json.dumps(summary["terminal"], indent=2))
         return 0
 
@@ -150,6 +153,7 @@ async def _run_replay(args) -> int:
         print(json.dumps({k: v for k, v in summary.items() if k != "job_ids"}, indent=2))
     finally:
         await gateway.stop()
+        client.close()
         recorder.close(config={"scheme": args.scheme, "trace": args.trace})
         ledger.close()
     return 0

@@ -2,16 +2,24 @@
 
 Built on :mod:`http.client` (stdlib, blocking) so callers — the replay
 harness, the CI smoke test, a user shell — need no asyncio of their own.
-Each call opens one connection, matching the gateway's
-``Connection: close`` responses.  Status strings coming back over the
-wire are parsed into :class:`~repro.service.ledger.JobStatus`, so client
-code compares enums, not strings.
+A client keeps one HTTP/1.1 connection open across calls and serialises
+its requests with a lock, so threads may share it.  Before reusing the
+connection it checks whether the server has closed it (or sent bytes
+nobody asked for) while it sat idle, and if so reconnects before sending
+anything.  Any error drops the connection and is re-raised; a request
+that was already written is never sent again, so a submit cannot land
+twice.  Status strings coming back over the wire are parsed into
+:class:`~repro.service.ledger.JobStatus`, so client code compares enums,
+not strings.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import select
+import socket
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -62,6 +70,13 @@ class JobView:
         )
 
 
+def _readable(sock: socket.socket) -> bool:
+    """Would a read on ``sock`` return at once (data or EOF)?"""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class ServiceClient:
     """Blocking client bound to one gateway base URL."""
 
@@ -73,34 +88,60 @@ class ServiceClient:
         self.host, _, port = netloc.partition(":")
         self.port = int(port) if port else 80
         self.timeout = timeout
+        self._conn: Optional[http.client.HTTPConnection] = None
+        self._lock = threading.Lock()
 
     # -- transport ---------------------------------------------------------------
+    def close(self) -> None:
+        """Close the kept-alive connection; the next call opens a new one."""
+        with self._lock:
+            self._drop()
+
+    def _drop(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The open connection, unless the server ended it while idle."""
+        conn = self._conn
+        if conn is not None and conn.sock is not None and _readable(conn.sock):
+            # between requests the server owes nothing: a readable socket
+            # is EOF (it closed) or junk, and neither may meet our request
+            self._drop()
+            conn = None
+        if conn is None:
+            conn = self._conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        return conn
+
     def _request(
         self, method: str, path: str, body: Optional[Dict] = None
     ) -> Any:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode()
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            data = json.loads(raw) if raw else None
-            if response.status >= 400:
-                message = (
-                    data.get("error", raw.decode(errors="replace"))
-                    if isinstance(data, dict)
-                    else raw.decode(errors="replace")
-                )
-                raise ServiceError(response.status, message)
-            return data
-        finally:
-            conn.close()
+        payload = None
+        headers = {}
+        if body is not None:
+            payload = json.dumps(body).encode()
+            headers["Content-Type"] = "application/json"
+        with self._lock:
+            conn = self._connection()
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                response = conn.getresponse()
+                raw = response.read()
+            except BaseException:
+                self._drop()
+                raise
+        data = json.loads(raw) if raw else None
+        if response.status >= 400:
+            message = (
+                data.get("error", raw.decode(errors="replace"))
+                if isinstance(data, dict)
+                else raw.decode(errors="replace")
+            )
+            raise ServiceError(response.status, message)
+        return data
 
     # -- API ---------------------------------------------------------------------
     def submit(self, job: Union[Job, Dict[str, Any]]) -> int:

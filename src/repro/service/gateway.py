@@ -2,11 +2,19 @@
 
 Stdlib-only: the server is ``asyncio.start_server`` plus a deliberately
 minimal HTTP/1.1 implementation (request line, headers, Content-Length
-body; every response is ``Connection: close``).  The point of this module
-is not a web framework — it is that the *protocol stack underneath runs
-unchanged*: the gateway owns an :class:`~repro.service.aclock.AsyncioClock`
-and hands it to the same ``GridService``/heartbeat/matchmaker objects the
-DES drives with its :class:`~repro.sim.core.Environment`.
+body).  The point of this module is not a web framework — it is that the
+*protocol stack underneath runs unchanged*: the gateway owns an
+:class:`~repro.service.aclock.AsyncioClock` and hands it to the same
+``GridService``/heartbeat/matchmaker objects the DES drives with its
+:class:`~repro.sim.core.Environment`.
+
+Connections persist: one connection serves requests until the client
+closes it, a request says ``Connection: close`` (or is HTTP/1.0 without
+``keep-alive``), or a request cannot be framed exactly — a torn or
+over-long line, a bad or oversize ``Content-Length``, any
+``Transfer-Encoding`` — which gets a 400 and a close, so no leftover byte
+is ever read as the next request.  :meth:`Gateway.stop` closes every open
+connection and waits for its handler.
 
 Routes::
 
@@ -30,6 +38,7 @@ answers 503 with ``"status": "failed"`` and the exception, and
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 from typing import Any, Dict, Optional, Tuple
 
@@ -58,12 +67,45 @@ class _HttpError(Exception):
         self.message = message
 
 
-async def _read_line(reader: asyncio.StreamReader) -> str:
+async def _read_line(reader: asyncio.StreamReader) -> Optional[str]:
+    """One whole line, stripped; ``None`` when the stream ended before it."""
     try:
         raw = await reader.readline()
     except ValueError:  # longer than the stream reader's 64 KiB limit
         raise _HttpError(400, "request or header line too long")
+    if not raw:
+        return None
+    if not raw.endswith(b"\n"):
+        raise _HttpError(400, "connection closed mid-line")
     return raw.decode("latin-1").strip()
+
+
+def _content_length(raw: str) -> int:
+    if not (raw.isascii() and raw.isdigit()):
+        raise _HttpError(400, "bad Content-Length")
+    length = int(raw)
+    if length > _MAX_BODY:
+        raise _HttpError(400, "request body too large")
+    return length
+
+
+def _split_target(target: str) -> Tuple[str, Dict[str, str]]:
+    path, _, raw_query = target.partition("?")
+    query: Dict[str, str] = {}
+    for pair in raw_query.split("&"):
+        if pair:
+            key, _, value = pair.partition("=")
+            query[key] = value
+    return path, query
+
+
+def _json_body(raw: bytes) -> Optional[Dict]:
+    if not raw:
+        return None
+    try:
+        return json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise _HttpError(400, f"invalid JSON body: {exc}")
 
 
 class Gateway:
@@ -80,6 +122,9 @@ class Gateway:
         self.host = host
         self.port = port  # 0 = ephemeral; real port filled in by start()
         self._server: Optional[asyncio.AbstractServer] = None
+        #: every open connection's handler task and its writer
+        self._connections: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._stopping = False
         self.metrics = metrics
         if metrics is not None:
             scope = metrics.scope("service")
@@ -113,8 +158,20 @@ class Gateway:
             )
 
     async def stop(self) -> None:
+        """Stop listening, close every open connection, stop the engine.
+
+        No handler outlives this call: each open connection is closed and
+        its handler awaited (a handler not yet started sees
+        ``_stopping`` and returns at once), so ``wait_closed`` — which on
+        Python 3.12+ waits for every connection — returns.
+        """
         if self._server is not None:
             self._server.close()
+            self._stopping = True
+            handlers = list(self._connections)
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self.service.stop()
@@ -131,84 +188,110 @@ class Gateway:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        loop = asyncio.get_running_loop()
-        started = loop.time()
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
+            if not self._stopping:
+                await self._serve(reader, writer)
+        except ConnectionError:
+            pass  # the peer went away; there is no one left to answer
+        finally:
+            self._connections.pop(task, None)
+            writer.close()
+            with contextlib.suppress(ConnectionError, RuntimeError):
+                await writer.wait_closed()
+
+    async def _serve(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer requests on one connection until either side ends it."""
+        loop = asyncio.get_running_loop()
+        while True:
             try:
-                method, path, query, body, headers = await self._read_request(
-                    reader
+                request_line = await _read_line(reader)
+                if request_line is None:
+                    return  # the client closed between requests
+                # idle time on a kept-alive connection is not request latency
+                started = loop.time()
+                method, target, headers, raw_body, keep_alive = (
+                    await self._read_request(reader, request_line)
                 )
             except _HttpError as exc:
+                # unframed: no byte after this point can be trusted to
+                # start the next request
                 self._write_response(
-                    writer, exc.status, {"error": exc.message}
+                    writer, exc.status, {"error": exc.message}, False
                 )
-                return
-            except (asyncio.IncompleteReadError, ConnectionError):
+                await writer.drain()
                 return
             try:
+                path, query = _split_target(target)
+                body = _json_body(raw_body)
                 status, payload = self._route(method, path, query, body, headers)
             except _HttpError as exc:
                 status, payload = exc.status, {"error": exc.message}
             except Exception as exc:  # don't let one request kill the loop
                 status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            self._write_response(writer, status, payload)
+            self._write_response(writer, status, payload, keep_alive)
             if self._request_counter is not None:
                 self._request_counter.add(f"{method} {status}")
             if self._latency_sketch is not None:
                 self._latency_sketch.insert(loop.time() - started)
                 self._request_window.add(self.service.clock.now)
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
+            await writer.drain()
+            if not keep_alive:
+                return
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, Dict[str, str], Optional[Dict], Dict[str, str]]:
-        request_line = await _read_line(reader)
-        if not request_line:
-            raise _HttpError(400, "empty request")
+        self, reader: asyncio.StreamReader, request_line: str
+    ) -> Tuple[str, str, Dict[str, str], bytes, bool]:
+        """Frame the rest of one request: method, target, headers, body,
+        and whether the connection stays open after the response.
+
+        Anything that cannot be framed exactly raises a 400.
+        """
         parts = request_line.split()
         if len(parts) != 3:
             raise _HttpError(400, f"malformed request line: {request_line!r}")
-        method, target, _version = parts
-        content_length = 0
+        method, target, version = parts
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            raise _HttpError(400, f"unsupported version {version[:16]!r}")
         headers: Dict[str, str] = {}
         while True:
             line = await _read_line(reader)
+            if line is None:
+                raise _HttpError(400, "connection closed mid-head")
             if not line:
                 break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise _HttpError(400, "bad Content-Length")
-        if content_length < 0:
-            raise _HttpError(400, "bad Content-Length")
-        if content_length > _MAX_BODY:
-            raise _HttpError(400, "request body too large")
-        body: Optional[Dict] = None
-        if content_length:
-            raw = await reader.readexactly(content_length)
-            try:
-                body = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise _HttpError(400, f"invalid JSON body: {exc}")
-        path, _, raw_query = target.partition("?")
-        query: Dict[str, str] = {}
-        for pair in raw_query.split("&"):
-            if pair:
-                key, _, value = pair.partition("=")
-                query[key] = value
-        return method.upper(), path, query, body, headers
+            name, colon, value = line.partition(":")
+            name = name.strip().lower()
+            if not colon:
+                raise _HttpError(400, f"malformed header line: {line[:64]!r}")
+            if name == "content-length" and name in headers:
+                raise _HttpError(400, "repeated Content-Length")
+            headers[name] = value.strip()
+        if "transfer-encoding" in headers:
+            raise _HttpError(400, "Transfer-Encoding is not supported")
+        length = _content_length(headers.get("content-length", "0"))
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError:
+            raise _HttpError(400, "connection closed mid-body")
+        tokens = {
+            token.strip().lower()
+            for token in headers.get("connection", "").split(",")
+        }
+        keep_alive = "close" not in tokens and (
+            version == "HTTP/1.1" or "keep-alive" in tokens
+        )
+        return method.upper(), target, headers, body, keep_alive
 
     def _write_response(
-        self, writer: asyncio.StreamWriter, status: int, payload: Any
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: Any,
+        keep_alive: bool,
     ) -> None:
         # str payloads are pre-rendered text (Prometheus exposition);
         # everything else is the JSON API
@@ -223,7 +306,7 @@ class Gateway:
             f"HTTP/1.1 {status} {phrase}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
             "\r\n"
         ).encode("latin-1")
         writer.write(head + body)

@@ -178,6 +178,10 @@ class LedgerBackend(abc.ABC):
     ) -> List[JobRecord]: ...
 
     @abc.abstractmethod
+    def counts(self) -> Dict[JobStatus, int]:
+        """Row count per status, every status present (zero or not)."""
+
+    @abc.abstractmethod
     def transitions(self, job_id: Optional[int] = None) -> List[Transition]: ...
 
     @abc.abstractmethod
@@ -233,6 +237,12 @@ class MemoryBackend(LedgerBackend):
         if status is None:
             return rows
         return [r for r in rows if r.status is status]
+
+    def counts(self) -> Dict[JobStatus, int]:
+        out = {status: 0 for status in JobStatus}
+        for record in self._rows.values():
+            out[record.status] += 1
+        return out
 
     def transitions(self, job_id: Optional[int] = None) -> List[Transition]:
         if job_id is None:
@@ -412,6 +422,16 @@ class SqliteBackend(LedgerBackend):
                 ).fetchall()
         return [self._row_to_record(row) for row in rows]
 
+    def counts(self) -> Dict[JobStatus, int]:
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT status, COUNT(*) FROM jobs GROUP BY status"
+            ).fetchall()
+        out = {status: 0 for status in JobStatus}
+        for status, n in rows:
+            out[JobStatus(status)] = int(n)
+        return out
+
     def transitions(self, job_id: Optional[int] = None) -> List[Transition]:
         with self._lock:
             if job_id is None:
@@ -539,10 +559,7 @@ class JobLedger:
 
     def counts(self) -> Dict[JobStatus, int]:
         """Row count per status (every status present, zero or not)."""
-        out = {status: 0 for status in JobStatus}
-        for rec in self.backend.all_records():
-            out[rec.status] += 1
-        return out
+        return self.backend.counts()
 
     def completions(self, job_id: int) -> int:
         """How many times ``job_id`` reached COMPLETED (must be <= 1)."""

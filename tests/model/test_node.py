@@ -1,6 +1,8 @@
 """Unit tests for GridNode: queues, execution engine, predicates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.ce import CESpec, CPU_SLOT
 from repro.model.contention import ContentionModel
@@ -229,3 +231,53 @@ class TestExecution:
         )
         node.submit(cpu_job(cores=2, duration=100.0))
         assert node.node_utilization() == pytest.approx(2 / 8)
+
+
+#: one step of a node's life: submit a CPU job (cores) or a GPU job, withdraw
+#: the i-th job submitted so far, let time run (jobs finish, queues
+#: dispatch), or crash the node
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("cpu"), st.integers(1, 3)),
+        st.tuples(st.just("gpu"), st.just(0)),
+        st.tuples(st.just("dequeue"), st.integers(0, 40)),
+        st.tuples(st.just("advance"), st.integers(1, 150)),
+        st.tuples(st.just("fail"), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+class TestQueuedCounter:
+    """``queued_jobs()`` is a counter kept by the four calls that change a
+    CE queue; after any sequence of them it equals what the queues hold."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_STEPS)
+    def test_counter_matches_the_queues(self, steps):
+        from repro.sim.core import Environment
+
+        env = Environment()
+        node = make_grid_node(
+            env,
+            cpu=make_cpu(cores=3),
+            gpus=[make_gpu(0)],
+            contention=NO_CONTENTION,
+        )
+        submitted = []
+        for op, arg in steps:
+            if op in ("cpu", "gpu") and node.alive:
+                job = cpu_job(cores=arg, duration=60.0) if op == "cpu" else (
+                    gpu_job(duration=90.0)
+                )
+                submitted.append(job)
+                node.submit(job)
+            elif op == "dequeue" and submitted:
+                node.dequeue(submitted[arg % len(submitted)])
+            elif op == "advance":
+                env.run(until=env.now + arg)
+            elif op == "fail":
+                node.fail()
+            assert node.queued_jobs() == sum(
+                len(ce.queue) for ce in node.ces.values()
+            )

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import http.client
 import json
+import select
 import signal
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -24,7 +28,7 @@ from repro.service import (
 )
 from repro.service.replay import record_trace, replay_trace
 from repro.workload.presets import TINY_LOAD
-from repro.workload.trace import load_jobs
+from repro.workload.trace import job_to_dict, load_jobs
 
 DILATION = 2_000.0
 
@@ -51,11 +55,13 @@ def run_gateway(
         service = GridService(config, ledger, clock, metrics=metrics)
         gateway = Gateway(service, metrics=metrics)
         await gateway.start()
+        client = ServiceClient(gateway.url, timeout=30.0)
         try:
-            client = ServiceClient(gateway.url, timeout=30.0)
             result = await asyncio.to_thread(scenario, client, service)
         finally:
+            # the client still holds its connection: stop() must close it
             await gateway.stop()
+            client.close()
         gc.collect()  # a never-retrieved task exception reports on collection
         assert expected or not loop_errors, loop_errors
         return result
@@ -64,8 +70,10 @@ def run_gateway(
 
 
 def raw_get(host, port, target, headers=None):
-    """One HTTP GET over a bare socket; returns (head, body) as text."""
-    request = f"GET {target} HTTP/1.1\r\nHost: {host}\r\n"
+    """One HTTP GET over a bare socket; returns (head, body) as text.
+
+    It reads to EOF, so it asks the gateway to close after the response."""
+    request = f"GET {target} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n"
     for name, value in (headers or {}).items():
         request += f"{name}: {value}\r\n"
     request += "\r\n"
@@ -467,3 +475,343 @@ class TestHttpErrors:
             return excinfo.value.status
 
         assert run_gateway(scenario) == 400
+
+
+HEALTH = b"GET /health HTTP/1.1\r\nHost: grid\r\n\r\n"
+
+
+def raw_connection(client):
+    raw = socket.create_connection((client.host, client.port), timeout=10.0)
+    return raw, raw.makefile("rb")
+
+
+def read_response(stream):
+    """One response off a socket's binary file: (status line, headers, body)."""
+    status = stream.readline().decode("latin-1").strip()
+    headers = {}
+    while True:
+        line = stream.readline().decode("latin-1").strip()
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, stream.read(int(headers.get("content-length", 0)))
+
+
+def rest_of_stream(stream):
+    """What the server sends until it closes the connection."""
+    try:
+        return stream.read()
+    except ConnectionResetError:
+        return b""
+
+
+class TestConnections:
+    """HTTP/1.1 persistence, and the framing errors that end it."""
+
+    def test_two_requests_on_one_socket(self):
+        def scenario(client, service):
+            raw, stream = raw_connection(client)
+            with raw, stream:
+                answers = []
+                for _ in range(2):
+                    raw.sendall(HEALTH)
+                    answers.append(read_response(stream))
+                raw.sendall(HEALTH * 2)  # pipelined: two requests, one write
+                answers += [read_response(stream), read_response(stream)]
+            return answers
+
+        answers = run_gateway(scenario)
+        assert len(answers) == 4
+        for status, headers, body in answers:
+            assert status == "HTTP/1.1 200 OK"
+            assert headers["connection"] == "keep-alive"
+            assert json.loads(body)["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /health HTTP/1.0\r\n\r\n",
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_one_response_then_close(self, request_head):
+        def scenario(client, service):
+            raw, stream = raw_connection(client)
+            with raw, stream:
+                # the request behind it is never answered
+                raw.sendall(request_head + HEALTH)
+                return read_response(stream), rest_of_stream(stream)
+
+        (status, headers, _), rest = run_gateway(scenario)
+        assert status == "HTTP/1.1 200 OK"
+        assert headers["connection"] == "close"
+        assert rest == b""
+
+    def test_http_1_0_keep_alive_stays_open(self):
+        head = b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+
+        def scenario(client, service):
+            raw, stream = raw_connection(client)
+            with raw, stream:
+                raw.sendall(head)
+                first = read_response(stream)
+                raw.sendall(head)
+                return first, read_response(stream)
+
+        for status, headers, _ in run_gateway(scenario):
+            assert status == "HTTP/1.1 200 OK"
+            assert headers["connection"] == "keep-alive"
+
+    def test_chunked_post_is_refused_and_closed(self, trace_jobs, tmp_path):
+        spec = json.dumps(job_to_dict(trace_jobs[0])).encode()
+        request = (
+            b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+            b"Content-Type: application/json\r\n\r\n"
+            b"%x\r\n%s\r\n0\r\n\r\n" % (len(spec), spec)
+        )
+
+        def scenario(client, service):
+            raw, stream = raw_connection(client)
+            with raw, stream:
+                raw.sendall(request)
+                answer = read_response(stream)
+                rest = rest_of_stream(stream)
+            return answer, rest, service.ledger.records(), client.health()
+
+        (status, headers, body), rest, rows, health = run_gateway(
+            scenario, ledger_path=str(tmp_path / "ledger.sqlite")
+        )
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert headers["connection"] == "close"
+        assert b"Transfer-Encoding" in body
+        assert rest == b""  # the chunks were never read as a request
+        assert rows == []
+        assert health["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"GET /hea",
+            b"GET /health HTTP/1.1\r\nHost: gr",
+            b"GET /health HTTP/1.1\r\nHost: grid\r\n",
+            b'POST /jobs HTTP/1.1\r\nContent-Length: 64\r\n\r\n{"require',
+        ],
+        ids=["mid-request-line", "mid-header-line", "mid-head", "mid-body"],
+    )
+    def test_half_closed_mid_request_gets_400(self, partial):
+        """The client shuts its sending side mid-request: a 400 and a close,
+        nothing unhandled on the loop (``run_gateway`` asserts it)."""
+
+        def scenario(client, service):
+            raw, stream = raw_connection(client)
+            with raw, stream:
+                raw.sendall(partial)
+                raw.shutdown(socket.SHUT_WR)
+                answer = read_response(stream)
+                rest = rest_of_stream(stream)
+            return answer, rest, client.health()["status"], service.ledger.records()
+
+        (status, headers, _), rest, health, rows = run_gateway(scenario)
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert headers["connection"] == "close"
+        assert rest == b"" and health == "ok" and rows == []
+
+    def test_idle_connections_do_not_delay_another_client(self):
+        def scenario(client, service):
+            idle, idle_stream = raw_connection(client)
+            stalled, stalled_stream = raw_connection(client)
+            with idle, idle_stream, stalled, stalled_stream:
+                idle.sendall(HEALTH)
+                read_response(idle_stream)  # answered; now idle and open
+                stalled.sendall(b"GET /health HTTP/1.1\r\nHost:")  # mid-head
+                other = ServiceClient(f"http://{client.host}:{client.port}")
+                start = time.monotonic()
+                status = other.health()["status"]
+                elapsed = time.monotonic() - start
+                other.close()
+            return status, elapsed
+
+        status, elapsed = run_gateway(scenario)
+        assert status == "ok"
+        assert elapsed < 2.0
+
+    def test_idle_time_is_not_request_latency(self):
+        def scenario(client, service):
+            raw, stream = raw_connection(client)
+            with raw, stream:
+                for _ in range(2):
+                    time.sleep(0.5)  # connected, no request on the wire
+                    raw.sendall(HEALTH)
+                    read_response(stream)
+            return client.metrics()["monitors"]["service.request_latency"]
+
+        sketch = run_gateway(scenario, metrics=MetricsRegistry())
+        assert sketch["count"] == 2
+        assert sketch["max"] < 0.25
+
+    def test_stop_closes_connections_still_open(self):
+        """``stop()`` returns with one client idle and one mid-request:
+        both connections are closed, nothing is left on the loop."""
+
+        def scenario(client, service):
+            idle = ServiceClient(f"http://{client.host}:{client.port}")
+            idle.health()  # the client keeps its connection, idle
+            raw, stream = raw_connection(client)
+            raw.sendall(HEALTH)
+            read_response(stream)
+            raw.sendall(b"GET /health HTTP/1.1\r\nHost:")  # mid-head
+            return idle, raw, stream
+
+        idle, raw, stream = run_gateway(scenario)
+        with raw, stream:
+            assert rest_of_stream(stream) == b""
+        held = idle._conn.sock
+        held.settimeout(5.0)
+        assert held.recv(1) == b""
+        idle.close()
+
+
+class _DroppingServer:
+    """A bare HTTP server that answers one request per connection (or, with
+    ``answer=False``, only reads it), then closes without saying so."""
+
+    def __init__(self, answer=True):
+        self.answer = answer
+        self.requests = []
+        self.connections = 0
+        self.dropped = threading.Event()
+        self._stop = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.1)
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            conn.settimeout(5.0)
+            with conn, conn.makefile("rb") as stream:
+                method = stream.readline().split(b" ")[0].decode()
+                length = 0
+                while line := stream.readline().strip():
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                self.requests.append((method, stream.read(length)))
+                if self.answer:
+                    body = b'{"job_id": 7, "status": "ok"}'
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                    )
+            self.dropped.set()
+
+    def close(self):
+        self._stop.set()
+        self._thread.join(timeout=5.0)
+        self._listener.close()
+
+
+SPEC = {"requirements": {"cpu": {}}, "base_duration": 60.0}
+
+
+class TestClientConnection:
+    """One kept-alive connection per client: reused, replaced when the
+    server ended it, never used to send a request twice."""
+
+    def test_reconnects_to_a_gateway_restarted_on_the_same_port(self):
+        async def main():
+            loop = asyncio.get_running_loop()
+            port, client, seen = 0, None, []
+            for _life in range(2):
+                clock = AsyncioClock(loop=loop, dilation=DILATION)
+                service = GridService(
+                    ServiceConfig(preset=TINY_LOAD),
+                    open_ledger(None, clock=clock),
+                    clock,
+                )
+                gateway = Gateway(service, port=port)
+                await gateway.start()
+                port = gateway.port
+                client = client or ServiceClient(gateway.url, timeout=10.0)
+                try:
+                    health = await asyncio.to_thread(client.health)
+                    seen.append((health["status"], client._conn))
+                finally:
+                    await gateway.stop()
+            client.close()
+            return seen
+
+        (first, before), (second, after) = asyncio.run(main())
+        assert first == second == "ok"
+        assert after is not before  # a fresh connection, not the dead one
+
+    def test_post_after_the_server_dropped_the_connection_goes_once(self):
+        server = _DroppingServer()
+        client = ServiceClient(server.url, timeout=5.0)
+        try:
+            assert client.health()["status"] == "ok"
+            assert server.dropped.wait(5.0)
+            # the drop has reached the client: its idle socket reads EOF
+            assert select.select([client._conn.sock], [], [], 5.0)[0]
+            assert client.submit(SPEC) == 7
+        finally:
+            client.close()
+            server.close()
+        assert [method for method, _ in server.requests] == ["GET", "POST"]
+        assert server.connections == 2
+
+    def test_a_written_request_is_never_sent_again(self):
+        server = _DroppingServer(answer=False)
+        client = ServiceClient(server.url, timeout=5.0)
+        try:
+            with pytest.raises((OSError, http.client.HTTPException)):
+                client.submit(SPEC)
+            assert client._conn is None  # dropped with the error
+        finally:
+            client.close()
+            server.close()
+        assert [method for method, _ in server.requests] == ["POST"]
+        assert server.connections == 1
+
+    def test_threads_share_one_client(self, trace_jobs):
+        """More threads than cores and a short switch interval: every
+        answer still belongs to the request that asked for it."""
+
+        def scenario(client, service):
+            answers = {}
+
+            def worker(index):
+                jobs = trace_jobs[index * 5 : (index + 1) * 5]
+                answers[index] = [
+                    (job_id, client.status(job_id).job_id)
+                    for job_id in map(client.submit, jobs)
+                ]
+
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(4)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            return answers, len(service.ledger.records())
+
+        answers, rows = run_gateway(scenario)
+        pairs = [pair for index in range(4) for pair in answers[index]]
+        assert rows == 20 and len(pairs) == 20
+        assert all(job_id == seen for job_id, seen in pairs)
+        assert len({job_id for job_id, _ in pairs}) == 20

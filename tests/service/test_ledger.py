@@ -152,6 +152,18 @@ class TestRecordFields:
         assert sum(counts.values()) == 4
         assert len(ledger.in_flight()) == 1  # only the RUNNING one
 
+    def test_counts_equal_a_scan_of_the_records(self, ledger):
+        """The backend's count (GROUP BY on sqlite) against the record scan
+        it replaced; every status is present, zero or not."""
+        assert ledger.counts() == {status: 0 for status in JobStatus}
+        for status in [*PATHS, JobStatus.COMPLETED, JobStatus.RUNNING]:
+            bring_to(ledger, status)
+        scanned = {status: 0 for status in JobStatus}
+        for record in ledger.records():
+            scanned[record.status] += 1
+        assert ledger.counts() == scanned
+        assert scanned[JobStatus.COMPLETED] == 2
+
     def test_records_filter_by_status(self, ledger):
         bring_to(ledger, JobStatus.RUNNING)
         bring_to(ledger, JobStatus.COMPLETED)
