@@ -184,8 +184,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
             for rec, heard_at in splitter.table.snapshot().pairs()
             if self._record_relevant(newcomer, rec)
         ]
-        self._record(
-            now,
+        self.stats.record(
             MessageType.JOIN_REPLY,
             model.table_bytes(dims, [r.zone_count for r, _ in slice_records] + [1]),
         )
@@ -227,7 +226,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
         for transfer in transfers:
             claimant = self.nodes[transfer.to_node]
             claimant.bump_version()
-            self._record(now, MessageType.HANDOFF, handoff_size)
+            self.stats.record(MessageType.HANDOFF, handoff_size)
             self._absorb_table(claimant, leaver_table, now)
             claimant.table.remove(node_id)
             claimant.gap_dirty = True
@@ -299,11 +298,11 @@ class HeartbeatProtocol(MaintenanceProtocol):
             tset = takeovers.get(node_id, set())
             full_targets = [t for t in targets if t in tset]
             compact_targets = [t for t in targets if t not in tset]
-        self._record(
-            now, MessageType.HEARTBEAT_FULL, full_size, len(full_targets)
+        self.stats.record(
+            MessageType.HEARTBEAT_FULL, full_size, len(full_targets)
         )
-        self._record(
-            now, MessageType.HEARTBEAT, compact_size, len(compact_targets)
+        self.stats.record(
+            MessageType.HEARTBEAT, compact_size, len(compact_targets)
         )
         miss = _MISS
         period = self.config.period

@@ -740,14 +740,12 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             self._fid_cache_tv = tv
         fid_cache = self._fid_cache
         order = self._sorted_node_ids()
-        tracer = self.tracer
         streak = self._streak
         if (
             streak is not None
             and streak.gen == store.struct_gen
             and streak.order is order
             and streak.topology_version == tv
-            and tracer is None
         ):
             self._settled_exchange(now, streak)
             return
@@ -826,7 +824,7 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         gen = store.struct_gen
         #: clean senders' deferred stored-table writes, should this round
         #: begin a streak; None once any delivery needed real handling
-        streak_senders: Optional[list] = [] if tracer is None else None
+        streak_senders: Optional[list] = []
         nodes = self.nodes
         mut_rows = store.mut_rows
         #: a clean sender's full-table deliveries that need a merge,
@@ -880,18 +878,10 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                 full_ids = ()
                 n_full = 0
             n_comp = len(table._records) - n_full
-            if tracer is None:
-                full_count += n_full
-                full_bytes += full_size * n_full
-                comp_count += n_comp
-                comp_bytes += compact_size * n_comp
-            else:
-                self._record(
-                    now, MessageType.HEARTBEAT_FULL, full_size, n_full
-                )
-                self._record(
-                    now, MessageType.HEARTBEAT, compact_size, n_comp
-                )
+            full_count += n_full
+            full_bytes += full_size * n_full
+            comp_count += n_comp
+            comp_bytes += compact_size * n_comp
             # a clean sender's targets all hold its record at the
             # current version (anything else is an X edge), so direct
             # freshness is covered by the bulk advance; only the
@@ -947,13 +937,10 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                 avail[:n] < pos[store.owner_row[:n]],
                 streak_senders,
             )
-        if tracer is None:
-            self.stats.record_bulk(
-                MessageType.HEARTBEAT_FULL, full_bytes, full_count
-            )
-            self.stats.record_bulk(
-                MessageType.HEARTBEAT, comp_bytes, comp_count
-            )
+        self.stats.record_bulk(
+            MessageType.HEARTBEAT_FULL, full_bytes, full_count
+        )
+        self.stats.record_bulk(MessageType.HEARTBEAT, comp_bytes, comp_count)
         store.end_exchange()
 
     # -- the merge kernel -----------------------------------------------------

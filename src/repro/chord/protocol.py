@@ -329,8 +329,8 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         # Join reply: the prior arc owner hands the newcomer its own entry
         # plus its full peer list — the newcomer derives its structure from
         # that (Chord's join-by-successor bootstrapping).
-        self._record(
-            now, MessageType.JOIN_REPLY, self._state_bytes(splitter.known)
+        self.stats.record(
+            MessageType.JOIN_REPLY, self._state_bytes(splitter.known)
         )
         self._absorb(newcomer, splitter.known)
         self._hear(newcomer, splitter.node_id, now)
@@ -360,7 +360,7 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
             heir = self._deliverable(transfer.to_node)
             if heir is None:
                 continue  # the arc landed on a ghost; claimed later
-            self._record(now, MessageType.HANDOFF, handoff_size)
+            self.stats.record(MessageType.HANDOFF, handoff_size)
             self._absorb(heir, leaver_known)
             self._forget(heir, node_id)
             heir.gap_dirty = True
@@ -420,11 +420,11 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
                 # believed successor, which would absorb this node's arc
                 full_targets = derived.successors[:1]
                 compact_targets = derived.compact_targets
-            self._record(
-                now, MessageType.HEARTBEAT_FULL, full_size, len(full_targets)
+            self.stats.record(
+                MessageType.HEARTBEAT_FULL, full_size, len(full_targets)
             )
-            self._record(
-                now, MessageType.HEARTBEAT, compact_size, len(compact_targets)
+            self.stats.record(
+                MessageType.HEARTBEAT, compact_size, len(compact_targets)
             )
             for target_id in full_targets:
                 if net is not None:

@@ -39,7 +39,7 @@ class ChurnSimulation:
         self.config = config
         self.rngs = RngRegistry(config.seed)
         self.tracer = tracer
-        self.env = Environment(tracer=tracer)
+        self.env = Environment()
         self.space = ResourceSpace(gpu_slots=config.gpu_slots)
         self.substrate = get_substrate(config.substrate)
         self.overlay = self.substrate.make_overlay(self.space)

@@ -120,7 +120,7 @@ class GridSimulation:
         preset = config.preset
         self.rngs = RngRegistry(preset.seed)
         self.tracer = tracer
-        self.env = Environment(tracer=tracer)
+        self.env = Environment()
         self.metrics = MetricsRegistry()
         self.space = ResourceSpace(gpu_slots=preset.gpu_slots)
 

@@ -21,7 +21,7 @@ the run manifest, not the trace.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["EV", "TraceEvent", "EventBus", "Tracer"]
 
@@ -30,8 +30,8 @@ class EV:
     """The event-type taxonomy (dotted names, filterable by prefix).
 
     ``run.*``   harness lifecycle (one trace file may hold several runs)
-    ``msg.*``   protocol messages, mirroring :class:`~repro.can.stats.MessageStats`
-    ``can.*``   overlay topology changes (ground truth)
+    ``can.*``   CAN overlay topology changes (ground truth)
+    ``chord.*`` Chord ring membership changes (ground truth)
     ``hb.*``    heartbeat-engine observations (beliefs, detection, repair)
     ``mm.*``    matchmaker decisions
     ``grid.*``  grid-level churn consequences (crashes, lost/resubmitted jobs)
@@ -46,17 +46,19 @@ class EV:
     RUN_END = "run.end"              # label
     PROGRESS = "run.progress"        # label, status, seconds?
 
-    # -- protocol messages (one event per MessageStats.record call)
-    MSG_SENT = "msg.sent"            # mtype, bytes, copies
-
     # -- overlay topology (ground truth changes)
     CAN_JOIN = "can.join"            # node
     CAN_JOIN_DEFERRED = "can.join_deferred"  # node (target zone in limbo)
     CAN_LEAVE = "can.leave"          # node (graceful)
     CAN_FAIL = "can.fail"            # node (silent crash)
+    CHORD_JOIN = "chord.join"        # node
+    CHORD_JOIN_DEFERRED = "chord.join_deferred"  # node (arc in limbo)
+    CHORD_LEAVE = "chord.leave"      # node (graceful)
+    CHORD_FAIL = "chord.fail"        # node (silent crash)
 
     # -- heartbeat engine (belief-plane observations)
-    HB_ROUND = "hb.round"            # round, population, broken_links
+    #: sent: {mtype: [messages, bytes]}, the MessageStats window so far
+    HB_ROUND = "hb.round"            # round, population, broken_links, sent
     HB_FAILURE_DETECTED = "hb.failure_detected"  # node, suspect
     HB_TAKEOVER = "hb.takeover"      # claimant, dead, informed
     HB_GAP_FOUND = "hb.gap_found"    # node, attempt (broken link found)

@@ -19,7 +19,7 @@ Schema (see DESIGN.md § Observability):
       "python": "3.11.7",
       "started_at": "2026-08-06T12:00:00+00:00",
       "wall_seconds": 12.3,
-      "event_counts": {"msg.sent": 18234, ...},
+      "event_counts": {"hb.round": 300, ...},
       "total_events": 20411,
       "metrics": {...},           // MetricsRegistry snapshot, optional
       "artifacts": ["fig7_broken_links.csv", "fig7_trace.jsonl"]

@@ -9,9 +9,12 @@ and reports:
   e.g. one per heartbeat scheme in fig7);
 * push-hop histograms from matchmaking placements.
 
-The numbers are computed from the same ``msg.sent`` events that feed
-:class:`~repro.can.stats.MessageStats`, so totals agree with the in-run
-accounting by construction.
+A run's message numbers are the ``sent`` field of its last ``hb.round``:
+every round carries the protocol's :class:`~repro.can.stats.MessageStats`
+totals so far, so the last one *is* the ledger, by construction.  They are
+the measurement window's totals — the window :meth:`MessageStats.rates`
+divides by — so the sends of a warm-up that ``ChurnSimulation`` cleared
+with ``reset_window`` are not in them.
 """
 
 from __future__ import annotations
@@ -66,18 +69,15 @@ def summarize_events(events: Iterable[Dict[str, Any]]) -> TraceSummary:
                 label,
                 {"scheme": ev.get("scheme"), "messages": {}, "bytes": {}},
             )
-        elif etype == "msg.sent":
+        elif etype == "hb.round":
             if current is None:
                 current = s.runs.setdefault(
                     "(unlabelled)", {"scheme": None, "messages": {}, "bytes": {}}
                 )
-            mtype = str(ev.get("mtype", "?"))
-            copies = int(ev.get("copies", 1))
-            nbytes = int(ev.get("bytes", 0))
-            current["messages"][mtype] = current["messages"].get(mtype, 0) + copies
-            current["bytes"][mtype] = (
-                current["bytes"].get(mtype, 0) + nbytes * copies
-            )
+            # running totals: each round's replace the last's
+            sent = ev.get("sent", {})
+            current["messages"] = {m: n for m, (n, _) in sent.items()}
+            current["bytes"] = {m: b for m, (_, b) in sent.items()}
         elif etype == "mm.placed":
             hops = int(ev.get("hops", 0))
             s.hop_histogram[hops] = s.hop_histogram.get(hops, 0) + 1

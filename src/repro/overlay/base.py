@@ -305,20 +305,6 @@ class MaintenanceProtocol:
         proto.set_network(network)
         return proto
 
-    def _record(
-        self, now: float, mtype: MessageType, size_bytes: int, copies: int = 1
-    ) -> None:
-        """Account a send in MessageStats and mirror it onto the tracer.
-
-        Emitting from the same call site that feeds the stats keeps traces
-        consistent with :class:`MessageStats` by construction.
-        """
-        self.stats.record(mtype, size_bytes, copies)
-        if self.tracer is not None and copies:
-            self.tracer.emit(
-                now, "msg.sent", mtype=mtype.value, bytes=size_bytes, copies=copies
-            )
-
     # ------------------------------------------------------------------ membership --
     def _make_node(self, node_id: int) -> Any:
         node = self.nodes[node_id] = self._new_node(node_id)
@@ -473,8 +459,7 @@ class MaintenanceProtocol:
         receiver is yielded, so a caller must exhaust the iterator (all
         three do) and must not send in between.
         """
-        self._record(
-            now,
+        self.stats.record(
             mtype,
             self.config.size_model.notify_bytes(self.overlay.space.dims),
             len(targets),
@@ -520,12 +505,17 @@ class MaintenanceProtocol:
         broken = self.count_broken_links()
         self.broken_links.record(now, float(broken))
         if self.tracer is not None:
+            # the window's totals so far: the last round's are the run's
+            count, nbytes = self.stats.count, self.stats.bytes
             self.tracer.emit(
                 now,
                 "hb.round",
                 round=self._round,
                 population=population,
                 broken_links=broken,
+                sent={
+                    t.value: [count[t], nbytes[t]] for t in MessageType if count[t]
+                },
             )
 
     def _deliver_deferred(self, now: float) -> None:
@@ -678,8 +668,7 @@ class MaintenanceProtocol:
             # Broadcast a full-update request to every believed peer; each
             # live one answers with its full state.
             targets = self._repair_targets(pnode)
-            self._record(
-                now,
+            self.stats.record(
                 MessageType.FULL_UPDATE_REQUEST,
                 config.size_model.request_bytes(),
                 len(targets),
@@ -690,7 +679,7 @@ class MaintenanceProtocol:
                 if responder is None:
                     continue
                 size, payload = self._full_update_reply(responder)
-                self._record(now, MessageType.FULL_UPDATE_REPLY, size)
+                self.stats.record(MessageType.FULL_UPDATE_REPLY, size)
                 if (
                     net_active
                     and self._transmit(target_id, node_id, now) is None

@@ -153,19 +153,12 @@ class Environment(Clock):
     It is the DES backend of the :class:`~repro.sim.clock.Clock` seam:
     ``now`` is virtual time, :meth:`schedule_callback` returns a cancellable
     handle, ``call_every`` is inherited.
-
-    ``tracer`` is an optional :class:`repro.obs.Tracer`.  The kernel never
-    emits on it itself — it is the well-known place components sharing an
-    environment find the run's tracer (``env.tracer``), and it stays
-    ``None`` unless observability was requested, so instrumented call
-    sites cost one attribute test on the default path.
     """
 
-    def __init__(self, initial_time: float = 0.0, tracer: Optional[Any] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Any]] = []
         self._eid = 0
-        self.tracer = tracer
 
     @property
     def now(self) -> float:

@@ -22,7 +22,7 @@ import math
 import os
 import tempfile
 from dataclasses import replace
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from repro.can.heartbeat import HeartbeatProtocol, HeartbeatScheme
 from repro.can.soa import ArrayHeartbeatProtocol
@@ -123,6 +123,11 @@ def run_case(
 
 def fingerprint(config: ChurnConfig) -> Dict[str, Any]:
     """Run ``config`` traced and reduce it to what accounting can observe."""
+    return traced_run(config)[1]
+
+
+def traced_run(config: ChurnConfig) -> Tuple[ChurnSimulation, Dict[str, Any]]:
+    """Run ``config`` traced: the simulation, and its fingerprint."""
     fd, trace_path = tempfile.mkstemp(suffix=".jsonl")
     os.close(fd)
     try:
@@ -136,7 +141,7 @@ def fingerprint(config: ChurnConfig) -> Dict[str, Any]:
     finally:
         os.unlink(trace_path)
     stats = sim.protocol.stats
-    return {
+    return sim, {
         "count": {t.value: stats.count[t] for t in sorted(stats.count, key=lambda t: t.value)},
         "bytes": {t.value: stats.bytes[t] for t in sorted(stats.bytes, key=lambda t: t.value)},
         "events": dict(sim.protocol.events),

@@ -13,7 +13,15 @@ import json
 
 import pytest
 
-from tests.can.hb_golden import CASES, GOLDEN_PATH, SCHEMES, run_case
+from repro.can.soa import ArrayHeartbeatProtocol
+from repro.gridsim.config import ChurnConfig
+from tests.can.hb_golden import (
+    CASES,
+    GOLDEN_PATH,
+    SCHEMES,
+    pinned_engine,
+    traced_run,
+)
 
 with open(GOLDEN_PATH) as fh:
     GOLDENS = json.load(fh)
@@ -26,12 +34,20 @@ with open(GOLDEN_PATH) as fh:
     ids=[f"{case}.{scheme.value}" for case in CASES for scheme in SCHEMES],
 )
 def test_accounting_fingerprint_matches_golden(case, scheme, engine):
-    got = run_case(case, scheme, engine=engine)
+    with pinned_engine(engine):
+        sim, got = traced_run(
+            ChurnConfig(scheme=scheme, seed=20110926, **CASES[case])
+        )
     want = GOLDENS[f"{case}.{scheme.value}"]
     # compare field by field first so a drift names the counter, not a blob
     for field in want:
         assert got[field] == want[field], f"{field} drifted"
     assert got == want
+    if engine == "array" and case != "lossy":
+        # the goldens are traced and a tracer selects no code path: on the
+        # ideal channel they take the settled streak, so they cover it too
+        assert type(sim.protocol) is ArrayHeartbeatProtocol
+        assert sim.protocol.settled_rounds >= 1
 
 
 def test_dense_vanilla_on_the_array_class_ignores_the_hash_seed():

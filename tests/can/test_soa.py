@@ -351,17 +351,52 @@ class TestSettledStreak:
             payloads[engine] = (copies, tables, proto.stats.totals())
         assert payloads["array"] == payloads["object"]
 
-    def test_traced_run_never_settles_and_accounts_the_same(self, scheme):
+    def test_traced_run_settles_like_the_untraced_one(self, scheme):
+        """A tracer only observes: the traced run takes the same streak."""
         from repro.obs.events import Tracer
 
-        plain, _ = _population("array", scheme)
-        traced, _ = _population("array", scheme, tracer=Tracer())
-        _rounds(plain, 12)
-        _rounds(traced, 12)
+        runs = []
+        for tracer in (None, Tracer()):
+            proto, _ = _population("array", scheme, tracer=tracer)
+            now = _rounds(proto, 6)
+            proto.fail(sorted(proto.overlay.alive_ids())[7], now + 1.0)
+            _rounds(proto, 10, now)
+            runs.append(proto)
+        plain, traced = runs
         assert plain.settled_rounds > 0
-        assert traced.settled_rounds == 0
+        assert traced.settled_rounds == plain.settled_rounds
         assert traced.stats.count == plain.stats.count
         assert traced.stats.bytes == plain.stats.bytes
+        assert list(traced.broken_links.times) == list(plain.broken_links.times)
+        assert list(traced.broken_links.values) == list(plain.broken_links.values)
+
+
+def test_a_tracer_selects_no_path():
+    """The array class never looks at its tracer, and no send is accounted
+    through a wrapper that could mirror it onto one: ``stats.record`` is
+    called directly everywhere."""
+    import ast
+    from pathlib import Path
+
+    import repro
+    import repro.can.soa
+
+    soa = ast.parse(Path(repro.can.soa.__file__).read_text())
+    reads = [
+        node.lineno
+        for node in ast.walk(soa)
+        if (isinstance(node, ast.Attribute) and node.attr == "tracer")
+        or (isinstance(node, ast.Name) and node.id == "tracer")
+    ]
+    assert reads == [], f"can/soa.py reads a tracer at lines {reads}"
+    wrappers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "_record"
+    ]
+    assert wrappers == [], f"a _record method is defined at {wrappers}"
 
 
 def test_detecting_a_crash_does_not_import_numpy_ma():

@@ -11,6 +11,8 @@ from repro.can.heartbeat import (
 from repro.can.messages import MessageType
 from repro.can.overlay import CanOverlay
 from repro.can.space import ResourceSpace
+from repro.gridsim import ChurnSimulation
+from repro.gridsim.config import ChurnConfig
 from repro.obs import (
     JsonlTraceWriter,
     Tracer,
@@ -43,7 +45,7 @@ def traced_protocol(n=12, scheme=HeartbeatScheme.VANILLA, seed=0, sink=None):
 class TestConsistencyWithMessageStats:
     @pytest.mark.parametrize("scheme", list(HeartbeatScheme))
     def test_trace_totals_match_stats(self, scheme):
-        """msg.sent events aggregate to exactly the MessageStats ledger."""
+        """The last hb.round's ``sent`` is exactly the MessageStats ledger."""
         events = [
             {"t": 0.0, "type": "run.start", "label": "t", "scheme": scheme.value}
         ]
@@ -70,17 +72,50 @@ class TestConsistencyWithMessageStats:
         assert total_msgs > 0
 
 
+    def test_a_warmed_up_churn_run_summarizes_to_its_window(self):
+        """ChurnSimulation drops the warm-up's sends from the ledger; the
+        summary, read off the last hb.round, drops them too."""
+        events = []
+        tracer = Tracer()
+        tracer.subscribe(lambda e: events.append(e.as_dict()))
+        sim = ChurnSimulation(
+            ChurnConfig(
+                scheme=HeartbeatScheme.ADAPTIVE,
+                initial_nodes=30,
+                event_gap_mean=30.0,
+                duration=900.0,
+                warmup_rounds=3,
+            ),
+            tracer=tracer,
+        )
+        sim.run()
+        (info,) = summarize_events(events).runs.values()
+        stats = sim.protocol.stats
+        assert info["messages"] == {
+            t.value: stats.count[t] for t in MessageType if stats.count[t]
+        }
+        assert info["bytes"] == {
+            t.value: stats.bytes[t] for t in MessageType if stats.bytes[t]
+        }
+        # the window opened after round 3: round 4's totals start afresh
+        sent = [e["sent"] for e in events if e["type"] == "hb.round"]
+        hb = MessageType.HEARTBEAT.value
+        assert sent[3][hb][0] < sent[2][hb][0]
+
+
 class TestRoundTrip:
     def _write_two_runs(self, path):
         with JsonlTraceWriter(path) as writer:
             tracer = Tracer()
             tracer.subscribe(writer)
             tracer.emit(0.0, "run.start", label="x:vanilla", scheme="vanilla")
-            tracer.emit(60.0, "msg.sent", mtype="heartbeat_full", bytes=100, copies=3)
+            tracer.emit(60.0, "hb.round", sent={"heartbeat_full": [3, 300]})
             tracer.emit(60.0, "mm.placed", job=1, node=2, hops=4)
             tracer.emit(0.0, "run.start", label="x:compact", scheme="compact")
-            tracer.emit(60.0, "msg.sent", mtype="heartbeat", bytes=40, copies=5)
-            tracer.emit(61.0, "msg.sent", mtype="join_reply", bytes=80, copies=1)
+            tracer.emit(60.0, "hb.round", sent={"heartbeat": [2, 80]})
+            tracer.emit(
+                120.0, "hb.round", sent={"heartbeat": [5, 200], "join_reply": [1, 80]}
+            )
             tracer.emit(70.0, "mm.placed", job=2, node=3, hops=4)
 
     def test_file_round_trip_groups_runs_and_schemes(self, tmp_path):
@@ -88,7 +123,7 @@ class TestRoundTrip:
         self._write_two_runs(path)
         summary = summarize_file(path)
         assert summary.total_events == 7
-        assert summary.event_counts["msg.sent"] == 3
+        assert summary.event_counts["hb.round"] == 3
         assert summary.runs["x:vanilla"]["messages"] == {"heartbeat_full": 3}
         assert summary.runs["x:vanilla"]["bytes"] == {"heartbeat_full": 300}
         assert summary.runs["x:compact"]["messages"] == {
@@ -109,7 +144,7 @@ class TestRoundTrip:
 
     def test_unlabelled_messages_get_a_bucket(self):
         summary = summarize_events(
-            [{"t": 0.0, "type": "msg.sent", "mtype": "heartbeat", "bytes": 40}]
+            [{"t": 60.0, "type": "hb.round", "sent": {"heartbeat": [1, 40]}}]
         )
         assert summary.runs["(unlabelled)"]["messages"] == {"heartbeat": 1}
 
@@ -130,7 +165,8 @@ class TestCli:
         assert obs_main(["summarize", path]) == 0
         out = capsys.readouterr().out
         assert "Trace summary" in out
-        assert "msg.sent" in out
+        assert "hb.round" in out
+        assert "Message volume" in out
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert obs_main(["summarize", str(tmp_path / "nope.jsonl")]) == 1
