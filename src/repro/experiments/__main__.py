@@ -10,6 +10,7 @@ the recorded paper-vs-measured comparison):
     python -m repro.experiments ablations     # design-choice ablations
     python -m repro.experiments recovery      # detection/resubmission latency
     python -m repro.experiments substrates    # CAN vs Chord head-to-head
+    python -m repro.experiments scenarios     # schemes under hostile networks
     python -m repro.experiments report        # refresh EXPERIMENTS.md tables
     python -m repro.experiments all --fast    # everything, scaled down
 """

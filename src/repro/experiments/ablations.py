@@ -53,12 +53,13 @@ def run(
     seed: int | None = None,
     preset=None,
     ablations: Sequence[str] = ABLATIONS,
+    substrate: str = "can",
 ) -> Dict[str, List[MatchmakingResult]]:
     if preset is None:
         preset = SMALL_LOAD if fast else PAPER_LOAD
     if seed is not None:
         preset = preset.with_seed(seed)
-    base = MatchmakingConfig(preset, scheme="can-het")
+    base = MatchmakingConfig(preset, scheme="can-het", substrate=substrate)
     out: Dict[str, List[MatchmakingResult]] = {}
     for ablation in ablations:
         out[ablation] = []
@@ -122,7 +123,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     chosen = tuple(args.ablation) if args.ablation else ABLATIONS
-    results = run(fast=args.fast, seed=args.seed, ablations=chosen)
+    results = run(
+        fast=args.fast,
+        seed=args.seed,
+        ablations=chosen,
+        substrate=args.substrate,
+    )
     print(report(results, args.out))
     return 0
 

@@ -9,9 +9,11 @@ the full configuration matches the paper's Section V setup.
 Observability: ``main`` wires a :class:`repro.obs.RunRecorder` so each
 invocation writes a JSONL trace (``results/<name>_trace.jsonl``) and a run
 manifest (``results/<name>_run.manifest.json``) alongside its CSVs; pass
-``--no-trace`` to skip both.  Progress lines go through a
-:class:`repro.obs.ProgressReporter`, which the ``REPRO_QUIET`` environment
-variable silences (the benchmark suite relies on this).
+``--no-trace`` to skip both.  Every simulation an experiment runs goes
+through :func:`simulate`, which brackets it in the trace, prints its
+progress lines and files its metrics and config in the manifest under the
+run's label.  Progress lines go to stderr; the ``REPRO_QUIET`` environment
+variable silences them.
 """
 
 from __future__ import annotations
@@ -19,19 +21,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import sys
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from ..obs import ProgressReporter, RunRecorder
+from ..obs import RunRecorder
 
 __all__ = [
     "experiment_argparser",
     "timed",
+    "simulate",
     "results_path",
-    "reporter",
     "recorder_for",
     "config_dict",
-    "churn_config_dict",
     "WAIT_GRID",
     "SCHEMES",
 ]
@@ -52,15 +54,6 @@ WAIT_GRID: Tuple[float, ...] = (
 
 #: matchmaker line-up of Figures 5 and 6
 SCHEMES: Tuple[str, ...] = ("can-het", "can-hom", "central")
-
-#: process-wide default reporter; quietness re-read from REPRO_QUIET per call
-_REPORTER = ProgressReporter()
-
-
-def reporter() -> ProgressReporter:
-    """The harness's shared progress reporter."""
-    return _REPORTER
-
 
 def experiment_argparser(description: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=description)
@@ -114,31 +107,57 @@ def config_dict(cfg: Any) -> Dict[str, Any]:
     return {"repr": repr(cfg)}
 
 
-def churn_config_dict(sim: Any) -> Dict[str, Any]:
-    """A churn run's manifest config: what it stated, and the maintenance
-    class its substrate's factory built from that."""
-    return {
-        **config_dict(sim.config),
-        "heartbeat_class": type(sim.protocol).__name__,
-    }
-
-
 def results_path(out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
 
 
-def timed(
-    label: str,
-    fn: Callable,
-    *args: Any,
-    progress: Optional[ProgressReporter] = None,
-    **kwargs: Any,
-):
-    """Run ``fn`` with a wall-clock progress line (stderr + trace)."""
-    rep = progress if progress is not None else _REPORTER
+def _progress(line: str) -> None:
+    """One progress line on stderr, unless ``REPRO_QUIET`` (re-read per
+    line) is set to anything but ``""``, ``0``, ``false`` or ``no``."""
+    if os.environ.get("REPRO_QUIET", "").strip() in ("", "0", "false", "no"):
+        print(line, file=sys.stderr, flush=True)
+
+
+def timed(label: str, fn: Callable, *args: Any, **kwargs: Any):
+    """Run ``fn`` between a ``[label] running ...`` and a
+    ``[label] done in X.Xs`` progress line; return its result."""
     start = time.time()
-    rep.start(label)
+    _progress(f"[{label}] running ...")
     result = fn(*args, **kwargs)
-    rep.done(label, time.time() - start)
+    _progress(f"[{label}] done in {time.time() - start:.1f}s")
     return result
+
+
+def simulate(
+    recorder: Optional[RunRecorder],
+    label: str,
+    sim_class: Callable[..., Any],
+    config: Any,
+    /,
+    **fields: Any,
+) -> Tuple[Any, Any]:
+    """Build ``sim_class(config)`` and run it as sub-run ``label``.
+
+    With a recorder: ``run.start`` (label plus ``fields``) before the
+    simulation is built, ``run.end`` at its final simulated time after it
+    ran, and the manifest's ``metrics`` and ``config`` entries under
+    ``label`` (the config names the maintenance class the substrate's
+    factory built, when the simulation runs one).  Returns
+    ``(simulation, result)``.
+    """
+    if recorder is None:
+        sim = sim_class(config)
+        return sim, timed(label, sim.run)
+    recorder.run_start(label, **fields)
+    sim = sim_class(config, tracer=recorder.tracer)
+    result = timed(label, sim.run)
+    now = sim.env.now
+    recorder.run_end(label, t=now)
+    recorder.manifest.metrics[label] = sim.metrics.snapshot(now=now)
+    entry = config_dict(config)
+    protocol = getattr(sim, "protocol", None)
+    if protocol is not None:
+        entry["heartbeat_class"] = type(protocol).__name__
+    recorder.manifest.config[label] = entry
+    return sim, result

@@ -20,13 +20,7 @@ from ..can.heartbeat import HeartbeatScheme
 from ..gridsim import ChurnConfig, ChurnSimulation
 from ..gridsim.results import ChurnResult
 from ..obs import RunRecorder
-from .common import (
-    churn_config_dict,
-    experiment_argparser,
-    recorder_for,
-    results_path,
-    timed,
-)
+from .common import experiment_argparser, recorder_for, results_path, simulate
 
 __all__ = ["run", "main", "fig7_config"]
 
@@ -73,23 +67,13 @@ def run(
     recorder: RunRecorder | None = None,
     substrate: str = "can",
 ) -> Dict[str, ChurnResult]:
-    tracer = recorder.tracer if recorder is not None else None
     out: Dict[str, ChurnResult] = {}
     for scheme in HeartbeatScheme:
         cfg = fig7_config(scheme, fast=fast, seed=seed, substrate=substrate)
-        label = f"fig7:{scheme.value}"
-        if recorder is not None:
-            recorder.run_start(label, scheme=scheme.value)
-        sim = ChurnSimulation(cfg, tracer=tracer)
-        out[scheme.value] = timed(f"fig7 {scheme.value}", sim.run)
-        if recorder is not None:
-            recorder.run_end(label, t=sim.env.now)
-            recorder.manifest.metrics[label] = sim.metrics.snapshot(
-                now=sim.env.now
-            )
-            recorder.manifest.config.setdefault(
-                scheme.value, churn_config_dict(sim)
-            )
+        _, out[scheme.value] = simulate(
+            recorder, f"fig7:{scheme.value}", ChurnSimulation, cfg,
+            scheme=scheme.value,
+        )
     return out
 
 

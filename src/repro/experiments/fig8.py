@@ -20,13 +20,7 @@ from ..can.heartbeat import HeartbeatScheme
 from ..gridsim import ChurnConfig, ChurnSimulation
 from ..gridsim.results import ChurnResult
 from ..obs import RunRecorder
-from .common import (
-    churn_config_dict,
-    experiment_argparser,
-    recorder_for,
-    results_path,
-    timed,
-)
+from .common import experiment_argparser, recorder_for, results_path, simulate
 
 __all__ = ["run", "main", "GPU_SLOT_SWEEP", "NODE_SWEEP"]
 
@@ -80,7 +74,6 @@ def run(
     """Results keyed by (scheme, nodes, dims)."""
     if node_sweep is None:
         node_sweep = FAST_NODE_SWEEP if fast else NODE_SWEEP
-    tracer = recorder.tracer if recorder is not None else None
     out: Dict[Tuple[str, int, int], ChurnResult] = {}
     for scheme in schemes:
         for nodes in node_sweep:
@@ -89,24 +82,15 @@ def run(
                     scheme, nodes, gpu_slots, fast=fast, seed=seed,
                     substrate=substrate,
                 )
-                label = f"fig8 {scheme.value} n={nodes} d={cfg.dims}"
-                if recorder is not None:
-                    recorder.run_start(
-                        label,
-                        scheme=scheme.value,
-                        nodes=nodes,
-                        dims=cfg.dims,
-                    )
-                sim = ChurnSimulation(cfg, tracer=tracer)
-                out[(scheme.value, nodes, cfg.dims)] = timed(label, sim.run)
-                if recorder is not None:
-                    recorder.run_end(label, t=sim.env.now)
-                    recorder.manifest.metrics[label] = sim.metrics.snapshot(
-                        now=sim.env.now
-                    )
-                    recorder.manifest.config.setdefault(
-                        label, churn_config_dict(sim)
-                    )
+                _, out[(scheme.value, nodes, cfg.dims)] = simulate(
+                    recorder,
+                    f"fig8 {scheme.value} n={nodes} d={cfg.dims}",
+                    ChurnSimulation,
+                    cfg,
+                    scheme=scheme.value,
+                    nodes=nodes,
+                    dims=cfg.dims,
+                )
     return out
 
 

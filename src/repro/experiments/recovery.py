@@ -35,13 +35,7 @@ from ..gridsim import (
 from ..net import NetworkSpec
 from ..obs import RunRecorder
 from ..workload import TINY_LOAD
-from .common import (
-    config_dict,
-    experiment_argparser,
-    recorder_for,
-    results_path,
-    timed,
-)
+from .common import experiment_argparser, recorder_for, results_path, simulate
 
 __all__ = ["run", "main", "recovery_config"]
 
@@ -80,23 +74,13 @@ def run(
     recorder: RunRecorder | None = None,
     substrate: str = "can",
 ) -> Dict[str, FaultyGridResult]:
-    tracer = recorder.tracer if recorder is not None else None
     out: Dict[str, FaultyGridResult] = {}
     for scheme in HeartbeatScheme:
         cfg = recovery_config(scheme, fast=fast, seed=seed, substrate=substrate)
-        label = f"recovery:{scheme.value}"
-        if recorder is not None:
-            recorder.run_start(label, scheme=scheme.value)
-        sim = FaultyGridSimulation(cfg, tracer=tracer)
-        out[scheme.value] = timed(f"recovery {scheme.value}", sim.run)
-        if recorder is not None:
-            recorder.run_end(label, t=sim.env.now)
-            recorder.manifest.metrics[label] = sim.metrics.snapshot(
-                now=sim.env.now
-            )
-            recorder.manifest.config.setdefault(
-                scheme.value, config_dict(cfg)
-            )
+        _, out[scheme.value] = simulate(
+            recorder, f"recovery:{scheme.value}", FaultyGridSimulation, cfg,
+            scheme=scheme.value,
+        )
     return out
 
 

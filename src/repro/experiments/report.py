@@ -14,7 +14,7 @@ import re
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.tables import format_table
+from .wait_cdf import FIG5, FIG6, WaitCdfSweep
 
 __all__ = ["build_tables", "render_into", "main"]
 
@@ -24,14 +24,14 @@ def _read_csv(path: str) -> List[Dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
-def _fig5_like_table(rows: List[Dict[str, str]], key: str, label: str) -> str:
-    """Pivot (group, scheme, threshold, cdf%) rows into markdown tables."""
+def _wait_cdf_tables(rows: List[Dict[str, str]], sweep: WaitCdfSweep) -> str:
+    """Pivot (axis value, scheme, threshold, cdf%) rows into markdown tables."""
     grouped: Dict[str, Dict[str, Dict[float, float]]] = defaultdict(
         lambda: defaultdict(dict)
     )
     thresholds: List[float] = []
     for row in rows:
-        g = row[key]
+        g = row[sweep.column]
         t = float(row["wait_threshold_s"])
         grouped[g][row["scheme"]][t] = float(row["cdf_percent"])
         if t not in thresholds:
@@ -39,8 +39,9 @@ def _fig5_like_table(rows: List[Dict[str, str]], key: str, label: str) -> str:
     thresholds.sort()
     shown = [t for t in thresholds if t in (0.0, 1000.0, 5000.0, 20000.0, 50000.0)]
     chunks = []
-    for g in sorted(grouped, key=float, reverse=(key == "constraint_ratio")):
-        headers = [label.format(g=g)] + [f"≤{int(t):,} s" for t in shown]
+    for g in sorted(grouped, key=float, reverse=sweep.descending):
+        headers = [sweep.markdown_label.format(g=g)]
+        headers += [f"≤{int(t):,} s" for t in shown]
         body = []
         for scheme in ("can-het", "can-hom", "central"):
             if scheme not in grouped[g]:
@@ -141,16 +142,12 @@ def _ablations_table(rows: List[Dict[str, str]]) -> str:
 def build_tables(results_dir: str = "results") -> Dict[str, str]:
     """Markdown tables keyed by placeholder name, from available CSVs."""
     out: Dict[str, str] = {}
-    fig5 = os.path.join(results_dir, "fig5_wait_time_cdf.csv")
-    if os.path.exists(fig5):
-        out["FIG5_TABLE"] = _fig5_like_table(
-            _read_csv(fig5), "interarrival_s", "**{g} s** (CDF %)"
-        )
-    fig6 = os.path.join(results_dir, "fig6_wait_time_cdf.csv")
-    if os.path.exists(fig6):
-        out["FIG6_TABLE"] = _fig5_like_table(
-            _read_csv(fig6), "constraint_ratio", "**ratio {g}** (CDF %)"
-        )
+    for sweep in (FIG5, FIG6):
+        path = os.path.join(results_dir, sweep.csv_name)
+        if os.path.exists(path):
+            out[f"{sweep.name.upper()}_TABLE"] = _wait_cdf_tables(
+                _read_csv(path), sweep
+            )
     fig7 = os.path.join(results_dir, "fig7_broken_links.csv")
     if os.path.exists(fig7):
         out["FIG7_TABLE"] = _fig7_table(_read_csv(fig7))
@@ -165,12 +162,13 @@ def build_tables(results_dir: str = "results") -> Dict[str, str]:
     return out
 
 
-_PLACEHOLDER = re.compile(r"<!-- ([A-Z0-9_]+) -->(?:\n(?:\|.*\n)*)?")
+#: a marker and every table block under it, up to the next non-table text
+_PLACEHOLDER = re.compile(r"<!-- ([A-Z0-9_]+) -->\n?(?:\n*(?:\|.*\n)+)*")
 
 
 def render_into(markdown: str, tables: Dict[str, str]) -> str:
-    """Replace each ``<!-- NAME -->`` marker (and any table that already
-    follows it) with the marker plus the freshly built table."""
+    """Replace each ``<!-- NAME -->`` marker (and every table block that
+    already follows it) with the marker plus the freshly built tables."""
 
     def replace(match: re.Match) -> str:
         name = match.group(1)

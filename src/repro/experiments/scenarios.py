@@ -35,13 +35,7 @@ from ..can.heartbeat import HeartbeatScheme
 from ..gridsim import ChurnConfig, ChurnSimulation, Scenario, scenario_pack
 from ..obs import RunRecorder
 from ..overlay import available_substrates, get_substrate
-from .common import (
-    config_dict,
-    experiment_argparser,
-    recorder_for,
-    results_path,
-    timed,
-)
+from .common import experiment_argparser, recorder_for, results_path, simulate
 
 __all__ = ["run", "main", "scenario_config"]
 
@@ -86,47 +80,36 @@ def _one_run(
     seed: Optional[int],
     recorder: Optional[RunRecorder],
 ) -> Row:
-    cfg = scenario_config(scenario, scheme, substrate, fast, seed)
-    tracer = recorder.tracer if recorder is not None else None
-    label = f"{scenario.name}:{substrate}:{scheme.value}"
-    if recorder is not None:
-        recorder.run_start(
-            label, scenario=scenario.name, substrate=substrate,
-            scheme=scheme.value,
-        )
-    sim = ChurnSimulation(cfg, tracer=tracer)
-    protocol = sim.protocol
-    latencies: List[float] = []
-
-    def on_detected(node_id: int, now: float) -> None:
-        fail_time = protocol._fail_times.get(node_id)
-        if fail_time is not None:
-            latencies.append(now - fail_time)
-
-    protocol.on_failure_detected = on_detected
-    result = timed(label, sim.run)
+    sim, result = simulate(
+        recorder,
+        f"{scenario.name}:{substrate}:{scheme.value}",
+        ChurnSimulation,
+        scenario_config(scenario, scheme, substrate, fast, seed),
+        scenario=scenario.name,
+        substrate=substrate,
+        scheme=scheme.value,
+    )
     sim.check_invariants()  # the scenario must leave a consistent grid
-    net = protocol.net
-    row: Row = {
+    net = sim.protocol.net
+    latencies = result.detection_latencies
+    return {
         "steady_broken_links": result.steady_state_broken_links(),
         "belief_delivery_rate": sim.routing_success_rate(ROUTE_PROBES),
         "msgs_per_node_min": result.rates.messages_per_node_minute,
         "kbytes_per_node_min": result.rates.kbytes_per_node_minute,
         "failures": float(result.events["failures"]),
         "detect_latency_mean_s": (
-            float(np.mean(latencies)) if latencies else float("nan")
+            float(np.mean(latencies)) if latencies.size else float("nan")
         ),
         "detect_latency_p95_s": (
-            float(np.percentile(latencies, 95)) if latencies else float("nan")
+            float(np.percentile(latencies, 95))
+            if latencies.size
+            else float("nan")
         ),
         "final_population": float(result.final_population),
         "net_attempts": float(net.attempts),
         "net_dropped": float(net.dropped),
     }
-    if recorder is not None:
-        recorder.run_end(label, t=sim.env.now)
-        recorder.manifest.config.setdefault(label, config_dict(cfg))
-    return row
 
 
 def run(

@@ -31,13 +31,7 @@ from ..gridsim import ChurnSimulation, GridSimulation, MatchmakingConfig
 from ..obs import RunRecorder
 from ..overlay import SubstrateError, available_substrates, get_substrate
 from ..workload import SMALL_LOAD, TINY_LOAD
-from .common import (
-    config_dict,
-    experiment_argparser,
-    recorder_for,
-    results_path,
-    timed,
-)
+from .common import experiment_argparser, recorder_for, results_path, simulate
 from .fig7 import fig7_config
 from .fig8 import fig8_config
 
@@ -80,37 +74,26 @@ def _churn_leg(
     recorder: RunRecorder | None,
 ) -> Row:
     cfg = fig7_config(scheme, fast=fast, seed=seed, substrate=substrate)
-    tracer = recorder.tracer if recorder is not None else None
-    label = f"churn:{substrate}:{scheme.value}"
-    if recorder is not None:
-        recorder.run_start(label, substrate=substrate, scheme=scheme.value)
-    sim = ChurnSimulation(cfg, tracer=tracer)
-    latencies: List[float] = []
-    protocol = sim.protocol
-
-    def on_detected(node_id: int, now: float) -> None:
-        fail_time = protocol._fail_times.get(node_id)
-        if fail_time is not None:
-            latencies.append(now - fail_time)
-
-    protocol.on_failure_detected = on_detected
-    result = timed(label, sim.run)
+    sim, result = simulate(
+        recorder, f"churn:{substrate}:{scheme.value}", ChurnSimulation, cfg,
+        substrate=substrate, scheme=scheme.value,
+    )
+    latencies = result.detection_latencies
     row: Row = {
         "steady_broken_links": result.steady_state_broken_links(),
         "msgs_per_node_min": result.rates.messages_per_node_minute,
         "kbytes_per_node_min": result.rates.kbytes_per_node_minute,
         "failures": float(result.events["failures"]),
         "detect_latency_mean_s": (
-            float(np.mean(latencies)) if latencies else float("nan")
+            float(np.mean(latencies)) if latencies.size else float("nan")
         ),
         "detect_latency_p95_s": (
-            float(np.percentile(latencies, 95)) if latencies else float("nan")
+            float(np.percentile(latencies, 95))
+            if latencies.size
+            else float("nan")
         ),
     }
     row.update(_probe_routes(sim, ROUTE_PROBES, seed=cfg.seed + 1))
-    if recorder is not None:
-        recorder.run_end(label, t=sim.env.now)
-        recorder.manifest.config.setdefault(label, config_dict(cfg))
     return row
 
 
@@ -128,15 +111,10 @@ def _cost_leg(
         seed=seed,
         substrate=substrate,
     )
-    tracer = recorder.tracer if recorder is not None else None
-    label = f"cost:{substrate}:adaptive"
-    if recorder is not None:
-        recorder.run_start(label, substrate=substrate)
-    sim = ChurnSimulation(cfg, tracer=tracer)
-    result = timed(label, sim.run)
-    if recorder is not None:
-        recorder.run_end(label, t=sim.env.now)
-        recorder.manifest.config.setdefault(label, config_dict(cfg))
+    _, result = simulate(
+        recorder, f"cost:{substrate}:adaptive", ChurnSimulation, cfg,
+        substrate=substrate,
+    )
     return {
         "msgs_per_node_min": result.rates.messages_per_node_minute,
         "kbytes_per_node_min": result.rates.kbytes_per_node_minute,
@@ -151,15 +129,10 @@ def _matchmaking_leg(
 ) -> Row:
     preset = TINY_LOAD if fast else SMALL_LOAD
     cfg = MatchmakingConfig(preset, scheme="can-het", substrate=substrate)
-    tracer = recorder.tracer if recorder is not None else None
-    label = f"matchmaking:{substrate}:can-het"
-    if recorder is not None:
-        recorder.run_start(label, substrate=substrate)
-    sim = GridSimulation(cfg, tracer=tracer)
-    result = timed(label, sim.run)
-    if recorder is not None:
-        recorder.run_end(label, t=sim.env.now)
-        recorder.manifest.config.setdefault(label, config_dict(cfg))
+    _, result = simulate(
+        recorder, f"matchmaking:{substrate}:can-het", GridSimulation, cfg,
+        substrate=substrate,
+    )
     summary = result.summary()
     return {
         "jobs": summary["jobs"],

@@ -11,7 +11,9 @@ message costs and broken links are recorded by the protocol engine.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 from ..can.heartbeat import ProtocolConfig
 from ..can.space import ResourceSpace
@@ -58,6 +60,9 @@ class ChurnSimulation:
         #: scripted bursts: scheduled once, before any process runs, so
         #: their callbacks are part of the seeded run
         FaultInjector(self, config.plan).install()
+        #: crash -> first-detection latency per detected crash
+        self._detection_latencies: List[float] = []
+        self.protocol.on_failure_detected = self._crash_detected
         self.metrics = MetricsRegistry()
         proto_scope = self.metrics.scope("protocol")
         proto_scope.register("broken_links", self.protocol.broken_links)
@@ -142,6 +147,10 @@ class ChurnSimulation:
         self.protocol.fail(node_id, now=self.env.now)
         self._population_changed()
 
+    def _crash_detected(self, node_id: int, now: float) -> None:
+        """The protocol noticed a crash (once per crash): record its latency."""
+        self._detection_latencies.append(now - self.protocol._fail_times[node_id])
+
     def _one_event(self) -> None:
         alive = self.overlay.alive_ids()
         join = self._event_rng.random() < 0.5
@@ -215,4 +224,5 @@ class ChurnSimulation:
             events=dict(self.protocol.events),
             final_population=len(self.overlay.alive_ids()),
             substrate=self.config.substrate,
+            detection_latencies=np.asarray(self._detection_latencies),
         )

@@ -114,6 +114,10 @@ class ChurnResult:
     events: Dict[str, int]
     final_population: int
     substrate: str = "can"
+    #: crash -> first-detection latency, one sample per detected crash
+    detection_latencies: np.ndarray = field(
+        default_factory=lambda: np.empty(0)
+    )
 
     @property
     def final_broken_links(self) -> float:

@@ -10,8 +10,6 @@ The observability layer for the whole simulation stack:
   :class:`RunRecorder` harness;
 * :mod:`~repro.obs.manifest` — :class:`RunManifest` (config, seeds,
   git describe, wall time, event counts) written next to result CSVs;
-* :mod:`~repro.obs.progress` — :class:`ProgressReporter`, the bus-backed
-  replacement for ad-hoc stderr progress prints (rate + ETA lines);
 * :mod:`~repro.obs.summarize` — offline trace analysis, also available as
   ``python -m repro.obs summarize <trace.jsonl>``;
 * :mod:`~repro.obs.schema` — the artifact schema version and the
@@ -35,7 +33,6 @@ Nothing in this package needs turning on for that.
 
 from .events import EV, EventBus, TraceEvent, Tracer
 from .manifest import RunManifest, git_describe
-from .progress import ProgressReporter, quiet_from_env
 from .prom import prom_name, render_prometheus
 from .registry import MetricsRegistry
 from .schema import SCHEMA_VERSION, check_schema_version
@@ -74,8 +71,6 @@ __all__ = [
     "read_trace",
     "RunManifest",
     "git_describe",
-    "ProgressReporter",
-    "quiet_from_env",
     "TraceSummary",
     "summarize_events",
     "summarize_file",

@@ -6,7 +6,7 @@ The observability layer is built around three small pieces:
   *types* are dotted strings from the taxonomy in :class:`EV` (documented
   in DESIGN.md), so consumers can filter by prefix (``hb.*``, ``mm.*``).
 * :class:`EventBus` — a synchronous fan-out of events to subscribers
-  (JSONL writers, counters, live progress displays).
+  (JSONL writers, counters, span builders).
 * :class:`Tracer` — the producer-side handle components hold.  Producers
   keep the disabled path free: every instrumented call site guards with
   ``if tracer is not None`` (an attribute load plus a ``None`` test), so a
@@ -44,7 +44,6 @@ class EV:
     # -- harness lifecycle
     RUN_START = "run.start"          # label, scheme?, config?
     RUN_END = "run.end"              # label
-    PROGRESS = "run.progress"        # label, status, seconds?
 
     # -- overlay topology (ground truth changes)
     CAN_JOIN = "can.join"            # node

@@ -26,7 +26,7 @@ import atexit
 import gzip
 import json
 import os
-from typing import Any, Dict, IO, List, Optional
+from typing import Any, Dict, IO, Optional
 
 from .events import EventBus, TraceEvent, Tracer
 from .manifest import RunManifest
@@ -46,14 +46,6 @@ class JsonlTraceWriter:
     """Subscribe me to a bus; I stream events to a ``.jsonl`` file.
 
     ``lines`` counts *events*; the schema header line is not an event.
-
-    Paths ending in ``.jsonl.gz`` (any ``.gz`` suffix) are gzip-
-    compressed.  A raw gzip stream cannot honour the one-write-per-line
-    guarantee (compressed frames straddle lines), so the compressed path
-    buffers complete lines in memory and writes the whole file atomically
-    (temp file + ``os.replace``) on every :meth:`flush`/:meth:`close` —
-    on disk the trace is always either the previous complete flush or the
-    next one, never torn.
     """
 
     def __init__(self, path: str):
@@ -61,15 +53,9 @@ class JsonlTraceWriter:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self.path = path
-        self.compressed = path.endswith(".gz")
-        self._buffer: Optional[List[str]] = None
-        self._fh: Optional[IO[str]] = None
+        self._fh: Optional[IO[str]] = open(path, "w")
+        self._fh.write(TRACE_HEADER + "\n")
         self._closed = False
-        if self.compressed:
-            self._buffer = [TRACE_HEADER + "\n"]
-        else:
-            self._fh = open(path, "w")
-            self._fh.write(TRACE_HEADER + "\n")
         self.lines = 0
         # a writer abandoned by a crash-path shutdown still flushes
         atexit.register(self.close)
@@ -81,38 +67,21 @@ class JsonlTraceWriter:
             json.dumps(event.as_dict(), sort_keys=True, separators=(",", ":"))
             + "\n"
         )
-        if self._buffer is not None:
-            self._buffer.append(line)
-        else:
-            # one write call per line: an interrupt between writes can drop
-            # a trailing line but never leave a torn (unparseable) one
-            self._fh.write(line)
+        # one write call per line: an interrupt between writes can drop
+        # a trailing line but never leave a torn (unparseable) one
+        self._fh.write(line)
         self.lines += 1
 
-    def _write_compressed(self) -> None:
-        tmp = self.path + ".tmp"
-        with gzip.open(tmp, "wt") as gz:
-            gz.write("".join(self._buffer))
-        os.replace(tmp, self.path)
-
     def flush(self) -> None:
-        if self._closed:
-            return
-        if self._buffer is not None:
-            self._write_compressed()
-        elif self._fh is not None:
+        if not self._closed:
             self._fh.flush()
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        if self._buffer is not None:
-            self._write_compressed()
-            self._buffer = None
-        elif self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._fh.close()
+        self._fh = None
         atexit.unregister(self.close)
 
     def __enter__(self) -> "JsonlTraceWriter":
@@ -128,7 +97,8 @@ def read_trace(path: str):
     A leading ``trace.header`` record is version-checked and consumed, not
     yielded; header-less traces from before schema versioning still read.
     Raises :class:`ValueError` when the header's major version differs
-    from ours.  ``.gz`` paths are transparently decompressed.
+    from ours.  ``.gz`` paths (a trace compressed with ``gzip``) are
+    transparently decompressed.
     """
     first = True
     opener = gzip.open(path, "rt") if path.endswith(".gz") else open(path)
@@ -165,7 +135,6 @@ class RunRecorder:
         name: str,
         seed: Optional[int] = None,
         enabled: bool = True,
-        compress: bool = False,
     ):
         self.out_dir = out_dir
         self.name = name
@@ -175,8 +144,7 @@ class RunRecorder:
         self.manifest = RunManifest(name=name, seed=seed)
         self._closed = False
         if enabled:
-            suffix = "jsonl.gz" if compress else "jsonl"
-            self.trace_path = os.path.join(out_dir, f"{name}_trace.{suffix}")
+            self.trace_path = os.path.join(out_dir, f"{name}_trace.jsonl")
             self.manifest_path = os.path.join(out_dir, f"{name}_run.manifest.json")
             self.writer = JsonlTraceWriter(self.trace_path)
             self.tracer = Tracer(EventBus())

@@ -14,7 +14,7 @@ from repro.workload import TINY_LOAD
 @pytest.fixture(scope="module")
 def fig5_results():
     return fig5.run(
-        preset=TINY_LOAD, interarrivals=(75.0,), schemes=("can-het", "central")
+        preset=TINY_LOAD, values=(75.0,), schemes=("can-het", "central")
     )
 
 
@@ -33,7 +33,7 @@ class TestFig5:
 class TestFig6:
     def test_run_and_report(self, tmp_path):
         results = fig6.run(
-            preset=TINY_LOAD, ratios=(0.4,), schemes=("can-het",)
+            preset=TINY_LOAD, values=(0.4,), schemes=("can-het",)
         )
         text = fig6.report(results, str(tmp_path))
         assert "constraint ratio 40%" in text
@@ -102,6 +102,27 @@ class TestAblations:
         text = ablations.report(results, str(tmp_path))
         assert "acceptable-node" in text
         assert os.path.exists(tmp_path / "ablations.csv")
+
+    def test_substrate_reaches_the_runs(self, tmp_path):
+        results = ablations.run(
+            preset=TINY_LOAD, ablations=("dominant-ce",), substrate="chord"
+        )
+        assert [r.substrate for r in results["dominant-ce"]] == ["chord"]
+
+    def test_cli_substrate_is_not_ignored(self, tmp_path, monkeypatch):
+        seen = []
+        real_run = ablations.run
+
+        def spy(**kwargs):
+            seen.append(kwargs["substrate"])
+            return real_run(preset=TINY_LOAD, **kwargs)
+
+        monkeypatch.setattr(ablations, "run", spy)
+        assert ablations.main([
+            "--fast", "--ablation", "baseline", "--substrate", "chord",
+            "--no-trace", "--out", str(tmp_path),
+        ]) == 0
+        assert seen == ["chord"]
 
     def test_unknown_ablation_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ class TestFig5WithRecorder:
         with RunRecorder(out, "fig5", seed=5) as rec:
             fig5.run(
                 preset=TINY_LOAD,
-                interarrivals=(75.0,),
+                values=(75.0,),
                 schemes=("can-het",),
                 recorder=rec,
             )
@@ -38,7 +38,8 @@ class TestFig5WithRecorder:
         label = "fig5 arrival=75s can-het"
         assert label in manifest["metrics"]
         assert "grid.jobs" in manifest["metrics"][label]
-        assert "can-het" in manifest["config"]
+        # config is keyed by run label, like metrics
+        assert manifest["config"][label]["scheme"] == "can-het"
 
         # the trace round-trips and agrees with the manifest's counts
         summary = summarize_file(trace_path)
@@ -54,7 +55,7 @@ class TestFig5WithRecorder:
         with RunRecorder(out, "fig5", enabled=False) as rec:
             fig5.run(
                 preset=TINY_LOAD,
-                interarrivals=(75.0,),
+                values=(75.0,),
                 schemes=("can-het",),
                 recorder=rec,
             )
@@ -68,7 +69,7 @@ class TestFig5WithRecorder:
         with RunRecorder(out, "fig5") as rec:
             fig5.run(
                 preset=TINY_LOAD,
-                interarrivals=(75.0,),
+                values=(75.0,),
                 schemes=("can-het",),
                 recorder=rec,
             )

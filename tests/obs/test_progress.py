@@ -1,151 +1,65 @@
-"""Progress reporting: stream output, REPRO_QUIET, trace mirroring."""
+"""The harness's progress lines: format, REPRO_QUIET, read per line.
 
-import io
+``repro.experiments.common.timed`` writes ``[label] running ...`` before
+and ``[label] done in X.Xs`` after the call it wraps, on stderr.
+"""
 
-from repro.obs import ProgressReporter, Tracer, quiet_from_env
+from repro.experiments.common import timed
+
+
+def _lines(capsys):
+    return capsys.readouterr().err.splitlines()
 
 
 class TestQuietFromEnv:
-    def test_unset_uses_default(self, monkeypatch):
+    def test_unset_uses_default(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_QUIET", raising=False)
-        assert quiet_from_env() is False
-        assert quiet_from_env(default=True) is True
+        timed("x", lambda: None)
+        assert len(_lines(capsys)) == 2
 
-    def test_truthy_values(self, monkeypatch):
+    def test_truthy_values(self, monkeypatch, capsys):
         for raw in ("1", "yes", "true", "anything"):
             monkeypatch.setenv("REPRO_QUIET", raw)
-            assert quiet_from_env() is True, raw
+            timed("x", lambda: None)
+            assert _lines(capsys) == [], raw
 
-    def test_falsy_values(self, monkeypatch):
-        for raw in ("", "0", "false", "no"):
+    def test_falsy_values(self, monkeypatch, capsys):
+        for raw in ("", "0", "false", "no", " 0 "):
             monkeypatch.setenv("REPRO_QUIET", raw)
-            assert quiet_from_env() is False, raw
+            timed("x", lambda: None)
+            assert len(_lines(capsys)) == 2, raw
 
 
 class TestProgressReporter:
-    def test_start_done_format(self):
-        out = io.StringIO()
-        rep = ProgressReporter(stream=out, quiet=False)
-        rep.start("fig7 vanilla")
-        rep.done("fig7 vanilla", 1.25)
-        rep.info("fig7 vanilla", "settling")
-        lines = out.getvalue().splitlines()
-        assert lines[0] == "[fig7 vanilla] running ..."
-        assert lines[1] == "[fig7 vanilla] done in 1.2s"
-        assert lines[2] == "[fig7 vanilla] info settling"
+    def test_start_done_format(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_QUIET", raising=False)
+        clock = iter([100.0, 101.25])
+        monkeypatch.setattr(
+            "repro.experiments.common.time.time", lambda: next(clock, 101.25)
+        )
+        timed("fig7:vanilla", lambda: None)
+        assert _lines(capsys) == [
+            "[fig7:vanilla] running ...",
+            "[fig7:vanilla] done in 1.2s",
+        ]
 
-    def test_quiet_suppresses_output(self):
-        out = io.StringIO()
-        rep = ProgressReporter(stream=out, quiet=True)
-        rep.start("x")
-        rep.done("x", 0.1)
-        assert out.getvalue() == ""
-
-    def test_env_quiet_is_read_per_call(self, monkeypatch):
-        """A long-lived reporter honours REPRO_QUIET set after creation."""
-        out = io.StringIO()
-        rep = ProgressReporter(stream=out)
+    def test_quiet_suppresses_output(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_QUIET", "1")
-        rep.start("x")
-        assert out.getvalue() == ""
+        assert timed("x", lambda: 7) == 7
+        assert capsys.readouterr().err == ""
+
+    def test_env_quiet_is_read_per_call(self, monkeypatch, capsys):
+        """REPRO_QUIET is read at each line, not once per process."""
+        monkeypatch.setenv("REPRO_QUIET", "1")
+        timed("x", lambda: None)
+        assert _lines(capsys) == []
         monkeypatch.setenv("REPRO_QUIET", "0")
-        rep.start("y")
-        assert "[y] running ..." in out.getvalue()
+        timed("y", lambda: None)
+        assert _lines(capsys)[0] == "[y] running ..."
+        # set while the wrapped call runs: its done line is silenced
+        timed("z", lambda: monkeypatch.setenv("REPRO_QUIET", "1"))
+        assert _lines(capsys) == ["[z] running ..."]
 
-    def test_explicit_quiet_overrides_env(self, monkeypatch):
+    def test_timed_returns_result(self, monkeypatch):
         monkeypatch.setenv("REPRO_QUIET", "1")
-        out = io.StringIO()
-        rep = ProgressReporter(stream=out, quiet=False)
-        rep.start("x")
-        assert "[x] running ..." in out.getvalue()
-
-    def test_reports_mirrored_to_tracer_even_when_quiet(self):
-        tracer = Tracer()
-        seen = []
-        tracer.subscribe(seen.append)
-        rep = ProgressReporter(stream=io.StringIO(), quiet=True, tracer=tracer)
-        rep.start("fig5")
-        rep.done("fig5", 2.0)
-        assert [e.etype for e in seen] == ["run.progress", "run.progress"]
-        assert seen[0].fields["label"] == "fig5"
-        assert seen[1].fields["seconds"] == 2.0
-
-    def test_timed_returns_result(self):
-        rep = ProgressReporter(stream=io.StringIO(), quiet=True)
-        assert rep.timed("add", lambda a, b: a + b, 2, 3) == 5
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestRateAndEta:
-    def reporter(self):
-        clock = FakeClock()
-        out = io.StringIO()
-        return ProgressReporter(stream=out, quiet=False, clock=clock), clock, out
-
-    def test_progress_line_has_rate_and_eta(self):
-        rep, clock, out = self.reporter()
-        rep.start("fig7")
-        clock.now = 2.0  # 4 items in 2s -> 2/s, 12 left -> ETA 6s
-        rep.progress("fig7", 4, 16)
-        assert out.getvalue().splitlines()[1] == (
-            "[fig7] progress 4/16 (25%) 2.0/s ETA 6.0s"
-        )
-
-    def test_progress_without_start_degrades_to_counts(self):
-        rep, _, out = self.reporter()
-        rep.progress("fig7", 4, 16)
-        line = out.getvalue().splitlines()[0]
-        assert "4/16" in line
-        assert "ETA" not in line and "/s" not in line
-
-    def test_progress_with_zero_completed_has_no_rate(self):
-        rep, clock, out = self.reporter()
-        rep.start("x")
-        clock.now = 5.0
-        rep.progress("x", 0, 10)
-        assert "ETA" not in out.getvalue()
-
-    def test_done_derives_seconds_from_start_stamp(self):
-        rep, clock, out = self.reporter()
-        rep.start("x")
-        clock.now = 3.0
-        rep.done("x")
-        assert "[x] done in 3.0s" in out.getvalue()
-
-    def test_done_with_events_reports_rate(self):
-        rep, clock, out = self.reporter()
-        rep.start("x")
-        clock.now = 2.0
-        rep.done("x", events=1000)
-        assert "[x] done in 2.0s (500 events/s)" in out.getvalue()
-
-    def test_explicit_seconds_still_wins(self):
-        rep, clock, out = self.reporter()
-        rep.start("x")
-        clock.now = 99.0
-        rep.done("x", 1.5)
-        assert "[x] done in 1.5s" in out.getvalue()
-
-    def test_progress_mirrored_to_tracer(self):
-        tracer = Tracer()
-        seen = []
-        tracer.subscribe(seen.append)
-        clock = FakeClock()
-        rep = ProgressReporter(
-            stream=io.StringIO(), quiet=True, tracer=tracer, clock=clock
-        )
-        rep.start("fig5")
-        clock.now = 1.0
-        rep.progress("fig5", 2, 4)
-        fields = seen[-1].fields
-        assert fields["status"] == "progress"
-        assert fields["completed"] == 2 and fields["total"] == 4
-        assert fields["rate"] == 2.0
-        assert fields["eta_seconds"] == 1.0
+        assert timed("add", lambda a, b: a + b, 2, 3) == 5

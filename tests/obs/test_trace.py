@@ -1,7 +1,9 @@
 """Trace export, run recording, determinism, and zero-overhead guards."""
 
+import gzip
 import json
 import os
+import shutil
 
 import pytest
 
@@ -68,57 +70,30 @@ class TestJsonlTraceWriter:
         with pytest.raises(ValueError):
             writer(events_mod.TraceEvent(0.0, "x.y", {}))
 
+    def test_flush_and_close_are_idempotent(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        writer = JsonlTraceWriter(path)
+        writer.flush()
+        writer.close()
+        writer.close()
+        writer.flush()
+        assert list(read_trace(path)) == []
+
 
 class TestGzipTraces:
     def test_gzip_round_trip_matches_plain(self, tmp_path):
-        """The same seeded run reads identically from .jsonl and .jsonl.gz."""
-        events_by_suffix = {}
-        for suffix in ("jsonl", "jsonl.gz"):
-            path = str(tmp_path / f"run.{suffix}")
-            with JsonlTraceWriter(path) as writer:
-                tracer = Tracer()
-                tracer.subscribe(writer)
-                ChurnSimulation(tiny_churn_config(), tracer=tracer).run()
-            events_by_suffix[suffix] = list(read_trace(path))
-        assert events_by_suffix["jsonl"] == events_by_suffix["jsonl.gz"]
-        assert len(events_by_suffix["jsonl"]) > 0
-        plain = os.path.getsize(str(tmp_path / "run.jsonl"))
-        packed = os.path.getsize(str(tmp_path / "run.jsonl.gz"))
-        assert packed < plain  # the whole point
-
-    def test_gzip_flush_mid_stream_is_complete(self, tmp_path):
-        """flush() leaves a fully readable archive on disk, never torn."""
-        path = str(tmp_path / "mid.jsonl.gz")
-        writer = JsonlTraceWriter(path)
-        tracer = Tracer()
-        tracer.subscribe(writer)
-        tracer.emit(1.0, "msg.sent", mtype="heartbeat", bytes=40, copies=1)
-        writer.flush()
-        snapshot = list(read_trace(path))
-        assert [e["type"] for e in snapshot] == ["msg.sent"]
-        # keep writing after the flush; close supersedes the snapshot
-        tracer.emit(2.0, "msg.sent", mtype="heartbeat", bytes=40, copies=1)
-        writer.close()
-        final = list(read_trace(path))
-        assert [e["t"] for e in final] == [1.0, 2.0]
-        assert writer.lines == 2
-
-    def test_gzip_close_is_idempotent(self, tmp_path):
-        path = str(tmp_path / "idem.jsonl.gz")
-        writer = JsonlTraceWriter(path)
-        writer.close()
-        writer.close()
-        assert list(read_trace(path)) == []
-        with pytest.raises(ValueError):
-            writer(events_mod.TraceEvent(0.0, "x.y", {}))
-
-    def test_recorder_writes_gzip_when_asked(self, tmp_path):
-        rec = RunRecorder(str(tmp_path), "exp", compress=True)
-        rec.tracer.emit(1.0, "msg.sent", mtype="heartbeat", bytes=40, copies=1)
-        rec.close()
-        assert rec.trace_path.endswith(".jsonl.gz")
-        assert os.path.exists(rec.trace_path)
-        assert [e["type"] for e in read_trace(rec.trace_path)] == ["msg.sent"]
+        """A trace compressed with gzip reads back the same events."""
+        plain = str(tmp_path / "run.jsonl")
+        with JsonlTraceWriter(plain) as writer:
+            tracer = Tracer()
+            tracer.subscribe(writer)
+            ChurnSimulation(tiny_churn_config(), tracer=tracer).run()
+        packed = plain + ".gz"
+        with open(plain, "rb") as src, gzip.open(packed, "wb") as dst:
+            shutil.copyfileobj(src, dst)
+        events = list(read_trace(plain))
+        assert len(events) > 0
+        assert list(read_trace(packed)) == events
 
 
 class TestRunRecorder:
