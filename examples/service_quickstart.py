@@ -72,7 +72,7 @@ async def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         db = os.path.join(tmp, "ledger.sqlite")
-        ledger = open_ledger(db, clock=clock)
+        ledger = open_ledger(db)
         service = GridService(ServiceConfig(preset=TINY_LOAD), ledger, clock)
         gateway = Gateway(service)  # port=0 -> ephemeral
         await gateway.start()
@@ -87,7 +87,7 @@ async def main() -> None:
         # a fresh service on the same sqlite file finds a drained ledger:
         # recover() re-enters only non-terminal jobs, and there are none
         clock2 = AsyncioClock(loop=loop, dilation=DILATION)
-        ledger2 = open_ledger(db, clock=clock2)
+        ledger2 = open_ledger(db)
         service2 = GridService(ServiceConfig(preset=TINY_LOAD), ledger2, clock2)
         print(f"restart recovery re-entered {service2.recover()} jobs "
               f"(ledger already terminal)")

@@ -6,9 +6,9 @@ clock they run on and where job state lives:
 
 * :mod:`repro.service.aclock` — the wall-clock backend of the
   :class:`~repro.sim.clock.Clock` seam (asyncio, with time dilation);
-* :mod:`repro.service.ledger` — the persistent job ledger (sqlite WAL,
-  pluggable backend) whose status state machine is the single source of
-  truth for job lifecycle;
+* :mod:`repro.service.ledger` — the persistent job ledger (one sqlite
+  WAL store, a file or ``:memory:``) whose status state machine is the
+  single source of truth for job lifecycle;
 * :mod:`repro.service.core` — :class:`GridService`, the clock-agnostic
   engine wiring matchmaker + aggregation + heartbeat + ledger together;
 * :mod:`repro.service.gateway` — the asyncio JSON/REST front end
@@ -28,9 +28,6 @@ from .ledger import (
     JobLedger,
     JobRecord,
     JobStatus,
-    LedgerBackend,
-    MemoryBackend,
-    SqliteBackend,
     open_ledger,
 )
 
@@ -44,12 +41,9 @@ __all__ = [
     "JobRecord",
     "JobStatus",
     "JobView",
-    "LedgerBackend",
-    "MemoryBackend",
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",
-    "SqliteBackend",
     "TERMINAL_STATES",
     "open_ledger",
 ]

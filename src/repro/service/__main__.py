@@ -83,7 +83,6 @@ def _build_stack(args, loop: asyncio.AbstractEventLoop):
     # times — ledger timestamps stay monotonic across restarts
     origin = max((r.updated_at for r in ledger.records()), default=0.0)
     clock = AsyncioClock(loop=loop, dilation=args.dilation, origin=origin)
-    ledger.clock = clock
     config = ServiceConfig(preset=PRESETS[args.preset], scheme=args.scheme)
     metrics = MetricsRegistry()
     service = GridService(

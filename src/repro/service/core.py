@@ -44,7 +44,7 @@ from ..sim.clock import CallbackHandle, Clock
 from ..sim.rng import RngRegistry
 from ..workload.nodes import generate_node_specs
 from ..workload.presets import TINY_LOAD, WorkloadPreset
-from ..workload.trace import job_from_dict
+from ..workload.trace import job_from_dict, job_to_dict
 from .ledger import JobLedger, JobStatus
 
 __all__ = ["ServiceConfig", "GridService", "CancelError"]
@@ -254,11 +254,13 @@ class GridService:
 
         The ledger row is durable before any scheduling happens; the
         recorded ``job_id`` (if any) is ignored — ids are the ledger's.
+        The row holds the parsed job's canonical spec, not the body as
+        sent: unknown fields are dropped.
         """
         # parsed first: a spec that is refused must leave no ledger row
         job = job_from_dict(spec, job_id=-1)
         record = self.ledger.submit(
-            {**spec, "job_id": None}, now=self.clock.now
+            {**job_to_dict(job), "job_id": None}, now=self.clock.now
         )
         job.job_id = record.job_id
         self._jobs[job.job_id] = job

@@ -17,11 +17,12 @@ for :mod:`repro.service`:
   ledger is the single source of truth, so an illegal transition is a bug
   in the caller, never something to paper over.
 
-* :class:`JobLedger` — the state machine enforced over a pluggable
-  :class:`LedgerBackend`.  :class:`SqliteBackend` (WAL mode, stdlib
-  ``sqlite3``) persists every transition before the caller proceeds, so a
-  ``kill -9`` loses at most in-memory scheduling state, never job state;
-  :class:`MemoryBackend` backs tests and ephemeral runs.
+* :class:`JobLedger` — the state machine and its store, one sqlite3
+  database (stdlib, WAL mode): a file, or ``":memory:"`` for ephemeral
+  runs.  Each write reads the row, checks the edge and commits the row
+  and its audit edge in one transaction, so a ``kill -9`` loses at most
+  in-memory scheduling state, never job state, and two threads racing on
+  one job cannot both win.
 
 * crash recovery — :meth:`JobLedger.in_flight` returns every job the
   previous process still owed work for (anything non-terminal).  The
@@ -36,7 +37,6 @@ zero duplicate executions across a kill/restart cycle.
 
 from __future__ import annotations
 
-import abc
 import enum
 import json
 import os
@@ -53,9 +53,6 @@ __all__ = [
     "TERMINAL_STATES",
     "IllegalTransition",
     "JobRecord",
-    "LedgerBackend",
-    "MemoryBackend",
-    "SqliteBackend",
     "JobLedger",
     "open_ledger",
 ]
@@ -111,7 +108,7 @@ class IllegalTransition(ValueError):
 
 @dataclass(frozen=True)
 class JobRecord:
-    """One ledger row (immutable snapshot; the backend holds the truth)."""
+    """One ledger row (immutable snapshot; the database holds the truth)."""
 
     job_id: int
     spec: Dict[str, Any]  # repro.workload.trace.job_to_dict form
@@ -150,172 +147,76 @@ class Transition:
     node_id: Optional[int] = None
 
 
-class LedgerBackend(abc.ABC):
-    """Storage contract the ledger's state machine runs over.
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS jobs (
+    job_id INTEGER PRIMARY KEY,
+    spec TEXT NOT NULL,
+    status TEXT NOT NULL,
+    node_id INTEGER,
+    attempts INTEGER NOT NULL DEFAULT 0,
+    submitted_at REAL NOT NULL,
+    updated_at REAL NOT NULL,
+    detail TEXT NOT NULL DEFAULT ''
+);
+CREATE TABLE IF NOT EXISTS transitions (
+    seq INTEGER PRIMARY KEY AUTOINCREMENT,
+    job_id INTEGER NOT NULL,
+    frm TEXT,
+    to_status TEXT NOT NULL,
+    at REAL NOT NULL,
+    node_id INTEGER
+);
+CREATE INDEX IF NOT EXISTS idx_jobs_status ON jobs(status);
+CREATE INDEX IF NOT EXISTS idx_transitions_job ON transitions(job_id);
+CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT);
+"""
 
-    Backends store rows and the transition log; they enforce nothing —
-    legality lives in :class:`JobLedger` so every backend behaves
-    identically.
-    """
-
-    @abc.abstractmethod
-    def next_job_id(self) -> int:
-        """Allocate the next job id (monotonic across restarts)."""
-
-    @abc.abstractmethod
-    def insert(self, record: JobRecord) -> None: ...
-
-    @abc.abstractmethod
-    def update(self, record: JobRecord, frm: JobStatus) -> None:
-        """Persist ``record`` and append the ``frm -> record.status`` edge."""
-
-    @abc.abstractmethod
-    def get(self, job_id: int) -> Optional[JobRecord]: ...
-
-    @abc.abstractmethod
-    def all_records(
-        self, status: Optional[JobStatus] = None
-    ) -> List[JobRecord]: ...
-
-    @abc.abstractmethod
-    def counts(self) -> Dict[JobStatus, int]:
-        """Row count per status, every status present (zero or not)."""
-
-    @abc.abstractmethod
-    def transitions(self, job_id: Optional[int] = None) -> List[Transition]: ...
-
-    @abc.abstractmethod
-    def close(self) -> None: ...
-
-    def __enter__(self) -> "LedgerBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+_IN_FLIGHT = tuple(s.value for s in JobStatus if s not in TERMINAL_STATES)
 
 
-class MemoryBackend(LedgerBackend):
-    """Dict-backed backend: ephemeral gateways and fast unit tests."""
-
-    def __init__(self) -> None:
-        self._rows: Dict[int, JobRecord] = {}
-        self._log: List[Transition] = []
-        self._next_id = 1
-
-    def next_job_id(self) -> int:
-        nid, self._next_id = self._next_id, self._next_id + 1
-        return nid
-
-    def insert(self, record: JobRecord) -> None:
-        if record.job_id in self._rows:
-            raise ValueError(f"job {record.job_id} already in ledger")
-        self._rows[record.job_id] = record
-        self._next_id = max(self._next_id, record.job_id + 1)
-        self._log.append(
-            Transition(record.job_id, None, record.status, record.submitted_at)
-        )
-
-    def update(self, record: JobRecord, frm: JobStatus) -> None:
-        self._rows[record.job_id] = record
-        self._log.append(
-            Transition(
-                record.job_id,
-                frm,
-                record.status,
-                record.updated_at,
-                record.node_id,
-            )
-        )
-
-    def get(self, job_id: int) -> Optional[JobRecord]:
-        return self._rows.get(job_id)
-
-    def all_records(
-        self, status: Optional[JobStatus] = None
-    ) -> List[JobRecord]:
-        rows = sorted(self._rows.values(), key=lambda r: r.job_id)
-        if status is None:
-            return rows
-        return [r for r in rows if r.status is status]
-
-    def counts(self) -> Dict[JobStatus, int]:
-        out = {status: 0 for status in JobStatus}
-        for record in self._rows.values():
-            out[record.status] += 1
-        return out
-
-    def transitions(self, job_id: Optional[int] = None) -> List[Transition]:
-        if job_id is None:
-            return list(self._log)
-        return [t for t in self._log if t.job_id == job_id]
-
-    def close(self) -> None:
-        pass
+def _row_to_record(row: Tuple) -> JobRecord:
+    return JobRecord(
+        job_id=int(row[0]),
+        spec=json.loads(row[1]),
+        status=JobStatus(row[2]),
+        node_id=None if row[3] is None else int(row[3]),
+        attempts=int(row[4]),
+        submitted_at=float(row[5]),
+        updated_at=float(row[6]),
+        detail=row[7],
+    )
 
 
-class SqliteBackend(LedgerBackend):
-    """sqlite3 persistence in WAL mode.
+class JobLedger:
+    """The status state machine over one sqlite3 database in WAL mode.
 
-    WAL keeps readers and the single writer from blocking each other and —
-    the property the restart tests depend on — makes every committed
+    ``path`` is a file, or ``":memory:"`` for a ledger lost on exit.  WAL
+    keeps readers and the single writer from blocking each other and — the
+    property the restart tests depend on — makes every committed
     transition durable against ``kill -9``.  ``synchronous=NORMAL`` is the
     standard WAL pairing: fsync on checkpoint, not per commit; a process
     kill can never tear a transaction, only an OS crash can lose the tail.
 
-    The backend serialises its own access with a lock so the asyncio
-    gateway's handlers and any helper thread share one connection safely.
+    All mutation goes through :meth:`submit` and :meth:`transition`.  Each
+    takes the lock once and reads, checks and writes in one transaction,
+    so the asyncio gateway's handlers and any helper thread share the
+    connection safely and a returned record is durable.  ``tracer``
+    (optional :class:`repro.obs.Tracer`) gets one ``service.job_status``
+    event per write, after its commit.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str, tracer=None):
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
         self.path = path
+        self.tracer = tracer
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._init_schema()
-
-    def _init_schema(self) -> None:
-        with self._lock, self._conn:
-            self._conn.execute(
-                """
-                CREATE TABLE IF NOT EXISTS jobs (
-                    job_id INTEGER PRIMARY KEY,
-                    spec TEXT NOT NULL,
-                    status TEXT NOT NULL,
-                    node_id INTEGER,
-                    attempts INTEGER NOT NULL DEFAULT 0,
-                    submitted_at REAL NOT NULL,
-                    updated_at REAL NOT NULL,
-                    detail TEXT NOT NULL DEFAULT ''
-                )
-                """
-            )
-            self._conn.execute(
-                """
-                CREATE TABLE IF NOT EXISTS transitions (
-                    seq INTEGER PRIMARY KEY AUTOINCREMENT,
-                    job_id INTEGER NOT NULL,
-                    frm TEXT,
-                    to_status TEXT NOT NULL,
-                    at REAL NOT NULL,
-                    node_id INTEGER
-                )
-                """
-            )
-            self._conn.execute(
-                "CREATE INDEX IF NOT EXISTS idx_jobs_status ON jobs(status)"
-            )
-            self._conn.execute(
-                "CREATE INDEX IF NOT EXISTS idx_transitions_job "
-                "ON transitions(job_id)"
-            )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta "
-                "(key TEXT PRIMARY KEY, value TEXT)"
-            )
+        self._conn.executescript(_SCHEMA)
+        with self._conn:
             row = self._conn.execute(
                 "SELECT value FROM meta WHERE key='schema_version'"
             ).fetchone()
@@ -325,126 +226,154 @@ class SqliteBackend(LedgerBackend):
                     (SCHEMA_VERSION,),
                 )
             else:
-                check_schema_version(row[0], f"ledger {self.path!r}")
+                check_schema_version(row[0], f"ledger {path!r}")
 
-    def next_job_id(self) -> int:
-        with self._lock:
-            row = self._conn.execute(
+    # -- mutation ---------------------------------------------------------------
+    def submit(self, spec: Dict[str, Any], now: float) -> JobRecord:
+        """Insert a new job in ``SUBMITTED``; returns the durable record."""
+        with self._lock, self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
+            (job_id,) = self._conn.execute(
                 "SELECT COALESCE(MAX(job_id), 0) + 1 FROM jobs"
             ).fetchone()
-        return int(row[0])
-
-    def insert(self, record: JobRecord) -> None:
-        with self._lock, self._conn:
+            record = JobRecord(
+                job_id=job_id,
+                spec=spec,
+                status=JobStatus.SUBMITTED,
+                submitted_at=now,
+                updated_at=now,
+            )
             self._conn.execute(
                 "INSERT INTO jobs VALUES (?,?,?,?,?,?,?,?)",
                 (
-                    record.job_id,
-                    json.dumps(record.spec, sort_keys=True),
+                    job_id,
+                    json.dumps(spec, sort_keys=True),
                     record.status.value,
-                    record.node_id,
-                    record.attempts,
-                    record.submitted_at,
-                    record.updated_at,
-                    record.detail,
-                ),
-            )
-            self._conn.execute(
-                "INSERT INTO transitions (job_id, frm, to_status, at, node_id)"
-                " VALUES (?,?,?,?,?)",
-                (
-                    record.job_id,
                     None,
-                    record.status.value,
-                    record.submitted_at,
-                    record.node_id,
+                    0,
+                    now,
+                    now,
+                    "",
                 ),
             )
+            self._audit(record, None)
+        if self.tracer is not None:
+            self.tracer.emit(
+                now,
+                "service.job_status",
+                job=job_id,
+                frm=None,
+                to=JobStatus.SUBMITTED.value,
+            )
+        return record
 
-    def update(self, record: JobRecord, frm: JobStatus) -> None:
+    def transition(
+        self,
+        job_id: int,
+        to: JobStatus,
+        now: float,
+        node_id: Optional[int] = ...,  # ... = keep current
+        attempts: Optional[int] = None,
+        detail: Optional[str] = None,
+    ) -> JobRecord:
+        """Move ``job_id`` to ``to``; raises :class:`IllegalTransition`."""
         with self._lock, self._conn:
+            self._conn.execute("BEGIN IMMEDIATE")
+            record = self._get(job_id)
+            if to not in LEGAL_TRANSITIONS[record.status]:
+                raise IllegalTransition(job_id, record.status, to)
+            updated = replace(
+                record,
+                status=to,
+                updated_at=now,
+                node_id=record.node_id if node_id is ... else node_id,
+                attempts=record.attempts if attempts is None else attempts,
+                detail=record.detail if detail is None else detail,
+            )
             self._conn.execute(
                 "UPDATE jobs SET status=?, node_id=?, attempts=?, "
                 "updated_at=?, detail=? WHERE job_id=?",
                 (
-                    record.status.value,
-                    record.node_id,
-                    record.attempts,
-                    record.updated_at,
-                    record.detail,
-                    record.job_id,
+                    to.value,
+                    updated.node_id,
+                    updated.attempts,
+                    now,
+                    updated.detail,
+                    job_id,
                 ),
             )
-            self._conn.execute(
-                "INSERT INTO transitions (job_id, frm, to_status, at, node_id)"
-                " VALUES (?,?,?,?,?)",
-                (
-                    record.job_id,
-                    frm.value,
-                    record.status.value,
-                    record.updated_at,
-                    record.node_id,
-                ),
+            self._audit(updated, record.status)
+        if self.tracer is not None:
+            self.tracer.emit(
+                now,
+                "service.job_status",
+                job=job_id,
+                frm=record.status.value,
+                to=to.value,
+                **({} if updated.node_id is None else {"node": updated.node_id}),
             )
+        return updated
 
-    @staticmethod
-    def _row_to_record(row: Tuple) -> JobRecord:
-        return JobRecord(
-            job_id=int(row[0]),
-            spec=json.loads(row[1]),
-            status=JobStatus(row[2]),
-            node_id=None if row[3] is None else int(row[3]),
-            attempts=int(row[4]),
-            submitted_at=float(row[5]),
-            updated_at=float(row[6]),
-            detail=row[7],
+    def _audit(self, record: JobRecord, frm: Optional[JobStatus]) -> None:
+        self._conn.execute(
+            "INSERT INTO transitions (job_id, frm, to_status, at, node_id)"
+            " VALUES (?,?,?,?,?)",
+            (
+                record.job_id,
+                None if frm is None else frm.value,
+                record.status.value,
+                record.updated_at,
+                record.node_id,
+            ),
         )
 
-    def get(self, job_id: int) -> Optional[JobRecord]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT * FROM jobs WHERE job_id=?", (job_id,)
-            ).fetchone()
-        return None if row is None else self._row_to_record(row)
+    def _get(self, job_id: int) -> JobRecord:
+        row = self._conn.execute(
+            "SELECT * FROM jobs WHERE job_id=?", (job_id,)
+        ).fetchone()
+        if row is None:
+            raise KeyError(f"job {job_id} not in ledger")
+        return _row_to_record(row)
 
-    def all_records(
-        self, status: Optional[JobStatus] = None
-    ) -> List[JobRecord]:
+    # -- queries ----------------------------------------------------------------
+    def _select(self, sql: str, params: Tuple = ()) -> List[Tuple]:
         with self._lock:
-            if status is None:
-                rows = self._conn.execute(
-                    "SELECT * FROM jobs ORDER BY job_id"
-                ).fetchall()
-            else:
-                rows = self._conn.execute(
-                    "SELECT * FROM jobs WHERE status=? ORDER BY job_id",
-                    (status.value,),
-                ).fetchall()
-        return [self._row_to_record(row) for row in rows]
+            return self._conn.execute(sql, params).fetchall()
+
+    def record(self, job_id: int) -> JobRecord:
+        with self._lock:
+            return self._get(job_id)
+
+    def _records(self, where: str = "", params: Tuple = ()) -> List[JobRecord]:
+        rows = self._select(f"SELECT * FROM jobs {where} ORDER BY job_id", params)
+        return [_row_to_record(row) for row in rows]
+
+    def records(self, status: Optional[JobStatus] = None) -> List[JobRecord]:
+        if status is None:
+            return self._records()
+        return self._records("WHERE status=?", (status.value,))
+
+    def in_flight(self) -> List[JobRecord]:
+        """Every job a restarted service still owes work for."""
+        marks = ",".join("?" * len(_IN_FLIGHT))
+        return self._records(f"WHERE status IN ({marks})", _IN_FLIGHT)
 
     def counts(self) -> Dict[JobStatus, int]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT status, COUNT(*) FROM jobs GROUP BY status"
-            ).fetchall()
+        """Row count per status (every status present, zero or not)."""
         out = {status: 0 for status in JobStatus}
-        for status, n in rows:
+        for status, n in self._select(
+            "SELECT status, COUNT(*) FROM jobs GROUP BY status"
+        ):
             out[JobStatus(status)] = int(n)
         return out
 
-    def transitions(self, job_id: Optional[int] = None) -> List[Transition]:
-        with self._lock:
-            if job_id is None:
-                rows = self._conn.execute(
-                    "SELECT job_id, frm, to_status, at, node_id "
-                    "FROM transitions ORDER BY seq"
-                ).fetchall()
-            else:
-                rows = self._conn.execute(
-                    "SELECT job_id, frm, to_status, at, node_id "
-                    "FROM transitions WHERE job_id=? ORDER BY seq",
-                    (job_id,),
-                ).fetchall()
+    def transitions(self, job_id: int) -> List[Transition]:
+        """``job_id``'s audit edges, in write order."""
+        rows = self._select(
+            "SELECT job_id, frm, to_status, at, node_id FROM transitions "
+            "WHERE job_id=? ORDER BY seq",
+            (job_id,),
+        )
         return [
             Transition(
                 job_id=int(r[0]),
@@ -456,121 +385,15 @@ class SqliteBackend(LedgerBackend):
             for r in rows
         ]
 
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-
-class JobLedger:
-    """The status state machine, enforced over a backend.
-
-    All mutation goes through :meth:`submit` and :meth:`transition`; both
-    persist before returning, so callers can treat a returned record as
-    durable.  ``tracer`` (optional :class:`repro.obs.Tracer`) gets one
-    ``service.job_status`` event per transition — the usual
-    zero-overhead-when-off guard applies.
-    """
-
-    def __init__(self, backend: LedgerBackend, tracer=None, clock=None):
-        self.backend = backend
-        self.tracer = tracer
-        self.clock = clock
-
-    def _t(self, now: Optional[float]) -> float:
-        if now is not None:
-            return now
-        return self.clock.now if self.clock is not None else 0.0
-
-    # -- mutation ---------------------------------------------------------------
-    def submit(
-        self,
-        spec: Dict[str, Any],
-        now: Optional[float] = None,
-        job_id: Optional[int] = None,
-    ) -> JobRecord:
-        """Insert a new job in ``SUBMITTED``; returns the durable record."""
-        t = self._t(now)
-        record = JobRecord(
-            job_id=self.backend.next_job_id() if job_id is None else job_id,
-            spec=spec,
-            status=JobStatus.SUBMITTED,
-            submitted_at=t,
-            updated_at=t,
-        )
-        self.backend.insert(record)
-        if self.tracer is not None:
-            self.tracer.emit(
-                t,
-                "service.job_status",
-                job=record.job_id,
-                frm=None,
-                to=JobStatus.SUBMITTED.value,
-            )
-        return record
-
-    def transition(
-        self,
-        job_id: int,
-        to: JobStatus,
-        now: Optional[float] = None,
-        node_id: Optional[int] = ...,  # ... = keep current
-        attempts: Optional[int] = None,
-        detail: Optional[str] = None,
-    ) -> JobRecord:
-        """Move ``job_id`` to ``to``; raises :class:`IllegalTransition`."""
-        record = self.backend.get(job_id)
-        if record is None:
-            raise KeyError(f"job {job_id} not in ledger")
-        if to not in LEGAL_TRANSITIONS[record.status]:
-            raise IllegalTransition(job_id, record.status, to)
-        updated = replace(
-            record,
-            status=to,
-            updated_at=self._t(now),
-            node_id=record.node_id if node_id is ... else node_id,
-            attempts=record.attempts if attempts is None else attempts,
-            detail=record.detail if detail is None else detail,
-        )
-        self.backend.update(updated, record.status)
-        if self.tracer is not None:
-            self.tracer.emit(
-                updated.updated_at,
-                "service.job_status",
-                job=job_id,
-                frm=record.status.value,
-                to=to.value,
-                **({} if updated.node_id is None else {"node": updated.node_id}),
-            )
-        return updated
-
-    # -- queries ----------------------------------------------------------------
-    def record(self, job_id: int) -> JobRecord:
-        rec = self.backend.get(job_id)
-        if rec is None:
-            raise KeyError(f"job {job_id} not in ledger")
-        return rec
-
-    def records(self, status: Optional[JobStatus] = None) -> List[JobRecord]:
-        return self.backend.all_records(status)
-
-    def in_flight(self) -> List[JobRecord]:
-        """Every job a restarted service still owes work for."""
-        return [r for r in self.backend.all_records() if not r.terminal]
-
-    def counts(self) -> Dict[JobStatus, int]:
-        """Row count per status (every status present, zero or not)."""
-        return self.backend.counts()
-
     def completions(self, job_id: int) -> int:
         """How many times ``job_id`` reached COMPLETED (must be <= 1)."""
         return sum(
-            1
-            for t in self.backend.transitions(job_id)
-            if t.to is JobStatus.COMPLETED
+            1 for t in self.transitions(job_id) if t.to is JobStatus.COMPLETED
         )
 
     def close(self) -> None:
-        self.backend.close()
+        with self._lock:
+            self._conn.close()
 
     def __enter__(self) -> "JobLedger":
         return self
@@ -579,10 +402,6 @@ class JobLedger:
         self.close()
 
 
-def open_ledger(
-    path: Optional[str], tracer=None, clock=None
-) -> JobLedger:
-    """``path=None`` -> in-memory ledger; otherwise sqlite WAL at ``path``."""
-    backend: LedgerBackend
-    backend = MemoryBackend() if path is None else SqliteBackend(path)
-    return JobLedger(backend, tracer=tracer, clock=clock)
+def open_ledger(path: Optional[str], tracer=None) -> JobLedger:
+    """``path=None`` -> in-memory sqlite (lost on exit); else WAL at ``path``."""
+    return JobLedger(":memory:" if path is None else path, tracer=tracer)

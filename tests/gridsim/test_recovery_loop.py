@@ -457,7 +457,7 @@ def _run_on_service():
     clock = env
     service = GridService(
         ServiceConfig(preset=TINY_LOAD, retry=RETRY),
-        open_ledger(None, clock=clock),
+        open_ledger(None),
         clock,
         tracer=tracer,
     )

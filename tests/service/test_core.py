@@ -9,7 +9,7 @@ import pytest
 from repro.gridsim.invariants import check_service_accounting
 from repro.gridsim.recovery import RetryPolicy
 from repro.service.core import CancelError, GridService, ServiceConfig
-from repro.service.ledger import JobLedger, JobStatus, SqliteBackend, open_ledger
+from repro.service.ledger import JobStatus, open_ledger
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 from repro.workload.jobs import JobDistribution, generate_jobs
@@ -40,9 +40,7 @@ def build_service(ledger=None, **config_kwargs):
     env = Environment()
     clock = env
     if ledger is None:
-        ledger = open_ledger(None, clock=clock)
-    else:
-        ledger.clock = clock
+        ledger = open_ledger(None)
     config = ServiceConfig(**{"preset": TINY_LOAD, **config_kwargs})
     service = GridService(config, ledger, clock)
     return env, service
@@ -233,7 +231,7 @@ class TestNodeCrash:
         metrics = MetricsRegistry()
         service = GridService(
             ServiceConfig(preset=TINY_LOAD),
-            open_ledger(None, clock=clock),
+            open_ledger(None),
             clock,
             metrics=metrics,
         )
@@ -283,7 +281,7 @@ class TestRestartRecovery:
     def test_orphans_recovered_from_persistent_ledger(self, tmp_path):
         path = str(tmp_path / "ledger.sqlite")
 
-        env1, service1 = build_service(JobLedger(SqliteBackend(path)))
+        env1, service1 = build_service(open_ledger(path))
         service1.start()
         ids = [service1.submit(spec) for spec in preset_specs(20)]
         env1.run(until=env1.now + 300.0)  # mid-flight: jobs queued + running
@@ -291,7 +289,7 @@ class TestRestartRecovery:
         assert in_flight, "kill landed too late to be interesting"
         service1.ledger.close()  # simulate an abrupt process death
 
-        env2, service2 = build_service(JobLedger(SqliteBackend(path)))
+        env2, service2 = build_service(open_ledger(path))
         service2.start()  # start() runs recover()
         orphans = [
             r.job_id
@@ -317,14 +315,14 @@ class TestRestartRecovery:
 
     def test_recover_counts_only_in_flight(self, tmp_path):
         path = str(tmp_path / "ledger.sqlite")
-        env1, service1 = build_service(JobLedger(SqliteBackend(path)))
+        env1, service1 = build_service(open_ledger(path))
         service1.start()
         ids = [service1.submit(spec) for spec in preset_specs(5)]
         env1.run(until=HORIZON)  # drain completely
         assert service1.quiesced()
         service1.ledger.close()
 
-        env2, service2 = build_service(JobLedger(SqliteBackend(path)))
+        env2, service2 = build_service(open_ledger(path))
         assert service2.recover() == 0  # nothing in flight, nothing re-enters
         for job_id in ids:
             assert service2.ledger.completions(job_id) == 1
@@ -344,7 +342,7 @@ class TestHeartbeatClass:
         env = Environment()
         clock = env
         GridService(
-            ServiceConfig(preset=TINY_LOAD), open_ledger(None, clock=clock), clock,
+            ServiceConfig(preset=TINY_LOAD), open_ledger(None), clock,
             tracer=tracer,
         ).start()
         (start,) = [e for e in seen if e.etype == "service.start"]

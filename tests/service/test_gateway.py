@@ -50,7 +50,7 @@ def run_gateway(
             lambda _loop, context: loop_errors.append(context)
         )
         clock = AsyncioClock(loop=loop, dilation=DILATION)
-        ledger = open_ledger(ledger_path, clock=clock)
+        ledger = open_ledger(ledger_path)
         config = ServiceConfig(preset=TINY_LOAD, **config_kwargs)
         service = GridService(config, ledger, clock, metrics=metrics)
         gateway = Gateway(service, metrics=metrics)
@@ -273,7 +273,7 @@ class TestClockFailure:
             loop.set_exception_handler(lambda _loop, ctx: loop_errors.append(ctx))
             clock = AsyncioClock(loop=loop, dilation=DILATION)
             service = GridService(
-                ServiceConfig(preset=TINY_LOAD), open_ledger(None, clock=clock), clock
+                ServiceConfig(preset=TINY_LOAD), open_ledger(None), clock
             )
             steps = []
             step = service.aggregation.step
@@ -467,6 +467,26 @@ class TestHttpErrors:
         assert answer == b"HTTP/1.1 %d %s" % (status_line, phrase)
         assert health["status"] == "ok"
         assert rows == []  # a refused spec is not durable either
+
+    def test_unknown_fields_are_not_stored(self, trace_jobs):
+        """The ledger keeps the parsed job, not the body as sent: an extra
+        field (here a bare NaN, which is no JSON) is dropped, so the status
+        reply stays strict JSON."""
+
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        def scenario(client, service):
+            spec = job_to_dict(trace_jobs[0])
+            job_id = client.submit({**spec, "note": float("nan")})
+            _head, reply = raw_get(client.host, client.port, f"/jobs/{job_id}")
+            return spec, reply, service.ledger.record(job_id).spec
+
+        spec, reply, stored = run_gateway(scenario)
+        view = json.loads(reply, parse_constant=refuse)
+        assert view["spec"] == stored
+        assert set(stored) == {"job_id", "submit_time", "base_duration", "requirements"}
+        assert stored == {**spec, "job_id": None}
 
     def test_unknown_status_filter_is_400(self, trace_jobs):
         def scenario(client, service):
@@ -734,7 +754,7 @@ class TestClientConnection:
                 clock = AsyncioClock(loop=loop, dilation=DILATION)
                 service = GridService(
                     ServiceConfig(preset=TINY_LOAD),
-                    open_ledger(None, clock=clock),
+                    open_ledger(None),
                     clock,
                 )
                 gateway = Gateway(service, port=port)

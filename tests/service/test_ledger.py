@@ -1,6 +1,9 @@
-"""JobLedger state machine and backend persistence."""
+"""JobLedger state machine, persistence and write atomicity."""
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
@@ -10,8 +13,6 @@ from repro.service.ledger import (
     IllegalTransition,
     JobLedger,
     JobStatus,
-    MemoryBackend,
-    SqliteBackend,
     open_ledger,
 )
 
@@ -45,12 +46,11 @@ PATHS = {
 }
 
 
-@pytest.fixture(params=["memory", "sqlite"])
+@pytest.fixture(params=[":memory:", "file"], ids=["memory", "sqlite"])
 def ledger(request, tmp_path):
-    if request.param == "memory":
-        led = JobLedger(MemoryBackend())
-    else:
-        led = JobLedger(SqliteBackend(str(tmp_path / "ledger.sqlite")))
+    """Both CLI modes: ``--db`` omitted (":memory:") and a sqlite file."""
+    path = request.param
+    led = JobLedger(str(tmp_path / "ledger.sqlite") if path == "file" else path)
     yield led
     led.close()
 
@@ -109,7 +109,7 @@ class TestStateMachine:
 
     def test_unknown_job_raises_keyerror(self, ledger):
         with pytest.raises(KeyError):
-            ledger.transition(999, JobStatus.MATCHED)
+            ledger.transition(999, JobStatus.MATCHED, now=1.0)
         with pytest.raises(KeyError):
             ledger.record(999)
 
@@ -153,7 +153,7 @@ class TestRecordFields:
         assert len(ledger.in_flight()) == 1  # only the RUNNING one
 
     def test_counts_equal_a_scan_of_the_records(self, ledger):
-        """The backend's count (GROUP BY on sqlite) against the record scan
+        """The ledger's count (GROUP BY) against the record scan
         it replaced; every status is present, zero or not."""
         assert ledger.counts() == {status: 0 for status in JobStatus}
         for status in [*PATHS, JobStatus.COMPLETED, JobStatus.RUNNING]:
@@ -181,12 +181,12 @@ class TestRecordFields:
 class TestSqlitePersistence:
     def test_records_survive_reopen(self, tmp_path):
         path = str(tmp_path / "ledger.sqlite")
-        led = JobLedger(SqliteBackend(path))
+        led = open_ledger(path)
         done = bring_to(led, JobStatus.COMPLETED)
         orphan = bring_to(led, JobStatus.RUNNING)
         led.close()
 
-        led2 = JobLedger(SqliteBackend(path))
+        led2 = open_ledger(path)
         assert led2.record(done).status is JobStatus.COMPLETED
         rec = led2.record(orphan)
         assert rec.status is JobStatus.RUNNING
@@ -198,37 +198,107 @@ class TestSqlitePersistence:
 
     def test_job_ids_keep_increasing_after_reopen(self, tmp_path):
         path = str(tmp_path / "ledger.sqlite")
-        led = JobLedger(SqliteBackend(path))
+        led = open_ledger(path)
         first = led.submit(SPEC, now=0.0).job_id
         led.close()
-        led2 = JobLedger(SqliteBackend(path))
+        led2 = open_ledger(path)
         second = led2.submit(SPEC, now=1.0).job_id
         assert second > first
         led2.close()
 
     def test_wal_mode_is_active(self, tmp_path):
         path = str(tmp_path / "ledger.sqlite")
-        backend = SqliteBackend(path)
-        mode = backend._conn.execute("PRAGMA journal_mode").fetchone()[0]
+        led = open_ledger(path)
+        mode = led._conn.execute("PRAGMA journal_mode").fetchone()[0]
         assert mode.lower() == "wal"
-        backend.close()
+        led.close()
 
     def test_illegal_transition_not_persisted(self, tmp_path):
         path = str(tmp_path / "ledger.sqlite")
-        led = JobLedger(SqliteBackend(path))
+        led = open_ledger(path)
         job_id = bring_to(led, JobStatus.COMPLETED)
         with pytest.raises(IllegalTransition):
-            led.transition(job_id, JobStatus.RUNNING)
+            led.transition(job_id, JobStatus.RUNNING, now=2.0)
         led.close()
-        led2 = JobLedger(SqliteBackend(path))
+        led2 = open_ledger(path)
         assert led2.record(job_id).status is JobStatus.COMPLETED
         led2.close()
 
 
 def test_open_ledger_dispatches_backend(tmp_path):
+    """No path is sqlite's in-memory database; a path is that file."""
     mem = open_ledger(None)
-    assert isinstance(mem.backend, MemoryBackend)
+    assert mem.path == ":memory:"
     mem.close()
-    disk = open_ledger(str(tmp_path / "led.sqlite"))
-    assert isinstance(disk.backend, SqliteBackend)
+    path = str(tmp_path / "led.sqlite")
+    disk = open_ledger(path)
+    assert disk.path == path
+    disk.submit(SPEC, now=0.0)
     disk.close()
+    assert (tmp_path / "led.sqlite").exists()
+
+
+@pytest.fixture
+def contended():
+    """Thread switches every microsecond, so a read and a write that are not
+    one transaction interleave within a few hundred tries."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+class TestConcurrentWrites:
+    """Each write reads, checks and commits under one lock acquisition."""
+
+    def test_concurrent_submits_get_distinct_ids(self, tmp_path, contended):
+        led = open_ledger(str(tmp_path / "ledger.sqlite"))
+        ids, errors = [], []
+
+        def submit_many():
+            try:
+                ids.extend(led.submit(SPEC, now=0.0).job_id for _ in range(200))
+            except Exception as exc:  # collected for the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=submit_many) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert sorted(ids) == list(range(1, 1601))
+        assert sum(led.counts().values()) == 1600
+        led.close()
+
+    def test_racing_transitions_accept_exactly_one_edge(
+        self, tmp_path, contended
+    ):
+        led = open_ledger(str(tmp_path / "ledger.sqlite"))
+
+        def race(job_id, to, gate, won):
+            gate.wait()
+            try:
+                won.append(led.transition(job_id, to, now=1.0).status)
+            except IllegalTransition:
+                pass
+
+        for _ in range(300):
+            job_id = led.submit(SPEC, now=0.0).job_id
+            gate, won = threading.Barrier(2), []
+            threads = [
+                threading.Thread(target=race, args=(job_id, to, gate, won))
+                for to in (JobStatus.MATCHED, JobStatus.CANCELLED)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(won) == 1, (job_id, won)
+            assert led.record(job_id).status is won[0]
+            edges = [
+                t for t in led.transitions(job_id)
+                if t.frm is JobStatus.SUBMITTED
+            ]
+            assert [t.to for t in edges] == won
+        led.close()

@@ -18,7 +18,7 @@ from repro.service.ledger import (
     TERMINAL_STATES,
     JobLedger,
     JobStatus,
-    MemoryBackend,
+    open_ledger,
 )
 
 SPEC = {
@@ -83,7 +83,7 @@ def check_accounting(ledger: JobLedger, submitted: int) -> None:
     data=st.data(),
 )
 def test_interleaved_lifecycles_preserve_accounting(scripts, data):
-    ledger = JobLedger(MemoryBackend())
+    ledger = open_ledger(None)  # sqlite ":memory:", the CLI's no-``--db`` ledger
     remaining = {}
     for index in scripts:
         record = ledger.submit(SPEC, now=0.0)

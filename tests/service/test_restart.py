@@ -27,12 +27,11 @@ from repro.service import (
     AsyncioClock,
     Gateway,
     GridService,
-    JobLedger,
     JobStatus,
     ServiceClient,
     ServiceConfig,
-    SqliteBackend,
     TERMINAL_STATES,
+    open_ledger,
 )
 from repro.service.replay import record_trace
 from repro.workload.presets import TINY_LOAD
@@ -51,7 +50,7 @@ def trace_path(tmp_path_factory):
 
 def ledger_census(db_path):
     """Read a ledger's status census without a service attached."""
-    ledger = JobLedger(SqliteBackend(db_path))
+    ledger = open_ledger(db_path)
     try:
         counts = {s.value: n for s, n in ledger.counts().items() if n}
         in_flight = len(ledger.in_flight())
@@ -73,7 +72,7 @@ class TestInProcessRestart:
         async def first_life():
             loop = asyncio.get_running_loop()
             clock = AsyncioClock(loop=loop, dilation=DILATION)
-            ledger = JobLedger(SqliteBackend(db), clock=clock)
+            ledger = open_ledger(db)
             service = GridService(
                 ServiceConfig(preset=TINY_LOAD), ledger, clock
             )
@@ -97,14 +96,13 @@ class TestInProcessRestart:
 
         async def second_life():
             loop = asyncio.get_running_loop()
-            ledger = JobLedger(SqliteBackend(db))
+            ledger = open_ledger(db)
             origin = max(
                 (r.updated_at for r in ledger.records()), default=0.0
             )
             clock = AsyncioClock(
                 loop=loop, dilation=DILATION, origin=origin
             )
-            ledger.clock = clock
             service = GridService(
                 ServiceConfig(preset=TINY_LOAD), ledger, clock
             )
