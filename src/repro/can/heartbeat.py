@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..net import NetworkModel
 from ..overlay.base import HeartbeatScheme, MaintenanceProtocol, ProtocolConfig
 from .coverage import have_gaps
-from .messages import MessageType
+from .messages import SIZE_MODEL, MessageType
 from .neighbor import _NEG_INF, BeliefRecord, NeighborTable, TableSnapshot
 from .overlay import CanOverlay, Transfer
 
@@ -174,7 +174,6 @@ class HeartbeatProtocol(MaintenanceProtocol):
         splitter = self.nodes[result.splitter_id]
         splitter.bump_version()
 
-        model = self.config.size_model
         dims = self.overlay.space.dims
 
         # Join reply: the splitter hands the newcomer its own record plus the
@@ -186,7 +185,9 @@ class HeartbeatProtocol(MaintenanceProtocol):
         ]
         self.stats.record(
             MessageType.JOIN_REPLY,
-            model.table_bytes(dims, [r.zone_count for r, _ in slice_records] + [1]),
+            SIZE_MODEL.table_bytes(
+                dims, [r.zone_count for r, _ in slice_records] + [1]
+            ),
         )
         for rec, heard_at in slice_records:
             newcomer.table.upsert(rec, now, heard_at=heard_at)
@@ -217,10 +218,9 @@ class HeartbeatProtocol(MaintenanceProtocol):
         self, leaver: ProtocolNode, transfers: List[Transfer], now: float
     ) -> None:
         node_id = leaver.node_id
-        model = self.config.size_model
         dims = self.overlay.space.dims
         leaver_table = leaver.table.snapshot()
-        handoff_size = model.table_bytes_from_totals(
+        handoff_size = SIZE_MODEL.table_bytes_from_totals(
             dims, len(leaver_table), leaver_table.total_zones
         )
         for transfer in transfers:
@@ -375,12 +375,11 @@ class HeartbeatProtocol(MaintenanceProtocol):
         cached = sender._wire_cache
         if cached is not None and cached[0] == key:
             return cached[1], cached[2]
-        model = self.config.size_model
         dims = self.overlay.space.dims
-        full = model.heartbeat_bytes_from_totals(
+        full = SIZE_MODEL.heartbeat_bytes_from_totals(
             dims, own.zone_count, len(sender.table), sender.table.total_zones()
         )
-        compact = model.heartbeat_bytes(dims, own.zone_count, None)
+        compact = SIZE_MODEL.heartbeat_bytes(dims, own.zone_count, None)
         sender._wire_cache = (key, full, compact)
         return full, compact
 
@@ -595,17 +594,17 @@ class HeartbeatProtocol(MaintenanceProtocol):
             self._receive_record(receiver, claim_record, now)
 
     # -- adaptive repair -----------------------------------------------------------------
-    def _gap_candidates(self, periodic: bool) -> List[int]:
+    def _gap_candidates(self) -> List[int]:
         # the dirty-id registry is the base's scan without the scan: same
         # nodes, same order (RNG draw order included)
-        return self._sorted_node_ids() if periodic else sorted(self._gap_dirty_ids)
+        return sorted(self._gap_dirty_ids)
 
     def _repair_targets(self, pnode: ProtocolNode) -> List[int]:
         return pnode.table.sorted_ids()
 
     def _full_update_reply(self, responder: ProtocolNode) -> Tuple[int, tuple]:
         table = responder.table
-        size = self.config.size_model.table_bytes_from_totals(
+        size = SIZE_MODEL.table_bytes_from_totals(
             self.overlay.space.dims, len(table) + 1, table.total_zones() + 1
         )
         return size, (responder.own_record(self.overlay), table.snapshot())
@@ -755,11 +754,10 @@ class HeartbeatProtocol(MaintenanceProtocol):
     def _detects_gap(self, node_id: int) -> bool:
         """Would this node's local broken-link detector fire right now?
 
-        ``coverage`` mode runs the real algorithm: check that the believed
-        neighbor zones tile every interior face of the node's zones.  It
-        can miss gaps hidden behind stale believed zones — the honest
-        failure mode of a local checker.  ``oracle`` mode compares with
-        ground truth (never misses).
+        It runs the real algorithm: check that the believed neighbor zones
+        tile every interior face of the node's zones.  It can miss gaps
+        hidden behind stale believed zones — the honest failure mode of a
+        local checker.
 
         The verdict is a pure function of (time, overlay topology, believed
         table state, own zones), so it is memoized on that key: the adaptive
@@ -786,17 +784,13 @@ class HeartbeatProtocol(MaintenanceProtocol):
         current state.  The coverage check's is proved where the overlay's
         pair counters allow (:meth:`_tiled`) and measured otherwise, all
         such nodes in one :func:`~repro.can.coverage.have_gaps` call."""
-        oracle = self.config.detection == "oracle"
         measure: List[Tuple[ProtocolNode, Tuple]] = []
         for pnode in pnodes:
             key = self._gap_key(pnode)
             memo = pnode._gap_memo
             if memo is not None and memo[0] == key:
                 continue
-            if oracle:
-                missing = self._missing_neighbors(pnode.node_id)
-                pnode._gap_memo = (key, bool(missing))
-            elif self._tiled(pnode):
+            if self._tiled(pnode):
                 pnode._gap_memo = (key, False)
                 self.gap_verdicts_proved += 1
             else:
@@ -850,14 +844,6 @@ class HeartbeatProtocol(MaintenanceProtocol):
         return True
 
     # -- metrics -----------------------------------------------------------------------
-    def _missing_neighbors(self, node_id: int) -> Set[int]:
-        truth = {
-            nid
-            for nid in self.overlay.neighbor_ids(node_id)
-            if self.overlay.is_alive(nid)
-        }
-        return truth - self.nodes[node_id].table.ids()
-
     def count_broken_links(self) -> int:
         """Directed count of ground-truth neighbors missing from beliefs.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["MessageType", "SizeModel"]
+__all__ = ["MessageType", "SizeModel", "SIZE_MODEL"]
 
 
 class MessageType(enum.Enum):
@@ -143,3 +143,7 @@ class SizeModel:
     def request_bytes(self) -> int:
         """Full-update request: header only."""
         return self.header_bytes
+
+
+#: the wire-size model every maintenance protocol accounts with
+SIZE_MODEL = SizeModel()

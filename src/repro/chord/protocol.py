@@ -47,7 +47,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..can.messages import MessageType
+from ..can.messages import SIZE_MODEL, MessageType
 from ..overlay.base import HeartbeatScheme, MaintenanceProtocol
 from .keyspace import RING_BITS, RING_SIZE
 from .ring import ChordRing
@@ -316,7 +316,7 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
     def _state_bytes(self, known: Dict[int, float]) -> int:
         """Wire size of a full peer list plus its owner's own entry."""
         entries = len(known) + 1
-        return self.config.size_model.table_bytes_from_totals(
+        return SIZE_MODEL.table_bytes_from_totals(
             self.overlay.space.dims, entries, entries
         )
 
@@ -390,9 +390,8 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
     # -- heartbeat exchange -------------------------------------------------
     def _exchange_heartbeats(self, now: float) -> None:
         vanilla = self.config.scheme is HeartbeatScheme.VANILLA
-        model = self.config.size_model
         dims = self.overlay.space.dims
-        compact_size = model.heartbeat_bytes(dims, 1, None)
+        compact_size = SIZE_MODEL.heartbeat_bytes(dims, 1, None)
         net = self.net if not self.net.is_identity else None
         period = self.config.period
         # nothing a turn does changes who is alive: one read of the ring
@@ -409,7 +408,7 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
             # after _derived, targets <= peers <= known: an ack never
             # inserts, it only stamps
             known = sender.known
-            full_size = model.heartbeat_bytes_from_totals(
+            full_size = SIZE_MODEL.heartbeat_bytes_from_totals(
                 dims, 1, len(known), len(known)
             )
             if vanilla:
@@ -591,14 +590,11 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
     def _detects_gap(self, node_id: int) -> bool:
         """Would this node's local structure detector fire right now?
 
-        ``coverage`` mode is the honest local check: the believed successor
-        list is shorter than configured (a removal punched a hole the node
-        cannot refill from what it knows).  ``oracle`` mode compares
-        against ground truth (an idealised upper bound, as in CAN).
+        The honest local check: the believed successor list is shorter
+        than configured (a removal punched a hole the node cannot refill
+        from what it knows).
         """
         pnode = self.nodes[node_id]
-        if self.config.detection == "oracle":
-            return bool(self._missing_neighbors(node_id))
         derived = self._derived(pnode)
         if not derived.successors:
             return True
@@ -607,10 +603,6 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
     # -- metrics -------------------------------------------------------------
     # Truth is the ring's link table (by id); ``known`` is read through
     # ``self.nodes`` each time, because a reply batch may replace the dict.
-    def _missing_neighbors(self, node_id: int) -> Set[int]:
-        known = self.nodes[node_id].known
-        return {n for n in self.overlay.live_links()[node_id] if n not in known}
-
     def count_broken_links(self) -> int:
         """Directed count of ground-truth ring links (alive successors and
         predecessor; fingers are performance state) missing from beliefs."""

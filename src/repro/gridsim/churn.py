@@ -28,6 +28,9 @@ from .results import ChurnResult
 
 __all__ = ["ChurnSimulation"]
 
+#: the stats window opens after this many settle rounds post-bootstrap
+WARMUP_ROUNDS = 3
+
 
 class ChurnSimulation:
     """One maintenance-protocol run under configurable churn."""
@@ -47,11 +50,7 @@ class ChurnSimulation:
         self.overlay = self.substrate.make_overlay(self.space)
         self.protocol = self.substrate.make_protocol(
             self.overlay,
-            ProtocolConfig(
-                scheme=config.scheme,
-                period=config.heartbeat_period,
-                failure_timeout_periods=config.failure_timeout_periods,
-            ),
+            ProtocolConfig(scheme=config.scheme, period=config.heartbeat_period),
             # the channel is stated once, in the plan, and exists before
             # the protocol does: the substrate's factory reads it
             network=config.plan.build_network(self.rngs),
@@ -101,7 +100,7 @@ class ChurnSimulation:
 
     def _round_process(self):
         cfg = self.config
-        settle = cfg.warmup_rounds
+        settle = WARMUP_ROUNDS
         while self.env.now < cfg.duration:
             yield self.env.timeout(cfg.heartbeat_period)
             self.protocol.run_round(self.env.now)
@@ -115,7 +114,7 @@ class ChurnSimulation:
 
     def _event_process(self):
         cfg = self.config
-        warmup_time = cfg.heartbeat_period * (cfg.warmup_rounds + 1)
+        warmup_time = cfg.heartbeat_period * (WARMUP_ROUNDS + 1)
         yield self.env.timeout(warmup_time)
         while self.env.now < cfg.duration:
             gap = float(self._event_rng.exponential(cfg.event_gap_mean))

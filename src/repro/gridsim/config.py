@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..can.heartbeat import HeartbeatScheme
-from ..model.contention import ContentionModel
 from ..workload.presets import WorkloadPreset
 from .faults import FaultPlan
 
@@ -22,10 +21,6 @@ class MatchmakingConfig:
     #: jobs pushing until the far-out node count is genuinely small, which
     #: is where can-het's wait-time CDF meets the centralized baseline
     stopping_factor: float = 4.0
-    max_push_hops: int = 64
-    contention: ContentionModel = field(default_factory=ContentionModel)
-    #: aggregation warm-up rounds before the first job arrives
-    aggregation_warmup_rounds: int = 5
     #: ablation switches (only meaningful for can-het)
     use_acceptable_nodes: bool = True
     use_dominant_ce: bool = True
@@ -43,10 +38,8 @@ class MatchmakingConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.substrate:
             raise ValueError("substrate must be a registered substrate name")
-        if self.max_push_hops <= 0:
-            raise ValueError("max_push_hops must be positive")
-        if self.aggregation_warmup_rounds < 0:
-            raise ValueError("warmup rounds must be non-negative")
+        if self.stopping_factor < 0:
+            raise ValueError("stopping_factor must be non-negative")
 
     def with_scheme(self, scheme: str) -> "MatchmakingConfig":
         return replace(self, scheme=scheme)
@@ -60,7 +53,6 @@ class ChurnConfig:
     gpu_slots: int = 2  # 2 -> 11 CAN dimensions
     scheme: HeartbeatScheme = HeartbeatScheme.VANILLA
     heartbeat_period: float = 60.0
-    failure_timeout_periods: float = 2.5
     #: mean gap between churn events; < period means simultaneous events
     event_gap_mean: float = 15.0
     #: 'fail' = silent crashes (high-churn resilience experiments);
@@ -68,8 +60,6 @@ class ChurnConfig:
     leave_mode: str = "fail"
     #: simulated end time of stage 2 (stage 1 joins happen at t=0)
     duration: float = 30_000.0
-    #: stats window opens after this many settle rounds post-bootstrap
-    warmup_rounds: int = 3
     seed: int = 20110926
     #: overlay substrate under churn ("can", "chord", or any registered name)
     substrate: str = "can"

@@ -61,12 +61,8 @@ class FaultyGridConfig:
     mean_time_between_joins: float = 300.0
     #: which heartbeat scheme maintains beliefs
     heartbeat_scheme: HeartbeatScheme = HeartbeatScheme.VANILLA
-    #: silent periods before a neighbor is declared failed
-    failure_timeout_periods: float = 2.5
     #: resubmission backoff/budget policy
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: never let churn shrink the grid below this fraction of the start size
-    min_population_fraction: float = 0.5
     #: scripted crash/join bursts and the heartbeat channel (``faults.network``)
     faults: FaultPlan = field(default_factory=FaultPlan)
     #: audit the simulation every N heartbeat rounds and once after the
@@ -76,17 +72,9 @@ class FaultyGridConfig:
     def __post_init__(self) -> None:
         if min(self.mean_time_between_failures, self.mean_time_between_joins) <= 0:
             raise ValueError("all churn timings must be positive")
-        if not 0 < self.min_population_fraction <= 1:
-            raise ValueError("min_population_fraction must be in (0, 1]")
         if self.invariant_check_every < 0:
             raise ValueError("invariant_check_every must be non-negative")
         get_substrate(self.matchmaking.substrate)  # an unknown name fails here
-        # failure_timeout_periods is validated by ProtocolConfig; construct
-        # one eagerly so a bad value fails at config time, not mid-run
-        ProtocolConfig(
-            scheme=self.heartbeat_scheme,
-            failure_timeout_periods=self.failure_timeout_periods,
-        )
 
     def with_scheme(self, scheme: HeartbeatScheme) -> "FaultyGridConfig":
         return replace(self, heartbeat_scheme=scheme)
@@ -171,7 +159,6 @@ class FaultyGridSimulation(GridSimulation):
             ProtocolConfig(
                 scheme=config.heartbeat_scheme,
                 period=config.matchmaking.preset.heartbeat_period,
-                failure_timeout_periods=config.failure_timeout_periods,
             ),
             network=config.faults.build_network(self.rngs),
             tracer=tracer,
@@ -233,9 +220,9 @@ class FaultyGridSimulation(GridSimulation):
                 check_faulty_invariants(self)
 
     def population_floor(self) -> int:
-        """Neither background churn nor a burst shrinks the grid below this."""
-        cfg = self.fault_config
-        return int(self.config.preset.nodes * cfg.min_population_fraction)
+        """Neither background churn nor a burst shrinks the grid below half
+        its start size."""
+        return self.config.preset.nodes // 2
 
     def _fail_random_node(self, rng: np.random.Generator) -> None:
         alive = list(self.overlay.alive_ids())
@@ -280,7 +267,7 @@ class FaultyGridSimulation(GridSimulation):
             # node the grid layer never registered.
             self.protocol._pending_joins.pop()
             return
-        node = GridNode(spec, self.env, contention=self.config.contention)
+        node = GridNode(spec, self.env)
         self._wire_node(node)
         self.grid_nodes[spec.node_id] = node
         self.joins += 1

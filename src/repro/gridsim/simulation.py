@@ -35,6 +35,9 @@ from .results import MatchmakingResult
 
 __all__ = ["GridSimulation", "build_grid", "build_matchmaker"]
 
+#: aggregation rounds run before the first job arrives
+AGGREGATION_WARMUP_ROUNDS = 5
+
 
 def build_matchmaker(
     config: MatchmakingConfig,
@@ -58,7 +61,6 @@ def build_matchmaker(
             aggregation,
             rng,
             stopping_factor=config.stopping_factor,
-            max_hops=config.max_push_hops,
             use_acceptable_nodes=config.use_acceptable_nodes,
             use_dominant_ce=config.use_dominant_ce,
         )
@@ -68,7 +70,6 @@ def build_matchmaker(
         aggregation,
         rng,
         stopping_factor=config.stopping_factor,
-        max_hops=config.max_push_hops,
     )
 
 
@@ -100,9 +101,7 @@ def build_grid(
             virtual = float(rng.random()) * 1e-6
         coord = space.node_coordinate(spec, virtual)
         overlay.add_node(spec.node_id, coord)
-        grid_nodes[spec.node_id] = GridNode(
-            spec, env, contention=config.contention
-        )
+        grid_nodes[spec.node_id] = GridNode(spec, env)
     return overlay, grid_nodes
 
 
@@ -235,7 +234,7 @@ class GridSimulation:
 
     def _aggregation_process(self):
         period = self.config.preset.heartbeat_period
-        self.aggregation.run_rounds(self.config.aggregation_warmup_rounds)
+        self.aggregation.run_rounds(AGGREGATION_WARMUP_ROUNDS)
         while self._work_remaining():
             yield self.env.timeout(period)
             self.aggregation.step()

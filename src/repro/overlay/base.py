@@ -34,7 +34,7 @@ a rival substrate (``repro.chord``) can slot in underneath them unchanged:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import (
@@ -52,7 +52,7 @@ from typing import (
     runtime_checkable,
 )
 
-from ..can.messages import MessageType, SizeModel
+from ..can.messages import SIZE_MODEL, MessageType
 from ..can.stats import MessageStats
 from ..net import IDENTITY, NetworkModel
 from ..sim.monitor import TimeSeries
@@ -173,6 +173,13 @@ class HeartbeatScheme(enum.Enum):
     ADAPTIVE = "adaptive"
 
 
+#: a neighbor is declared failed after this many silent periods
+FAILURE_TIMEOUT_PERIODS = 2.5
+#: adaptive: how many consecutive rounds a node keeps re-requesting full
+#: updates while its detected gap persists before giving up
+GAP_RETRY_ROUNDS = 2
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Tunables of the maintenance protocol."""
@@ -180,33 +187,14 @@ class ProtocolConfig:
     scheme: HeartbeatScheme = HeartbeatScheme.VANILLA
     #: heartbeat period in simulated seconds
     period: float = 60.0
-    #: a neighbor is declared failed after this many silent periods
-    failure_timeout_periods: float = 2.5
-    #: adaptive: how many consecutive rounds a node keeps re-requesting
-    #: full updates while its detected gap persists before giving up
-    gap_retry_rounds: int = 2
-    #: adaptive: also run the coverage check every k rounds even without a
-    #: local table change (0 disables the periodic check)
-    periodic_gap_check_every: int = 0
-    #: adaptive's gap detector: "coverage" runs the real local zone-face
-    #: coverage computation over believed zones (repro.can.coverage);
-    #: "oracle" compares against ground truth (an idealised upper bound)
-    detection: str = "coverage"
-    size_model: SizeModel = field(default_factory=SizeModel)
 
     def __post_init__(self) -> None:
         if self.period <= 0:
             raise ValueError("period must be positive")
-        if self.failure_timeout_periods < 1:
-            raise ValueError("failure timeout must be at least one period")
-        if self.gap_retry_rounds < 0 or self.periodic_gap_check_every < 0:
-            raise ValueError("retry/periodic settings must be non-negative")
-        if self.detection not in ("coverage", "oracle"):
-            raise ValueError(f"unknown detection mode {self.detection!r}")
 
     @property
     def failure_timeout(self) -> float:
-        return self.period * self.failure_timeout_periods
+        return self.period * FAILURE_TIMEOUT_PERIODS
 
 
 class MaintenanceProtocol:
@@ -461,7 +449,7 @@ class MaintenanceProtocol:
         """
         self.stats.record(
             mtype,
-            self.config.size_model.notify_bytes(self.overlay.space.dims),
+            SIZE_MODEL.notify_bytes(self.overlay.space.dims),
             len(targets),
         )
         lats = (
@@ -640,18 +628,13 @@ class MaintenanceProtocol:
 
     # -- adaptive repair -----------------------------------------------------------------
     def _adaptive_gap_checks(self, now: float) -> None:
-        config = self.config
-        periodic = bool(
-            config.periodic_gap_check_every
-            and self._round % config.periodic_gap_check_every == 0
-        )
         net_active = not self.net.is_identity
         # nothing the loop does changes who is alive or what anyone
         # believes (requests and replies only queue), so the candidates
         # and all their verdicts can be settled before it starts
         candidates = [
             pnode
-            for pnode in map(self._deliverable, self._gap_candidates(periodic))
+            for pnode in map(self._deliverable, self._gap_candidates())
             if pnode is not None
         ]
         self._decide_gaps(candidates)
@@ -670,7 +653,7 @@ class MaintenanceProtocol:
             targets = self._repair_targets(pnode)
             self.stats.record(
                 MessageType.FULL_UPDATE_REQUEST,
-                config.size_model.request_bytes(),
+                SIZE_MODEL.request_bytes(),
                 len(targets),
             )
             for target_id in targets:
@@ -688,7 +671,7 @@ class MaintenanceProtocol:
                 # The reply crosses the network; it lands next round.
                 self._reply_queue.append((node_id, payload))
             pnode.gap_attempts += 1
-            pnode.gap_dirty = pnode.gap_attempts < config.gap_retry_rounds
+            pnode.gap_dirty = pnode.gap_attempts < GAP_RETRY_ROUNDS
 
     # ------------------------------------------------------------------ substrate hooks --
     def _new_node(self, node_id: int) -> Any:
@@ -741,12 +724,9 @@ class MaintenanceProtocol:
         """The claimant absorbs what it ``known`` and notifies believers."""
         raise NotImplementedError
 
-    def _gap_candidates(self, periodic: bool) -> Iterable[int]:
-        """Ids to gap-check, sorted: the dirty ones, or all when periodic."""
-        ids = self._sorted_node_ids()
-        if periodic:
-            return ids
-        return [nid for nid in ids if self.nodes[nid].gap_dirty]
+    def _gap_candidates(self) -> Iterable[int]:
+        """Ids to gap-check, sorted: the dirty ones."""
+        return [nid for nid in self._sorted_node_ids() if self.nodes[nid].gap_dirty]
 
     def _decide_gaps(self, pnodes: Sequence[Any]) -> None:
         """Called with every live candidate before the repair loop asks

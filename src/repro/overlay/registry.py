@@ -42,7 +42,7 @@ class SubstrateDescriptor:
     #: ``make_protocol(overlay, config, network=None, tracer=...,
     #: metrics=...)`` — ``config`` is a
     #: :class:`~repro.can.heartbeat.ProtocolConfig` (shared across
-    #: substrates; each interprets the scheme/detection knobs its own way),
+    #: substrates; each interprets the scheme its own way),
     #: ``network`` the live :class:`~repro.net.NetworkModel` every
     #: unreliable send traverses (None = the ideal channel)
     make_protocol: Callable[..., MaintenanceProtocol]

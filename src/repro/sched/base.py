@@ -24,6 +24,9 @@ __all__ = [
     "ring_search",
 ]
 
+#: a push stops after this many hops however the scores read
+MAX_PUSH_HOPS = 64
+
 
 @dataclass
 class MatchmakingStats:
@@ -145,7 +148,7 @@ class CanMatchmaker(Matchmaker):
         aggregation: AggregationEngine,
         rng: np.random.Generator,
         stopping_factor: float = 1.0,
-        max_hops: int = 64,
+        max_hops: int = MAX_PUSH_HOPS,
     ):
         super().__init__()
         self.overlay = overlay

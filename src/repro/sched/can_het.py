@@ -21,7 +21,7 @@ from ..can.aggregation import AggregationEngine
 from ..can.overlay import CanOverlay
 from ..model.job import Job
 from ..model.node import GridNode
-from .base import CanMatchmaker, fastest_dominant_clock
+from .base import MAX_PUSH_HOPS, CanMatchmaker, fastest_dominant_clock
 from .score import (
     min_pooled_score_node,
     min_score_node,
@@ -44,7 +44,7 @@ class CanHetMatchmaker(CanMatchmaker):
         aggregation: AggregationEngine,
         rng: np.random.Generator,
         stopping_factor: float = 1.0,
-        max_hops: int = 64,
+        max_hops: int = MAX_PUSH_HOPS,
         use_acceptable_nodes: bool = True,
         use_dominant_ce: bool = True,
     ):

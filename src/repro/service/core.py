@@ -37,7 +37,11 @@ from ..can.space import ResourceSpace
 from ..overlay import MaintenanceProtocol, get_substrate
 from ..gridsim.config import MatchmakingConfig
 from ..gridsim.recovery import RecoveryLoop, RetryPolicy
-from ..gridsim.simulation import build_grid, build_matchmaker
+from ..gridsim.simulation import (
+    AGGREGATION_WARMUP_ROUNDS,
+    build_grid,
+    build_matchmaker,
+)
 from ..model.job import Job
 from ..model.node import GridNode
 from ..sim.clock import CallbackHandle, Clock
@@ -65,23 +69,15 @@ class ServiceConfig:
     #: scheme of the live heartbeat protocol next to the matchmaker (crash
     #: detection through missed-heartbeat timeouts, zone take-over on failure)
     heartbeat_scheme: HeartbeatScheme = HeartbeatScheme.VANILLA
-    failure_timeout_periods: float = 2.5
     #: backoff/budget for retrying lost and not-yet-placeable jobs
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    aggregation_warmup_rounds: int = 5
-    stopping_factor: float = 4.0
-    max_push_hops: int = 64
     #: overlay substrate backing the service ("can", "chord", or any
     #: registered name); matchmaker and heartbeat run on either
     substrate: str = "can"
 
     def matchmaking(self) -> MatchmakingConfig:
         return MatchmakingConfig(
-            self.preset,
-            scheme=self.scheme,
-            stopping_factor=self.stopping_factor,
-            max_push_hops=self.max_push_hops,
-            substrate=self.substrate,
+            self.preset, scheme=self.scheme, substrate=self.substrate
         )
 
 
@@ -149,7 +145,6 @@ class GridService:
             ProtocolConfig(
                 scheme=config.heartbeat_scheme,
                 period=preset.heartbeat_period,
-                failure_timeout_periods=config.failure_timeout_periods,
             ),
             tracer=tracer,
             metrics=metrics,
@@ -173,7 +168,7 @@ class GridService:
         if self._started:
             raise RuntimeError("service already started")
         self._started = True
-        self.aggregation.run_rounds(self.config.aggregation_warmup_rounds)
+        self.aggregation.run_rounds(AGGREGATION_WARMUP_ROUNDS)
         self.recover()
         period = self.config.preset.heartbeat_period
         self._periodic.append(

@@ -333,25 +333,26 @@ class TestCoverageKernel:
 
 class TestProtocolIntegration:
     def test_coverage_mode_matches_oracle_on_quiet_network(self):
+        from tests.can.hb_golden import ENGINE_CLASSES
         from tests.can.test_heartbeat import build_protocol, run_rounds
+        from tests.overlay.oracle import oracle
         from repro.can.heartbeat import HeartbeatScheme
 
-        for detection in ("coverage", "oracle"):
-            proto = build_protocol(
-                14, HeartbeatScheme.ADAPTIVE, detection=detection
-            )
-            run_rounds(proto, 3)
-            assert proto.count_broken_links() == 0
-            for nid in proto.nodes:
-                assert not proto._detects_gap(nid)
+        for cls in ENGINE_CLASSES.values():
+            for protocol_class in (cls, oracle(cls)):
+                proto = build_protocol(
+                    14, HeartbeatScheme.ADAPTIVE, protocol_class=protocol_class
+                )
+                run_rounds(proto, 3)
+                assert proto.count_broken_links() == 0
+                for nid in proto.nodes:
+                    assert not proto._detects_gap(nid)
 
     def test_coverage_detects_manual_break(self):
         from tests.can.test_heartbeat import build_protocol
         from repro.can.heartbeat import HeartbeatScheme
 
-        proto = build_protocol(
-            14, HeartbeatScheme.ADAPTIVE, detection="coverage"
-        )
+        proto = build_protocol(14, HeartbeatScheme.ADAPTIVE)
         a = sorted(proto.nodes)[0]
         victim = sorted(proto.nodes[a].table.ids())[0]
         proto.nodes[a].table.remove(victim)

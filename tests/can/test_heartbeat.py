@@ -20,16 +20,19 @@ from repro.gridsim import ChurnSimulation
 from repro.gridsim.config import ChurnConfig
 from repro.gridsim.faults import FaultPlan, scenario_pack
 from repro.net import LatencySpec, NetworkModel, NetworkSpec
-from repro.overlay.base import MaintenanceProtocol
+from repro.overlay.base import GAP_RETRY_ROUNDS, MaintenanceProtocol
 from tests.can.hb_golden import CASES, GOLDEN_PATH, fingerprint
 from tests.can.test_coverage import oracle_has_gap
+from tests.overlay.oracle import missing_neighbors, oracle
 
 
-def build_protocol(n=12, scheme=HeartbeatScheme.VANILLA, seed=0, **cfg_kwargs):
+def build_protocol(
+    n=12, scheme=HeartbeatScheme.VANILLA, seed=0, protocol_class=HeartbeatProtocol
+):
     space = ResourceSpace(gpu_slots=0)
     overlay = CanOverlay(space)
-    config = ProtocolConfig(scheme=scheme, period=60.0, **cfg_kwargs)
-    proto = HeartbeatProtocol(overlay, config)
+    config = ProtocolConfig(scheme=scheme, period=60.0)
+    proto = protocol_class(overlay, config)
     rng = np.random.default_rng(seed)
     coords = [tuple(rng.random(space.dims) * 0.998 + 0.001) for _ in range(n)]
     proto.bootstrap(0, coords[0])
@@ -191,8 +194,8 @@ class TestRepairByScheme:
             a, b = pairs[0]
         _break_mutually(proto, a, b)
         run_rounds(proto, 4, start=200.0)
-        missing_a = proto._missing_neighbors(a)
-        missing_b = proto._missing_neighbors(b)
+        missing_a = missing_neighbors(proto, a)
+        missing_b = missing_neighbors(proto, b)
         assert b in missing_a and a in missing_b  # still broken
 
     def test_adaptive_repairs_after_request_reply(self):
@@ -208,9 +211,7 @@ class TestRepairByScheme:
         assert proto.stats.count[MessageType.FULL_UPDATE_REPLY] > 0
 
     def test_adaptive_gives_up_after_retry_budget(self):
-        proto = build_protocol(
-            14, HeartbeatScheme.ADAPTIVE, gap_retry_rounds=2
-        )
+        proto = build_protocol(14, HeartbeatScheme.ADAPTIVE)
         run_rounds(proto, 2)
         a, b = _adjacent_pair(proto)
         _break_mutually(proto, a, b)
@@ -223,9 +224,9 @@ class TestRepairByScheme:
         before = proto.stats.count[MessageType.FULL_UPDATE_REQUEST]
         run_rounds(proto, 6, start=200.0)
         sent = proto.stats.count[MessageType.FULL_UPDATE_REQUEST] - before
-        # requests stop after the retry budget (here, <= 2 rounds' worth,
-        # plus any triggered by unrelated table changes)
-        assert sent <= 2 * len(proto.nodes[a].table) + 4
+        # requests stop after the retry budget (GAP_RETRY_ROUNDS rounds'
+        # worth, plus any triggered by unrelated table changes)
+        assert sent <= GAP_RETRY_ROUNDS * len(proto.nodes[a].table) + 4
 
 
 class TestMessageAccounting:
@@ -436,7 +437,9 @@ class TestTilingProof:
         assert proto.gap_verdicts_measured == 1
 
     def test_oracle_detection_is_left_alone(self):
-        proto = build_protocol(14, HeartbeatScheme.ADAPTIVE, detection="oracle")
+        proto = build_protocol(
+            14, HeartbeatScheme.ADAPTIVE, protocol_class=oracle(HeartbeatProtocol)
+        )
         a, b = _adjacent_pair(proto)
         _break_mutually(proto, a, b)
         proto.nodes[a].gap_dirty = True

@@ -31,6 +31,7 @@ from repro.can.neighbor import BeliefRecord, TableSnapshot
 from repro.can.overlay import CanOverlay
 from repro.can.space import ResourceSpace
 from tests.can.hb_golden import ENGINE_CLASSES, GOLDEN_PATH, run_case
+from tests.overlay.oracle import oracle
 
 PERIOD = 60.0
 NOW = 20 * PERIOD
@@ -68,11 +69,9 @@ def build(engine, detection="coverage", seed=0, nodes=20):
     advertised, by id and version."""
     space = ResourceSpace(gpu_slots=0)
     overlay = CanOverlay(space)
-    proto = ENGINE_CLASSES[engine](
-        overlay,
-        ProtocolConfig(
-            scheme=HeartbeatScheme.ADAPTIVE, period=PERIOD, detection=detection
-        ),
+    cls = ENGINE_CLASSES[engine]
+    proto = (oracle(cls) if detection == "oracle" else cls)(
+        overlay, ProtocolConfig(scheme=HeartbeatScheme.ADAPTIVE, period=PERIOD)
     )
     history = {}
 

@@ -28,6 +28,7 @@ from repro.can.space import ResourceSpace
 from repro.chord.protocol import ChordMaintenanceProtocol, ChordProtocolNode
 from repro.chord.ring import ChordError, ChordRing
 from tests.chord.test_protocol import PERIOD, build, run_rounds
+from tests.overlay.oracle import missing_neighbors, oracle
 
 SPACE = ResourceSpace(gpu_slots=1)
 NOW = 10 * PERIOD
@@ -78,11 +79,10 @@ def reply_ring(detection, n, succ, ghosts, departed, seed):
     ring = ChordRing(SPACE, successor_list_size=succ)
     for nid in range(n):
         ring.add_node(nid, [rng.random() for _ in range(SPACE.dims)])
-    proto = ChordMaintenanceProtocol(
+    cls = ChordMaintenanceProtocol
+    proto = (oracle(cls) if detection == "oracle" else cls)(
         ring,
-        ProtocolConfig(
-            scheme=HeartbeatScheme.ADAPTIVE, period=PERIOD, detection=detection
-        ),
+        ProtocolConfig(scheme=HeartbeatScheme.ADAPTIVE, period=PERIOD),
         tracer=EventLog(),
     )
     proto.adopt_overlay(now=0.0)
@@ -301,7 +301,7 @@ def test_broken_links_read_the_dict_a_batch_rebuilt():
     successor = ring.live_links()[node_id][0]
     proto._forget(pnode, successor)
     assert proto.count_broken_links() == 1
-    assert proto._missing_neighbors(node_id) == {successor}
+    assert missing_neighbors(proto, node_id) == {successor}
 
 
 # ------------------------------------------------ hash-seed independence --

@@ -44,9 +44,7 @@ class TestMatchmakingConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MatchmakingConfig(TINY_LOAD, max_push_hops=0)
-        with pytest.raises(ValueError):
-            MatchmakingConfig(TINY_LOAD, aggregation_warmup_rounds=-1)
+            MatchmakingConfig(TINY_LOAD, stopping_factor=-1.0)
 
 
 class TestChurnConfigExtra:

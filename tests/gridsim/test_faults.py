@@ -97,10 +97,10 @@ class TestInjection:
 
     def test_population_floor_clips_burst(self):
         plan = FaultPlan(bursts=(CrashBurst(at=500.0, count=1000),))
-        cfg = quiet_config(faults=plan, min_population_fraction=0.5)
+        cfg = quiet_config(faults=plan)
         sim = FaultyGridSimulation(cfg)
         res = sim.run()
-        floor = int(TINY_LOAD.nodes * 0.5)
+        floor = TINY_LOAD.nodes // 2
         assert res.final_population >= floor
         assert sim._injector.crashes_injected == TINY_LOAD.nodes - floor
 

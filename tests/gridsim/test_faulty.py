@@ -20,6 +20,7 @@ from repro.gridsim import (
 )
 from repro.gridsim.recovery import PendingRecovery
 from repro.net import NetworkSpec
+from repro.overlay.base import FAILURE_TIMEOUT_PERIODS
 from repro.workload import TINY_LOAD
 
 
@@ -55,10 +56,11 @@ class TestFaultyGrid:
         assert not incomplete  # everything placed eventually finished
 
     def test_population_floor_respected(self):
-        cfg = config(mtbf=50.0, mtbj=5000.0, min_population_fraction=0.6)
+        cfg = config(mtbf=50.0, mtbj=5000.0)
         sim = FaultyGridSimulation(cfg)
         res = sim.run()
-        assert res.final_population >= int(TINY_LOAD.nodes * 0.6)
+        assert sim.population_floor() == TINY_LOAD.nodes // 2
+        assert res.final_population >= TINY_LOAD.nodes // 2
 
     def test_overlay_invariants_after_churny_run(self):
         sim = FaultyGridSimulation(config(mtbf=300.0, mtbj=300.0))
@@ -117,8 +119,6 @@ class TestFaultyGrid:
         with pytest.raises(ValueError):
             config(mtbf=0.0)
         with pytest.raises(ValueError):
-            config(min_population_fraction=0.0)
-        with pytest.raises(ValueError):
             config(retry=RetryPolicy(max_attempts=0))
         with pytest.raises(ValueError):
             config(invariant_check_every=-1)
@@ -131,7 +131,7 @@ class TestProtocolDetection:
         cfg = config(mtbf=300.0, mtbj=300.0)
         sim = FaultyGridSimulation(cfg)
         res = sim.run()
-        timeout = TINY_LOAD.heartbeat_period * cfg.failure_timeout_periods
+        timeout = TINY_LOAD.heartbeat_period * FAILURE_TIMEOUT_PERIODS
         d = res.detection_latencies
         assert d.size > 0
         # no magic constant: latencies spread over real timeout dynamics,

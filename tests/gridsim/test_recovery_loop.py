@@ -25,6 +25,7 @@ from repro.can.space import ResourceSpace
 from repro.gridsim import FaultyGridConfig, FaultyGridSimulation, MatchmakingConfig
 from repro.gridsim.invariants import check_service_accounting
 from repro.gridsim.recovery import RecoveryLoop, RetryPolicy
+from repro.gridsim.simulation import AGGREGATION_WARMUP_ROUNDS
 from repro.obs.events import Tracer
 from repro.obs.registry import MetricsRegistry
 from repro.service.core import GridService, ServiceConfig
@@ -424,7 +425,7 @@ def _run_on_sim():
     )
     # GridService.start()'s order: warm-up, then the aggregation step and
     # the heartbeat round on the same period, the step first
-    sim.aggregation.run_rounds(sim.config.aggregation_warmup_rounds)
+    sim.aggregation.run_rounds(AGGREGATION_WARMUP_ROUNDS)
     period = TINY_LOAD.heartbeat_period
     sim.env.call_every(period, sim.aggregation.step)
     sim.env.call_every(period, lambda: sim.protocol.run_round(sim.env.now))

@@ -28,12 +28,10 @@ from repro.net import LatencySpec, NetworkSpec, PartitionSpec
 PERIOD = 60.0
 
 
-def build_can(n=12, scheme=HeartbeatScheme.VANILLA, seed=0, **cfg_kwargs):
+def build_can(n=12, scheme=HeartbeatScheme.VANILLA, seed=0):
     space = ResourceSpace(gpu_slots=0)
     overlay = CanOverlay(space)
-    proto = HeartbeatProtocol(
-        overlay, ProtocolConfig(scheme=scheme, period=PERIOD, **cfg_kwargs)
-    )
+    proto = HeartbeatProtocol(overlay, ProtocolConfig(scheme=scheme, period=PERIOD))
     rng = np.random.default_rng(seed)
     coords = [tuple(rng.random(space.dims) * 0.998 + 0.001) for _ in range(n)]
     proto.bootstrap(0, coords[0])
@@ -99,18 +97,27 @@ class TestBlackout:
         adaptive scheme broadcasts repair requests to its surviving peers
         (delivered — only the victim's outbound is cut) and any reply the
         victim itself sends is eaten by the partition."""
-        # the periodic sweep re-finds gaps that were grace-masked when the
-        # suspicion fired (the victim is never claimed: it is alive)
-        proto = build_can(
-            scheme=HeartbeatScheme.ADAPTIVE, periodic_gap_check_every=2
-        )
+        proto = build_can(scheme=HeartbeatScheme.ADAPTIVE)
         run_rounds(proto, 2)
         victim = 3
         proto.set_network(
             NetworkSpec(partitions=(PartitionSpec(src=(victim,)),)).build()
         )
-        run_rounds(proto, 10, start=3)
-        assert proto.stats.count.get(MessageType.FULL_UPDATE_REQUEST, 0) > 0
+        # the believers time the victim out, and its zone stays quiet in
+        # their grace window (it is alive, so it is never claimed); once
+        # the window has passed, they check their coverage again
+        run_rounds(proto, 7, start=3)
+        believers = [
+            nid
+            for nid in proto.overlay.neighbor_ids(victim)
+            if victim not in proto.nodes[nid].table.ids()
+        ]
+        assert believers
+        for nid in believers:
+            proto.nodes[nid].gap_dirty = True
+        before = proto.stats.count.get(MessageType.FULL_UPDATE_REQUEST, 0)
+        run_rounds(proto, 3, start=10)
+        assert proto.stats.count.get(MessageType.FULL_UPDATE_REQUEST, 0) > before
         assert proto.stats.count.get(MessageType.FULL_UPDATE_REPLY, 0) > 0
         assert proto.net.drops["partition"] > 0
         assert proto.net.delivered > 0

@@ -84,7 +84,6 @@ class TestConsistencyWithMessageStats:
                 initial_nodes=30,
                 event_gap_mean=30.0,
                 duration=900.0,
-                warmup_rounds=3,
             ),
             tracer=tracer,
         )
