@@ -119,23 +119,26 @@ class AggregationEngine:
         self._index = index = {nid: i for i, nid in enumerate(self._ids)}
         dims = self.space.dims
         n = len(self._ids)
-        src: List[int] = []
-        dst: List[int] = []
+        # per row (dim-major, then node), the out-neighbors' node positions
+        targets: List[int] = []
+        degree: List[int] = []
         neighbors_along = self.overlay.neighbors_along
         for dim in range(dims):
-            base = dim * n
-            for i, nid in enumerate(self._ids):
+            for nid in self._ids:
                 # set order, not sorted: it fixes the order the mean sums in
                 out = [
-                    base + index[other]
+                    index[other]
                     for other in neighbors_along(nid, dim, +1)
                     if other in index
                 ]
-                src.extend(out)
-                dst.extend([base + i] * len(out))
-        self._edge_src = np.asarray(src, dtype=np.int64)
-        self._edge_dst = np.asarray(dst, dtype=np.int64)
-        counts = np.bincount(self._edge_dst, minlength=dims * n)
+                targets.extend(out)
+                degree.append(len(out))
+        counts = np.asarray(degree, dtype=np.int64)
+        self._edge_dst = np.repeat(np.arange(dims * n, dtype=np.int64), counts)
+        # flat row of (dim, position) is dim * n + position; an edge's
+        # target lies in its source row's dimension
+        dim_base = self._edge_dst - self._edge_dst % max(n, 1)
+        self._edge_src = np.asarray(targets, dtype=np.int64) + dim_base
         self._edge_counts = np.maximum(counts, 1).astype(np.float64)
         seeded = self._ai is not None
         self._ai = np.zeros((dims, n, NF))
@@ -250,6 +253,23 @@ class AggregationEngine:
         if i is None:
             raise KeyError(f"node {node_id} not in aggregation index")
         return self._ai[dim, i]
+
+    def advertised_along(
+        self, node_ids: Sequence[int], dims: np.ndarray
+    ) -> np.ndarray:
+        """Row ``j`` is ``advertised(node_ids[j], dims[j])``.
+
+        One fancy index for a push hop's whole corridor (Equation 3 over
+        every outward (neighbor, dimension) pair at once).
+        """
+        self._ensure_topology()
+        assert self._ai is not None
+        index = self._index
+        try:
+            rows = [index[nid] for nid in node_ids]
+        except KeyError as exc:
+            raise KeyError(f"node {exc.args[0]} not in aggregation index") from None
+        return self._ai[dims, rows]
 
     def field(self, node_id: int, dim: int, name: str) -> float:
         return float(self.advertised(node_id, dim)[FIELD_INDEX[name]])

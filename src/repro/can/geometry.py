@@ -98,58 +98,6 @@ class Zone:
                 return False  # separated along this axis
         return touching == 1
 
-    def touch_dimension(self, other: "Zone") -> int:
-        """Axis along which two abutting zones touch.
-
-        Verifies abutment and finds the touch axis in one pass over the
-        axes (the same classification :meth:`abuts` performs, without a
-        second rescan).  Raises ``ValueError`` when the zones do not abut.
-        """
-        self._check(other)
-        touch_dim = -1
-        for d, (l1, h1, l2, h2) in enumerate(
-            zip(self.lo, self.hi, other.lo, other.hi)
-        ):
-            if abs(h1 - l2) <= _EPS or abs(h2 - l1) <= _EPS:
-                if touch_dim >= 0:
-                    raise ValueError("zones do not abut")
-                touch_dim = d
-            elif min(h1, h2) - max(l1, l2) > _EPS:
-                continue  # positive overlap on this axis
-            else:
-                raise ValueError("zones do not abut")
-        if touch_dim < 0:
-            raise ValueError("zones do not abut")
-        return touch_dim
-
-    def touch(self, other: "Zone") -> Tuple[int, int]:
-        """(dimension, direction) of the shared face of two ABUTTING zones.
-
-        Fast path used by adjacency caches: assumes the zones abut (as
-        guaranteed by the overlay's adjacency graph) and therefore skips
-        the full abutment re-verification of :meth:`touch_dimension`.
-        Direction is +1 when ``other`` lies on this zone's high side.
-        """
-        for d, (l1, h1, l2, h2) in enumerate(
-            zip(self.lo, self.hi, other.lo, other.hi)
-        ):
-            if abs(h1 - l2) <= _EPS:
-                return d, +1
-            if abs(h2 - l1) <= _EPS:
-                return d, -1
-        raise ValueError("zones do not touch along any axis")
-
-    def direction_of(self, other: "Zone", dim: int) -> int:
-        """+1 when ``other`` lies on the high side of this zone along ``dim``.
-
-        Only meaningful for abutting zones along their touch dimension.
-        """
-        if abs(self.hi[dim] - other.lo[dim]) <= _EPS:
-            return +1
-        if abs(other.hi[dim] - self.lo[dim]) <= _EPS:
-            return -1
-        raise ValueError(f"zones do not touch along dim {dim}")
-
     # -- surgery ---------------------------------------------------------------------
     def split(self, dim: int, at: float) -> Tuple["Zone", "Zone"]:
         """Cut into (low, high) halves along ``dim`` at position ``at``."""

@@ -33,6 +33,9 @@ _NO_NEIGHBORS: Dict[int, int] = {}
 #: adjacent pairs the invariant audit evaluates per array expression: bounds
 #: its scratch to a few MB however large the overlay
 _AUDIT_PAIRS = 1 << 14
+#: adjacent pairs :meth:`CanOverlay._build_directional` classifies per array
+#: expression, for the same reason
+_DIRECTION_PAIRS = 1 << 12
 
 
 class OverlayError(SubstrateError):
@@ -78,7 +81,8 @@ class CanOverlay:
         self._adj: Dict[int, Set[int]] = {}  # leaf_id -> adjacent leaf_ids
         #: bumped on every structural change; caches key off it
         self.topology_version: int = 0
-        # lazy per-node directional adjacency: node -> {(dim, dir): owners}
+        # directional adjacency of every member, built on first use per
+        # topology: node -> {(dim, dir): owners}
         self._dir_cache_version: int = -1
         self._dir_cache: Dict[int, Dict[Tuple[int, int], Set[int]]] = {}
         #: per-node neighborhood stamps: ``_nbr_stamp[n]`` advances whenever
@@ -159,28 +163,80 @@ class CanOverlay:
         """Per-node (dim, direction) -> neighbor owners, cached per topology.
 
         Matchmaking probes every dimension at every push hop and the
-        aggregation engine rebuilds its CSR from the same queries; computing
-        the shared-face axis once per adjacent leaf pair (instead of once
-        per query) is what keeps full-scale runs fast.
+        aggregation engine rebuilds its CSR from the same queries, so the
+        first query after a topology change builds every member's table at
+        once (:meth:`_build_directional`).
         """
         self._member(node_id)
         if self._dir_cache_version != self.topology_version:
+            self._dir_cache = self._build_directional()
             self._dir_cache_version = self.topology_version
-            self._dir_cache = {}
-        cached = self._dir_cache.get(node_id)
-        if cached is not None:
-            return cached
-        assert self.tree is not None
-        out: Dict[Tuple[int, int], Set[int]] = {}
-        for lid in self._owner_leaves.get(node_id, ()):
-            mine = self.tree.leaves[lid].zone
-            for adj_lid in self._adj[lid]:
-                other = self.tree.leaves[adj_lid]
-                if other.owner == node_id:
-                    continue
-                key = mine.touch(other.zone)
-                out.setdefault(key, set()).add(other.owner)
-        self._dir_cache[node_id] = out
+        return self._dir_cache[node_id]
+
+    def _build_directional(self) -> Dict[int, Dict[Tuple[int, int], Set[int]]]:
+        """Every member's (dim, direction) -> neighbor owners, in one pass.
+
+        Each adjacent leaf pair's shared face is classified as an array
+        expression over stacked bounds, ``_DIRECTION_PAIRS`` pairs at a
+        time: the first axis where ``other`` starts at this leaf's high
+        end (+1) or ends at its low end (-1), within ``_EPS``.  The owners
+        are then inserted in the order a per-pair walk would insert them:
+        owned leaves in ``_owner_leaves`` order, each leaf's ``_adj`` in set
+        order.  That order fixes the sets' iteration order, which fixes the
+        order the aggregation CSR sums each row in, so it is load-bearing.
+        """
+        out: Dict[int, Dict[Tuple[int, int], Set[int]]] = {
+            nid: {} for nid in self.members
+        }
+        if self.tree is None:
+            return out
+        leaves = self.tree.leaves
+        row = {lid: i for i, lid in enumerate(leaves)}
+        lo = np.array([leaf.zone.lo for leaf in leaves.values()])
+        hi = np.array([leaf.zone.hi for leaf in leaves.values()])
+        # one shared key object per face: (0, +1), (0, -1), (1, +1), ...
+        faces = [(d, sign) for d in range(self.space.dims) for sign in (+1, -1)]
+        # one block of pairs: (owner's table, neighbor owner), leaf rows
+        tables: List[Dict[Tuple[int, int], Set[int]]] = []
+        others: List[int] = []
+        mine: List[int] = []
+        theirs: List[int] = []
+
+        def flush() -> None:
+            a = np.array(mine, dtype=np.intp)
+            b = np.array(theirs, dtype=np.intp)
+            up = np.abs(hi[a] - lo[b]) <= _EPS
+            touching = up | (np.abs(hi[b] - lo[a]) <= _EPS)
+            dim = touching.argmax(axis=1)
+            pick = np.arange(len(a)), dim
+            if not touching[pick].all():
+                raise ValueError("zones do not touch along any axis")
+            face = 2 * dim + ~up[pick]  # (d, +1) -> 2d, (d, -1) -> 2d + 1
+            for table, other, key in zip(
+                tables, others, map(faces.__getitem__, face.tolist())
+            ):
+                owners = table.get(key)
+                if owners is None:
+                    table[key] = {other}
+                else:
+                    owners.add(other)
+            for pending in (tables, others, mine, theirs):
+                pending.clear()
+
+        for node_id, table in out.items():
+            for lid in self._owner_leaves.get(node_id, ()):
+                i = row[lid]
+                for adj_lid in self._adj[lid]:
+                    owner = leaves[adj_lid].owner
+                    if owner != node_id:
+                        tables.append(table)
+                        others.append(owner)
+                        mine.append(i)
+                        theirs.append(row[adj_lid])
+                if len(mine) >= _DIRECTION_PAIRS:
+                    flush()
+        if mine:
+            flush()
         return out
 
     def locate_leaf(self, point: Sequence[float]) -> Leaf:

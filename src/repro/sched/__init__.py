@@ -9,7 +9,6 @@ from .score import (
     ce_score,
     node_score,
     pooled_node_score,
-    pooled_push_objective,
     push_objective,
     stop_probability,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "ce_score",
     "node_score",
     "pooled_node_score",
-    "pooled_push_objective",
     "push_objective",
     "stop_probability",
 ]

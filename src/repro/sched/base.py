@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import abc
-import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +25,23 @@ __all__ = [
 
 #: a push stops after this many hops however the scores read
 MAX_PUSH_HOPS = 64
+#: capability table columns per CE slot: clock, memory, disk, cores
+_CAPS = 4
+
+
+class _Hood(NamedTuple):
+    """A node's local candidates and outward corridor, as array positions.
+
+    ``rows`` are the candidates' rows in the matchmaker's capability table;
+    ``corridor``/``dims`` list the ``(neighbor id, dimension)`` pairs across
+    the node's ``+dim`` faces, and ``present`` says which of those ids
+    ``grid_nodes`` held when the hood was built.
+    """
+
+    rows: np.ndarray
+    corridor: List[int]
+    dims: np.ndarray
+    present: np.ndarray
 
 
 @dataclass
@@ -157,9 +173,21 @@ class CanMatchmaker(Matchmaker):
         self.rng = rng
         self.stopping_factor = stopping_factor
         self.max_hops = max_hops
-        # node id -> (local candidate ids, outward corridor) at _hoods_version
-        self._hoods: Dict[int, Tuple[List[int], List[Tuple[int, int]]]] = {}
+        # node id -> its _Hood at _hoods_version
+        self._hoods: Dict[int, _Hood] = {}
         self._hoods_version = -1
+        # Capability table, rebuilt with the hoods: per ``grid_nodes`` entry
+        # (clock, memory, disk, cores) of each CE slot, -1 where the node
+        # lacks the slot; the last row stands for an id missing from
+        # ``grid_nodes`` and reads -1 throughout.
+        self._caps = np.empty((0, 0))
+        self._cap_nodes: List[Optional[GridNode]] = []
+        self._cap_row: Dict[int, int] = {}
+        self._cap_col: Dict[str, int] = {}
+        # the last job's capability thresholds, against the current table
+        self._threshold_of: Tuple[Optional[Job], Optional[np.ndarray]] = (None, None)
+        # steering slot -> which dimensions it owns
+        self._slot_dims: Dict[Optional[str], np.ndarray] = {}
 
     # -- what a scheme supplies ---------------------------------------------------
     @abc.abstractmethod
@@ -248,24 +276,25 @@ class CanMatchmaker(Matchmaker):
         return self._select_min_score(capable, job)
 
     # -- steps --------------------------------------------------------------------
-    def _neighborhood(
-        self, node_id: int
-    ) -> Tuple[List[int], List[Tuple[int, int]]]:
-        """``node_id``'s local candidate ids and outward corridor.
+    def _neighborhood(self, node_id: int) -> _Hood:
+        """``node_id``'s local candidates and outward corridor.
 
         The candidates are the node itself, then its alive neighbors by
         id; the corridor lists ``(dim, neighbor id)`` for every alive
         neighbor across a ``+dim`` face, by dimension, then id.  Both
         derive from the overlay alone and are built once per
-        ``overlay.topology_version``, which liveness flips advance too.
+        ``overlay.topology_version``, which liveness flips advance too;
+        the capability table is rebuilt with them.
         """
         overlay = self.overlay
         if self._hoods_version != overlay.topology_version:
             self._hoods_version = overlay.topology_version
             self._hoods = {}
+            self._build_capabilities()
         hood = self._hoods.get(node_id)
         if hood is None:
             alive = overlay.is_alive
+            row, missing = self._cap_row, len(self._cap_nodes) - 1
             candidates = [node_id] + sorted(
                 nid for nid in overlay.neighbors(node_id) if alive(nid)
             )
@@ -275,16 +304,65 @@ class CanMatchmaker(Matchmaker):
                 for nid in sorted(overlay.neighbors_along(node_id, dim, +1))
                 if alive(nid)
             ]
-            hood = self._hoods[node_id] = (candidates, corridor)
+            hood = self._hoods[node_id] = _Hood(
+                np.array([row.get(nid, missing) for nid in candidates], dtype=np.intp),
+                [nid for _, nid in corridor],
+                np.array([dim for dim, _ in corridor], dtype=np.intp),
+                np.array([nid in row for _, nid in corridor], dtype=bool),
+            )
         return hood
 
+    def _build_capabilities(self) -> None:
+        """Tabulate every ``grid_nodes`` entry's CE capabilities.
+
+        Rebuilt on every topology change: a crash pops ``grid_nodes``
+        entries and a join may bring an id back with another CE set.
+        """
+        entries = list(self.grid_nodes.items())
+        slots = sorted({slot for _, node in entries for slot in node.ces})
+        col = {slot: k * _CAPS for k, slot in enumerate(slots)}
+        width = _CAPS * len(slots)
+        flat = [-1.0] * (width * (len(entries) + 1))
+        for r, (_, node) in enumerate(entries):
+            base = r * width
+            for slot, ce in node.ces.items():
+                spec = ce.spec
+                at = base + col[slot]
+                flat[at : at + _CAPS] = (spec.clock, spec.memory, spec.disk, spec.cores)
+        self._caps = np.array(flat, dtype=np.float64).reshape(-1, width)
+        self._cap_nodes = [node for _, node in entries] + [None]
+        self._cap_row = {nid: r for r, (nid, _) in enumerate(entries)}
+        self._cap_col = col
+        self._threshold_of = (None, None)
+
+    def _threshold(self, job: Job) -> Optional[np.ndarray]:
+        """The job's capability row: a table row qualifies iff it is ``>=``.
+
+        Required slots read (clock, memory, disk, cores) and the rest
+        ``-inf``; ``None`` when the job requires a slot no node has.
+        """
+        cached_job, threshold = self._threshold_of
+        if cached_job is job:
+            return threshold
+        threshold = np.full(self._caps.shape[1], -np.inf)
+        for slot, req in job.requirements.items():
+            at = self._cap_col.get(slot)
+            if at is None:
+                threshold = None
+                break
+            threshold[at : at + _CAPS] = (req.clock, req.memory, req.disk, req.cores)
+        self._threshold_of = (job, threshold)
+        return threshold
+
     def _capable_candidates(self, node_id: int, job: Job) -> List[GridNode]:
-        get = self.grid_nodes.get
-        return [
-            node
-            for nid in self._neighborhood(node_id)[0]
-            if (node := get(nid)) is not None and node.capable(job)
-        ]
+        """The hood's candidates able to run ``job``, in candidate order."""
+        rows = self._neighborhood(node_id).rows
+        threshold = self._threshold(job)
+        if threshold is None:
+            return []
+        nodes = self._cap_nodes
+        ok = (self._caps.take(rows, axis=0) >= threshold).all(1)
+        return [nodes[r] for r in rows[ok].tolist()]
 
     def _choose_push_target(
         self, node_id: int, visited: set, slot: Optional[str]
@@ -293,30 +371,44 @@ class CanMatchmaker(Matchmaker):
 
         Dimensions owned by the steering slot expose the per-slot
         aggregate fields; other dimensions only carry pooled fields (that
-        is all their heartbeat aggregates contain).
+        is all their heartbeat aggregates contain).  The objective is
+        evaluated for the whole corridor at once; entries visited, missing
+        from ``grid_nodes`` or without cores (``inf``) are out.  The
+        steering slot's dimensions are preferred, since their aggregates
+        speak directly about the CE the job's runtime depends on; within
+        each group the first minimum wins.
         """
-        best: Optional[Tuple[int, int]] = None
-        best_key: Tuple[int, float] = (2, math.inf)
-        dimensions = self.overlay.space.dimensions
-        grid, advertised = self.grid_nodes, self.aggregation.advertised
-        for dim, nid in self._neighborhood(node_id)[1]:
-            if nid in visited or nid not in grid:
-                continue
-            slot_dim = slot is not None and dimensions[dim].slot == slot
-            obj = push_objective(advertised(nid, dim), use_slot_fields=slot_dim)
-            if math.isinf(obj):
-                continue
-            # Prefer steering-slot dimensions: their aggregates speak
-            # directly about the CE the job's runtime depends on.
-            key = (0 if slot_dim else 1, obj)
-            if key < best_key:
-                best_key = key
-                best = (nid, dim)
-        return best
+        hood = self._neighborhood(node_id)
+        corridor = hood.corridor
+        if not corridor:
+            return None
+        on_slot = self._dims_of(slot)[hood.dims]
+        objective = push_objective(
+            self.aggregation.advertised_along(corridor, hood.dims), on_slot
+        )
+        # an entry out of the running reads inf, and every other is finite
+        objective[~hood.present] = np.inf
+        objective[[nid in visited for nid in corridor]] = np.inf
+        for group in (on_slot, ~on_slot):
+            candidates = np.where(group, objective, np.inf)
+            best = int(np.argmin(candidates))
+            if candidates[best] < np.inf:
+                return corridor[best], int(hood.dims[best])
+        return None
+
+    def _dims_of(self, slot: Optional[str]) -> np.ndarray:
+        """Per dimension: is it owned by the steering ``slot``?"""
+        mask = self._slot_dims.get(slot)
+        if mask is None:
+            dimensions = self.overlay.space.dimensions
+            mask = self._slot_dims[slot] = np.array(
+                [slot is not None and d.slot == slot for d in dimensions], dtype=bool
+            )
+        return mask
 
     def _corridor_ids(self, node_id: int) -> List[int]:
         """Ids across ``node_id``'s ``+dim`` faces, by dimension, then id."""
-        return [nid for _, nid in self._neighborhood(node_id)[1]]
+        return self._neighborhood(node_id).corridor
 
 
 def ring_search(

@@ -26,6 +26,10 @@ from ..model.job import Job
 from ..model.node import GridNode
 from ..can.aggregation import FIELD_INDEX as _IDX
 
+#: Equation 3's fields: per CE slot, and pooled over the node's CEs
+_SLOT_REQUIRED, _SLOT_CORES = _IDX["slot_required_cores"], _IDX["slot_cores"]
+_POOL_REQUIRED, _POOL_CORES = _IDX["pool_required_cores"], _IDX["pool_cores"]
+
 __all__ = [
     "ce_score",
     "node_score",
@@ -82,27 +86,21 @@ def min_pooled_score_node(candidates: List[GridNode]) -> Optional[GridNode]:
     return min(candidates, key=lambda n: (pooled_node_score(n), n.node_id))
 
 
-def push_objective(ai: np.ndarray, use_slot_fields: bool) -> float:
-    """Equation 3 on an advertised aggregate vector.
+def push_objective(ai: np.ndarray, use_slot_fields):
+    """Equation 3 on one advertised aggregate vector, or on each row of many.
 
-    ``use_slot_fields`` selects the per-CE fields when the push dimension
-    belongs to the job's dominant CE slot; other dimensions fall back to the
-    pooled (node-level) fields, which is all their aggregates carry.
+    ``use_slot_fields`` (one flag, or one per row) selects the per-CE fields
+    when the push dimension belongs to the job's dominant CE slot; other
+    dimensions fall back to the pooled (node-level) fields, which is all
+    their aggregates carry.  ``inf`` where the chosen cores are not
+    positive.  One vector gives a float, rows give an array.
     """
-    if use_slot_fields:
-        required = ai[_IDX["slot_required_cores"]]
-        cores = ai[_IDX["slot_cores"]]
-    else:
-        required = ai[_IDX["pool_required_cores"]]
-        cores = ai[_IDX["pool_cores"]]
-    if cores <= 0:
-        return math.inf
-    return required / (cores * cores)
-
-
-def pooled_push_objective(ai: np.ndarray) -> float:
-    """Equation 3 with pooled fields only — the can-hom steering signal."""
-    return push_objective(ai, use_slot_fields=False)
+    use = use_slot_fields
+    required = np.where(use, ai[..., _SLOT_REQUIRED], ai[..., _POOL_REQUIRED])
+    cores = np.where(use, ai[..., _SLOT_CORES], ai[..., _POOL_CORES])
+    objective = np.full(cores.shape, np.inf)
+    np.divide(required, cores * cores, out=objective, where=cores > 0)
+    return objective[()]
 
 
 def stop_probability(num_nodes_beyond: float, stopping_factor: float) -> float:

@@ -11,7 +11,6 @@ from repro.sched.score import (
     ce_score,
     node_score,
     pooled_node_score,
-    pooled_push_objective,
     push_objective,
     stop_probability,
 )
@@ -79,8 +78,11 @@ class TestEquation3:
     def test_pooled_variant_reads_pool_fields(self):
         ai = ai_vector(slot_required_cores=100, slot_cores=1,
                        pool_required_cores=1, pool_cores=10)
-        assert pooled_push_objective(ai) == pytest.approx(1 / 100)
-        assert push_objective(ai, False) == pooled_push_objective(ai)
+        assert push_objective(ai, False) == pytest.approx(1 / 100)
+        rows = np.stack([ai, ai])
+        assert push_objective(rows, np.array([True, False])).tolist() == [
+            push_objective(ai, True), push_objective(ai, False)
+        ]
 
 
 class TestEquation4:
