@@ -7,15 +7,7 @@ take-over, per-dimension load aggregation, and the three heartbeat schemes
 """
 
 from .aggregation import AggregationEngine, FIELDS
-from .coverage import (
-    Face,
-    face_of,
-    find_gaps,
-    has_gap,
-    have_gaps,
-    uncovered_fraction,
-    union_measure,
-)
+from .coverage import have_gaps
 from .geometry import Zone
 from .heartbeat import (
     HeartbeatProtocol,
@@ -41,13 +33,7 @@ __all__ = [
     "AggregationEngine",
     "FIELDS",
     "Zone",
-    "Face",
-    "face_of",
-    "find_gaps",
-    "has_gap",
     "have_gaps",
-    "uncovered_fraction",
-    "union_measure",
     "HeartbeatProtocol",
     "HeartbeatScheme",
     "ProtocolConfig",

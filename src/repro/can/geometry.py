@@ -53,9 +53,6 @@ class Zone:
             v *= b - a
         return v
 
-    def center(self) -> Tuple[float, ...]:
-        return tuple((a + b) / 2.0 for a, b in zip(self.lo, self.hi))
-
     # -- point / zone relations -----------------------------------------------------
     def contains(self, point: Sequence[float]) -> bool:
         """Half-open containment: ``lo <= p < hi`` along every axis."""
@@ -68,14 +65,6 @@ class Zone:
         if len(point) != self.dims:
             raise ValueError("point dimensionality mismatch")
         return all(a <= p <= b for p, a, b in zip(point, self.lo, self.hi))
-
-    def overlaps(self, other: "Zone") -> bool:
-        """Positive-measure intersection along every axis."""
-        self._check(other)
-        return all(
-            min(h1, h2) - max(l1, l2) > _EPS
-            for l1, h1, l2, h2 in zip(self.lo, self.hi, other.lo, other.hi)
-        )
 
     def abuts(self, other: "Zone") -> bool:
         """Do the zones share a (d-1)-dimensional face?

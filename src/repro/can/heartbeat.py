@@ -31,7 +31,13 @@ from ..net import NetworkModel
 from ..overlay.base import HeartbeatScheme, MaintenanceProtocol, ProtocolConfig
 from .coverage import have_gaps
 from .messages import SIZE_MODEL, MessageType
-from .neighbor import _NEG_INF, BeliefRecord, NeighborTable, TableSnapshot
+from .neighbor import (
+    _NEG_INF,
+    EMPTY_SNAPSHOT,
+    BeliefRecord,
+    NeighborTable,
+    TableSnapshot,
+)
 from .overlay import CanOverlay, Transfer
 
 __all__ = ["HeartbeatScheme", "ProtocolConfig", "HeartbeatProtocol", "ProtocolNode"]
@@ -183,10 +189,13 @@ class HeartbeatProtocol(MaintenanceProtocol):
             for rec, heard_at in splitter.table.snapshot().pairs()
             if self._record_relevant(newcomer, rec)
         ]
+        # the slice plus the splitter's own record, sized as one zone
         self.stats.record(
             MessageType.JOIN_REPLY,
-            SIZE_MODEL.table_bytes(
-                dims, [r.zone_count for r, _ in slice_records] + [1]
+            SIZE_MODEL.table_bytes_from_totals(
+                dims,
+                len(slice_records) + 1,
+                sum(max(r.zone_count, 1) for r, _ in slice_records) + 1,
             ),
         )
         for rec, heard_at in slice_records:
@@ -379,7 +388,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
         full = SIZE_MODEL.heartbeat_bytes_from_totals(
             dims, own.zone_count, len(sender.table), sender.table.total_zones()
         )
-        compact = SIZE_MODEL.heartbeat_bytes(dims, own.zone_count, None)
+        compact = SIZE_MODEL.heartbeat_bytes(dims, own.zone_count)
         sender._wire_cache = (key, full, compact)
         return full, compact
 
@@ -563,7 +572,9 @@ class HeartbeatProtocol(MaintenanceProtocol):
         if known_table:
             self._absorb_table(claimant, known_table, now)
             claimant.table.remove(dead_id)
-        self._notify_takeover(claimant, dead_id, transfer, known_table or {}, now)
+        self._notify_takeover(
+            claimant, dead_id, transfer, known_table or EMPTY_SNAPSHOT, now
+        )
 
     def _notify_takeover(
         self,
@@ -574,9 +585,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
         now: float,
     ) -> None:
         """Announce the new ownership to everyone the claimant knows about."""
-        candidates: Dict[int, BeliefRecord] = {
-            nid: rec for nid, (rec, _) in source_table.items()
-        }
+        candidates: Dict[int, BeliefRecord] = dict(source_table.records)
         for rec in claimant.table.records():
             candidates.setdefault(rec.node_id, rec)
         targets = sorted(

@@ -13,6 +13,11 @@ composed from:
   O(d) in total.  This matches the paper's claim that compact heartbeats
   are O(d): a vanilla heartbeat additionally carries O(d) records of O(d)
   bytes each, hence O(d²).
+
+Each payload has one formula.  A table's records are sized from the two
+totals a table keeps (record count, zone count), never by walking them; the
+per-record sums those totals stand for are the oracle in
+``tests/can/test_messages.py``.
 """
 
 from __future__ import annotations
@@ -75,11 +80,11 @@ class SizeModel:
         )
 
     def table_records_bytes(self, dims: int, records: int, total_zones: int) -> int:
-        """Sum of :meth:`record_bytes` over a table, from incremental totals.
+        """Sum of :meth:`record_bytes` over a table, from its totals.
 
         ``total_zones`` must be ``sum(max(zone_count, 1))`` over the records
-        (as :class:`~repro.can.neighbor.NeighborTable` maintains), making
-        this O(1) where summing per-record sizes is O(records).
+        (as :class:`~repro.can.neighbor.NeighborTable` maintains), so a
+        table's size costs O(1) however many records it holds.
         """
         if records < 0 or total_zones < records:
             raise ValueError("need records >= 0 and total_zones >= records")
@@ -92,46 +97,26 @@ class SizeModel:
         """Piggybacked per-dimension aggregated load info (O(d) total)."""
         return dims * self.agg_fields_per_dim * self.float_bytes
 
-    def heartbeat_bytes(
-        self, dims: int, own_zones: int, full_records_zone_counts: "list[int] | None"
-    ) -> int:
-        """A heartbeat: own record + aggregates (+ full table when included).
-
-        ``full_records_zone_counts`` lists the zone count of every neighbor
-        record included (``None`` for a compact heartbeat).
-        """
-        size = (
-            self.header_bytes
-            + self.record_bytes(dims, own_zones)
-            + self.aggregates_bytes(dims)
-        )
-        if full_records_zone_counts is not None:
-            for zc in full_records_zone_counts:
-                size += self.record_bytes(dims, max(zc, 1))
-        return size
-
-    def heartbeat_bytes_from_totals(
-        self, dims: int, own_zones: int, records: int, total_zones: int
-    ) -> int:
-        """O(1) equivalent of :meth:`heartbeat_bytes` for a full heartbeat."""
+    def heartbeat_bytes(self, dims: int, own_zones: int) -> int:
+        """A compact heartbeat: header, own record and aggregates."""
         return (
             self.header_bytes
             + self.record_bytes(dims, own_zones)
             + self.aggregates_bytes(dims)
-            + self.table_records_bytes(dims, records, total_zones)
         )
 
-    def table_bytes(self, dims: int, zone_counts: "list[int]") -> int:
-        """A bare table payload (join reply, hand-off, full-update reply)."""
-        size = self.header_bytes
-        for zc in zone_counts:
-            size += self.record_bytes(dims, max(zc, 1))
-        return size
+    def heartbeat_bytes_from_totals(
+        self, dims: int, own_zones: int, records: int, total_zones: int
+    ) -> int:
+        """A full heartbeat: the compact one plus the sender's whole table."""
+        return self.heartbeat_bytes(dims, own_zones) + self.table_records_bytes(
+            dims, records, total_zones
+        )
 
     def table_bytes_from_totals(
         self, dims: int, records: int, total_zones: int
     ) -> int:
-        """O(1) equivalent of :meth:`table_bytes` from incremental totals."""
+        """A bare table payload (join reply, hand-off, full-update reply)."""
         return self.header_bytes + self.table_records_bytes(
             dims, records, total_zones
         )

@@ -104,18 +104,6 @@ class TableSnapshot:
         for nid, rec in self.records.items():
             yield rec, heard_get(nid, _NEG_INF)
 
-    # dict-of-pairs compatibility -------------------------------------------------
-    def values(self) -> Iterator[Tuple[BeliefRecord, float]]:
-        return self.pairs()
-
-    def items(self) -> Iterator[Tuple[int, Tuple[BeliefRecord, float]]]:
-        heard_get = self.heard.get
-        for nid, rec in self.records.items():
-            yield nid, (rec, heard_get(nid, _NEG_INF))
-
-    def keys(self) -> Iterator[int]:
-        return iter(self.records)
-
 
 #: shared empty payload for claims where no stored table was known
 EMPTY_SNAPSHOT = TableSnapshot({}, {}, 0)

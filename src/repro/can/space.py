@@ -17,8 +17,8 @@ dimensions, and a job that leaves an attribute unspecified targets 0 there —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..model.ce import CPU_SLOT, gpu_slot
 from ..model.job import Job
@@ -92,19 +92,11 @@ class ResourceSpace:
                 dims.append(Dimension(len(dims), gpu_slot(g), attr, merged[attr]))
         dims.append(Dimension(len(dims), "", VIRTUAL, 1.0))
         self.dimensions: Tuple[Dimension, ...] = tuple(dims)
-        self._by_label: Dict[str, Dimension] = {d.label(): d for d in dims}
 
     @property
     def dims(self) -> int:
         """Total CAN dimensionality (paper's *d*; 5, 8, 11, 14, ...)."""
         return len(self.dimensions)
-
-    @property
-    def virtual_index(self) -> int:
-        return self.dims - 1
-
-    def dimension(self, label: str) -> Dimension:
-        return self._by_label[label]
 
     def slots(self) -> Tuple[str, ...]:
         """All CE slots this space can represent, CPU first."""

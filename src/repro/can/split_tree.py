@@ -14,7 +14,7 @@ locally (who is my take-over node; who claims this vacated leaf).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from .geometry import Zone
 
@@ -84,12 +84,6 @@ class SplitTree:
             node = node.low if point[node.dim] < node.position else node.high
         assert isinstance(node, Leaf)
         return node
-
-    def owner_leaves(self, owner: int) -> List[Leaf]:
-        return [leaf for leaf in self.leaves.values() if leaf.owner == owner]
-
-    def leaf_count(self) -> int:
-        return len(self.leaves)
 
     def iter_leaves(self) -> Iterator[Leaf]:
         return iter(self.leaves.values())

@@ -110,8 +110,3 @@ class ChordKeyspace:
         tiebreak = _splitmix64(node_id) & ((1 << TIEBREAK_BITS) - 1)
         return self.point_key(coord) | tiebreak
 
-    def cell_key_range(self, cells: Sequence[int]) -> Tuple[int, int]:
-        """Inclusive ring-key interval covered by one coordinate cell."""
-        code = self.interleave(cells)
-        lo = code << TIEBREAK_BITS
-        return lo, lo | ((1 << TIEBREAK_BITS) - 1)

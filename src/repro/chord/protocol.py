@@ -391,7 +391,7 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
     def _exchange_heartbeats(self, now: float) -> None:
         vanilla = self.config.scheme is HeartbeatScheme.VANILLA
         dims = self.overlay.space.dims
-        compact_size = SIZE_MODEL.heartbeat_bytes(dims, 1, None)
+        compact_size = SIZE_MODEL.heartbeat_bytes(dims, 1)
         net = self.net if not self.net.is_identity else None
         period = self.config.period
         # nothing a turn does changes who is alive: one read of the ring

@@ -18,7 +18,7 @@ from .invariants import (
     check_faulty_invariants,
     check_matchmaking_accounting,
 )
-from .metrics import cdf_at, empirical_cdf, jains_fairness, wait_time_table
+from .metrics import cdf_at, empirical_cdf, wait_time_table
 from .recovery import PendingRecovery, RecoveryLoop, RecoveryTracker, RetryPolicy
 from .results import ChurnResult, MatchmakingResult
 from .simulation import GridSimulation, build_grid
@@ -47,7 +47,6 @@ __all__ = [
     "RetryPolicy",
     "cdf_at",
     "empirical_cdf",
-    "jains_fairness",
     "wait_time_table",
     "ChurnResult",
     "MatchmakingResult",

@@ -28,7 +28,7 @@ the run every few heartbeat rounds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
@@ -75,9 +75,6 @@ class FaultyGridConfig:
         if self.invariant_check_every < 0:
             raise ValueError("invariant_check_every must be non-negative")
         get_substrate(self.matchmaking.substrate)  # an unknown name fails here
-
-    def with_scheme(self, scheme: HeartbeatScheme) -> "FaultyGridConfig":
-        return replace(self, heartbeat_scheme=scheme)
 
 
 @dataclass
@@ -136,14 +133,9 @@ class FaultyGridSimulation(GridSimulation):
         self._next_node_id = itertools.count(
             max(self.grid_nodes) + 1 if self.grid_nodes else 0
         )
-        self.failures = 0
-        self.joins = 0
-        self.jobs_lost = 0
-        self.jobs_resubmitted = 0
-        self.jobs_abandoned = 0
         self._churn_counter = self.metrics.scope("grid").counter("churn")
         #: the crash -> detect -> place-with-retry path (shared with the live
-        #: service); this class adds only its counters and the hand-over
+        #: service); this class adds only the hand-over and the churn counter
         self.recovery = RecoveryLoop(
             self,
             config.retry,
@@ -234,8 +226,6 @@ class FaultyGridSimulation(GridSimulation):
         """Crash one node: jobs are lost, detection is set in motion."""
         lost = self.recovery.crash(victim_id)
         self._outstanding -= len(lost)
-        self.failures += 1
-        self.jobs_lost += len(lost)
         self._churn_counter.add("failures")
 
     def join_node(self) -> None:
@@ -270,19 +260,16 @@ class FaultyGridSimulation(GridSimulation):
         node = GridNode(spec, self.env)
         self._wire_node(node)
         self.grid_nodes[spec.node_id] = node
-        self.joins += 1
         self._churn_counter.add("joins")
         if self.tracer is not None:
             self.tracer.emit(self.env.now, "grid.join", node=spec.node_id)
 
     # ------------------------------------------------------------------ jobs --
     def _job_recovered(self, job: Job, node: GridNode) -> None:
-        self.jobs_resubmitted += 1
         self._churn_counter.add("jobs_resubmitted")
         self._hand_over(node, job)
 
     def _job_abandoned(self, job: Job, attempts: int) -> None:
-        self.jobs_abandoned += 1
         self.abandoned_ids.add(job.job_id)
         self._churn_counter.add("jobs_abandoned")
 
@@ -309,11 +296,11 @@ class FaultyGridSimulation(GridSimulation):
             check_matchmaking_accounting(base)
         return FaultyGridResult(
             base=base,
-            failures=self.failures,
-            joins=self.joins,
-            jobs_lost=self.jobs_lost,
-            jobs_resubmitted=self.jobs_resubmitted,
-            jobs_abandoned=self.jobs_abandoned,
+            failures=self.protocol.events["failures"],
+            joins=self.protocol.events["joins"],
+            jobs_lost=self.tracker.losses,
+            jobs_resubmitted=self.tracker.resubmissions,
+            jobs_abandoned=self.tracker.abandonments,
             final_population=len(self.overlay.alive_ids()),
             detection_latencies=np.asarray(self.tracker.detection_latencies),
             resubmission_latencies=np.asarray(

@@ -1,19 +1,15 @@
-"""Metric helpers shared by experiments: CDFs, load balance, comparisons."""
+"""Metric helpers shared by experiments: wait-time CDFs and the figures' table."""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from ..model.node import GridNode
 
 __all__ = [
     "empirical_cdf",
     "cdf_at",
     "wait_time_table",
-    "jains_fairness",
-    "queue_length_snapshot",
 ]
 
 
@@ -48,24 +44,3 @@ def wait_time_table(
     return [(float(g), float(f) * 100.0) for g, f in zip(grid, fracs)]
 
 
-def jains_fairness(loads: Sequence[float]) -> float:
-    """Jain's fairness index of a load vector (1.0 = perfectly balanced)."""
-    x = np.asarray(loads, dtype=float)
-    if x.size == 0:
-        return 1.0
-    denom = x.size * float((x * x).sum())
-    if denom == 0:
-        return 1.0
-    return float(x.sum()) ** 2 / denom
-
-
-def queue_length_snapshot(nodes: Iterable[GridNode]) -> Dict[str, float]:
-    """Instantaneous load-balance summary across nodes."""
-    queued = np.array([n.queued_jobs() for n in nodes], dtype=float)
-    if queued.size == 0:
-        return {"mean": 0.0, "max": 0.0, "fairness": 1.0}
-    return {
-        "mean": float(queued.mean()),
-        "max": float(queued.max()),
-        "fairness": jains_fairness(queued),
-    }

@@ -148,7 +148,6 @@ class GridSimulation:
         self.aggregation = AggregationEngine(self.overlay, self.grid_nodes)
         self.matchmaker = self._build_matchmaker()
         self.matchmaker.attach_tracer(tracer, lambda: self.env.now)
-        self.unplaced = 0
         self._submitted = 0
         #: jobs handed to a node and neither finished nor lost with it
         self._outstanding = 0
@@ -218,7 +217,6 @@ class GridSimulation:
                 self.tracer.emit(self.env.now, "grid.job_submit", job=job.job_id)
             node = self.matchmaker.place(job)
             if node is None:
-                self.unplaced += 1
                 self.unplaced_ids.add(job.job_id)
                 self._job_counter.add("unplaced")
                 if self.tracer is not None:
@@ -281,7 +279,7 @@ class GridSimulation:
             constraint_ratio=preset.constraint_ratio,
             wait_times=np.asarray(waits),
             turnarounds=np.asarray(turnarounds),
-            unplaced_jobs=self.unplaced,
+            unplaced_jobs=len(self.unplaced_ids),
             lost_jobs=lost,
             matchmaking=self.matchmaker.stats,
             sim_end_time=self.env.now,

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 __all__ = ["CERequirement", "Job"]
 
@@ -95,10 +95,6 @@ class Job:
             self.requirements,
             key=lambda slot: (-self.requirements[slot].demand(), slot),
         )
-
-    @property
-    def dominant_requirement(self) -> CERequirement:
-        return self.requirements[self.dominant_slot]
 
     def cores_on(self, slot: str) -> int:
         """Cores the job claims on ``slot`` (0 when the slot is unused)."""

@@ -130,9 +130,6 @@ class EventBus:
         self._subscribers.append(fn)
         return fn
 
-    def unsubscribe(self, fn: Callable[[TraceEvent], None]) -> None:
-        self._subscribers.remove(fn)
-
     def publish(self, event: TraceEvent) -> None:
         for fn in self._subscribers:
             fn(event)

@@ -54,17 +54,6 @@ class MetricsRegistry:
         """Get or create the :class:`Counter` at ``name``."""
         return self._get_or_create(name, Counter)
 
-    def timeseries(self, name: str) -> TimeSeries:
-        """Get or create the :class:`TimeSeries` at ``name``."""
-        full = self._full(name)
-        mon = self._store.get(full)
-        if mon is None:
-            mon = TimeSeries(full)
-            self._store[full] = mon
-        elif not isinstance(mon, TimeSeries):
-            raise TypeError(f"{full!r} is a {type(mon).__name__}, not TimeSeries")
-        return mon
-
     def timeweighted(self, name: str, time: float = 0.0, value: float = 0.0) -> TimeWeighted:
         """Get or create the :class:`TimeWeighted` at ``name``."""
         full = self._full(name)

@@ -40,12 +40,12 @@ import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .events import EV, TraceEvent
+from .trace import read_trace
 
 __all__ = [
     "Span",
     "SpanBuilder",
     "build_spans",
-    "read_trace_events",
 ]
 
 #: span kinds, in taxonomy order (used for stable report ordering)
@@ -90,10 +90,6 @@ class Span:
     @property
     def duration(self) -> Optional[float]:
         return None if self.end is None else self.end - self.start
-
-    @property
-    def is_open(self) -> bool:
-        return self.end is None
 
     def close(self, t: float, status: str = "ok") -> None:
         if self.end is None:
@@ -425,9 +421,6 @@ class SpanBuilder:
     def jobs(self) -> List[int]:
         return sorted(self._jobs)
 
-    def job_spans(self, job: int) -> List[Span]:
-        return [s for s in self.spans if s.job == job]
-
     def root(self, job: int) -> Optional[Span]:
         state = self._jobs.get(job)
         return state.root if state is not None else None
@@ -468,14 +461,6 @@ class SpanBuilder:
 
 # -- offline (JSONL) entry points ------------------------------------------------
 
-def read_trace_events(path: str) -> Iterable[Dict[str, Any]]:
-    """Yield event dicts from a JSONL trace, skipping the header line."""
-    from .trace import read_trace
-
-    for record in read_trace(path):
-        yield record
-
-
 def build_spans(events: Iterable[Dict[str, Any]]) -> SpanBuilder:
     """Run a :class:`SpanBuilder` over decoded event dicts and finish it."""
     builder = SpanBuilder()
@@ -490,7 +475,7 @@ def build_spans(events: Iterable[Dict[str, Any]]) -> SpanBuilder:
 
 
 def build_spans_from_file(path: str) -> SpanBuilder:
-    return build_spans(read_trace_events(path))
+    return build_spans(read_trace(path))
 
 
 # -- rendering -------------------------------------------------------------------

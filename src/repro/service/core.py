@@ -378,10 +378,6 @@ class GridService:
     def running_jobs(self) -> int:
         return sum(node.running_jobs() for node in self.grid_nodes.values())
 
-    def quiesced(self) -> bool:
-        """No in-flight ledger rows — every submitted job reached a terminal state."""
-        return not self.ledger.in_flight()
-
     def _sample_depth(self) -> None:
         if self._depth_sketch is not None:
             self._depth_sketch.insert(float(self.queue_depth()))

@@ -176,10 +176,6 @@ class Gateway:
             self._server = None
         self.service.stop()
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"

@@ -79,16 +79,6 @@ class TimeSeries:
             raise IndexError("empty time series")
         return self._times[-1], self._values[-1]
 
-    def window_mean(self, start: float, end: float) -> float:
-        """Arithmetic mean of samples with start <= t <= end."""
-        if end < start:
-            raise ValueError("end before start")
-        t = self.times
-        mask = (t >= start) & (t <= end)
-        if not mask.any():
-            raise ValueError(f"no samples in [{start}, {end}]")
-        return float(self.values[mask].mean())
-
 
 class TimeWeighted:
     """Time-weighted mean of a piecewise-constant signal.

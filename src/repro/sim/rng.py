@@ -48,10 +48,6 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def spawn(self, salt: int) -> "RngRegistry":
-        """Derive a child registry (e.g. per experiment repetition)."""
-        return RngRegistry(self._seed * 1_000_003 + int(salt))
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._streams)
 

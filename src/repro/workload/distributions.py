@@ -11,7 +11,7 @@ uniform range, with the weights front-loaded on the low tiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -39,14 +39,6 @@ class Tiered:
         _, lo, hi = self.tiers[idx]
         return float(rng.uniform(lo, hi)) if hi > lo else lo
 
-    @property
-    def max_value(self) -> float:
-        return max(t[2] for t in self.tiers)
-
-    @property
-    def min_value(self) -> float:
-        return min(t[1] for t in self.tiers)
-
 
 @dataclass(frozen=True)
 class WeightedChoice:
@@ -68,6 +60,3 @@ class WeightedChoice:
         idx = rng.choice(len(self.values), p=w / w.sum())
         return self.values[idx]
 
-    @property
-    def max_value(self) -> float:
-        return max(self.values)

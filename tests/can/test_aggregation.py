@@ -41,7 +41,7 @@ class TestAggregationEngine:
     def test_corridor_length_converges(self):
         overlay, grid, _ = line_overlay(4)
         engine = AggregationEngine(overlay, grid)
-        clock_dim = overlay.space.dimension("cpu.clock").index
+        clock_dim = overlay.space.labels().index("cpu.clock")
         engine.run_rounds(6)
         # the lowest node sees the whole corridor beyond it
         counts = [
@@ -59,7 +59,7 @@ class TestAggregationEngine:
         engine = AggregationEngine(overlay, grid)
         grid[2].submit(cpu_job(cores=3, duration=1e6))
         engine.run_rounds(4)
-        clock_dim = overlay.space.dimension("cpu.clock").index
+        clock_dim = overlay.space.labels().index("cpu.clock")
         # some node's advertised required-cores along the corridor reflects it
         total = sum(
             engine.field(i, clock_dim, "slot_required_cores") for i in range(4)

@@ -265,7 +265,7 @@ def test_dimensions_without_outward_neighbors():
         reference.step()
         assert np.array_equal(engine._ai, reference.ai)
     n = len(grid)
-    clock_dim = overlay.space.dimension("cpu.clock").index
+    clock_dim = overlay.space.labels().index("cpu.clock")
     edge_dims = set(engine._edge_dst // n)
     assert edge_dims == {clock_dim}
 

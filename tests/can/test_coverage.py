@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.can.coverage as coverage
-from repro.can.coverage import (
-    Face,
-    face_of,
-    find_gaps,
-    has_gap,
-    have_gaps,
-    uncovered_fraction,
-    union_measure,
-)
+from repro.can.coverage import have_gaps
 from repro.can.geometry import Zone
 from repro.can.overlay import CanOverlay
 from repro.can.space import ResourceSpace
+from tests.can.oracle import (
+    face_of,
+    find_gaps,
+    oracle_has_gap,
+    uncovered_fraction,
+    union_measure,
+    zones_overlap,
+)
 
 
 class TestUnionMeasure:
@@ -159,65 +159,6 @@ class TestFindGaps:
         assert not find_gaps([zone], [], [0, 0], [1, 1])
 
 
-_EPS = 1e-12
-
-
-def oracle_has_gap(own_zones, believed_zones, space_lo, space_hi, tolerance=1e-6):
-    """``has_gap`` as it stood before the batched kernel replaced it (one
-    owner a call, a pass per own zone, all 2*d faces of it at once): kept
-    here, unchanged, as the oracle the kernel's verdicts must equal."""
-    if not own_zones:
-        return False
-    dims = own_zones[0].dims
-    candidates = list(believed_zones) + list(own_zones)
-    bounds = np.array([z.lo + z.hi for z in candidates])  # (n, 2d)
-    los = bounds[:, :dims]  # (n, d)
-    his = bounds[:, dims:]
-    lo_wall = np.asarray(space_lo, dtype=float)
-    hi_wall = np.asarray(space_hi, dtype=float)
-    n = len(candidates)
-    ones = np.ones((n, 1))
-    for zone in own_zones:
-        zlo = np.asarray(zone.lo, dtype=float)
-        zhi = np.asarray(zone.hi, dtype=float)
-        # clip every candidate to the zone's extent (shared by all faces)
-        ext = np.minimum(his, zhi) - np.maximum(los, zlo)  # (n, d)
-        pos = ext > _EPS
-        nonpos = (~pos).sum(axis=1)
-        # prod of ext over all axes but one: left * right cumulative products
-        left = np.cumprod(np.hstack((ones, ext[:, :-1])), axis=1)
-        right = np.cumprod(
-            np.hstack((ones, ext[:, :0:-1])), axis=1
-        )[:, ::-1]
-        areas = left * right  # (n, d): projection area onto face of axis k
-        # a candidate covers part of face k iff every *other* clipped axis
-        # has positive extent (the face axis itself is flush, extent 0)
-        valid = (nonpos == 0)[:, None] | ((nonpos == 1)[:, None] & ~pos)
-        not_self = np.fromiter(
-            (cand is not zone for cand in candidates), bool, n
-        )[:, None]
-        face_edges = zhi - zlo
-        f_left = np.cumprod(np.concatenate(([1.0], face_edges[:-1])))
-        f_right = np.cumprod(
-            np.concatenate(([1.0], face_edges[:0:-1]))
-        )[::-1]
-        face_areas = f_left * f_right  # (d,)
-        threshold = face_areas * (1.0 - tolerance)
-        for side_flush, planes, walls in (
-            (los, zhi, hi_wall),  # high faces: candidate lo flush at zone hi
-            (his, zlo, lo_wall),  # low faces: candidate hi flush at zone lo
-        ):
-            interior = np.abs(planes - walls) > _EPS  # (d,)
-            if not interior.any():
-                continue
-            flush = np.abs(side_flush - planes[None, :]) <= _EPS  # (n, d)
-            contrib = flush & valid & not_self
-            covered = (areas * contrib).sum(axis=0)  # (d,)
-            if (interior & (covered < threshold)).any():
-                return True
-    return False
-
-
 def _believed_tables(dims, seed, leaves=28, owners=12):
     """A random dyadic partition of the unit cube and, per owner, a believed
     table as churn leaves them: ``(own zones, believed zones, consistent)``.
@@ -254,7 +195,7 @@ def _believed_tables(dims, seed, leaves=28, owners=12):
             believed += [
                 z
                 for z in stale
-                if rng.random() < 0.3 and not any(z.overlaps(m) for m in own)
+                if rng.random() < 0.3 and not any(zones_overlap(z, m) for m in own)
             ]
             other = int(rng.integers(owners))
             believed += [z for z, o in zip(zones, owner_of) if o == other != owner]
@@ -263,8 +204,9 @@ def _believed_tables(dims, seed, leaves=28, owners=12):
 
 
 class TestCoverageKernel:
-    """``have_gaps`` against the per-owner routine it replaced (the oracle
-    above) and against the union-measure reference ``find_gaps``."""
+    """``have_gaps`` against the per-owner routine it replaced
+    (``oracle_has_gap``) and against the union-measure reference
+    ``find_gaps``."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -282,7 +224,6 @@ class TestCoverageKernel:
         finally:
             coverage._PASS_ZONES = old
         assert batch == expected  # equal, not close
-        assert [has_gap(own, bel, lo, hi) for own, bel, _ in tables] == expected
         for (own, bel, consistent), verdict in zip(tables, batch):
             reference = bool(find_gaps(own, bel, lo, hi))
             if consistent:
@@ -313,22 +254,26 @@ class TestCoverageKernel:
         right = Zone([0.5, 0.0], [1.0, 1.0])
         left = Zone([0.0, 0.0], [0.25, 1.0])
         lo, hi = [0.0, 0.0], [1.0, 1.0]
-        assert not has_gap([zone], [left, right], lo, hi)
-        assert has_gap([zone], [left], lo, hi)
-        assert has_gap([zone], [right], lo, hi)
-        # the left one stretched across our zone: it overlaps, it does not abut
-        assert has_gap([zone], [Zone([0.0, 0.0], [0.5, 1.0]), right], lo, hi)
+        owners = [
+            ([zone], [left, right]),
+            ([zone], [left]),
+            ([zone], [right]),
+            # the left one stretched across our zone: it overlaps, it does
+            # not abut
+            ([zone], [Zone([0.0, 0.0], [0.5, 1.0]), right]),
+        ]
+        assert have_gaps(owners, lo, hi) == [False, True, True, True]
 
     def test_no_owner_no_zone(self):
         assert have_gaps([], [0.0], [1.0]) == []
         assert have_gaps([([], [Zone([0], [1])])], [0.0], [1.0]) == [False]
-        assert not has_gap([], [], [0.0, 0.0], [1.0, 1.0])
+        assert have_gaps([([], [])], [0.0, 0.0], [1.0, 1.0]) == [False]
 
     def test_own_zones_cover_each_other(self):
         """A multi-zone owner's internal face needs no believed record."""
         a, b = Zone([0.0, 0.0], [0.5, 1.0]), Zone([0.5, 0.0], [1.0, 1.0])
-        assert not has_gap([a, b], [], [0.0, 0.0], [1.0, 1.0])
-        assert has_gap([a], [], [0.0, 0.0], [1.0, 1.0])
+        owners = [([a, b], []), ([a], [])]
+        assert have_gaps(owners, [0.0, 0.0], [1.0, 1.0]) == [False, True]
 
 
 class TestProtocolIntegration:

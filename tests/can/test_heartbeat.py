@@ -22,7 +22,7 @@ from repro.gridsim.faults import FaultPlan, scenario_pack
 from repro.net import LatencySpec, NetworkModel, NetworkSpec
 from repro.overlay.base import GAP_RETRY_ROUNDS, MaintenanceProtocol
 from tests.can.hb_golden import CASES, GOLDEN_PATH, fingerprint
-from tests.can.test_coverage import oracle_has_gap
+from tests.can.oracle import oracle_has_gap
 from tests.overlay.oracle import missing_neighbors, oracle
 
 

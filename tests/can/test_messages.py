@@ -8,6 +8,27 @@ from hypothesis import strategies as st
 from repro.can.messages import MessageType, SizeModel
 
 
+# -- the per-record sums the totals-based sizes stand for ----------------------------
+
+
+def table_bytes(model: SizeModel, dims: int, zone_counts) -> int:
+    """A bare table payload, record by record."""
+    size = model.header_bytes
+    for zc in zone_counts:
+        size += model.record_bytes(dims, max(zc, 1))
+    return size
+
+
+def full_heartbeat_bytes(
+    model: SizeModel, dims: int, own_zones: int, zone_counts
+) -> int:
+    """A compact heartbeat plus every listed record, record by record."""
+    size = model.heartbeat_bytes(dims, own_zones)
+    for zc in zone_counts:
+        size += model.record_bytes(dims, max(zc, 1))
+    return size
+
+
 class TestSizeModel:
     def setup_method(self):
         self.model = SizeModel()
@@ -28,7 +49,7 @@ class TestSizeModel:
 
     def test_compact_heartbeat_is_linear_in_d(self):
         sizes = [
-            self.model.heartbeat_bytes(d, 1, None) for d in (5, 8, 11, 14)
+            self.model.heartbeat_bytes(d, 1) for d in (5, 8, 11, 14)
         ]
         diffs = np.diff(sizes)
         assert np.allclose(diffs, diffs[0])
@@ -39,7 +60,7 @@ class TestSizeModel:
         Fit: size(d) with k=2d neighbor records must grow superlinearly.
         """
         sizes = [
-            self.model.heartbeat_bytes(d, 1, [1] * (2 * d))
+            self.model.heartbeat_bytes_from_totals(d, 1, 2 * d, 2 * d)
             for d in (5, 8, 11, 14)
         ]
         growth = np.diff(sizes)
@@ -49,13 +70,13 @@ class TestSizeModel:
         assert coeffs[0] > 0
 
     def test_full_beats_compact(self):
-        assert self.model.heartbeat_bytes(11, 1, [1] * 20) > (
-            self.model.heartbeat_bytes(11, 1, None)
+        assert self.model.heartbeat_bytes_from_totals(11, 1, 20, 20) > (
+            self.model.heartbeat_bytes(11, 1)
         )
 
     def test_table_bytes_counts_records(self):
-        empty = self.model.table_bytes(11, [])
-        three = self.model.table_bytes(11, [1, 1, 2])
+        empty = self.model.table_bytes_from_totals(11, 0, 0)
+        three = self.model.table_bytes_from_totals(11, 3, 4)
         assert empty == self.model.header_bytes
         assert three == empty + 2 * self.model.record_bytes(11, 1) + (
             self.model.record_bytes(11, 2)
@@ -75,7 +96,7 @@ class TestSizeModel:
 
 
 class TestFromTotals:
-    """The O(1) totals-based sizes must equal the per-record sums exactly."""
+    """The O(1) totals-based sizes equal the per-record sums exactly."""
 
     def setup_method(self):
         self.model = SizeModel()
@@ -93,7 +114,7 @@ class TestFromTotals:
         records, total_zones = self._totals(zone_counts)
         assert self.model.table_bytes_from_totals(
             dims, records, total_zones
-        ) == self.model.table_bytes(dims, zone_counts)
+        ) == table_bytes(self.model, dims, zone_counts)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -105,7 +126,7 @@ class TestFromTotals:
         records, total_zones = self._totals(zone_counts)
         assert self.model.heartbeat_bytes_from_totals(
             dims, own_zones, records, total_zones
-        ) == self.model.heartbeat_bytes(dims, own_zones, zone_counts)
+        ) == full_heartbeat_bytes(self.model, dims, own_zones, zone_counts)
 
     def test_record_base_is_single_zone_record_minus_box(self):
         dims = 11

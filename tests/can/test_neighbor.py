@@ -137,9 +137,9 @@ class TestSnapshot:
         t.upsert(record(nid=1), 0.0, heard=True)
         t.upsert(record(nid=2, lo=(0.0, 1.0), hi=(1.0, 2.0)), 3.0, heard=True)
         snap = t.snapshot()
-        assert dict(snap.items()) == {nid: snap[nid] for nid in snap}
-        assert list(snap.pairs()) == list(snap.values())
-        assert {rec.node_id for rec, _ in snap.pairs()} == {1, 2}
+        assert list(snap.pairs()) == [snap[nid] for nid in snap]
+        assert [rec.node_id for rec, _ in snap.pairs()] == list(snap.records)
+        assert [heard for _, heard in snap.pairs()] == [0.0, 3.0]
 
 
 class TestIncrementals:

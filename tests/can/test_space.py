@@ -19,8 +19,8 @@ class TestDimensionLayout:
     def test_virtual_is_last(self):
         space = ResourceSpace(gpu_slots=2)
         assert space.labels()[-1] == "virtual"
-        assert space.virtual_index == 10
-        assert space.dimensions[space.virtual_index].is_virtual
+        assert space.dims == 11
+        assert space.dimensions[-1].is_virtual
 
     def test_labels(self):
         space = ResourceSpace(gpu_slots=1)
@@ -70,8 +70,8 @@ class TestNodeCoordinates:
         strong = space.node_coordinate(
             make_node_spec(1, cpu=make_cpu(clock=3.0, memory=32)), 0.5
         )
-        clock_dim = space.dimension("cpu.clock").index
-        mem_dim = space.dimension("cpu.memory").index
+        clock_dim = space.labels().index("cpu.clock")
+        mem_dim = space.labels().index("cpu.memory")
         assert strong[clock_dim] > weak[clock_dim]
         assert strong[mem_dim] > weak[mem_dim]
 
@@ -97,8 +97,8 @@ class TestJobCoordinates:
         space = ResourceSpace(gpu_slots=0)
         loose = space.job_coordinate(cpu_job(), 0.1)
         tight = space.job_coordinate(cpu_job(clock=2.0, memory=16), 0.1)
-        clock_dim = space.dimension("cpu.clock").index
-        mem_dim = space.dimension("cpu.memory").index
+        clock_dim = space.labels().index("cpu.clock")
+        mem_dim = space.labels().index("cpu.memory")
         assert tight[clock_dim] > loose[clock_dim]
         assert tight[mem_dim] > loose[mem_dim]
 
@@ -119,7 +119,7 @@ class TestJobCoordinates:
         # cores=1 means "any CPU" — maps to 0 so every node qualifies
         space = ResourceSpace(gpu_slots=0)
         coord = space.job_coordinate(cpu_job(cores=1), 0.0)
-        cores_dim = space.dimension("cpu.cores").index
+        cores_dim = space.labels().index("cpu.cores")
         assert coord[cores_dim] == 0.0
 
 

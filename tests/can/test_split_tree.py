@@ -15,13 +15,13 @@ class TestSplitAndLocate:
         tree = unit_tree(owner=7)
         leaf = tree.locate((0.5, 0.5))
         assert leaf.owner == 7
-        assert tree.leaf_count() == 1
+        assert len(tree.leaves) == 1
 
     def test_split_creates_two_leaves(self):
         tree = unit_tree()
         root = tree.locate((0.5, 0.5))
         low, high = tree.split_leaf(root, 0, 0.5, low_owner=0, high_owner=1)
-        assert tree.leaf_count() == 2
+        assert len(tree.leaves) == 2
         assert tree.locate((0.25, 0.5)) is low
         assert tree.locate((0.75, 0.5)) is high
         assert low.owner == 0 and high.owner == 1
@@ -45,7 +45,7 @@ class TestSplitAndLocate:
             at = (lo + hi) / 2
             tree.split_leaf(leaf, dim, at, leaf.owner, owner)
             tree.check_partition()
-        assert tree.leaf_count() == 40
+        assert len(tree.leaves) == 40
 
     def test_split_stale_leaf_rejected(self):
         tree = unit_tree()
@@ -112,7 +112,7 @@ class TestMergeAndTransfer:
         assert merged is not None
         _, _, new_leaf = merged
         assert new_leaf.zone == Zone([0, 0], [1, 1])
-        assert tree.leaf_count() == 1
+        assert len(tree.leaves) == 1
         tree.check_partition()
 
     def test_merge_refuses_different_owners(self):

@@ -13,6 +13,12 @@ from repro.chord.keyspace import (
 )
 
 
+def cell_key_range(ks: ChordKeyspace, cells) -> tuple[int, int]:
+    """Inclusive ring-key interval covered by one coordinate cell."""
+    lo = ks.interleave(cells) << TIEBREAK_BITS
+    return lo, lo | ((1 << TIEBREAK_BITS) - 1)
+
+
 def test_bit_budget_partitions_coord_bits():
     for dims in (1, 2, 3, 4, 11, 17, 48):
         ks = ChordKeyspace(dims)
@@ -70,7 +76,7 @@ def test_node_key_tiebreak_distinguishes_colocated_nodes():
     coord = (0.5, 0.5, 0.5, 0.5)
     keys = {ks.node_key(nid, coord) for nid in range(100)}
     assert len(keys) == 100  # splitmix64 tiebreak separates identical coords
-    lo, hi = ks.cell_key_range(ks.quantize(coord))
+    lo, hi = cell_key_range(ks, ks.quantize(coord))
     for k in keys:
         assert lo <= k <= hi
     # the point key is the cell floor, so every co-located node succeeds it
@@ -82,7 +88,7 @@ def test_cell_key_range_tiles_the_ring():
     ks = ChordKeyspace(1)
     prev_hi = -1
     for cell in range(256):  # consecutive cells -> consecutive intervals
-        lo, hi = ks.cell_key_range((cell,))
+        lo, hi = cell_key_range(ks, (cell,))
         assert prev_hi == -1 or lo == prev_hi + 1
         assert hi - lo + 1 == 1 << TIEBREAK_BITS
         prev_hi = hi

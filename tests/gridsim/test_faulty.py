@@ -9,17 +9,20 @@ import pytest
 import repro.gridsim.faulty as faulty_module
 from repro.can.heartbeat import HeartbeatScheme
 from repro.gridsim import (
+    CrashBurst,
     DiurnalChurn,
     FaultPlan,
     FaultyGridConfig,
     FaultyGridSimulation,
     InvariantViolation,
+    JoinBurst,
     MatchmakingConfig,
     RetryPolicy,
     check_matchmaking_accounting,
 )
 from repro.gridsim.recovery import PendingRecovery
 from repro.net import NetworkSpec
+from repro.obs.events import Tracer
 from repro.overlay.base import FAILURE_TIMEOUT_PERIODS
 from repro.workload import TINY_LOAD
 
@@ -72,6 +75,31 @@ class TestFaultyGrid:
         res = FaultyGridSimulation(cfg).run()
         assert res.joins > 0
         assert res.final_population > TINY_LOAD.nodes
+
+    def test_churn_counts_equal_the_trace(self):
+        """The result's churn and loss counts, read off the protocol's and
+        the recovery tracker's ledgers, equal what the run emitted: one
+        ``grid.crash`` per failure (background and burst), one
+        ``grid.join`` per arrival (background and flash crowd)."""
+        events = []
+        tracer = Tracer()
+        tracer.subscribe(events.append)
+        plan = FaultPlan(
+            bursts=(CrashBurst(at=900.0, count=4),),
+            joins=(JoinBurst(at=1500.0, count=5),),
+        )
+        res = FaultyGridSimulation(
+            config(mtbf=400.0, mtbj=400.0, faults=plan), tracer=tracer
+        ).run()
+        crashes = [e for e in events if e.etype == "grid.crash"]
+        joins = [e for e in events if e.etype == "grid.join"]
+        assert any(e.etype == "fault.burst" for e in events)
+        assert any(e.etype == "fault.flash_crowd" for e in events)
+        assert len(crashes) >= 4 and len(joins) >= 5
+        assert res.failures == len(crashes)
+        assert res.joins == len(joins)
+        assert res.jobs_lost == sum(e.fields["jobs_lost"] for e in crashes)
+        assert res.jobs_lost > 0
 
     def test_summary_merges_ledger(self):
         s = FaultyGridSimulation(config()).run().summary()

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.gridsim.metrics import (
-    cdf_at,
-    empirical_cdf,
-    jains_fairness,
-    queue_length_snapshot,
-    wait_time_table,
-)
+from repro.gridsim.metrics import cdf_at, empirical_cdf, wait_time_table
 
-from tests.conftest import cpu_job, make_cpu, make_grid_node
+
+def jains_fairness(loads) -> float:
+    """Jain's fairness index of a load vector (1.0 = perfectly balanced)."""
+    x = np.asarray(loads, dtype=float)
+    if x.size == 0:
+        return 1.0
+    denom = x.size * float((x * x).sum())
+    if denom == 0:
+        return 1.0
+    return float(x.sum()) ** 2 / denom
 
 
 class TestCdf:
@@ -51,21 +54,3 @@ class TestFairness:
     def test_degenerate(self):
         assert jains_fairness([]) == 1.0
         assert jains_fairness([0, 0]) == 1.0
-
-
-class TestQueueSnapshot:
-    def test_snapshot(self, env):
-        nodes = [make_grid_node(env, i, cpu=make_cpu(cores=1)) for i in range(3)]
-        nodes[0].submit(cpu_job(duration=1e5))
-        nodes[0].submit(cpu_job(duration=1e5))  # one queued
-        snap = queue_length_snapshot(nodes)
-        assert snap["max"] == 1.0
-        assert snap["mean"] == pytest.approx(1 / 3)
-        assert 0 < snap["fairness"] <= 1.0
-
-    def test_empty(self):
-        assert queue_length_snapshot([]) == {
-            "mean": 0.0,
-            "max": 0.0,
-            "fairness": 1.0,
-        }

@@ -444,9 +444,6 @@ def _run_on_sim():
         job_ids,
     )
     assert picky in sim.abandoned_ids
-    assert (sim.jobs_lost, sim.jobs_resubmitted, sim.jobs_abandoned) == (
-        sim.tracker.losses, sim.tracker.resubmissions, sim.tracker.abandonments,
-    )
     return sim, seen, job_ids, missed
 
 

@@ -44,7 +44,7 @@ class TestJob:
     def test_dominant_slot_is_gpu_for_gpu_jobs(self):
         job = gpu_job(gpu_cores=64)
         assert job.dominant_slot == gpu_slot(0)
-        assert job.dominant_requirement.cores == 64
+        assert job.requirements[job.dominant_slot].cores == 64
 
     def test_dominant_slot_picks_biggest_demand(self):
         job = Job(

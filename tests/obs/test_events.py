@@ -30,15 +30,6 @@ class TestEventBus:
         bus.publish(TraceEvent(1.0, "can.join", {"node": 3}))
         assert seen == [("a", "can.join"), ("b", "can.join")]
 
-    def test_unsubscribe_stops_delivery(self):
-        bus = EventBus()
-        seen = []
-        fn = bus.subscribe(seen.append)
-        bus.unsubscribe(fn)
-        bus.publish(TraceEvent(0.0, "can.join", {}))
-        assert seen == []
-        assert len(bus) == 0
-
 
 class TestTracer:
     def test_emit_counts_by_type_and_publishes(self):

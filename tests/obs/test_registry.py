@@ -39,16 +39,16 @@ class TestCreation:
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.timeseries("b") is reg.timeseries("b")
         assert reg.timeweighted("c") is reg.timeweighted("c")
+        assert reg.quantile_sketch("d") is reg.quantile_sketch("d")
 
     def test_kind_mismatch_raises(self):
         reg = MetricsRegistry()
         reg.counter("x")
         with pytest.raises(TypeError):
-            reg.timeseries("x")
-        with pytest.raises(TypeError):
             reg.timeweighted("x")
+        with pytest.raises(TypeError):
+            reg.quantile_sketch("x")
 
     def test_register_adopts_existing_monitor(self):
         reg = MetricsRegistry()
@@ -80,7 +80,7 @@ class TestSnapshot:
 
     def test_timeseries_snapshot(self):
         reg = MetricsRegistry()
-        ts = reg.timeseries("links")
+        ts = reg.register("links", TimeSeries("links"))
         snap = reg.snapshot()
         assert snap["links"] == {"kind": "timeseries", "samples": 0}
         ts.record(0.0, 1.0)
@@ -106,6 +106,6 @@ class TestSnapshot:
 
         reg = MetricsRegistry()
         reg.counter("c").add("k")
-        reg.timeseries("t").record(1.0, 2.0)
+        reg.register("t", TimeSeries("t")).record(1.0, 2.0)
         reg.timeweighted("w").update(1.0, 1.0)
         json.dumps(reg.snapshot(now=2.0))  # must not raise

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, QuantileSketch, WindowedCounter
 from repro.obs.prom import prom_name, render_prometheus
+from repro.sim.monitor import TimeSeries
 
 
 def rank_error(sorted_exact: np.ndarray, estimate: float, q: float) -> float:
@@ -261,7 +262,7 @@ class TestPrometheusRender:
         reg.counter("events").add("mm.placed", 3)
         reg.quantile_sketch("wait").extend([1.0, 2.0, 3.0, 4.0])
         reg.windowed_counter("reqs").add(5.0, 2.0)
-        reg.timeseries("depth").record(1.0, 7.0)
+        reg.register("depth", TimeSeries("depth")).record(1.0, 7.0)
         reg.timeweighted("pop", 0.0, 10.0)
         text = render_prometheus(reg, now=5.0)
         assert text.endswith("\n")

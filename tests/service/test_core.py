@@ -65,7 +65,7 @@ class TestHappyPath:
         env.run(until=HORIZON)
         counts = service.ledger.counts()
         assert counts[JobStatus.COMPLETED] == 25
-        assert service.quiesced()
+        assert not service.ledger.in_flight()
         check_service_accounting(service, final=True)
         # every id audit-trails exactly one completion
         for job_id in ids:
@@ -214,7 +214,7 @@ class TestNodeCrash:
         env.run(until=env.now + 8.5 * period)
         assert service.protocol._round == rounds + 8
         env.run(until=HORIZON)
-        assert service.quiesced()
+        assert not service.ledger.in_flight()
         counts = service.ledger.counts()
         assert counts[JobStatus.ABANDONED] + counts[JobStatus.COMPLETED] == len(ids)
         assert counts[JobStatus.ABANDONED] > 0
@@ -319,7 +319,7 @@ class TestRestartRecovery:
         service1.start()
         ids = [service1.submit(spec) for spec in preset_specs(5)]
         env1.run(until=HORIZON)  # drain completely
-        assert service1.quiesced()
+        assert not service1.ledger.in_flight()
         service1.ledger.close()
 
         env2, service2 = build_service(open_ledger(path))

@@ -51,16 +51,6 @@ class TestTimeSeries:
         ts.record(1.0, 9.0)
         assert ts.last() == (1.0, 9.0)
 
-    def test_window_mean(self):
-        ts = TimeSeries()
-        for t, v in [(0, 10), (1, 20), (2, 30), (3, 40)]:
-            ts.record(t, v)
-        assert ts.window_mean(1, 2) == 25.0
-        with pytest.raises(ValueError):
-            ts.window_mean(10, 20)
-        with pytest.raises(ValueError):
-            ts.window_mean(2, 1)
-
 
 class TestTimeWeighted:
     def test_piecewise_mean(self):

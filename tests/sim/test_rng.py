@@ -36,15 +36,6 @@ class TestRngRegistry:
         b2 = r2.stream("b").random(5)
         assert np.array_equal(b1, b2)
 
-    def test_spawn_derives_new_registry(self):
-        parent = RngRegistry(3)
-        child1 = parent.spawn(1)
-        child2 = parent.spawn(2)
-        assert child1.seed != child2.seed
-        a = child1.stream("x").random(4)
-        b = child2.stream("x").random(4)
-        assert not np.array_equal(a, b)
-
     def test_validation(self):
         with pytest.raises(TypeError):
             RngRegistry("seed")

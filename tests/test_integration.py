@@ -9,9 +9,9 @@ from repro.gridsim import (
     ChurnSimulation,
     GridSimulation,
     MatchmakingConfig,
-    jains_fairness,
 )
 from repro.workload import TINY_LOAD
+from tests.gridsim.test_metrics import jains_fairness
 
 
 class TestMatchmakingIntegration:
