@@ -102,30 +102,6 @@ class Zone:
         hi_lo[dim] = at
         return Zone(self.lo, lo_hi), Zone(hi_lo, self.hi)
 
-    def merge(self, other: "Zone") -> "Zone":
-        """Union of two zones forming a box (they must share a full face)."""
-        self._check(other)
-        diff_dim = None
-        for d in range(self.dims):
-            same = (
-                abs(self.lo[d] - other.lo[d]) <= _EPS
-                and abs(self.hi[d] - other.hi[d]) <= _EPS
-            )
-            if not same:
-                if diff_dim is not None:
-                    raise ValueError("zones differ along more than one axis")
-                diff_dim = d
-        if diff_dim is None:
-            raise ValueError("zones are identical")
-        d = diff_dim
-        if abs(self.hi[d] - other.lo[d]) <= _EPS:
-            lo, hi = list(self.lo), list(other.hi)
-        elif abs(other.hi[d] - self.lo[d]) <= _EPS:
-            lo, hi = list(other.lo), list(self.hi)
-        else:
-            raise ValueError("zones are not adjacent along the differing axis")
-        return Zone(lo, hi)
-
     # -- plumbing --------------------------------------------------------------------
     def _check(self, other: "Zone") -> None:
         if self.dims != other.dims:

@@ -39,16 +39,18 @@ Design in brief:
   exactly.  The detection phase becomes one vectorised timeout scan that
   falls back to the shared per-node path only for flagged owners.
 
-* A *settled streak* removes the per-sender loop from a quiet round.  After
-  a round in which every alive sender was clean, every full-table delivery
-  hit the ``processed_epoch`` skip and every receiver was deliverable, the
-  same will hold for as long as the structural state stands still
-  (``struct_gen``, the sender-order list, the topology version), so such a
-  round re-adds the captured byte totals, freezes one array of what every
-  owner's table reads at its own turn, and runs the bulk advance.  The
-  stored full tables the loop would have re-written each round are written
-  once, from the last frozen array, when the streak ends or a stored copy
-  is asked for.
+* A *worklist* limits the per-sender loop to the senders whose inputs
+  moved.  A turn reads the sender's table epoch, zones and take-over set,
+  and per full target that target's version, removals and liveness; every
+  write to one of them puts its row in ``EdgeStore.mut_rows`` (and in
+  ``rekeyed`` for the last three).  A sender whose last clean turn left a
+  memo and whose inputs stand still is *quiet*: the loop never visits it,
+  its byte totals stay in a running sum, and its stored copies are written
+  later (:meth:`_flush`) from freshness frozen as of its own turn.  No turn
+  between two turns that write freshness writes any, so one gather per
+  writing turn freezes every quiet sender before it.  A round whose
+  worklist is empty (a *settled* round) is a bulk total, one frozen array
+  and the bulk advance.
 
 * A *batched merge* decides a sender's whole turn of full-table merges at
   once.  The loop it replaces visits every record of the table at every
@@ -73,6 +75,7 @@ the loop it replaces on identical array-backed state.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Mapping
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -122,9 +125,11 @@ class EdgeStore:
         self.n_slots = 0  # high-water mark; freed slots are recycled
         self._slot_cap = slot_capacity
         self.eh = np.full(slot_capacity, _NEG_INF, dtype=np.float64)
-        self.owner_row = np.zeros(slot_capacity, dtype=np.int32)
-        self.subj_row = np.full(slot_capacity, -1, dtype=np.int32)
-        self.rev = np.full(slot_capacity, -1, dtype=np.int32)
+        # as wide as an index: the prescan gathers through all three, and
+        # numpy gathers through an int32 index several times slower
+        self.owner_row = np.zeros(slot_capacity, dtype=np.int64)
+        self.subj_row = np.full(slot_capacity, -1, dtype=np.int64)
+        self.rev = np.full(slot_capacity, -1, dtype=np.int64)
         self.edge_version = np.zeros(slot_capacity, dtype=np.int64)
         self.active = np.zeros(slot_capacity, dtype=bool)
         self.free_slots: List[int] = []
@@ -161,9 +166,13 @@ class EdgeStore:
         #: edge/own version, liveness); the exchange kernel reuses its
         #: whole prescan across rounds while this stands still
         self.struct_gen: int = 0
-        #: rows whose tables mutated since the current exchange began —
-        #: senders re-check this instead of rescanning epoch arrays
+        #: rows whose table, version or liveness changed since the current
+        #: exchange began — senders re-check this instead of rescanning
+        #: epoch arrays, and the next exchange's worklist starts from it —
         self.mut_rows: set = set()
+        #: ... and of those, the rows whose version, removals or liveness
+        #: changed: what a full-table delivery *to* them is keyed on
+        self.rekeyed: set = set()
 
     # -- rows -----------------------------------------------------------------
     def alloc_row(self, node_id: int) -> int:
@@ -181,6 +190,7 @@ class EdgeStore:
         self.node_of_row.append(node_id)
         self.tables_by_row.append(None)
         self.struct_gen += 1
+        self.mut_rows.add(row)
         return row
 
     def table_for(self, node_id: int) -> Optional["ArrayNeighborTable"]:
@@ -253,7 +263,9 @@ class EdgeStore:
             self.avail_pos[s] = _POS_MAX
         self.free_slots.append(s)
         self.struct_gen += 1
-        self.mut_rows.add(int(self.owner_row[s]))
+        row = int(self.owner_row[s])
+        self.mut_rows.add(row)
+        self.rekeyed.add(row)
 
     # -- exchange round state -------------------------------------------------
     def begin_exchange(
@@ -269,12 +281,13 @@ class EdgeStore:
         self.avail_pos = avail_pos
         self.cur_pos = -1
         self.mut_rows.clear()
+        self.rekeyed.clear()
 
     def end_exchange(self) -> None:
         mask = self.adv_mask
         if mask is not None:
             # all evidence is <= sim time, so a plain assign is the max
-            self.eh[: mask.shape[0]][mask] = self.round_now
+            np.copyto(self.eh[: mask.shape[0]], self.round_now, where=mask)
         self.adv_mask = None
         self.pos_of_row = None
         self.avail_pos = None
@@ -340,8 +353,11 @@ class _LazyHeard(Mapping):
     def __contains__(self, key):
         return key in self._records
 
-    def get(self, key, default=None):
-        return self._dict().get(key, default)
+    @property
+    def get(self):
+        """The materialised dict's own ``get``: a merge binds it once and
+        reads every record through it."""
+        return self._dict().get
 
     def __eq__(self, other):
         if isinstance(other, _LazyHeard):
@@ -532,10 +548,7 @@ class ArrayNeighborTable(NeighborTable):
         vec = self.slot_vector()
         cached = self._rows_vec
         if cached is None or cached[0] is not vec:
-            # as wide as an index: these rows index the merge scratch
-            cached = self._rows_vec = (
-                vec, self._store.subj_row[vec].astype(np.int64)
-            )
+            cached = self._rows_vec = (vec, self._store.subj_row[vec])
         return cached
 
     def merge_source(self, snap: TableSnapshot) -> Tuple:
@@ -633,18 +646,19 @@ class ArrayNeighborTable(NeighborTable):
         return snap
 
 
-class _Streak(NamedTuple):
-    """What a round that was clean throughout decided for the ones after it."""
+class _Memo(NamedTuple):
+    """What a sender's last loud clean turn decided for its quiet ones."""
 
-    gen: int  # the structural state it holds for: struct_gen, ...
-    order: List[int]
-    topology_version: int
-    #: that round's accounting: full bytes, full count, compact bytes, count
+    node_id: int
+    #: the rows of the full targets that were deliverable: the stored
+    #: copies a quiet turn re-writes
+    holder_rows: List[int]
+    #: the table the copies hold (None without holders) and its slots
+    records: Optional[Dict[int, BeliefRecord]]
+    total_zones: int
+    vec: Optional[np.ndarray]
+    #: the turn's accounting: full bytes, full count, compact bytes, count
     totals: Tuple[int, int, int, int]
-    turn: np.ndarray  # per slot: the subject's turn comes before the owner's
-    #: flat, four entries a clean sender with full-table targets:
-    #: sender id, target ids, its snapshot, its slot vector
-    senders: list
 
 
 class ArrayHeartbeatProtocol(HeartbeatProtocol):
@@ -661,23 +675,34 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.store = EdgeStore()
-        #: node id -> (table epoch, sorted take-over full_ids); valid for
-        #: one topology version (the take-over map's own cache key)
-        self._fid_cache: Dict[int, Tuple[int, List[int]]] = {}
-        self._fid_cache_tv: int = -1
         #: rows aligned with the cached ``_sorted_node_ids()`` list; a
         #: node's row never changes while it lives, so the gather is valid
         #: for exactly as long as the order list object itself
         self._order_rows: Optional[np.ndarray] = None
         self._order_rows_for: Optional[List[int]] = None
-        #: (struct_gen, order, pos, adv, avail, suspect_l, alive_l)
+        #: (struct_gen, order, pos, adv, avail, suspect_l, alive_l, turn,
+        #: suspect rows, pos as a list, order rows as a list)
         self._prescan_cache: Optional[Tuple] = None
-        self._streak: Optional[_Streak] = None
-        #: per-slot freshness as each owner read it at its turn in the last
-        #: settled round; None until the streak has had one
-        self._streak_seen: Optional[np.ndarray] = None
-        #: rounds whose exchange ran without the per-sender loop
+        #: per row: the last loud clean turn's :class:`_Memo`, None where a
+        #: row has to take a loud turn before it can be quiet
+        self._memo: List[Optional[_Memo]] = []
+        self._has_memo = np.zeros(256, dtype=bool)
+        #: the memos' accounting summed: what every quiet turn re-adds
+        self._grand = [0, 0, 0, 0]
+        #: holder row -> rows whose memo delivers a full table to it
+        self._fed_by: Dict[int, set] = {}
+        #: the take-over map the memos were decided against
+        self._takeovers_seen: Dict[int, set] = {}
+        #: per row: its holders' stored copies are the ones its last quiet
+        #: turn deferred, which read :attr:`_seen` at its slots
+        self._pending: Optional[np.ndarray] = None
+        #: what every slot's owner read at its turn in the last round, as
+        #: (``eh`` before the bulk advance, the turn mask, that round's now):
+        #: a slot whose subject's turn came first read ``now``
+        self._seen: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
+        #: rounds whose worklist was empty, and sender turns taken quietly
         self.settled_rounds = 0
+        self.quiet_turns = 0
         #: ((topology version, struct_gen), total) of the last broken-link
         #: count — see :meth:`count_broken_links`
         self._broken_total: Optional[Tuple[Tuple[int, int], int]] = None
@@ -686,6 +711,9 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
     def _new_node(self, node_id: int) -> ProtocolNode:
         store = self.store
         row = store.alloc_row(node_id)
+        self._memo.append(None)
+        if row >= len(self._has_memo):
+            self._has_memo = _grown(self._has_memo, 2 * len(self._has_memo), False)
         table = ArrayNeighborTable(
             self.config.failure_timeout, store, node_id, row
         )
@@ -702,6 +730,7 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             _store.own_version[_row] = version
             _store.struct_gen += 1
             _store.mut_rows.add(_row)
+            _store.rekeyed.add(_row)
             table._merge_view = None  # it reads the owner at one version
 
         node._version_sink = sink
@@ -714,14 +743,21 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         row = store.row_of.pop(node_id)
         store.alive[row] = False
         store.struct_gen += 1
+        store.mut_rows.add(row)
+        store.rekeyed.add(row)
         store.tables_by_row[row] = None
+        # its copies go with the departure (the base purges them)
+        self._forget(row)
         super()._drop_node(node_id)
 
     def fail(self, node_id: int, now: float) -> None:
         super().fail(node_id, now)
         store = self.store
-        store.alive[store.row_of[node_id]] = False
+        row = store.row_of[node_id]
+        store.alive[row] = False
         store.struct_gen += 1
+        store.mut_rows.add(row)
+        store.rekeyed.add(row)
 
     # -- the exchange kernel --------------------------------------------------
     def _exchange_heartbeats(self, now: float) -> None:
@@ -729,112 +765,65 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             # per-delivery channel verdicts (loss draws, partition/flap
             # checks, latency): the inherited object path runs exactly on
             # array-backed tables, so both engines share one RNG stream
-            self._end_streak()  # the channel changed under a streak
+            self._end_quiet()  # the channel changed under the memos
             return super()._exchange_heartbeats(now)
         store = self.store
         vanilla = self.config.scheme is HeartbeatScheme.VANILLA
         takeovers = {} if vanilla else self._takeover_targets_map()
-        tv = self.overlay.topology_version
-        if self._fid_cache_tv != tv:
-            self._fid_cache.clear()
-            self._fid_cache_tv = tv
-        fid_cache = self._fid_cache
+        if takeovers is not self._takeovers_seen:
+            # a sender's full targets are its take-over set (a fresh map
+            # per topology version): where that moved, so did its turn
+            seen_map, row_of = self._takeovers_seen, store.row_of
+            for node_id, targets in takeovers.items():
+                if seen_map.get(node_id) != targets:
+                    store.mut_rows.add(row_of[node_id])
+            self._takeovers_seen = takeovers
         order = self._sorted_node_ids()
-        streak = self._streak
-        if (
-            streak is not None
-            and streak.gen == store.struct_gen
-            and streak.order is order
-            and streak.topology_version == tv
-        ):
-            self._settled_exchange(now, streak)
-            return
-        # not kept bound through the loop below: the snapshots it holds
-        # would outlive their replacements, all garbage-collector work
-        del streak
-        self._end_streak()
-        # the masks are pure functions of the store's structural state
-        # and the sender order, so a settled CAN (no joins, versions,
-        # suspects, or slot churn since last round) reuses last round's
-        # prescan wholesale — only freshness moved, and freshness is
-        # not a mask input
-        cache = self._prescan_cache
-        if (
-            cache is not None
-            and cache[0] == store.struct_gen
-            and cache[1] is order
-        ):
-            _, _, pos, adv, avail, suspect_l, alive_l = cache
-        else:
-            n = store.n_slots
-            nrows = store.n_rows
-            pos = np.full(nrows, _POS_MAX, dtype=np.int64)
-            if self._order_rows_for is not order:
-                row_of = store.row_of
-                self._order_rows = np.fromiter(
-                    (row_of[nid] for nid in order),
-                    dtype=np.int64,
-                    count=len(order),
-                )
-                self._order_rows_for = order
-            pos[self._order_rows] = np.arange(len(order), dtype=np.int64)
-            active = store.active[:n]
-            owner = store.owner_row[:n]
-            subj = store.subj_row[:n]
-            rev = store.rev[:n]
-            edge_ver = store.edge_version[:n]
-            alive = store.alive[:nrows]
-            own_ver = store.own_version[:nrows]
-            subj_ok = subj >= 0
-            subj_idx = np.where(subj_ok, subj, 0)
-            live_edge = active & alive[owner] & subj_ok & alive[subj_idx]
-            # X: sender-side slots whose reverse belief is missing or
-            # version-stale — exactly the deliveries that can mutate the
-            # receiver's table.  Their senders run the full object path.
-            rev_idx = np.where(rev >= 0, rev, 0)
-            x_mask = live_edge & (
-                (rev < 0) | (edge_ver[rev_idx] < own_ver[owner])
-            )
-            suspect = np.zeros(nrows, dtype=bool)
-            if x_mask.any():
-                suspect[owner[x_mask]] = True
-            # every other delivery is a pure freshness advance: mutual,
-            # version-current edges between live endpoints whose
-            # subject's sends need no structural handling
-            adv = (
-                live_edge
-                & (rev >= 0)
-                & ~suspect[subj_idx]
-                & (edge_ver == own_ver[subj_idx])
-            )
-            avail = np.full(store.eh.shape[0], _POS_MAX, dtype=np.int64)
-            avail[:n] = np.where(adv, pos[subj_idx], _POS_MAX)
-            # plain lists: the senders loop reads these once per sender,
-            # where a numpy scalar index costs several times a list one
-            suspect_l = suspect.tolist()
-            alive_l = alive.tolist()
-            self._prescan_cache = (
-                store.struct_gen, order, pos, adv, avail,
-                suspect_l, alive_l,
-            )
+        (
+            pos, adv, avail, suspect_l, alive_l, turn, suspects, pos_l, rows_l
+        ) = self._prescan(order)
+        # the worklist: every sender whose own inputs moved since its last
+        # turn (or that took a loud turn without leaving a memo), whose
+        # full-table holder's did, or that the prescan marks suspect
+        loud = store.mut_rows.union(suspects)
+        fed_by = self._fed_by
+        for row in store.rekeyed:
+            senders = fed_by.get(row)
+            if senders:
+                loud.update(senders)
+        n_order = len(order)
+        heap = [p for p in map(pos_l.__getitem__, loud) if p < n_order]
+        heapq.heapify(heap)
+        queued = {rows_l[p] for p in heap}
         store.begin_exchange(now, adv, pos, avail)
         deliverable: Dict[int, Optional[ProtocolNode]] = {}
         miss = _MISS
-        full_count = full_bytes = comp_count = comp_bytes = 0
-        gen = store.struct_gen
-        #: clean senders' deferred stored-table writes, should this round
-        #: begin a streak; None once any delivery needed real handling
-        streak_senders: Optional[list] = []
         nodes = self.nodes
         mut_rows = store.mut_rows
+        rekeyed = store.rekeyed
+        #: what of the two sets the worklist has seen
+        seen_mut: set = set()
+        seen_rekeyed: set = set()
+        memos = self._memo
+        grand = self._grand
+        #: this round's loud rows, and the freshness every quiet sender
+        #: read at its turn (None while no turn has written any)
+        popped: List[int] = []
+        frozen: Optional[np.ndarray] = None
+        upto, n = 0, turn.shape[0]
         #: a clean sender's full-table deliveries that need a merge,
         #: and from which sender-table epoch on (-1: all of it)
         merge_at: List[ProtocolNode] = []
         merge_since: List[int] = []
-        for i, node_id in enumerate(order):
+        while heap:
+            i = heapq.heappop(heap)
+            node_id = order[i]
             sender = nodes[node_id]
             table = sender.table
             row = table._row
+            popped.append(row)
+            self._flush(row)
+            self._forget(row)
             # the store's alive flags mirror overlay liveness for every
             # protocol member (the kernels above already rely on it)
             if not alive_l[row]:
@@ -845,103 +834,188 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             if suspect_l[row] or row in mut_rows:
                 # pre-round exceptional edges, or mutated mid-round by
                 # an earlier sender's merge: full object path
+                frozen = self._freeze_quiet(frozen, upto, i, rows_l, n)
+                upto = i + 1
                 self._exchange_one_sender(
                     sender, takeovers, vanilla, now, deliverable, None
                 )
-                streak_senders = None
-                continue
-            own = sender.own_record(self.overlay)
-            # inlined _heartbeat_sizes memo hit (the overwhelming case)
-            wc = sender._wire_cache
-            if wc is not None and wc[0] == (table.epoch, own.zone_count):
-                full_size, compact_size = wc[1], wc[2]
+                mut_rows.add(row)  # no memo: loud again next round
             else:
-                full_size, compact_size = self._heartbeat_sizes(
-                    sender, own
-                )
-            if vanilla:
-                full_ids = table.sorted_ids()
-                n_full = len(full_ids)
-            elif takeovers.get(node_id):
-                cached = fid_cache.get(node_id)
-                if cached is not None and cached[0] == table.epoch:
-                    full_ids = cached[1]
+                own = sender.own_record(self.overlay)
+                # inlined _heartbeat_sizes memo hit (the overwhelming case)
+                wc = sender._wire_cache
+                if wc is not None and wc[0] == (table.epoch, own.zone_count):
+                    full_size, compact_size = wc[1], wc[2]
                 else:
-                    full_ids = sorted(
-                        t
-                        for t in takeovers[node_id]
-                        if t in table._records
+                    full_size, compact_size = self._heartbeat_sizes(
+                        sender, own
                     )
-                    fid_cache[node_id] = (table.epoch, full_ids)
+                if vanilla:
+                    full_ids = table.sorted_ids()
+                elif takeovers.get(node_id):
+                    full_ids = sorted(
+                        t for t in takeovers[node_id] if t in table._records
+                    )
+                else:
+                    full_ids = ()
                 n_full = len(full_ids)
-            else:
-                full_ids = ()
-                n_full = 0
-            n_comp = len(table._records) - n_full
-            full_count += n_full
-            full_bytes += full_size * n_full
-            comp_count += n_comp
-            comp_bytes += compact_size * n_comp
-            # a clean sender's targets all hold its record at the
-            # current version (anything else is an X edge), so direct
-            # freshness is covered by the bulk advance; only the
-            # full-table merges remain.  The dominant case — the target
-            # already processed this exact table state — is inlined:
-            # nothing can change mid-loop (merges only mutate the
-            # receiver, and run when the loop is over), so one snapshot
-            # serves every target.
-            snap = None
-            epoch = table.epoch
-            for target_id in full_ids:
-                receiver = deliverable.get(target_id, miss)
-                if receiver is miss:
-                    receiver = self._deliverable(target_id)
-                    deliverable[target_id] = receiver
-                if receiver is None:
-                    streak_senders = None
-                    continue
-                if snap is None:
-                    snap = table.snapshot()
-                receiver.stored_tables[node_id] = snap
-                key = (
-                    epoch, receiver.own_version, receiver.table.removals_epoch
+                n_comp = len(table._records) - n_full
+                # a clean sender's targets all hold its record at the
+                # current version (anything else is an X edge), so direct
+                # freshness is covered by the bulk advance; only the
+                # full-table merges remain.  The dominant case — the target
+                # already processed this exact table state — is inlined:
+                # nothing can change mid-loop (merges only mutate the
+                # receiver, and run when the loop is over), so one snapshot
+                # serves every target.
+                snap = None
+                epoch = table.epoch
+                holder_rows: List[int] = []
+                for target_id in full_ids:
+                    receiver = deliverable.get(target_id, miss)
+                    if receiver is miss:
+                        receiver = self._deliverable(target_id)
+                        deliverable[target_id] = receiver
+                    if receiver is None:
+                        continue
+                    if snap is None:
+                        snap = table.snapshot()
+                    receiver.stored_tables[node_id] = snap
+                    holder_rows.append(receiver.table._row)
+                    key = (
+                        epoch, receiver.own_version, receiver.table.removals_epoch
+                    )
+                    last = receiver.processed_epoch.get(node_id)
+                    if last == key:
+                        continue
+                    # the rest of _deliver_full_table, inlined with it
+                    if last is None:
+                        self._stored_in.setdefault(node_id, set()).add(target_id)
+                    receiver.processed_epoch[node_id] = key
+                    merge_at.append(receiver)
+                    delta = last is not None and last[1:] == key[1:]
+                    merge_since.append(last[0] if delta else -1)
+                if merge_at:
+                    frozen = self._freeze_quiet(frozen, upto, i, rows_l, n)
+                    upto = i + 1
+                    self._merge_live(sender, snap, merge_at, merge_since, now)
+                    merge_at.clear()
+                    merge_since.clear()
+                totals = (
+                    full_size * n_full, n_full, compact_size * n_comp, n_comp
                 )
-                last = receiver.processed_epoch.get(node_id)
-                if last == key:
-                    continue
-                # the rest of _deliver_full_table, inlined with it
-                if last is None:
-                    self._stored_in.setdefault(node_id, set()).add(target_id)
-                receiver.processed_epoch[node_id] = key
-                merge_at.append(receiver)
-                delta = last is not None and last[1:] == key[1:]
-                merge_since.append(last[0] if delta else -1)
-            if merge_at:
-                self._merge_live(sender, snap, merge_at, merge_since, now)
-                merge_at.clear()
-                merge_since.clear()
-                streak_senders = None
-            if snap is not None and streak_senders is not None:
-                # four fields flat, not a tuple a sender: an allocation
-                # a sender a round is what sets off the cyclic collector
-                add = streak_senders.append
-                add(node_id)
-                add(full_ids)
-                add(snap)
-                add(table._slots_vec)
-        if streak_senders is not None:
-            n = store.n_slots
-            self._streak = _Streak(
-                gen, order, tv,
-                (full_bytes, full_count, comp_bytes, comp_count),
-                avail[:n] < pos[store.owner_row[:n]],
-                streak_senders,
-            )
+                memos[row] = _Memo(
+                    node_id, holder_rows,
+                    None if snap is None else snap.records,
+                    0 if snap is None else snap.total_zones,
+                    None if snap is None else table.slot_vector(),
+                    totals,
+                )
+                self._has_memo[row] = True
+                for k in range(4):
+                    grand[k] += totals[k]
+                for holder_row in holder_rows:
+                    fed_by.setdefault(holder_row, set()).add(row)
+            # what this turn moved puts the later senders it feeds on the list
+            if len(mut_rows) > len(seen_mut) or len(rekeyed) > len(seen_rekeyed):
+                later = mut_rows - seen_mut
+                seen_mut |= later
+                for moved_row in rekeyed - seen_rekeyed:
+                    later.update(fed_by.get(moved_row, ()))
+                seen_rekeyed = set(rekeyed)
+                for q in later:
+                    p = pos_l[q]
+                    if i < p < n_order and q not in queued:
+                        queued.add(q)
+                        heapq.heappush(heap, p)
+        if not popped:
+            self.settled_rounds += 1
+        full_bytes, full_count, comp_bytes, comp_count = grand
         self.stats.record_bulk(
             MessageType.HEARTBEAT_FULL, full_bytes, full_count
         )
         self.stats.record_bulk(MessageType.HEARTBEAT, comp_bytes, comp_count)
+        # every quiet turn's stored copies are deferred: what they would
+        # have frozen, per slot, and which rows they belong to
+        if frozen is None:
+            frozen = store.eh[:n].copy()
+        else:
+            frozen = self._freeze_quiet(frozen, upto, n_order, rows_l, n)
+        self._seen = (frozen, turn, now)
+        pending = self._has_memo[: store.n_rows].copy()
+        pending[popped] = False
+        self._pending = pending
+        self.quiet_turns += int(np.count_nonzero(pending))
         store.end_exchange()
+
+    def _prescan(self, order: List[int]) -> Tuple:
+        """The round's masks, a pure function of the store's structural
+        state and the sender order: a settled CAN (no joins, versions,
+        suspects, or slot churn since last round) reuses last round's
+        wholesale — only freshness moved, and freshness is not an input."""
+        store = self.store
+        cache = self._prescan_cache
+        if (
+            cache is not None
+            and cache[0] == store.struct_gen
+            and cache[1] is order
+        ):
+            return cache[2:]
+        n = store.n_slots
+        nrows = store.n_rows
+        pos = np.full(nrows, _POS_MAX, dtype=np.int64)
+        if self._order_rows_for is not order:
+            row_of = store.row_of
+            self._order_rows = np.fromiter(
+                (row_of[nid] for nid in order),
+                dtype=np.int64,
+                count=len(order),
+            )
+            self._order_rows_for = order
+        pos[self._order_rows] = np.arange(len(order), dtype=np.int64)
+        active = store.active[:n]
+        owner = store.owner_row[:n]
+        subj = store.subj_row[:n]
+        rev = store.rev[:n]
+        edge_ver = store.edge_version[:n]
+        alive = store.alive[:nrows]
+        own_ver = store.own_version[:nrows]
+        subj_ok = subj >= 0
+        subj_idx = np.where(subj_ok, subj, 0)
+        live_edge = active & alive[owner] & subj_ok & alive[subj_idx]
+        # X: sender-side slots whose reverse belief is missing or
+        # version-stale — exactly the deliveries that can mutate the
+        # receiver's table.  Their senders run the full object path.
+        rev_idx = np.where(rev >= 0, rev, 0)
+        x_mask = live_edge & (
+            (rev < 0) | (edge_ver[rev_idx] < own_ver[owner])
+        )
+        suspect = np.zeros(nrows, dtype=bool)
+        if x_mask.any():
+            suspect[owner[x_mask]] = True
+        # every other delivery is a pure freshness advance: mutual,
+        # version-current edges between live endpoints whose
+        # subject's sends need no structural handling
+        adv = (
+            live_edge
+            & (rev >= 0)
+            & ~suspect[subj_idx]
+            & (edge_ver == own_ver[subj_idx])
+        )
+        avail = np.full(store.eh.shape[0], _POS_MAX, dtype=np.int64)
+        avail[:n] = np.where(adv, pos[subj_idx], _POS_MAX)
+        self._prescan_cache = (
+            store.struct_gen, order, pos, adv, avail,
+            # plain lists: the senders loop reads these once per sender,
+            # where a numpy scalar index costs several times a list one
+            suspect.tolist(), alive.tolist(),
+            # per slot: the subject's turn comes before the owner's
+            avail[:n] < pos[owner],
+            np.flatnonzero(suspect).tolist(),
+            pos.tolist(),
+            self._order_rows.tolist(),
+        )
+        return self._prescan_cache[2:]
 
     # -- the merge kernel -----------------------------------------------------
     def _merge_live(
@@ -1072,49 +1146,92 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         rest_j, rest_i = np.divmod(rest, width)
         return list(zip(rest_j.tolist(), rest_i.tolist()))
 
-    # -- the settled streak ---------------------------------------------------
-    def _settled_exchange(self, now: float, streak: _Streak) -> None:
-        """The exchange of a round the streak's first round already decided."""
-        store = self.store
-        _, _, pos, adv, avail, _, _ = self._prescan_cache
-        full_bytes, full_count, comp_bytes, comp_count = streak.totals
-        self.stats.record_bulk(MessageType.HEARTBEAT_FULL, full_bytes, full_count)
-        self.stats.record_bulk(MessageType.HEARTBEAT, comp_bytes, comp_count)
-        turn = streak.turn
-        # what _LazyHeard would have frozen per sender, for all of them
-        self._streak_seen = np.where(turn, now, store.eh[: turn.shape[0]])
-        store.begin_exchange(now, adv, pos, avail)
-        store.end_exchange()
-        self.settled_rounds += 1
+    # -- quiet turns ----------------------------------------------------------
+    def _freeze_quiet(
+        self,
+        frozen: Optional[np.ndarray],
+        lo: int,
+        hi: int,
+        rows_l: List[int],
+        n: int,
+    ) -> np.ndarray:
+        """Record, before a turn that writes freshness, what the quiet
+        senders at positions ``lo`` to ``hi - 1`` read at their turns: no
+        turn since the last such one wrote any, so that is ``eh`` now.  The
+        first time in a round, that holds for every position before it."""
+        eh = self.store.eh
+        if frozen is None:
+            return eh[:n].copy()
+        memos = self._memo
+        vecs = [
+            memo.vec
+            for memo in map(memos.__getitem__, rows_l[lo:hi])
+            if memo is not None and memo.vec is not None
+        ]
+        if vecs:
+            at = np.concatenate(vecs)
+            frozen[at] = eh[at]
+        return frozen
 
-    def _end_streak(self) -> None:
-        """Write the stored tables the settled rounds deferred; forget the streak.
-
-        A holder that departed, or whose copy of the sender was purged in
-        between (the sender left), gets nothing: a purged copy stays purged.
-        """
-        streak, seen = self._streak, self._streak_seen
-        self._streak = self._streak_seen = None
-        if seen is None:
+    def _flush(self, row: int) -> None:
+        """Write the stored copies the row's last quiet turn deferred."""
+        pending = self._pending
+        if pending is None or row >= len(pending) or not pending[row]:
             return
-        nodes = self.nodes
-        fields = iter(streak.senders)
-        for node_id, full_ids, snap, vec in zip(fields, fields, fields, fields):
-            records = snap.records
-            frozen = TableSnapshot(
-                records,
-                _LazyHeard(records, seen[vec], None, -1, 0.0),
-                snap.total_zones,
-            )
-            for holder_id in full_ids:
-                holder = nodes.get(holder_id)
-                if holder is not None and node_id in holder.processed_epoch:
-                    holder.stored_tables[node_id] = frozen
+        pending[row] = False
+        memo = self._memo[row]
+        records = memo.records
+        if records is None:
+            return
+        frozen, turn, now = self._seen
+        vec = memo.vec
+        copy = TableSnapshot(
+            records,
+            _LazyHeard(
+                records, np.where(turn[vec], now, frozen[vec]), None, -1, 0.0
+            ),
+            memo.total_zones,
+        )
+        nodes, node_of_row = self.nodes, self.store.node_of_row
+        for holder_row in memo.holder_rows:
+            holder = nodes.get(node_of_row[holder_row])
+            if holder is not None:
+                holder.stored_tables[memo.node_id] = copy
+
+    def _forget(self, row: int) -> None:
+        """Drop a row's memo (flush it first where its copies must land)."""
+        memo = self._memo[row]
+        if memo is None:
+            return
+        self._memo[row] = None
+        self._has_memo[row] = False
+        pending = self._pending
+        if pending is not None and row < len(pending):
+            pending[row] = False
+        grand = self._grand
+        for k, total in enumerate(memo.totals):
+            grand[k] -= total
+        fed_by = self._fed_by
+        for holder_row in memo.holder_rows:
+            fed_by[holder_row].discard(row)
+
+    def _end_quiet(self) -> None:
+        """Write every deferred copy and forget every memo: the inherited
+        exchange decides each turn itself, and every row is loud after it."""
+        store = self.store
+        if self._pending is not None:
+            for row in np.flatnonzero(self._pending).tolist():
+                self._flush(row)
+        for row in np.flatnonzero(self._has_memo).tolist():
+            self._forget(row)
+        store.mut_rows.update(range(store.n_rows))
 
     def _stored_copy(
         self, holder: ProtocolNode, subject_id: int
     ) -> Optional[TableSnapshot]:
-        self._end_streak()
+        row = self.store.row_of.get(subject_id)
+        if row is not None:
+            self._flush(row)
         return super()._stored_copy(holder, subject_id)
 
     # -- the detection kernel -------------------------------------------------
@@ -1161,8 +1278,8 @@ def protocol_class(network: Optional[NetworkModel]) -> type:
     """Which heartbeat implementation a run gets: the measured crossover.
 
     The array class iff the channel is the identity: its round is a few
-    kernels, a settled one has no loop over senders at all, and a turn's
-    full-table merges are one matrix, whatever the scheme.  Any loss,
+    kernels and a loop over only the senders whose inputs moved, and a
+    turn's full-table merges are one matrix, whatever the scheme.  Any loss,
     latency, partition or flap needs a verdict per delivery, which the
     inherited per-sender loop gives faster on dict-backed tables.  Numbers,
     and why no population threshold: DESIGN.md, "Object or array: the

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..can.heartbeat import HeartbeatScheme
 from ..workload.presets import WorkloadPreset
@@ -40,9 +40,6 @@ class MatchmakingConfig:
             raise ValueError("substrate must be a registered substrate name")
         if self.stopping_factor < 0:
             raise ValueError("stopping_factor must be non-negative")
-
-    def with_scheme(self, scheme: str) -> "MatchmakingConfig":
-        return replace(self, scheme=scheme)
 
 
 @dataclass(frozen=True)
@@ -90,6 +87,3 @@ class ChurnConfig:
     @property
     def dims(self) -> int:
         return 4 + 3 * self.gpu_slots + 1
-
-    def with_scheme(self, scheme: HeartbeatScheme) -> "ChurnConfig":
-        return replace(self, scheme=scheme)

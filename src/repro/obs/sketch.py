@@ -33,7 +33,7 @@ DEFAULT_K = 512
 
 
 class QuantileSketch:
-    """Mergeable streaming quantile/CDF estimator with bounded memory.
+    """Streaming quantile/CDF estimator with bounded memory.
 
     Values live in per-level buffers; level ``L`` items each stand for
     ``2**L`` original samples.  When a level fills to ``k`` items it is
@@ -89,25 +89,6 @@ class QuantileSketch:
         upper.extend(survivors)
         if len(upper) >= self.k:
             self._compact(level + 1)
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` into this sketch (for sharded/parallel sweeps)."""
-        for level, buf in enumerate(other._levels):
-            if not buf:
-                continue
-            while level >= len(self._levels):
-                self._levels.append([])
-                self._parity.append(False)
-            mine = self._levels[level]
-            mine.extend(buf)
-            while len(mine) >= self.k:
-                self._compact(level)
-                mine = self._levels[level]
-        self.n += other.n
-        self._sum += other._sum
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        return self
 
     # -- introspection -----------------------------------------------------------
     @property

@@ -37,9 +37,6 @@ class Counter:
     def total(self) -> float:
         return sum(self._counts.values())
 
-    def reset(self) -> None:
-        self._counts.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self._counts!r})"
 

@@ -35,8 +35,15 @@ op = st.tuples(
 )
 
 
-def run_engine(engine: str, scheme: HeartbeatScheme, ops):
-    space = ResourceSpace(gpu_slots=1)
+def run_engine(
+    engine: str,
+    scheme: HeartbeatScheme,
+    ops,
+    initial=INITIAL_NODES,
+    watch=None,
+    gpu_slots=1,
+):
+    space = ResourceSpace(gpu_slots=gpu_slots)
     overlay = CanOverlay(space)
     proto = ENGINE_CLASSES[engine](
         overlay, ProtocolConfig(scheme=scheme, period=60.0)
@@ -45,6 +52,8 @@ def run_engine(engine: str, scheme: HeartbeatScheme, ops):
         # tiny capacities so every example reallocates the store's arrays
         # (regression: closures must not hold pre-growth array objects)
         proto.store = EdgeStore(slot_capacity=4, row_capacity=4)
+    if watch is not None:
+        watch(proto)
     rng = np.random.default_rng(20110926)
     ids = itertools.count()
 
@@ -52,7 +61,7 @@ def run_engine(engine: str, scheme: HeartbeatScheme, ops):
         return space.clamp_point(rng.random(space.dims))
 
     proto.bootstrap(next(ids), coord())
-    for _ in range(INITIAL_NODES - 1):
+    for _ in range(initial - 1):
         proto.join(next(ids), coord(), now=0.0)
     now = 0.0
 
@@ -105,6 +114,12 @@ def fingerprint(proto, overlay):
             }
             for nid, node in proto.nodes.items()
         },
+        # what decides the next full-table delivery's merge: the sender's
+        # table epoch and the holder's version and removals at the last one
+        "processed": {
+            nid: dict(sorted(node.processed_epoch.items()))
+            for nid, node in proto.nodes.items()
+        },
         # the payload a take-over would absorb: what each holder stored of
         # each sender's full table, freshness as the sender last sent it
         "stored": {
@@ -144,3 +159,62 @@ def test_engines_equivalent_under_dense_vanilla_churn(ops):
     arr = fingerprint(*run_engine("array", HeartbeatScheme.VANILLA, ops))
     for key in obj:
         assert obj[key] == arr[key], f"{key} diverged between engines"
+
+
+def tally_quiet_turns(tally: list):
+    """A ``watch`` for :func:`run_engine`: append to ``tally`` the quiet
+    sender turns of every round that does not settle."""
+
+    def watch(proto):
+        run_round = proto.run_round
+
+        def counted(now):
+            settled, quiet = proto.settled_rounds, proto.quiet_turns
+            run_round(now)
+            if proto.settled_rounds == settled:
+                tally.append(proto.quiet_turns - quiet)
+
+        proto.run_round = counted
+
+    return watch
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    initial=st.integers(min_value=24, max_value=32),
+    crash=st.integers(min_value=0, max_value=2**31 - 1),
+    events=st.lists(
+        st.tuples(
+            st.sampled_from(["join", "fail", "leave"]),
+            st.integers(min_value=0, max_value=2**31 - 1),
+        ),
+        max_size=3,
+    ),
+    quiet=st.integers(min_value=0, max_value=2**31 - 1),
+    scheme=st.sampled_from(list(HeartbeatScheme)),
+)
+def test_engines_equivalent_with_quiet_senders_in_unquiet_rounds(
+    initial, crash, events, quiet, scheme
+):
+    """One join, crash or leave between quiet runs: the rounds after it have
+    a worklist, and every sender off it takes a quiet turn (bytes re-added,
+    its stored copies deferred).  Each example has a crash: a join's or a
+    leave's notify reaches nearly every table at this size, and a table
+    that changed is a loud turn, while a crash moves only the dead row, the
+    senders that deliver it a full table and those it was the take-over
+    target of, until it is detected."""
+    ops = [("quiet", quiet)]
+    for k, event in enumerate([("fail", crash), *events], 1):
+        ops += [event, ("quiet", quiet >> (2 * k))]
+    # five dimensions: sparse enough at this size that an event does not
+    # reach every sender through the full tables it moves
+    obj = fingerprint(*run_engine("object", scheme, ops, initial, gpu_slots=0))
+    tally = []
+    arr = fingerprint(
+        *run_engine(
+            "array", scheme, ops, initial, tally_quiet_turns(tally), gpu_slots=0
+        )
+    )
+    for key in obj:
+        assert obj[key] == arr[key], f"{key} diverged between engines"
+    assert sum(tally) > 0

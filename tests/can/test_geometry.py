@@ -124,21 +124,6 @@ class TestSplitMerge:
         with pytest.raises(ValueError):
             z.split(5, 0.5)
 
-    def test_merge_restores_split(self):
-        z = Zone([0, 1], [4, 3])
-        lo, hi = z.split(1, 2.0)
-        assert lo.merge(hi) == z
-        assert hi.merge(lo) == z
-
-    def test_merge_rejects_non_adjacent(self):
-        a = Zone([0, 0], [1, 1])
-        with pytest.raises(ValueError):
-            a.merge(Zone([2, 0], [3, 1]))
-        with pytest.raises(ValueError):
-            a.merge(Zone([1, 1], [2, 2]))  # differs along two axes
-        with pytest.raises(ValueError):
-            a.merge(Zone([0, 0], [1, 1]))  # identical
-
     def test_hash_eq(self):
         assert unit_zone() == unit_zone()
         assert hash(unit_zone()) == hash(unit_zone())
@@ -168,10 +153,9 @@ def test_split_preserves_containment(dim, at, point):
     dim=st.integers(0, 2),
     at=coords,
 )
-def test_split_merge_roundtrip(dim, at):
+def test_split_halves_abut_along_the_split_axis(dim, at):
     z = Zone([0.0] * 3, [1.0] * 3)
     lo, hi = z.split(dim, at)
-    assert lo.merge(hi) == z
     assert lo.abuts(hi)
     assert touch_dimension(lo, hi) == dim
 

@@ -289,7 +289,8 @@ def _rounds(proto, count, now=0.0):
 
 @pytest.mark.parametrize("scheme", list(HeartbeatScheme))
 class TestSettledStreak:
-    """The loop-free round runs when the CAN is quiet and stops when not."""
+    """A round with an empty worklist runs when the CAN is quiet, and stops
+    for one round when something moved."""
 
     def test_quiet_rounds_settle(self, scheme):
         proto, _ = _population("array", scheme)
@@ -305,12 +306,14 @@ class TestSettledStreak:
             lambda t: proto.graceful_leave(sorted(proto.overlay.alive_ids())[9], t),
         )
         for event in events:
-            assert proto._streak is not None
+            before = proto.settled_rounds
+            now = _rounds(proto, 1, now)
+            assert proto.settled_rounds == before + 1
             event(now + 1.0)
             before = proto.settled_rounds
             now = _rounds(proto, 1, now)
             assert proto.settled_rounds == before
-            # detection, take-over and repair drain, then streaks re-form
+            # detection, take-over and repair drain, then rounds settle again
             now = _rounds(proto, 8, now)
             assert proto.settled_rounds > before
 
@@ -320,8 +323,12 @@ class TestSettledStreak:
         assert proto.settled_rounds >= 5
         leaver = min(sid for sid, holders in proto._stored_in.items() if holders)
         proto.graceful_leave(leaver, now + 1.0)
-        _rounds(proto, 1, now)  # ends the streak: deferred copies get written
-        assert proto._streak_seen is None
+        _rounds(proto, 1, now)
+        # write every copy a quiet turn deferred
+        for holder in proto.nodes.values():
+            for sid in sorted(holder.stored_tables):
+                proto._stored_copy(holder, sid)
+        assert not proto._pending.any()
         assert not any(leaver in n.stored_tables for n in proto.nodes.values())
 
     def test_crash_after_streak_claimant_knows_what_object_class_knows(self, scheme):
@@ -369,6 +376,104 @@ class TestSettledStreak:
         assert traced.stats.bytes == plain.stats.bytes
         assert list(traced.broken_links.times) == list(plain.broken_links.times)
         assert list(traced.broken_links.values) == list(plain.broken_links.values)
+
+
+def _turn_inputs(proto):
+    """What each member's turn reads of itself — liveness, table epoch,
+    version, take-over set — and what a full table delivered *to* it is
+    keyed on: version, removals, liveness."""
+    overlay = proto.overlay
+    own, keyed = {}, {}
+    for nid, node in proto.nodes.items():
+        alive = overlay.is_alive(nid)
+        targets = overlay.takeover_targets(nid) if alive else set()
+        own[nid] = (alive, node.table.epoch, node.own_version, targets)
+        keyed[nid] = (alive, node.own_version, node.table.removals_epoch)
+    return own, keyed
+
+
+def _suspects(proto):
+    """Senders with a delivery that can change its receiver: a live
+    neighbour believed that lacks the sender's current record."""
+    alive = proto.overlay.is_alive
+    found = set()
+    for nid, node in proto.nodes.items():
+        if not alive(nid):
+            continue
+        for other in node.table.ids():
+            if other in proto.nodes and alive(other):
+                rec = proto.nodes[other].table.get(nid)
+                if rec is None or rec.version < node.own_version:
+                    found.add(nid)
+    return found
+
+
+@pytest.mark.parametrize("scheme", list(HeartbeatScheme))
+def test_the_round_after_a_join_loops_only_over_moved_senders(scheme):
+    """After one join at 64 nodes, the senders the next round takes loud
+    turns for are a subset of those whose inputs moved (theirs, or those of
+    a node they deliver a full table to) plus the prescan's suspects; every
+    other sender is quiet."""
+    proto, newcomer = _population("array", scheme)
+    now = _rounds(proto, 20)
+    settled = proto.settled_rounds
+    now = _rounds(proto, 1, now)
+    assert proto.settled_rounds == settled + 1
+    own_before, keyed_before = _turn_inputs(proto)
+    holders_before = {
+        sid: {nid for nid, n in proto.nodes.items() if sid in n.processed_epoch}
+        for sid in proto.nodes
+    }
+    proto.join(*newcomer(), now=now + 1.0)
+    suspects = _suspects(proto)
+    quiet = proto.quiet_turns
+    _rounds(proto, 1, now)
+    own_after, keyed_after = _turn_inputs(proto)
+    senders = [
+        nid for nid, n in proto.nodes.items()
+        if proto.overlay.is_alive(nid) and len(n.table)
+    ]
+    moved = {
+        nid
+        for nid in senders
+        if own_before.get(nid) != own_after[nid]
+        or any(
+            keyed_before.get(h) != keyed_after.get(h)
+            for h in holders_before.get(nid, set())
+            | {h for h, n in proto.nodes.items() if nid in n.processed_epoch}
+        )
+    }
+    # a quiet sender's holders are left with a deferred copy
+    row_of = proto.store.row_of
+    loud = {nid for nid in senders if not proto._pending[row_of[nid]]}
+    assert proto.quiet_turns - quiet == len(senders) - len(loud) > 0
+    assert loud <= moved | suspects
+    assert len(moved | suspects) < len(senders)
+
+
+@pytest.mark.parametrize("scheme", list(HeartbeatScheme))
+def test_a_holders_new_version_puts_its_senders_on_the_worklist(scheme):
+    """A full table delivered to a node whose version moved is re-merged,
+    as the object class does, even when nothing the sender reads of
+    itself moved.  The sender here takes its turn before the holder's, so
+    no heartbeat of the holder's reaches it first and makes it loud."""
+    merged = {}
+    for engine in ("object", "array"):
+        proto, _ = _population(engine, scheme)
+        now = _rounds(proto, 8)
+        sender, holder = min(
+            (sid, hid)
+            for hid, node in proto.nodes.items()
+            for sid in node.processed_epoch
+            if sid < hid
+        )
+        proto.nodes[holder].bump_version()
+        _rounds(proto, 1, now)
+        merged[engine] = {
+            nid: dict(node.processed_epoch) for nid, node in proto.nodes.items()
+        }
+        assert merged[engine][holder][sender][1] == proto.nodes[holder].own_version
+    assert merged["array"] == merged["object"]
 
 
 def test_a_tracer_selects_no_path():

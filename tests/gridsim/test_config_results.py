@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.can.stats import RateSummary
-from repro.gridsim.config import ChurnConfig, MatchmakingConfig
+from repro.gridsim.config import MatchmakingConfig
 from repro.gridsim.results import ChurnResult, MatchmakingResult
 from repro.sched.base import MatchmakingStats
 from repro.workload import PAPER_LOAD, SMALL_LOAD, TINY_LOAD, WorkloadPreset
@@ -38,21 +38,9 @@ class TestWorkloadPreset:
 
 
 class TestMatchmakingConfig:
-    def test_with_scheme(self):
-        cfg = MatchmakingConfig(TINY_LOAD).with_scheme("central")
-        assert cfg.scheme == "central"
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MatchmakingConfig(TINY_LOAD, stopping_factor=-1.0)
-
-
-class TestChurnConfigExtra:
-    def test_with_scheme(self):
-        from repro.can.heartbeat import HeartbeatScheme
-
-        cfg = ChurnConfig().with_scheme(HeartbeatScheme.COMPACT)
-        assert cfg.scheme is HeartbeatScheme.COMPACT
 
 
 def _mk_result(waits):

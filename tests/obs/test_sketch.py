@@ -162,22 +162,6 @@ class TestQuantileSketchMemory:
         assert a.quantile(0.9) == b.quantile(0.9)
 
 
-class TestQuantileSketchMerge:
-    def test_merge_matches_single_stream(self):
-        rng = np.random.default_rng(13)
-        data = rng.exponential(10.0, 60_000)
-        merged = QuantileSketch()
-        for shard in np.array_split(data, 6):
-            piece = QuantileSketch()
-            piece.extend(shard)
-            merged.merge(piece)
-        assert merged.n == data.size
-        assert merged.min == data.min() and merged.max == data.max()
-        exact = np.sort(data)
-        for q in (0.1, 0.5, 0.9, 0.99):
-            assert rank_error(exact, merged.quantile(q), q) <= 0.01
-
-
 class TestWindowedCounter:
     def test_sliding_window(self):
         wc = WindowedCounter(window=60.0, buckets=6)  # 10s buckets

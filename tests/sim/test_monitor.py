@@ -18,14 +18,11 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter().add("x", -1)
 
-    def test_total_and_reset(self):
+    def test_total(self):
         c = Counter()
         c.add("a", 1)
         c.add("b", 2)
         assert c.total() == 3
-        c.reset()
-        assert c.total() == 0
-        assert c.as_dict() == {}
 
 
 class TestTimeSeries:

@@ -46,13 +46,6 @@ _FRESHNESS = (
 )
 
 
-def _debt(tests: str) -> str:
-    return (
-        f"census debt: only {tests} call it, and deleting it deletes them; "
-        "ROADMAP item 10 deletes them together"
-    )
-
-
 #: (module path relative to ``src/repro``, qualified name) -> why it stays
 #: although no run reaches it
 ALLOWLIST: Dict[Tuple[str, str], str] = {
@@ -62,21 +55,6 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
     ("chord/range_query.py", "range_query"): _RANGE_QUERY,
     ("can/neighbor.py", "NeighborTable.last_heard"): _FRESHNESS,
     ("can/soa.py", "ArrayNeighborTable.last_heard"): _FRESHNESS,
-    ("can/geometry.py", "Zone.merge"): _debt(
-        "tests/can/test_geometry.py's two merge tests and its round trip"
-    ),
-    ("gridsim/config.py", "MatchmakingConfig.with_scheme"): _debt(
-        "tests/gridsim/test_config_results.py's test_with_scheme"
-    ),
-    ("gridsim/config.py", "ChurnConfig.with_scheme"): _debt(
-        "tests/gridsim/test_config_results.py's test_with_scheme"
-    ),
-    ("obs/sketch.py", "QuantileSketch.merge"): _debt(
-        "tests/obs/test_sketch.py's TestQuantileSketchMerge"
-    ),
-    ("sim/monitor.py", "Counter.reset"): _debt(
-        "tests/sim/test_monitor.py's test_total_and_reset"
-    ),
 }
 
 
