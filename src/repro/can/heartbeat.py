@@ -244,8 +244,8 @@ class HeartbeatProtocol(MaintenanceProtocol):
     def adopt_overlay(self, now: float = 0.0) -> None:
         """Warm-start protocol state for an overlay built outside it.
 
-        The grid simulations construct their CAN via
-        :func:`~repro.gridsim.simulation.build_grid` (no per-join message
+        The grid hosts construct their CAN via
+        :func:`~repro.gridsim.simulation.wire_grid` (no per-join message
         accounting wanted for the bootstrap).  Adoption creates a
         :class:`ProtocolNode` for every member and seeds each believed
         table with its ground-truth neighbors, all freshly heard at

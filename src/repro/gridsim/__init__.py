@@ -21,7 +21,7 @@ from .invariants import (
 from .metrics import cdf_at, empirical_cdf, wait_time_table
 from .recovery import PendingRecovery, RecoveryLoop, RecoveryTracker, RetryPolicy
 from .results import ChurnResult, MatchmakingResult
-from .simulation import GridSimulation, build_grid
+from .simulation import GridSimulation, wire_grid
 
 __all__ = [
     "ChurnSimulation",
@@ -51,5 +51,5 @@ __all__ = [
     "ChurnResult",
     "MatchmakingResult",
     "GridSimulation",
-    "build_grid",
+    "wire_grid",
 ]

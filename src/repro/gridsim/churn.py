@@ -56,7 +56,7 @@ class ChurnSimulation:
             network=config.plan.build_network(self.rngs),
             tracer=tracer,
         )
-        #: scripted bursts: scheduled once, before any process runs, so
+        #: scripted bursts: scheduled once, before any round or event, so
         #: their callbacks are part of the seeded run
         FaultInjector(self, config.plan).install()
         #: crash -> first-detection latency per detected crash
@@ -98,33 +98,41 @@ class ChurnSimulation:
             self.protocol.join(node_id, coord, now=0.0)
         self._population.update(0.0, float(len(self.overlay.alive_ids())))
 
-    def _round_process(self):
-        cfg = self.config
-        settle = WARMUP_ROUNDS
-        while self.env.now < cfg.duration:
-            yield self.env.timeout(cfg.heartbeat_period)
-            self.protocol.run_round(self.env.now)
-            if settle > 0:
-                settle -= 1
-                if settle == 0:
-                    # open the measurement window after the CAN has settled
-                    self.protocol.stats.reset_window(
-                        self.env.now, len(self.overlay.alive_ids())
-                    )
+    def start(self) -> None:
+        """Stage 2: schedule the heartbeat rounds and the churn events."""
+        self._settle = WARMUP_ROUNDS
+        self._next_round()
+        warmup_time = self.config.heartbeat_period * (WARMUP_ROUNDS + 1)
+        self.env.schedule_callback(warmup_time, self._next_event)
 
-    def _event_process(self):
+    def _next_round(self) -> None:
+        if self.env.now < self.config.duration:
+            self.env.schedule_callback(self.config.heartbeat_period, self._round)
+
+    def _round(self) -> None:
+        self.protocol.run_round(self.env.now)
+        if self._settle > 0:
+            self._settle -= 1
+            if self._settle == 0:
+                # open the measurement window after the CAN has settled
+                self.protocol.stats.reset_window(
+                    self.env.now, len(self.overlay.alive_ids())
+                )
+        self._next_round()
+
+    def _next_event(self) -> None:
         cfg = self.config
-        warmup_time = cfg.heartbeat_period * (WARMUP_ROUNDS + 1)
-        yield self.env.timeout(warmup_time)
-        while self.env.now < cfg.duration:
+        if self.env.now < cfg.duration:
             gap = float(self._event_rng.exponential(cfg.event_gap_mean))
-            # diurnal curve: scale the gap, never the draw — the RNG
-            # stream is identical with and without the modulation
+            # diurnal curve: scale the gap, never the draw — the RNG stream
+            # is identical with and without the modulation
             gap *= cfg.plan.gap_multiplier(self.env.now)
-            yield self.env.timeout(max(gap, 1e-6))
-            if self.env.now >= cfg.duration:
-                return
+            self.env.schedule_callback(max(gap, 1e-6), self._event)
+
+    def _event(self) -> None:
+        if self.env.now < self.config.duration:
             self._one_event()
+            self._next_event()
 
     def population_floor(self) -> int:
         """Neither background churn nor a burst shrinks the grid below this."""
@@ -208,8 +216,7 @@ class ChurnSimulation:
     # -- run ----------------------------------------------------------------------------
     def run(self) -> ChurnResult:
         self.bootstrap_population()
-        self.env.process(self._round_process(), name="heartbeat-rounds")
-        self.env.process(self._event_process(), name="churn-events")
+        self.start()
         self.env.run(until=self.config.duration + self.config.heartbeat_period)
         series = self.protocol.broken_links
         rates = self.protocol.stats.rates(self.env.now)

@@ -1,6 +1,6 @@
 """Deterministic fault injection and the adversarial scenario pack.
 
-The background churn processes model steady-state attrition (exponential
+The background churn chains model steady-state attrition (exponential
 gaps).  This module adds *scripted* adversity on top:
 
 * :class:`CrashBurst` — ``count`` nodes crash at simulated time ``at``;
@@ -10,7 +10,7 @@ gaps).  This module adds *scripted* adversity on top:
   because claimants and their stored tables die together.
 * :class:`JoinBurst` — a flash crowd: ``count`` nodes join at once.
 * :class:`DiurnalChurn` — a day/night curve modulating the background
-  churn process's event gaps (amplitude 0 leaves the process untouched).
+  churn's event gaps (amplitude 0 leaves the gaps untouched).
 * :class:`FaultPlan` — an immutable schedule of the above plus the
   run's channel, a :class:`repro.net.NetworkSpec` (loss, latency,
   asymmetric partitions, flapping links).

@@ -29,24 +29,27 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..can.heartbeat import HeartbeatScheme, ProtocolConfig
+from ..can.heartbeat import HeartbeatScheme
 from ..model.job import Job
-from ..overlay import MaintenanceProtocol, SubstrateError, get_substrate
 from ..model.node import GridNode
+from ..overlay import SubstrateError, get_substrate
 from ..workload.jobs import JobDistribution
 from ..workload.nodes import NodeDistribution, generate_node_specs
 from .config import MatchmakingConfig
 from .faults import FaultInjector, FaultPlan
 from .invariants import check_faulty_invariants, check_matchmaking_accounting
-from .recovery import RecoveryLoop, RetryPolicy
+from .recovery import RetryPolicy
 from .results import MatchmakingResult
-from .simulation import GridSimulation
+from .simulation import GridSimulation, wire_grid
 
 __all__ = ["FaultyGridConfig", "FaultyGridSimulation", "FaultyGridResult"]
+
+#: longest single wait of a churn chain (seconds)
+CHURN_CHECK_INTERVAL = 600.0
 
 
 @dataclass(frozen=True)
@@ -127,89 +130,72 @@ class FaultyGridSimulation(GridSimulation):
         job_dist: Optional[JobDistribution] = None,
         tracer=None,
     ):
-        super().__init__(config.matchmaking, node_dist, job_dist, tracer=tracer)
+        self._prepare(config.matchmaking, node_dist, job_dist, tracer)
         self.fault_config = config
-        self._node_dist = node_dist or NodeDistribution()
+        self._churn_counter = self.metrics.scope("grid").counter("churn")
+        # the protocol and the crash -> detect -> place-with-retry loop are
+        # the live service's; this class adds the hand-over and the counters
+        wire_grid(
+            self,
+            self.specs,
+            self.env,
+            config.matchmaking,
+            config.heartbeat_scheme,
+            retry=config.retry,
+            network=config.faults.build_network(self.rngs),
+            placed=self._job_recovered,
+            abandoned=self._job_abandoned,
+        )
+        for node in self.grid_nodes.values():
+            self._wire_node(node)
         self._next_node_id = itertools.count(
             max(self.grid_nodes) + 1 if self.grid_nodes else 0
         )
-        self._churn_counter = self.metrics.scope("grid").counter("churn")
-        #: the crash -> detect -> place-with-retry path (shared with the live
-        #: service); this class adds only the hand-over and the churn counter
-        self.recovery = RecoveryLoop(
-            self,
-            config.retry,
-            self.env,
-            placed=self._job_recovered,
-            abandoned=self._job_abandoned,
-            metrics=self.metrics,
-        )
-        self.tracker = self.recovery.tracker
-        substrate = get_substrate(config.matchmaking.substrate)
-        self.protocol: MaintenanceProtocol = substrate.make_protocol(
-            self.overlay,
-            ProtocolConfig(
-                scheme=config.heartbeat_scheme,
-                period=config.matchmaking.preset.heartbeat_period,
-            ),
-            network=config.faults.build_network(self.rngs),
-            tracer=tracer,
-            metrics=self.metrics,
-        )
-        # the grid bootstraps its CAN outside the protocol (no join
-        # message accounting wanted); adopt it in converged state
-        self.protocol.adopt_overlay(0.0)
-        self.protocol.on_failure_detected = self.recovery.detected
+        self._rounds = 0
         self._injector = FaultInjector(self, config.faults)
 
     # ------------------------------------------------------------------ churn --
-    def _churn_processes(self):
-        cfg = self.fault_config
-        fail_rng = self.rngs.stream("failures")
-        join_rng = self.rngs.stream("joins")
+    def _churn(
+        self,
+        rng: np.random.Generator,
+        mean_gap: float,
+        act: Callable[[np.random.Generator], None],
+    ) -> None:
+        """While work remains, draw a background failure or join gap on
+        ``rng``, wait it out, then ``act(rng)``."""
 
-        # Waits are chunked so the process notices promptly when the
-        # workload has drained and stops, instead of holding the clock
-        # hostage until a far-future churn event.
-        check_interval = 600.0
+        def draw() -> None:
+            if self._work_remaining():
+                gap = float(rng.exponential(mean_gap))
+                # diurnal curve: scale the gap, never the draw — the RNG
+                # streams are identical with and without the modulation
+                gap *= self.fault_config.faults.gap_multiplier(self.env.now)
+                wait(self.env.now + max(gap, 1e-6))
 
-        def wait(gap):
-            deadline = self.env.now + max(gap, 1e-6)
-            while self.env.now < deadline and self._work_remaining():
-                yield self.env.timeout(min(check_interval, deadline - self.env.now))
-            return self._work_remaining() and self.env.now >= deadline
+        def wait(deadline: float) -> None:
+            # Waits are chunked so the chain notices promptly when the
+            # workload has drained and stops, instead of holding the clock
+            # hostage until a far-future churn event.
+            now = self.env.now
+            if now < deadline and self._work_remaining():
+                self.env.schedule_callback(
+                    min(CHURN_CHECK_INTERVAL, deadline - now), lambda: wait(deadline)
+                )
+                return
+            if self._work_remaining() and now >= deadline:
+                act(rng)
+            draw()
 
-        # diurnal curve: scale the gap, never the draw — the RNG streams
-        # are identical with and without the modulation
-        gap_multiplier = cfg.faults.gap_multiplier
+        draw()
 
-        def failures():
-            while self._work_remaining():
-                gap = float(fail_rng.exponential(cfg.mean_time_between_failures))
-                fire = yield from wait(gap * gap_multiplier(self.env.now))
-                if fire:
-                    self._fail_random_node(fail_rng)
-
-        def joins():
-            while self._work_remaining():
-                gap = float(join_rng.exponential(cfg.mean_time_between_joins))
-                fire = yield from wait(gap * gap_multiplier(self.env.now))
-                if fire:
-                    self._join_from(join_rng)
-
-        return failures(), joins()
-
-    def _heartbeat_process(self):
+    def _heartbeat(self) -> None:
         """Tick heartbeat rounds next to the aggregation."""
-        period = self.config.preset.heartbeat_period
+        self.protocol.run_round(self.env.now)
+        self._rounds += 1
         every = self.fault_config.invariant_check_every
-        rounds = 0
-        while self._work_remaining():
-            yield self.env.timeout(period)
-            self.protocol.run_round(self.env.now)
-            rounds += 1
-            if every and rounds % every == 0:
-                check_faulty_invariants(self)
+        if every and self._rounds % every == 0:
+            check_faulty_invariants(self)
+        self._next_period(self._heartbeat)
 
     def population_floor(self) -> int:
         """Neither background churn nor a burst shrinks the grid below half
@@ -278,7 +264,7 @@ class FaultyGridSimulation(GridSimulation):
             return True
         # Recoveries still in flight — including jobs whose crash has not
         # been *detected* yet (they have no attempts on record; missing
-        # them let the aggregation/churn processes stop early and froze
+        # them let the aggregation/churn chains stop early and froze
         # the grid under the late resubmissions).
         return self.tracker.has_pending()
 
@@ -286,10 +272,15 @@ class FaultyGridSimulation(GridSimulation):
     def run(self) -> FaultyGridResult:  # type: ignore[override]
         cfg = self.fault_config
         self._injector.install()
-        self.env.process(self._heartbeat_process(), name="heartbeats")
-        fail_proc, join_proc = self._churn_processes()
-        self.env.process(fail_proc, name="failures")
-        self.env.process(join_proc, name="joins")
+        self._next_period(self._heartbeat)
+        self._churn(
+            self.rngs.stream("failures"),
+            cfg.mean_time_between_failures,
+            self._fail_random_node,
+        )
+        self._churn(
+            self.rngs.stream("joins"), cfg.mean_time_between_joins, self._join_from
+        )
         base = super().run()
         if cfg.invariant_check_every:
             check_faulty_invariants(self, final=True)

@@ -22,7 +22,7 @@ The policy and the tracker stay simulation-agnostic (unit-testable
 without an :class:`~repro.sim.core.Environment`).  The tracker is the
 authoritative answer to "is recovery work still pending?" —
 :meth:`FaultyGridSimulation._work_remaining` consults it, so the
-aggregation and churn processes keep running until every lost job is
+aggregation and churn chains keep running until every lost job is
 either resubmitted or abandoned (previously, jobs whose detection callback
 had not fired yet were invisible and the grid could freeze early).
 """

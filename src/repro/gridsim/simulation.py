@@ -12,97 +12,116 @@ start — the paper's Figure 5/6 metric.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
 from ..can.aggregation import AggregationEngine
+from ..can.heartbeat import HeartbeatScheme, ProtocolConfig
 from ..can.space import ResourceSpace
-from ..overlay import OverlaySubstrate, create_overlay
 from ..model.job import Job
 from ..model.node import GridNode, NodeSpec
-from ..sched.base import Matchmaker
-from ..sched.can_het import CanHetMatchmaker
+from ..net import NetworkModel
 from ..obs.registry import MetricsRegistry
+from ..overlay import create_overlay, get_substrate
+from ..sched.can_het import CanHetMatchmaker
 from ..sched.can_hom import CanHomMatchmaker
 from ..sched.central import CentralMatchmaker
+from ..sim.clock import Clock
 from ..sim.core import Environment
 from ..sim.rng import RngRegistry
 from ..workload.jobs import JobDistribution, generate_jobs
 from ..workload.nodes import NodeDistribution, generate_node_specs
 from .config import MatchmakingConfig
+from .recovery import RecoveryLoop, RetryPolicy
 from .results import MatchmakingResult
 
-__all__ = ["GridSimulation", "build_grid", "build_matchmaker"]
+__all__ = ["GridSimulation", "wire_grid"]
 
 #: aggregation rounds run before the first job arrives
 AGGREGATION_WARMUP_ROUNDS = 5
 
 
-def build_matchmaker(
+def wire_grid(
+    host: Any,
+    specs: List[NodeSpec],
+    clock: Clock,
     config: MatchmakingConfig,
-    overlay: OverlaySubstrate,
-    grid_nodes: Dict[int, GridNode],
-    aggregation: AggregationEngine,
-    rng: np.random.Generator,
-) -> Matchmaker:
-    """Construct the matchmaker ``config.scheme`` names.
+    heartbeat: Optional[HeartbeatScheme] = None,
+    *,
+    retry: Optional[RetryPolicy] = None,
+    network: Optional[NetworkModel] = None,
+    **edges: Callable,
+) -> None:
+    """Build ``host``'s grid on ``clock``, the one wiring every host shares.
 
-    Shared by the batch simulator and the live :mod:`repro.service`
-    gateway — both drive the same scheduler implementations; only the
-    clock differs.
+    The nodes of ``specs`` join ``config.substrate``'s overlay in order,
+    each at a random virtual coordinate (squeezed into a tiny band when the
+    virtual-dimension ablation is off); the aggregation engine and the
+    matchmaker ``config.scheme`` names follow.  Given a ``heartbeat``
+    scheme, the substrate's maintenance protocol (on ``network``, ideal
+    when None) adopts the overlay as converged, and its detections drive a
+    :class:`RecoveryLoop` under ``retry`` with the host's ``edges``
+    (``placed``, ``abandoned``, ...).
+
+    ``host`` supplies ``rngs``, ``space``, ``tracer`` and ``metrics`` and
+    gets ``overlay``, ``grid_nodes``, ``aggregation`` and ``matchmaker``,
+    plus ``recovery``, ``tracker`` and ``protocol`` with a heartbeat.  The
+    faulty grid and the live service differ after this call only in who
+    submits and in what a ledger edge is.
     """
+    space, rngs = host.space, host.rngs
+    virtual_rng = rngs.stream("virtual")
+    overlay = create_overlay(config.substrate, space)
+    grid_nodes = {}
+    for spec in specs:
+        virtual = float(virtual_rng.random())
+        if not config.use_virtual_dimension:
+            # Ablation: the virtual coordinate still must differ between
+            # nodes (the CAN cannot split otherwise) but is squeezed into a
+            # tiny band so it no longer spreads load.
+            virtual *= 1e-6
+        overlay.add_node(spec.node_id, space.node_coordinate(spec, virtual))
+        grid_nodes[spec.node_id] = GridNode(spec, clock)
+    aggregation = AggregationEngine(overlay, grid_nodes)
     if config.scheme == "central":
-        return CentralMatchmaker(grid_nodes)
-    if config.scheme == "can-het":
-        return CanHetMatchmaker(
+        matchmaker = CentralMatchmaker(grid_nodes)
+    elif config.scheme == "can-het":
+        matchmaker = CanHetMatchmaker(
             overlay,
             grid_nodes,
             aggregation,
-            rng,
+            rngs.stream("matchmaking"),
             stopping_factor=config.stopping_factor,
             use_acceptable_nodes=config.use_acceptable_nodes,
             use_dominant_ce=config.use_dominant_ce,
         )
-    return CanHomMatchmaker(
+    else:
+        matchmaker = CanHomMatchmaker(
+            overlay,
+            grid_nodes,
+            aggregation,
+            rngs.stream("matchmaking"),
+            stopping_factor=config.stopping_factor,
+        )
+    matchmaker.attach_tracer(host.tracer, lambda: clock.now)
+    host.overlay, host.grid_nodes = overlay, grid_nodes
+    host.aggregation, host.matchmaker = aggregation, matchmaker
+    if heartbeat is None:
+        return
+    host.recovery = RecoveryLoop(host, retry, clock, metrics=host.metrics, **edges)
+    host.tracker = host.recovery.tracker
+    host.protocol = get_substrate(config.substrate).make_protocol(
         overlay,
-        grid_nodes,
-        aggregation,
-        rng,
-        stopping_factor=config.stopping_factor,
+        ProtocolConfig(scheme=heartbeat, period=config.preset.heartbeat_period),
+        network=network,
+        tracer=host.tracer,
+        metrics=host.metrics,
     )
-
-
-def build_grid(
-    specs: List[NodeSpec],
-    env: Environment,
-    space: ResourceSpace,
-    rng: np.random.Generator,
-    config: MatchmakingConfig,
-    use_virtual_randomness: bool = True,
-) -> tuple:
-    """Construct GridNodes and the configured overlay from node specs.
-
-    Returns ``(overlay, grid_nodes)``.  Nodes join sequentially, each with a
-    random virtual coordinate (or a degenerate near-constant one when the
-    virtual-dimension ablation is off).  ``config.substrate`` picks the
-    overlay implementation; the matchmakers only touch the substrate
-    protocol surface, so they run unchanged on any of them.
-    """
-    overlay = create_overlay(config.substrate, space)
-    grid_nodes: Dict[int, GridNode] = {}
-    for spec in specs:
-        if use_virtual_randomness:
-            virtual = float(rng.random())
-        else:
-            # Ablation: the virtual coordinate still must differ between
-            # nodes (the CAN cannot split otherwise) but is squeezed into a
-            # tiny band so it no longer spreads load.
-            virtual = float(rng.random()) * 1e-6
-        coord = space.node_coordinate(spec, virtual)
-        overlay.add_node(spec.node_id, coord)
-        grid_nodes[spec.node_id] = GridNode(spec, env)
-    return overlay, grid_nodes
+    # the grid joined its overlay outside the protocol (no join message
+    # accounting wanted): the protocol adopts it in converged state
+    host.protocol.adopt_overlay(clock.now)
+    host.protocol.on_failure_detected = host.recovery.detected
 
 
 class GridSimulation:
@@ -115,6 +134,20 @@ class GridSimulation:
         job_dist: Optional[JobDistribution] = None,
         tracer=None,
     ):
+        self._prepare(config, node_dist, job_dist, tracer)
+        wire_grid(self, self.specs, self.env, config)
+        for node in self.grid_nodes.values():
+            self._wire_node(node)
+
+    def _prepare(
+        self,
+        config: MatchmakingConfig,
+        node_dist: Optional[NodeDistribution],
+        job_dist: Optional[JobDistribution],
+        tracer,
+    ) -> None:
+        """Everything but the grid: clock, streams, node specs, the job
+        stream and the job accounting."""
         self.config = config
         preset = config.preset
         self.rngs = RngRegistry(preset.seed)
@@ -122,17 +155,9 @@ class GridSimulation:
         self.env = Environment()
         self.metrics = MetricsRegistry()
         self.space = ResourceSpace(gpu_slots=preset.gpu_slots)
-
+        self._node_dist = node_dist or NodeDistribution()
         self.specs = generate_node_specs(
             preset.nodes, preset.gpu_slots, self.rngs.stream("nodes"), node_dist
-        )
-        self.overlay, self.grid_nodes = build_grid(
-            self.specs,
-            self.env,
-            self.space,
-            self.rngs.stream("virtual"),
-            config,
-            use_virtual_randomness=config.use_virtual_dimension,
         )
         jdist = (job_dist or JobDistribution()).with_constraint_ratio(
             preset.constraint_ratio
@@ -145,9 +170,6 @@ class GridSimulation:
             self.rngs.stream("jobs"),
             jdist,
         )
-        self.aggregation = AggregationEngine(self.overlay, self.grid_nodes)
-        self.matchmaker = self._build_matchmaker()
-        self.matchmaker.attach_tracer(tracer, lambda: self.env.now)
         self._submitted = 0
         #: jobs handed to a node and neither finished nor lost with it
         self._outstanding = 0
@@ -162,19 +184,8 @@ class GridSimulation:
         #: finished job, the only record under ``config.stream_waits``
         self._wait_sketch = grid_metrics.quantile_sketch("wait_time")
         self._turnaround_sketch = grid_metrics.quantile_sketch("turnaround")
-        for node in self.grid_nodes.values():
-            self._wire_node(node)
 
     # -- wiring ------------------------------------------------------------------
-    def _build_matchmaker(self) -> Matchmaker:
-        return build_matchmaker(
-            self.config,
-            self.overlay,
-            self.grid_nodes,
-            self.aggregation,
-            self.rngs.stream("matchmaking"),
-        )
-
     def _wire_node(self, node: GridNode) -> None:
         """Attach the job-lifecycle callbacks: span events + wait sketches."""
         node.on_job_started = self._on_job_started
@@ -205,37 +216,49 @@ class GridSimulation:
                 node=node.node_id,
             )
 
-    # -- processes ------------------------------------------------------------------
-    def _arrival_process(self):
-        for job in self.jobs:
-            delay = job.submit_time - self.env.now
+    # -- scheduled work ---------------------------------------------------------------
+    def _next_arrival(self) -> None:
+        """Submit every job due now, then wait for the next one."""
+        jobs = self.jobs
+        while self._submitted < len(jobs):
+            delay = jobs[self._submitted].submit_time - self.env.now
             if delay > 0:
-                yield self.env.timeout(delay)
-            self._submitted += 1
-            self._job_counter.add("submitted")
+                self.env.schedule_callback(delay, self._arrive)
+                return
+            self._submit()
+
+    def _arrive(self) -> None:
+        """The job waited for is due (``now`` is its submit time)."""
+        self._submit()
+        self._next_arrival()
+
+    def _submit(self) -> None:
+        job = self.jobs[self._submitted]
+        self._submitted += 1
+        self._job_counter.add("submitted")
+        if self.tracer is not None:
+            self.tracer.emit(self.env.now, "grid.job_submit", job=job.job_id)
+        node = self.matchmaker.place(job)
+        if node is None:
+            self.unplaced_ids.add(job.job_id)
+            self._job_counter.add("unplaced")
             if self.tracer is not None:
-                self.tracer.emit(self.env.now, "grid.job_submit", job=job.job_id)
-            node = self.matchmaker.place(job)
-            if node is None:
-                self.unplaced_ids.add(job.job_id)
-                self._job_counter.add("unplaced")
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        self.env.now, "grid.job_unplaced", job=job.job_id
-                    )
-            else:
-                self._hand_over(node, job)
+                self.tracer.emit(self.env.now, "grid.job_unplaced", job=job.job_id)
+        else:
+            self._hand_over(node, job)
 
     def _hand_over(self, node: GridNode, job: Job) -> None:
         self._outstanding += 1
         node.submit(job)
 
-    def _aggregation_process(self):
-        period = self.config.preset.heartbeat_period
-        self.aggregation.run_rounds(AGGREGATION_WARMUP_ROUNDS)
-        while self._work_remaining():
-            yield self.env.timeout(period)
-            self.aggregation.step()
+    def _aggregate(self) -> None:
+        self.aggregation.step()
+        self._next_period(self._aggregate)
+
+    def _next_period(self, fn: Callable[[], None]) -> None:
+        """Run ``fn`` a heartbeat period from now, if work remains now."""
+        if self._work_remaining():
+            self.env.schedule_callback(self.config.preset.heartbeat_period, fn)
 
     def _work_remaining(self) -> bool:
         return self._submitted < len(self.jobs) or self._outstanding > 0
@@ -243,9 +266,13 @@ class GridSimulation:
     # -- run ------------------------------------------------------------------------
     def run(self) -> MatchmakingResult:
         if self.config.scheme != "central":
-            self.env.process(self._aggregation_process(), name="aggregation")
-        self.env.process(self._arrival_process(), name="arrivals")
+            self.aggregation.run_rounds(AGGREGATION_WARMUP_ROUNDS)
+            self._next_period(self._aggregate)
+        self._next_arrival()
         self.env.run()
+        # a finished run holds no cycle through its nodes: freed by refcount
+        for node in self.grid_nodes.values():
+            node.on_job_started = node.on_job_finished = None
 
         # Under stream_waits the per-job arrays stay empty: the sketches
         # (filled as each job finished) are the only record, so result
@@ -261,7 +288,7 @@ class GridSimulation:
             elif job.run_node_id is not None:
                 lost += 1
             elif (
-                index < self._submitted  # arrivals process jobs in order
+                index < self._submitted  # jobs arrive in order
                 and job.job_id not in self.unplaced_ids
                 and job.job_id not in self.abandoned_ids
             ):

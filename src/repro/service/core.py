@@ -15,7 +15,7 @@ use; :class:`GridService` only changes three things:
   (status transitions are the single source of truth; the in-memory
   :class:`~repro.model.job.Job` objects are a cache of it);
 * submissions arrive one at a time through :meth:`submit` instead of a
-  pre-generated arrival process.
+  pre-generated arrival chain.
 
 Crash recovery is not re-implemented here: the service hosts the same
 :class:`~repro.gridsim.recovery.RecoveryLoop` the faulty-grid simulation
@@ -31,17 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..can.aggregation import AggregationEngine
-from ..can.heartbeat import HeartbeatScheme, ProtocolConfig
+from ..can.heartbeat import HeartbeatScheme
 from ..can.space import ResourceSpace
-from ..overlay import MaintenanceProtocol, get_substrate
 from ..gridsim.config import MatchmakingConfig
-from ..gridsim.recovery import RecoveryLoop, RetryPolicy
-from ..gridsim.simulation import (
-    AGGREGATION_WARMUP_ROUNDS,
-    build_grid,
-    build_matchmaker,
-)
+from ..gridsim.recovery import RetryPolicy
+from ..gridsim.simulation import AGGREGATION_WARMUP_ROUNDS, wire_grid
 from ..model.job import Job
 from ..model.node import GridNode
 from ..sim.clock import CallbackHandle, Clock
@@ -100,57 +94,28 @@ class GridService:
         preset = config.preset
         self.rngs = RngRegistry(preset.seed)
         self.space = ResourceSpace(gpu_slots=preset.gpu_slots)
-        mm_config = config.matchmaking()
-        self.overlay, self.grid_nodes = build_grid(
+        #: live Job objects for every non-terminal ledger row
+        self._jobs: Dict[int, Job] = {}
+        self._periodic: List[CallbackHandle] = []
+        # the faulty grid's wiring; the recovery loop's callbacks are this
+        # host's ledger edges
+        wire_grid(
+            self,
             generate_node_specs(
                 preset.nodes, preset.gpu_slots, self.rngs.stream("nodes")
             ),
             clock,
-            self.space,
-            self.rngs.stream("virtual"),
-            mm_config,
-        )
-        for node in self.grid_nodes.values():
-            node.on_job_started = self._on_job_started
-            node.on_job_finished = self._on_job_finished
-        self.aggregation = AggregationEngine(self.overlay, self.grid_nodes)
-        self.matchmaker = build_matchmaker(
-            mm_config,
-            self.overlay,
-            self.grid_nodes,
-            self.aggregation,
-            self.rngs.stream("matchmaking"),
-        )
-        self.matchmaker.attach_tracer(tracer, lambda: self.clock.now)
-        #: live Job objects for every non-terminal ledger row
-        self._jobs: Dict[int, Job] = {}
-        self._periodic: List[CallbackHandle] = []
-        #: the crash -> detect -> place-with-retry path, shared with
-        #: FaultyGridSimulation; the callbacks are this host's ledger edges
-        self.recovery = RecoveryLoop(
-            self,
-            config.retry,
-            clock,
+            config.matchmaking(),
+            config.heartbeat_scheme,
+            retry=config.retry,
             crashed=self._node_crashed,
             placed=self._job_placed,
             abandoned=self._job_abandoned,
             retrying=self._job_retrying,
-            metrics=metrics,
         )
-        self.tracker = self.recovery.tracker
-        self.protocol: MaintenanceProtocol = get_substrate(
-            config.substrate
-        ).make_protocol(
-            self.overlay,
-            ProtocolConfig(
-                scheme=config.heartbeat_scheme,
-                period=preset.heartbeat_period,
-            ),
-            tracer=tracer,
-            metrics=metrics,
-        )
-        self.protocol.adopt_overlay(self.clock.now)
-        self.protocol.on_failure_detected = self.recovery.detected
+        for node in self.grid_nodes.values():
+            node.on_job_started = self._on_job_started
+            node.on_job_finished = self._on_job_finished
         if metrics is not None:
             scope = metrics.scope("service")
             self._job_counter = scope.counter("jobs")

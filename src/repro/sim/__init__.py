@@ -1,13 +1,7 @@
 """Discrete-event simulation kernel (written from scratch) and the Clock seam."""
 
 from .clock import CallbackHandle, Clock
-from .core import (
-    Environment,
-    Event,
-    Process,
-    SimulationError,
-    Timeout,
-)
+from .core import Environment, SimulationError
 from .monitor import Counter, TimeSeries, TimeWeighted
 from .rng import RngRegistry
 
@@ -15,10 +9,7 @@ __all__ = [
     "CallbackHandle",
     "Clock",
     "Environment",
-    "Event",
-    "Process",
     "SimulationError",
-    "Timeout",
     "Counter",
     "TimeSeries",
     "TimeWeighted",

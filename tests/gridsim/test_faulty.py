@@ -36,21 +36,30 @@ def config(scheme="can-het", mtbf=600.0, mtbj=600.0, **kwargs):
     )
 
 
+@pytest.fixture(scope="module")
+def finished():
+    """One finished run of ``config()``, for the tests that only read it."""
+    sim = FaultyGridSimulation(config())
+    return sim, sim.run()
+
+
 class TestFaultyGrid:
     @pytest.mark.parametrize("scheme", ["can-het", "can-hom", "central"])
-    def test_smoke_all_schemes(self, scheme):
-        res = FaultyGridSimulation(config(scheme)).run()
+    def test_smoke_all_schemes(self, scheme, finished):
+        if scheme == "can-het":  # config()'s own: the shared run
+            _, res = finished
+        else:
+            res = FaultyGridSimulation(config(scheme)).run()
         assert res.failures > 0
         assert res.base.wait_times.size > 0
 
-    def test_lost_jobs_are_resubmitted(self):
-        res = FaultyGridSimulation(config()).run()
+    def test_lost_jobs_are_resubmitted(self, finished):
+        _, res = finished
         assert res.jobs_lost > 0
         assert res.jobs_resubmitted + res.jobs_abandoned == res.jobs_lost
 
-    def test_resubmitted_jobs_complete(self):
-        sim = FaultyGridSimulation(config())
-        res = sim.run()
+    def test_resubmitted_jobs_complete(self, finished):
+        sim, _ = finished
         incomplete = [
             j
             for j in sim.jobs
@@ -101,14 +110,13 @@ class TestFaultyGrid:
         assert res.jobs_lost == sum(e.fields["jobs_lost"] for e in crashes)
         assert res.jobs_lost > 0
 
-    def test_summary_merges_ledger(self):
-        s = FaultyGridSimulation(config()).run().summary()
+    def test_summary_merges_ledger(self, finished):
+        s = finished[1].summary()
         assert "jobs_lost" in s and "mean_wait" in s
         assert "detection_latency_mean" in s
 
-    def test_deterministic(self):
-        sims = [FaultyGridSimulation(config()) for _ in range(2)]
-        a, b = (s.run() for s in sims)
+    def test_deterministic(self, finished):
+        a, b = finished[1], FaultyGridSimulation(config()).run()
         assert a.summary() == b.summary()
         assert np.array_equal(a.detection_latencies, b.detection_latencies)
         assert np.array_equal(

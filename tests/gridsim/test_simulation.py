@@ -1,5 +1,8 @@
 """Integration tests for the end-to-end load-balancing simulation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,20 @@ class TestEndToEnd:
         a = run().summary()
         b = run(preset=TINY.with_seed(999)).summary()
         assert a != b
+
+    def test_a_finished_run_is_freed_by_refcount(self):
+        """run() leaves no cycle through the nodes' callbacks or the
+        matchmaker's clock: the last reference frees the simulation, without
+        waiting for a collection."""
+        sim = GridSimulation(MatchmakingConfig(TINY, scheme="can-het"))
+        gc.disable()
+        try:
+            sim.run()
+            finished = weakref.ref(sim)
+            del sim
+            assert finished() is None
+        finally:
+            gc.enable()
 
     def test_overlay_invariants_after_build(self):
         sim = GridSimulation(MatchmakingConfig(TINY, scheme="can-het"))

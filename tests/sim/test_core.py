@@ -107,19 +107,6 @@ class TestEventOrdering:
         assert fired == sorted(fired)
         assert env.now == max(delays)
 
-    def test_process_start_outranks_what_was_queued_first(self, env):
-        """The priority is part of the heap key, ahead of insertion order."""
-        order = []
-
-        def proc(env):
-            order.append("process")
-            yield env.timeout(0.0)
-
-        env.schedule_callback(0.0, lambda: order.append("callback"))
-        env.process(proc(env))
-        env.run()
-        assert order == ["process", "callback"]
-
     def test_deterministic_replay(self):
         def trace():
             env = Environment()
@@ -139,69 +126,50 @@ class TestEventOrdering:
         assert trace() == trace()
 
 
-class TestEvents:
-    def test_yield_already_processed_event(self, env):
-        ev = env.timeout(0.5, value="early")
-        got = []
+class TestProcesses:
+    """The generator driver: ``process`` runs on ``schedule_callback``."""
+
+    def test_process_runs_to_its_first_yield_at_once(self, env):
+        order = []
 
         def proc(env):
-            yield env.timeout(2.0)
-            got.append((yield ev))  # fired long ago
+            order.append("process")
+            yield env.timeout(0.0)
+            order.append("resumed")
 
+        env.schedule_callback(0.0, lambda: order.append("callback"))
         env.process(proc(env))
+        assert order == ["process"]
         env.run()
-        assert got == ["early"]
-
-
-class TestProcesses:
-    def test_return_value_becomes_event_value(self, env):
-        def child(env):
-            yield env.timeout(1.0)
-            return "result"
-
-        def parent(env):
-            value = yield env.process(child(env))
-            parent_got.append(value)
-
-        parent_got = []
-        env.process(parent(env))
-        env.run()
-        assert parent_got == ["result"]
+        assert order == ["process", "callback", "resumed"]
 
     def test_exception_in_process_stops_the_run(self, env):
         """What a generator raises leaves run() as the same object, at the
-        simulated time it happened, with everything later still queued —
-        it is not delivered to whoever waits on the process."""
-        boom = ValueError("child died")
-        resumed = []
+        simulated time it happened, with everything later still queued."""
+        boom = ValueError("process died")
 
-        def child(env):
+        def dying(env):
             yield env.timeout(1.0)
             raise boom
-
-        def parent(env):
-            yield env.process(child(env))
-            resumed.append(env.now)
 
         def bystander(env):
             yield env.timeout(5.0)
 
-        waiting = env.process(parent(env))
+        env.process(dying(env))
         env.process(bystander(env))
         with pytest.raises(ValueError) as raised:
             env.run(until=10.0)
         assert raised.value is boom
         assert env.now == 1.0
         assert env.peek() == 5.0
-        assert resumed == [] and waiting.callbacks is not None
 
     def test_non_event_yield_stops_the_run(self, env):
         def bad(env):
             yield env.timeout(2.0)
             yield 42
 
-        env.process(bad(env), name="bad")
-        with pytest.raises(SimulationError, match="'bad' yielded a non-event: 42"):
+        env.process(bad(env))
+        with pytest.raises(SimulationError, match="'bad' yielded a non-timeout: 42"):
             env.run()
         assert env.now == 2.0
 

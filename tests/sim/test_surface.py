@@ -18,14 +18,8 @@ REPO = Path(__file__).resolve().parents[2]
 SIM = REPO / "src" / "repro" / "sim"
 
 #: exports a caller holds without importing them, and the ``Environment``
-#: method it gets them from: what ``timeout`` / ``process`` return (and the
-#: base class ``yield`` accepts), and the error ``run`` raises on a misuse
-THROUGH_ENVIRONMENT = {
-    "Event": "timeout",
-    "Timeout": "timeout",
-    "Process": "process",
-    "SimulationError": "run",
-}
+#: method it gets them from: the error ``run`` raises on a misuse
+THROUGH_ENVIRONMENT = {"SimulationError": "run"}
 
 
 def modules(*roots: str, skip: tuple[Path, ...]):

@@ -86,8 +86,7 @@ class TestChurnIntegration:
             )
             sim = ChurnSimulation(cfg)
             sim.bootstrap_population()
-            sim.env.process(sim._round_process(), name="rounds")
-            sim.env.process(sim._event_process(), name="events")
+            sim.start()
             sim.env.run(until=cfg.duration)
             # quiet tail: ten more rounds with no churn at all
             t = sim.env.now
