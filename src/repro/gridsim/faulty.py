@@ -7,8 +7,7 @@ two — the regime a real desktop grid lives in:
 * nodes crash at a configurable rate; their running and queued jobs are
   lost, *detected*, and resubmitted through the matchmaker under a
   :class:`~repro.gridsim.recovery.RetryPolicy` (exponential backoff with
-  jitter, a per-job attempt budget, and a degraded expanding-ring search
-  while the aggregates are stale);
+  jitter and a per-job attempt budget);
 * fresh nodes join, extending the CAN and the eligible population;
 * the aggregation engine tracks the changing topology.
 

@@ -3,10 +3,7 @@
 Three pieces live here:
 
 * :class:`RetryPolicy` — the knobs of the resubmission loop: exponential
-  backoff with jitter, a per-job attempt budget, and the degradation
-  switch to an expanding-ring search when the aggregation snapshot is
-  stale (a placement "failure" right after a crash usually means the
-  aggregates have not caught up, not that no capable node exists).
+  backoff with jitter and a per-job attempt budget.
 * :class:`RecoveryTracker` — the ledger of in-flight recoveries: which
   jobs are awaiting failure *detection* (the heartbeat protocol has not
   yet noticed their node died), which are between placement attempts, and
@@ -37,7 +34,6 @@ import numpy as np
 from ..model.job import Job
 from ..model.node import GridNode
 from ..obs.registry import MetricsRegistry
-from ..sched.base import fastest_dominant_clock, ring_search
 from ..sim.clock import CallbackHandle, Clock
 
 __all__ = ["RetryPolicy", "PendingRecovery", "RecoveryTracker", "RecoveryLoop"]
@@ -58,12 +54,6 @@ class RetryPolicy:
     jitter: float = 0.1
     #: a job is abandoned after this many failed placement attempts
     max_attempts: int = 5
-    #: when a placement fails while the aggregation snapshot is stale,
-    #: degrade to an expanding-ring search over the ground-truth overlay
-    #: instead of waiting out a full backoff period
-    ring_fallback: bool = True
-    #: how many nodes that search may discover (:func:`ring_search`)
-    ring_budget: int = 128
 
     def __post_init__(self) -> None:
         if self.base_delay <= 0 or self.max_delay <= 0:
@@ -74,8 +64,6 @@ class RetryPolicy:
             raise ValueError("jitter must be in [0, 1)")
         if self.max_attempts < 1:
             raise ValueError("need at least one placement attempt")
-        if self.ring_budget < 1:
-            raise ValueError("ring_budget must be positive")
 
     def delay(self, attempt: int, rng: Optional[np.random.Generator] = None) -> float:
         """Backoff before retrying after failed attempt number ``attempt``."""
@@ -200,9 +188,8 @@ class RecoveryLoop:
     """Crash → detect → place-with-retry, for whichever host holds the grid.
 
     ``host`` supplies the ``retry`` stream of its ``rngs`` and the stack the
-    loop acts on — ``grid_nodes``, ``overlay``, ``protocol``,
-    ``matchmaker``, ``aggregation``, ``space``, ``tracer``,
-    ``config.scheme`` — read at call time, so a host may wrap or replace
+    loop acts on — ``grid_nodes``, ``protocol``, ``matchmaker``,
+    ``tracer`` — read at call time, so a host may wrap or replace
     them after construction.  A crash is detected one way: the host wires
     the protocol's ``on_failure_detected`` to :meth:`detected`, which fires
     when believers' heartbeat timeouts do (or, with no believer left, at
@@ -223,8 +210,7 @@ class RecoveryLoop:
     its :class:`PendingRecovery`) and one never yet placed (counted in
     ``_unplaced``): the budget is checked *before* each attempt, so a job
     gets exactly ``max_attempts`` failed placements before abandonment.
-    The ``retry`` stream is drawn in a fixed order — one coordinate per
-    degraded search, then one jitter per miss.
+    The ``retry`` stream gives one jitter per miss and nothing else.
     """
 
     def __init__(
@@ -320,11 +306,8 @@ class RecoveryLoop:
             return
         if lost:
             self._retrying(job, attempts)
-        node = None
-        if host.grid_nodes:  # a grid with no node left has no candidate
-            node = host.matchmaker.place(job)
-            if node is None:
-                node = self._degraded_search(job)
+        # a grid with no node left has no candidate
+        node = host.matchmaker.place(job) if host.grid_nodes else None
         if node is None:
             if not lost:
                 self._unplaced[job_id] = attempts
@@ -356,39 +339,3 @@ class RecoveryLoop:
             handle.cancel()
         if job_id in self.tracker.pending:
             self.tracker.job_abandoned(job_id)
-
-    def _degraded_search(self, job: Job) -> Optional[GridNode]:
-        """Expanding-ring rescue when a placement fails on stale aggregates.
-
-        Right after a crash the matchmaker's directional summaries still
-        describe the pre-crash topology (and are reset on the next
-        aggregation step), so "no candidate found" is weak evidence.  A
-        bounded ring search over the ground-truth overlay answers the real
-        question — does a live capable node exist near the job's
-        coordinate — at the cost the paper already budgets for rare
-        fallback sweeps.
-        """
-        host, policy = self.host, self.policy
-        if not policy.ring_fallback or host.config.scheme == "central":
-            return None
-        if not host.aggregation.is_stale():
-            return None
-        coord = host.space.job_coordinate(job, float(self.rng.random()))
-        origin = host.overlay.locate_owner(coord)
-        neighbors = host.overlay.neighbors
-        candidates = ring_search(
-            host.grid_nodes, origin, job,
-            lambda nid: sorted(neighbors(nid)), policy.ring_budget,
-        )
-        if not candidates:
-            return None
-        self._counter.add("ring_fallbacks")
-        chosen = fastest_dominant_clock(candidates, job)
-        self._emit(
-            self.clock.now,
-            "recovery.fallback",
-            job=job.job_id,
-            node=chosen.node_id,
-            candidates=len(candidates),
-        )
-        return chosen

@@ -35,7 +35,7 @@ class EV:
     ``hb.*``    heartbeat-engine observations (beliefs, detection, repair)
     ``mm.*``    matchmaker decisions
     ``grid.*``  grid-level churn consequences (crashes, lost/resubmitted jobs)
-    ``recovery.*``  failure-recovery milestones (detection, degraded search)
+    ``recovery.*``  failure-recovery milestones (detection)
     ``fault.*`` scripted fault injection (crash bursts, flash crowds)
     ``net.*``   network-channel verdicts (drops, late deliveries)
     ``service.*``  live-gateway lifecycle and ledger status transitions
@@ -81,7 +81,6 @@ class EV:
 
     # -- failure recovery (protocol-driven detection & resubmission)
     RECOVERY_DETECTED = "recovery.detected"  # node, latency, jobs
-    RECOVERY_FALLBACK = "recovery.fallback"  # job, node, candidates
     FAULT_BURST = "fault.burst"      # count, correlated, victims
     FAULT_FLASH_CROWD = "fault.flash_crowd"  # count
 

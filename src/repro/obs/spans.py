@@ -22,14 +22,13 @@ run        executing on the CE -> finish/lost            job
 crash      the hosting node dies (instant)               job
 detect     crash -> heartbeat protocol notices           job
 retry      detection -> resubmission decision            job
-ring       expanding-ring degraded search (instant)      retry/matchmake
 ========== ============================================= =================
 
 Span ids are deterministic — ``job<id>/<kind>#<seq>`` where ``seq`` is a
 per-job monotone counter — so two rebuilds of the same trace (or a live
 build and an offline one) agree byte-for-byte.  The *critical path* of a
 job is the time-ordered chain of the root's direct children: because
-nested detail (push hops, ring probes) hangs off deeper spans, the direct
+nested detail (push hops) hangs off deeper spans, the direct
 children partition the job's life into the segments the paper plots
 (matchmaking, queueing, execution, detection latency, retry backoff).
 """
@@ -58,7 +57,6 @@ SPAN_KINDS = (
     "crash",
     "detect",
     "retry",
-    "ring",
 )
 
 _KIND_ORDER = {kind: i for i, kind in enumerate(SPAN_KINDS)}
@@ -170,7 +168,6 @@ class SpanBuilder:
             EV.RECOVERY_DETECTED: self._on_detected,
             EV.GRID_JOB_RESUBMIT: self._on_resubmit,
             EV.GRID_JOB_ABANDONED: self._on_abandoned,
-            EV.RECOVERY_FALLBACK: self._on_fallback,
             EV.SERVICE_CANCEL: self._on_cancel,
             EV.SERVICE_JOB_STATUS: self._on_job_status,
         }
@@ -377,16 +374,6 @@ class SpanBuilder:
         state = self._state(t, fields["job"])
         self._terminal(state, t, "abandoned")
 
-    def _on_fallback(self, t: float, fields: Dict[str, Any]) -> None:
-        state = self._state(t, fields["job"])
-        if state.root.end is not None:
-            return
-        parent = state.matchmake or state.retry or state.root
-        attrs = {
-            k: fields[k] for k in ("node", "candidates") if k in fields
-        }
-        self._instant(state, "ring", t, parent, attrs)
-
     def _on_cancel(self, t: float, fields: Dict[str, Any]) -> None:
         state = self._state(t, fields["job"])
         self._terminal(state, t, "cancelled")
@@ -434,7 +421,7 @@ class SpanBuilder:
 
         Direct children of the root partition the job's wall-clock life
         (matchmaking, queueing, execution, detection, retry); nested
-        detail like push hops stays below them.  Instants (crash, ring)
+        detail like push hops stays below them.  Instants (crash)
         are included as zero-duration markers.
         """
         root = self.root(job)

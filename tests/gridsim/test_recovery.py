@@ -61,8 +61,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(ring_budget=0)
-        with pytest.raises(ValueError):
             RetryPolicy().delay(0)
 
 
@@ -164,7 +162,6 @@ class TestResubmissionTransitions:
             max_delay=10_000.0,
             jitter=0.0,
             max_attempts=3,
-            ring_fallback=False,
         )
         sim, res, attempt_times = self._run_with_unplaceable_retries(policy)
         assert res.jobs_lost > 0
@@ -185,7 +182,7 @@ class TestResubmissionTransitions:
         check_matchmaking_accounting(res.base)
 
     def test_abandoned_jobs_enter_the_result_buckets(self):
-        policy = RetryPolicy(jitter=0.0, max_attempts=2, ring_fallback=False)
+        policy = RetryPolicy(jitter=0.0, max_attempts=2)
         sim, res, _ = self._run_with_unplaceable_retries(policy)
         base = res.base
         assert base.abandoned_jobs == res.jobs_abandoned > 0

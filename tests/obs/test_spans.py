@@ -37,7 +37,6 @@ RECOVERY_PATH = [
     {"t": 160.0, "type": "recovery.detected", "node": 2, "latency": 120.0, "jobs": 1},
     {"t": 160.0, "type": "mm.push", "job": 7, "frm": 1, "to": 3, "dim": 0},
     {"t": 160.0, "type": "mm.unplaced", "job": 7, "hops": 1},
-    {"t": 161.0, "type": "recovery.fallback", "job": 7, "node": 9, "candidates": 2},
     # real emission order: place() succeeds (mm.placed) before the
     # grid.job_resubmit bookkeeping event fires
     {"t": 161.0, "type": "mm.placed", "job": 7, "node": 9, "hops": 0},
@@ -74,10 +73,10 @@ class TestHandBuiltStreams:
         assert detect.duration == pytest.approx(120.0)
         assert detect.attrs["latency"] == 120.0
         # both matchmake attempts after detection hang off the retry span
-        # (failed then successful), as does the expanding-ring probe
+        # (failed then successful)
         retry = next(s for s in b.spans if s.kind == "retry")
         child_kinds = sorted(s.kind for s in b.children(retry))
-        assert child_kinds == ["matchmake", "matchmake", "ring"]
+        assert child_kinds == ["matchmake", "matchmake"]
         run_spans = [s for s in b.spans if s.kind == "run"]
         assert [s.status for s in run_spans] == ["lost", "ok"]
 

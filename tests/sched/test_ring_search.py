@@ -1,13 +1,11 @@
-"""The one breadth-first candidate search, pinned on both adjacencies.
+"""The matchmaker's fallback sweep, pinned at three budgets.
 
-``ring_search`` serves two callers that used to carry a copy of the loop
-each: the matchmaker's fallback sweep (the ``+dim`` corridor, budget 256)
-and the recovery path's degraded-mode search (every zone adjacency,
-``RetryPolicy.ring_budget``, 128 by default).  The recovery goldens never
-reach the latter, so ``goldens/ring_search_candidates.json`` holds the
-candidate lists both original loops returned for 50 seeded (origin, job)
-pairs on a 200-node overlay with 20 dead nodes (every fifth origin dead),
-at three budgets each.  The folded function must return exactly those
+``CanMatchmaker._fallback`` floods the ``+dim`` corridor breadth-first
+from the owner of a job's coordinate, up to ``sched.base.FALLBACK_BUDGET``
+discovered ids.  ``goldens/ring_search_candidates.json`` holds the
+candidate lists the sweep handed to the scheme's selection for 50 seeded
+(origin, job) pairs on a 200-node overlay with 20 dead nodes (every fifth
+origin dead), at three budgets each.  The sweep must return exactly those
 lists, in order.  Regenerate only for a deliberate change to the search::
 
     PYTHONPATH=src:. python -m tests.sched.test_ring_search
@@ -24,7 +22,6 @@ from repro.can.aggregation import AggregationEngine
 from repro.can.overlay import CanOverlay
 from repro.can.space import ResourceSpace
 from repro.model.node import GridNode
-from repro.sched.base import ring_search
 from repro.sched.can_het import CanHetMatchmaker
 from repro.sim.core import Environment
 from repro.workload.jobs import generate_jobs
@@ -34,15 +31,8 @@ GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "goldens", "ring_search_candidates.json"
 )
 SEED, NODES, DEAD, PAIRS, GPU_SLOTS = 11, 200, 20, 50, 2
-#: golden key -> (adjacency, budget)
-SEARCHES = {
-    "ring_12": ("all", 12),
-    "ring_128": ("all", 128),
-    "ring_400": ("all", 400),
-    "outward_12": ("corridor", 12),
-    "outward_64": ("corridor", 64),
-    "outward_256": ("corridor", 256),
-}
+#: golden key -> budget
+SEARCHES = {"outward_12": 12, "outward_64": 64, "outward_256": 256}
 
 
 def build_world():
@@ -78,22 +68,30 @@ def build_world():
     return overlay, grid, mm, pairs
 
 
-def _adjacency(kind, overlay, mm):
-    if kind == "corridor":
-        return mm._corridor_ids
-    return lambda nid: sorted(overlay.neighbors(nid))
+def swept(mm, origin, job, budget, monkeypatch):
+    """The candidate ids ``mm._fallback`` sweeps up, in order, at ``budget``
+    (``None``: the module's own budget)."""
+    seen = []
+
+    def recording(capable, _job):
+        seen.extend(node.node_id for node in capable)
+        return None
+
+    with monkeypatch.context() as patch:
+        if budget is not None:
+            patch.setattr(sched_base, "FALLBACK_BUDGET", budget)
+        patch.setattr(mm, "_select_startable", recording)
+        mm._fallback(origin, job)
+    return seen
 
 
-def run_searches():
-    overlay, grid, mm, pairs = build_world()
+def run_searches(monkeypatch):
+    _overlay, _grid, mm, pairs = build_world()
     cases = []
     for origin, job in pairs:
         case = {"origin": origin}
-        for key, (kind, budget) in SEARCHES.items():
-            found = ring_search(
-                grid, origin, job, _adjacency(kind, overlay, mm), budget
-            )
-            case[key] = [node.node_id for node in found]
+        for key, budget in SEARCHES.items():
+            case[key] = swept(mm, origin, job, budget, monkeypatch)
         cases.append(case)
     return cases
 
@@ -104,13 +102,11 @@ def golden():
         return json.load(fh)
 
 
-def test_folded_search_returns_the_recorded_lists(golden):
-    got = run_searches()
+def test_folded_search_returns_the_recorded_lists(golden, monkeypatch):
+    got = run_searches(monkeypatch)
     assert len(got) == len(golden) == PAIRS
     for i, (have, want) in enumerate(zip(got, golden)):
-        assert have["origin"] == want["origin"], i
-        for key in SEARCHES:
-            assert have[key] == want[key], f"pair {i}: {key} drifted"
+        assert have == want, f"pair {i} drifted"
 
 
 def test_golden_exercises_dead_origins_and_both_budget_regimes(golden):
@@ -118,45 +114,32 @@ def test_golden_exercises_dead_origins_and_both_budget_regimes(golden):
     dead = overlay.dead_ids()
     assert sum(case["origin"] in dead for case in golden) >= PAIRS // 5
     # a budget cut short some sweeps and left others whole
-    assert any(c["ring_128"] != c["ring_400"] for c in golden)
     assert any(c["outward_64"] != c["outward_256"] for c in golden)
     assert any(c["outward_64"] == c["outward_256"] != [] for c in golden)
-    # and the all-adjacency sweep at the recovery default came back empty
-    assert any(c["ring_128"] == [] for c in golden)
 
 
-def test_budget_counts_discovered_nodes():
+def test_budget_counts_discovered_nodes(monkeypatch):
     """A budget of 1 examines only the origin: its expansion alone
     discovers past the budget, whatever it queued."""
-    overlay, grid, mm, pairs = build_world()
+    _overlay, grid, mm, pairs = build_world()
     for origin, job in pairs:
         node = grid[origin]
-        want = [node] if node.alive and node.capable(job) else []
-        for kind in ("all", "corridor"):
-            assert ring_search(
-                grid, origin, job, _adjacency(kind, overlay, mm), 1
-            ) == want
+        want = [origin] if node.alive and node.capable(job) else []
+        assert swept(mm, origin, job, 1, monkeypatch) == want
 
 
 def test_matchmaker_fallback_sweeps_the_corridor_at_256(golden, monkeypatch):
     _overlay, _grid, mm, pairs = build_world()
-    seen = []
-
-    def recording(grid_nodes, origin_id, job, adjacent, budget):
-        found = ring_search(grid_nodes, origin_id, job, adjacent, budget)
-        seen.append([node.node_id for node in found])
-        return found
-
-    monkeypatch.setattr(sched_base, "ring_search", recording)
-    for origin, job in pairs:
-        mm._fallback(origin, job)
-    assert seen == [case["outward_256"] for case in golden]
+    got = [swept(mm, origin, job, None, monkeypatch) for origin, job in pairs]
+    assert got == [case["outward_256"] for case in golden]
     assert mm.stats.fallback_searches == PAIRS
 
 
 if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        cases = run_searches(monkeypatch)
     with open(GOLDEN_PATH, "w") as fh:
         fh.write("[\n")
-        fh.write(",\n".join(json.dumps(case) for case in run_searches()))
+        fh.write(",\n".join(json.dumps(case) for case in cases))
         fh.write("\n]\n")
     print(f"wrote {GOLDEN_PATH}")

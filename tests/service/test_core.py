@@ -244,35 +244,21 @@ class TestNodeCrash:
         )
         lost = service.fail_node(victim.node_id)
         assert lost
-        # the detection attempt of one lost job and its first retry miss.
-        # Heartbeat timeouts fire after the aggregates stepped past the
-        # crash, so a second crash 1 s after the first miss makes them stale
-        # when the retry fires, and the loop's ring search takes over
+        # the detection attempt of one lost job misses: it backs off and its
+        # retry, within the horizon, resubmits it
         real_place, missed = service.matchmaker.place, []
 
         def flaky_place(job):
-            if job.job_id in lost and missed in ([], [job.job_id]):
-                if not missed:
-                    clock.schedule_callback(1.0, crash_an_idle_node)
+            if job.job_id in lost and not missed:
                 missed.append(job.job_id)
                 return None
             return real_place(job)
 
-        def crash_an_idle_node():
-            idle = min(
-                n.node_id
-                for n in service.grid_nodes.values()
-                if not n.queued_jobs() + n.running_jobs()
-            )
-            assert not service.fail_node(idle)
-
         service.matchmaker.place = flaky_place
         env.run(until=env.now + 5 * TINY_LOAD.heartbeat_period)
-        assert len(missed) == 2
+        assert len(missed) == 1
         snapshot = metrics.snapshot(now=clock.now)
-        assert snapshot["recovery.events"]["counts"] == {
-            "detections": 1, "ring_fallbacks": 1,
-        }
+        assert snapshot["recovery.events"]["counts"] == {"detections": 1}
         assert snapshot["recovery.detection_latency"]["count"] == 1
         assert snapshot["recovery.resubmission_latency"]["count"] == len(lost)
 

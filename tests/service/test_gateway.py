@@ -210,7 +210,6 @@ class TestEndToEnd:
         assert lost, "no running job was found to crash"
         monitors = payload["monitors"]
         assert monitors["recovery.events"]["counts"]["detections"] >= 1
-        # the counter ring_fallbacks is counted on (zero or more in this run)
         assert monitors["recovery.events"]["kind"] == "counter"
         assert monitors["recovery.detection_latency"]["count"] >= 1
         resolved = monitors["recovery.resubmission_latency"]["count"]
