@@ -8,6 +8,7 @@ from repro.can.overlay import CanOverlay
 from repro.can.space import ResourceSpace
 from repro.model.node import GridNode
 from repro.sim.core import Environment
+from repro.workload.nodes import generate_node_specs
 
 from tests.conftest import cpu_job, make_cpu, make_node_spec
 
@@ -87,6 +88,47 @@ class TestAggregationEngine:
         engine.run_rounds(3)
         ai = engine.advertised(99, 0)
         assert ai[IDX["num_nodes"]] >= 1.0
+
+    def test_a_crash_leaves_far_rows_alone(self):
+        """A crash at the high end of a 200-node grid: after the next step a
+        node at the low end, none of whose neighbors died, advertises what
+        it would have without the crash, on every dimension."""
+
+        def converged():
+            rng = np.random.default_rng(5)
+            space = ResourceSpace(gpu_slots=1)
+            overlay = CanOverlay(space)
+            env = Environment()
+            grid = {}
+            for spec in generate_node_specs(200, 1, rng):
+                overlay.add_node(
+                    spec.node_id, space.node_coordinate(spec, float(rng.random()))
+                )
+                grid[spec.node_id] = GridNode(spec, env)
+            for node_id in range(0, 200, 3):
+                grid[node_id].submit(cpu_job(duration=1e6))
+            engine = AggregationEngine(overlay, grid)
+            engine.run_rounds(8)
+            return overlay, grid, engine
+
+        overlay, grid, engine = converged()
+        _, _, untouched = converged()
+        by_corner = sorted(grid, key=lambda nid: sum(overlay.coordinate(nid)))
+        victim = by_corner[-1]
+        far = next(
+            nid for nid in by_corner if victim not in overlay.neighbors(nid)
+        )
+        overlay.fail(victim)
+        grid.pop(victim).fail()
+        engine.step()
+        untouched.step()
+        dims = range(overlay.space.dims)
+        for d in dims:
+            assert np.array_equal(
+                engine.advertised(far, d), untouched.advertised(far, d)
+            )
+        # and what it advertises is more than its own record
+        assert max(engine.field(far, d, "num_nodes") for d in dims) > 2.0
 
     def test_unknown_node_raises(self):
         overlay, grid, _ = line_overlay(2)

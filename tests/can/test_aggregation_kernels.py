@@ -2,7 +2,9 @@
 
 ``ReferenceEngine`` keeps the previous implementation — one ``np.add.at``
 scatter per dimension over per-dimension edge lists, and every node's own
-record rebuilt from its ``GridNode`` on every step.  The production engine
+record rebuilt from its ``GridNode`` on every step — with the engine's
+topology rule: surviving nodes keep their rows, a newcomer's starts from
+its own record.  The production engine
 must match it bit for bit (``np.array_equal``, never ``allclose``) after
 any schedule of load changes and topology changes, while recomputing only
 the own-load rows whose node changed.
@@ -34,12 +36,14 @@ class ReferenceEngine:
         self.space = overlay.space
         self.grid_nodes = grid_nodes
         self.version = -1
+        self.ids = []
         self.ai = None
 
     def _ensure_topology(self):
         if self.version == self.overlay.topology_version:
             return
         self.version = self.overlay.topology_version
+        row_of = {nid: i for i, nid in enumerate(self.ids)}
         self.ids = sorted(self.overlay.alive_ids())
         index = {nid: i for i, nid in enumerate(self.ids)}
         n = len(self.ids)
@@ -58,10 +62,12 @@ class ReferenceEngine:
             self.csr.append(
                 (np.asarray(flat, np.int64), np.asarray(rows, np.int64), counts)
             )
-        seeded = self.ai is not None
-        self.ai = np.zeros((self.space.dims, n, NF))
-        if not seeded:
-            self.ai[:] = self.own_records()
+        # survivors keep their rows, newcomers start from their own record
+        ai = self.own_records()
+        for i, nid in enumerate(self.ids):
+            if nid in row_of:
+                ai[:, i] = self.ai[:, row_of[nid]]
+        self.ai = ai
 
     def own_records(self):
         n = len(self.ids)
@@ -181,8 +187,10 @@ class World:
         self.env.run(until=self.env.now + 1 + r % 600)
 
     def probe(self, r):
-        """A matchmaker's read between steps (re-indexes after churn)."""
+        """A matchmaker's read between steps (re-indexes after churn, so a
+        newcomer's row is its own record as of now, on both engines)."""
         self.engine.advertised(self._pick(r).node_id, r % self.space.dims)
+        self.reference._ensure_topology()
 
     def step_and_compare(self):
         self.engine.step()

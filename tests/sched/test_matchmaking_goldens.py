@@ -141,7 +141,7 @@ def test_matchmaking_fingerprint_matches_golden(name):
 
 def test_recovery_case_ignores_the_hash_seed():
     """The recovery loop walks ``tracker.pending`` (a dict) when a detection
-    releases a node's jobs, and the case takes 25 fallback searches and 32
+    releases a node's jobs, and the case takes 26 fallback searches and 31
     resubmissions: it must reproduce the golden in fresh interpreters under
     three hash seeds."""
     import subprocess
