@@ -197,7 +197,8 @@ class TestKillDashNine:
         assert sum(counts.values()) == len(ids)
         assert in_flight > 0, "kill landed after the workload drained"
 
-        proc, url = spawn_server(db, free_port())
+        # the restart drains the orphans on the in-process test's dilation
+        proc, url = spawn_server(db, free_port(), dilation=DILATION)
         try:
             client = ServiceClient(url, timeout=30.0)
             views = client.wait(ids, timeout=90.0)
