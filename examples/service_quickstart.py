@@ -52,7 +52,7 @@ def drive(client: ServiceClient) -> None:
           f"{summary['wall_seconds']:.1f}s wall: {summary['terminal']}")
 
     # chaos: crash whichever node is running jobs; the heartbeat protocol
-    # detects it and the retry policy re-places the lost work
+    # detects it and the recovery loop re-places the lost work
     ids = [client.submit(job) for job in jobs[:10]]
     for view in map(client.status, ids):
         if view.status is JobStatus.RUNNING and view.node_id is not None:

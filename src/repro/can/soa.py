@@ -762,8 +762,8 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
     # -- the exchange kernel --------------------------------------------------
     def _exchange_heartbeats(self, now: float) -> None:
         if not self.net.is_identity:
-            # per-delivery channel verdicts (loss draws, partition/flap
-            # checks, latency): the inherited object path runs exactly on
+            # per-delivery channel verdicts (loss draws, flap checks,
+            # latency): the inherited object path runs exactly on
             # array-backed tables, so both engines share one RNG stream
             self._end_quiet()  # the channel changed under the memos
             return super()._exchange_heartbeats(now)
@@ -1280,7 +1280,7 @@ def protocol_class(network: Optional[NetworkModel]) -> type:
     The array class iff the channel is the identity: its round is a few
     kernels and a loop over only the senders whose inputs moved, and a
     turn's full-table merges are one matrix, whatever the scheme.  Any loss,
-    latency, partition or flap needs a verdict per delivery, which the
+    latency or flap needs a verdict per delivery, which the
     inherited per-sender loop gives faster on dict-backed tables.  Numbers,
     and why no population threshold: DESIGN.md, "Object or array: the
     crossover".

@@ -19,7 +19,7 @@ from .invariants import (
     check_matchmaking_accounting,
 )
 from .metrics import cdf_at, empirical_cdf, wait_time_table
-from .recovery import PendingRecovery, RecoveryLoop, RecoveryTracker, RetryPolicy
+from .recovery import PendingRecovery, RecoveryLoop, RecoveryTracker
 from .results import ChurnResult, MatchmakingResult
 from .simulation import GridSimulation, wire_grid
 
@@ -44,7 +44,6 @@ __all__ = [
     "PendingRecovery",
     "RecoveryLoop",
     "RecoveryTracker",
-    "RetryPolicy",
     "cdf_at",
     "empirical_cdf",
     "wait_time_table",

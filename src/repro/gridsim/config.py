@@ -25,10 +25,6 @@ class MatchmakingConfig:
     use_acceptable_nodes: bool = True
     use_dominant_ce: bool = True
     use_virtual_dimension: bool = True
-    #: stream wait/turnaround samples into constant-memory quantile
-    #: sketches instead of per-job arrays (million-job workloads); the
-    #: default keeps the exact arrays so seeded goldens stay byte-identical
-    stream_waits: bool = False
     #: overlay substrate backing the matchmakers ("can", "chord", or any
     #: :func:`repro.overlay.register_substrate` name); "central" ignores it
     substrate: str = "can"
@@ -65,7 +61,7 @@ class ChurnConfig:
     #: corruption at the event that introduced it instead of at the end
     invariant_check_every: int = 0
     #: scripted adversity (crash/join bursts, diurnal curve) and the run's
-    #: channel (``plan.network``: loss, latency, partitions, flaps); the
+    #: channel (``plan.network``: loss, latency, flaps); the
     #: default plan is the ideal channel and changes nothing
     plan: FaultPlan = FaultPlan()
 

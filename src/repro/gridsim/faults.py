@@ -13,7 +13,7 @@ gaps).  This module adds *scripted* adversity on top:
   churn's event gaps (amplitude 0 leaves the gaps untouched).
 * :class:`FaultPlan` — an immutable schedule of the above plus the
   run's channel, a :class:`repro.net.NetworkSpec` (loss, latency,
-  asymmetric partitions, flapping links).
+  flapping links).
 * :class:`FaultInjector` — fires a plan's bursts inside a running
   :class:`~repro.gridsim.faulty.FaultyGridSimulation` or
   :class:`~repro.gridsim.churn.ChurnSimulation`.
@@ -86,7 +86,7 @@ class DiurnalChurn:
     """Day/night modulation of the background churn rate.
 
     The instantaneous churn rate is scaled by
-    ``1 + amplitude * sin(2*pi * (now - phase) / period)`` — event gaps
+    ``1 + amplitude * sin(2*pi * now / period)`` — event gaps
     are *divided* by that factor, so peaks churn faster and troughs
     slower while the mean stays near the configured gap.  ``amplitude``
     must stay below 1 (the rate never goes negative); 0 is the identity.
@@ -94,7 +94,6 @@ class DiurnalChurn:
 
     period: float
     amplitude: float
-    phase: float = 0.0
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -106,7 +105,7 @@ class DiurnalChurn:
         if self.amplitude == 0.0:
             return 1.0
         rate = 1.0 + self.amplitude * math.sin(
-            2.0 * math.pi * (now - self.phase) / self.period
+            2.0 * math.pi * now / self.period
         )
         return 1.0 / rate
 
@@ -121,7 +120,7 @@ class FaultPlan:
     #: day/night curve over the background churn gaps of either simulation
     diurnal: Optional[DiurnalChurn] = None
     #: the channel every unreliable send traverses (loss, latency,
-    #: partitions, flaps); None is the ideal channel
+    #: flaps); None is the ideal channel
     network: Optional[NetworkSpec] = None
 
     def __post_init__(self) -> None:

@@ -5,9 +5,9 @@ failure resilience (Figures 7/8) with no workload.  This module composes the
 two — the regime a real desktop grid lives in:
 
 * nodes crash at a configurable rate; their running and queued jobs are
-  lost, *detected*, and resubmitted through the matchmaker under a
-  :class:`~repro.gridsim.recovery.RetryPolicy` (exponential backoff with
-  jitter and a per-job attempt budget);
+  lost, *detected*, and resubmitted through the matchmaker with
+  exponential backoff, jitter and a per-job attempt budget (the constants
+  of :mod:`repro.gridsim.recovery`);
 * fresh nodes join, extending the CAN and the eligible population;
 * the aggregation engine tracks the changing topology.
 
@@ -41,7 +41,6 @@ from ..workload.nodes import NodeDistribution, generate_node_specs
 from .config import MatchmakingConfig
 from .faults import FaultInjector, FaultPlan
 from .invariants import check_faulty_invariants, check_matchmaking_accounting
-from .recovery import RetryPolicy
 from .results import MatchmakingResult
 from .simulation import GridSimulation, wire_grid
 
@@ -63,8 +62,6 @@ class FaultyGridConfig:
     mean_time_between_joins: float = 300.0
     #: which heartbeat scheme maintains beliefs
     heartbeat_scheme: HeartbeatScheme = HeartbeatScheme.VANILLA
-    #: resubmission backoff/budget policy
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: scripted crash/join bursts and the heartbeat channel (``faults.network``)
     faults: FaultPlan = field(default_factory=FaultPlan)
     #: audit the simulation every N heartbeat rounds and once after the
@@ -140,7 +137,6 @@ class FaultyGridSimulation(GridSimulation):
             self.env,
             config.matchmaking,
             config.heartbeat_scheme,
-            retry=config.retry,
             network=config.faults.build_network(self.rngs),
             placed=self._job_recovered,
             abandoned=self._job_abandoned,

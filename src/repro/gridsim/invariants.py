@@ -69,8 +69,6 @@ def _job_on_node(node, job) -> bool:
 
 def check_matchmaking_accounting(result) -> None:
     """placed + unplaced + lost + abandoned == submitted."""
-    # ``started`` reads the exact array, or the streaming sketch count
-    # under stream_waits — the identity holds in both record modes
     placed = int(result.started)
     total = (
         placed
@@ -248,7 +246,7 @@ def _check_job_states(sim, final: bool) -> None:
 def _check_network(protocol) -> None:
     """Channel accounting: every attempted send delivered xor dropped.
 
-    Holds mid-flight under any scenario (loss, partitions, flap storms):
+    Holds mid-flight under any scenario (loss, latency, flap storms):
     the network model has two entry points (``transmit``, and
     ``transmit_many`` for a sender's turn or a fan-out at once) with one
     verdict order, and both have counted every verdict by the time they

@@ -1,9 +1,11 @@
-"""The crash-recovery path, written once: policy, ledger, and the loop itself.
+"""The crash-recovery path, written once: backoff, ledger, and the loop itself.
 
 Three pieces live here:
 
-* :class:`RetryPolicy` — the knobs of the resubmission loop: exponential
-  backoff with jitter and a per-job attempt budget.
+* :func:`retry_delay` and the constants beside it — the resubmission
+  loop's exponential backoff with jitter and its per-job attempt budget
+  (``MAX_ATTEMPTS``).  They are our extension, not the paper's: no run
+  varies them, so they are constants.
 * :class:`RecoveryTracker` — the ledger of in-flight recoveries: which
   jobs are awaiting failure *detection* (the heartbeat protocol has not
   yet noticed their node died), which are between placement attempts, and
@@ -15,7 +17,7 @@ Three pieces live here:
   :class:`~repro.service.core.GridService` host this one object, so the
   ``recovery`` experiment measures the code the gateway runs.
 
-The policy and the tracker stay simulation-agnostic (unit-testable
+The backoff and the tracker stay simulation-agnostic (unit-testable
 without an :class:`~repro.sim.core.Environment`).  The tracker is the
 authoritative answer to "is recovery work still pending?" —
 :meth:`FaultyGridSimulation._work_remaining` consults it, so the
@@ -36,47 +38,27 @@ from ..model.node import GridNode
 from ..obs.registry import MetricsRegistry
 from ..sim.clock import CallbackHandle, Clock
 
-__all__ = ["RetryPolicy", "PendingRecovery", "RecoveryTracker", "RecoveryLoop"]
+__all__ = ["retry_delay", "PendingRecovery", "RecoveryTracker", "RecoveryLoop"]
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Backoff/budget knobs for resubmitting jobs lost to node crashes."""
+#: delay before the first retry after a failed placement attempt (seconds)
+BASE_DELAY = 120.0
+#: multiplier applied per further attempt
+BACKOFF_FACTOR = 2.0
+#: ceiling on any single backoff delay (seconds)
+MAX_DELAY = 1800.0
+#: +/- fractional jitter on each delay, drawn from the seeded ``retry``
+#: stream, so runs stay reproducible
+JITTER = 0.1
+#: a job is abandoned after this many failed placement attempts
+MAX_ATTEMPTS = 5
 
-    #: delay before the first retry after a failed placement attempt
-    base_delay: float = 120.0
-    #: multiplier applied per further attempt (1.0 = flat retries)
-    backoff_factor: float = 2.0
-    #: ceiling on any single backoff delay
-    max_delay: float = 1800.0
-    #: +/- fractional jitter applied to each delay (0 = deterministic gaps;
-    #: the draw comes from a seeded stream, so runs stay reproducible)
-    jitter: float = 0.1
-    #: a job is abandoned after this many failed placement attempts
-    max_attempts: int = 5
 
-    def __post_init__(self) -> None:
-        if self.base_delay <= 0 or self.max_delay <= 0:
-            raise ValueError("retry delays must be positive")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-        if self.max_attempts < 1:
-            raise ValueError("need at least one placement attempt")
-
-    def delay(self, attempt: int, rng: Optional[np.random.Generator] = None) -> float:
-        """Backoff before retrying after failed attempt number ``attempt``."""
-        if attempt < 1:
-            raise ValueError("attempt numbers start at 1")
-        raw = self.base_delay * self.backoff_factor ** (attempt - 1)
-        capped = min(raw, self.max_delay)
-        if self.jitter and rng is not None:
-            capped *= 1.0 + self.jitter * float(rng.uniform(-1.0, 1.0))
-        return capped
-
-    def exhausted(self, attempts: int) -> bool:
-        return attempts > self.max_attempts
+def retry_delay(attempt: int, rng: np.random.Generator) -> float:
+    """Backoff before retrying after failed attempt number ``attempt``:
+    exponential, capped, jittered by one draw from ``rng``."""
+    delay = min(BASE_DELAY * BACKOFF_FACTOR ** (attempt - 1), MAX_DELAY)
+    return delay * (1.0 + JITTER * float(rng.uniform(-1.0, 1.0)))
 
 
 @dataclass
@@ -209,14 +191,13 @@ class RecoveryLoop:
     :meth:`attempt` serves both a job lost to a crash (attempts counted on
     its :class:`PendingRecovery`) and one never yet placed (counted in
     ``_unplaced``): the budget is checked *before* each attempt, so a job
-    gets exactly ``max_attempts`` failed placements before abandonment.
+    gets exactly ``MAX_ATTEMPTS`` failed placements before abandonment.
     The ``retry`` stream gives one jitter per miss and nothing else.
     """
 
     def __init__(
         self,
         host: Any,
-        policy: RetryPolicy,
         clock: Clock,
         *,
         placed: Callable[[Job, GridNode], None],
@@ -225,7 +206,7 @@ class RecoveryLoop:
         retrying: Callable[[Job, int], None] = _no_edge,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self.host, self.policy, self.clock = host, policy, clock
+        self.host, self.clock = host, clock
         self.rng = host.rngs.stream("retry")
         self.tracker = RecoveryTracker()
         self._placed, self._abandoned = placed, abandoned
@@ -297,7 +278,7 @@ class RecoveryLoop:
             attempts = self.tracker.begin_attempt(job_id)
         else:
             attempts = self._unplaced.get(job_id, 0) + 1
-        if self.policy.exhausted(attempts):
+        if attempts > MAX_ATTEMPTS:
             self.forget(job_id)
             self._abandoned(job, attempts - 1)
             self._emit(
@@ -313,7 +294,7 @@ class RecoveryLoop:
                 self._unplaced[job_id] = attempts
                 self._retrying(job, attempts)
             self.timers[job_id] = self.clock.schedule_callback(
-                self.policy.delay(attempts, self.rng), lambda: self._tick(job)
+                retry_delay(attempts, self.rng), lambda: self._tick(job)
             )
             return
         if lost:

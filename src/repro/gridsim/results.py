@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..can.stats import RateSummary
-from ..obs.sketch import QuantileSketch
 from ..sched.base import MatchmakingStats
 from .metrics import cdf_at
 
@@ -35,57 +34,20 @@ class MatchmakingResult:
     #: ``started + unplaced + lost + abandoned == jobs_submitted``
     #: (asserted by repro.gridsim.invariants.check_matchmaking_accounting).
     abandoned_jobs: int = 0
-    #: streaming alternatives to the sample arrays, populated by every run
-    #: (one insert per finished job); the *only* record under
-    #: ``MatchmakingConfig.stream_waits``, where the arrays stay empty
-    wait_sketch: Optional[QuantileSketch] = None
-    turnaround_sketch: Optional[QuantileSketch] = None
     substrate: str = "can"
 
     @property
     def started(self) -> int:
-        """Jobs that began executing — the accounting-identity bucket.
-
-        Reads the exact array when present, the streaming sketch
-        otherwise (a job finishes at most once, so the sketch count is
-        the same multiset).
-        """
-        if self.wait_times.size:
-            return int(self.wait_times.size)
-        if self.wait_sketch is not None:
-            return self.wait_sketch.n
-        return 0
+        """Jobs that began executing — the accounting-identity bucket."""
+        return int(self.wait_times.size)
 
     def wait_cdf_at(self, thresholds: Sequence[float]) -> np.ndarray:
-        """Fraction of started jobs with wait <= each threshold.
-
-        Exact over ``wait_times`` when the array is populated (small
-        seeded runs — goldens stay byte-identical); estimated from the
-        constant-memory sketch under ``stream_waits``.
-        """
-        if self.wait_times.size:
-            return cdf_at(self.wait_times, thresholds)
-        if self.wait_sketch is not None and self.wait_sketch.n:
-            return self.wait_sketch.cdf(thresholds)
-        return np.zeros(len(thresholds))
+        """Fraction of started jobs with wait <= each threshold."""
+        return cdf_at(self.wait_times, thresholds)
 
     def summary(self) -> Dict[str, float]:
         w = self.wait_times
         if w.size == 0:
-            if self.wait_sketch is not None and self.wait_sketch.n:
-                sk = self.wait_sketch
-                return {
-                    "jobs": float(sk.n),
-                    "mean_wait": sk.mean,
-                    "p50_wait": sk.quantile(0.5),
-                    "p80_wait": sk.quantile(0.8),
-                    "p90_wait": sk.quantile(0.9),
-                    "p95_wait": sk.quantile(0.95),
-                    "p99_wait": sk.quantile(0.99),
-                    "max_wait": sk.max,
-                    "zero_wait_fraction": float(sk.cdf([1e-9])[0]),
-                    "mean_push_hops": self.matchmaking.mean_push_hops,
-                }
             return {"jobs": 0.0}
         return {
             "jobs": float(w.size),

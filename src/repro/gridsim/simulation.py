@@ -33,7 +33,7 @@ from ..sim.rng import RngRegistry
 from ..workload.jobs import JobDistribution, generate_jobs
 from ..workload.nodes import NodeDistribution, generate_node_specs
 from .config import MatchmakingConfig
-from .recovery import RecoveryLoop, RetryPolicy
+from .recovery import RecoveryLoop
 from .results import MatchmakingResult
 
 __all__ = ["GridSimulation", "wire_grid"]
@@ -49,7 +49,6 @@ def wire_grid(
     config: MatchmakingConfig,
     heartbeat: Optional[HeartbeatScheme] = None,
     *,
-    retry: Optional[RetryPolicy] = None,
     network: Optional[NetworkModel] = None,
     **edges: Callable,
 ) -> None:
@@ -61,7 +60,7 @@ def wire_grid(
     matchmaker ``config.scheme`` names follow.  Given a ``heartbeat``
     scheme, the substrate's maintenance protocol (on ``network``, ideal
     when None) adopts the overlay as converged, and its detections drive a
-    :class:`RecoveryLoop` under ``retry`` with the host's ``edges``
+    :class:`RecoveryLoop` with the host's ``edges``
     (``placed``, ``abandoned``, ...).
 
     ``host`` supplies ``rngs``, ``space``, ``tracer`` and ``metrics`` and
@@ -109,7 +108,7 @@ def wire_grid(
     host.aggregation, host.matchmaker = aggregation, matchmaker
     if heartbeat is None:
         return
-    host.recovery = RecoveryLoop(host, retry, clock, metrics=host.metrics, **edges)
+    host.recovery = RecoveryLoop(host, clock, metrics=host.metrics, **edges)
     host.tracker = host.recovery.tracker
     host.protocol = get_substrate(config.substrate).make_protocol(
         overlay,
@@ -180,8 +179,8 @@ class GridSimulation:
         self.abandoned_ids: set = set()
         grid_metrics = self.metrics.scope("grid")
         self._job_counter = grid_metrics.counter("jobs")
-        #: streaming wait/turnaround distributions — one O(1) insert per
-        #: finished job, the only record under ``config.stream_waits``
+        #: streaming wait/turnaround distributions for the run manifest —
+        #: one O(1) insert per finished job
         self._wait_sketch = grid_metrics.quantile_sketch("wait_time")
         self._turnaround_sketch = grid_metrics.quantile_sketch("turnaround")
 
@@ -274,17 +273,12 @@ class GridSimulation:
         for node in self.grid_nodes.values():
             node.on_job_started = node.on_job_finished = None
 
-        # Under stream_waits the per-job arrays stay empty: the sketches
-        # (filled as each job finished) are the only record, so result
-        # memory is independent of job count.
-        collect = not self.config.stream_waits
         waits: List[float] = []
         turnarounds: List[float] = []
         lost = 0
         for index, job in enumerate(self.jobs):
             if job.wait_time is not None:
-                if collect:
-                    waits.append(job.wait_time)
+                waits.append(job.wait_time)
             elif job.run_node_id is not None:
                 lost += 1
             elif (
@@ -296,7 +290,7 @@ class GridSimulation:
                 # starting, resubmission pending or leaked) — without this
                 # bucket such jobs silently vanished from the accounting.
                 lost += 1
-            if collect and job.turnaround is not None:
+            if job.turnaround is not None:
                 turnarounds.append(job.turnaround)
         preset = self.config.preset
         return MatchmakingResult(
@@ -312,7 +306,5 @@ class GridSimulation:
             sim_end_time=self.env.now,
             jobs_submitted=self._submitted,
             abandoned_jobs=len(self.abandoned_ids),
-            wait_sketch=self._wait_sketch,
-            turnaround_sketch=self._turnaround_sketch,
             substrate=self.config.substrate,
         )

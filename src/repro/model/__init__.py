@@ -1,7 +1,6 @@
 """Grid domain model: computing elements, jobs, nodes, contention."""
 
 from .ce import CESpec, ComputingElement, CPU_SLOT, gpu_slot
-from .contention import ContentionModel
 from .job import CERequirement, Job
 from .node import GridNode, NodeSpec
 
@@ -10,7 +9,6 @@ __all__ = [
     "ComputingElement",
     "CPU_SLOT",
     "gpu_slot",
-    "ContentionModel",
     "CERequirement",
     "Job",
     "GridNode",

@@ -1,4 +1,4 @@
-"""Contention model for co-running jobs on non-dedicated CEs.
+"""Contention for co-running jobs on non-dedicated CEs.
 
 The paper relies on two empirical findings from the authors' prior work
 (Lee et al., IPDPS 2010) without restating the numbers:
@@ -9,51 +9,35 @@ The paper relies on two empirical findings from the authors' prior work
    job and a GPU job on the same node do not slow each other).
 
 We therefore model contention as a per-CE multiplicative slowdown that grows
-with the number of co-running jobs on that CE only.  The default linear
-model is conservative; the coefficients are configurable because the paper's
-conclusions depend only on contention *existing*, not on its exact shape.
+with the number of co-running jobs on that CE only.  The linear model is
+conservative, and its coefficients are constants: the paper's conclusions
+depend only on contention *existing*, not on its exact shape, and no run
+varies them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ce import ComputingElement
 
-__all__ = ["ContentionModel"]
+__all__ = ["ALPHA", "MAX_FACTOR", "execution_time"]
+
+#: slowdown added per job already running on a non-dedicated CE
+ALPHA = 0.15
+#: ceiling on the slowdown factor
+MAX_FACTOR = 2.5
 
 
-@dataclass(frozen=True)
-class ContentionModel:
-    """Multiplicative slowdown for a job starting on a CE.
+def execution_time(base_duration: float, ce: ComputingElement) -> float:
+    """Wall-clock run time of a job about to start on ``ce`` (before attach).
 
-    ``slowdown = min(max_factor, 1 + alpha * co_runners)`` where
-    ``co_runners`` is the number of other jobs already on the CE.  Dedicated
-    CEs never co-run jobs, so their factor is always 1.
+    Base duration is defined at nominal clock 1.0, scaled inversely by the
+    CE clock (paper, Section V-A) and stretched by
+    ``min(MAX_FACTOR, 1 + ALPHA * co_runners)``, where ``co_runners`` is the
+    number of jobs already on the CE.  Dedicated CEs never co-run jobs, so
+    their factor is always 1.
     """
-
-    alpha: float = 0.15
-    max_factor: float = 2.5
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        if self.max_factor < 1.0:
-            raise ValueError("max_factor must be >= 1")
-
-    def factor(self, ce: ComputingElement) -> float:
-        """Slowdown for a job about to start on ``ce`` (before attach)."""
-        if ce.spec.dedicated:
-            return 1.0
-        co_runners = len(ce.running)
-        return min(self.max_factor, 1.0 + self.alpha * co_runners)
-
-    def execution_time(self, base_duration: float, ce: ComputingElement) -> float:
-        """Wall-clock run time of a job on ``ce``.
-
-        Base duration is defined at nominal clock 1.0, scaled inversely by
-        the CE clock (paper, Section V-A) and stretched by contention.
-        """
-        if base_duration <= 0:
-            raise ValueError("base_duration must be positive")
-        return base_duration / ce.spec.clock * self.factor(ce)
+    if ce.spec.dedicated:
+        factor = 1.0
+    else:
+        factor = min(MAX_FACTOR, 1.0 + ALPHA * len(ce.running))
+    return base_duration / ce.spec.clock * factor

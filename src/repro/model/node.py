@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.clock import Clock
 from .ce import CESpec, ComputingElement, CPU_SLOT, specs_by_slot
-from .contention import ContentionModel
+from .contention import execution_time
 from .job import Job
 
 __all__ = ["NodeSpec", "GridNode"]
@@ -58,19 +58,12 @@ class NodeSpec:
 class GridNode:
     """Runtime node: CE state, FIFO queues, and job start/finish engine."""
 
-    def __init__(
-        self,
-        spec: NodeSpec,
-        env: Clock,
-        contention: Optional[ContentionModel] = None,
-        on_job_finished: Optional[Callable[["GridNode", Job], None]] = None,
-        on_job_started: Optional[Callable[["GridNode", Job], None]] = None,
-    ):
+    def __init__(self, spec: NodeSpec, clock: Clock):
         self.spec = spec
-        self.env = env
-        self.contention = contention or ContentionModel()
-        self.on_job_finished = on_job_finished
-        self.on_job_started = on_job_started
+        self.clock = clock
+        #: job-lifecycle edges, assigned by the host after construction
+        self.on_job_finished: Optional[Callable[["GridNode", Job], None]] = None
+        self.on_job_started: Optional[Callable[["GridNode", Job], None]] = None
         self.ces: Dict[str, ComputingElement] = {
             ce.slot: ComputingElement(ce) for ce in spec.ces
         }
@@ -177,7 +170,7 @@ class GridNode:
                 f"node {self.node_id} cannot run job {job.job_id}; "
                 "matchmaking must route only to capable nodes"
             )
-        job.enqueue_time = self.env.now
+        job.enqueue_time = self.clock.now
         job.run_node_id = self.node_id
         self.ces[job.dominant_slot].queue.append(job)
         self._queued += 1
@@ -218,13 +211,13 @@ class GridNode:
         # Contention factor is sampled before attaching, i.e. against the
         # jobs already on the dominant CE, and stays fixed for the job's
         # lifetime (a documented simplification; see DESIGN.md).
-        duration = self.contention.execution_time(job.base_duration, dominant)
+        duration = execution_time(job.base_duration, dominant)
         for slot, req in job.requirements.items():
             self.ces[slot].attach(job, req.cores)
-        job.start_time = self.env.now
+        job.start_time = self.clock.now
         if self.on_job_started is not None:
             self.on_job_started(self, job)
-        self.env.schedule_callback(duration, lambda j=job: self._finish(j))
+        self.clock.schedule_callback(duration, lambda j=job: self._finish(j))
 
     def _finish(self, job: Job) -> None:
         if not self.alive:
@@ -232,7 +225,7 @@ class GridNode:
         for slot, req in job.requirements.items():
             self.ces[slot].detach(job, req.cores)
         self.load_version += 1
-        job.finish_time = self.env.now
+        job.finish_time = self.clock.now
         self.completed_jobs += 1
         if self.on_job_finished is not None:
             self.on_job_finished(self, job)

@@ -11,7 +11,6 @@ from .model import (
     LatencySpec,
     NetworkModel,
     NetworkSpec,
-    PartitionSpec,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "LatencySpec",
     "NetworkModel",
     "NetworkSpec",
-    "PartitionSpec",
 ]

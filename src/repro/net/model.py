@@ -1,4 +1,4 @@
-"""Deterministic network-realism model: latency, partitions, flapping links.
+"""Deterministic network-realism model: loss, latency, flapping links.
 
 Every unreliable message in the maintenance protocols traverses one
 :class:`NetworkModel` — the single channel abstraction that replaced the
@@ -24,11 +24,11 @@ independence*:
   replays old seeded runs byte-for-byte.  A batch draws its survivors'
   uniforms in one ``Generator.random(k)``, which fills the array with
   the doubles ``k`` scalar calls would have returned, in order.
-* **Partitions** and **flapping links** are pure functions of
-  ``(src, dst, now)`` — no RNG at all.  Which links a flap storm affects
-  and the phase of each link's up/down square wave come from a
-  splitmix64 hash of the link pair, so two simulations that send in
-  different orders still see identical link schedules.
+* **Flapping links** are a pure function of ``(src, dst, now)`` — no
+  RNG at all.  Which links a flap storm affects and the phase of each
+  link's up/down square wave come from a splitmix64 hash of the link
+  pair, so two simulations that send in different orders still see
+  identical link schedules.
 * **Latency** is drawn per *directed* link pair from a hash-seeded
   uniform pair (never the shared stream) and cached by ``(src, dst)``,
   so a pair's latency is stable for the run and independent of when it
@@ -42,14 +42,13 @@ and ``trace_sha256`` pins of loss-free runs unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "LatencySpec",
-    "PartitionSpec",
     "FlapSpec",
     "NetworkSpec",
     "NetworkModel",
@@ -121,39 +120,6 @@ class LatencySpec:
 
 
 @dataclass(frozen=True)
-class PartitionSpec:
-    """A directional cut: messages from ``src`` ids to ``dst`` ids are
-    blocked during [start, end).  Asymmetric by default — A→B can be cut
-    while B→A still delivers — set ``symmetric=True`` for a clean split.
-    Empty ``src``/``dst`` means "every node" on that side.
-    """
-
-    src: Tuple[int, ...] = ()
-    dst: Tuple[int, ...] = ()
-    start: float = 0.0
-    end: float = _INF
-    symmetric: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "src", tuple(self.src))
-        object.__setattr__(self, "dst", tuple(self.dst))
-        if self.end < self.start:
-            raise ValueError("partition needs end >= start")
-
-    def blocks(self, src: int, dst: int, now: float) -> bool:
-        if not self.start <= now < self.end:
-            return False
-        if self._matches(src, dst):
-            return True
-        return self.symmetric and self._matches(dst, src)
-
-    def _matches(self, src: int, dst: int) -> bool:
-        return (not self.src or src in self.src) and (
-            not self.dst or dst in self.dst
-        )
-
-
-@dataclass(frozen=True)
 class FlapSpec:
     """Flapping links: an up/down square wave over a window.
 
@@ -179,11 +145,11 @@ class FlapSpec:
         if self.end < self.start:
             raise ValueError("flap needs end >= start")
 
-    def link_down(self, src: int, dst: int, now: float, salt: int) -> bool:
+    def link_down(self, src: int, dst: int, now: float) -> bool:
         if not self.start <= now < self.end:
             return False
         a, b = (src, dst) if src <= dst else (dst, src)
-        h = _mix(salt, 0xF1A9, a, b)
+        h = _mix(0, 0xF1A9, a, b)
         if self.fraction < 1.0 and _unit(h) >= self.fraction:
             return False  # this link sat the storm out
         cycle = self.down + self.up
@@ -196,31 +162,21 @@ class NetworkSpec:
     """Frozen description of a network model; ``build()`` makes it live.
 
     ``loss`` is the uniform Bernoulli drop probability (closed interval
-    [0, 1]: 1.0 is a total blackout, exactly what partition tests need).
-    ``seed`` salts the hash streams for link latency/flap assignment so
-    two specs can differ only in which links misbehave.
+    [0, 1]: 1.0 is a total blackout).
     """
 
     loss: float = 0.0
     latency: Optional[LatencySpec] = None
-    partitions: Tuple[PartitionSpec, ...] = ()
     flaps: Tuple[FlapSpec, ...] = ()
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "partitions", tuple(self.partitions))
         object.__setattr__(self, "flaps", tuple(self.flaps))
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError("loss rate must be in [0, 1]")
 
     @property
     def identity(self) -> bool:
-        return (
-            self.loss == 0.0
-            and self.latency is None
-            and not self.partitions
-            and not self.flaps
-        )
+        return self.loss == 0.0 and self.latency is None and not self.flaps
 
     def build(
         self, rng: Optional[np.random.Generator] = None
@@ -262,7 +218,7 @@ class NetworkModel:
         self._latency_cache: Dict[Tuple[int, int], float] = {}
         self.attempts = 0
         self.delivered = 0
-        self.drops = {"loss": 0, "partition": 0, "link_down": 0}
+        self.drops = {"loss": 0, "link_down": 0}
 
     @property
     def dropped(self) -> int:
@@ -280,7 +236,7 @@ class NetworkModel:
             return 0.0  # ideal channel: no draws, no accounting
         spec = self.spec
         self.attempts += 1
-        if (spec.partitions or spec.flaps) and self._cut(src, dst, now):
+        if spec.flaps and self._cut(src, dst, now):
             return None
         if spec.loss > 0.0 and self._rng.random() < spec.loss:
             self.drops["loss"] += 1
@@ -294,11 +250,10 @@ class NetworkModel:
         """``src``'s sends to ``dsts``, decided in order: per destination,
         None when dropped, else the one-way latency.
 
-        Verdict order: partition, link flap (both RNG-free), then the
-        Bernoulli loss draw, then the link latency — so deterministic cuts
-        never consume the shared RNG stream, and a loss-only model draws
-        exactly one uniform per send (the historical inline-site
-        behaviour).  The sends that survive the cuts draw together: the
+        Verdict order: link flap (RNG-free), then the Bernoulli loss draw,
+        then the link latency — so deterministic cuts never consume the
+        shared RNG stream, and a loss-only model draws exactly one uniform
+        per send (the historical inline-site behaviour).  The sends that survive the cuts draw together: the
         verdicts, the counters and the generator state afterwards are
         those of a ``transmit`` call per destination.
         """
@@ -309,7 +264,7 @@ class NetworkModel:
         self.attempts += len(dsts)
         #: positions in ``dsts`` still on their way
         alive: Sequence[int] = range(len(dsts))
-        if spec.partitions or spec.flaps:
+        if spec.flaps:
             alive = [i for i in alive if not self._cut(src, dsts[i], now)]
         if spec.loss > 0.0:
             draws = self._rng.random(len(alive)).tolist()
@@ -328,14 +283,9 @@ class NetworkModel:
         return out
 
     def _cut(self, src: int, dst: int, now: float) -> bool:
-        """Is this send blocked by a partition or a down link?  Counted."""
-        spec = self.spec
-        for part in spec.partitions:
-            if part.blocks(src, dst, now):
-                self.drops["partition"] += 1
-                return True
-        for flap in spec.flaps:
-            if flap.link_down(src, dst, now, spec.seed):
+        """Is this send blocked by a down link?  Counted."""
+        for flap in self.spec.flaps:
+            if flap.link_down(src, dst, now):
                 self.drops["link_down"] += 1
                 return True
         return False
@@ -345,9 +295,8 @@ class NetworkModel:
         key = (src, dst)
         lat = self._latency_cache.get(key)
         if lat is None:
-            spec = self.spec
-            h = _mix(spec.seed, 0x1A7E, src, dst)
-            lat = spec.latency.draw(_unit(h), _unit(_splitmix64(h)))
+            h = _mix(0, 0x1A7E, src, dst)
+            lat = self.spec.latency.draw(_unit(h), _unit(_splitmix64(h)))
             self._latency_cache[key] = lat
         return lat
 

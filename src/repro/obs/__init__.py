@@ -19,7 +19,7 @@ The observability layer for the whole simulation stack:
   trace file) with critical-path extraction
   (``python -m repro.obs spans`` / ``critical-path``);
 * :mod:`~repro.obs.sketch` — constant-memory streaming telemetry:
-  :class:`QuantileSketch` (deterministic KLL-style quantiles/CDFs) and
+  :class:`QuantileSketch` (deterministic KLL-style quantiles) and
   :class:`WindowedCounter` (sliding-window rates), first-class registry
   monitor kinds;
 * :mod:`~repro.obs.prom` — Prometheus text exposition of a registry for

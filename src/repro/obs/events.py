@@ -85,7 +85,7 @@ class EV:
     FAULT_FLASH_CROWD = "fault.flash_crowd"  # count
 
     # -- network channel (only non-identity models emit these)
-    NET_DROP = "net.drop"            # src, dst (loss, partition, or flap)
+    NET_DROP = "net.drop"            # src, dst (loss or flap)
     NET_DELIVER_LATE = "net.deliver_late"  # src, dst, sent_at (> period)
 
     # -- live service (gateway + persistent ledger)

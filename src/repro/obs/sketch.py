@@ -1,8 +1,8 @@
 """Constant-memory streaming telemetry: quantile sketches and windowed counters.
 
-The experiment harness historically kept one in-memory sample per job
-(``MatchmakingResult.wait_times``), which caps workloads far below the
-million-job target.  This module provides the streaming replacements:
+Distributions whose sample count grows with a run's length (the live
+service's queue depth, recovery latencies, the manifest's wait and
+turnaround summaries) are kept here in bounded memory:
 
 * :class:`QuantileSketch` — a deterministic KLL/MRL-style compactor
   sketch.  Inserts are amortised O(1); memory is bounded by
@@ -33,7 +33,7 @@ DEFAULT_K = 512
 
 
 class QuantileSketch:
-    """Streaming quantile/CDF estimator with bounded memory.
+    """Streaming quantile estimator with bounded memory.
 
     Values live in per-level buffers; level ``L`` items each stand for
     ``2**L`` original samples.  When a level fills to ``k`` items it is
@@ -153,20 +153,6 @@ class QuantileSketch:
 
     def quantiles(self, qs: Sequence[float]) -> List[float]:
         return [self.quantile(q) for q in qs]
-
-    def cdf(self, thresholds: Sequence[float]) -> np.ndarray:
-        """Estimated fraction of inserted values <= each threshold."""
-        t = np.asarray(thresholds, dtype=float)
-        if not self.n:
-            return np.zeros_like(t)
-        values, cum = self._weighted()
-        idx = np.searchsorted(values, t, side="right")
-        total = cum[-1]
-        out = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0) / total
-        # exactness at the extremes: nothing below min, everything >= max
-        out[t < self._min] = 0.0
-        out[t >= self._max] = 1.0
-        return out
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-able summary (what registry snapshots and manifests store)."""

@@ -151,6 +151,8 @@ class SpanBuilder:
 
     def __init__(self) -> None:
         self.spans: List[Span] = []
+        #: parent span id -> its children, in open order
+        self._children: Dict[str, List[Span]] = {}
         self._jobs: Dict[int, _JobState] = {}
         #: jobs whose crash is awaiting heartbeat detection, per node
         self._awaiting: Dict[Optional[int], List[int]] = {}
@@ -229,6 +231,7 @@ class SpanBuilder:
             attrs,
         )
         self.spans.append(span)
+        self._children.setdefault(parent.span_id, []).append(span)
         return span
 
     def _instant(
@@ -413,8 +416,9 @@ class SpanBuilder:
         return state.root if state is not None else None
 
     def children(self, span: Span) -> List[Span]:
-        """Direct children, in open order (== deterministic seq order)."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
+        """Direct children, in open order (== deterministic seq order); a
+        fresh list, which the caller may reorder."""
+        return list(self._children.get(span.span_id, ()))
 
     def critical_path(self, job: int) -> List[Span]:
         """The job's life as a time-ordered chain of top-level segments.

@@ -277,7 +277,7 @@ class MaintenanceProtocol:
         #: failed ids already reported through on_failure_detected
         self._detected_failures: Set[int] = set()
         #: the network channel every unreliable send traverses (loss,
-        #: partitions, flapping links, latency).  The IDENTITY default is
+        #: flapping links, latency).  The IDENTITY default is
         #: bypassed entirely — no RNG draws — keeping seeded runs unchanged.
         self.net: NetworkModel = IDENTITY
         #: heartbeats in flight with super-period latency, as (arrival,

@@ -1,7 +1,7 @@
 """repro.service — the live job-submission gateway over the protocol stack.
 
 The batch simulator and this service share every protocol component
-(overlay, heartbeat engine, matchmakers, retry policy); what differs is the
+(overlay, heartbeat engine, matchmakers, recovery loop); what differs is the
 clock they run on and where job state lives:
 
 * :mod:`repro.service.aclock` — the wall-clock backend of the

@@ -2,7 +2,7 @@
 
 This is the simulator's protocol stack re-hosted as a long-running
 service.  The overlay, aggregation engine, matchmakers, heartbeat
-protocol, and retry policy are the *same objects* the batch experiments
+protocol, and recovery loop are the *same objects* the batch experiments
 use; :class:`GridService` only changes three things:
 
 * time comes from a :class:`~repro.sim.clock.Clock` — a DES
@@ -28,13 +28,12 @@ old process is "lost to a crash" whose detection is immediate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from ..can.heartbeat import HeartbeatScheme
 from ..can.space import ResourceSpace
 from ..gridsim.config import MatchmakingConfig
-from ..gridsim.recovery import RetryPolicy
 from ..gridsim.simulation import AGGREGATION_WARMUP_ROUNDS, wire_grid
 from ..model.job import Job
 from ..model.node import GridNode
@@ -56,23 +55,13 @@ class CancelError(ValueError):
 class ServiceConfig:
     """Knobs of a live grid service."""
 
-    #: population/space shape (nodes, gpu_slots, heartbeat_period, seed);
+    #: population/space shape (nodes, gpu_slots, seed);
     #: the preset's job-stream fields are ignored — jobs arrive via submit()
     preset: WorkloadPreset = TINY_LOAD
     scheme: str = "can-het"  # can-het | can-hom | central
-    #: scheme of the live heartbeat protocol next to the matchmaker (crash
-    #: detection through missed-heartbeat timeouts, zone take-over on failure)
-    heartbeat_scheme: HeartbeatScheme = HeartbeatScheme.VANILLA
-    #: backoff/budget for retrying lost and not-yet-placeable jobs
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: overlay substrate backing the service ("can", "chord", or any
-    #: registered name); matchmaker and heartbeat run on either
-    substrate: str = "can"
 
     def matchmaking(self) -> MatchmakingConfig:
-        return MatchmakingConfig(
-            self.preset, scheme=self.scheme, substrate=self.substrate
-        )
+        return MatchmakingConfig(self.preset, scheme=self.scheme)
 
 
 class GridService:
@@ -106,8 +95,7 @@ class GridService:
             ),
             clock,
             config.matchmaking(),
-            config.heartbeat_scheme,
-            retry=config.retry,
+            HeartbeatScheme.VANILLA,
             crashed=self._node_crashed,
             placed=self._job_placed,
             abandoned=self._job_abandoned,

@@ -27,7 +27,7 @@ for :mod:`repro.service`:
 * crash recovery — :meth:`JobLedger.in_flight` returns every job the
   previous process still owed work for (anything non-terminal).  The
   service routes those through the existing
-  :class:`~repro.gridsim.recovery.RetryPolicy` at startup, exactly like
+  :class:`~repro.gridsim.recovery.RecoveryLoop` at startup, exactly like
   jobs lost to a node crash mid-run.
 
 Every transition is also appended to a ``transitions`` audit table; the

@@ -8,8 +8,8 @@ benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 __all__ = ["WorkloadPreset", "PAPER_LOAD", "SMALL_LOAD", "TINY_LOAD"]
 
@@ -18,13 +18,16 @@ __all__ = ["WorkloadPreset", "PAPER_LOAD", "SMALL_LOAD", "TINY_LOAD"]
 class WorkloadPreset:
     """Size parameters of a matchmaking experiment."""
 
+    #: seconds between aggregation steps and heartbeat rounds; every
+    #: matchmaking run uses the same period, so it is not a field
+    heartbeat_period: ClassVar[float] = 120.0
+
     name: str
     nodes: int
     jobs: int
     gpu_slots: int  # 2 -> the paper's 11-dimensional CAN
     mean_interarrival: float  # seconds
     constraint_ratio: float
-    heartbeat_period: float = 120.0
     seed: int = 20110926  # CLUSTER 2011 conference date
 
     def __post_init__(self) -> None:

@@ -13,19 +13,26 @@ the own-load rows whose node changed.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.can.aggregation import NF, AggregationEngine
 from repro.can.overlay import CanOverlay
 from repro.can.space import ResourceSpace
-from repro.model.contention import ContentionModel
+from repro.model import contention
 from repro.model.node import GridNode
 from repro.overlay.base import SubstrateError
 from repro.sim.core import Environment
 
 from tests.can.test_aggregation import line_overlay
 from tests.conftest import cpu_job, gpu_job, make_cpu, make_gpu, make_node_spec
+
+
+@pytest.fixture(autouse=True)
+def no_contention(monkeypatch):
+    """Co-runners add nothing to a job's duration."""
+    monkeypatch.setattr(contention, "ALPHA", 0.0)
 
 
 class ReferenceEngine:
@@ -140,7 +147,7 @@ class World:
             rng.integers(2)
         )
         spec = make_node_spec(node_id, cpu=cpu, gpus=gpus)
-        return GridNode(spec, self.env, contention=ContentionModel(alpha=0.0))
+        return GridNode(spec, self.env)
 
     def join(self):
         node = self._new_node(next(self.ids))

@@ -17,7 +17,7 @@ from repro.can.space import ResourceSpace
 from repro.gridsim import ChurnSimulation
 from repro.gridsim.config import ChurnConfig
 from repro.gridsim.faulty import FaultyGridConfig
-from repro.net import LatencySpec, NetworkSpec, PartitionSpec
+from repro.net import FlapSpec, LatencySpec, NetworkSpec
 from tests.can.hb_golden import CASES, ENGINE_CLASSES, stored_payload
 from tests.can.test_incremental_consistency import _brute_broken_links
 
@@ -142,8 +142,8 @@ CHANNELS = {
     "none": lambda: None,
     "identity": lambda: NetworkSpec().build(),
     "loss": lambda: NetworkSpec(loss=0.05).build(np.random.default_rng(1)),
-    "partition": lambda: NetworkSpec(
-        partitions=(PartitionSpec(src=(1, 2)),)
+    "flap": lambda: NetworkSpec(
+        flaps=(FlapSpec(down=60.0, up=60.0),)
     ).build(),
     "latency": lambda: NetworkSpec(
         latency=LatencySpec("constant", low=5.0)

@@ -45,8 +45,8 @@ def make_node_spec(node_id=0, cpu=None, gpus=()) -> NodeSpec:
     return NodeSpec(node_id=node_id, ces=tuple(ces))
 
 
-def make_grid_node(env, node_id=0, cpu=None, gpus=(), **kwargs) -> GridNode:
-    return GridNode(make_node_spec(node_id, cpu, gpus), env, **kwargs)
+def make_grid_node(env, node_id=0, cpu=None, gpus=()) -> GridNode:
+    return GridNode(make_node_spec(node_id, cpu, gpus), env)
 
 
 def cpu_job(cores=1, clock=0.0, memory=0.0, disk=0.0, duration=100.0, **kw) -> Job:

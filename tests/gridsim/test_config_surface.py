@@ -3,8 +3,10 @@
 A field of a run config is a knob somebody turns.  One that every run
 leaves at its default is a constant with a settable name, and each config
 that forwards it grows a copy.  These tests read ``src/``, ``benchmarks/``
-and ``examples/`` and require each field of the five run configs to be set
-by one of them, by a keyword or a positional argument to the config's
+and ``examples/`` and require each field of the five run configs, and of
+every frozen parameter object they hold (the workload preset, the fault
+plan and its bursts, the network spec and its latency and flap shapes), to
+be set by one of them, by a keyword or a positional argument to the class's
 constructor, to ``make_config`` or to ``dataclasses.replace``.  A keyword
 whose value is an attribute of the same name (``substrate=self.substrate``)
 forwards a field that is set somewhere else, so it does not count.  A field
@@ -20,9 +22,12 @@ import functools
 from pathlib import Path
 
 from repro.gridsim.config import ChurnConfig, MatchmakingConfig
+from repro.gridsim.faults import CrashBurst, DiurnalChurn, FaultPlan, JoinBurst
 from repro.gridsim.faulty import FaultyGridConfig
+from repro.net import FlapSpec, LatencySpec, NetworkSpec
 from repro.overlay.base import ProtocolConfig
 from repro.service.core import ServiceConfig
+from repro.workload.presets import WorkloadPreset
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -34,19 +39,26 @@ CONFIGS = {
         ChurnConfig,
         FaultyGridConfig,
         ServiceConfig,
+        WorkloadPreset,
+        FaultPlan,
+        CrashBurst,
+        JoinBurst,
+        DiurnalChurn,
+        NetworkSpec,
+        LatencySpec,
+        FlapSpec,
     )
 }
 
+#: the benchmark builds ``LatencySpec("lognormal", mu=..., sigma=...)`` with
+#: ``kind`` positional, so ``kind`` and its test-only ``constant`` /
+#: ``uniform`` shapes wait for a benchmark change (ROADMAP 1(a))
+_LATENCY_SHAPES = "tests/net/test_model.py, until ROADMAP 1(a)"
+
 #: (config, field) -> who sets it, when no run does
 ALLOWLIST = {
-    ("MatchmakingConfig", "stream_waits"): (
-        "ROADMAP item 1(d): the stream_1m row; "
-        "tests/gridsim/test_simulation.py sets it today"
-    ),
-    ("FaultyGridConfig", "retry"): "tests/gridsim/test_recovery_loop.py",
-    ("ServiceConfig", "heartbeat_scheme"): "tests/gridsim/test_protocol_choice.py",
-    ("ServiceConfig", "retry"): "tests/service/test_core.py",
-    ("ServiceConfig", "substrate"): "tests/gridsim/test_protocol_choice.py",
+    ("LatencySpec", "low"): _LATENCY_SHAPES,
+    ("LatencySpec", "high"): _LATENCY_SHAPES,
 }
 
 
@@ -184,9 +196,15 @@ def test_the_census_sees_forwarding_and_positional_arguments():
         "make_config(ChurnConfig, seed=seed)\n"
         "def vary(base: MatchmakingConfig):\n"
         "    return replace(base, scheme=s)\n"
+        "FaultPlan(network=NetworkSpec(loss=x))\n"
+        "def grow(preset: WorkloadPreset):\n"
+        "    return replace(preset, jobs=n)\n"
     )
     assert set_fields(tree) == {
         ("MatchmakingConfig", "preset"),
         ("ChurnConfig", "seed"),
         ("MatchmakingConfig", "scheme"),
+        ("FaultPlan", "network"),
+        ("NetworkSpec", "loss"),
+        ("WorkloadPreset", "jobs"),
     }

@@ -17,7 +17,6 @@ from repro.gridsim import (
     InvariantViolation,
     JoinBurst,
     MatchmakingConfig,
-    RetryPolicy,
     check_matchmaking_accounting,
 )
 from repro.gridsim.recovery import PendingRecovery
@@ -154,8 +153,6 @@ class TestFaultyGrid:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             config(mtbf=0.0)
-        with pytest.raises(ValueError):
-            config(retry=RetryPolicy(max_attempts=0))
         with pytest.raises(ValueError):
             config(invariant_check_every=-1)
 

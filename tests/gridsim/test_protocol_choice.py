@@ -71,10 +71,12 @@ def test_faulty_grid_simulation(scheme, plan, substrate, want):
 
 
 @pytest.mark.parametrize(
-    "scheme,plan,substrate,want", [c for c in CASES if c.values[1] is IDEAL]
+    "scheme,plan,substrate,want", [c for c in CASES if c.id == "vanilla"]
 )
 def test_grid_service(scheme, plan, substrate, want):
-    # the service has no fault plan: its channel is always the ideal one
-    _, service = build_service(heartbeat_scheme=scheme, substrate=substrate)
+    # every service runs a vanilla heartbeat on CAN, and it has no fault
+    # plan: its channel is always the ideal one
+    _, service = build_service()
+    assert service.protocol.config.scheme is scheme
     assert type(service.protocol) is want
     assert service.protocol.net.is_identity

@@ -1,4 +1,4 @@
-"""Tests for the retry policy, recovery tracker, and resubmission path."""
+"""Tests for the retry backoff, recovery tracker, and resubmission path."""
 
 from dataclasses import replace
 
@@ -14,54 +14,44 @@ from repro.gridsim import (
     FaultyGridSimulation,
     MatchmakingConfig,
     RecoveryTracker,
-    RetryPolicy,
     check_matchmaking_accounting,
 )
+from repro.gridsim import recovery
+from repro.gridsim.recovery import retry_delay
 from repro.model.job import CERequirement, Job
 from repro.workload import TINY_LOAD
 
 
-class TestRetryPolicy:
-    def test_exponential_growth_and_cap(self):
-        p = RetryPolicy(
-            base_delay=100.0, backoff_factor=2.0, max_delay=500.0, jitter=0.0
-        )
-        assert p.delay(1) == 100.0
-        assert p.delay(2) == 200.0
-        assert p.delay(3) == 400.0
-        assert p.delay(4) == 500.0  # capped
-        assert p.delay(10) == 500.0
+def set_backoff(monkeypatch, **constants):
+    """Turn the recovery loop's backoff constants for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(recovery, name, value)
 
-    def test_flat_policy(self):
-        p = RetryPolicy(base_delay=300.0, backoff_factor=1.0, jitter=0.0)
-        assert p.delay(1) == p.delay(5) == 300.0
+
+class TestRetryPolicy:
+    def test_exponential_growth_and_cap(self, monkeypatch):
+        set_backoff(monkeypatch, BASE_DELAY=100.0, MAX_DELAY=500.0, JITTER=0.0)
+        rng = np.random.default_rng(0)
+        assert retry_delay(1, rng) == 100.0
+        assert retry_delay(2, rng) == 200.0
+        assert retry_delay(3, rng) == 400.0
+        assert retry_delay(4, rng) == 500.0  # capped
+        assert retry_delay(10, rng) == 500.0
 
     def test_jitter_bounds_and_determinism(self):
-        p = RetryPolicy(base_delay=100.0, backoff_factor=1.0, jitter=0.2)
-        draws_a = [p.delay(1, np.random.default_rng(7)) for _ in range(5)]
-        draws_b = [p.delay(1, np.random.default_rng(7)) for _ in range(5)]
+        draws_a = [retry_delay(1, np.random.default_rng(7)) for _ in range(5)]
+        draws_b = [retry_delay(1, np.random.default_rng(7)) for _ in range(5)]
         assert draws_a == draws_b  # seeded -> reproducible
         for d in draws_a:
-            assert 80.0 <= d <= 120.0
-        # no rng -> deterministic base value even with jitter configured
-        assert p.delay(1) == 100.0
+            assert 108.0 <= d <= 132.0  # 120 s +/- 10 %
 
     def test_exhaustion(self):
-        p = RetryPolicy(max_attempts=3)
-        assert not p.exhausted(3)
-        assert p.exhausted(4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy().delay(0)
+        """Unturned, a lost job gets ``MAX_ATTEMPTS`` (5) placements and
+        is abandoned."""
+        assert recovery.MAX_ATTEMPTS == 5
+        _sim, res, attempt_times = run_with_unplaceable_retries()
+        assert res.jobs_abandoned == res.jobs_lost > 0
+        assert all(len(times) == 5 for times in attempt_times.values())
 
 
 def _job(job_id):
@@ -115,61 +105,64 @@ class TestRecoveryTracker:
         assert not t.balances()
 
 
-def _quiet_config(**kwargs):
+def _quiet_config():
     """A faulty-grid config with background churn effectively disabled."""
-    kwargs.setdefault("mean_time_between_failures", 1e9)
-    kwargs.setdefault("mean_time_between_joins", 1e9)
     return FaultyGridConfig(
-        MatchmakingConfig(replace(TINY_LOAD, jobs=40)), **kwargs
+        MatchmakingConfig(replace(TINY_LOAD, jobs=40)),
+        mean_time_between_failures=1e9,
+        mean_time_between_joins=1e9,
     )
+
+
+def run_with_unplaceable_retries():
+    """Crash the first busy node at t=400 with every later placement
+    missing; returns the sim, its result and each lost job's attempt times."""
+    sim = FaultyGridSimulation(_quiet_config())
+    attempt_times = {}  # job_id -> times place() was asked post-crash
+    real_place = sim.matchmaker.place
+    state = {"broken": False}
+
+    def place(job):
+        if state["broken"]:
+            if job.job_id in sim.tracker.pending:  # a recovery retry
+                attempt_times.setdefault(job.job_id, []).append(
+                    sim.env.now
+                )
+            return None  # fresh arrivals simply go unplaced
+        return real_place(job)
+
+    sim.matchmaker.place = place
+
+    def crash_first_busy_node():
+        state["broken"] = True
+        for nid in sorted(sim.grid_nodes):
+            if not sim.grid_nodes[nid].is_free():
+                sim.crash_node(nid)
+                return
+        raise AssertionError("no busy node to crash")
+
+    sim.env.schedule_callback(400.0, crash_first_busy_node)
+    return sim, sim.run(), attempt_times
 
 
 class TestResubmissionTransitions:
     """Seeded transition tests: backoff gaps and the abandon budget."""
 
-    def _run_with_unplaceable_retries(self, policy):
-        sim = FaultyGridSimulation(_quiet_config(retry=policy))
-        attempt_times = {}  # job_id -> times place() was asked post-crash
-        real_place = sim.matchmaker.place
-        state = {"broken": False}
-
-        def place(job):
-            if state["broken"]:
-                if job.job_id in sim.tracker.pending:  # a recovery retry
-                    attempt_times.setdefault(job.job_id, []).append(
-                        sim.env.now
-                    )
-                return None  # fresh arrivals simply go unplaced
-            return real_place(job)
-
-        sim.matchmaker.place = place
-
-        def crash_first_busy_node():
-            state["broken"] = True
-            for nid in sorted(sim.grid_nodes):
-                if not sim.grid_nodes[nid].is_free():
-                    sim.crash_node(nid)
-                    return
-            raise AssertionError("no busy node to crash")
-
-        sim.env.schedule_callback(400.0, crash_first_busy_node)
-        return sim, sim.run(), attempt_times
-
-    def test_backoff_gaps_then_abandon(self):
-        policy = RetryPolicy(
-            base_delay=100.0,
-            backoff_factor=2.0,
-            max_delay=10_000.0,
-            jitter=0.0,
-            max_attempts=3,
+    def test_backoff_gaps_then_abandon(self, monkeypatch):
+        set_backoff(
+            monkeypatch,
+            BASE_DELAY=100.0,
+            MAX_DELAY=10_000.0,
+            JITTER=0.0,
+            MAX_ATTEMPTS=3,
         )
-        sim, res, attempt_times = self._run_with_unplaceable_retries(policy)
+        sim, res, attempt_times = run_with_unplaceable_retries()
         assert res.jobs_lost > 0
         # every lost job burned its full budget and was abandoned
         assert res.jobs_abandoned == res.jobs_lost
         assert res.jobs_resubmitted == 0
         for times in attempt_times.values():
-            assert len(times) == 3  # max_attempts placement tries
+            assert len(times) == 3  # MAX_ATTEMPTS placement tries
             gaps = np.diff(times)
             assert list(gaps) == [100.0, 200.0]  # exponential, jitter-free
         # the first attempt is the crash's detection instant, which the
@@ -181,9 +174,9 @@ class TestResubmissionTransitions:
         assert res.base.summary() is not None
         check_matchmaking_accounting(res.base)
 
-    def test_abandoned_jobs_enter_the_result_buckets(self):
-        policy = RetryPolicy(jitter=0.0, max_attempts=2)
-        sim, res, _ = self._run_with_unplaceable_retries(policy)
+    def test_abandoned_jobs_enter_the_result_buckets(self, monkeypatch):
+        set_backoff(monkeypatch, JITTER=0.0, MAX_ATTEMPTS=2)
+        sim, res, _ = run_with_unplaceable_retries()
         base = res.base
         assert base.abandoned_jobs == res.jobs_abandoned > 0
         assert (

@@ -23,7 +23,7 @@ from repro.can.soa import build_protocol
 from repro.can.space import ResourceSpace
 from repro.gridsim import FaultyGridConfig, FaultyGridSimulation, MatchmakingConfig
 from repro.gridsim.invariants import check_service_accounting
-from repro.gridsim.recovery import RecoveryLoop, RetryPolicy
+from repro.gridsim.recovery import RecoveryLoop, retry_delay
 from repro.gridsim.simulation import AGGREGATION_WARMUP_ROUNDS
 from repro.obs.events import Tracer
 from repro.obs.registry import MetricsRegistry
@@ -37,6 +37,7 @@ from repro.workload.trace import job_from_dict
 from ..conftest import build_overlay, cpu_job, make_cpu, make_grid_node
 from ..service.test_core import preset_specs
 from ..sim.test_clock import AsyncioDriver, SimDriver
+from .test_recovery import set_backoff
 
 #: the events the loop itself emits, on either host
 LOOP_EVENTS = {
@@ -91,12 +92,9 @@ class FakeHost:
         self.placed, self.abandoned, self.retrying = [], [], []
         self.metrics = MetricsRegistry()
 
-    def loop(self, clock, **policy) -> RecoveryLoop:
-        policy.setdefault("base_delay", 40.0)
-        policy.setdefault("jitter", 0.0)
+    def loop(self, clock) -> RecoveryLoop:
         self.recovery = RecoveryLoop(
             self,
-            RetryPolicy(**policy),
             clock,
             placed=lambda job, node: self.placed.append((job.job_id, node.node_id)),
             abandoned=lambda job, attempts: self.abandoned.append(
@@ -127,6 +125,10 @@ def driver(request):
 class TestLoopContract:
     """One loop, two clocks: the seam's contract test, applied to recovery."""
 
+    @pytest.fixture(autouse=True)
+    def short_backoff(self, monkeypatch):
+        set_backoff(monkeypatch, BASE_DELAY=40.0, JITTER=0.0)
+
     def test_miss_then_backoff_then_place(self, driver):
         host = FakeHost(driver.clock)
         loop = host.loop(driver.clock)
@@ -147,9 +149,12 @@ class TestLoopContract:
         assert loop.tracker.balances() and loop.tracker.losses == 0
 
     @pytest.mark.parametrize("lost", [False, True], ids=["unplaced", "crash-lost"])
-    def test_budget_exhaustion_abandons_after_max_attempts(self, driver, lost):
+    def test_budget_exhaustion_abandons_after_max_attempts(
+        self, driver, lost, monkeypatch
+    ):
+        set_backoff(monkeypatch, MAX_ATTEMPTS=3, BASE_DELAY=20.0)
         host = FakeHost(driver.clock)
-        loop = host.loop(driver.clock, max_attempts=3, base_delay=20.0)
+        loop = host.loop(driver.clock)
         job = cpu_job(job_id=8)
         if lost:
             now = driver.clock.now
@@ -159,7 +164,7 @@ class TestLoopContract:
             loop.attempt(job)
         assert loop.tracker.balances()
         driver.advance(20.0 + 40.0 + 80.0 + 40.0)
-        # the budget is checked before an attempt: exactly max_attempts
+        # the budget is checked before an attempt: exactly MAX_ATTEMPTS
         # placements were tried, and that is the number reported
         assert host.matchmaker.calls == [8, 8, 8]
         assert host.abandoned == [(8, 3)]
@@ -169,11 +174,12 @@ class TestLoopContract:
         abandoned = [e for e in host.events if e.etype == "grid.job_abandoned"]
         assert [e.fields for e in abandoned] == [{"job": 8, "attempts": 3}]
 
-    def test_a_crash_lost_miss_backs_off(self, driver):
+    def test_a_crash_lost_miss_backs_off(self, driver, monkeypatch):
         """The miss starts a backoff timer, and the ``retry`` stream gives
         its jitter one value and nothing else."""
+        set_backoff(monkeypatch, JITTER=0.5)
         host = FakeHost(driver.clock)
-        loop = host.loop(driver.clock, jitter=0.5)
+        loop = host.loop(driver.clock)
         job = cpu_job(job_id=3)
         now = driver.clock.now
         loop.lose(0, [job], now)
@@ -186,7 +192,7 @@ class TestLoopContract:
         assert host.retrying == [(3, 1)]  # a crash retry: before its placement
         assert loop.tracker.balances()
         reference = RngRegistry(SEED).stream("retry")
-        loop.policy.delay(1, reference)
+        retry_delay(1, reference)
         assert loop.rng.bit_generator.state == reference.bit_generator.state
 
     def test_detection_is_idempotent(self, driver):
@@ -255,11 +261,12 @@ class TestLoopContract:
         driver.advance(100.0)
         assert host.matchmaker.calls == [9]  # the one miss; the timer never fired
 
-    def test_empty_population_is_no_candidate(self, driver):
+    def test_empty_population_is_no_candidate(self, driver, monkeypatch):
         """Fail closed: with no node left there is nothing to ask — the job
         backs off and is abandoned on budget like any unplaceable one."""
+        set_backoff(monkeypatch, MAX_ATTEMPTS=2, BASE_DELAY=20.0)
         host = FakeHost(driver.clock, nodes=1)
-        loop = host.loop(driver.clock, max_attempts=2, base_delay=20.0)
+        loop = host.loop(driver.clock)
         job = cpu_job(job_id=1)
         host.grid_nodes[0].submit(job)
         loop.crash(0)
@@ -353,7 +360,8 @@ def _draws(rng, limit=200):
     raise AssertionError("retry stream is not a prefix of its seed's stream")
 
 
-RETRY = RetryPolicy(max_attempts=3, base_delay=100.0)
+#: the backoff both hosts run the scenario under
+RETRY = {"MAX_ATTEMPTS": 3, "BASE_DELAY": 100.0}
 
 
 def _run_on_sim():
@@ -361,7 +369,7 @@ def _run_on_sim():
     tracer = Tracer()
     tracer.subscribe(seen.append)
     sim = FaultyGridSimulation(
-        FaultyGridConfig(MatchmakingConfig(replace(TINY_LOAD, jobs=1)), retry=RETRY),
+        FaultyGridConfig(MatchmakingConfig(replace(TINY_LOAD, jobs=1))),
         tracer=tracer,
     )
     # GridService.start()'s order: warm-up, then the aggregation step and
@@ -395,7 +403,7 @@ def _run_on_service():
     env = Environment()
     clock = env
     service = GridService(
-        ServiceConfig(preset=TINY_LOAD, retry=RETRY),
+        ServiceConfig(preset=TINY_LOAD),
         open_ledger(None),
         clock,
         tracer=tracer,
@@ -410,16 +418,17 @@ def _run_on_service():
         job_ids,
     )
     assert service.ledger.record(picky).status is JobStatus.ABANDONED
-    assert service.ledger.record(picky).attempts == RETRY.max_attempts
+    assert service.ledger.record(picky).attempts == RETRY["MAX_ATTEMPTS"]
     check_service_accounting(service)
     return service, seen, job_ids, missed
 
 
-def test_both_hosts_run_the_same_recovery():
+def test_both_hosts_run_the_same_recovery(monkeypatch):
     """Same scenario, same seed, heartbeats on both hosts: the simulator and
     the service must ledger the same losses and detection latencies, emit
     the same loop events at the same model times and leave the ``retry``
     stream in the same state."""
+    set_backoff(monkeypatch, **RETRY)
     sim, sim_seen, sim_ids, sim_missed = _run_on_sim()
     service, svc_seen, svc_ids, svc_missed = _run_on_service()
     assert sim_ids.index(sim_missed) == svc_ids.index(svc_missed)
@@ -444,10 +453,10 @@ def test_both_hosts_run_the_same_recovery():
     assert kinds.count("grid.job_resubmit") == sim.tracker.resubmissions >= 2
     assert kinds.count("grid.job_lost") == sim.tracker.losses
 
-    # one jitter per miss: the flaky job's two, the picky job's max_attempts
+    # one jitter per miss: the flaky job's two, the picky job's MAX_ATTEMPTS
     draws = _draws(sim.recovery.rng)
     assert draws == _draws(service.recovery.rng)
-    assert draws >= 2 + RETRY.max_attempts
+    assert draws >= 2 + RETRY["MAX_ATTEMPTS"]
 
 
 # -- structural guards --------------------------------------------------------------
@@ -515,7 +524,7 @@ def test_hosts_contain_no_copy_of_the_loop():
     import repro.service.core
 
     forbidden = {
-        "begin_attempt", "exhausted", "delay",
+        "begin_attempt", "retry_delay",
         "job_lost", "job_resubmitted",
     }
     for module in (repro.gridsim.faulty, repro.service.core):

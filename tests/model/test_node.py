@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.ce import CESpec, CPU_SLOT
-from repro.model.contention import ContentionModel
+from repro.model import contention
 from repro.model.node import GridNode, NodeSpec
 
 from tests.conftest import (
@@ -17,7 +17,12 @@ from tests.conftest import (
     make_node_spec,
 )
 
-NO_CONTENTION = ContentionModel(alpha=0.0)
+
+@pytest.fixture(autouse=True)
+def no_contention(monkeypatch):
+    """Durations here are the base duration over the clock: co-runners add
+    nothing."""
+    monkeypatch.setattr(contention, "ALPHA", 0.0)
 
 
 class TestNodeSpec:
@@ -56,7 +61,7 @@ class TestPredicates:
         assert not node.capable(gpu_job(slot_index=1))
 
     def test_free_and_acceptable(self, env):
-        node = make_grid_node(env, cpu=make_cpu(cores=2), contention=NO_CONTENTION)
+        node = make_grid_node(env, cpu=make_cpu(cores=2))
         job = cpu_job(cores=1, duration=100)
         assert node.is_free()
         assert node.is_acceptable(job)
@@ -68,7 +73,7 @@ class TestPredicates:
         assert not node.is_acceptable(job)
 
     def test_acceptable_respects_fifo_queue(self, env):
-        node = make_grid_node(env, cpu=make_cpu(cores=2), contention=NO_CONTENTION)
+        node = make_grid_node(env, cpu=make_cpu(cores=2))
         node.submit(cpu_job(cores=2, duration=100))
         node.submit(cpu_job(cores=2, duration=100))  # waits in queue
         # a 1-core job could physically start, but FIFO order forbids it
@@ -81,7 +86,6 @@ class TestPredicates:
             env,
             cpu=make_cpu(cores=2),
             gpus=[make_gpu(0)],
-            contention=NO_CONTENTION,
         )
         node.submit(cpu_job(cores=1, duration=100))
         assert not node.is_free()
@@ -91,11 +95,8 @@ class TestPredicates:
 class TestExecution:
     def test_job_runs_and_finishes(self, env):
         finished = []
-        node = make_grid_node(
-            env,
-            contention=NO_CONTENTION,
-            on_job_finished=lambda n, j: finished.append(j),
-        )
+        node = make_grid_node(env)
+        node.on_job_finished = lambda n, j: finished.append(j)
         job = cpu_job(duration=50.0)
         node.submit(job)
         env.run()
@@ -107,9 +108,7 @@ class TestExecution:
         assert node.is_free()
 
     def test_fifo_wait_time(self, env):
-        node = make_grid_node(
-            env, cpu=make_cpu(cores=1), contention=NO_CONTENTION
-        )
+        node = make_grid_node(env, cpu=make_cpu(cores=1))
         first = cpu_job(duration=100.0)
         second = cpu_job(duration=100.0)
         node.submit(first)
@@ -119,9 +118,7 @@ class TestExecution:
         assert second.wait_time == 100.0
 
     def test_duration_scales_with_clock(self, env):
-        node = make_grid_node(
-            env, cpu=make_cpu(clock=2.0), contention=NO_CONTENTION
-        )
+        node = make_grid_node(env, cpu=make_cpu(clock=2.0))
         job = cpu_job(duration=100.0)
         node.submit(job)
         env.run()
@@ -132,7 +129,6 @@ class TestExecution:
             env,
             cpu=make_cpu(cores=2),
             gpus=[make_gpu(0, clock=1.0)],
-            contention=NO_CONTENTION,
         )
         job = gpu_job(gpu_cores=64, duration=80.0)
         node.submit(job)
@@ -147,7 +143,6 @@ class TestExecution:
             env,
             cpu=make_cpu(cores=8),
             gpus=[make_gpu(0)],
-            contention=NO_CONTENTION,
         )
         a = gpu_job(gpu_cores=32, duration=60.0)
         b = gpu_job(gpu_cores=32, duration=60.0)
@@ -162,7 +157,6 @@ class TestExecution:
             env,
             cpu=make_cpu(cores=2),
             gpus=[make_gpu(0)],
-            contention=NO_CONTENTION,
         )
         g = gpu_job(duration=100.0)
         c = cpu_job(duration=100.0)
@@ -178,9 +172,7 @@ class TestExecution:
             node.submit(gpu_job())
 
     def test_head_of_line_blocking(self, env):
-        node = make_grid_node(
-            env, cpu=make_cpu(cores=4), contention=NO_CONTENTION
-        )
+        node = make_grid_node(env, cpu=make_cpu(cores=4))
         node.submit(cpu_job(cores=3, duration=100.0))
         big = cpu_job(cores=3, duration=10.0)
         small = cpu_job(cores=1, duration=10.0)
@@ -192,9 +184,7 @@ class TestExecution:
         assert small.start_time == 100.0  # starts alongside big (4 cores)
 
     def test_dequeue_of_blocked_head_starts_its_follower(self, env):
-        node = make_grid_node(
-            env, cpu=make_cpu(cores=4), contention=NO_CONTENTION
-        )
+        node = make_grid_node(env, cpu=make_cpu(cores=4))
         node.submit(cpu_job(cores=3, duration=100.0))
         big = cpu_job(cores=3, duration=10.0)
         small = cpu_job(cores=1, duration=10.0)
@@ -208,9 +198,7 @@ class TestExecution:
         assert not node.dequeue(small)  # running, not queued
 
     def test_fail_loses_jobs(self, env):
-        node = make_grid_node(
-            env, cpu=make_cpu(cores=1), contention=NO_CONTENTION
-        )
+        node = make_grid_node(env, cpu=make_cpu(cores=1))
         running = cpu_job(duration=100.0)
         queued = cpu_job(duration=100.0)
         node.submit(running)
@@ -227,7 +215,6 @@ class TestExecution:
             env,
             cpu=make_cpu(cores=4),
             gpus=[make_gpu(0, cores=4)],
-            contention=NO_CONTENTION,
         )
         node.submit(cpu_job(cores=2, duration=100.0))
         assert node.node_utilization() == pytest.approx(2 / 8)
@@ -262,7 +249,6 @@ class TestQueuedCounter:
             env,
             cpu=make_cpu(cores=3),
             gpus=[make_gpu(0)],
-            contention=NO_CONTENTION,
         )
         submitted = []
         for op, arg in steps:

@@ -13,7 +13,6 @@ from repro.net import (
     LatencySpec,
     NetworkModel,
     NetworkSpec,
-    PartitionSpec,
 )
 
 
@@ -44,10 +43,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FlapSpec(down=10.0, up=10.0, start=5.0, end=1.0)
 
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(start=10.0, end=5.0)
-
     def test_loss_needs_rng(self):
         with pytest.raises(ValueError):
             NetworkModel(NetworkSpec(loss=0.5))
@@ -64,7 +59,6 @@ class TestIdentity:
     def test_non_identity_specs(self):
         assert not NetworkSpec(loss=0.1).identity
         assert not NetworkSpec(latency=LatencySpec(low=1.0)).identity
-        assert not NetworkSpec(partitions=(PartitionSpec(),)).identity
         assert not NetworkSpec(flaps=(FlapSpec(down=1.0, up=1.0),)).identity
 
 
@@ -84,39 +78,6 @@ class TestLoss:
         assert all(model.transmit(0, 1, 0.0) is None for _ in range(50))
         assert model.delivered == 0
         assert model.drops["loss"] == model.attempts == 50
-
-
-class TestPartitions:
-    def test_asymmetric_by_default(self):
-        spec = NetworkSpec(partitions=(PartitionSpec(src=(1,), dst=(2,)),))
-        model = spec.build()
-        assert model.transmit(1, 2, 10.0) is None  # cut direction
-        assert model.transmit(2, 1, 10.0) == 0.0  # reverse still delivers
-
-    def test_symmetric_cuts_both_directions(self):
-        spec = NetworkSpec(
-            partitions=(PartitionSpec(src=(1,), dst=(2,), symmetric=True),)
-        )
-        model = spec.build()
-        assert model.transmit(1, 2, 10.0) is None
-        assert model.transmit(2, 1, 10.0) is None
-        assert model.transmit(1, 3, 10.0) == 0.0  # unrelated pair fine
-
-    def test_time_window(self):
-        spec = NetworkSpec(
-            partitions=(PartitionSpec(src=(1,), start=100.0, end=200.0),)
-        )
-        model = spec.build()
-        assert model.transmit(1, 2, 99.9) == 0.0
-        assert model.transmit(1, 2, 100.0) is None
-        assert model.transmit(1, 2, 199.9) is None
-        assert model.transmit(1, 2, 200.0) == 0.0  # heals at end
-
-    def test_wildcard_sides(self):
-        blackhole = NetworkSpec(partitions=(PartitionSpec(dst=(9,)),)).build()
-        assert blackhole.transmit(3, 9, 0.0) is None
-        assert blackhole.transmit(4, 9, 0.0) is None
-        assert blackhole.transmit(9, 3, 0.0) == 0.0  # it can still send
 
 
 class TestFlaps:
@@ -142,7 +103,7 @@ class TestFlaps:
     def test_square_wave_cycles(self):
         """A flapped link is down for ``down`` then up for ``up``, repeating."""
         flap = FlapSpec(down=240.0, up=120.0)  # fraction=1: every link flaps
-        down_at = [flap.link_down(0, 1, t, salt=0) for t in np.arange(0, 1440, 1.0)]
+        down_at = [flap.link_down(0, 1, t) for t in np.arange(0, 1440, 1.0)]
         # half-open down windows of integer length: exactly 240 ticks per cycle
         assert sum(down_at) == 4 * 240
         # state changes only at schedule edges: 2 per cycle (the final pair
@@ -188,15 +149,6 @@ class TestLatency:
             assert lat > 0.0
             assert b.transmit(s, s + 1, 0.0) == lat  # hash-seeded, not RNG
 
-    def test_seed_changes_link_draws(self):
-        low = NetworkSpec(latency=LatencySpec(kind="uniform", high=1.0), seed=1)
-        other = NetworkSpec(latency=LatencySpec(kind="uniform", high=1.0), seed=2)
-        draws = [
-            (low.build().transmit(i, i + 1, 0.0), other.build().transmit(i, i + 1, 0.0))
-            for i in range(8)
-        ]
-        assert any(a != b for a, b in draws)
-
     def test_constant(self):
         spec = NetworkSpec(latency=LatencySpec(kind="constant", low=3.5))
         assert spec.build().transmit(0, 1, 0.0) == 3.5
@@ -206,7 +158,6 @@ class TestAccounting:
     def test_attempts_partition_delivered_and_dropped(self):
         spec = NetworkSpec(
             loss=0.2,
-            partitions=(PartitionSpec(src=(0,), dst=(1,)),),
             flaps=(FlapSpec(down=100.0, up=100.0, fraction=0.4),),
         )
         model = spec.build(np.random.default_rng(3))
@@ -223,7 +174,6 @@ class TestAccounting:
             "attempts",
             "delivered",
             "dropped_loss",
-            "dropped_partition",
             "dropped_link_down",
         }
 
@@ -238,17 +188,6 @@ _LATENCIES = st.sampled_from(
     ]
 )
 _IDS = st.integers(0, 11)
-_PARTITIONS = st.lists(
-    st.builds(
-        PartitionSpec,
-        src=st.lists(_IDS, max_size=4).map(tuple),
-        dst=st.lists(_IDS, max_size=4).map(tuple),
-        start=st.sampled_from([0.0, 100.0]),
-        end=st.sampled_from([150.0, math.inf]),
-        symmetric=st.booleans(),
-    ),
-    max_size=2,
-).map(tuple)
 _FLAPS = st.lists(
     st.builds(
         FlapSpec,
@@ -263,9 +202,7 @@ _SPECS = st.builds(
     NetworkSpec,
     loss=st.sampled_from([0.0, 0.05, 1.0]),
     latency=_LATENCIES,
-    partitions=_PARTITIONS,
     flaps=_FLAPS,
-    seed=st.integers(0, 3),
 )
 #: a run of sender turns: (src, dsts, now), empty and 1-element fan-outs too
 _TURNS = st.lists(
@@ -299,26 +236,24 @@ class TestTransmitMany:
             )
 
     def test_survivors_alone_draw(self):
-        """A send a partition or a flap cut consumes nothing of the loss
-        stream: the k survivors draw k uniforms, in their order."""
+        """A send a flap cut consumes nothing of the loss stream: the k
+        survivors draw k uniforms, in their order."""
         spec = NetworkSpec(
             loss=0.5,
-            partitions=(PartitionSpec(src=(0,), dst=(2, 4)),),
             flaps=(FlapSpec(down=50.0, up=50.0, fraction=0.5),),
         )
         model = spec.build(np.random.default_rng(11))
         reference = np.random.default_rng(11)
         dsts = list(range(1, 12))
         verdicts = model.transmit_many(0, dsts, 10.0)
-        cut = model.drops["partition"] + model.drops["link_down"]
-        assert model.drops["partition"] == 2 and 0 < cut < len(dsts)
+        cut = model.drops["link_down"]
+        assert 0 < cut < len(dsts)
         draws = reference.random(len(dsts) - cut)
         assert reference.bit_generator.state == model._rng.bit_generator.state
         survivors = [
             dst
             for dst in dsts
-            if dst not in (2, 4)
-            and not spec.flaps[0].link_down(0, dst, 10.0, spec.seed)
+            if not spec.flaps[0].link_down(0, dst, 10.0)
         ]
         assert [v is None for v in (verdicts[d - 1] for d in survivors)] == [
             bool(u < 0.5) for u in draws

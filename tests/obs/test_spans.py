@@ -214,6 +214,19 @@ class TestSeededRecoveryRun:
             s.as_dict() for s in offline.spans
         ]
 
+    def test_children_index_equals_a_scan_of_every_span(self, recovery):
+        sim, res, online, path = recovery
+        assert len(online.jobs()) > 1
+        for span in online.spans:
+            scan = [s for s in online.spans if s.parent_id == span.span_id]
+            assert online.children(span) == scan
+        # a copy: the critical path sorts what children() returns
+        root = online.root(online.jobs()[0])
+        online.children(root).reverse()
+        assert online.children(root) == [
+            s for s in online.spans if s.parent_id == root.span_id
+        ]
+
     def test_renderers_cover_run(self, recovery):
         sim, res, online, path = recovery
         summary = render_spans(online)

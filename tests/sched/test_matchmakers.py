@@ -6,7 +6,7 @@ import pytest
 from repro.can.aggregation import AggregationEngine
 from repro.can.overlay import CanOverlay
 from repro.can.space import ResourceSpace
-from repro.model.contention import ContentionModel
+from repro.model import contention
 from repro.model.node import GridNode
 from repro.sched.can_het import CanHetMatchmaker
 from repro.sched.can_hom import CanHomMatchmaker
@@ -15,7 +15,10 @@ from repro.sim.core import Environment
 
 from tests.conftest import cpu_job, gpu_job, make_cpu, make_gpu, make_node_spec
 
-NO_CONTENTION = ContentionModel(alpha=0.0)
+@pytest.fixture(autouse=True)
+def no_contention(monkeypatch):
+    """Co-runners add nothing to a job's duration."""
+    monkeypatch.setattr(contention, "ALPHA", 0.0)
 
 
 def build_world(specs, gpu_slots=1, seed=0):
@@ -28,7 +31,7 @@ def build_world(specs, gpu_slots=1, seed=0):
         overlay.add_node(
             spec.node_id, space.node_coordinate(spec, float(rng.random()))
         )
-        grid[spec.node_id] = GridNode(spec, env, contention=NO_CONTENTION)
+        grid[spec.node_id] = GridNode(spec, env)
     agg = AggregationEngine(overlay, grid)
     agg.run_rounds(4)
     return overlay, grid, agg, env

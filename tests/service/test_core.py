@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.gridsim.invariants import check_service_accounting
-from repro.gridsim.recovery import RetryPolicy
+from repro.gridsim import recovery
 from repro.service.core import CancelError, GridService, ServiceConfig
 from repro.service.ledger import JobStatus, open_ledger
 from repro.sim.core import Environment
@@ -93,10 +93,10 @@ class TestHappyPath:
 
 
 class TestRetriesAndAbandonment:
-    def test_impossible_job_is_abandoned_after_budget(self):
-        env, service = build_service(
-            retry=RetryPolicy(max_attempts=3, jitter=0.0)
-        )
+    def test_impossible_job_is_abandoned_after_budget(self, monkeypatch):
+        monkeypatch.setattr(recovery, "MAX_ATTEMPTS", 3)
+        monkeypatch.setattr(recovery, "JITTER", 0.0)
+        env, service = build_service()
         service.start()
         job_id = service.submit(dict(IMPOSSIBLE))
         assert service.ledger.record(job_id).status is JobStatus.RETRYING

@@ -115,10 +115,8 @@ class TestClockContract:
     def test_grid_node_runs_jobs_on_either_backend(self, driver):
         """The job engine is protocol code: unchanged under both clocks."""
         finished = []
-        node = make_grid_node(
-            driver.clock,
-            on_job_finished=lambda n, j: finished.append(j.job_id),
-        )
+        node = make_grid_node(driver.clock)
+        node.on_job_finished = lambda n, j: finished.append(j.job_id)
         node.submit(cpu_job(duration=40.0, job_id=7))
         driver.advance(10.0)
         assert finished == []
