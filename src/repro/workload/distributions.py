@@ -6,16 +6,33 @@ and a low percentage ... have high resource capabilities and requirements,
 which is a common node capability distribution in grid environments"
 (Section V-A).  :class:`Tiered` encodes exactly that: weighted tiers, each a
 uniform range, with the weights front-loaded on the low tiers.
+
+A weighted pick is ``bisect_right(cdf, rng.random())`` over a cumulative
+table built once per distribution.  The table is what
+``Generator.choice(n, p=w / w.sum())`` builds on every call (``cumsum`` of
+``p``, divided by its last entry), and ``choice`` with ``size=None`` draws
+exactly one ``rng.random()`` and takes ``searchsorted(side="right")`` of it,
+which is ``bisect_right``: the same index from the same stream, at a
+fraction of the cost (DESIGN.md, "Weighted picks").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["Tiered", "WeightedChoice"]
+
+
+def cumulative(weights: Sequence[float]) -> Tuple[float, ...]:
+    """The cumulative table ``Generator.choice`` builds for these weights."""
+    w = np.asarray(weights, dtype=float)
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return tuple(cdf.tolist())
 
 
 @dataclass(frozen=True)
@@ -23,6 +40,7 @@ class Tiered:
     """Mixture of uniform ranges: pick a tier by weight, then a value."""
 
     tiers: Tuple[Tuple[float, float, float], ...]  # (weight, low, high)
+    _cdf: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tiers:
@@ -32,11 +50,10 @@ class Tiered:
                 raise ValueError("tier weights must be positive")
             if hi < lo:
                 raise ValueError(f"tier range inverted: [{lo}, {hi}]")
+        object.__setattr__(self, "_cdf", cumulative([t[0] for t in self.tiers]))
 
     def sample(self, rng: np.random.Generator) -> float:
-        weights = np.array([t[0] for t in self.tiers])
-        idx = rng.choice(len(self.tiers), p=weights / weights.sum())
-        _, lo, hi = self.tiers[idx]
+        _, lo, hi = self.tiers[bisect_right(self._cdf, rng.random())]
         return float(rng.uniform(lo, hi)) if hi > lo else lo
 
 
@@ -46,6 +63,7 @@ class WeightedChoice:
 
     values: Tuple[float, ...]
     weights: Tuple[float, ...]
+    _cdf: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.weights):
@@ -54,9 +72,8 @@ class WeightedChoice:
             raise ValueError("empty choice set")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
+        object.__setattr__(self, "_cdf", cumulative(self.weights))
 
     def sample(self, rng: np.random.Generator) -> float:
-        w = np.asarray(self.weights, dtype=float)
-        idx = rng.choice(len(self.values), p=w / w.sum())
-        return self.values[idx]
+        return self.values[bisect_right(self._cdf, rng.random())]
 

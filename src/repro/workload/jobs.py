@@ -21,7 +21,9 @@ nothing about load balancing.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,9 +31,13 @@ import numpy as np
 from ..model.ce import CPU_SLOT, gpu_slot
 from ..model.job import CERequirement, Job
 from ..model.node import NodeSpec
-from .distributions import Tiered, WeightedChoice
+from .distributions import Tiered, WeightedChoice, cumulative
 
 __all__ = ["JobDistribution", "generate_jobs", "arrival_times"]
+
+#: draws of a job's requirements before :func:`generate_jobs` gives up on
+#: the node population
+MAX_RESAMPLE = 50
 
 
 @dataclass(frozen=True)
@@ -143,8 +149,8 @@ def _sample_requirements(
     is_gpu_job = gpu_slots > 0 and rng.random() < dist.gpu_job_fraction
     if not is_gpu_job:
         return {CPU_SLOT: _cpu_requirement(dist, rng, secondary=False)}
-    weights = np.asarray(dist.gpu_slot_weights[:gpu_slots], dtype=float)
-    slot_idx = int(rng.choice(gpu_slots, p=weights / weights.sum()))
+    first, seconds = _slot_tables(dist.gpu_slot_weights, gpu_slots)
+    slot_idx = bisect_right(first, rng.random())
     reqs = {
         gpu_slot(slot_idx): _gpu_requirement(dist, rng),
         CPU_SLOT: _cpu_requirement(dist, rng, secondary=True),
@@ -153,11 +159,29 @@ def _sample_requirements(
     # them to the (few) multi-GPU machines.
     second_prob = dist.secondary_gpu_factor * dist.constraint_ratio
     if gpu_slots > 1 and rng.random() < second_prob:
-        others = [g for g in range(gpu_slots) if g != slot_idx]
-        w2 = np.asarray([dist.gpu_slot_weights[g] for g in others], dtype=float)
-        second = others[int(rng.choice(len(others), p=w2 / w2.sum()))]
+        others, cdf = seconds[slot_idx]
+        second = others[bisect_right(cdf, rng.random())]
         reqs[gpu_slot(second)] = _gpu_requirement(dist, rng)
     return reqs
+
+
+@lru_cache(maxsize=None)
+def _slot_tables(weights: Tuple[float, ...], gpu_slots: int) -> Tuple[
+    Tuple[float, ...], Tuple[Tuple[Tuple[int, ...], Tuple[float, ...]], ...]
+]:
+    """The GPU-slot pick tables for the first ``gpu_slots`` weights.
+
+    The first pick's cumulative table, and per first slot the other slots
+    with the table for the second pick among them (none with one slot).
+    """
+    if len(weights) < gpu_slots:
+        raise ValueError("gpu_slot_weights needs a weight per GPU slot")
+    seconds = []
+    if gpu_slots > 1:
+        for first in range(gpu_slots):
+            others = tuple(g for g in range(gpu_slots) if g != first)
+            seconds.append((others, cumulative([weights[g] for g in others])))
+    return cumulative(weights[:gpu_slots]), tuple(seconds)
 
 
 def generate_jobs(
@@ -167,14 +191,13 @@ def generate_jobs(
     mean_interarrival: float,
     rng: np.random.Generator,
     dist: Optional[JobDistribution] = None,
-    max_resample: int = 50,
 ) -> List[Job]:
     """Draw a satisfiable Poisson job stream against ``nodes``."""
     dist = dist or JobDistribution()
     times = arrival_times(count, mean_interarrival, rng)
     jobs: List[Job] = []
     for t in times:
-        for attempt in range(max_resample):
+        for attempt in range(MAX_RESAMPLE):
             reqs = _sample_requirements(dist, gpu_slots, rng)
             if _satisfiable(reqs, nodes):
                 break

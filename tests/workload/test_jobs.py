@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model.ce import CPU_SLOT
+from repro.workload import jobs as jobs_module
 from repro.workload.jobs import JobDistribution, arrival_times, generate_jobs
 from repro.workload.nodes import generate_node_specs
 
@@ -85,7 +86,8 @@ class TestGenerateJobs:
             assert req.clock == req.memory == req.disk == 0.0
             assert req.cores == 1
 
-    def test_impossible_distribution_raises(self, rng):
+    def test_impossible_distribution_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_RESAMPLE", 5)
         weak = generate_node_specs(3, 0, rng)
         from repro.workload.distributions import Tiered
 
@@ -95,7 +97,7 @@ class TestGenerateJobs:
             cpu_req_clock=Tiered(tiers=((1.0, 50.0, 60.0),)),
         )
         with pytest.raises(RuntimeError):
-            generate_jobs(10, weak, 0, 3.0, rng, impossible, max_resample=5)
+            generate_jobs(10, weak, 0, 3.0, rng, impossible)
 
     def test_submit_times_assigned(self, nodes, rng):
         jobs = generate_jobs(50, nodes, 2, 2.0, rng)
