@@ -197,12 +197,13 @@ class EdgeStore:
     def alloc_slot(
         self,
         owner_row: int,
-        subject_id: int,
-        partner: int = -1,
-        version: int = 0,
-        heard: float = _NEG_INF,
+        srow: int,
+        partner: int,
+        version: int,
+        heard: float,
     ) -> int:
-        """A slot for ``owner_row`` believing ``subject_id``, fully written.
+        """A slot for ``owner_row`` believing the subject at row ``srow``
+        (-1: a subject with no row), fully written.
 
         ``partner`` is the reverse edge's slot (-1: the belief is not
         mutual); both ends get linked.
@@ -224,7 +225,6 @@ class EdgeStore:
                     self.avail_pos = _grown(self.avail_pos, new_cap, _POS_MAX)
                 self._slot_cap = new_cap
             self.n_slots = s + 1
-        srow = self.row_of.get(subject_id, -1)
         if srow < 0:
             self.rowless += 1
         self.owner_row[s] = owner_row
@@ -442,11 +442,11 @@ class ArrayNeighborTable(NeighborTable):
                 return False  # too stale to (re-)introduce
             self._own_records()
             self._records[nid] = record
-            row = store.row_of.get(nid)
-            partner = None if row is None else store.tables_by_row[row]
+            row = store.row_of.get(nid, -1)
+            partner = None if row < 0 else store.tables_by_row[row]
             self._slots[nid] = store.alloc_slot(
                 self._row,
-                nid,
+                row,
                 -1 if partner is None else partner._slots.get(self._node_id, -1),
                 record.version,
                 evidence,

@@ -6,12 +6,15 @@ between events either longer than a heartbeat period (no simultaneous
 events — no scheme suffers broken links) or shorter (high churn — the
 regime where the schemes differ).  Heartbeat rounds tick throughout;
 message costs and broken links are recorded by the protocol engine.
+
+:func:`churn_process` is the one background churn driver: this coin and
+the faulty grid's failure and join processes each run one.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -26,10 +29,51 @@ from .config import ChurnConfig
 from .faults import FaultInjector
 from .results import ChurnResult
 
-__all__ = ["ChurnSimulation"]
+__all__ = ["ChurnSimulation", "churn_process", "draw_joiner"]
 
 #: the stats window opens after this many settle rounds post-bootstrap
 WARMUP_ROUNDS = 3
+#: longest single wait of a churn chain (seconds)
+CHURN_CHECK_INTERVAL = 600.0
+
+
+def churn_process(clock, rng, mean_gap, act, gap_multiplier, live) -> None:
+    """While ``live()``: draw an exponential gap of mean ``mean_gap`` on
+    ``rng``, scale it by ``gap_multiplier(now)``, wait it out on ``clock``,
+    then ``act(rng)``."""
+
+    def draw() -> None:
+        if live():
+            gap = float(rng.exponential(mean_gap))
+            # diurnal curve: scale the gap, never the draw — the RNG
+            # stream is identical with and without the modulation
+            gap *= gap_multiplier(clock.now)
+            wait(clock.now + max(gap, 1e-6))
+
+    def wait(deadline: float) -> None:
+        # Waits are chunked so the chain notices promptly when its host
+        # stops, instead of holding the clock hostage until a far-future
+        # churn event.
+        now = clock.now
+        if now < deadline and live():
+            clock.schedule_callback(
+                min(CHURN_CHECK_INTERVAL, deadline - now), lambda: wait(deadline)
+            )
+            return
+        if live() and now >= deadline:
+            act(rng)
+        draw()
+
+    draw()
+
+
+def draw_joiner(space, node_dist, node_id, spec_rng, virtual_rng):
+    """A newcomer's ``(spec, coordinate)``: the spec drawn on ``spec_rng``,
+    the virtual coordinate on ``virtual_rng``."""
+    spec = generate_node_specs(
+        1, space.gpu_slots, spec_rng, node_dist, first_id=node_id
+    )[0]
+    return spec, space.node_coordinate(spec, float(virtual_rng.random()))
 
 
 class ChurnSimulation:
@@ -61,6 +105,8 @@ class ChurnSimulation:
         FaultInjector(self, config.plan).install()
         #: crash -> first-detection latency per detected crash
         self._detection_latencies: List[float] = []
+        #: crash time per crashed node not yet detected
+        self._crash_times: Dict[int, float] = {}
         self.protocol.on_failure_detected = self._crash_detected
         self.metrics = MetricsRegistry()
         proto_scope = self.metrics.scope("protocol")
@@ -72,21 +118,15 @@ class ChurnSimulation:
         self._next_id = itertools.count()
         self._spec_rng = self.rngs.stream("nodes")
         self._virtual_rng = self.rngs.stream("virtual")
-        self._event_rng = self.rngs.stream("events")
         self._events_since_check = 0
 
     # -- node material ---------------------------------------------------------------
     def _new_coord(self):
-        spec = generate_node_specs(
-            1,
-            self.config.gpu_slots,
-            self._spec_rng,
-            self._node_dist,
-            first_id=next(self._next_id),
-        )[0]
-        return spec.node_id, self.space.node_coordinate(
-            spec, float(self._virtual_rng.random())
+        spec, coord = draw_joiner(
+            self.space, self._node_dist, next(self._next_id),
+            self._spec_rng, self._virtual_rng,
         )
+        return spec.node_id, coord
 
     # -- stages -----------------------------------------------------------------------
     def bootstrap_population(self) -> None:
@@ -100,10 +140,17 @@ class ChurnSimulation:
 
     def start(self) -> None:
         """Stage 2: schedule the heartbeat rounds and the churn events."""
+        cfg = self.config
         self._settle = WARMUP_ROUNDS
         self._next_round()
-        warmup_time = self.config.heartbeat_period * (WARMUP_ROUNDS + 1)
-        self.env.schedule_callback(warmup_time, self._next_event)
+        self.env.schedule_callback(
+            cfg.heartbeat_period * (WARMUP_ROUNDS + 1),
+            lambda: churn_process(
+                self.env, self.rngs.stream("events"), cfg.event_gap_mean,
+                self._one_event, cfg.plan.gap_multiplier,
+                lambda: self.env.now < cfg.duration,
+            ),
+        )
 
     def _next_round(self) -> None:
         if self.env.now < self.config.duration:
@@ -119,20 +166,6 @@ class ChurnSimulation:
                     self.env.now, len(self.overlay.alive_ids())
                 )
         self._next_round()
-
-    def _next_event(self) -> None:
-        cfg = self.config
-        if self.env.now < cfg.duration:
-            gap = float(self._event_rng.exponential(cfg.event_gap_mean))
-            # diurnal curve: scale the gap, never the draw — the RNG stream
-            # is identical with and without the modulation
-            gap *= cfg.plan.gap_multiplier(self.env.now)
-            self.env.schedule_callback(max(gap, 1e-6), self._event)
-
-    def _event(self) -> None:
-        if self.env.now < self.config.duration:
-            self._one_event()
-            self._next_event()
 
     def population_floor(self) -> int:
         """Neither background churn nor a burst shrinks the grid below this."""
@@ -151,22 +184,23 @@ class ChurnSimulation:
 
     def crash_node(self, node_id: int) -> None:
         """One node crashes silently now."""
+        self._crash_times[node_id] = self.env.now
         self.protocol.fail(node_id, now=self.env.now)
         self._population_changed()
 
     def _crash_detected(self, node_id: int, now: float) -> None:
         """The protocol noticed a crash (once per crash): record its latency."""
-        self._detection_latencies.append(now - self.protocol._fail_times[node_id])
+        self._detection_latencies.append(now - self._crash_times.pop(node_id))
 
-    def _one_event(self) -> None:
+    def _one_event(self, rng: np.random.Generator) -> None:
         alive = self.overlay.alive_ids()
-        join = self._event_rng.random() < 0.5
+        join = rng.random() < 0.5
         if not join and len(alive) <= self.population_floor():
             join = True  # keep the population from collapsing
         if join:
             self.join_node()
         else:
-            victim = int(alive[int(self._event_rng.integers(len(alive)))])
+            victim = int(alive[int(rng.integers(len(alive)))])
             if self.config.leave_mode == "fail":
                 self.crash_node(victim)
             else:

@@ -18,6 +18,11 @@ fire (per-scheme — vanilla/compact/adaptive differ in how beliefs are
 maintained).  Vacated zones recover through the take-over path, and
 resubmission is triggered by the protocol's detection events.
 
+Failures and joins are two Poisson processes, each a
+:func:`~repro.gridsim.churn.churn_process` on its own stream, stopping when
+the work drains.  A join the substrate refuses is dropped, not queued for
+retry (``join(..., retry=False)``): grid-level joins are plentiful.
+
 Scripted adversity (crash bursts, correlated zone failures, heartbeat
 message loss) is layered on via :class:`~repro.gridsim.faults.FaultPlan`,
 and :func:`~repro.gridsim.invariants.check_faulty_invariants` can audit
@@ -28,16 +33,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..can.heartbeat import HeartbeatScheme
 from ..model.job import Job
 from ..model.node import GridNode
-from ..overlay import SubstrateError, get_substrate
+from ..overlay import get_substrate
 from ..workload.jobs import JobDistribution
-from ..workload.nodes import NodeDistribution, generate_node_specs
+from ..workload.nodes import NodeDistribution
+from .churn import churn_process, draw_joiner
 from .config import MatchmakingConfig
 from .faults import FaultInjector, FaultPlan
 from .invariants import check_faulty_invariants, check_matchmaking_accounting
@@ -45,9 +51,6 @@ from .results import MatchmakingResult
 from .simulation import GridSimulation, wire_grid
 
 __all__ = ["FaultyGridConfig", "FaultyGridSimulation", "FaultyGridResult"]
-
-#: longest single wait of a churn chain (seconds)
-CHURN_CHECK_INTERVAL = 600.0
 
 
 @dataclass(frozen=True)
@@ -150,39 +153,6 @@ class FaultyGridSimulation(GridSimulation):
         self._injector = FaultInjector(self, config.faults)
 
     # ------------------------------------------------------------------ churn --
-    def _churn(
-        self,
-        rng: np.random.Generator,
-        mean_gap: float,
-        act: Callable[[np.random.Generator], None],
-    ) -> None:
-        """While work remains, draw a background failure or join gap on
-        ``rng``, wait it out, then ``act(rng)``."""
-
-        def draw() -> None:
-            if self._work_remaining():
-                gap = float(rng.exponential(mean_gap))
-                # diurnal curve: scale the gap, never the draw — the RNG
-                # streams are identical with and without the modulation
-                gap *= self.fault_config.faults.gap_multiplier(self.env.now)
-                wait(self.env.now + max(gap, 1e-6))
-
-        def wait(deadline: float) -> None:
-            # Waits are chunked so the chain notices promptly when the
-            # workload has drained and stops, instead of holding the clock
-            # hostage until a far-future churn event.
-            now = self.env.now
-            if now < deadline and self._work_remaining():
-                self.env.schedule_callback(
-                    min(CHURN_CHECK_INTERVAL, deadline - now), lambda: wait(deadline)
-                )
-                return
-            if self._work_remaining() and now >= deadline:
-                act(rng)
-            draw()
-
-        draw()
-
     def _heartbeat(self) -> None:
         """Tick heartbeat rounds next to the aggregation."""
         self.protocol.run_round(self.env.now)
@@ -214,30 +184,11 @@ class FaultyGridSimulation(GridSimulation):
         self._join_from(self.rngs.stream("fault-joins"))
 
     def _join_from(self, rng: np.random.Generator) -> None:
-        spec = generate_node_specs(
-            1,
-            self.config.preset.gpu_slots,
-            rng,
-            self._node_dist,
-            first_id=next(self._next_node_id),
-        )[0]
-        coord = self.space.node_coordinate(spec, float(rng.random()))
-        # Substrate-agnostic probe: the owner of the newcomer's target
-        # region must be alive, otherwise the zone/arc is in limbo
-        # awaiting take-over and the join would be deferred.
-        try:
-            owner = self.overlay.locate_owner(coord)
-        except SubstrateError:
-            return
-        if not self.overlay.is_alive(owner):
-            return  # target region in limbo awaiting take-over; skip
-        if not self.protocol.join(spec.node_id, coord, now=self.env.now):
-            # The only remaining failure is an unsplittable zone; the
-            # protocol queued a retry, but grid-level joins are
-            # Poisson-plentiful — withdraw instead of tracking a
-            # node the grid layer never registered.
-            self.protocol._pending_joins.pop()
-            return
+        spec, coord = draw_joiner(
+            self.space, self._node_dist, next(self._next_node_id), rng, rng
+        )
+        if not self.protocol.join(spec.node_id, coord, now=self.env.now, retry=False):
+            return  # target region in limbo or unsplittable: joins are plentiful
         node = GridNode(spec, self.env)
         self._wire_node(node)
         self.grid_nodes[spec.node_id] = node
@@ -268,14 +219,14 @@ class FaultyGridSimulation(GridSimulation):
         cfg = self.fault_config
         self._injector.install()
         self._next_period(self._heartbeat)
-        self._churn(
-            self.rngs.stream("failures"),
-            cfg.mean_time_between_failures,
-            self._fail_random_node,
-        )
-        self._churn(
-            self.rngs.stream("joins"), cfg.mean_time_between_joins, self._join_from
-        )
+        for stream, mean_gap, act in (
+            ("failures", cfg.mean_time_between_failures, self._fail_random_node),
+            ("joins", cfg.mean_time_between_joins, self._join_from),
+        ):
+            churn_process(
+                self.env, self.rngs.stream(stream), mean_gap, act,
+                cfg.faults.gap_multiplier, self._work_remaining,
+            )
         base = super().run()
         if cfg.invariant_check_every:
             check_faulty_invariants(self, final=True)

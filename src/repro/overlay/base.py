@@ -322,12 +322,18 @@ class MaintenanceProtocol:
         self.overlay.add_node(node_id, coord)
         self._make_node(node_id)
 
-    def join(self, node_id: int, coord: Sequence[float], now: float) -> bool:
-        """A node joins; returns False when deferred (target region in limbo)."""
+    def join(
+        self, node_id: int, coord: Sequence[float], now: float, retry: bool = True
+    ) -> bool:
+        """A node joins; returns False when the substrate refuses it (target
+        region in limbo, or an unsplittable zone).  A refused join is retried
+        each round, or with ``retry=False`` dropped without a trace."""
         coord = tuple(coord)
         try:
             result = self.overlay.add_node(node_id, coord)
         except SubstrateError:
+            if not retry:
+                return False
             # The containing region belongs to a failed-but-unclaimed node;
             # retry once the take-over has happened.
             self._pending_joins.append((node_id, coord))

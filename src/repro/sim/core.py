@@ -74,8 +74,8 @@ class Environment(Clock):
     handle, ``call_every`` is inherited.
     """
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._queue: List[Tuple[float, int, _Callback]] = []
         self._eid = 0
 

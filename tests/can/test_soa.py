@@ -39,15 +39,19 @@ def make_table(store: EdgeStore, node_id: int) -> ArrayNeighborTable:
 class TestEdgeStore:
     def test_slot_alloc_free_reuse(self):
         store = EdgeStore(slot_capacity=2)
-        s0 = store.alloc_slot(0, 1)
-        s1 = store.alloc_slot(0, 2)
-        s2 = store.alloc_slot(0, 3)  # forces a grow
+        # (owner row, subject row, partner slot, version, heard): rowless
+        # subjects, no partner
+        s0 = store.alloc_slot(0, -1, -1, 0, 5.0)
+        s1 = store.alloc_slot(0, -1, -1, 0, 5.0)
+        s2 = store.alloc_slot(0, -1, -1, 0, 5.0)  # forces a grow
         assert len({s0, s1, s2}) == 3
-        assert store.active[s1]
+        assert store.active[s1] and store.eh[s1] == 5.0
+        assert store.rowless == 3
         store.free_slot(s1)
         assert not store.active[s1]
         assert store.eh[s1] == _NEG_INF
-        assert store.alloc_slot(1, 4) == s1  # freed slot recycled
+        assert store.rowless == 2
+        assert store.alloc_slot(1, -1, -1, 0, 5.0) == s1  # freed slot recycled
 
     def test_row_growth_and_monotonic_rows(self):
         store = EdgeStore(row_capacity=2)

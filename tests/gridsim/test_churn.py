@@ -4,7 +4,10 @@ import pytest
 
 from repro.can.heartbeat import HeartbeatScheme
 from repro.gridsim import ChurnConfig, ChurnSimulation, FaultPlan, invariants
+from repro.gridsim.churn import CHURN_CHECK_INTERVAL, churn_process
 from repro.net import NetworkSpec
+from repro.obs.events import Tracer
+from repro.sim.core import Environment
 
 
 def lossy_plan(loss):
@@ -183,3 +186,71 @@ class TestInvariantsAndLoss:
         assert net.attempts > 0
         assert net.delivered == 0
         assert net.drops["loss"] == net.attempts
+
+
+class _FixedGaps:
+    """A stand-in stream: every exponential draw is ``gap``."""
+
+    def __init__(self, gap):
+        self.gap = gap
+
+    def exponential(self, mean):
+        return self.gap
+
+
+class TestChurnProcess:
+    """The one background churn driver both churn hosts run."""
+
+    def test_a_long_gap_fires_at_its_deadline_after_chunked_waits(self):
+        env = Environment()
+        delays, fired = [], []
+        schedule = env.schedule_callback
+
+        def recording(delay, fn):
+            delays.append(delay)
+            return schedule(delay, fn)
+
+        env.schedule_callback = recording
+        gap = 2.5 * CHURN_CHECK_INTERVAL
+        churn_process(
+            env, _FixedGaps(gap), 1.0, lambda rng: fired.append(env.now),
+            lambda now: 1.0, lambda: not fired,
+        )
+        env.run()
+        assert fired == [gap]
+        # two full chunks and the remainder, then the chain stops: live()
+        # turned false inside the action
+        assert delays == [CHURN_CHECK_INTERVAL] * 2 + [0.5 * CHURN_CHECK_INTERVAL]
+
+    def test_nothing_is_scheduled_once_live_turns_false(self):
+        env = Environment()
+        live, fired = [True], []
+        churn_process(
+            env, _FixedGaps(10 * CHURN_CHECK_INTERVAL), 1.0, fired.append,
+            lambda now: 1.0, lambda: live[0],
+        )
+        env.run(until=1.5 * CHURN_CHECK_INTERVAL)
+        live[0] = False
+        env.run()  # the pending chunk wakes once, sees the host stopped
+        assert fired == []
+        assert env.peek() == float("inf")
+        assert env.now == 2 * CHURN_CHECK_INTERVAL
+
+
+@pytest.mark.parametrize("retry", [False, True])
+def test_a_join_into_a_dead_owners_zone(retry):
+    """``join(retry=False)`` refuses without a trace: nothing queued, no
+    ``join_deferred``; the default queues the join for the next rounds."""
+    sim = ChurnSimulation(quick_config(initial_nodes=8), tracer=Tracer())
+    sim.bootstrap_population()
+    victim = sorted(sim.overlay.alive_ids())[3]
+    sim.crash_node(victim)
+    joins = sim.protocol.events["joins"]
+    joined = sim.protocol.join(
+        999, sim.overlay.members[victim].coord, now=0.0, retry=retry
+    )
+    assert joined is False
+    assert 999 not in sim.protocol.nodes
+    assert sim.protocol.events["joins"] == joins
+    assert len(sim.protocol._pending_joins) == int(retry)
+    assert sim.tracer.counts.get("can.join_deferred", 0) == int(retry)

@@ -9,6 +9,8 @@ import pytest
 import repro.gridsim.faulty as faulty_module
 from repro.can.heartbeat import HeartbeatScheme
 from repro.gridsim import (
+    ChurnConfig,
+    ChurnSimulation,
     CrashBurst,
     DiurnalChurn,
     FaultPlan,
@@ -19,6 +21,7 @@ from repro.gridsim import (
     MatchmakingConfig,
     check_matchmaking_accounting,
 )
+from repro.gridsim.churn import WARMUP_ROUNDS
 from repro.gridsim.recovery import PendingRecovery
 from repro.net import NetworkSpec
 from repro.obs.events import Tracer
@@ -122,33 +125,56 @@ class TestFaultyGrid:
             a.resubmission_latencies, b.resubmission_latencies
         )
 
-    def test_diurnal_plan_scales_the_background_churn_gaps(self):
-        def failure_schedule(plan):
-            sim = FaultyGridSimulation(config(faults=plan))
-            crash, crashes = sim.crash_node, []
+    @pytest.mark.parametrize("host", ["faulty", "churn"])
+    def test_diurnal_plan_scales_the_background_churn_gaps(self, host):
+        # the background chain starts at t=0 on the faulty grid, after the
+        # warm-up rounds on the churn simulation
+        start = 0.0 if host == "faulty" else 60.0 * (WARMUP_ROUNDS + 1)
 
-            def recording(victim_id):
-                crashes.append((sim.env.now, victim_id))
+        def schedule(plan):
+            if host == "faulty":
+                sim = FaultyGridSimulation(config(faults=plan))
+            else:
+                sim = ChurnSimulation(
+                    ChurnConfig(
+                        initial_nodes=20,
+                        gpu_slots=1,
+                        heartbeat_period=60.0,
+                        event_gap_mean=120.0,
+                        duration=2_400.0,
+                        plan=plan,
+                    )
+                )
+            events = []
+            crash, join = sim.crash_node, sim.join_node
+
+            def crashing(victim_id):
+                events.append((sim.env.now, "crash", victim_id))
                 crash(victim_id)
 
-            sim.crash_node = recording
-            sim.run()
-            return crashes
+            def joining():
+                events.append((sim.env.now, "join"))
+                join()
 
-        plain = failure_schedule(FaultPlan())
-        flat = failure_schedule(
+            sim.crash_node, sim.join_node = crashing, joining
+            sim.run()
+            return events
+
+        plain = schedule(FaultPlan())
+        flat = schedule(
             FaultPlan(diurnal=DiurnalChurn(period=3600.0, amplitude=0.0))
         )
-        curved = failure_schedule(
-            FaultPlan(diurnal=DiurnalChurn(period=3600.0, amplitude=0.7))
-        )
+        curve = FaultPlan(diurnal=DiurnalChurn(period=3600.0, amplitude=0.7))
+        curved = schedule(curve)
         # no curve, or a flat one: the gap is the draw, byte for byte
         assert flat == plain
-        # the curve scales the gap, never the draw: the first gap starts at
-        # t=0 where the multiplier is 1, every later one is stretched or
-        # squeezed by where in the day it starts
-        assert curved[0] == plain[0]
-        assert [t for t, _ in curved[1:4]] != [t for t, _ in plain[1:4]]
+        # the curve scales the gap, never the draw: the first gap is the
+        # same draw stretched or squeezed by where in the day it starts,
+        # and so is every later one
+        first = start + (plain[0][0] - start) * curve.gap_multiplier(start)
+        assert curved[0][0] == pytest.approx(first)
+        assert curved[0][1:] == plain[0][1:]
+        assert [e[0] for e in curved[1:4]] != [e[0] for e in plain[1:4]]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -8,10 +8,6 @@ from repro.sim.core import Environment, SimulationError
 
 
 class TestEnvironmentBasics:
-    def test_initial_time(self):
-        assert Environment().now == 0.0
-        assert Environment(5.0).now == 5.0
-
     def test_timeout_advances_clock(self, env):
         done = []
 

@@ -19,6 +19,10 @@ A definition only a test reaches moves to ``tests/`` (as the oracles in
 ``tests/sched/oracle.py``, ``tests/overlay/oracle.py`` and
 ``tests/can/oracle.py`` did) or goes; one kept for a reason goes on
 ``ALLOWLIST`` with that reason.
+
+The churn path gets two more checks: its modules reach a protocol, an
+overlay or a host through public names only, and one definition draws a
+background churn gap.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import functools
 from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Set, Tuple
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
@@ -155,3 +161,53 @@ def test_allowlist_entries_are_needed_and_give_a_reason():
     stale = [key for key in ALLOWLIST if key not in flagged]
     assert stale == [], f"allowlisted but reached by a run: {stale}"
     assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+#: the modules that drive churn: two hosts and the burst injector
+CHURN_PATH = ("gridsim/churn.py", "gridsim/faulty.py", "gridsim/faults.py")
+
+
+def _own(node: ast.expr) -> bool:
+    """``self`` or ``super()``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+        return isinstance(node, ast.Name) and node.id == "super"
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+@pytest.mark.parametrize("module", CHURN_PATH)
+def test_the_churn_path_reads_no_private_attribute_of_another_object(module):
+    tree = ast.parse((SRC / module).read_text())
+    reads = [
+        f"{module}:{node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not _own(node.value)
+    ]
+    assert reads == [], f"the churn path reaches into another object: {reads}"
+
+
+def test_one_definition_draws_a_background_churn_gap():
+    """Every ``.exponential`` draw in ``src/``: the churn driver's gap and
+    the job arrivals'."""
+    drawers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        spans = _definitions(path, tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "exponential"
+            ):
+                inner = min(
+                    (d for d in spans if d.first <= node.lineno <= d.last),
+                    key=lambda d: d.last - d.first,
+                )
+                drawers.add(_key(inner))
+    assert drawers == {
+        ("gridsim/churn.py", "churn_process"),
+        ("workload/jobs.py", "arrival_times"),
+    }
