@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim.clock import Clock
+from ..sim.clock import CallbackHandle, Clock
 from .ce import CESpec, ComputingElement, CPU_SLOT, specs_by_slot
 from .contention import execution_time
 from .job import Job
@@ -79,6 +79,8 @@ class GridNode:
         #: jobs waiting in the CE queues, kept by the same four calls that
         #: change a queue (submit, dequeue, a start, fail)
         self._queued: int = 0
+        #: the completion timer of every job started here and not finished
+        self._completions: Dict[int, CallbackHandle] = {}
 
     @property
     def node_id(self) -> int:
@@ -217,9 +219,12 @@ class GridNode:
         job.start_time = self.clock.now
         if self.on_job_started is not None:
             self.on_job_started(self, job)
-        self.clock.schedule_callback(duration, lambda j=job: self._finish(j))
+        self._completions[job.job_id] = self.clock.schedule_callback(
+            duration, lambda j=job: self._finish(j)
+        )
 
     def _finish(self, job: Job) -> None:
+        del self._completions[job.job_id]
         if not self.alive:
             return  # node failed while the job ran; the job is lost
         for slot, req in job.requirements.items():
@@ -230,6 +235,13 @@ class GridNode:
         if self.on_job_finished is not None:
             self.on_job_finished(self, job)
         self._dispatch()
+
+    def cancel_completions(self) -> None:
+        """Cancel every running job's completion timer: the host stops,
+        and the jobs stay as its ledger last saw them."""
+        for handle in self._completions.values():
+            handle.cancel()
+        self._completions.clear()
 
     def fail(self) -> List[Job]:
         """Mark the node dead; return jobs (running+queued) that are lost."""

@@ -144,13 +144,17 @@ class GridService:
             )
 
     def stop(self) -> None:
-        """Cancel every timer.  Ledger state survives; timers do not."""
+        """Cancel every timer: the periodic ticks, the retry backoffs and
+        the running jobs' completions.  Ledger state survives; timers do
+        not."""
         for handle in self._periodic:
             handle.cancel()
         self._periodic.clear()
         for handle in self.recovery.timers.values():
             handle.cancel()
         self.recovery.timers.clear()
+        for node in self.grid_nodes.values():
+            node.cancel_completions()
         if self.tracer is not None:
             self.tracer.emit(self.clock.now, "service.stop")
         self._started = False

@@ -231,7 +231,8 @@ def bootstrap_digest(engine: str, nodes: int = 1000) -> str:
     """A 11-dim adaptive bootstrap of ``nodes`` nodes on one class, reduced
     to a hash of what both classes hold alike: every table's records in
     insertion order, change sequence, epochs and freshness, every memo and
-    gap flag, the message statistics and the protocol events."""
+    gap flag, the message statistics and the protocol events.  The array
+    class's tables are read after its move into the store."""
     config = ChurnConfig(
         initial_nodes=nodes, scheme=HeartbeatScheme.ADAPTIVE, seed=20110926
     )
@@ -239,6 +240,14 @@ def bootstrap_digest(engine: str, nodes: int = 1000) -> str:
         sim = ChurnSimulation(config)
     sim.bootstrap_population()
     proto = sim.protocol
+    if engine == "array":
+        # the joins ran on plain tables: hash what the first exchange's
+        # move puts in the store
+        proto._move_to_arrays()
+        assert all(
+            isinstance(pnode.table, ArrayNeighborTable)
+            for pnode in proto.nodes.values()
+        )
     rows = []
     for nid in sorted(proto.nodes):
         pnode = proto.nodes[nid]
@@ -373,7 +382,8 @@ def test_both_classes_bootstrap_to_one_digest():
 
 # ------------------------------------------- every branch of the fan-out --
 def grown(engine, seed=3, nodes=14):
-    """A 5-dim CAN of ``nodes`` joins on one class, and a point source."""
+    """A 5-dim CAN of ``nodes`` joins on one class, and a point source; the
+    array class's tables are in its store from the first node on."""
     space = ResourceSpace(gpu_slots=0)
     proto = ENGINE_CLASSES[engine](
         CanOverlay(space), ProtocolConfig(scheme=HeartbeatScheme.ADAPTIVE, period=PERIOD)
@@ -383,6 +393,10 @@ def grown(engine, seed=3, nodes=14):
     rng = np.random.default_rng(seed)
     ids = itertools.count()
     proto.bootstrap(next(ids), space.clamp_point(rng.random(space.dims)))
+    if engine == "array":
+        # into the store now, so that every join below takes the slot path
+        # the joins after a first round take
+        proto._move_to_arrays()
     for _ in range(nodes - 1):
         proto.join(next(ids), space.clamp_point(rng.random(space.dims)), now=0.0)
     return proto, ids

@@ -57,6 +57,9 @@ def build(kernel: bool, scheme=HeartbeatScheme.VANILLA, nodes=NODES):
     proto.bootstrap(next(ids), space.clamp_point(rng.random(space.dims)))
     for _ in range(nodes - 1):
         proto.join(next(ids), space.clamp_point(rng.random(space.dims)), now=0.0)
+    # the tables live in plain dicts until the first exchange; the tampering
+    # below edits the store
+    proto._move_to_arrays()
     proto.newcomer = lambda: (next(ids), space.clamp_point(rng.random(space.dims)))
     return proto
 

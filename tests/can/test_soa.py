@@ -221,6 +221,8 @@ class TestArrayGrowth:
         rng = np.random.default_rng(3)
         ids = itertools.count()
         proto.bootstrap(next(ids), space.clamp_point(rng.random(space.dims)))
+        # into the store now, so that the joins below grow it one at a time
+        proto._move_to_arrays()
         for _ in range(11):
             proto.join(
                 next(ids), space.clamp_point(rng.random(space.dims)), now=0.0

@@ -263,6 +263,24 @@ class TestNodeCrash:
         assert snapshot["recovery.resubmission_latency"]["count"] == len(lost)
 
 
+class TestStop:
+    def test_running_the_clock_after_stop_writes_no_transition(self):
+        """``stop`` cancels the running jobs' completions with the other
+        timers: a stopped service's ledger stays as it was, whatever the
+        clock does next (the asyncio clock would otherwise fire a
+        completion into a closed ledger)."""
+        env, service = build_service()
+        service.start()
+        ids = [service.submit(spec) for spec in preset_specs(5)]
+        service.stop()
+        counts = service.ledger.counts()
+        assert counts[JobStatus.RUNNING] > 0
+        audit = {job_id: service.ledger.transitions(job_id) for job_id in ids}
+        env.run(until=env.now + 1e7)
+        assert service.ledger.counts() == counts
+        assert {job_id: service.ledger.transitions(job_id) for job_id in ids} == audit
+
+
 class TestRestartRecovery:
     def test_orphans_recovered_from_persistent_ledger(self, tmp_path):
         path = str(tmp_path / "ledger.sqlite")
