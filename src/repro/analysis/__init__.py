@@ -1,11 +1,10 @@
 """Reporting: CDFs, text tables, ASCII plots, CSV export."""
 
-from .export import atomic_write_text, results_dir, write_csv, write_json
+from .export import atomic_write_text, write_csv, write_json
 from .plotting import ascii_plot
 from .tables import format_table
 
 __all__ = [
-    "results_dir",
     "write_csv",
     "write_json",
     "atomic_write_text",

@@ -15,13 +15,7 @@ import os
 import tempfile
 from typing import Any, Iterable, Sequence
 
-__all__ = ["write_csv", "write_json", "atomic_write_text", "results_dir"]
-
-
-def results_dir(base: str = "results") -> str:
-    """Ensure and return the results directory."""
-    os.makedirs(base, exist_ok=True)
-    return base
+__all__ = ["write_csv", "write_json", "atomic_write_text"]
 
 
 def atomic_write_text(path: str, text: str) -> str:
@@ -65,7 +59,7 @@ def write_csv(
     return atomic_write_text(path, buf.getvalue())
 
 
-def write_json(path: str, payload: Any, indent: int = 2) -> str:
+def write_json(path: str, payload: Any) -> str:
     """Atomically write ``payload`` as pretty-printed, key-sorted JSON."""
-    text = json.dumps(payload, indent=indent, sort_keys=True, default=str) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     return atomic_write_text(path, text)

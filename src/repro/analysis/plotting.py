@@ -11,10 +11,12 @@ __all__ = ["ascii_plot"]
 
 _MARKERS = "ox+*#%@&"
 
+#: canvas columns of every plot
+WIDTH = 72
+
 
 def ascii_plot(
     series: Dict[str, Tuple[Sequence[float], Sequence[float]]],
-    width: int = 72,
     height: int = 20,
     title: Optional[str] = None,
     xlabel: str = "",
@@ -43,16 +45,16 @@ def ascii_plot(
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    canvas = [[" "] * width for _ in range(height)]
+    canvas = [[" "] * WIDTH for _ in range(height)]
     for idx, (name, (xs, ys)) in enumerate(series.items()):
         marker = _MARKERS[idx % len(_MARKERS)]
         for x, y in zip(np.asarray(xs, float), np.asarray(ys, float)):
             if not (np.isfinite(x) and np.isfinite(y)):
                 continue
-            col = int((x - x_lo) / (x_hi - x_lo) * (width - 1))
+            col = int((x - x_lo) / (x_hi - x_lo) * (WIDTH - 1))
             row = int((y - y_lo) / (y_hi - y_lo) * (height - 1))
             row = height - 1 - min(max(row, 0), height - 1)
-            col = min(max(col, 0), width - 1)
+            col = min(max(col, 0), WIDTH - 1)
             if canvas[row][col] == " ":
                 canvas[row][col] = marker
 
@@ -70,8 +72,8 @@ def ascii_plot(
         else:
             prefix = " " * label_w
         lines.append(f"{prefix} |{''.join(row)}")
-    lines.append(" " * label_w + " +" + "-" * width)
-    x_axis = f"{x_lo:,.6g}".ljust(width // 2) + f"{x_hi:,.6g}".rjust(width - width // 2)
+    lines.append(" " * label_w + " +" + "-" * WIDTH)
+    x_axis = f"{x_lo:,.6g}".ljust(WIDTH // 2) + f"{x_hi:,.6g}".rjust(WIDTH - WIDTH // 2)
     lines.append(" " * (label_w + 2) + x_axis)
     if xlabel or ylabel:
         lines.append(" " * (label_w + 2) + f"x: {xlabel}   y: {ylabel}".rstrip())

@@ -7,24 +7,23 @@ from typing import Iterable, List, Optional, Sequence
 __all__ = ["format_table"]
 
 
-def _fmt(value: object, precision: int) -> str:
+def _fmt(value: object) -> str:
     if isinstance(value, float):
         if value != value:  # NaN
             return "nan"
         if abs(value) >= 1e6 or (abs(value) < 1e-3 and value != 0):
-            return f"{value:.{precision}e}"
-        return f"{value:,.{precision}f}"
+            return f"{value:.2e}"
+        return f"{value:,.2f}"
     return str(value)
 
 
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],
-    precision: int = 2,
     title: Optional[str] = None,
 ) -> str:
     """Render rows as a fixed-width table with a header rule."""
-    rendered: List[List[str]] = [[_fmt(c, precision) for c in row] for row in rows]
+    rendered: List[List[str]] = [[_fmt(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in rendered:
         if len(row) != len(headers):

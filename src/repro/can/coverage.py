@@ -41,11 +41,13 @@ _EPS = 1e-12
 #: that decides a thousand owners peaks no higher than one that decides ten
 _PASS_ZONES = 16_384
 
+#: a face counts as covered once the candidates cover ``1 - _TOLERANCE`` of it
+_TOLERANCE = 1e-6
+
 def have_gaps(
     owners: Sequence[Tuple[Sequence[Zone], Sequence[Zone]]],
     space_lo: Sequence[float],
     space_hi: Sequence[float],
-    tolerance: float = 1e-6,
 ) -> List[bool]:
     """Per ``(own zones, believed zones)`` owner: is an interior face of an
     own zone left partly uncovered by the believed zones?
@@ -64,7 +66,7 @@ def have_gaps(
     face's axis; a zone is never its own candidate, clipped to itself it
     has none) and it sits flush against the zone on that axis; what it
     covers is the product of its other extents, summed per (segment, side,
-    axis) cell and held against ``(1 - tolerance)`` x the face's area.
+    axis) cell and held against ``(1 - _TOLERANCE)`` x the face's area.
     """
     dims = len(space_lo)
     #: each distinct zone object is converted once, however many owners
@@ -128,7 +130,7 @@ def have_gaps(
     edges = np.repeat(edges[:, None, :], dims, axis=1)
     diagonal = np.arange(dims)
     edges[:, diagonal, diagonal] = 1.0
-    threshold = np.tile(edges.prod(axis=2) * (1.0 - tolerance), 2)
+    threshold = np.tile(edges.prod(axis=2) * (1.0 - _TOLERANCE), 2)
     walls = np.concatenate((space_hi, space_lo)).astype(float)
     # seg_box is lo then hi, the cells are high faces then low ones
     interior = np.abs(np.roll(seg_box, dims, axis=1) - walls) > _EPS

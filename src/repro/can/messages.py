@@ -121,9 +121,9 @@ class SizeModel:
             dims, records, total_zones
         )
 
-    def notify_bytes(self, dims: int, records: int = 2) -> int:
+    def notify_bytes(self, dims: int) -> int:
         """Join/take-over notifications: a couple of records."""
-        return self.header_bytes + records * self.record_bytes(dims)
+        return self.header_bytes + 2 * self.record_bytes(dims)
 
     def request_bytes(self) -> int:
         """Full-update request: header only."""

@@ -27,6 +27,9 @@ __all__ = [
     "RoutingError",
 ]
 
+#: a walk that has not arrived after this many hops is stuck in a loop
+MAX_HOPS = 10_000
+
 
 class RoutingError(SubstrateError):
     """Greedy routing failed to make progress (should not happen in a
@@ -58,14 +61,13 @@ def route(
     overlay: CanOverlay,
     start_id: int,
     point: Sequence[float],
-    max_hops: int = 10_000,
 ) -> List[int]:
     """Greedy path of node ids from ``start_id`` to the owner of ``point``."""
     point = tuple(float(p) for p in point)
     current = start_id
     path = [current]
     current_dist = _node_distance(overlay, current, point)
-    for _ in range(max_hops):
+    for _ in range(MAX_HOPS):
         if any(z.contains_closed(point) for z in overlay.zones_of(current)):
             return path
         best_id = None
@@ -84,7 +86,7 @@ def route(
         current = best_id
         current_dist = best_dist
         path.append(current)
-    raise RoutingError(f"exceeded {max_hops} hops")
+    raise RoutingError(f"exceeded {MAX_HOPS} hops")
 
 
 class BeliefRouteResult:
@@ -116,7 +118,6 @@ def route_on_beliefs(
     protocol,
     start_id: int,
     point: Sequence[float],
-    max_hops: int = 10_000,
 ) -> BeliefRouteResult:
     """Greedy-route using only what each node *believes* about its neighbors.
 
@@ -132,7 +133,7 @@ def route_on_beliefs(
     current = start_id
     path = [current]
     current_dist = _node_distance(overlay, current, point)
-    for _ in range(max_hops):
+    for _ in range(MAX_HOPS):
         if any(z.contains_closed(point) for z in overlay.zones_of(current)):
             return BeliefRouteResult(path, delivered=True)
         pnode = protocol.nodes.get(current)

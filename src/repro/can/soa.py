@@ -134,34 +134,39 @@ def _grown(arr: np.ndarray, new_cap: int, fill) -> np.ndarray:
     return out
 
 
+#: an empty store's slot and row capacities; each doubles when full
+SLOT_CAPACITY = 1024
+ROW_CAPACITY = 256
+
+
 class EdgeStore:
     """Shared slot arrays for every believed-table entry of one protocol."""
 
-    def __init__(self, slot_capacity: int = 1024, row_capacity: int = 256):
+    def __init__(self):
         # -- per-edge slots (owner believes subject) -------------------------
         self.n_slots = 0  # high-water mark; freed slots are recycled
-        self._slot_cap = slot_capacity
-        self.eh = np.full(slot_capacity, _NEG_INF, dtype=np.float64)
+        self._slot_cap = SLOT_CAPACITY
+        self.eh = np.full(SLOT_CAPACITY, _NEG_INF, dtype=np.float64)
         # as wide as an index: the prescan gathers through all three, and
         # numpy gathers through an int32 index several times slower
-        self.owner_row = np.zeros(slot_capacity, dtype=np.int64)
-        self.subj_row = np.full(slot_capacity, -1, dtype=np.int64)
-        self.rev = np.full(slot_capacity, -1, dtype=np.int64)
-        self.edge_version = np.zeros(slot_capacity, dtype=np.int64)
-        self.active = np.zeros(slot_capacity, dtype=bool)
+        self.owner_row = np.zeros(SLOT_CAPACITY, dtype=np.int64)
+        self.subj_row = np.full(SLOT_CAPACITY, -1, dtype=np.int64)
+        self.rev = np.full(SLOT_CAPACITY, -1, dtype=np.int64)
+        self.edge_version = np.zeros(SLOT_CAPACITY, dtype=np.int64)
+        self.active = np.zeros(SLOT_CAPACITY, dtype=bool)
         self.free_slots: List[int] = []
         #: live slots whose subject has no row (a record gossiped about a
         #: node that already left); the merge kernel steps aside for them
         self.rowless = 0
         # -- per-node rows (allocated monotonically, never reused) -----------
         self.n_rows = 0
-        self._row_cap = row_capacity
-        self.alive = np.zeros(row_capacity, dtype=bool)
-        self.own_version = np.zeros(row_capacity, dtype=np.int64)
+        self._row_cap = ROW_CAPACITY
+        self.alive = np.zeros(ROW_CAPACITY, dtype=bool)
+        self.own_version = np.zeros(ROW_CAPACITY, dtype=np.int64)
         #: row -> position in the table being merged, -1 elsewhere: a merge
         #: scatters the sender's record positions in, gathers at each
         #: receiver's subject rows, and wipes it again
-        self.col_of_row = np.full(row_capacity, -1, dtype=np.int64)
+        self.col_of_row = np.full(ROW_CAPACITY, -1, dtype=np.int64)
         self.row_of: Dict[int, int] = {}
         self.node_of_row: List[int] = []
         self.tables_by_row: List[Optional["ArrayNeighborTable"]] = []

@@ -18,7 +18,7 @@ dimensions, and a job that leaves an attribute unspecified targets 0 there —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 from ..model.ce import CPU_SLOT, gpu_slot
 from ..model.job import Job
@@ -59,37 +59,31 @@ class Dimension:
         return VIRTUAL if self.is_virtual else f"{self.slot}.{self.attribute}"
 
 
-#: default normalisation upper bounds per attribute (raw units)
-DEFAULT_BOUNDS: Mapping[str, float] = {
+#: normalisation upper bounds per attribute (raw units)
+BOUNDS: Mapping[str, float] = {
     "clock": 4.0,  # relative to nominal 1.0
     "memory": 64.0,  # GB
     "disk": 2048.0,  # GB
     "cores": 1024.0,  # GPU core counts dominate
 }
+#: the CPU slot's core-count bound (GPU core counts use ``BOUNDS``)
+CPU_CORE_BOUND = 16.0
 
 
 class ResourceSpace:
     """The d-dimensional CAN coordinate system for a given slot layout."""
 
-    def __init__(
-        self,
-        gpu_slots: int = 2,
-        bounds: Optional[Mapping[str, float]] = None,
-        cpu_core_bound: float = 16.0,
-    ):
+    def __init__(self, gpu_slots: int = 2):
         if gpu_slots < 0:
             raise ValueError("gpu_slots must be >= 0")
-        merged = dict(DEFAULT_BOUNDS)
-        if bounds:
-            merged.update(bounds)
         self.gpu_slots = gpu_slots
         dims: List[Dimension] = []
         for attr in CPU_ATTRS:
-            upper = cpu_core_bound if attr == "cores" else merged[attr]
+            upper = CPU_CORE_BOUND if attr == "cores" else BOUNDS[attr]
             dims.append(Dimension(len(dims), CPU_SLOT, attr, upper))
         for g in range(gpu_slots):
             for attr in GPU_ATTRS:
-                dims.append(Dimension(len(dims), gpu_slot(g), attr, merged[attr]))
+                dims.append(Dimension(len(dims), gpu_slot(g), attr, BOUNDS[attr]))
         dims.append(Dimension(len(dims), "", VIRTUAL, 1.0))
         self.dimensions: Tuple[Dimension, ...] = tuple(dims)
 

@@ -44,12 +44,11 @@ it stored via full heartbeats.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..can.messages import SIZE_MODEL, MessageType
 from ..overlay.base import HeartbeatScheme, MaintenanceProtocol
-from .keyspace import RING_BITS, RING_SIZE
+from .keyspace import RING_SIZE
 from .ring import ChordRing
 
 __all__ = ["ChordMaintenanceProtocol", "ChordProtocolNode"]
@@ -77,7 +76,9 @@ class DerivedStructure(NamedTuple):
     #: an id at least this far replaces the predecessor
     predecessor_distance: int
     #: finger rank -> the nearest known distance of that rank; a nearer id
-    #: of the same rank takes over a finger target
+    #: of the same rank takes over a finger target.  A distance's rank is
+    #: its bit length: the number of finger exponents ``e`` with ``2**e``
+    #: at or below it
     finger_floor: Dict[int, int]
 
 
@@ -140,12 +141,6 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         #: append-only id -> ring key (node keys never change; believed
         #: records outliving the member still resolve)
         self._key: Dict[int, int] = {}
-        #: bit length of a clockwise distance -> how many configured
-        #: finger exponents ``e`` have ``2**e`` <= that distance
-        exponents = set(overlay.finger_exponents)
-        self._finger_rank: Tuple[int, ...] = tuple(
-            accumulate((e in exponents for e in range(RING_BITS)), initial=0)
-        )
 
     # ------------------------------------------------------------------ derived state --
     def key_of(self, node_id: int) -> int:
@@ -156,11 +151,11 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         """Believed structure from known peers, pruning irrelevant ids.
 
         Selection is by position in clockwise-distance order — the first
-        ``successor_list_size`` ids, the last one, and per configured
-        exponent ``e`` the first id at distance >= ``2**e`` — so removing
-        an id that was not selected leaves every selected id's claim
-        intact: the structure over the kept peers *is* the structure over
-        the full known set.  One derivation, one prune, one epoch bump.
+        ``successor_list_size`` ids, the last one, and per exponent ``e``
+        the first id at distance >= ``2**e`` — so removing an id that was
+        not selected leaves every selected id's claim intact: the structure
+        over the kept peers *is* the structure over the full known set.
+        One derivation, one prune, one epoch bump.
 
         The same argument run backwards is the fast path.  When ``known``
         only gained ids since the cached derivation and none of them would
@@ -209,13 +204,12 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         span = cached.successor_span
         farthest = cached.predecessor_distance
         floor = cached.finger_floor
-        rank = self._finger_rank
         for nid in pnode._added:
             d = (key[nid] - own_key) & _KEY_MASK
             if (
                 d < span
                 or d >= farthest
-                or d < floor.get(rank[d.bit_length()], RING_SIZE)
+                or d < floor.get(d.bit_length(), RING_SIZE)
             ):
                 return True
         return False
@@ -224,8 +218,8 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         """One pass over the known ids in clockwise-distance order.
 
         ``successor(own + 2**e)`` is the first id at distance >= ``2**e``,
-        so id *i* holds a finger target iff a configured ``2**e`` lies in
-        ``(d[i-1], d[i]]``, i.e. iff the finger rank rises from ``d[i-1]``
+        so id *i* holds a finger target iff some ``2**e`` lies in
+        ``(d[i-1], d[i]]``, i.e. iff the bit length rises from ``d[i-1]``
         to ``d[i]``.  Walking *i* downwards lists fingers highest exponent
         first; ids already in the structure as successors (the low end)
         or predecessor (the far end) are not listed again.  A target past
@@ -240,8 +234,7 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
         }
         ids = sorted(distance, key=distance.__getitem__)
         dists = [distance[nid] for nid in ids]
-        rank = self._finger_rank
-        ranks = [rank[d.bit_length()] for d in dists]
+        ranks = [d.bit_length() for d in dists]
         n = len(ids)
         k = self.overlay.successor_list_size
         successors = tuple(ids[:k])

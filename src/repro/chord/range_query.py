@@ -55,7 +55,6 @@ def box_key_intervals(
     keyspace: ChordKeyspace,
     lows: Sequence[float],
     highs: Sequence[float],
-    max_split_depth: int = MAX_SPLIT_DEPTH,
 ) -> Tuple[KeyInterval, ...]:
     """Contiguous ring-key cover of the box ``[lows, highs]`` (inclusive).
 
@@ -95,7 +94,7 @@ def box_key_intervals(
         if inside is False:
             continue
         remaining = total_bits - depth
-        if inside is True or depth >= max_split_depth:
+        if inside is True or depth >= MAX_SPLIT_DEPTH:
             lo_code = code << remaining
             hi_code = ((code + 1) << remaining) - 1
             raw.append((lo_code, hi_code))
@@ -131,7 +130,6 @@ def range_query(
     overlay: ChordRing,
     lows: Sequence[float],
     highs: Sequence[float],
-    max_split_depth: int = MAX_SPLIT_DEPTH,
 ) -> RangeQueryResult:
     """Resolve a multi-attribute box query to arc owners and exact matches.
 
@@ -140,7 +138,7 @@ def range_query(
     members whose resource coordinate actually lies inside the box — by
     the cover guarantee, ``matches`` owners are a subset of ``owners``.
     """
-    intervals = box_key_intervals(overlay.keyspace, lows, highs, max_split_depth)
+    intervals = box_key_intervals(overlay.keyspace, lows, highs)
     if not intervals:
         return RangeQueryResult((), (), ())
     if not overlay.members:

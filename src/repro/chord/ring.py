@@ -14,13 +14,13 @@ dead node until believers time it out), and :meth:`claim_zones` executes
 the take-over — removal from the ring, which merges the vacated arc into
 its successor.
 
-The routing structure is configurable: ``successor_list_size`` ring
-successors per node plus a finger table with ``finger_count`` exponents
-(finger ``e`` points at ``successor(key + 2**e)``).  ``neighbors`` exposes
-predecessor + successor list + fingers; ``neighbors_along(dim, dir)``
-filters them by resource-coordinate order along one dimension, which is
-what the directional aggregation flow and the matchmakers' push scopes
-consume.
+The routing structure is Chord's: ``SUCCESSOR_LIST_SIZE`` ring successors
+per node plus a full finger table, one finger per exponent ``e`` of the
+``2**64`` ring (finger ``e`` points at ``successor(key + 2**e)``).
+``neighbors`` exposes predecessor + successor list + fingers;
+``neighbors_along(dim, dir)`` filters them by resource-coordinate order
+along one dimension, which is what the directional aggregation flow and
+the matchmakers' push scopes consume.
 """
 
 from __future__ import annotations
@@ -33,6 +33,14 @@ from ..overlay.base import SubstrateError
 from .keyspace import RING_BITS, RING_SIZE, ChordKeyspace
 
 __all__ = ["ChordRing", "ChordError", "ChordJoinResult", "ArcTransfer"]
+
+#: ring successors each node keeps (its successor list)
+SUCCESSOR_LIST_SIZE = 4
+#: finger exponents, highest spans first: one per ring bit (the low ones'
+#: targets are mostly in the successor list already)
+FINGER_EXPONENTS: Tuple[int, ...] = tuple(range(RING_BITS - 1, -1, -1))
+#: members whose derived structure ``check_invariants`` rescans
+_DERIVED_SAMPLE = 8
 
 
 class ChordError(SubstrateError):
@@ -69,24 +77,11 @@ class ChordMember:
 class ChordRing:
     """Ground-truth Chord: sorted key ring + membership + derived structure."""
 
-    def __init__(
-        self,
-        space,
-        successor_list_size: int = 4,
-        finger_count: int = RING_BITS,
-    ):
-        if successor_list_size < 1:
-            raise ValueError("successor_list_size must be >= 1")
-        if not 0 <= finger_count <= RING_BITS:
-            raise ValueError(f"finger_count must be in [0, {RING_BITS}]")
+    def __init__(self, space):
         self.space = space
         self.keyspace = ChordKeyspace(space.dims)
-        self.successor_list_size = successor_list_size
-        #: finger exponents, highest spans first (the low exponents are
-        #: subsumed by the successor list)
-        self.finger_exponents: Tuple[int, ...] = tuple(
-            range(RING_BITS - 1, RING_BITS - 1 - finger_count, -1)
-        )
+        #: ``SUCCESSOR_LIST_SIZE`` when the ring was built
+        self.successor_list_size = SUCCESSOR_LIST_SIZE
         self.members: Dict[int, ChordMember] = {}
         self._ring: List[int] = []  # sorted member keys
         self._by_key: Dict[int, int] = {}
@@ -196,7 +191,7 @@ class ChordRing:
         member = self._member(node_id)
         seen: Set[int] = {node_id}
         out: List[int] = []
-        for e in self.finger_exponents:
+        for e in FINGER_EXPONENTS:
             target = self.successor_of_key((member.key + (1 << e)) % RING_SIZE)
             if target not in seen:
                 seen.add(target)
@@ -385,7 +380,7 @@ class ChordRing:
                 )
         self._check_derived_sample()
 
-    def _check_derived_sample(self, sample: int = 8) -> None:
+    def _check_derived_sample(self) -> None:
         """Verify successor lists, predecessors and fingers for a sample of
         members by independent linear scan (not the bisect fast path)."""
         if not self.members:
@@ -396,7 +391,7 @@ class ChordRing:
         n = len(ordered)
         index_of = {m.node_id: i for i, m in enumerate(ordered)}
         for member in sorted(self.members.values(), key=lambda m: m.node_id)[
-            :sample
+            :_DERIVED_SAMPLE
         ]:
             i = index_of[member.node_id]
             count = min(self.successor_list_size, n - 1)
@@ -410,7 +405,7 @@ class ChordRing:
             expect_pred = ordered[(i - 1) % n].node_id if n > 1 else None
             if self.predecessor(member.node_id) != expect_pred:
                 raise AssertionError(f"predecessor of {member.node_id} desynced")
-            for e in self.finger_exponents:
+            for e in FINGER_EXPONENTS:
                 start = (member.key + (1 << e)) % RING_SIZE
                 # independent linear scan: the member at minimal clockwise
                 # distance from the finger start

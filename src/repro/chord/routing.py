@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..can.routing import BeliefRouteResult
+from ..can.routing import MAX_HOPS, BeliefRouteResult
 from .keyspace import RING_SIZE
 from .ring import ChordError, ChordRing
 
@@ -38,14 +38,13 @@ def _walk(
     successors: Callable[[int], Tuple[int, ...]],
     key_of: Callable[[int], int],
     alive: Callable[[int], bool],
-    max_hops: int,
 ) -> Tuple[List[int], bool]:
     """Shared descent; returns (path, delivered)."""
     current = start_id
     current_key = start_key
     path = [current]
     distance = (target - current_key) % RING_SIZE
-    for _ in range(max_hops):
+    for _ in range(MAX_HOPS):
         if current == owner:
             return path, True
         # closest preceding peer: minimal clockwise distance to the target
@@ -91,7 +90,6 @@ def chord_route(
     overlay: ChordRing,
     start_id: int,
     point: Sequence[float],
-    max_hops: int = 10_000,
 ) -> List[int]:
     """Path of node ids from ``start_id`` to the owner of ``point``.
 
@@ -110,7 +108,6 @@ def chord_route(
         successors=lambda nid: overlay.successor_list(nid),
         key_of=overlay.key_of,
         alive=overlay.is_alive,
-        max_hops=max_hops,
     )
     if not delivered:
         raise ChordError(
@@ -123,7 +120,6 @@ def chord_route_on_beliefs(
     protocol,
     start_id: int,
     point: Sequence[float],
-    max_hops: int = 10_000,
 ) -> BeliefRouteResult:
     """Route using only each hop's believed successor/finger peers.
 
@@ -152,6 +148,5 @@ def chord_route_on_beliefs(
         successors=successors,
         key_of=protocol.key_of,
         alive=overlay.is_alive,
-        max_hops=max_hops,
     )
     return BeliefRouteResult(path, delivered)

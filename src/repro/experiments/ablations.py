@@ -51,12 +51,10 @@ def _config_for(ablation: str, base: MatchmakingConfig) -> List[MatchmakingConfi
 def run(
     fast: bool = False,
     seed: int | None = None,
-    preset=None,
     ablations: Sequence[str] = ABLATIONS,
     substrate: str = "can",
 ) -> Dict[str, List[MatchmakingResult]]:
-    if preset is None:
-        preset = SMALL_LOAD if fast else PAPER_LOAD
+    preset = SMALL_LOAD if fast else PAPER_LOAD
     if seed is not None:
         preset = preset.with_seed(seed)
     base = MatchmakingConfig(preset, scheme="can-het", substrate=substrate)

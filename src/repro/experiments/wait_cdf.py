@@ -82,23 +82,17 @@ class WaitCdfSweep:
         self,
         fast: bool = False,
         seed: int | None = None,
-        preset=None,
-        values: Sequence[float] | None = None,
-        schemes: Sequence[str] = SCHEMES,
         recorder: RunRecorder | None = None,
         substrate: str = "can",
     ) -> Results:
         """All (axis value, scheme) runs, keyed by axis value then scheme."""
-        if preset is None:
-            preset = SMALL_LOAD if fast else PAPER_LOAD
+        preset = SMALL_LOAD if fast else PAPER_LOAD
         if seed is not None:
             preset = preset.with_seed(seed)
-        if values is None:
-            values = self.fast_values if fast else self.values
         out: Results = {}
-        for value in values:
+        for value in self.fast_values if fast else self.values:
             out[value] = {}
-            for scheme in schemes:
+            for scheme in SCHEMES:
                 cfg = MatchmakingConfig(
                     self.vary(preset, value), scheme=scheme, substrate=substrate
                 )

@@ -14,7 +14,7 @@ the faulty grid's failure and join processes each run one.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -79,12 +79,7 @@ def draw_joiner(space, node_dist, node_id, spec_rng, virtual_rng):
 class ChurnSimulation:
     """One maintenance-protocol run under configurable churn."""
 
-    def __init__(
-        self,
-        config: ChurnConfig,
-        node_dist: Optional[NodeDistribution] = None,
-        tracer=None,
-    ):
+    def __init__(self, config: ChurnConfig, tracer=None):
         self.config = config
         self.rngs = RngRegistry(config.seed)
         self.tracer = tracer
@@ -114,7 +109,7 @@ class ChurnSimulation:
         self._population = proto_scope.timeweighted(
             "population", value=0.0
         )
-        self._node_dist = node_dist or NodeDistribution()
+        self._node_dist = NodeDistribution()
         self._next_id = itertools.count()
         self._spec_rng = self.rngs.stream("nodes")
         self._virtual_rng = self.rngs.stream("virtual")

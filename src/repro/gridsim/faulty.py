@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -41,8 +41,6 @@ from ..can.heartbeat import HeartbeatScheme
 from ..model.job import Job
 from ..model.node import GridNode
 from ..overlay import get_substrate
-from ..workload.jobs import JobDistribution
-from ..workload.nodes import NodeDistribution
 from .churn import churn_process, draw_joiner
 from .config import MatchmakingConfig
 from .faults import FaultInjector, FaultPlan
@@ -122,14 +120,8 @@ class FaultyGridResult:
 class FaultyGridSimulation(GridSimulation):
     """GridSimulation plus failures, joins, detection, and resubmission."""
 
-    def __init__(
-        self,
-        config: FaultyGridConfig,
-        node_dist: Optional[NodeDistribution] = None,
-        job_dist: Optional[JobDistribution] = None,
-        tracer=None,
-    ):
-        self._prepare(config.matchmaking, node_dist, job_dist, tracer)
+    def __init__(self, config: FaultyGridConfig, tracer=None):
+        self._prepare(config.matchmaking, None, None, tracer)
         self.fault_config = config
         self._churn_counter = self.metrics.scope("grid").counter("churn")
         # the protocol and the crash -> detect -> place-with-retry loop are

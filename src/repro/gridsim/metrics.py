@@ -31,16 +31,15 @@ def cdf_at(values: Sequence[float], thresholds: Sequence[float]) -> np.ndarray:
     return np.searchsorted(v, t, side="right") / v.size
 
 
-def wait_time_table(
-    wait_times: Sequence[float],
-    grid: Sequence[float] = (0, 1000, 5000, 10000, 20000, 30000, 40000, 50000),
-) -> List[Tuple[float, float]]:
-    """(threshold seconds, % of jobs waiting at most that long) rows.
+#: the thresholds (s) of :func:`wait_time_table`: the x axis of the
+#: paper's Figures 5 and 6, up to 50,000 s
+TABLE_GRID: Tuple[float, ...] = (0, 1000, 5000, 10000, 20000, 30000, 40000, 50000)
 
-    Matches the axes of the paper's Figures 5 and 6 (x up to 50,000 s,
-    y plotted from 80%).
-    """
-    fracs = cdf_at(wait_times, grid)
-    return [(float(g), float(f) * 100.0) for g, f in zip(grid, fracs)]
+
+def wait_time_table(wait_times: Sequence[float]) -> List[Tuple[float, float]]:
+    """(threshold seconds, % of jobs waiting at most that long) rows, one
+    per ``TABLE_GRID`` threshold (the paper plots y from 80%)."""
+    fracs = cdf_at(wait_times, TABLE_GRID)
+    return [(float(g), float(f) * 100.0) for g, f in zip(TABLE_GRID, fracs)]
 
 

@@ -63,6 +63,10 @@ class MatchmakingResult:
         }
 
 
+#: the trailing share of a run's samples that is Figure 7's plateau
+STEADY_TAIL = 0.25
+
+
 @dataclass
 class ChurnResult:
     """Outcome of one maintenance-protocol simulation run."""
@@ -85,10 +89,11 @@ class ChurnResult:
     def final_broken_links(self) -> float:
         return float(self.broken_links_values[-1]) if self.broken_links_values.size else 0.0
 
-    def steady_state_broken_links(self, tail_fraction: float = 0.25) -> float:
-        """Mean broken links over the trailing window (Figure 7's plateau)."""
+    def steady_state_broken_links(self) -> float:
+        """Mean broken links over the trailing ``STEADY_TAIL`` of the run
+        (Figure 7's plateau)."""
         v = self.broken_links_values
         if v.size == 0:
             return 0.0
-        k = max(1, int(v.size * tail_fraction))
+        k = max(1, int(v.size * STEADY_TAIL))
         return float(v[-k:].mean())

@@ -41,12 +41,11 @@ from .schema import SCHEMA_VERSION
 __all__ = ["RunManifest", "git_describe"]
 
 
-def git_describe(cwd: Optional[str] = None) -> str:
+def git_describe() -> str:
     """``git describe --always --dirty`` or ``"unknown"`` outside a repo."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=5,

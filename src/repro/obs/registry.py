@@ -54,23 +54,23 @@ class MetricsRegistry:
         """Get or create the :class:`Counter` at ``name``."""
         return self._get_or_create(name, Counter)
 
-    def timeweighted(self, name: str, time: float = 0.0, value: float = 0.0) -> TimeWeighted:
+    def timeweighted(self, name: str, value: float = 0.0) -> TimeWeighted:
         """Get or create the :class:`TimeWeighted` at ``name``."""
         full = self._full(name)
         mon = self._store.get(full)
         if mon is None:
-            mon = TimeWeighted(time, value)
+            mon = TimeWeighted(0.0, value)
             self._store[full] = mon
         elif not isinstance(mon, TimeWeighted):
             raise TypeError(f"{full!r} is a {type(mon).__name__}, not TimeWeighted")
         return mon
 
-    def quantile_sketch(self, name: str, k: Optional[int] = None) -> QuantileSketch:
+    def quantile_sketch(self, name: str) -> QuantileSketch:
         """Get or create the streaming :class:`QuantileSketch` at ``name``."""
         full = self._full(name)
         mon = self._store.get(full)
         if mon is None:
-            mon = QuantileSketch(**({"k": k} if k is not None else {}))
+            mon = QuantileSketch()
             self._store[full] = mon
         elif not isinstance(mon, QuantileSketch):
             raise TypeError(

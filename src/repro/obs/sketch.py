@@ -28,8 +28,8 @@ import numpy as np
 
 __all__ = ["QuantileSketch", "WindowedCounter"]
 
-#: default per-level compactor capacity; rank error scales like 1/k
-DEFAULT_K = 512
+#: per-level compactor capacity ``k`` (even); rank error scales like 1/k
+K = 512
 
 
 class QuantileSketch:
@@ -44,10 +44,8 @@ class QuantileSketch:
 
     __slots__ = ("k", "n", "_levels", "_parity", "_min", "_max", "_sum")
 
-    def __init__(self, k: int = DEFAULT_K):
-        if k < 8 or k % 2:
-            raise ValueError("k must be an even integer >= 8")
-        self.k = k
+    def __init__(self):
+        self.k = K
         self.n = 0
         self._levels: List[List[float]] = [[]]
         self._parity: List[bool] = [False]

@@ -317,7 +317,7 @@ class MaintenanceProtocol:
             order = self._nodes_order = sorted(self.nodes)
         return order
 
-    def bootstrap(self, node_id: int, coord: Sequence[float], now: float = 0.0) -> None:
+    def bootstrap(self, node_id: int, coord: Sequence[float]) -> None:
         """Insert the very first member."""
         self.overlay.add_node(node_id, coord)
         self._make_node(node_id)

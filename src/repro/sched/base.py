@@ -148,8 +148,10 @@ class CanMatchmaker(Matchmaker):
     2. loop: end the search at a candidate (the current node or a
        neighbor) that can take the job at once;
     3. otherwise pick the outward (target node, dimension) minimising the
-       Equation 3 objective, stop probabilistically per Equation 4; on
-       stop, place on the minimum-score candidate; otherwise push.
+       Equation 3 objective, stop probabilistically per Equation 4 (its
+       SF is ``stopping_factor``, which runs take from
+       ``MatchmakingConfig``); on stop, place on the minimum-score
+       candidate; otherwise push.
 
     The schemes differ in what ends the search early, whose aggregate
     fields steer a push and which score picks the final node; subclasses
@@ -164,8 +166,7 @@ class CanMatchmaker(Matchmaker):
         grid_nodes: Dict[int, GridNode],
         aggregation: AggregationEngine,
         rng: np.random.Generator,
-        stopping_factor: float = 1.0,
-        max_hops: int = MAX_PUSH_HOPS,
+        stopping_factor: float,
     ):
         super().__init__()
         self.overlay = overlay
@@ -173,7 +174,6 @@ class CanMatchmaker(Matchmaker):
         self.aggregation = aggregation
         self.rng = rng
         self.stopping_factor = stopping_factor
-        self.max_hops = max_hops
         # node id -> its _Hood at _hoods_version
         self._hoods: Dict[int, _Hood] = {}
         self._hoods_version = -1
@@ -221,7 +221,7 @@ class CanMatchmaker(Matchmaker):
         current = origin
         visited = {current}
         hops = 0
-        for _ in range(self.max_hops):
+        for _ in range(MAX_PUSH_HOPS):
             capable = self._capable_candidates(current, job)
             chosen = self._select_startable(capable, job)
             if chosen is not None:

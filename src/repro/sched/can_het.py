@@ -21,7 +21,7 @@ from ..can.aggregation import AggregationEngine
 from ..can.overlay import CanOverlay
 from ..model.job import Job
 from ..model.node import GridNode
-from .base import MAX_PUSH_HOPS, CanMatchmaker, fastest_dominant_clock
+from .base import CanMatchmaker, fastest_dominant_clock
 from .score import (
     min_pooled_score_node,
     min_score_node,
@@ -43,14 +43,11 @@ class CanHetMatchmaker(CanMatchmaker):
         grid_nodes: Dict[int, GridNode],
         aggregation: AggregationEngine,
         rng: np.random.Generator,
-        stopping_factor: float = 1.0,
-        max_hops: int = MAX_PUSH_HOPS,
+        stopping_factor: float,
         use_acceptable_nodes: bool = True,
         use_dominant_ce: bool = True,
     ):
-        super().__init__(
-            overlay, grid_nodes, aggregation, rng, stopping_factor, max_hops
-        )
+        super().__init__(overlay, grid_nodes, aggregation, rng, stopping_factor)
         #: ablation switches (DESIGN.md): fall back to free-node-only search
         #: and/or to node-level scoring to isolate each mechanism's value
         self.use_acceptable_nodes = use_acceptable_nodes

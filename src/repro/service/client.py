@@ -31,6 +31,9 @@ from .ledger import JobStatus, TERMINAL_STATES
 
 __all__ = ["JobView", "ServiceClient", "ServiceError"]
 
+#: seconds :meth:`ServiceClient.wait` sleeps between status sweeps
+POLL_INTERVAL = 0.05
+
 
 class ServiceError(RuntimeError):
     """A non-2xx response from the gateway."""
@@ -178,7 +181,6 @@ class ServiceClient:
         self,
         job_ids: Iterable[int],
         timeout: float = 60.0,
-        poll: float = 0.05,
     ) -> Dict[int, JobView]:
         """Block until every job reaches a terminal state (or timeout).
 
@@ -200,5 +202,5 @@ class ServiceClient:
                         f"{len(pending)} jobs not terminal after "
                         f"{timeout}s: {sorted(pending)[:5]}"
                     )
-                time.sleep(poll)
+                time.sleep(POLL_INTERVAL)
         return done

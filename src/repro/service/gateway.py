@@ -345,9 +345,13 @@ class Gateway:
 
     @staticmethod
     def _job_id(raw: str) -> int:
+        """A job or node id in canonical decimal form: ``int`` also reads
+        ``+7``, ``07``, ``0_7`` and `` 7`` as 7, so each would alias id 7."""
         try:
             value = int(raw)
         except ValueError:
+            raise _HttpError(400, f"bad id {raw!r}")
+        if str(value) != raw:
             raise _HttpError(400, f"bad id {raw!r}")
         if not -(2**63) <= value < 2**63:
             # no ledger or grid ever issued it (and sqlite cannot bind it)

@@ -1,11 +1,11 @@
 """Unit tests for reporting helpers: tables, plots, CSV export."""
 
 import csv
-import os
 
 import pytest
 
-from repro.analysis.export import results_dir, write_csv
+from repro.analysis import plotting
+from repro.analysis.export import write_csv
 from repro.analysis.plotting import ascii_plot
 from repro.analysis.tables import format_table
 
@@ -13,7 +13,7 @@ from repro.analysis.tables import format_table
 class TestFormatTable:
     def test_basic_rendering(self):
         out = format_table(
-            ["name", "value"], [["a", 1.5], ["bb", 22.125]], precision=2
+            ["name", "value"], [["a", 1.5], ["bb", 22.125]]
         )
         lines = out.splitlines()
         assert "name" in lines[0] and "value" in lines[0]
@@ -43,10 +43,10 @@ class TestFormatTable:
 
 
 class TestAsciiPlot:
-    def test_renders_series_and_legend(self):
+    def test_renders_series_and_legend(self, monkeypatch):
+        monkeypatch.setattr(plotting, "WIDTH", 30)
         out = ascii_plot(
             {"one": ([0, 1, 2], [0, 1, 4]), "two": ([0, 1, 2], [4, 1, 0])},
-            width=30,
             height=8,
             title="T",
             xlabel="x",
@@ -88,8 +88,3 @@ class TestExport:
     def test_row_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(str(tmp_path / "x.csv"), ["a"], [[1, 2]])
-
-    def test_results_dir(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        d = results_dir("resultados")
-        assert os.path.isdir(d)

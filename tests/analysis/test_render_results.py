@@ -10,12 +10,12 @@ import pathlib
 
 import pytest
 
-from repro.analysis.plotting import ascii_plot
+from repro.analysis.plotting import WIDTH, ascii_plot
 from repro.analysis.tables import format_table
 
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "results"
 
-WIDTH, HEIGHT = 72, 20
+HEIGHT = 20
 
 
 def read_rows(name):
@@ -65,7 +65,6 @@ def test_render_each_figure_to_tmp_dir(tmp_path, csv_name, key, x_col, y_col):
     assert len(series) >= 2, "figure should compare at least two schemes"
     text = ascii_plot(
         series,
-        width=WIDTH,
         height=HEIGHT,
         title=csv_name,
         xlabel=x_col,

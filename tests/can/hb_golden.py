@@ -24,6 +24,9 @@ import tempfile
 from dataclasses import replace
 from typing import Any, Dict, Tuple
 
+import pytest
+
+from repro.can import soa
 from repro.can.heartbeat import HeartbeatProtocol, HeartbeatScheme
 from repro.can.soa import ArrayHeartbeatProtocol
 from repro.gridsim import ChurnSimulation
@@ -91,6 +94,15 @@ def pinned_engine(engine: str):
         yield
     finally:
         register_substrate(original)
+
+
+def small_store(slots: int = soa.SLOT_CAPACITY, rows: int = soa.ROW_CAPACITY):
+    """An empty :class:`~repro.can.soa.EdgeStore` of ``slots`` slots and
+    ``rows`` rows, so that a few joins grow its arrays."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(soa, "SLOT_CAPACITY", slots)
+        monkeypatch.setattr(soa, "ROW_CAPACITY", rows)
+        return soa.EdgeStore()
 
 
 def stored_payload(proto, holder, subject_id: int):

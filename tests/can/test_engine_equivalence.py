@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
 from repro.can.overlay import CanOverlay
-from repro.can.soa import EdgeStore
 from repro.can.space import ResourceSpace
-from tests.can.hb_golden import ENGINE_CLASSES, stored_payload
+from tests.can.hb_golden import ENGINE_CLASSES, small_store, stored_payload
 
 INITIAL_NODES = 8
 
@@ -51,7 +50,7 @@ def run_engine(
     if engine == "array":
         # tiny capacities so every example reallocates the store's arrays
         # (regression: closures must not hold pre-growth array objects)
-        proto.store = EdgeStore(slot_capacity=4, row_capacity=4)
+        proto.store = small_store(slots=4, rows=4)
     if watch is not None:
         watch(proto)
     rng = np.random.default_rng(20110926)

@@ -37,12 +37,12 @@ from repro.can.heartbeat import HeartbeatProtocol, HeartbeatScheme, ProtocolConf
 from repro.can.messages import SIZE_MODEL, MessageType
 from repro.can.neighbor import BeliefRecord
 from repro.can.overlay import CanOverlay
-from repro.can.soa import ArrayNeighborTable, EdgeStore
+from repro.can.soa import ArrayNeighborTable
 from repro.can.space import ResourceSpace
 from repro.gridsim import ChurnConfig, ChurnSimulation, FaultPlan
 from repro.net import NetworkSpec
 from repro.obs.events import Tracer
-from tests.can.hb_golden import ENGINE_CLASSES, pinned_engine, stored_payload
+from tests.can.hb_golden import ENGINE_CLASSES, pinned_engine, small_store, stored_payload
 from tests.can.test_incremental_consistency import _Cube, _churn, _coord
 from tests.can.test_reply_landing import EventLog
 
@@ -389,7 +389,7 @@ def grown(engine, seed=3, nodes=14):
         CanOverlay(space), ProtocolConfig(scheme=HeartbeatScheme.ADAPTIVE, period=PERIOD)
     )
     if engine == "array":
-        proto.store = EdgeStore(slot_capacity=4, row_capacity=4)
+        proto.store = small_store(slots=4, rows=4)
     rng = np.random.default_rng(seed)
     ids = itertools.count()
     proto.bootstrap(next(ids), space.clamp_point(rng.random(space.dims)))

@@ -32,9 +32,9 @@ from hypothesis import strategies as st
 from repro.can.heartbeat import HeartbeatProtocol, HeartbeatScheme, ProtocolConfig
 from repro.can.neighbor import BeliefRecord
 from repro.can.overlay import CanOverlay
-from repro.can.soa import ArrayHeartbeatProtocol, EdgeStore
+from repro.can.soa import ArrayHeartbeatProtocol
 from repro.can.space import ResourceSpace
-from tests.can.hb_golden import stored_payload
+from tests.can.hb_golden import small_store, stored_payload
 
 NODES = 10
 
@@ -45,7 +45,7 @@ def build(kernel: bool, scheme=HeartbeatScheme.VANILLA, nodes=NODES):
     proto = ArrayHeartbeatProtocol(
         CanOverlay(space), ProtocolConfig(scheme=scheme, period=60.0)
     )
-    proto.store = EdgeStore(slot_capacity=4, row_capacity=4)
+    proto.store = small_store(slots=4, rows=4)
     if not kernel:
         proto._merge_live = types.MethodType(HeartbeatProtocol._merge_live, proto)
     #: (receiver, subject, version) of every record that reached a relevance test

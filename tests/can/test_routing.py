@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.can import routing
 from repro.can.geometry import Zone
 from repro.can.overlay import CanOverlay
 from repro.can.routing import RoutingError, route, zone_distance
@@ -60,10 +61,11 @@ class TestRoute:
             path = route(overlay, start, point)
             assert len(path) == len(set(path))
 
-    def test_hop_budget_enforced(self):
+    def test_hop_budget_enforced(self, monkeypatch):
         overlay = grown_overlay(30)
+        monkeypatch.setattr(routing, "MAX_HOPS", 0)
         with pytest.raises(RoutingError):
-            route(overlay, 0, (0.999,) * overlay.space.dims, max_hops=0)
+            route(overlay, 0, (0.999,) * overlay.space.dims)
 
 
 class TestBeliefRouting:

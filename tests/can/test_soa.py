@@ -18,7 +18,7 @@ from repro.gridsim import ChurnSimulation
 from repro.gridsim.config import ChurnConfig
 from repro.gridsim.faulty import FaultyGridConfig
 from repro.net import FlapSpec, LatencySpec, NetworkSpec
-from tests.can.hb_golden import CASES, ENGINE_CLASSES, stored_payload
+from tests.can.hb_golden import CASES, ENGINE_CLASSES, small_store, stored_payload
 from tests.can.test_incremental_consistency import _brute_broken_links
 
 
@@ -38,7 +38,7 @@ def make_table(store: EdgeStore, node_id: int) -> ArrayNeighborTable:
 
 class TestEdgeStore:
     def test_slot_alloc_free_reuse(self):
-        store = EdgeStore(slot_capacity=2)
+        store = small_store(slots=2)
         # (owner row, subject row, partner slot, version, heard): rowless
         # subjects, no partner
         s0 = store.alloc_slot(0, -1, -1, 0, 5.0)
@@ -54,7 +54,7 @@ class TestEdgeStore:
         assert store.alloc_slot(1, -1, -1, 0, 5.0) == s1  # freed slot recycled
 
     def test_row_growth_and_monotonic_rows(self):
-        store = EdgeStore(row_capacity=2)
+        store = small_store(rows=2)
         rows = [store.alloc_row(i) for i in range(5)]
         assert rows == [0, 1, 2, 3, 4]
         assert store.alive[:5].all()
@@ -217,7 +217,7 @@ class TestArrayGrowth:
         )
         # tiny capacities: every few joins reallocate the row/slot arrays,
         # so any closure holding a stale array diverges immediately
-        proto.store = EdgeStore(slot_capacity=2, row_capacity=2)
+        proto.store = small_store(slots=2, rows=2)
         rng = np.random.default_rng(3)
         ids = itertools.count()
         proto.bootstrap(next(ids), space.clamp_point(rng.random(space.dims)))

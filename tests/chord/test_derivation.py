@@ -18,8 +18,9 @@ from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
 from repro.can.space import ResourceSpace
 from repro.chord.keyspace import RING_SIZE
 from repro.chord.protocol import ChordMaintenanceProtocol, ChordProtocolNode
-from repro.chord.ring import ChordRing
+from repro.chord.ring import FINGER_EXPONENTS
 from tests.chord.test_protocol import PERIOD, build, run_rounds
+from tests.chord.test_ring import ring_with
 
 SPACE = ResourceSpace(gpu_slots=1)
 OWN_ID = 0
@@ -44,7 +45,6 @@ DISTANCE_SETS = st.integers(1, 80).flatmap(
     lambda n: st.lists(DISTANCES, min_size=n, max_size=n, unique=True)
 )
 SUCCESSOR_SIZES = st.integers(1, 8)
-FINGER_COUNTS = st.sampled_from([0, 1, 8, 63, 64])
 
 
 def reference_structure(own_key, known_keys, succ_size, exponents):
@@ -103,11 +103,9 @@ class ReferenceNode:
             self.epoch += 1
 
 
-def make_protocol(own_key, distances, succ_size, finger_count):
+def make_protocol(own_key, distances, succ_size):
     """A protocol whose node ``OWN_ID`` can learn ids 1..len(distances)."""
-    ring = ChordRing(
-        SPACE, successor_list_size=succ_size, finger_count=finger_count
-    )
+    ring = ring_with(SPACE, succ_size)
     proto = ChordMaintenanceProtocol(
         ring, ProtocolConfig(scheme=HeartbeatScheme.ADAPTIVE, period=PERIOD)
     )
@@ -115,7 +113,7 @@ def make_protocol(own_key, distances, succ_size, finger_count):
     proto._key[OWN_ID] = own_key
     for nid, distance in enumerate(distances, start=1):
         proto._key[nid] = (own_key + distance) % RING_SIZE
-    return ring, proto, pnode
+    return proto, pnode
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,14 +121,9 @@ def make_protocol(own_key, distances, succ_size, finger_count):
     own_key=OWN_KEYS,
     distances=DISTANCE_SETS,
     succ_size=SUCCESSOR_SIZES,
-    finger_count=FINGER_COUNTS,
 )
-def test_one_pass_equals_per_exponent_bisect(
-    own_key, distances, succ_size, finger_count
-):
-    ring, proto, pnode = make_protocol(
-        own_key, distances, succ_size, finger_count
-    )
+def test_one_pass_equals_per_exponent_bisect(own_key, distances, succ_size):
+    proto, pnode = make_protocol(own_key, distances, succ_size)
     for nid in range(1, len(distances) + 1):
         pnode.known[nid] = 0.0
     got = proto._compute_derived(pnode)
@@ -138,7 +131,7 @@ def test_one_pass_equals_per_exponent_bisect(
         own_key,
         {nid: proto._key[nid] for nid in pnode.known},
         succ_size,
-        ring.finger_exponents,
+        FINGER_EXPONENTS,
     )
     assert (got.successors, got.predecessor, got.fingers, got.peers) == want
     assert got.targets == tuple(sorted(got.peers))
@@ -152,7 +145,6 @@ def test_one_pass_equals_per_exponent_bisect(
     own_key=OWN_KEYS,
     distances=DISTANCE_SETS,
     succ_size=SUCCESSOR_SIZES,
-    finger_count=FINGER_COUNTS,
     settled=st.integers(0, 80),
     steps=st.lists(
         st.tuples(
@@ -166,16 +158,12 @@ def test_one_pass_equals_per_exponent_bisect(
     ),
 )
 def test_incremental_derivation_equals_from_scratch(
-    own_key, distances, succ_size, finger_count, settled, steps
+    own_key, distances, succ_size, settled, steps
 ):
     """After any add/forget history, structure, ``known`` (order included)
     and epoch are what derive-prune-derive from scratch leaves behind."""
-    ring, proto, pnode = make_protocol(
-        own_key, distances, succ_size, finger_count
-    )
-    ref = ReferenceNode(
-        own_key, proto._key, succ_size, ring.finger_exponents
-    )
+    proto, pnode = make_protocol(own_key, distances, succ_size)
+    ref = ReferenceNode(own_key, proto._key, succ_size, FINGER_EXPONENTS)
     # start from a structure derived over the first ``settled`` ids, so the
     # steps mostly land between its successor span and its predecessor
     for nid in range(1, min(settled, len(distances)) + 1):

@@ -21,8 +21,9 @@ from hypothesis import given, settings, strategies as st
 from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
 from repro.can.space import ResourceSpace
 from repro.chord.protocol import ChordMaintenanceProtocol
-from repro.chord.ring import ChordError, ChordRing
+from repro.chord.ring import ChordError
 from repro.chord.routing import chord_route
+from tests.chord.test_ring import ring_with
 
 SPACE = ResourceSpace(gpu_slots=1)
 
@@ -58,7 +59,7 @@ def check_step(ring):
 @given(schedule=st.lists(STEP, min_size=1, max_size=40), seed=st.integers(0, 2**16))
 def test_ring_invariants_hold_under_any_schedule(schedule, seed):
     rng = random.Random(seed)
-    ring = ChordRing(SPACE, successor_list_size=3)
+    ring = ring_with(SPACE, 3)
     next_id = 0
     for op, entropy in schedule:
         pick = random.Random(entropy)
@@ -97,7 +98,7 @@ def test_protocol_ledger_balances_under_any_schedule(schedule, seed, scheme):
     """Drive the maintenance protocol: membership ledgers stay balanced and
     ground-truth invariants hold after every round."""
     rng = random.Random(seed)
-    ring = ChordRing(SPACE, successor_list_size=3)
+    ring = ring_with(SPACE, 3)
     cfg = ProtocolConfig(scheme=scheme, period=60.0)
     proto = ChordMaintenanceProtocol(ring, cfg)
     proto.bootstrap(0, [rng.random() for _ in range(SPACE.dims)])

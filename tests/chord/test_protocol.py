@@ -7,15 +7,15 @@ import pytest
 from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
 from repro.can.space import ResourceSpace
 from repro.chord.protocol import ChordMaintenanceProtocol
-from repro.chord.ring import ChordRing
 from repro.net import NetworkSpec
+from tests.chord.test_ring import ring_with
 
 PERIOD = 60.0
 
 
 def build(n=20, scheme=HeartbeatScheme.VANILLA, seed=13, succ=4, **cfg_kwargs):
     space = ResourceSpace(gpu_slots=1)
-    ring = ChordRing(space, successor_list_size=succ)
+    ring = ring_with(space, succ)
     rng = random.Random(seed)
     for nid in range(n):
         ring.add_node(nid, [rng.random() for _ in range(space.dims)])

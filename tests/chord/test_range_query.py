@@ -1,5 +1,6 @@
 """Range queries: z-order box covers and owner resolution on the ring."""
 
+import importlib
 import random
 
 from repro.can.space import ResourceSpace
@@ -69,12 +70,15 @@ def test_full_space_box_is_one_interval():
     assert ivs[0].lo == 0
 
 
-def test_depth_cap_bounds_interval_count():
+def test_depth_cap_bounds_interval_count(monkeypatch):
+    # the package re-exports the function under the module's name
+    module = importlib.import_module("repro.chord.range_query")
     ks = ChordKeyspace(6)
     rng = random.Random(3)
     for depth in (2, 4, 8):
         lows, highs = random_box(rng, 6)
-        ivs = box_key_intervals(ks, lows, highs, max_split_depth=depth)
+        monkeypatch.setattr(module, "MAX_SPLIT_DEPTH", depth)
+        ivs = box_key_intervals(ks, lows, highs)
         assert len(ivs) <= 1 << depth
 
 

@@ -6,13 +6,21 @@ from bisect import bisect_left
 import pytest
 
 from repro.can.space import ResourceSpace
+from repro.chord import ring as ring_module
 from repro.chord.keyspace import RING_SIZE
-from repro.chord.ring import ChordError, ChordRing
+from repro.chord.ring import FINGER_EXPONENTS, ChordError, ChordRing
+
+
+def ring_with(space, successors):
+    """A ring whose members keep ``successors`` ring successors."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(ring_module, "SUCCESSOR_LIST_SIZE", successors)
+        return ChordRing(space)
 
 
 def make_ring(n=24, seed=3, succ=4, space=None):
     space = space or ResourceSpace(gpu_slots=2)
-    ring = ChordRing(space, successor_list_size=succ)
+    ring = ring_with(space, succ)
     rng = random.Random(seed)
     for nid in range(n):
         ring.add_node(nid, [rng.random() for _ in range(space.dims)])
@@ -77,7 +85,7 @@ def test_fingers_are_successors_of_power_of_two_offsets():
     for nid in list(ring.members)[:8]:
         key = ring.key_of(nid)
         expect, seen = [], {nid}
-        for e in ring.finger_exponents:
+        for e in FINGER_EXPONENTS:
             t = ring.successor_of_key((key + (1 << e)) % RING_SIZE)
             if t not in seen:
                 seen.add(t)
@@ -161,10 +169,6 @@ def test_error_paths():
         ring.fail(nid)
     with pytest.raises(ChordError, match="already failed"):
         ring.graceful_leave(nid)
-    with pytest.raises(ValueError):
-        ChordRing(ring.space, successor_list_size=0)
-    with pytest.raises(ValueError):
-        ChordRing(ring.space, finger_count=65)
 
 
 def test_key_collision_probe_keeps_bijection():

@@ -28,6 +28,7 @@ from repro.can.space import ResourceSpace
 from repro.chord.protocol import ChordMaintenanceProtocol, ChordProtocolNode
 from repro.chord.ring import ChordError, ChordRing
 from tests.chord.test_protocol import PERIOD, build, run_rounds
+from tests.chord.test_ring import ring_with
 from tests.overlay.oracle import missing_neighbors, oracle
 
 SPACE = ResourceSpace(gpu_slots=1)
@@ -76,7 +77,7 @@ def reply_ring(detection, n, succ, ghosts, departed, seed):
     members crashed and ``departed`` more crashed and claimed: believed
     ids may be alive, dead-but-unclaimed or gone from the ring."""
     rng = random.Random(seed)
-    ring = ChordRing(SPACE, successor_list_size=succ)
+    ring = ring_with(SPACE, succ)
     for nid in range(n):
         ring.add_node(nid, [rng.random() for _ in range(SPACE.dims)])
     cls = ChordMaintenanceProtocol
@@ -164,7 +165,7 @@ def test_link_table_equals_per_node_lookups(succ, schedule, seed):
     also a successor — the table names each alive member's truth links
     once each, and is rebuilt exactly when the ring changed."""
     rng = random.Random(seed)
-    ring = ChordRing(SPACE, successor_list_size=succ)
+    ring = ring_with(SPACE, succ)
     next_id = 0
     table = ring.live_links()
     for op, entropy in schedule:

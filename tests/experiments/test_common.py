@@ -2,9 +2,10 @@
 
 import json
 import os
+from dataclasses import replace
 
 from repro.can.heartbeat import HeartbeatScheme
-from repro.experiments import fig5, fig6
+from repro.experiments import fig5, fig6, wait_cdf
 from repro.experiments.common import (
     SCHEMES,
     WAIT_GRID,
@@ -47,6 +48,14 @@ class TestCommon:
 
     def test_schemes(self):
         assert SCHEMES == ("can-het", "can-hom", "central")
+
+
+def tiny_sweep(monkeypatch, sweep, values, schemes=SCHEMES):
+    """``sweep`` on ``TINY_LOAD`` at axis ``values`` for ``schemes``; run it
+    with ``fast=True``."""
+    monkeypatch.setattr(wait_cdf, "SMALL_LOAD", TINY_LOAD)
+    monkeypatch.setattr(wait_cdf, "SCHEMES", schemes)
+    return replace(sweep, fast_values=values)
 
 
 def _events(out, name, etype):
@@ -100,11 +109,12 @@ class TestSimulate:
 class TestWaitCdfSweeps:
     """Figures 5 and 6 are one sweep; each keeps its own trace fields."""
 
-    def test_tiny_runs_emit_their_axis_in_run_start(self, tmp_path):
+    def test_tiny_runs_emit_their_axis_in_run_start(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wait_cdf, "SMALL_LOAD", TINY_LOAD)
         out = str(tmp_path)
         for sweep in (fig5, fig6):
             with RunRecorder(out, sweep.name) as rec:
-                sweep.run(preset=TINY_LOAD, fast=True, recorder=rec)
+                sweep.run(fast=True, recorder=rec)
         starts = {
             sweep.name: [
                 (e["label"], e["scheme"], e[sweep.field])
@@ -128,10 +138,9 @@ class TestWaitCdfSweeps:
                 for e in _events(out, sweep.name, "run.start")
             )
 
-    def test_tables_follow_each_sweeps_order(self, tmp_path):
-        results = fig6.run(
-            preset=TINY_LOAD, values=(0.4, 0.8), schemes=("can-het",)
-        )
+    def test_tables_follow_each_sweeps_order(self, tmp_path, monkeypatch):
+        sweep = tiny_sweep(monkeypatch, fig6, (0.4, 0.8), ("can-het",))
+        results = sweep.run(fast=True)
         text = fig6.report(results, str(tmp_path))
         assert text.index("constraint ratio 80%") < text.index(
             "constraint ratio 40%"

@@ -1,6 +1,7 @@
 """Integration tests for the figure-regeneration harness (tiny configs)."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -9,13 +10,21 @@ from repro.experiments import ablations, fig5, fig6, fig7, fig8, recovery
 from repro.experiments.__main__ import main as cli_main
 from repro.gridsim import ChurnSimulation
 from repro.workload import TINY_LOAD
+from tests.experiments.test_common import tiny_sweep
 
 
 @pytest.fixture(scope="module")
 def fig5_results():
-    return fig5.run(
-        preset=TINY_LOAD, values=(75.0,), schemes=("can-het", "central")
-    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sweep = tiny_sweep(monkeypatch, fig5, (75.0,), ("can-het", "central"))
+        return sweep.run(fast=True)
+
+
+@pytest.fixture
+def tiny_ablations(monkeypatch):
+    """Ablation runs on ``TINY_LOAD``, in both modes."""
+    monkeypatch.setattr(ablations, "PAPER_LOAD", TINY_LOAD)
+    monkeypatch.setattr(ablations, "SMALL_LOAD", TINY_LOAD)
 
 
 class TestFig5:
@@ -31,10 +40,8 @@ class TestFig5:
 
 
 class TestFig6:
-    def test_run_and_report(self, tmp_path):
-        results = fig6.run(
-            preset=TINY_LOAD, values=(0.4,), schemes=("can-het",)
-        )
+    def test_run_and_report(self, tmp_path, monkeypatch):
+        results = tiny_sweep(monkeypatch, fig6, (0.4,), ("can-het",)).run(fast=True)
         text = fig6.report(results, str(tmp_path))
         assert "constraint ratio 40%" in text
         assert os.path.exists(tmp_path / "fig6_wait_time_cdf.csv")
@@ -53,8 +60,6 @@ class TestFig7:
         results = {}
         for scheme in HeartbeatScheme:
             cfg = fig7.fig7_config(scheme, fast=True, seed=1)
-            from dataclasses import replace
-
             cfg = replace(cfg, initial_nodes=30, duration=1200.0)
             results[scheme.value] = ChurnSimulation(cfg).run()
         text = fig7.report(results, str(tmp_path))
@@ -95,27 +100,23 @@ class TestFig8:
 
 
 class TestAblations:
-    def test_single_ablation(self, tmp_path):
-        results = ablations.run(
-            preset=TINY_LOAD, ablations=("baseline", "acceptable-node")
-        )
+    def test_single_ablation(self, tmp_path, tiny_ablations):
+        results = ablations.run(ablations=("baseline", "acceptable-node"))
         text = ablations.report(results, str(tmp_path))
         assert "acceptable-node" in text
         assert os.path.exists(tmp_path / "ablations.csv")
 
-    def test_substrate_reaches_the_runs(self, tmp_path):
-        results = ablations.run(
-            preset=TINY_LOAD, ablations=("dominant-ce",), substrate="chord"
-        )
+    def test_substrate_reaches_the_runs(self, tmp_path, tiny_ablations):
+        results = ablations.run(ablations=("dominant-ce",), substrate="chord")
         assert [r.substrate for r in results["dominant-ce"]] == ["chord"]
 
-    def test_cli_substrate_is_not_ignored(self, tmp_path, monkeypatch):
+    def test_cli_substrate_is_not_ignored(self, tmp_path, monkeypatch, tiny_ablations):
         seen = []
         real_run = ablations.run
 
         def spy(**kwargs):
             seen.append(kwargs["substrate"])
-            return real_run(preset=TINY_LOAD, **kwargs)
+            return real_run(**kwargs)
 
         monkeypatch.setattr(ablations, "run", spy)
         assert ablations.main([
@@ -124,9 +125,9 @@ class TestAblations:
         ]) == 0
         assert seen == ["chord"]
 
-    def test_unknown_ablation_rejected(self):
+    def test_unknown_ablation_rejected(self, tiny_ablations):
         with pytest.raises(ValueError):
-            ablations.run(preset=TINY_LOAD, ablations=("nonsense",))
+            ablations.run(ablations=("nonsense",))
 
 
 class TestRecovery:

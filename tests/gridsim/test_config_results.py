@@ -85,7 +85,7 @@ class TestChurnResult:
 
     def test_steady_state_tail_mean(self):
         res = self._mk([0] * 75 + [40] * 25)
-        assert res.steady_state_broken_links(0.25) == pytest.approx(40.0)
+        assert res.steady_state_broken_links() == pytest.approx(40.0)
 
     def test_final(self):
         assert self._mk([1, 2, 3]).final_broken_links == 3.0

@@ -62,10 +62,20 @@ ALLOWLIST = {
 }
 
 
+@functools.cache
+def sources(*roots: str):
+    """(path, module) of every ``.py`` file under ``roots``, parsed once
+    for all the surface censuses."""
+    return tuple(
+        (path, ast.parse(path.read_text()))
+        for root in roots
+        for path in sorted((REPO / root).rglob("*.py"))
+    )
+
+
 def modules(*roots: str):
-    for root in roots:
-        for path in sorted((REPO / root).rglob("*.py")):
-            yield ast.parse(path.read_text())
+    for _, tree in sources(*roots):
+        yield tree
 
 
 def _callee(call: ast.Call) -> str:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.gridsim import metrics
 from repro.gridsim.metrics import cdf_at, empirical_cdf, wait_time_table
 
 
@@ -35,8 +36,9 @@ class TestCdf:
     def test_cdf_at_inclusive(self):
         assert cdf_at([10.0], [10.0])[0] == 1.0
 
-    def test_wait_time_table_rows(self):
-        rows = wait_time_table([0, 0, 1000, 60000], grid=(0, 1000, 50000))
+    def test_wait_time_table_rows(self, monkeypatch):
+        monkeypatch.setattr(metrics, "TABLE_GRID", (0, 1000, 50000))
+        rows = wait_time_table([0, 0, 1000, 60000])
         assert rows == [
             (0.0, pytest.approx(50.0)),
             (1000.0, pytest.approx(75.0)),

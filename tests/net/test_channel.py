@@ -42,7 +42,7 @@ def build_can(n=12, scheme=HeartbeatScheme.VANILLA, seed=0):
 
 def build_chord(n=12, scheme=HeartbeatScheme.VANILLA, seed=13):
     space = ResourceSpace(gpu_slots=1)
-    ring = ChordRing(space, successor_list_size=4)
+    ring = ChordRing(space)
     rng = random.Random(seed)
     for nid in range(n):
         ring.add_node(nid, [rng.random() for _ in range(space.dims)])

@@ -116,7 +116,7 @@ def fingerprint(proto, overlay):
 
 def run_chord(scheme, spec, ops):
     space = ResourceSpace(gpu_slots=1)
-    ring = ChordRing(space, successor_list_size=4)
+    ring = ChordRing(space)
     rng = random.Random(20110926)
     ids = itertools.count()
     for _ in range(INITIAL_NODES):

@@ -3,21 +3,23 @@
 import json
 import os
 
+import pytest
+
 from repro.experiments import fig5
 from repro.obs import RunRecorder, read_trace, summarize_file
-from repro.workload import TINY_LOAD
+from tests.experiments.test_common import tiny_sweep
+
+
+@pytest.fixture
+def tiny_fig5(monkeypatch):
+    return tiny_sweep(monkeypatch, fig5, (75.0,), ("can-het",))
 
 
 class TestFig5WithRecorder:
-    def test_run_writes_consistent_trace_and_manifest(self, tmp_path):
+    def test_run_writes_consistent_trace_and_manifest(self, tmp_path, tiny_fig5):
         out = str(tmp_path)
         with RunRecorder(out, "fig5", seed=5) as rec:
-            fig5.run(
-                preset=TINY_LOAD,
-                values=(75.0,),
-                schemes=("can-het",),
-                recorder=rec,
-            )
+            tiny_fig5.run(fast=True, recorder=rec)
             rec.close(
                 config={"fast": True}, artifacts=["fig5_wait_time_cdf.csv"]
             )
@@ -50,29 +52,19 @@ class TestFig5WithRecorder:
             "mm.placed"
         ]
 
-    def test_no_trace_mode_writes_nothing(self, tmp_path):
+    def test_no_trace_mode_writes_nothing(self, tmp_path, tiny_fig5):
         out = str(tmp_path)
         with RunRecorder(out, "fig5", enabled=False) as rec:
-            fig5.run(
-                preset=TINY_LOAD,
-                values=(75.0,),
-                schemes=("can-het",),
-                recorder=rec,
-            )
+            tiny_fig5.run(fast=True, recorder=rec)
             rec.close()
         assert not os.path.exists(os.path.join(out, "fig5_trace.jsonl"))
         assert not os.path.exists(os.path.join(out, "fig5_run.manifest.json"))
 
-    def test_trace_times_are_simulated(self, tmp_path):
+    def test_trace_times_are_simulated(self, tmp_path, tiny_fig5):
         """Trace events carry simulated clocks only (determinism guard)."""
         out = str(tmp_path)
         with RunRecorder(out, "fig5") as rec:
-            fig5.run(
-                preset=TINY_LOAD,
-                values=(75.0,),
-                schemes=("can-het",),
-                recorder=rec,
-            )
+            tiny_fig5.run(fast=True, recorder=rec)
             rec.close()
         for ev in read_trace(os.path.join(out, "fig5_trace.jsonl")):
             assert ev["t"] < 1e9  # no wall-clock epochs snuck in

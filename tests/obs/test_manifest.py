@@ -9,8 +9,9 @@ class TestGitDescribe:
     def test_in_repo_returns_something(self):
         assert git_describe() != ""
 
-    def test_outside_repo_falls_back(self, tmp_path):
-        assert git_describe(cwd=str(tmp_path)) == "unknown"
+    def test_outside_repo_falls_back(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert git_describe() == "unknown"
 
 
 class TestRunManifest:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry, QuantileSketch, WindowedCounter
+from repro.obs import MetricsRegistry, QuantileSketch, WindowedCounter, sketch
 from repro.obs.prom import prom_name, render_prometheus
 from repro.sim.monitor import TimeSeries
 
@@ -28,8 +28,9 @@ def rank_error(sorted_exact: np.ndarray, estimate: float, q: float) -> float:
 
 
 class TestQuantileSketchExact:
-    def test_small_inputs_are_exact(self):
-        sk = QuantileSketch(k=64)
+    def test_small_inputs_are_exact(self, monkeypatch):
+        monkeypatch.setattr(sketch, "K", 64)
+        sk = QuantileSketch()
         values = [5.0, 1.0, 3.0, 2.0, 4.0]
         sk.extend(values)
         assert sk.n == 5
@@ -55,10 +56,6 @@ class TestQuantileSketchExact:
         sk.insert(1.0)
         with pytest.raises(ValueError):
             sk.quantile(1.5)
-        with pytest.raises(ValueError):
-            QuantileSketch(k=7)  # odd
-        with pytest.raises(ValueError):
-            QuantileSketch(k=4)  # too small
 
 
 ADVERSARIAL = {
@@ -102,7 +99,9 @@ class TestQuantileSketchAccuracy:
         st.sampled_from([0.1, 0.5, 0.9, 0.99]),
     )
     def test_rank_error_property(self, values, q):
-        sk = QuantileSketch(k=128)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(sketch, "K", 128)
+            sk = QuantileSketch()
         sk.extend(values)
         exact = np.sort(np.asarray(values, dtype=float))
         # k=128 gives ~1/128 rank error; 1% target needs n large relative
@@ -234,7 +233,7 @@ class TestPrometheusRender:
         reg.quantile_sketch("wait").extend([1.0, 2.0, 3.0, 4.0])
         reg.windowed_counter("reqs").add(5.0, 2.0)
         reg.register("depth", TimeSeries("depth")).record(1.0, 7.0)
-        reg.timeweighted("pop", 0.0, 10.0)
+        reg.timeweighted("pop", 10.0)
         text = render_prometheus(reg, now=5.0)
         assert text.endswith("\n")
         assert '# TYPE repro_events_total counter' in text

@@ -100,7 +100,8 @@ def test_mask_equals_the_per_candidate_filter(fleet, job_list, rejoined, seed):
         if node_id:  # node 0 is in the overlay but missing from grid_nodes
             grid[node_id] = GridNode(spec, env)
     mm = CanHetMatchmaker(
-        overlay, grid, AggregationEngine(overlay, grid), np.random.default_rng(0)
+        overlay, grid, AggregationEngine(overlay, grid), np.random.default_rng(0),
+        stopping_factor=1.0,
     )
     for job in job_list:
         assert_same(mm, job)
@@ -136,7 +137,8 @@ def test_a_slot_no_node_has_admits_nothing():
         overlay.add_node(node_id, space.node_coordinate(spec, 0.25 * (node_id + 1)))
         grid[node_id] = GridNode(spec, env)
     mm = CanHetMatchmaker(
-        overlay, grid, AggregationEngine(overlay, grid), np.random.default_rng(0)
+        overlay, grid, AggregationEngine(overlay, grid), np.random.default_rng(0),
+        stopping_factor=1.0,
     )
     job = Job({gpu_slot(1): CERequirement(cores=1)}, base_duration=1.0)
     assert mm._capable_candidates(0, job) == oracle.capable_candidates(mm, 0, job) == []

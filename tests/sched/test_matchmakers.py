@@ -8,12 +8,17 @@ from repro.can.overlay import CanOverlay
 from repro.can.space import ResourceSpace
 from repro.model import contention
 from repro.model.node import GridNode
+from repro.sched import base
 from repro.sched.can_het import CanHetMatchmaker
 from repro.sched.can_hom import CanHomMatchmaker
 from repro.sched.central import CentralMatchmaker
 from repro.sim.core import Environment
 
 from tests.conftest import cpu_job, gpu_job, make_cpu, make_gpu, make_node_spec
+
+#: Eq. 4's stopping factor these scenarios run with (the experiments take
+#: ``MatchmakingConfig.stopping_factor``)
+STOPPING_FACTOR = 1.0
 
 @pytest.fixture(autouse=True)
 def no_contention(monkeypatch):
@@ -37,9 +42,9 @@ def build_world(specs, gpu_slots=1, seed=0):
     return overlay, grid, agg, env
 
 
-def het_matchmaker(overlay, grid, agg, seed=1, **kwargs):
+def het_matchmaker(overlay, grid, agg, seed=1):
     return CanHetMatchmaker(
-        overlay, grid, agg, np.random.default_rng(seed), **kwargs
+        overlay, grid, agg, np.random.default_rng(seed), STOPPING_FACTOR
     )
 
 
@@ -71,9 +76,10 @@ class TestCanHet:
         assert node.capable(job)
         assert mm.stats.placed == 1
 
-    def test_prefers_fastest_free_dominant_clock(self):
+    def test_prefers_fastest_free_dominant_clock(self, monkeypatch):
         overlay, grid, agg, env = build_world(standard_specs())
-        mm = het_matchmaker(overlay, grid, agg, max_hops=32)
+        monkeypatch.setattr(base, "MAX_PUSH_HOPS", 32)
+        mm = het_matchmaker(overlay, grid, agg)
         # all nodes free: among GPU nodes 3/4/5, node 4 has the fastest GPU
         placements = set()
         for _ in range(5):
@@ -148,7 +154,7 @@ class TestCanHom:
         job = gpu_job(gpu_cores=32)
 
         hom = CanHomMatchmaker(
-            overlay, grid, agg, np.random.default_rng(1)
+            overlay, grid, agg, np.random.default_rng(1), STOPPING_FACTOR
         )
         het = het_matchmaker(overlay, grid, agg, seed=1)
         hom_choice = hom.place(job)
@@ -162,7 +168,9 @@ class TestCanHom:
 
     def test_places_capable_only(self):
         overlay, grid, agg, env = build_world(standard_specs())
-        hom = CanHomMatchmaker(overlay, grid, agg, np.random.default_rng(0))
+        hom = CanHomMatchmaker(
+            overlay, grid, agg, np.random.default_rng(0), STOPPING_FACTOR
+        )
         job = gpu_job(gpu_cores=32)
         node = hom.place(job)
         assert node is not None and node.capable(job)

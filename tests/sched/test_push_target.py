@@ -69,7 +69,9 @@ def build(
     # alive in the overlay, missing from grid_nodes
     for nid in rng.choice(nodes, absent, replace=False):
         del grid[int(nid)]
-    mm = CanHetMatchmaker(overlay, grid, aggregation, np.random.default_rng(0))
+    mm = CanHetMatchmaker(
+        overlay, grid, aggregation, np.random.default_rng(0), stopping_factor=1.0
+    )
     return mm, rng
 
 

@@ -63,7 +63,8 @@ def build_world():
             )
         pairs.append((origin, job))
     mm = CanHetMatchmaker(
-        overlay, grid, AggregationEngine(overlay, grid), np.random.default_rng(0)
+        overlay, grid, AggregationEngine(overlay, grid), np.random.default_rng(0),
+        stopping_factor=1.0,
     )
     return overlay, grid, mm, pairs
 

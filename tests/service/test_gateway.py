@@ -467,6 +467,41 @@ class TestHttpErrors:
         assert health["status"] == "ok"
         assert rows == []  # a refused spec is not durable either
 
+    def test_a_non_canonical_id_is_refused(self, trace_jobs):
+        """``int`` reads ``+7``, ``07`` and ``0_7`` as 7, so each spelling
+        would read, cancel or crash what id 7 names.  Every spelling but the
+        canonical one gets 400, and the job's ledger row and the node stay
+        as they were."""
+
+        def scenario(client, service):
+            spec = {**job_to_dict(trace_jobs[0]), "base_duration": 1e9}
+            job_id = client.submit(spec)
+            deadline = time.monotonic() + 10.0
+            while client.status(job_id).status is not JobStatus.RUNNING:
+                assert time.monotonic() < deadline, "the job never started"
+                time.sleep(0.01)
+            node_id = client.status(job_id).node_id
+            before = service.ledger.record(job_id), client.health()["population"]
+            requests = [
+                (method, f"/jobs/{alias}")
+                for method in ("GET", "DELETE")
+                for alias in (f"+{job_id}", f"0{job_id}", f"0_{job_id}")
+            ] + [("POST", f"/nodes/{alias}/fail") for alias in (f"+{node_id}", f"0_{node_id}")]
+            answers = {}
+            raw, stream = raw_connection(client)
+            with raw, stream:
+                for method, target in requests:
+                    raw.sendall(
+                        f"{method} {target} HTTP/1.1\r\nContent-Length: 0\r\n\r\n".encode()
+                    )
+                    answers[method, target] = read_response(stream)[0]
+            after = service.ledger.record(job_id), client.health()["population"]
+            return answers, before, after
+
+        answers, before, after = run_gateway(scenario)
+        assert set(answers.values()) == {"HTTP/1.1 400 Bad Request"}, answers
+        assert after == before
+
     def test_unknown_fields_are_not_stored(self, trace_jobs):
         """The ledger keeps the parsed job, not the body as sent: an extra
         field (here a bare NaN, which is no JSON) is dropped, so the status

@@ -1,0 +1,479 @@
+"""A census of ``src/`` signatures: no defaulted parameter that no run passes.
+
+A defaulted parameter is a knob.  One that no call in ``src/``,
+``benchmarks/`` or ``examples/`` ever turns is a constant with a settable
+name: every reader has to ask which value a run uses, and a test that
+turns it exercises a path no run takes.  These tests parse those trees
+with ``ast`` and require each defaulted positional-or-keyword and
+keyword-only parameter of every function, method and constructor under
+``src/repro`` to be passed by some call there, by keyword or by position.
+A test that needs another value monkeypatches a module constant instead.
+
+Calls are bound to definitions by name, as in ``tests/test_src_surface.py``
+(so the census errs toward "passed"), with these rules on top:
+
+* ``Cls(...)`` reaches ``Cls.__init__`` (or the one it inherits) and
+  ``super().m(...)`` reaches the ``m`` of the enclosing class's bases;
+  a bound call skips ``self`` / ``cls``, an unbound ``Cls.m(obj, ...)``
+  does not;
+* ``cls(...)`` in a classmethod reaches the constructors of the class and
+  of every subclass;
+* a callable passed as an argument (``make_protocol=build_protocol``,
+  ``simulate(label, ChurnSimulation, config)``) is reached through every
+  call of that parameter's or keyword's name (``descriptor.make_protocol
+  (...)``, ``sim_class(config, tracer=...)``);
+* a call that reaches no definition but is handed a callable
+  (``asyncio.to_thread(replay_trace, client, jobs, dilation=...)``) calls
+  it with the arguments after it;
+* ``*args`` / ``**kwargs`` that a function forwards carry what its own
+  callers put there (``cls(overlay, config, **kwargs)``); any other
+  unpacked sequence passes every positional parameter from its place on.
+
+A parameter named with a leading ``_`` is a default-bound local
+(``def sink(_store=store)``), not a knob, and is not counted.  A parameter
+kept although no run passes it goes on ``ALLOWLIST`` with the reason.
+"""
+
+from __future__ import annotations
+
+import ast
+import fnmatch
+import functools
+from collections import defaultdict
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+
+from tests.gridsim.test_config_surface import REPO, _callee, sources
+
+SRC = REPO / "src" / "repro"
+
+#: (module path glob relative to ``src/repro``, qualified name, parameter)
+#: -> why it stays although no run passes it
+ALLOWLIST: Dict[Tuple[str, str, str], str] = {
+    ("*", "*main", "argv"): (
+        "a CLI entry point: ``python -m`` calls it with no argument and "
+        "it parses sys.argv; the tests pass argv"
+    ),
+    ("sim/clock.py", "Clock.call_every", "start_delay"): (
+        "ROADMAP 7(a): the per-node timer experiment staggers each node's "
+        "first round through it"
+    ),
+    ("service/client.py", "ServiceClient.__init__", "timeout"): (
+        "the HTTP client is the service's API for programs outside this "
+        "repo, and a socket timeout depends on the caller's network; the "
+        "restart and gateway tests bound their reads from servers they kill "
+        "at 5-30 s through it"
+    ),
+}
+
+
+class Function(NamedTuple):
+    path: str
+    qualname: str
+    owner: Optional[str]  # the class a method is defined in
+    kind: str  # "function", "method", "classmethod" or "staticmethod"
+    positional: Tuple[str, ...]  # self / cls included
+    keyword_only: Tuple[str, ...]
+    defaulted: Tuple[str, ...]  # the census's parameters, in order
+    vararg: Optional[str]
+    kwarg: Optional[str]
+
+    @property
+    def bound_skip(self) -> int:
+        """Positional parameters a bound call fills implicitly."""
+        return 0 if self.kind in ("function", "staticmethod") else 1
+
+
+class ClassInfo(NamedTuple):
+    bases: Tuple[str, ...]
+    methods: Dict[str, Function]
+
+
+class Call(NamedTuple):
+    node: ast.Call
+    caller: Optional[Function]  # the innermost enclosing function
+    owner: Optional[str]  # the innermost enclosing class
+
+
+def _kind(node: ast.AST, in_class: bool) -> str:
+    names = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+    if not in_class:
+        return "function"
+    if "staticmethod" in names:
+        return "staticmethod"
+    return "classmethod" if "classmethod" in names else "method"
+
+
+def _function(path: str, qualname: str, owner, node, kind: str) -> Function:
+    args = node.args
+    positional = tuple(a.arg for a in args.posonlyargs + args.args)
+    with_default = positional[len(positional) - len(args.defaults) :]
+    with_default += tuple(
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    )
+    return Function(
+        path,
+        qualname,
+        owner,
+        kind,
+        positional,
+        tuple(a.arg for a in args.kwonlyargs),
+        tuple(name for name in with_default if not name.startswith("_")),
+        args.vararg.arg if args.vararg else None,
+        args.kwarg.arg if args.kwarg else None,
+    )
+
+
+class Tree(NamedTuple):
+    functions: List[Function]
+    classes: Dict[str, List[ClassInfo]]
+    calls: List[Call]
+
+
+def _collect(modules: Iterable[Tuple[str, ast.Module]]) -> Tree:
+    functions: List[Function] = []
+    classes: Dict[str, List[ClassInfo]] = defaultdict(list)
+    calls: List[Call] = []
+
+    def visit(node, path, prefix, caller, owner, methods):
+        if isinstance(node, ast.ClassDef):
+            info = ClassInfo(
+                tuple(b.id for b in node.bases if isinstance(b, ast.Name)), {}
+            )
+            classes[node.name].append(info)
+            for child in node.body:
+                visit(child, path, f"{prefix}{node.name}.", caller, node.name, info.methods)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = _function(
+                path,
+                prefix + node.name,
+                owner if methods is not None else None,
+                node,
+                _kind(node, methods is not None),
+            )
+            functions.append(fn)
+            if methods is not None:
+                methods[node.name] = fn
+            for child in ast.iter_child_nodes(node):
+                visit(child, path, f"{prefix}{node.name}.", fn, owner, None)
+            return
+        if isinstance(node, ast.Call):
+            calls.append(Call(node, caller, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, prefix, caller, owner, None)
+
+    for path, tree in modules:
+        visit(tree, path, "", None, None, None)
+    return Tree(functions, classes, calls)
+
+
+Target = Tuple[Function, int]  # the function and the parameters a call skips
+
+
+class Binder:
+    """Resolves a call's callee to the definitions it may reach."""
+
+    def __init__(self, tree: Tree):
+        self.classes = tree.classes
+        self.plain: Dict[str, List[Function]] = defaultdict(list)
+        self.methods: Dict[str, List[Function]] = defaultdict(list)
+        for fn in tree.functions:
+            name = fn.qualname.rsplit(".", 1)[-1]
+            (self.methods if fn.owner else self.plain)[name].append(fn)
+        self.aliases: Dict[str, Set[Target]] = defaultdict(set)
+        for call in tree.calls:
+            self._learn_aliases(call)
+
+    def named(self, name: str) -> List[Function]:
+        return self.methods.get(name, []) + self.plain.get(name, [])
+
+    def lookup(self, cls: str, name: str, seen=()) -> List[Function]:
+        """``cls.name`` as attribute lookup finds it, over every class so named."""
+        found = []
+        for info in self.classes.get(cls, ()):
+            if name in info.methods:
+                found.append(info.methods[name])
+                continue
+            for base in info.bases:
+                if base not in seen:
+                    found += self.lookup(base, name, seen + (cls,))
+        return found
+
+    def subclasses(self, cls: str) -> Set[str]:
+        out = {cls}
+        grew = True
+        while grew:
+            grew = False
+            for name, infos in self.classes.items():
+                if name not in out and any(set(i.bases) & out for i in infos):
+                    out.add(name)
+                    grew = True
+        return out
+
+    def construct(self, cls: str) -> List[Target]:
+        return [(fn, 1) for fn in self.lookup(cls, "__init__")]
+
+    def reference(self, node: ast.expr) -> List[Target]:
+        """What calling the callable an argument names reaches."""
+        if isinstance(node, ast.Name):
+            if node.id in self.classes:
+                return self.construct(node.id)
+            return [(fn, 0) for fn in self.plain.get(node.id, ())]
+        if isinstance(node, ast.Attribute):
+            return [(fn, fn.bound_skip) for fn in self.named(node.attr)]
+        return []
+
+    def targets(self, call: Call) -> List[Target]:
+        func = call.node.func
+        name = _callee(call.node)
+        found: List[Target] = []
+        if isinstance(func, ast.Name):
+            if name in self.classes:
+                found += self.construct(name)
+            caller = call.caller
+            if (
+                caller is not None
+                and caller.kind == "classmethod"
+                and caller.positional[:1] == (name,)
+            ):
+                for cls in sorted(self.subclasses(caller.owner)):
+                    found += self.construct(cls)
+            found += [(fn, 0) for fn in self.plain.get(name, ())]
+        elif isinstance(func, ast.Attribute):
+            value = func.value
+            if isinstance(value, ast.Call) and _callee(value) == "super":
+                for info in self.classes.get(call.owner, ()):
+                    for base in info.bases:
+                        found += [(fn, fn.bound_skip) for fn in self.lookup(base, name)]
+            elif isinstance(value, ast.Name) and value.id in self.classes:
+                found += [
+                    (fn, 1 if fn.kind == "classmethod" else 0)
+                    for fn in self.lookup(value.id, name)
+                ]
+            else:
+                found += [(fn, fn.bound_skip) for fn in self.named(name)]
+        found += self.aliases.get(name, ())
+        return list(dict.fromkeys(found))
+
+    def _learn_aliases(self, call: Call) -> None:
+        node = call.node
+        for keyword in node.keywords:
+            if keyword.arg is not None:
+                self.aliases[keyword.arg].update(self.reference(keyword.value))
+        refs = [(i, self.reference(arg)) for i, arg in enumerate(node.args)]
+        refs = [(i, r) for i, r in refs if r and not isinstance(node.args[i], ast.Starred)]
+        if not refs:
+            return
+        for fn, skip in self.targets(call):
+            for i, ref in refs:
+                if i + skip < len(fn.positional):
+                    self.aliases[fn.positional[i + skip]].update(ref)
+
+
+class Invocation(NamedTuple):
+    args: List[ast.expr]
+    keywords: List[ast.keyword]
+    caller: Optional[Function]
+    targets: List[Target]
+
+
+def _invocations(tree: Tree) -> List[Invocation]:
+    """Each call with the definitions it reaches.  A call that reaches none
+    (``asyncio.to_thread``, ``functools.partial``) but is handed a callable
+    calls that callable with the arguments after it."""
+    binder = Binder(tree)
+    out = []
+    for call in tree.calls:
+        args, keywords = call.node.args, call.node.keywords
+        targets = binder.targets(call)
+        if not targets:
+            for i, arg in enumerate(args):
+                targets = binder.reference(arg)
+                if targets:
+                    args = args[i + 1 :]
+                    break
+        if targets:
+            out.append(Invocation(args, keywords, call.caller, targets))
+    return out
+
+
+def _passed(tree: Tree) -> Dict[Function, Set[str]]:
+    """Every parameter some call passes, ``*args`` / ``**kwargs`` followed."""
+    passed: Dict[Function, Set[str]] = defaultdict(set)
+    #: what callers put in a function's ``*args`` (indices) and ``**kwargs``
+    extra_pos: Dict[Function, Set[int]] = defaultdict(set)
+    extra_kw: Dict[Function, Set[str]] = defaultdict(set)
+
+    def apply(call: Invocation, fn: Function, skip: int) -> None:
+        caller = call.caller
+        indices: Set[int] = set()
+        for i, arg in enumerate(call.args):
+            if not isinstance(arg, ast.Starred):
+                indices.add(i)
+            elif caller is not None and _name(arg.value) == caller.vararg:
+                indices |= {i + j for j in extra_pos[caller]}
+                break
+            else:  # a sequence of unknown length
+                passed[fn].update(fn.positional[i + skip :])
+                break
+        for i in indices:
+            if i + skip < len(fn.positional):
+                passed[fn].add(fn.positional[i + skip])
+            elif fn.vararg:
+                extra_pos[fn].add(i + skip - len(fn.positional))
+        keywords = {k.arg for k in call.keywords if k.arg is not None}
+        for k in call.keywords:
+            if k.arg is None and caller is not None and _name(k.value) == caller.kwarg:
+                keywords |= extra_kw[caller]
+        named = set(fn.positional + fn.keyword_only)
+        for k in keywords:
+            if k in named:
+                passed[fn].add(k)
+            elif fn.kwarg:
+                extra_kw[fn].add(k)
+
+    def size() -> int:
+        return sum(map(len, (*passed.values(), *extra_pos.values(), *extra_kw.values())))
+
+    calls = _invocations(tree)
+    before = -1
+    while before != size():
+        before = size()
+        for call in calls:
+            for fn, skip in call.targets:
+                apply(call, fn, skip)
+    return passed
+
+
+def _name(node: ast.expr) -> Optional[str]:
+    return node.id if isinstance(node, ast.Name) else None
+
+
+Parameter = Tuple[str, str, str]  # (module path, qualified name, parameter)
+
+
+def unpassed(modules: Iterable[Tuple[str, ast.Module]], counted) -> List[Parameter]:
+    """The defaulted parameters of the functions in modules ``counted(path)``
+    selects that no call in ``modules`` passes."""
+    tree = _collect(modules)
+    passed = _passed(tree)
+    return [
+        (fn.path, fn.qualname, name)
+        for fn in tree.functions
+        if counted(fn.path)
+        for name in fn.defaulted
+        if name not in passed[fn]
+    ]
+
+
+def _label(path) -> str:
+    if SRC in path.parents:
+        return str(path.relative_to(SRC))
+    return str(path.relative_to(REPO))
+
+
+@functools.cache
+def run_modules() -> Tuple[Tuple[str, ast.Module], ...]:
+    return tuple(
+        (_label(path), tree) for path, tree in sources("src", "benchmarks", "examples")
+    )
+
+
+def _in_src(label: str) -> bool:
+    return not label.startswith(("benchmarks/", "examples/"))
+
+
+@functools.cache
+def census() -> Tuple[Parameter, ...]:
+    return tuple(unpassed(run_modules(), _in_src))
+
+
+def defaulted_count() -> int:
+    """Defaulted parameters in ``src/``, ``_``-prefixed ones left out."""
+    tree = _collect(run_modules())
+    return sum(len(fn.defaulted) for fn in tree.functions if _in_src(fn.path))
+
+
+def _allowed(param: Parameter) -> Optional[Tuple[str, str, str]]:
+    """The ``ALLOWLIST`` key that covers a parameter, if any."""
+    path, qualname, name = param
+    for key in ALLOWLIST:
+        glob, qualname_glob, allowed = key
+        if (
+            fnmatch.fnmatch(path, glob)
+            and fnmatch.fnmatch(qualname, qualname_glob)
+            and name == allowed
+        ):
+            return key
+    return None
+
+
+def test_every_defaulted_parameter_is_passed_by_a_run():
+    flagged = [
+        f"{path}: {qualname}({name})"
+        for path, qualname, name in census()
+        if _allowed((path, qualname, name)) is None
+    ]
+    assert flagged == [], (
+        "defaulted parameters no call in src/, benchmarks/ or examples/ passes "
+        f"(make them module constants, delete them, or allowlist with a reason): {flagged}"
+    )
+
+
+def test_signature_allowlist_entries_are_needed_and_give_a_reason():
+    used = {_allowed(param) for param in census()}
+    stale = [key for key in ALLOWLIST if key not in used]
+    assert stale == [], f"allowlisted but passed by a run, or gone: {stale}"
+    assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+def test_the_census_binds_calls_by_each_rule():
+    """Every defaulted parameter below but ``unpassed`` and ``b`` is passed
+    through one binding rule: a rule that stopped binding would flag its
+    parameter, one that bound too widely would pass ``b``."""
+    tree = ast.parse(
+        "class Base:\n"
+        "    def __init__(self, a, by_position=1, by_keyword=2, forwarded=3, unpassed=4):\n"
+        "        pass\n"
+        "class Child(Base):\n"
+        "    def __init__(self, a, up=0):\n"
+        "        super().__init__(a, up)\n"  # super().__init__, by position
+        "class Unrelated:\n"  # ... reaches no other class's constructor
+        "    def __init__(self, a, b=0):\n"
+        "        pass\n"
+        "class Proto(Base):\n"
+        "    @classmethod\n"
+        "    def build(cls, a, **kwargs):\n"
+        "        return cls(a, **kwargs)\n"  # **kwargs forwarding
+        "class Host:\n"
+        "    def __init__(self, config, tracer=None):\n"
+        "        pass\n"
+        "def simulate(sim_class, config):\n"
+        "    return sim_class(config, tracer=1)\n"  # a host through a variable
+        "def maker(overlay, network=None):\n"
+        "    pass\n"
+        "class Descriptor:\n"
+        "    def __init__(self, make_protocol):\n"
+        "        self.make_protocol = make_protocol\n"
+        "def build_from(descriptor):\n"
+        "    return descriptor.make_protocol(0, network=1)\n"  # a held maker
+        "class Obj:\n"
+        "    def method(self, x, y=0):\n"  # by position, ``self`` skipped
+        "        pass\n"
+        "def replay(client, pace=None):\n"
+        "    pass\n"
+        "def sink(value, _store=None):\n"  # a default-bound local
+        "    pass\n"
+        "Child(0, up=1)\n"
+        "Base(0, by_keyword=5)\n"
+        "Proto.build(0, forwarded=6)\n"
+        "simulate(Host, None)\n"
+        "Descriptor(make_protocol=maker)\n"
+        "Obj().method(1, 2)\n"
+        "asyncio.to_thread(replay, None, pace=2)\n"  # handed on by the stdlib
+        "sink(1)\n"
+    )
+    assert unpassed([("snippet.py", tree)], lambda path: True) == [
+        ("snippet.py", "Base.__init__", "unpassed"),
+        ("snippet.py", "Unrelated.__init__", "b"),
+    ]
