@@ -17,10 +17,10 @@ WIDTH = 72
 
 def ascii_plot(
     series: Dict[str, Tuple[Sequence[float], Sequence[float]]],
-    height: int = 20,
-    title: Optional[str] = None,
-    xlabel: str = "",
-    ylabel: str = "",
+    height: int,
+    title: str,
+    xlabel: str,
+    ylabel: str,
     y_min: Optional[float] = None,
     y_max: Optional[float] = None,
 ) -> str:
@@ -58,9 +58,7 @@ def ascii_plot(
             if canvas[row][col] == " ":
                 canvas[row][col] = marker
 
-    lines: List[str] = []
-    if title:
-        lines.append(title)
+    lines: List[str] = [title]
     top_label = f"{y_hi:,.6g}"
     bottom_label = f"{y_lo:,.6g}"
     label_w = max(len(top_label), len(bottom_label))
@@ -75,8 +73,7 @@ def ascii_plot(
     lines.append(" " * label_w + " +" + "-" * WIDTH)
     x_axis = f"{x_lo:,.6g}".ljust(WIDTH // 2) + f"{x_hi:,.6g}".rjust(WIDTH - WIDTH // 2)
     lines.append(" " * (label_w + 2) + x_axis)
-    if xlabel or ylabel:
-        lines.append(" " * (label_w + 2) + f"x: {xlabel}   y: {ylabel}".rstrip())
+    lines.append(" " * (label_w + 2) + f"x: {xlabel}   y: {ylabel}")
     legend = "   ".join(
         f"{_MARKERS[i % len(_MARKERS)]}={name}" for i, name in enumerate(series)
     )

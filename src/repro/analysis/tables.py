@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 __all__ = ["format_table"]
 
@@ -20,7 +20,7 @@ def _fmt(value: object) -> str:
 def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[object]],
-    title: Optional[str] = None,
+    title: str,
 ) -> str:
     """Render rows as a fixed-width table with a header rule."""
     rendered: List[List[str]] = [[_fmt(c) for c in row] for row in rows]
@@ -30,9 +30,7 @@ def format_table(
             raise ValueError("row width does not match headers")
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    lines: List[str] = []
-    if title:
-        lines.append(title)
+    lines: List[str] = [title]
     header_line = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
     lines.append(header_line)
     lines.append("  ".join("-" * w for w in widths))

@@ -123,7 +123,7 @@ class AggregationEngine:
                 # set order, not sorted: it fixes the order the mean sums in
                 out = [
                     index[other]
-                    for other in neighbors_along(nid, dim, +1)
+                    for other in neighbors_along(nid, dim)
                     if other in index
                 ]
                 targets.extend(out)

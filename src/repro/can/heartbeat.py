@@ -70,13 +70,13 @@ class ProtocolNode:
     def __init__(
         self,
         node_id: int,
-        freshness_ttl: float = float("inf"),
-        gap_registry: Optional[Set[int]] = None,
+        freshness_ttl: float,
+        gap_registry: Set[int],
         table: Optional[NeighborTable] = None,
     ):
         self.node_id = node_id
         #: protocol-level set mirroring gap_dirty flags (see the gap_dirty
-        #: property) — None for a node used outside a protocol
+        #: property)
         self._gap_registry = gap_registry
         self.table = table if table is not None else NeighborTable(freshness_ttl)
         #: optional callable invoked with the new version on every bump;
@@ -121,12 +121,10 @@ class ProtocolNode:
     @gap_dirty.setter
     def gap_dirty(self, flag: bool) -> None:
         self._gap_dirty = flag
-        registry = self._gap_registry
-        if registry is not None:
-            if flag:
-                registry.add(self.node_id)
-            else:
-                registry.discard(self.node_id)
+        if flag:
+            self._gap_registry.add(self.node_id)
+        else:
+            self._gap_registry.discard(self.node_id)
 
     def bump_version(self) -> None:
         self.own_version += 1
@@ -284,7 +282,7 @@ class HeartbeatProtocol(MaintenanceProtocol):
             claimant.gap_dirty = True
             self._notify_takeover(claimant, node_id, transfer, leaver_table, now)
 
-    def adopt_overlay(self, now: float = 0.0) -> None:
+    def adopt_overlay(self, now: float) -> None:
         """Warm-start protocol state for an overlay built outside it.
 
         The grid hosts construct their CAN via

@@ -117,7 +117,7 @@ class NeighborTable:
     subject would be declared failed immediately anyway).
     """
 
-    def __init__(self, freshness_ttl: float = float("inf")) -> None:
+    def __init__(self, freshness_ttl: float) -> None:
         self._records: Dict[int, BeliefRecord] = {}
         self._last_heard: Dict[int, float] = {}
         #: per-record change sequence (epoch at last insert/update), so

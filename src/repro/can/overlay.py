@@ -82,9 +82,9 @@ class CanOverlay:
         #: bumped on every structural change; caches key off it
         self.topology_version: int = 0
         # directional adjacency of every member, built on first use per
-        # topology: node -> {(dim, dir): owners}
+        # topology: node -> {dim: owners across its +1 face}
         self._dir_cache_version: int = -1
-        self._dir_cache: Dict[int, Dict[Tuple[int, int], Set[int]]] = {}
+        self._dir_cache: Dict[int, Dict[int, Set[int]]] = {}
         #: per-node neighborhood stamps: ``_nbr_stamp[n]`` advances whenever
         #: node n's ground-truth neighborhood (or a neighbor's liveness) can
         #: have changed.  Unlike ``topology_version`` this is *local*: a
@@ -153,14 +153,12 @@ class CanOverlay:
         for nid in node_ids:
             stamp[nid] = tick
 
-    def neighbors_along(self, node_id: int, dim: int, direction: int) -> Set[int]:
-        """Neighbors reached by crossing a face along ``dim`` toward ``direction``."""
-        if direction not in (-1, +1):
-            raise ValueError("direction must be +1 or -1")
-        return self._directional(node_id).get((dim, direction), set())
+    def neighbors_along(self, node_id: int, dim: int) -> Set[int]:
+        """Neighbors reached by crossing this node's high face along ``dim``."""
+        return self._directional(node_id).get(dim, set())
 
-    def _directional(self, node_id: int) -> Dict[Tuple[int, int], Set[int]]:
-        """Per-node (dim, direction) -> neighbor owners, cached per topology.
+    def _directional(self, node_id: int) -> Dict[int, Set[int]]:
+        """Per-node dim -> owners across the +1 face, cached per topology.
 
         Matchmaking probes every dimension at every push hop and the
         aggregation engine rebuilds its CSR from the same queries, so the
@@ -173,31 +171,28 @@ class CanOverlay:
             self._dir_cache_version = self.topology_version
         return self._dir_cache[node_id]
 
-    def _build_directional(self) -> Dict[int, Dict[Tuple[int, int], Set[int]]]:
-        """Every member's (dim, direction) -> neighbor owners, in one pass.
+    def _build_directional(self) -> Dict[int, Dict[int, Set[int]]]:
+        """Every member's dim -> owners across its +1 face, in one pass.
 
         Each adjacent leaf pair's shared face is classified as an array
         expression over stacked bounds, ``_DIRECTION_PAIRS`` pairs at a
         time: the first axis where ``other`` starts at this leaf's high
-        end (+1) or ends at its low end (-1), within ``_EPS``.  The owners
+        end (+1) or ends at its low end (-1), within ``_EPS``; only +1
+        faces are kept.  The owners
         are then inserted in the order a per-pair walk would insert them:
         owned leaves in ``_owner_leaves`` order, each leaf's ``_adj`` in set
         order.  That order fixes the sets' iteration order, which fixes the
         order the aggregation CSR sums each row in, so it is load-bearing.
         """
-        out: Dict[int, Dict[Tuple[int, int], Set[int]]] = {
-            nid: {} for nid in self.members
-        }
+        out: Dict[int, Dict[int, Set[int]]] = {nid: {} for nid in self.members}
         if self.tree is None:
             return out
         leaves = self.tree.leaves
         row = {lid: i for i, lid in enumerate(leaves)}
         lo = np.array([leaf.zone.lo for leaf in leaves.values()])
         hi = np.array([leaf.zone.hi for leaf in leaves.values()])
-        # one shared key object per face: (0, +1), (0, -1), (1, +1), ...
-        faces = [(d, sign) for d in range(self.space.dims) for sign in (+1, -1)]
         # one block of pairs: (owner's table, neighbor owner), leaf rows
-        tables: List[Dict[Tuple[int, int], Set[int]]] = []
+        tables: List[Dict[int, Set[int]]] = []
         others: List[int] = []
         mine: List[int] = []
         theirs: List[int] = []
@@ -211,15 +206,13 @@ class CanOverlay:
             pick = np.arange(len(a)), dim
             if not touching[pick].all():
                 raise ValueError("zones do not touch along any axis")
-            face = 2 * dim + ~up[pick]  # (d, +1) -> 2d, (d, -1) -> 2d + 1
-            for table, other, key in zip(
-                tables, others, map(faces.__getitem__, face.tolist())
-            ):
-                owners = table.get(key)
+            upward = up[pick]
+            for k, d in zip(np.flatnonzero(upward).tolist(), dim[upward].tolist()):
+                owners = tables[k].get(d)
                 if owners is None:
-                    table[key] = {other}
+                    tables[k][d] = {others[k]}
                 else:
-                    owners.add(other)
+                    owners.add(others[k])
             for pending in (tables, others, mine, theirs):
                 pending.clear()
 

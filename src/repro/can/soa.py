@@ -1461,7 +1461,7 @@ def protocol_class(network: Optional[NetworkModel]) -> type:
 def build_protocol(
     overlay: CanOverlay,
     config: ProtocolConfig,
-    network: Optional[NetworkModel] = None,
+    network: Optional[NetworkModel],
     **kwargs,
 ) -> HeartbeatProtocol:
     """Construct CAN's heartbeat protocol on ``network`` (None = ideal)."""

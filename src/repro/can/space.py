@@ -73,7 +73,7 @@ CPU_CORE_BOUND = 16.0
 class ResourceSpace:
     """The d-dimensional CAN coordinate system for a given slot layout."""
 
-    def __init__(self, gpu_slots: int = 2):
+    def __init__(self, gpu_slots: int):
         if gpu_slots < 0:
             raise ValueError("gpu_slots must be >= 0")
         self.gpu_slots = gpu_slots

@@ -359,7 +359,7 @@ class ChordMaintenanceProtocol(MaintenanceProtocol):
             heir.gap_dirty = True
             self._notify_takeover(heir, node_id, leaver_known, now)
 
-    def adopt_overlay(self, now: float = 0.0) -> None:
+    def adopt_overlay(self, now: float) -> None:
         """Warm-start believed state for a ring built outside the protocol.
 
         Every member gets a protocol node whose known set is seeded with

@@ -18,8 +18,8 @@ The routing structure is Chord's: ``SUCCESSOR_LIST_SIZE`` ring successors
 per node plus a full finger table, one finger per exponent ``e`` of the
 ``2**64`` ring (finger ``e`` points at ``successor(key + 2**e)``).
 ``neighbors`` exposes predecessor + successor list + fingers;
-``neighbors_along(dim, dir)`` filters them by resource-coordinate order
-along one dimension, which is what the directional aggregation flow and
+``neighbors_along(dim)`` keeps those above the node's own coordinate along
+one resource dimension, which is what the directional aggregation flow and
 the matchmakers' push scopes consume.
 """
 
@@ -90,7 +90,7 @@ class ChordRing:
         # lazy derived-structure caches, all invalidated by a version bump
         self._cache_version: int = -1
         self._nbr_cache: Dict[int, Set[int]] = {}
-        self._dir_cache: Dict[int, Dict[Tuple[int, int], Set[int]]] = {}
+        self._dir_cache: Dict[int, Dict[int, Set[int]]] = {}
         self._succ_cache: Dict[int, Tuple[int, ...]] = {}
         self._finger_cache: Dict[int, Tuple[int, ...]] = {}
         self._links: Optional[Dict[int, Tuple[int, ...]]] = None
@@ -216,33 +216,20 @@ class ChordRing:
         self._nbr_cache[node_id] = nbrs
         return set(nbrs)
 
-    def neighbors_along(self, node_id: int, dim: int, direction: int) -> Set[int]:
-        """Ring neighbors whose coordinate lies toward ``direction`` along
+    def neighbors_along(self, node_id: int, dim: int) -> Set[int]:
+        """Ring neighbors whose coordinate lies above this node's along
         resource dimension ``dim`` (ties excluded, like a CAN face crossing)."""
-        if direction not in (-1, +1):
-            raise ValueError("direction must be +1 or -1")
         self._fresh_caches()
         per_node = self._dir_cache.get(node_id)
         if per_node is None:
             per_node = self._dir_cache[node_id] = {}
-        key = (dim, direction)
-        cached = per_node.get(key)
+        cached = per_node.get(dim)
         if cached is None:
             own = self._member(node_id).coord[dim]
             members = self.members
-            if direction > 0:
-                cached = {
-                    nid
-                    for nid in self.neighbors(node_id)
-                    if members[nid].coord[dim] > own
-                }
-            else:
-                cached = {
-                    nid
-                    for nid in self.neighbors(node_id)
-                    if members[nid].coord[dim] < own
-                }
-            per_node[key] = cached
+            cached = per_node[dim] = {
+                nid for nid in self.neighbors(node_id) if members[nid].coord[dim] > own
+            }
         return set(cached)
 
     def takeover_targets(

@@ -27,9 +27,9 @@ __all__ = ["run", "main", "fig7_config"]
 
 def fig7_config(
     scheme: HeartbeatScheme,
-    fast: bool = False,
-    seed: int | None = None,
-    substrate: str = "can",
+    fast: bool,
+    seed: int | None,
+    substrate: str,
 ) -> ChurnConfig:
     """The paper's high-churn setup (or its scaled-down variant)."""
     kwargs = dict(

@@ -37,9 +37,9 @@ def fig8_config(
     scheme: HeartbeatScheme,
     nodes: int,
     gpu_slots: int,
-    fast: bool = False,
-    seed: int | None = None,
-    substrate: str = "can",
+    fast: bool,
+    seed: int | None,
+    substrate: str,
 ) -> ChurnConfig:
     """Slow-churn configuration used for the cost measurements.
 

@@ -45,9 +45,9 @@ MESSAGE_LOSS = 0.2
 
 def recovery_config(
     scheme: HeartbeatScheme,
-    fast: bool = False,
-    seed: int | None = None,
-    substrate: str = "can",
+    fast: bool,
+    seed: int | None,
+    substrate: str,
 ) -> FaultyGridConfig:
     """A churny grid with protocol-driven detection and lossy heartbeats."""
     if fast:

@@ -139,7 +139,7 @@ def _ablations_table(rows: List[Dict[str, str]]) -> str:
     )
 
 
-def build_tables(results_dir: str = "results") -> Dict[str, str]:
+def build_tables(results_dir: str) -> Dict[str, str]:
     """Markdown tables keyed by placeholder name, from available CSVs."""
     out: Dict[str, str] = {}
     for sweep in (FIG5, FIG6):

@@ -106,9 +106,7 @@ class ChurnSimulation:
         self.metrics = MetricsRegistry()
         proto_scope = self.metrics.scope("protocol")
         proto_scope.register("broken_links", self.protocol.broken_links)
-        self._population = proto_scope.timeweighted(
-            "population", value=0.0
-        )
+        self._population = proto_scope.timeweighted("population")
         self._node_dist = NodeDistribution()
         self._next_id = itertools.count()
         self._spec_rng = self.rngs.stream("nodes")
@@ -208,7 +206,7 @@ class ChurnSimulation:
                 self._events_since_check = 0
                 self.check_invariants()
 
-    def routing_success_rate(self, samples: int = 200) -> float:
+    def routing_success_rate(self, samples: int) -> float:
         """Fraction of believed-state routes that deliver.
 
         Call after :meth:`run`: it probes the *current* believed state with

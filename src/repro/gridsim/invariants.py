@@ -85,7 +85,7 @@ def check_matchmaking_accounting(result) -> None:
         )
 
 
-def check_service_accounting(service, final: bool = False) -> None:
+def check_service_accounting(service, final: bool) -> None:
     """Invariants of a (possibly mid-run) :class:`~repro.service.GridService`.
 
     The live-service analogue of :func:`check_matchmaking_accounting`,

@@ -204,7 +204,7 @@ class RecoveryLoop:
         abandoned: Callable[[Job, int], None],
         crashed: Callable[[int, List[Job]], None] = _no_edge,
         retrying: Callable[[Job, int], None] = _no_edge,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: Optional[MetricsRegistry],
     ):
         self.host, self.clock = host, clock
         self.rng = host.rngs.stream("retry")

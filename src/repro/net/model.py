@@ -178,9 +178,7 @@ class NetworkSpec:
     def identity(self) -> bool:
         return self.loss == 0.0 and self.latency is None and not self.flaps
 
-    def build(
-        self, rng: Optional[np.random.Generator] = None
-    ) -> "NetworkModel":
+    def build(self, rng: Optional[np.random.Generator]) -> "NetworkModel":
         return NetworkModel(self, rng)
 
 

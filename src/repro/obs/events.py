@@ -148,8 +148,8 @@ class Tracer:
 
     __slots__ = ("bus", "counts")
 
-    def __init__(self, bus: Optional[EventBus] = None):
-        self.bus = bus if bus is not None else EventBus()
+    def __init__(self):
+        self.bus = EventBus()
         self.counts: Dict[str, int] = {}
 
     def emit(self, t: float, etype: str, **fields: Any) -> None:

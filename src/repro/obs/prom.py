@@ -55,9 +55,7 @@ def _sample(name: str, value: float, labels: str = "") -> str:
     return f"{name}{labels} {_fmt(value)}"
 
 
-def render_prometheus(
-    registry: MetricsRegistry, now: Optional[float] = None
-) -> str:
+def render_prometheus(registry: MetricsRegistry, now: Optional[float]) -> str:
     """One scrape body; ends with a trailing newline as the format requires."""
     lines: List[str] = []
     for dotted in registry.names():

@@ -54,44 +54,17 @@ class MetricsRegistry:
         """Get or create the :class:`Counter` at ``name``."""
         return self._get_or_create(name, Counter)
 
-    def timeweighted(self, name: str, value: float = 0.0) -> TimeWeighted:
+    def timeweighted(self, name: str) -> TimeWeighted:
         """Get or create the :class:`TimeWeighted` at ``name``."""
-        full = self._full(name)
-        mon = self._store.get(full)
-        if mon is None:
-            mon = TimeWeighted(0.0, value)
-            self._store[full] = mon
-        elif not isinstance(mon, TimeWeighted):
-            raise TypeError(f"{full!r} is a {type(mon).__name__}, not TimeWeighted")
-        return mon
+        return self._get_or_create(name, TimeWeighted)
 
     def quantile_sketch(self, name: str) -> QuantileSketch:
         """Get or create the streaming :class:`QuantileSketch` at ``name``."""
-        full = self._full(name)
-        mon = self._store.get(full)
-        if mon is None:
-            mon = QuantileSketch()
-            self._store[full] = mon
-        elif not isinstance(mon, QuantileSketch):
-            raise TypeError(
-                f"{full!r} is a {type(mon).__name__}, not QuantileSketch"
-            )
-        return mon
+        return self._get_or_create(name, QuantileSketch)
 
-    def windowed_counter(
-        self, name: str, window: float = 300.0, buckets: int = 60
-    ) -> WindowedCounter:
+    def windowed_counter(self, name: str) -> WindowedCounter:
         """Get or create the sliding-window :class:`WindowedCounter` at ``name``."""
-        full = self._full(name)
-        mon = self._store.get(full)
-        if mon is None:
-            mon = WindowedCounter(window=window, buckets=buckets)
-            self._store[full] = mon
-        elif not isinstance(mon, WindowedCounter):
-            raise TypeError(
-                f"{full!r} is a {type(mon).__name__}, not WindowedCounter"
-            )
-        return mon
+        return self._get_or_create(name, WindowedCounter)
 
     def register(self, name: str, monitor: Monitor) -> Monitor:
         """Adopt an existing monitor (e.g. a protocol's own TimeSeries)."""

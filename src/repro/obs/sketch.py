@@ -31,6 +31,10 @@ __all__ = ["QuantileSketch", "WindowedCounter"]
 #: per-level compactor capacity ``k`` (even); rank error scales like 1/k
 K = 512
 
+#: a :class:`WindowedCounter`'s window (seconds) and its ring of buckets
+WINDOW = 60.0
+BUCKETS = 12
+
 
 class QuantileSketch:
     """Streaming quantile estimator with bounded memory.
@@ -187,11 +191,9 @@ class WindowedCounter:
 
     __slots__ = ("window", "buckets", "_span", "_counts", "_slots", "_last_t", "lifetime")
 
-    def __init__(self, window: float = 300.0, buckets: int = 60):
-        if window <= 0 or buckets <= 0:
-            raise ValueError("window and buckets must be positive")
-        self.window = float(window)
-        self.buckets = int(buckets)
+    def __init__(self):
+        self.window = WINDOW
+        self.buckets = BUCKETS
         self._span = self.window / self.buckets
         self._counts = [0.0] * self.buckets
         #: absolute bucket index currently stored in each ring slot
@@ -227,7 +229,7 @@ class WindowedCounter:
             if oldest <= slot <= newest
         )
 
-    def rate(self, now: Optional[float] = None) -> float:
+    def rate(self, now: Optional[float]) -> float:
         """Events per second over the window ending at ``now``."""
         return self.total(now) / self.window
 

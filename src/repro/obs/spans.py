@@ -240,7 +240,7 @@ class SpanBuilder:
         kind: str,
         t: float,
         parent: Span,
-        attrs: Optional[Dict[str, Any]] = None,
+        attrs: Optional[Dict[str, Any]],
     ) -> Span:
         span = self._open(state, kind, t, parent, attrs)
         span.close(t)
@@ -477,7 +477,7 @@ def _fmt_seconds(value: Optional[float]) -> str:
     return f"{value:,.1f}s"
 
 
-def render_spans(builder: SpanBuilder, job: Optional[int] = None) -> str:
+def render_spans(builder: SpanBuilder, job: Optional[int]) -> str:
     """Human-readable view: one job's tree, or a per-kind summary table."""
     if job is not None:
         root = builder.root(job)
@@ -561,7 +561,7 @@ def critical_path_summary(
     return rows
 
 
-def render_critical_path(builder: SpanBuilder, job: Optional[int] = None) -> str:
+def render_critical_path(builder: SpanBuilder, job: Optional[int]) -> str:
     """Critical-path report: one job's chain, or the fleet-wide aggregate."""
     if job is not None:
         segments = builder.critical_path(job)

@@ -88,10 +88,10 @@ def summarize_file(path: str) -> TraceSummary:
     return summarize_events(read_trace(path))
 
 
-def render_summary(s: TraceSummary, path: str = "") -> str:
+def render_summary(s: TraceSummary, path: str) -> str:
     """Human-readable report (tables share the repo's formatting)."""
     chunks: List[str] = []
-    title = f"Trace summary — {path}" if path else "Trace summary"
+    title = f"Trace summary — {path}"
     chunks.append(f"{title}\n{'=' * len(title)}")
     chunks.append(f"total events: {s.total_events}")
 

@@ -28,7 +28,7 @@ import json
 import os
 from typing import Any, Dict, IO, Optional
 
-from .events import EventBus, TraceEvent, Tracer
+from .events import TraceEvent, Tracer
 from .manifest import RunManifest
 from .schema import SCHEMA_VERSION, check_schema_version
 
@@ -121,9 +121,9 @@ def read_trace(path: str):
 class RunRecorder:
     """Tracer + JSONL writer + manifest for one experiment invocation.
 
-    >>> rec = RunRecorder("results", "fig7", seed=1)     # doctest: +SKIP
-    >>> sim = ChurnSimulation(cfg, tracer=rec.tracer)    # doctest: +SKIP
-    >>> rec.close(config={...})                          # doctest: +SKIP
+    >>> rec = RunRecorder("results", "fig7", seed=1, enabled=True)  # doctest: +SKIP
+    >>> sim = ChurnSimulation(cfg, tracer=rec.tracer)               # doctest: +SKIP
+    >>> rec.close(config={...})                                     # doctest: +SKIP
 
     When ``enabled`` is false every attribute still works but ``tracer``
     is ``None`` and nothing is written — callers can wire unconditionally.
@@ -133,8 +133,8 @@ class RunRecorder:
         self,
         out_dir: str,
         name: str,
-        seed: Optional[int] = None,
-        enabled: bool = True,
+        seed: Optional[int],
+        enabled: bool,
     ):
         self.out_dir = out_dir
         self.name = name
@@ -147,7 +147,7 @@ class RunRecorder:
             self.trace_path = os.path.join(out_dir, f"{name}_trace.jsonl")
             self.manifest_path = os.path.join(out_dir, f"{name}_run.manifest.json")
             self.writer = JsonlTraceWriter(self.trace_path)
-            self.tracer = Tracer(EventBus())
+            self.tracer = Tracer()
             self.tracer.subscribe(self.writer)
             # killed mid-run (signal unwinding, sys.exit in a handler):
             # still finalise the manifest so the trace is not orphaned
@@ -161,7 +161,7 @@ class RunRecorder:
         if self.tracer is not None:
             self.tracer.emit(0.0, "run.start", label=label, **fields)
 
-    def run_end(self, label: str, t: float = 0.0, **fields: Any) -> None:
+    def run_end(self, label: str, t: float, **fields: Any) -> None:
         if self.tracer is not None:
             self.tracer.emit(t, "run.end", label=label, **fields)
 

@@ -115,8 +115,9 @@ class OverlaySubstrate(Protocol):
         """Ground-truth routing neighbors (liveness not filtered)."""
         ...
 
-    def neighbors_along(self, node_id: int, dim: int, direction: int) -> Set[int]:
-        """Neighbors in the +1/-1 direction along resource dimension ``dim``.
+    def neighbors_along(self, node_id: int, dim: int) -> Set[int]:
+        """Neighbors on the +1 side along resource dimension ``dim``: toward
+        more capable regions, the way jobs are pushed and aggregates flow.
 
         This is the query the directional aggregation flow and the
         matchmakers' push scopes are built on.
@@ -692,7 +693,7 @@ class MaintenanceProtocol:
         """A graceful leaver's acknowledged hand-off to each heir."""
         raise NotImplementedError
 
-    def adopt_overlay(self, now: float = 0.0) -> None:
+    def adopt_overlay(self, now: float) -> None:
         """Warm-start believed state for an overlay built outside the
         protocol (grid bootstrap paths skip join-message accounting)."""
         raise NotImplementedError

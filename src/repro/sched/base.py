@@ -81,7 +81,7 @@ class Matchmaker(abc.ABC):
     def place(self, job: Job) -> Optional[GridNode]:
         """Return the run node for ``job``, or ``None`` when unplaceable."""
 
-    def attach_tracer(self, tracer, clock=None) -> None:
+    def attach_tracer(self, tracer, clock) -> None:
         """Wire a :class:`repro.obs.Tracer` plus a ``() -> now`` clock."""
         self.tracer = tracer
         self.clock = clock
@@ -89,18 +89,10 @@ class Matchmaker(abc.ABC):
     def _t(self) -> float:
         return self.clock() if self.clock is not None else 0.0
 
-    def _trace_push(
-        self, job: Job, frm: int, to: int, dim: int, hop: Optional[int] = None
-    ) -> None:
-        if hop is not None:
-            self.tracer.emit(
-                self._t(), "mm.push",
-                job=job.job_id, frm=frm, to=to, dim=dim, hop=hop,
-            )
-        else:
-            self.tracer.emit(
-                self._t(), "mm.push", job=job.job_id, frm=frm, to=to, dim=dim
-            )
+    def _trace_push(self, job: Job, frm: int, to: int, dim: int, hop: int) -> None:
+        self.tracer.emit(
+            self._t(), "mm.push", job=job.job_id, frm=frm, to=to, dim=dim, hop=hop
+        )
 
     def _record_placement(
         self,
@@ -317,7 +309,7 @@ class CanMatchmaker(Matchmaker):
             corridor = [
                 (dim, nid)
                 for dim in range(overlay.space.dims)
-                for nid in sorted(overlay.neighbors_along(node_id, dim, +1))
+                for nid in sorted(overlay.neighbors_along(node_id, dim))
                 if alive(nid)
             ]
             hood = self._hoods[node_id] = _Hood(

@@ -44,8 +44,8 @@ class CanHetMatchmaker(CanMatchmaker):
         aggregation: AggregationEngine,
         rng: np.random.Generator,
         stopping_factor: float,
-        use_acceptable_nodes: bool = True,
-        use_dominant_ce: bool = True,
+        use_acceptable_nodes: bool,
+        use_dominant_ce: bool,
     ):
         super().__init__(overlay, grid_nodes, aggregation, rng, stopping_factor)
         #: ablation switches (DESIGN.md): fall back to free-node-only search

@@ -21,6 +21,7 @@ failure instead of serving a half-updated grid.
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any, Callable, Optional
 
 from ..sim.clock import CallbackHandle, Clock
@@ -41,13 +42,15 @@ class AsyncioClock(Clock):
 
     def __init__(
         self,
-        loop: Optional[asyncio.AbstractEventLoop] = None,
-        dilation: float = 1.0,
+        loop: asyncio.AbstractEventLoop,
+        dilation: float,
         origin: float = 0.0,
     ):
-        if dilation <= 0:
-            raise ValueError(f"dilation must be positive, got {dilation!r}")
-        self._loop = loop if loop is not None else asyncio.get_event_loop()
+        if not 0.0 < dilation < math.inf:
+            raise ValueError(f"dilation must be finite and positive, got {dilation!r}")
+        if not math.isfinite(origin):
+            raise ValueError(f"origin must be finite, got {origin!r}")
+        self._loop = loop
         self.dilation = float(dilation)
         self._t0 = self._loop.time()
         self._origin = float(origin)
@@ -61,8 +64,8 @@ class AsyncioClock(Clock):
     def schedule_callback(
         self, delay: float, fn: Callable[[], Any]
     ) -> CallbackHandle:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not 0.0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         timer = self._loop.call_later(delay / self.dilation, self._run, fn)
         return CallbackHandle(timer.cancel)
 

@@ -58,6 +58,9 @@ _STATUS_PHRASES = {
     503: "Service Unavailable",
 }
 _MAX_BODY = 1 << 20  # 1 MiB; job specs are tiny
+#: the methods some route serves; the request counter books any other
+#: method the client names as ``OTHER``, so it cannot grow a key per token
+_ROUTED_METHODS = frozenset({"GET", "POST", "DELETE"})
 
 
 class _HttpError(Exception):
@@ -132,9 +135,7 @@ class Gateway:
             #: wall-clock request latencies, streamed into a constant-
             #: memory sketch (p50/p90/p99 survive any request volume)
             self._latency_sketch = scope.quantile_sketch("request_latency")
-            self._request_window = scope.windowed_counter(
-                "request_rate", window=60.0, buckets=12
-            )
+            self._request_window = scope.windowed_counter("request_rate")
         else:
             self._request_counter = None
             self._latency_sketch = None
@@ -230,7 +231,8 @@ class Gateway:
                 status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
             self._write_response(writer, status, payload, keep_alive)
             if self._request_counter is not None:
-                self._request_counter.add(f"{method} {status}")
+                booked = method if method in _ROUTED_METHODS else "OTHER"
+                self._request_counter.add(f"{booked} {status}")
             if self._latency_sketch is not None:
                 self._latency_sketch.insert(loop.time() - started)
                 self._request_window.add(self.service.clock.now)
@@ -314,7 +316,7 @@ class Gateway:
         path: str,
         query: Dict[str, str],
         body: Optional[Dict],
-        headers: Optional[Dict[str, str]] = None,
+        headers: Dict[str, str],
     ) -> Tuple[int, Any]:
         segments = [s for s in path.split("/") if s]
         if segments == ["jobs"]:
@@ -333,7 +335,7 @@ class Gateway:
         if segments == ["health"] and method == "GET":
             return self._health()
         if segments == ["metrics"] and method == "GET":
-            return self._metrics(query, headers or {})
+            return self._metrics(query, headers)
         if (
             len(segments) == 3
             and segments[0] == "nodes"

@@ -205,7 +205,7 @@ class JobLedger:
     event per write, after its commit.
     """
 
-    def __init__(self, path: str, tracer=None):
+    def __init__(self, path: str, tracer):
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)

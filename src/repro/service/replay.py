@@ -57,8 +57,8 @@ def record_trace(preset: WorkloadPreset, path: str) -> int:
 def replay_trace(
     client: ServiceClient,
     jobs: List[Job],
+    timeout: float,
     dilation: Optional[float] = None,
-    timeout: float = 120.0,
 ) -> Dict:
     """Submit ``jobs`` in trace order and wait for terminal states.
 

@@ -35,6 +35,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from .clock import CallbackHandle, Clock
@@ -85,9 +86,10 @@ class Environment(Clock):
         return self._now
 
     def schedule_callback(self, delay: float, fn: Callable[[], Any]) -> CallbackHandle:
-        """Run ``fn()`` after ``delay``."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        """Run ``fn()`` after ``delay``, a finite number >= 0.  A NaN key
+        would stop :meth:`run` the moment it reached the heap top."""
+        if not 0.0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         entry = _Callback(fn)
         self._eid += 1
         heapq.heappush(self._queue, (self._now + delay, self._eid, entry))

@@ -78,17 +78,17 @@ class TimeSeries:
 
 
 class TimeWeighted:
-    """Time-weighted mean of a piecewise-constant signal.
+    """Time-weighted mean of a piecewise-constant signal that reads 0 from
+    time 0 on.
 
     Call :meth:`update` whenever the signal changes; the integral of the old
     value over the elapsed interval accumulates automatically.
     """
 
-    def __init__(self, time: float = 0.0, value: float = 0.0):
-        self._last_time = float(time)
-        self._value = float(value)
+    def __init__(self):
+        self._last_time = 0.0
+        self._value = 0.0
         self._area = 0.0
-        self._start = float(time)
 
     @property
     def current(self) -> float:
@@ -102,10 +102,9 @@ class TimeWeighted:
         self._value = float(value)
 
     def mean(self, now: float) -> float:
-        """Time-weighted mean from construction until ``now``."""
+        """Time-weighted mean from time 0 until ``now``."""
         if now < self._last_time:
             raise ValueError("time went backwards")
-        span = now - self._start
-        if span <= 0:
+        if now <= 0:
             return self._value
-        return (self._area + self._value * (now - self._last_time)) / span
+        return (self._area + self._value * (now - self._last_time)) / now

@@ -21,7 +21,7 @@ __all__ = ["RngRegistry"]
 class RngRegistry:
     """Named, independently-seeded random streams derived from one seed."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int):
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         self._seed = int(seed)

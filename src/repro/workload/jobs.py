@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -190,10 +190,9 @@ def generate_jobs(
     gpu_slots: int,
     mean_interarrival: float,
     rng: np.random.Generator,
-    dist: Optional[JobDistribution] = None,
+    dist: JobDistribution,
 ) -> List[Job]:
     """Draw a satisfiable Poisson job stream against ``nodes``."""
-    dist = dist or JobDistribution()
     times = arrival_times(count, mean_interarrival, rng)
     jobs: List[Job] = []
     for t in times:

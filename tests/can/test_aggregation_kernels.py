@@ -60,7 +60,7 @@ class ReferenceEngine:
             for i, nid in enumerate(self.ids):
                 out = [
                     index[other]
-                    for other in self.overlay.neighbors_along(nid, dim, +1)
+                    for other in self.overlay.neighbors_along(nid, dim)
                     if other in index
                 ]
                 flat.extend(out)

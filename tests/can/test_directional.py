@@ -1,8 +1,8 @@
 """The overlay's bulk directional build against the per-pair walk.
 
 ``CanOverlay._build_directional`` classifies every adjacent leaf pair's
-shared face as one array expression and inserts the neighbour owners in
-the order the per-pair walk below inserts them: owned leaves in
+shared face as one array expression and inserts the owners across each +1
+face in the order the per-pair walk below inserts them: owned leaves in
 ``_owner_leaves`` order, each leaf's ``_adj`` in set order.  The result
 must be *list*-equal to the walk's, keys and set iteration order
 included: the aggregation CSR sums each row in that order, so equal sets
@@ -40,16 +40,18 @@ def touch(zone: Zone, other: Zone) -> Tuple[int, int]:
     raise ValueError("zones do not touch along any axis")
 
 
-def per_pair(overlay: CanOverlay, node_id: int) -> Dict[Tuple[int, int], Set[int]]:
+def per_pair(overlay: CanOverlay, node_id: int) -> Dict[int, Set[int]]:
     """One member's table, one adjacent leaf pair at a time."""
     leaves = overlay.tree.leaves
-    out: Dict[Tuple[int, int], Set[int]] = {}
+    out: Dict[int, Set[int]] = {}
     for lid in overlay._owner_leaves.get(node_id, ()):
         mine = leaves[lid].zone
         for adj_lid in overlay._adj[lid]:
             other = leaves[adj_lid]
             if other.owner != node_id:
-                out.setdefault(touch(mine, other.zone), set()).add(other.owner)
+                dim, direction = touch(mine, other.zone)
+                if direction > 0:
+                    out.setdefault(dim, set()).add(other.owner)
     return out
 
 
@@ -124,4 +126,4 @@ def test_a_pair_that_does_not_touch_raises():
     overlay._adj[b].add(a)
     overlay.topology_version += 1
     with pytest.raises(ValueError):
-        overlay.neighbors_along(leaves[a].owner, 0, +1)
+        overlay.neighbors_along(leaves[a].owner, 0)

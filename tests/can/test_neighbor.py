@@ -12,6 +12,9 @@ def record(nid=1, version=0, lo=(1.0, 0.0), hi=(2.0, 1.0)):
 
 OWN = [Zone((0.0, 0.0), (1.0, 1.0))]
 
+#: the failure timeout a run builds its tables with: 2.5 periods of 60 s
+TTL = 150.0
+
 
 class TestBeliefRecord:
     def test_abuts_any(self):
@@ -25,7 +28,7 @@ class TestBeliefRecord:
 
 class TestUpsert:
     def test_insert_and_get(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         assert t.upsert(record(), now=10.0, heard=True)
         assert 1 in t
         assert t.get(1).version == 0
@@ -33,7 +36,7 @@ class TestUpsert:
         assert len(t) == 1
 
     def test_newer_version_wins(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(version=2), 0.0, heard=True)
         assert not t.upsert(record(version=1), 1.0)  # older rejected
         assert t.get(1).version == 2
@@ -41,13 +44,13 @@ class TestUpsert:
         assert t.get(1).version == 3
 
     def test_gossip_does_not_refresh_liveness(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(version=0), 0.0, heard=True)
         t.upsert(record(version=0), 50.0, heard=False, heard_at=0.0)
         assert t.last_heard(1) == 0.0
 
     def test_gossip_freshness_moves_forward_only(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(), 0.0, heard=True)
         t.upsert(record(), 60.0, heard=False, heard_at=40.0)
         assert t.last_heard(1) == 40.0
@@ -66,7 +69,7 @@ class TestUpsert:
         assert t.upsert(record(), now=1000.0, heard=True)
 
     def test_epoch_bumps_on_change_only(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         e0 = t.epoch
         t.upsert(record(version=1), 0.0, heard=True)
         e1 = t.epoch
@@ -79,14 +82,14 @@ class TestUpsert:
 
 class TestLifecycle:
     def test_remove(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(), 0.0, heard=True)
         assert t.remove(1)
         assert 1 not in t
         assert not t.remove(1)
 
     def test_stale_ids(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(nid=1), 0.0, heard=True)
         t.upsert(record(nid=2, lo=(0.0, 1.0), hi=(1.0, 2.0)), 80.0, heard=True)
         assert t.stale_ids(now=100.0, timeout=50.0) == [1]
@@ -94,7 +97,7 @@ class TestLifecycle:
 
 class TestSnapshot:
     def test_snapshot_contents(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(), 12.0, heard=True)
         snap = t.snapshot()
         rec, heard_at = snap[1]
@@ -102,7 +105,7 @@ class TestSnapshot:
         assert heard_at == 12.0
 
     def test_snapshot_cached_until_mutation(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(), 0.0, heard=True)
         s1 = t.snapshot()
         assert t.snapshot() is s1  # cached
@@ -112,7 +115,7 @@ class TestSnapshot:
         assert s2[1][1] == 5.0
 
     def test_snapshot_invalidated_by_remove(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(), 0.0, heard=True)
         s1 = t.snapshot()
         t.remove(1)
@@ -120,7 +123,7 @@ class TestSnapshot:
 
     def test_snapshot_frozen_against_later_mutation(self):
         """Copy-on-write: a handed-out snapshot keeps capture-time state."""
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(nid=1), 0.0, heard=True)
         snap = t.snapshot()
         t.upsert(record(nid=2, lo=(0.0, 1.0), hi=(1.0, 2.0)), 1.0, heard=True)
@@ -133,7 +136,7 @@ class TestSnapshot:
         assert 1 not in fresh and 2 in fresh
 
     def test_snapshot_iteration_matches_table(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(nid=1), 0.0, heard=True)
         t.upsert(record(nid=2, lo=(0.0, 1.0), hi=(1.0, 2.0)), 3.0, heard=True)
         snap = t.snapshot()
@@ -144,7 +147,7 @@ class TestSnapshot:
 
 class TestIncrementals:
     def test_total_zones_tracks_changes(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         assert t.total_zones() == 0
         t.upsert(record(nid=1), 0.0, heard=True)
         assert t.total_zones() == 1
@@ -160,7 +163,7 @@ class TestIncrementals:
         assert t.total_zones() == 0
 
     def test_sorted_ids_cached_and_refreshed(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         t.upsert(record(nid=5), 0.0, heard=True)
         t.upsert(record(nid=2, lo=(0.0, 1.0), hi=(1.0, 2.0)), 0.0, heard=True)
         first = t.sorted_ids()
@@ -171,7 +174,7 @@ class TestIncrementals:
         assert first == [2, 5]  # old list untouched (rebind, not mutate)
 
     def test_heard_from_fast_path(self):
-        t = NeighborTable()
+        t = NeighborTable(TTL)
         assert not t.heard_from(record(), 5.0)  # unknown: full path needed
         t.upsert(record(version=1), 0.0, heard=True)
         epoch = t.epoch

@@ -70,19 +70,29 @@ class TestJoin:
     def test_neighbors_along_directionality(self):
         overlay = grown_overlay(30)
         for nid in overlay.alive_ids():
+            (mine,) = overlay.zones_of(nid)
             for dim in range(overlay.space.dims):
-                plus = overlay.neighbors_along(nid, dim, +1)
-                for other in plus:
-                    # reverse direction must see us
-                    assert nid in overlay.neighbors_along(other, dim, -1)
+                for other in overlay.neighbors_along(nid, dim):
+                    # across our high face: its zone starts where ours ends,
+                    # and the +1 view from the other node does not see us
+                    (theirs,) = overlay.zones_of(other)
+                    assert theirs.lo[dim] == pytest.approx(mine.hi[dim])
+                    assert nid not in overlay.neighbors_along(other, dim)
 
     def test_neighbors_union_over_dims(self):
         overlay = grown_overlay(25)
-        for nid in overlay.alive_ids():
-            via_dims = set()
-            for dim in range(overlay.space.dims):
-                via_dims |= overlay.neighbors_along(nid, dim, +1)
-                via_dims |= overlay.neighbors_along(nid, dim, -1)
+        ids = overlay.alive_ids()
+        dims = range(overlay.space.dims)
+        # the -1 side of a node is the +1 view from the other nodes
+        below = {nid: set() for nid in ids}
+        for nid in ids:
+            for dim in dims:
+                for other in overlay.neighbors_along(nid, dim):
+                    below[other].add(nid)
+        for nid in ids:
+            via_dims = set(below[nid])
+            for dim in dims:
+                via_dims |= overlay.neighbors_along(nid, dim)
             assert via_dims == overlay.neighbors(nid)
 
 

@@ -144,14 +144,14 @@ class TestArrayTableMatchesObjectTable:
 #: channel name -> the ``network`` argument a run would hand the factory
 CHANNELS = {
     "none": lambda: None,
-    "identity": lambda: NetworkSpec().build(),
+    "identity": lambda: NetworkSpec().build(np.random.default_rng(1)),
     "loss": lambda: NetworkSpec(loss=0.05).build(np.random.default_rng(1)),
     "flap": lambda: NetworkSpec(
         flaps=(FlapSpec(down=60.0, up=60.0),)
-    ).build(),
+    ).build(np.random.default_rng(1)),
     "latency": lambda: NetworkSpec(
         latency=LatencySpec("constant", low=5.0)
-    ).build(),
+    ).build(np.random.default_rng(1)),
 }
 IDEAL = {"none", "identity"}
 
@@ -183,7 +183,7 @@ class TestEngineFlag:
     def test_build_protocol_rejects_unknown_engine(self):
         overlay = CanOverlay(ResourceSpace(gpu_slots=0))
         with pytest.raises(TypeError):
-            build_protocol(overlay, ProtocolConfig(), engine="array")
+            build_protocol(overlay, ProtocolConfig(), None, engine="array")
 
     def test_churn_config_validates_engine(self):
         with pytest.raises(TypeError):

@@ -103,15 +103,13 @@ def test_neighbors_along_filters_by_coordinate():
     nid = next(iter(ring.members))
     own = ring.coordinate(nid)
     for dim in (0, ring.space.dims - 1):
-        up = ring.neighbors_along(nid, dim, +1)
-        down = ring.neighbors_along(nid, dim, -1)
-        assert up.isdisjoint(down)
-        for other in up:
-            assert ring.coordinate(other)[dim] > own[dim]
-        for other in down:
-            assert ring.coordinate(other)[dim] < own[dim]
-    with pytest.raises(ValueError):
-        ring.neighbors_along(nid, 0, 0)
+        up = ring.neighbors_along(nid, dim)
+        for other in ring.neighbors(nid):
+            theirs = ring.coordinate(other)[dim]
+            assert (other in up) == (theirs > own[dim])
+            # the +1 view from the other node sees us iff we lie above it
+            if nid in ring.neighbors(other):
+                assert (nid in ring.neighbors_along(other, dim)) == (theirs < own[dim])
 
 
 def test_takeover_target_is_first_alive_successor():

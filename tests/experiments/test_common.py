@@ -69,7 +69,7 @@ class TestSimulate:
     def test_brackets_the_run_and_files_it_under_its_label(self, tmp_path):
         out = str(tmp_path)
         cfg = MatchmakingConfig(TINY_LOAD, scheme="can-het")
-        with RunRecorder(out, "exp") as rec:
+        with RunRecorder(out, "exp", seed=None, enabled=True) as rec:
             sim, result = simulate(
                 rec, "exp:one", GridSimulation, cfg, scheme="can-het", k=1
             )
@@ -89,7 +89,7 @@ class TestSimulate:
 
     def test_churn_config_names_the_built_class(self, tmp_path):
         cfg = ChurnConfig(initial_nodes=12, gpu_slots=0, duration=300.0)
-        with RunRecorder(str(tmp_path), "exp") as rec:
+        with RunRecorder(str(tmp_path), "exp", seed=None, enabled=True) as rec:
             sim, _ = simulate(rec, "churn", ChurnSimulation, cfg)
         entry = rec.manifest.config["churn"]
         assert entry["heartbeat_class"] == type(sim.protocol).__name__
@@ -113,7 +113,7 @@ class TestWaitCdfSweeps:
         monkeypatch.setattr(wait_cdf, "SMALL_LOAD", TINY_LOAD)
         out = str(tmp_path)
         for sweep in (fig5, fig6):
-            with RunRecorder(out, sweep.name) as rec:
+            with RunRecorder(out, sweep.name, seed=None, enabled=True) as rec:
                 sweep.run(fast=True, recorder=rec)
         starts = {
             sweep.name: [

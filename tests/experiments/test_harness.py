@@ -49,17 +49,21 @@ class TestFig6:
 
 class TestFig7:
     def test_config_shapes(self):
-        cfg = fig7.fig7_config(HeartbeatScheme.VANILLA, fast=True)
+        cfg = fig7.fig7_config(
+            HeartbeatScheme.VANILLA, fast=True, seed=None, substrate="can"
+        )
         assert cfg.dims == 11
         assert cfg.event_gap_mean < cfg.heartbeat_period  # high churn
-        full = fig7.fig7_config(HeartbeatScheme.COMPACT, fast=False)
+        full = fig7.fig7_config(
+            HeartbeatScheme.COMPACT, fast=False, seed=None, substrate="can"
+        )
         assert full.initial_nodes >= 250
         assert full.duration >= 15_000
 
     def test_report(self, tmp_path):
         results = {}
         for scheme in HeartbeatScheme:
-            cfg = fig7.fig7_config(scheme, fast=True, seed=1)
+            cfg = fig7.fig7_config(scheme, fast=True, seed=1, substrate="can")
             cfg = replace(cfg, initial_nodes=30, duration=1200.0)
             results[scheme.value] = ChurnSimulation(cfg).run()
         text = fig7.report(results, str(tmp_path))
@@ -84,7 +88,9 @@ class TestFig8:
             ("can", "ArrayHeartbeatProtocol"),  # ideal channel, every scheme
             ("chord", "ChordMaintenanceProtocol"),
         ):
-            with RunRecorder(str(tmp_path / substrate), "fig8") as recorder:
+            with RunRecorder(
+                str(tmp_path / substrate), "fig8", seed=None, enabled=True
+            ) as recorder:
                 fig8.run(
                     fast=True, node_sweep=(12,), gpu_slot_sweep=(0,),
                     recorder=recorder, substrate=substrate,
@@ -95,7 +101,9 @@ class TestFig8:
             assert all(c["initial_nodes"] == 12 for c in configs.values())
 
     def test_fig8_config_slow_churn(self):
-        cfg = fig8.fig8_config(HeartbeatScheme.VANILLA, 500, 2)
+        cfg = fig8.fig8_config(
+            HeartbeatScheme.VANILLA, 500, 2, fast=False, seed=None, substrate="can"
+        )
         assert cfg.event_gap_mean > cfg.heartbeat_period
 
 
@@ -132,9 +140,13 @@ class TestAblations:
 
 class TestRecovery:
     def test_config_shapes(self):
-        fast = recovery.recovery_config(HeartbeatScheme.VANILLA, fast=True)
+        fast = recovery.recovery_config(
+            HeartbeatScheme.VANILLA, fast=True, seed=None, substrate="can"
+        )
         assert fast.faults.network.loss == recovery.MESSAGE_LOSS
-        full = recovery.recovery_config(HeartbeatScheme.COMPACT, fast=False)
+        full = recovery.recovery_config(
+            HeartbeatScheme.COMPACT, fast=False, seed=None, substrate="can"
+        )
         assert full.matchmaking.preset.jobs > fast.matchmaking.preset.jobs
         assert full.heartbeat_scheme is HeartbeatScheme.COMPACT
 

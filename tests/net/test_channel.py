@@ -127,7 +127,7 @@ class TestLatencyDeferral:
     def test_can_deferred_delivery_keeps_send_time_evidence(self):
         proto = build_can(scheme=HeartbeatScheme.VANILLA)
         run_rounds(proto, 1)  # clean round: evidence == PERIOD
-        proto.set_network(self.SLOW.build())
+        proto.set_network(self.SLOW.build(np.random.default_rng(0)))
         proto.run_round(2 * PERIOD)  # sends defer to t=210
         assert proto._deferred
         for arrival, _, _, _, _, sent_at in proto._deferred:
@@ -147,7 +147,7 @@ class TestLatencyDeferral:
     def test_chord_deferred_delivery_keeps_send_time_evidence(self):
         ring, proto = build_chord()
         run_rounds(proto, 1)
-        proto.set_network(self.SLOW.build())
+        proto.set_network(self.SLOW.build(np.random.default_rng(0)))
         proto.run_round(2 * PERIOD)
         assert proto._deferred
         proto.run_round(3 * PERIOD)
@@ -165,7 +165,7 @@ class TestLatencyDeferral:
         """Sub-period latency is invisible to round granularity."""
         quick = NetworkSpec(latency=LatencySpec(kind="constant", low=0.5))
         proto = build_can(scheme=HeartbeatScheme.VANILLA)
-        proto.set_network(quick.build())
+        proto.set_network(quick.build(np.random.default_rng(0)))
         run_rounds(proto, 2)
         assert not proto._deferred
         assert proto.count_broken_links() == 0

@@ -84,7 +84,7 @@ class TestFlaps:
     SPEC = NetworkSpec(flaps=(FlapSpec(down=240.0, up=120.0, fraction=0.5),))
 
     def test_deterministic_and_order_independent(self):
-        a, b = self.SPEC.build(), self.SPEC.build()
+        a, b = self.SPEC.build(np.random.default_rng(0)), self.SPEC.build(np.random.default_rng(0))
         pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
         times = [0.0, 90.0, 250.0, 359.0, 400.0]
         forward = [a.transmit(s, d, t) for t in times for (s, d) in pairs]
@@ -94,7 +94,7 @@ class TestFlaps:
         assert forward == list(reversed(backward))
 
     def test_undirected_pair_shares_schedule(self):
-        model = self.SPEC.build()
+        model = self.SPEC.build(np.random.default_rng(0))
         for t in (0.0, 100.0, 200.0, 300.0):
             assert (model.transmit(3, 4, t) is None) == (
                 model.transmit(4, 3, t) is None
@@ -112,7 +112,7 @@ class TestFlaps:
         assert flips in (7, 8)
 
     def test_fraction_spares_some_links(self):
-        model = self.SPEC.build()
+        model = self.SPEC.build(np.random.default_rng(0))
         verdicts = {
             (s, d): model.transmit(s, d, 10.0) for s in range(20) for d in range(20)
             if s < d
@@ -124,7 +124,7 @@ class TestFlaps:
         spec = NetworkSpec(
             flaps=(FlapSpec(down=240.0, up=0.0, start=100.0, end=500.0),)
         )
-        model = spec.build()
+        model = spec.build(np.random.default_rng(0))
         assert model.transmit(0, 1, 99.0) == 0.0
         assert model.transmit(0, 1, 100.0) is None  # up=0: always down inside
         assert model.transmit(0, 1, 500.0) == 0.0
@@ -133,7 +133,7 @@ class TestFlaps:
 class TestLatency:
     def test_cached_per_directed_pair(self):
         spec = NetworkSpec(latency=LatencySpec(kind="uniform", low=1.0, high=9.0))
-        model = spec.build()
+        model = spec.build(np.random.default_rng(0))
         first = model.transmit(1, 2, 0.0)
         assert 1.0 <= first < 9.0
         assert all(model.transmit(1, 2, t) == first for t in (50.0, 999.0))
@@ -143,7 +143,7 @@ class TestLatency:
 
     def test_lognormal_positive_and_stable(self):
         spec = NetworkSpec(latency=LatencySpec(kind="lognormal", mu=-2.0, sigma=1.0))
-        a, b = spec.build(), spec.build()
+        a, b = spec.build(np.random.default_rng(0)), spec.build(np.random.default_rng(0))
         for s in range(10):
             lat = a.transmit(s, s + 1, 0.0)
             assert lat > 0.0
@@ -151,7 +151,7 @@ class TestLatency:
 
     def test_constant(self):
         spec = NetworkSpec(latency=LatencySpec(kind="constant", low=3.5))
-        assert spec.build().transmit(0, 1, 0.0) == 3.5
+        assert spec.build(np.random.default_rng(0)).transmit(0, 1, 0.0) == 3.5
 
 
 class TestAccounting:
@@ -266,4 +266,4 @@ class TestTransmitMany:
 
     def test_identity_is_decided_once(self):
         assert IDENTITY.is_identity
-        assert not NetworkSpec(latency=LatencySpec(low=1.0)).build().is_identity
+        assert not NetworkSpec(latency=LatencySpec(low=1.0)).build(np.random.default_rng(0)).is_identity

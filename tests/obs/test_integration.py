@@ -18,7 +18,7 @@ def tiny_fig5(monkeypatch):
 class TestFig5WithRecorder:
     def test_run_writes_consistent_trace_and_manifest(self, tmp_path, tiny_fig5):
         out = str(tmp_path)
-        with RunRecorder(out, "fig5", seed=5) as rec:
+        with RunRecorder(out, "fig5", seed=5, enabled=True) as rec:
             tiny_fig5.run(fast=True, recorder=rec)
             rec.close(
                 config={"fast": True}, artifacts=["fig5_wait_time_cdf.csv"]
@@ -54,7 +54,7 @@ class TestFig5WithRecorder:
 
     def test_no_trace_mode_writes_nothing(self, tmp_path, tiny_fig5):
         out = str(tmp_path)
-        with RunRecorder(out, "fig5", enabled=False) as rec:
+        with RunRecorder(out, "fig5", seed=None, enabled=False) as rec:
             tiny_fig5.run(fast=True, recorder=rec)
             rec.close()
         assert not os.path.exists(os.path.join(out, "fig5_trace.jsonl"))
@@ -63,7 +63,7 @@ class TestFig5WithRecorder:
     def test_trace_times_are_simulated(self, tmp_path, tiny_fig5):
         """Trace events carry simulated clocks only (determinism guard)."""
         out = str(tmp_path)
-        with RunRecorder(out, "fig5") as rec:
+        with RunRecorder(out, "fig5", seed=None, enabled=True) as rec:
             tiny_fig5.run(fast=True, recorder=rec)
             rec.close()
         for ev in read_trace(os.path.join(out, "fig5_trace.jsonl")):

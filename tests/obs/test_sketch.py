@@ -148,9 +148,17 @@ class TestQuantileSketchMemory:
         assert a.quantile(0.9) == b.quantile(0.9)
 
 
+def windowed(monkeypatch, window: float, buckets: int) -> WindowedCounter:
+    """A counter over another ring than every run's (``sketch.WINDOW`` /
+    ``BUCKETS``), so a test can reason in round bucket widths."""
+    monkeypatch.setattr(sketch, "WINDOW", window)
+    monkeypatch.setattr(sketch, "BUCKETS", buckets)
+    return WindowedCounter()
+
+
 class TestWindowedCounter:
-    def test_sliding_window(self):
-        wc = WindowedCounter(window=60.0, buckets=6)  # 10s buckets
+    def test_sliding_window(self, monkeypatch):
+        wc = windowed(monkeypatch, 60.0, 6)  # 10s buckets
         wc.add(5.0)
         wc.add(15.0)
         wc.add(55.0)
@@ -163,28 +171,26 @@ class TestWindowedCounter:
         assert wc.total(200.0) == 0.0
         assert wc.lifetime == 3.0
 
-    def test_rate(self):
-        wc = WindowedCounter(window=10.0, buckets=10)
+    def test_rate(self, monkeypatch):
+        wc = windowed(monkeypatch, 10.0, 10)
         for t in range(10):
             wc.add(float(t), 2.0)
         assert wc.rate(9.0) == pytest.approx(2.0)
 
-    def test_out_of_order_within_window(self):
-        wc = WindowedCounter(window=60.0, buckets=6)
+    def test_out_of_order_within_window(self, monkeypatch):
+        wc = windowed(monkeypatch, 60.0, 6)
         wc.add(50.0)
         wc.add(45.0)  # older but still in window
         assert wc.total(50.0) == 2.0
 
-    def test_stale_add_is_dropped(self):
-        wc = WindowedCounter(window=60.0, buckets=6)
+    def test_stale_add_is_dropped(self, monkeypatch):
+        wc = windowed(monkeypatch, 60.0, 6)
         wc.add(500.0)
         wc.add(1.0)  # far older than the ring: must not shadow a live bucket
         assert wc.total(500.0) == 1.0
         assert wc.lifetime == 2.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            WindowedCounter(window=0.0)
         wc = WindowedCounter()
         with pytest.raises(ValueError):
             wc.add(0.0, -1.0)
@@ -195,7 +201,8 @@ class TestRegistryIntegration:
         reg = MetricsRegistry()
         sk = reg.quantile_sketch("wait")
         assert reg.quantile_sketch("wait") is sk
-        wc = reg.windowed_counter("reqs", window=30.0, buckets=3)
+        wc = reg.windowed_counter("reqs")
+        assert (wc.window, wc.buckets) == (sketch.WINDOW, sketch.BUCKETS)
         assert reg.windowed_counter("reqs") is wc
         with pytest.raises(TypeError):
             reg.counter("wait")
@@ -233,7 +240,7 @@ class TestPrometheusRender:
         reg.quantile_sketch("wait").extend([1.0, 2.0, 3.0, 4.0])
         reg.windowed_counter("reqs").add(5.0, 2.0)
         reg.register("depth", TimeSeries("depth")).record(1.0, 7.0)
-        reg.timeweighted("pop", 10.0)
+        reg.timeweighted("pop").update(0.0, 10.0)
         text = render_prometheus(reg, now=5.0)
         assert text.endswith("\n")
         assert '# TYPE repro_events_total counter' in text
@@ -249,7 +256,7 @@ class TestPrometheusRender:
     def test_parseable_sample_lines(self):
         reg = MetricsRegistry()
         reg.quantile_sketch("wait").extend(range(100))
-        for line in render_prometheus(reg).strip().splitlines():
+        for line in render_prometheus(reg, now=5.0).strip().splitlines():
             if line.startswith("#"):
                 continue
             name_and_labels, value = line.rsplit(" ", 1)

@@ -7,7 +7,7 @@ from repro.gridsim import (
     FaultyGridSimulation,
     MatchmakingConfig,
 )
-from repro.obs import EventBus, Tracer
+from repro.obs import Tracer
 from repro.obs.__main__ import main as obs_main
 from repro.obs.spans import (
     SpanBuilder,
@@ -172,7 +172,7 @@ class TestSeededRecoveryRun:
     def recovery(self, tmp_path_factory):
         """One seeded churny run: a live SpanBuilder + the written trace."""
         path = str(tmp_path_factory.mktemp("spans") / "recovery_trace.jsonl")
-        tracer = Tracer(EventBus())
+        tracer = Tracer()
         online = SpanBuilder()
         tracer.subscribe(online)
         writer = JsonlTraceWriter(path)
@@ -229,12 +229,12 @@ class TestSeededRecoveryRun:
 
     def test_renderers_cover_run(self, recovery):
         sim, res, online, path = recovery
-        summary = render_spans(online)
+        summary = render_spans(online, job=None)
         assert "jobs" in summary and "detect" in summary
         job = online.jobs()[0]
         tree = render_spans(online, job=job)
         assert "job" in tree
-        agg = render_critical_path(online)
+        agg = render_critical_path(online, job=None)
         assert "segment" in agg and "run" in agg
         one = render_critical_path(online, job=job)
         assert f"job {job}" in one
@@ -244,7 +244,7 @@ class TestCli:
     @pytest.fixture(scope="class")
     def trace_path(self, tmp_path_factory):
         path = str(tmp_path_factory.mktemp("cli") / "t_trace.jsonl")
-        tracer = Tracer(EventBus())
+        tracer = Tracer()
         writer = JsonlTraceWriter(path)
         tracer.subscribe(writer)
         sim = _recovery_sim(tracer)

@@ -98,15 +98,15 @@ class TestGzipTraces:
 
 class TestRunRecorder:
     def test_disabled_recorder_is_inert(self, tmp_path):
-        rec = RunRecorder(str(tmp_path), "exp", enabled=False)
+        rec = RunRecorder(str(tmp_path), "exp", seed=None, enabled=False)
         assert rec.tracer is None
         rec.run_start("a")
-        rec.run_end("a")
+        rec.run_end("a", t=0.0)
         assert rec.close(config={"fast": True}) is None
         assert list(tmp_path.iterdir()) == []
 
     def test_close_writes_trace_and_manifest(self, tmp_path):
-        rec = RunRecorder(str(tmp_path), "exp", seed=3)
+        rec = RunRecorder(str(tmp_path), "exp", seed=3, enabled=True)
         rec.run_start("exp:one", scheme="vanilla")
         rec.tracer.emit(5.0, "msg.sent", mtype="heartbeat", bytes=40, copies=1)
         rec.run_end("exp:one", t=5.0)
@@ -130,7 +130,7 @@ class TestRunRecorder:
         assert [e["type"] for e in events] == ["run.start", "msg.sent", "run.end"]
 
     def test_context_manager_closes_once(self, tmp_path):
-        with RunRecorder(str(tmp_path), "exp") as rec:
+        with RunRecorder(str(tmp_path), "exp", seed=None, enabled=True) as rec:
             rec.run_start("exp")
             rec.close(config={"explicit": True})
         manifest = json.load(open(str(tmp_path / "exp_run.manifest.json")))
@@ -138,7 +138,7 @@ class TestRunRecorder:
         assert manifest["config"] == {"explicit": True}
 
     def test_context_manager_closes_implicitly(self, tmp_path):
-        with RunRecorder(str(tmp_path), "exp") as rec:
+        with RunRecorder(str(tmp_path), "exp", seed=None, enabled=True) as rec:
             rec.run_start("exp")
         assert os.path.exists(str(tmp_path / "exp_run.manifest.json"))
 

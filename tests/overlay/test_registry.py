@@ -35,7 +35,7 @@ def test_descriptor_builds_conformant_objects(name):
     overlay = sub.make_overlay(space)
     assert isinstance(overlay, OverlaySubstrate)
     cfg = ProtocolConfig(scheme=HeartbeatScheme.VANILLA, period=60.0)
-    protocol = sub.make_protocol(overlay, cfg)
+    protocol = sub.make_protocol(overlay, cfg, None)
     assert isinstance(protocol, MaintenanceProtocol)
     # the full protocol surface works through the interface alone
     protocol.bootstrap(0, [0.5] * space.dims)
@@ -76,7 +76,7 @@ def test_engine_gating():
         substrate = get_substrate(name)
         assert not hasattr(substrate, "engines")
         assert not hasattr(substrate, "check_engine")
-        proto = substrate.make_protocol(substrate.make_overlay(space), adaptive)
+        proto = substrate.make_protocol(substrate.make_overlay(space), adaptive, None)
         assert type(proto) is on_ideal and proto.net.is_identity
         network = lossy.build(np.random.default_rng(0))
         proto = substrate.make_protocol(
@@ -85,7 +85,7 @@ def test_engine_gating():
         assert type(proto) is on_lossy and proto.net is network
         with pytest.raises(TypeError):
             substrate.make_protocol(
-                substrate.make_overlay(space), adaptive, engine="array"
+                substrate.make_overlay(space), adaptive, None, engine="array"
             )
 
 

@@ -34,7 +34,7 @@ def corridor(mm, node_id: int) -> List[Tuple[int, int]]:
     return [
         (dim, nid)
         for dim in range(overlay.space.dims)
-        for nid in sorted(overlay.neighbors_along(node_id, dim, +1))
+        for nid in sorted(overlay.neighbors_along(node_id, dim))
         if overlay.is_alive(nid)
     ]
 

@@ -101,7 +101,7 @@ def test_mask_equals_the_per_candidate_filter(fleet, job_list, rejoined, seed):
             grid[node_id] = GridNode(spec, env)
     mm = CanHetMatchmaker(
         overlay, grid, AggregationEngine(overlay, grid), np.random.default_rng(0),
-        stopping_factor=1.0,
+        stopping_factor=1.0, use_acceptable_nodes=True, use_dominant_ce=True,
     )
     for job in job_list:
         assert_same(mm, job)
@@ -138,7 +138,7 @@ def test_a_slot_no_node_has_admits_nothing():
         grid[node_id] = GridNode(spec, env)
     mm = CanHetMatchmaker(
         overlay, grid, AggregationEngine(overlay, grid), np.random.default_rng(0),
-        stopping_factor=1.0,
+        stopping_factor=1.0, use_acceptable_nodes=True, use_dominant_ce=True,
     )
     job = Job({gpu_slot(1): CERequirement(cores=1)}, base_duration=1.0)
     assert mm._capable_candidates(0, job) == oracle.capable_candidates(mm, 0, job) == []

@@ -44,7 +44,8 @@ def build_world(specs, gpu_slots=1, seed=0):
 
 def het_matchmaker(overlay, grid, agg, seed=1):
     return CanHetMatchmaker(
-        overlay, grid, agg, np.random.default_rng(seed), STOPPING_FACTOR
+        overlay, grid, agg, np.random.default_rng(seed), STOPPING_FACTOR,
+        use_acceptable_nodes=True, use_dominant_ce=True,
     )
 
 

@@ -22,7 +22,7 @@ from repro.model.node import GridNode
 from repro.overlay.registry import create_overlay
 from repro.sched.can_het import CanHetMatchmaker
 from repro.sim.core import Environment
-from repro.workload.jobs import generate_jobs
+from repro.workload.jobs import JobDistribution, generate_jobs
 from repro.workload.nodes import generate_node_specs
 
 from tests.sched import oracle
@@ -58,7 +58,7 @@ def build(
         overlay.add_node(spec.node_id, space.node_coordinate(spec, float(rng.random())))
         grid[spec.node_id] = GridNode(spec, env)
     # load some nodes, so the objective is not 0 (an all-way tie) everywhere
-    for job in generate_jobs(loaded, specs, GPU_SLOTS, 1.0, rng) if loaded else ():
+    for job in generate_jobs(loaded, specs, GPU_SLOTS, 1.0, rng, JobDistribution()) if loaded else ():
         capable = [node for node in grid.values() if node.capable(job)]
         if capable:
             capable[int(rng.integers(len(capable)))].submit(job)
@@ -70,7 +70,8 @@ def build(
     for nid in rng.choice(nodes, absent, replace=False):
         del grid[int(nid)]
     mm = CanHetMatchmaker(
-        overlay, grid, aggregation, np.random.default_rng(0), stopping_factor=1.0
+        overlay, grid, aggregation, np.random.default_rng(0), stopping_factor=1.0,
+        use_acceptable_nodes=True, use_dominant_ce=True,
     )
     return mm, rng
 

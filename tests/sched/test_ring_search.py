@@ -24,7 +24,7 @@ from repro.can.space import ResourceSpace
 from repro.model.node import GridNode
 from repro.sched.can_het import CanHetMatchmaker
 from repro.sim.core import Environment
-from repro.workload.jobs import generate_jobs
+from repro.workload.jobs import JobDistribution, generate_jobs
 from repro.workload.nodes import generate_node_specs
 
 GOLDEN_PATH = os.path.join(
@@ -52,7 +52,7 @@ def build_world():
     for nid in dead:
         overlay.fail(nid)
         grid[nid].fail()
-    jobs = generate_jobs(PAIRS, specs, GPU_SLOTS, 1.0, rng)
+    jobs = generate_jobs(PAIRS, specs, GPU_SLOTS, 1.0, rng, JobDistribution())
     pairs = []
     for i, job in enumerate(jobs):
         if i % 5 == 0:
@@ -64,7 +64,7 @@ def build_world():
         pairs.append((origin, job))
     mm = CanHetMatchmaker(
         overlay, grid, AggregationEngine(overlay, grid), np.random.default_rng(0),
-        stopping_factor=1.0,
+        stopping_factor=1.0, use_acceptable_nodes=True, use_dominant_ce=True,
     )
     return overlay, grid, mm, pairs
 

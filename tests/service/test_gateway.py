@@ -502,6 +502,49 @@ class TestHttpErrors:
         assert set(answers.values()) == {"HTTP/1.1 400 Bad Request"}, answers
         assert after == before
 
+    def test_unrouted_methods_share_one_counter_key(self, trace_jobs):
+        """The request counter books a method no route serves as ``OTHER``:
+        a client naming a fresh token per request must not grow the counter
+        (and ``/metrics``) a key per token, nor touch the routed methods'
+        keys."""
+        metrics = MetricsRegistry()
+        bogus = [f"BREW{i}{'X' * 200}" for i in range(40)]
+
+        def scenario(client, service):
+            body = json.dumps(job_to_dict(trace_jobs[0]))
+            routed = [
+                f"POST /jobs HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n{body}",
+                "GET /health HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+                "DELETE /jobs/999999 HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+            ]
+            unrouted = [
+                f"{method} {target} HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+                for method in bogus
+                for target in ("/jobs", "/nowhere")
+            ]
+            statuses = []
+            raw, stream = raw_connection(client)
+            with raw, stream:
+                for request in routed + unrouted:
+                    raw.sendall(request.encode())
+                    statuses.append(read_response(stream)[0])
+            return statuses
+
+        statuses = run_gateway(scenario, metrics=metrics)
+        assert statuses[:3] == [
+            "HTTP/1.1 201 Created", "HTTP/1.1 200 OK", "HTTP/1.1 404 Not Found",
+        ]
+        assert set(statuses[3:]) == {
+            "HTTP/1.1 405 Method Not Allowed", "HTTP/1.1 404 Not Found",
+        }
+        assert metrics.get("service.requests").as_dict() == {
+            "POST 201": 1.0,
+            "GET 200": 1.0,
+            "DELETE 404": 1.0,
+            "OTHER 405": float(len(bogus)),
+            "OTHER 404": float(len(bogus)),
+        }
+
     def test_unknown_fields_are_not_stored(self, trace_jobs):
         """The ledger keeps the parsed job, not the body as sent: an extra
         field (here a bare NaN, which is no JSON) is dropped, so the status

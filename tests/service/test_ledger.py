@@ -50,7 +50,9 @@ PATHS = {
 def ledger(request, tmp_path):
     """Both CLI modes: ``--db`` omitted (":memory:") and a sqlite file."""
     path = request.param
-    led = JobLedger(str(tmp_path / "ledger.sqlite") if path == "file" else path)
+    led = JobLedger(
+        str(tmp_path / "ledger.sqlite") if path == "file" else path, tracer=None
+    )
     yield led
     led.close()
 

@@ -211,3 +211,16 @@ class TestCallbacks:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
             env.schedule_callback(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, env, delay):
+        """A NaN key at the heap top ends ``run()`` at once (``nan <= limit``
+        is false): every later entry stays queued and nothing is raised."""
+        fired = []
+        with pytest.raises(ValueError):
+            env.schedule_callback(delay, lambda: fired.append(delay))
+        env.schedule_callback(5.0, lambda: fired.append(5.0))
+        env.schedule_callback(1.0, lambda: fired.append(1.0))
+        env.run()
+        assert fired == [1.0, 5.0]
+        assert env.now == 5.0

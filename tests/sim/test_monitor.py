@@ -51,24 +51,28 @@ class TestTimeSeries:
 
 class TestTimeWeighted:
     def test_piecewise_mean(self):
-        tw = TimeWeighted(0.0, 0.0)
+        tw = TimeWeighted()
         tw.update(10.0, 4.0)  # value 0 for 10s
         tw.update(20.0, 0.0)  # value 4 for 10s
         assert tw.mean(20.0) == pytest.approx(2.0)
 
     def test_mean_extends_current_value(self):
-        tw = TimeWeighted(0.0, 2.0)
+        tw = TimeWeighted()
+        tw.update(0.0, 2.0)
         assert tw.mean(10.0) == pytest.approx(2.0)
 
     def test_time_backwards_rejected(self):
-        tw = TimeWeighted(5.0, 0.0)
+        tw = TimeWeighted()
+        tw.update(5.0, 0.0)
         with pytest.raises(ValueError):
             tw.update(4.0, 1.0)
         with pytest.raises(ValueError):
             tw.mean(0.0)
 
     def test_current(self):
-        tw = TimeWeighted(0.0, 1.5)
+        tw = TimeWeighted()
+        assert tw.current == 0.0
+        tw.update(0.0, 1.5)
         assert tw.current == 1.5
         tw.update(1.0, 2.5)
         assert tw.current == 2.5

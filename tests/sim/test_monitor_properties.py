@@ -20,13 +20,14 @@ class TestTimeWeightedProperties:
         """With no elapsed time the mean degenerates to the current value."""
         tw = TimeWeighted()
         assert tw.mean(0.0) == 0.0
-        tw = TimeWeighted(time=5.0, value=3.0)
-        assert tw.mean(5.0) == 3.0
+        tw.update(0.0, 3.0)
+        assert tw.mean(0.0) == 3.0
 
-    @given(value=finite_values, start=finite_times)
-    def test_zero_span_mean_never_divides_by_zero(self, value, start):
-        tw = TimeWeighted(time=start, value=value)
-        assert tw.mean(start) == value
+    @given(value=finite_values)
+    def test_zero_span_mean_never_divides_by_zero(self, value):
+        tw = TimeWeighted()
+        tw.update(0.0, value)
+        assert tw.mean(0.0) == value
 
     @given(
         start=finite_times,
@@ -43,7 +44,8 @@ class TestTimeWeightedProperties:
     @settings(max_examples=60)
     def test_mean_bounded_by_observed_values(self, start, steps, tail):
         """A time-weighted mean never escapes [min, max] of the signal."""
-        tw = TimeWeighted(time=start, value=steps[0][1])
+        tw = TimeWeighted()
+        tw.update(0.0, steps[0][1])
         seen = [steps[0][1]]
         t = start
         for gap, value in steps:
@@ -56,14 +58,16 @@ class TestTimeWeightedProperties:
 
     @given(t=finite_times, earlier=st.floats(min_value=1e-3, max_value=1e3))
     def test_time_going_backwards_rejected(self, t, earlier):
-        tw = TimeWeighted(time=t, value=1.0)
+        tw = TimeWeighted()
+        tw.update(t, 1.0)
         with pytest.raises(ValueError):
             tw.update(t - earlier, 2.0)
         with pytest.raises(ValueError):
             tw.mean(t - earlier)
 
     def test_constant_signal_mean_is_that_constant(self):
-        tw = TimeWeighted(time=0.0, value=4.0)
+        tw = TimeWeighted()
+        tw.update(0.0, 4.0)
         tw.update(10.0, 4.0)
         tw.update(25.0, 4.0)
         assert tw.mean(100.0) == pytest.approx(4.0)

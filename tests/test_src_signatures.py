@@ -1,13 +1,24 @@
-"""A census of ``src/`` signatures: no defaulted parameter that no run passes.
+"""A census of ``src/`` signatures: every input form a run uses, no other.
 
-A defaulted parameter is a knob.  One that no call in ``src/``,
-``benchmarks/`` or ``examples/`` ever turns is a constant with a settable
-name: every reader has to ask which value a run uses, and a test that
-turns it exercises a path no run takes.  These tests parse those trees
-with ``ast`` and require each defaulted positional-or-keyword and
-keyword-only parameter of every function, method and constructor under
-``src/repro`` to be passed by some call there, by keyword or by position.
-A test that needs another value monkeypatches a module constant instead.
+These tests parse ``src/``, ``benchmarks/`` and ``examples/`` with ``ast``
+and hold each parameter of every function, method and constructor under
+``src/repro`` to three rules:
+
+1. **A defaulted parameter is passed by some run.**  A default that no call
+   there ever overrides is a constant with a settable name: every reader
+   has to ask which value a run uses, and a test that turns it exercises a
+   path no run takes.  Each defaulted positional-or-keyword and
+   keyword-only parameter must be passed by some call, by keyword or by
+   position.  A test that needs another value monkeypatches a module
+   constant instead.
+2. **A default is relied on by some run.**  A default that every call
+   overrides is read only by tests, which then run a value no experiment
+   uses.  Some call must leave the parameter out; a call with ``*`` /
+   ``**`` unpacking counts as leaving out what it does not name itself.
+3. **A parameter takes more than one value.**  One that every call passes
+   as the same number, bool or ``None`` literal (``+1`` and ``1`` are one
+   value) is a constant in disguise, defaulted or not.  String literals
+   (names and labels) and module-constant names are exempt.
 
 Calls are bound to definitions by name, as in ``tests/test_src_surface.py``
 (so the census errs toward "passed"), with these rules on top:
@@ -31,7 +42,8 @@ Calls are bound to definitions by name, as in ``tests/test_src_surface.py``
 
 A parameter named with a leading ``_`` is a default-bound local
 (``def sink(_store=store)``), not a knob, and is not counted.  A parameter
-kept although no run passes it goes on ``ALLOWLIST`` with the reason.
+kept although a rule flags it goes on that rule's allowlist with the
+reason: ``ALLOWLIST``, ``RELIED_ALLOWLIST`` or ``ONE_VALUE_ALLOWLIST``.
 """
 
 from __future__ import annotations
@@ -62,6 +74,20 @@ ALLOWLIST: Dict[Tuple[str, str, str], str] = {
         "repo, and a socket timeout depends on the caller's network; the "
         "restart and gateway tests bound their reads from servers they kill "
         "at 5-30 s through it"
+    ),
+}
+
+#: (module path glob, qualified name, parameter) -> why its default stays
+#: although every run passes the parameter
+RELIED_ALLOWLIST: Dict[Tuple[str, str, str], str] = {}
+
+#: (module path glob, qualified name, parameter) -> why it stays although
+#: every run passes it the same literal
+ONE_VALUE_ALLOWLIST: Dict[Tuple[str, str, str], str] = {
+    ("gridsim/invariants.py", "check_service_accounting", "final"): (
+        "an oracle for a running service: benchmarks/e2e checks the drained "
+        "service with final=True, and tests/gridsim/test_recovery_loop.py "
+        "checks one mid-flight with final=False"
     ),
 }
 
@@ -349,6 +375,40 @@ def _name(node: ast.expr) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
+def _explicit(call: Invocation, fn: Function, skip: int) -> Dict[str, ast.expr]:
+    """The parameters a call names itself, by position or keyword, with the
+    expressions it passes; nothing an unpacked ``*`` / ``**`` may carry."""
+    named: Dict[str, ast.expr] = {}
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            break
+        if i + skip < len(fn.positional):
+            named[fn.positional[i + skip]] = arg
+    for k in call.keywords:
+        if k.arg is not None:
+            named[k.arg] = k.value
+    return named
+
+
+def _literal(node: ast.expr):
+    """A number, bool or ``None`` literal (``+1`` / ``-1`` folded) as a
+    hashable key; ``None`` for anything else, string literals included."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        sign = -1 if isinstance(node.op, ast.USub) else 1
+        node = node.operand
+        if not (isinstance(node, ast.Constant) and type(node.value) in (int, float)):
+            return None
+    if not isinstance(node, ast.Constant):
+        return None
+    value = node.value
+    if value is None or type(value) is bool:
+        return (type(value).__name__, value)
+    if type(value) in (int, float):
+        return (type(value).__name__, sign * value)
+    return None
+
+
 Parameter = Tuple[str, str, str]  # (module path, qualified name, parameter)
 
 
@@ -364,6 +424,49 @@ def unpassed(modules: Iterable[Tuple[str, ast.Module]], counted) -> List[Paramet
         for name in fn.defaulted
         if name not in passed[fn]
     ]
+
+
+def _bound_calls(tree: Tree) -> Dict[Function, List[Dict[str, ast.expr]]]:
+    """For each function, what each call that reaches it names explicitly."""
+    seen: Dict[Function, List[Dict[str, ast.expr]]] = defaultdict(list)
+    for call in _invocations(tree):
+        for fn, skip in call.targets:
+            seen[fn].append(_explicit(call, fn, skip))
+    return seen
+
+
+def overridden(modules: Iterable[Tuple[str, ast.Module]], counted) -> List[Parameter]:
+    """The defaulted parameters (of the functions ``counted(path)`` selects)
+    whose default no call in ``modules`` relies on: every call that reaches
+    the function names them itself."""
+    tree = _collect(modules)
+    seen = _bound_calls(tree)
+    return [
+        (fn.path, fn.qualname, name)
+        for fn in tree.functions
+        if counted(fn.path) and seen[fn]
+        for name in fn.defaulted
+        if all(name in named for named in seen[fn])
+    ]
+
+
+def one_valued(modules: Iterable[Tuple[str, ast.Module]], counted) -> List[Parameter]:
+    """The parameters, defaulted or not, that every call in ``modules``
+    reaching their function passes as one and the same number, bool or
+    ``None`` literal."""
+    tree = _collect(modules)
+    seen = _bound_calls(tree)
+    out = []
+    for fn in tree.functions:
+        if not (counted(fn.path) and seen[fn]):
+            continue
+        for name in fn.positional[fn.bound_skip :] + fn.keyword_only:
+            if name.startswith("_"):
+                continue
+            values = {_literal(named[name]) if name in named else None for named in seen[fn]}
+            if len(values) == 1 and None not in values:
+                out.append((fn.path, fn.qualname, name))
+    return out
 
 
 def _label(path) -> str:
@@ -383,9 +486,34 @@ def _in_src(label: str) -> bool:
     return not label.startswith(("benchmarks/", "examples/"))
 
 
+#: rule -> (what it finds, its allowlist, what a finding is)
+RULES = {
+    "unpassed": (
+        unpassed,
+        ALLOWLIST,
+        "defaulted parameters no call in src/, benchmarks/ or examples/ passes "
+        "(make them module constants, delete them, or allowlist with a reason)",
+    ),
+    "relied": (
+        overridden,
+        RELIED_ALLOWLIST,
+        "defaults no call in src/, benchmarks/ or examples/ relies on, because "
+        "every call passes the parameter (drop the default, or allowlist with "
+        "a reason)",
+    ),
+    "one value": (
+        one_valued,
+        ONE_VALUE_ALLOWLIST,
+        "parameters every call in src/, benchmarks/ or examples/ passes as the "
+        "same literal (make them constants, or allowlist with a reason)",
+    ),
+}
+
+
 @functools.cache
-def census() -> Tuple[Parameter, ...]:
-    return tuple(unpassed(run_modules(), _in_src))
+def census(rule: str = "unpassed") -> Tuple[Parameter, ...]:
+    find = RULES[rule][0]
+    return tuple(find(run_modules(), _in_src))
 
 
 def defaulted_count() -> int:
@@ -394,10 +522,12 @@ def defaulted_count() -> int:
     return sum(len(fn.defaulted) for fn in tree.functions if _in_src(fn.path))
 
 
-def _allowed(param: Parameter) -> Optional[Tuple[str, str, str]]:
-    """The ``ALLOWLIST`` key that covers a parameter, if any."""
+def _allowed(
+    param: Parameter, allowlist: Dict[Tuple[str, str, str], str]
+) -> Optional[Tuple[str, str, str]]:
+    """The ``allowlist`` key that covers a parameter, if any."""
     path, qualname, name = param
-    for key in ALLOWLIST:
+    for key in allowlist:
         glob, qualname_glob, allowed = key
         if (
             fnmatch.fnmatch(path, glob)
@@ -408,29 +538,40 @@ def _allowed(param: Parameter) -> Optional[Tuple[str, str, str]]:
     return None
 
 
-def test_every_defaulted_parameter_is_passed_by_a_run():
-    flagged = [
+def _flagged(rule: str) -> List[str]:
+    _, allowlist, _ = RULES[rule]
+    return [
         f"{path}: {qualname}({name})"
-        for path, qualname, name in census()
-        if _allowed((path, qualname, name)) is None
+        for path, qualname, name in census(rule)
+        if _allowed((path, qualname, name), allowlist) is None
     ]
-    assert flagged == [], (
-        "defaulted parameters no call in src/, benchmarks/ or examples/ passes "
-        f"(make them module constants, delete them, or allowlist with a reason): {flagged}"
-    )
+
+
+def test_every_defaulted_parameter_is_passed_by_a_run():
+    assert _flagged("unpassed") == [], RULES["unpassed"][2]
+
+
+def test_every_default_is_relied_on_by_a_run():
+    assert _flagged("relied") == [], RULES["relied"][2]
+
+
+def test_no_parameter_takes_one_literal_at_every_call():
+    assert _flagged("one value") == [], RULES["one value"][2]
 
 
 def test_signature_allowlist_entries_are_needed_and_give_a_reason():
-    used = {_allowed(param) for param in census()}
-    stale = [key for key in ALLOWLIST if key not in used]
-    assert stale == [], f"allowlisted but passed by a run, or gone: {stale}"
-    assert all(reason.strip() for reason in ALLOWLIST.values())
+    for rule, (_, allowlist, _) in RULES.items():
+        used = {_allowed(param, allowlist) for param in census(rule)}
+        stale = [key for key in allowlist if key not in used]
+        assert stale == [], f"{rule}: allowlisted but not flagged, or gone: {stale}"
+        assert all(reason.strip() for reason in allowlist.values())
 
 
 def test_the_census_binds_calls_by_each_rule():
-    """Every defaulted parameter below but ``unpassed`` and ``b`` is passed
-    through one binding rule: a rule that stopped binding would flag its
-    parameter, one that bound too widely would pass ``b``."""
+    """Every defaulted parameter of the first snippet but ``unpassed`` and
+    ``b`` is passed through one binding rule: a rule that stopped binding
+    would flag its parameter, one that bound too widely would pass ``b``.
+    The second snippet holds one case per finding of the other two rules."""
     tree = ast.parse(
         "class Base:\n"
         "    def __init__(self, a, by_position=1, by_keyword=2, forwarded=3, unpassed=4):\n"
@@ -476,4 +617,27 @@ def test_the_census_binds_calls_by_each_rule():
     assert unpassed([("snippet.py", tree)], lambda path: True) == [
         ("snippet.py", "Base.__init__", "unpassed"),
         ("snippet.py", "Unrelated.__init__", "b"),
+    ]
+
+    tree = ast.parse(
+        "def always(x, flag=False):\n"  # a default every call overrides
+        "    pass\n"
+        "def unpacked(x, flag=False):\n"  # ... but for one ``**`` call
+        "    pass\n"
+        "class Canvas:\n"
+        "    def shade(self, level, label):\n"
+        "        pass\n"
+        "always(1, flag=True)\n"
+        "always(2, True)\n"  # flag: one literal everywhere; x: two literals
+        "unpacked(1, flag=True)\n"
+        "unpacked(1, **options)\n"
+        "Canvas().shade(+1, 'a')\n"  # +1 and 1 are one value ...
+        "Canvas().shade(1, label='a')\n"  # ... a string is a label
+    )
+    snippet = [("snippet.py", tree)]
+    assert overridden(snippet, lambda path: True) == [("snippet.py", "always", "flag")]
+    assert one_valued(snippet, lambda path: True) == [
+        ("snippet.py", "always", "flag"),
+        ("snippet.py", "unpacked", "x"),
+        ("snippet.py", "Canvas.shade", "level"),
     ]

@@ -194,7 +194,12 @@ class TestDrawStreamPin:
         rng = np.random.default_rng(PAPER_LOAD.seed)
         nodes = generate_node_specs(PAPER_LOAD.nodes, PAPER_LOAD.gpu_slots, rng)
         jobs = generate_jobs(
-            2000, nodes, PAPER_LOAD.gpu_slots, PAPER_LOAD.mean_interarrival, rng
+            2000,
+            nodes,
+            PAPER_LOAD.gpu_slots,
+            PAPER_LOAD.mean_interarrival,
+            rng,
+            JobDistribution().with_constraint_ratio(PAPER_LOAD.constraint_ratio),
         )
         stream = [
             (j.submit_time, j.base_duration, sorted(j.requirements.items()))

@@ -32,7 +32,7 @@ class TestArrivalTimes:
 
 class TestGenerateJobs:
     def test_every_job_satisfiable(self, nodes, rng):
-        jobs = generate_jobs(200, nodes, 2, 3.0, rng)
+        jobs = generate_jobs(200, nodes, 2, 3.0, rng, JobDistribution())
         assert len(jobs) == 200
         for job in jobs:
             assert any(
@@ -40,7 +40,7 @@ class TestGenerateJobs:
             ), f"{job} unsatisfiable"
 
     def test_every_job_uses_cpu(self, nodes, rng):
-        for job in generate_jobs(100, nodes, 2, 3.0, rng):
+        for job in generate_jobs(100, nodes, 2, 3.0, rng, JobDistribution()):
             assert CPU_SLOT in job.requirements
 
     def test_gpu_fraction_respected(self, nodes, rng):
@@ -51,12 +51,12 @@ class TestGenerateJobs:
 
     def test_zero_gpu_slots_means_cpu_only(self, rng):
         cpu_nodes = generate_node_specs(50, 0, rng)
-        jobs = generate_jobs(100, cpu_nodes, 0, 3.0, rng)
+        jobs = generate_jobs(100, cpu_nodes, 0, 3.0, rng, JobDistribution())
         assert all(set(j.requirements) == {CPU_SLOT} for j in jobs)
 
     def test_durations_in_paper_range(self, nodes, rng):
         """Section V-A: expected 1 hour, uniform in [0.5 h, 1.5 h]."""
-        jobs = generate_jobs(300, nodes, 2, 3.0, rng)
+        jobs = generate_jobs(300, nodes, 2, 3.0, rng, JobDistribution())
         durations = np.array([j.base_duration for j in jobs])
         assert durations.min() >= 1800.0
         assert durations.max() <= 5400.0
@@ -100,7 +100,7 @@ class TestGenerateJobs:
             generate_jobs(10, weak, 0, 3.0, rng, impossible)
 
     def test_submit_times_assigned(self, nodes, rng):
-        jobs = generate_jobs(50, nodes, 2, 2.0, rng)
+        jobs = generate_jobs(50, nodes, 2, 2.0, rng, JobDistribution())
         times = [j.submit_time for j in jobs]
         assert times == sorted(times)
         assert times[0] > 0
