@@ -25,16 +25,21 @@ Design in brief:
   access to the store's arrays; the structural side (records, epochs,
   copy-on-write snapshots) keeps the parent's dict machinery.  Because the
   whole protocol manipulates tables through this interface, the object
-  engine's code paths (joins, claims, gap repair, message loss) run
-  unchanged — and byte-identically — on array-backed state.
+  engine's code paths (joins, claims, gap repair) run unchanged — and
+  byte-identically — on array-backed state.
 
-* The tables move into the store once, at the first exchange.  Before
-  it no kernel reads a slot, so :class:`ArrayHeartbeatProtocol` holds
-  plain :class:`~repro.can.neighbor.NeighborTable` state and runs the
-  object engine's own joins, leaves, crashes and ``adopt_overlay``: a
-  bootstrap pays no slot upkeep per believed entry.  The move
-  (:meth:`ArrayHeartbeatProtocol._move_to_arrays`) is one pass: rows in
-  ``nodes`` order, each table's slots in record order, one array
+* :class:`ArrayHeartbeatProtocol` is the class CAN's substrate builds on
+  every channel.  On any channel but the ideal one it never leaves plain
+  :class:`~repro.can.neighbor.NeighborTable` state: loss, latency and
+  flaps need a verdict per delivery, which the inherited per-sender
+  exchange gives, and the class runs that exchange unchanged.
+
+* On the ideal channel the tables move into the store once, at the first
+  exchange.  Before it no kernel reads a slot, so the class holds plain
+  tables and runs the object engine's own joins, leaves, crashes and
+  ``adopt_overlay``: a bootstrap pays no slot upkeep per believed entry.
+  The move (:meth:`ArrayHeartbeatProtocol._move_to_arrays`) is one pass:
+  rows in ``nodes`` order, each table's slots in record order, one array
   assignment per column, reverse slots matched by sorting the edges on
   their unordered (owner, subject) pair, and every node's table swapped
   for an :class:`ArrayNeighborTable` that takes the plain one over.
@@ -98,23 +103,14 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..net import NetworkModel
-from .heartbeat import (
-    HeartbeatProtocol,
-    HeartbeatScheme,
-    ProtocolConfig,
-    ProtocolNode,
-)
+from .heartbeat import HeartbeatProtocol, HeartbeatScheme, ProtocolNode
 from .messages import MessageType
 from .neighbor import _NEG_INF, BeliefRecord, NeighborTable, TableSnapshot
-from .overlay import CanOverlay
 
 __all__ = [
     "EdgeStore",
     "ArrayNeighborTable",
     "ArrayHeartbeatProtocol",
-    "protocol_class",
-    "build_protocol",
 ]
 
 #: sentinel distinguishing "not resolved yet" from "resolved to undeliverable"
@@ -751,22 +747,21 @@ class _Memo(NamedTuple):
 
 
 class ArrayHeartbeatProtocol(HeartbeatProtocol):
-    """The heartbeat protocol with batched per-round kernels.
+    """The heartbeat protocol with batched per-round kernels: CAN's one
+    heartbeat class, on every channel.
 
     Behaviourally identical to :class:`HeartbeatProtocol` (the goldens pin
     byte-identical seeded accounting); only the round's hot phases and a
-    turn's full-table merges run as array kernels.  A non-identity network
-    channel (``set_network``) falls back to the inherited per-delivery
-    exchange, which runs exactly on array-backed tables via the
-    :class:`ArrayNeighborTable` interface.
+    turn's full-table merges run as array kernels.
 
-    Lifecycle: until its first exchange the protocol *is* the object class
-    — plain tables, the inherited join, leave, crash and ``adopt_overlay``
-    — and the overrides that touch the store (``_new_node``,
-    ``_drop_node``, ``fail``, ``count_broken_links``) defer to it.  The
-    first exchange moves every table into :attr:`store` in one pass
-    (:meth:`_move_to_arrays`); from then on a node's rows and slots are
-    kept up one by one.
+    Lifecycle: until its first exchange on the ideal channel the protocol
+    *is* the object class — plain tables, the inherited join, leave, crash,
+    ``adopt_overlay``, exchange, merge and detection — and every override
+    that touches the store defers to it while :attr:`_in_store` is False.
+    On any other channel (fixed when the protocol is built) that is the
+    whole run.  On the ideal channel the first exchange moves every table
+    into :attr:`store` in one pass (:meth:`_move_to_arrays`); from then on a
+    node's rows and slots are kept up one by one.
     """
 
     def __init__(self, *args, **kwargs):
@@ -926,13 +921,13 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
 
     # -- the exchange kernel --------------------------------------------------
     def _exchange_heartbeats(self, now: float) -> None:
-        self._move_to_arrays()
         if not self.net.is_identity:
             # per-delivery channel verdicts (loss draws, flap checks,
-            # latency): the inherited object path runs exactly on
-            # array-backed tables, so both engines share one RNG stream
-            self._end_quiet()  # the channel changed under the memos
+            # latency): the inherited exchange on the plain tables, which
+            # never move (the channel is fixed when the protocol is built)
+            assert not self._in_store, "the channel changed after the move"
             return super()._exchange_heartbeats(now)
+        self._move_to_arrays()
         store = self.store
         vanilla = self.config.scheme is HeartbeatScheme.VANILLA
         takeovers = {} if vanilla else self._takeover_targets_map()
@@ -1207,9 +1202,11 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         the only place a table, an epoch or a memo can change.
         """
         if (
+            # plain tables (any channel but the ideal one) have no slots
+            not self._in_store
             # one row does not pay for setting the matrix up (compact and
             # adaptive senders, which have a take-over target or two)
-            sinces.count(-1) < 2
+            or sinces.count(-1) < 2
             # a subject without a row cannot be found through the scratch
             or self.store.rowless
         ):
@@ -1381,17 +1378,6 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         for holder_row in memo.holder_rows:
             fed_by[holder_row].discard(row)
 
-    def _end_quiet(self) -> None:
-        """Write every deferred copy and forget every memo: the inherited
-        exchange decides each turn itself, and every row is loud after it."""
-        store = self.store
-        if self._pending is not None:
-            for row in np.flatnonzero(self._pending).tolist():
-                self._flush(row)
-        for row in np.flatnonzero(self._has_memo).tolist():
-            self._forget(row)
-        store.mut_rows.update(range(store.n_rows))
-
     def _stored_copy(
         self, holder: ProtocolNode, subject_id: int
     ) -> Optional[TableSnapshot]:
@@ -1402,6 +1388,8 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
 
     # -- the detection kernel -------------------------------------------------
     def _detect_failures(self, now: float) -> None:
+        if not self._in_store:
+            return super()._detect_failures(now)
         store = self.store
         timeout = self.config.failure_timeout
         n = store.n_slots
@@ -1440,29 +1428,3 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         if cached is None or cached[0] != key:
             cached = self._broken_total = (key, super().count_broken_links())
         return cached[1]
-
-
-def protocol_class(network: Optional[NetworkModel]) -> type:
-    """Which heartbeat implementation a run gets: the measured crossover.
-
-    The array class iff the channel is the identity: its round is a few
-    kernels and a loop over only the senders whose inputs moved, and a
-    turn's full-table merges are one matrix, whatever the scheme.  Any loss,
-    latency or flap needs a verdict per delivery, which the
-    inherited per-sender loop gives faster on dict-backed tables.  Numbers,
-    and why no population threshold: DESIGN.md, "Object or array: the
-    crossover".
-    """
-    if network is None or network.is_identity:
-        return ArrayHeartbeatProtocol
-    return HeartbeatProtocol
-
-
-def build_protocol(
-    overlay: CanOverlay,
-    config: ProtocolConfig,
-    network: Optional[NetworkModel],
-    **kwargs,
-) -> HeartbeatProtocol:
-    """Construct CAN's heartbeat protocol on ``network`` (None = ideal)."""
-    return protocol_class(network).build(overlay, config, network, **kwargs)

@@ -278,8 +278,16 @@ class MaintenanceProtocol:
         #: failed ids already reported through on_failure_detected
         self._detected_failures: Set[int] = set()
         #: the network channel every unreliable send traverses (loss,
-        #: flapping links, latency).  The IDENTITY default is
-        #: bypassed entirely — no RNG draws — keeping seeded runs unchanged.
+        #: flapping links, latency), installed by :meth:`build`.  Heartbeats
+        #: (full and compact), join/take-over notifies, and the adaptive
+        #: scheme's full-update requests and replies all go through it: a
+        #: sender's turn of heartbeats and a notify fan-out as one
+        #: ``transmit_many``, the request/reply pairs send by send.
+        #: Connection-oriented handshakes stay reliable by design: the join
+        #: reply and the graceful-leave hand-off model acknowledged
+        #: transfers, not fire-and-forget datagrams.  The IDENTITY default
+        #: is bypassed entirely — no RNG draws — keeping seeded runs
+        #: unchanged.
         self.net: NetworkModel = IDENTITY
         #: heartbeats in flight with super-period latency, as (arrival,
         #: kind, receiver id, sender id, payload, send time); drained by
@@ -287,11 +295,12 @@ class MaintenanceProtocol:
         self._deferred: List[Tuple[float, str, int, int, Any, float]] = []
 
     @classmethod
-    def build(cls, overlay, config, network: Optional[NetworkModel] = None, **kwargs):
+    def build(cls, overlay, config, network: Optional[NetworkModel], **kwargs):
         """The substrate-factory form (``SubstrateDescriptor.make_protocol``):
         construct on ``network``, None being the ideal channel."""
         proto = cls(overlay, config, **kwargs)
-        proto.set_network(network)
+        if network is not None:
+            proto.net = network
         return proto
 
     # ------------------------------------------------------------------ membership --
@@ -390,21 +399,6 @@ class MaintenanceProtocol:
                 self._discard_stored(holder, gone_id)
 
     # ------------------------------------------------------------------ the channel --
-    def set_network(self, model: Optional[NetworkModel]) -> None:
-        """Install the channel every unreliable send traverses.
-
-        Heartbeats (full and compact), join/take-over notifies, and the
-        adaptive scheme's full-update requests and replies all go through
-        the model: a sender's turn of heartbeats and a notify fan-out as
-        one ``transmit_many``, the request/reply pairs send by send.
-        Connection-oriented handshakes stay reliable
-        by design: the join reply and the graceful-leave hand-off model
-        acknowledged transfers, not fire-and-forget datagrams.  ``None``
-        (or the identity model) restores the ideal channel with no RNG
-        draws at all.
-        """
-        self.net = IDENTITY if model is None else model
-
     def _transmit(self, src: int, dst: int, now: float) -> Optional[float]:
         """Send one message through the channel: None = dropped in flight.
 

@@ -39,7 +39,7 @@ class SubstrateDescriptor:
     #: build the ground-truth overlay: ``make_overlay(space)``
     make_overlay: Callable[[Any], OverlaySubstrate]
     #: build the maintenance protocol:
-    #: ``make_protocol(overlay, config, network=None, tracer=...,
+    #: ``make_protocol(overlay, config, network, tracer=...,
     #: metrics=...)`` — ``config`` is a
     #: :class:`~repro.can.heartbeat.ProtocolConfig` (shared across
     #: substrates; each interprets the scheme its own way),
@@ -65,13 +65,13 @@ def register_substrate(descriptor: SubstrateDescriptor) -> SubstrateDescriptor:
 def _register_builtin_can() -> SubstrateDescriptor:
     from ..can.overlay import CanOverlay
     from ..can.routing import route, route_on_beliefs
-    from ..can.soa import build_protocol
+    from ..can.soa import ArrayHeartbeatProtocol
 
     return register_substrate(
         SubstrateDescriptor(
             name="can",
             make_overlay=CanOverlay,
-            make_protocol=build_protocol,
+            make_protocol=ArrayHeartbeatProtocol.build,
             route=route,
             route_on_beliefs=route_on_beliefs,
         )

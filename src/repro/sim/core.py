@@ -139,8 +139,10 @@ class Environment(Clock):
         subsequent ``run`` continues from there.
         """
         limit = float("inf") if until is None else float(until)
-        if limit < self._now:
-            raise ValueError(f"until={until!r} lies in the past (now={self._now!r})")
+        if not limit >= self._now:  # a NaN limit fails the test too
+            raise ValueError(
+                f"until={until!r} is NaN or lies in the past (now={self._now!r})"
+            )
         while self._queue and self._queue[0][0] <= limit:
             self.step()
         if until is not None:

@@ -44,7 +44,7 @@ class Counter:
 class TimeSeries:
     """Append-only (time, value) samples with numpy export."""
 
-    def __init__(self, name: str = ""):
+    def __init__(self, name: str):
         self.name = name
         self._times: List[float] = []
         self._values: List[float] = []

@@ -70,7 +70,9 @@ SCHEMES = [
 ]
 
 
-#: the two CAN heartbeat implementations, by the name the test ids use
+#: CAN's heartbeat class ("array", what its substrate builds on every
+#: channel) and its base class ("object", the ideal-channel oracle), by the
+#: name the test ids use
 ENGINE_CLASSES = {
     "object": HeartbeatProtocol,
     "array": ArrayHeartbeatProtocol,
@@ -81,10 +83,12 @@ ENGINE_CLASSES = {
 def pinned_engine(engine: str):
     """Have the "can" substrate build one named class, whatever the run.
 
-    The factory picks a class from scheme + channel; the equivalence tests
-    need *both* classes on every scheme and channel (vanilla and lossy on
-    array included), so they override CAN's ``make_protocol`` through the
-    registry — the public extension point — and restore it afterwards.
+    The factory builds the array class on every channel, which off the
+    ideal channel runs the inherited exchange on plain tables.  The
+    equivalence tests also run the object class, the oracle for the array
+    class's ideal-channel kernels, so they override CAN's ``make_protocol``
+    through the registry — the public extension point — and restore it
+    afterwards.
     """
     original = get_substrate("can")
     register_substrate(

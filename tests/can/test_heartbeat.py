@@ -498,9 +498,7 @@ def test_full_targets_draw_before_compact_targets():
             asked.append((src, list(dsts)))
             return super().transmit_many(src, dsts, now)
 
-    proto.set_network(
-        Recording(NetworkSpec(loss=0.1), np.random.default_rng(3))
-    )
+    proto.net = Recording(NetworkSpec(loss=0.1), np.random.default_rng(3))
     takeovers = proto._takeover_targets_map()
     proto.run_round(60.0)
     assert len(asked) == 14

@@ -5,19 +5,15 @@ import pytest
 
 from repro.can.geometry import Zone
 from repro.can.neighbor import _NEG_INF, BeliefRecord, NeighborTable
-from repro.can.heartbeat import HeartbeatProtocol, HeartbeatScheme, ProtocolConfig
+from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
 from repro.can.overlay import CanOverlay
-from repro.can.soa import (
-    ArrayHeartbeatProtocol,
-    ArrayNeighborTable,
-    EdgeStore,
-    build_protocol,
-)
+from repro.can.soa import ArrayHeartbeatProtocol, ArrayNeighborTable, EdgeStore
 from repro.can.space import ResourceSpace
 from repro.gridsim import ChurnSimulation
 from repro.gridsim.config import ChurnConfig
 from repro.gridsim.faulty import FaultyGridConfig
 from repro.net import FlapSpec, LatencySpec, NetworkSpec
+from repro.overlay import get_substrate
 from tests.can.hb_golden import CASES, ENGINE_CLASSES, small_store, stored_payload
 from tests.can.test_incremental_consistency import _brute_broken_links
 
@@ -157,24 +153,33 @@ IDEAL = {"none", "identity"}
 
 
 class TestEngineRule:
-    """The factory's one rule: array iff the channel is ideal, any scheme."""
+    """CAN's factory builds one class on every channel, any scheme; its
+    tables move into the store at the first exchange iff the channel is
+    ideal, and otherwise stay plain for the whole run."""
 
     @pytest.mark.parametrize("channel", list(CHANNELS))
     @pytest.mark.parametrize("scheme", list(HeartbeatScheme))
     def test_scheme_and_channel_pick_the_class(self, scheme, channel):
         network = CHANNELS[channel]()
-        proto = build_protocol(
-            CanOverlay(ResourceSpace(gpu_slots=0)),
-            ProtocolConfig(scheme=scheme),
-            network=network,
+        space = ResourceSpace(gpu_slots=0)
+        proto = get_substrate("can").make_protocol(
+            CanOverlay(space), ProtocolConfig(scheme=scheme), network=network
         )
-        want = ArrayHeartbeatProtocol if channel in IDEAL else HeartbeatProtocol
-        assert type(proto) is want
+        assert type(proto) is ArrayHeartbeatProtocol
         # the channel is installed by the factory, not after it
         if network is None:
             assert proto.net.is_identity
         else:
             assert proto.net is network
+        rng = np.random.default_rng(5)
+        proto.bootstrap(0, space.clamp_point(rng.random(space.dims)))
+        for nid in range(1, 12):
+            proto.join(nid, space.clamp_point(rng.random(space.dims)), now=0.0)
+        for r in range(1, 4):
+            proto.run_round(60.0 * r)
+        ideal = channel in IDEAL
+        assert proto._in_store is ideal
+        assert (proto.store.n_slots > 0) is ideal
 
 
 class TestEngineFlag:
@@ -183,7 +188,9 @@ class TestEngineFlag:
     def test_build_protocol_rejects_unknown_engine(self):
         overlay = CanOverlay(ResourceSpace(gpu_slots=0))
         with pytest.raises(TypeError):
-            build_protocol(overlay, ProtocolConfig(), None, engine="array")
+            ArrayHeartbeatProtocol.build(
+                overlay, ProtocolConfig(), None, engine="array"
+            )
 
     def test_churn_config_validates_engine(self):
         with pytest.raises(TypeError):

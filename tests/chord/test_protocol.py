@@ -168,7 +168,7 @@ def test_message_loss_delays_but_does_not_break_detection():
 
     ring, proto = build(n=12)
     run_rounds(proto, 2)
-    proto.set_network(NetworkSpec(loss=0.5).build(np.random.default_rng(0)))
+    proto.net = NetworkSpec(loss=0.5).build(np.random.default_rng(0))
     victim = next(iter(ring.members))
     proto.fail(victim, now=2 * PERIOD + 1.0)
     run_rounds(proto, 12, start=3)
@@ -177,7 +177,7 @@ def test_message_loss_delays_but_does_not_break_detection():
     assert proto.events["claims"] >= 1
     assert victim not in ring.members
     # the closed interval is accepted: 1.0 is a total blackout
-    proto.set_network(NetworkSpec(loss=1.0).build(np.random.default_rng(0)))
+    proto.net = NetworkSpec(loss=1.0).build(np.random.default_rng(0))
     assert not proto.net.is_identity
     with pytest.raises(ValueError):
         NetworkSpec(loss=1.1)

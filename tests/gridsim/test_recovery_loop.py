@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro.can.heartbeat import ProtocolConfig
-from repro.can.soa import build_protocol
+from repro.can.soa import ArrayHeartbeatProtocol
 from repro.can.space import ResourceSpace
 from repro.gridsim import FaultyGridConfig, FaultyGridSimulation, MatchmakingConfig
 from repro.gridsim.invariants import check_service_accounting
@@ -83,7 +83,9 @@ class FakeHost:
                 for i, node in self.grid_nodes.items()
             ]
         )
-        self.protocol = build_protocol(self.overlay, ProtocolConfig(period=PERIOD), None)
+        self.protocol = ArrayHeartbeatProtocol.build(
+            self.overlay, ProtocolConfig(period=PERIOD), None
+        )
         self.protocol.adopt_overlay(clock.now)
         self.matchmaker = ScriptedMatchmaker()
         self.events = []

@@ -66,7 +66,7 @@ class TestBlackout:
         proto = build_can(scheme=HeartbeatScheme.VANILLA)
         run_rounds(proto, 2)
         sent_before = proto.stats.count[MessageType.HEARTBEAT_FULL]
-        proto.set_network(NetworkSpec(loss=1.0).build(np.random.default_rng(5)))
+        proto.net = NetworkSpec(loss=1.0).build(np.random.default_rng(5))
         run_rounds(proto, 2, start=3)
         assert proto.stats.count[MessageType.HEARTBEAT_FULL] > sent_before
         assert proto.net.attempts > 0
@@ -83,7 +83,7 @@ class TestBlackout:
         the adaptive repair loop has no peers left to broadcast to."""
         proto = build_can(scheme=HeartbeatScheme.ADAPTIVE)
         run_rounds(proto, 2)
-        proto.set_network(NetworkSpec(loss=1.0).build(np.random.default_rng(5)))
+        proto.net = NetworkSpec(loss=1.0).build(np.random.default_rng(5))
         # well past the failure timeout: every belief times out at once
         run_rounds(proto, 6, start=3)
         assert all(not node.table.ids() for node in proto.nodes.values())
@@ -98,7 +98,7 @@ class TestBlackout:
         detections = []
         proto.on_failure_detected = lambda nid, now: detections.append(nid)
         run_rounds(proto, 2)
-        proto.set_network(NetworkSpec(loss=1.0).build(np.random.default_rng(5)))
+        proto.net = NetworkSpec(loss=1.0).build(np.random.default_rng(5))
         # well past the failure timeout: believers give up on everyone
         run_rounds(proto, 6, start=3)
         assert all(not node.table.ids() for node in proto.nodes.values())
@@ -109,7 +109,7 @@ class TestBlackout:
     def test_chord_blackout_starves_evidence(self):
         ring, proto = build_chord()
         run_rounds(proto, 2)
-        proto.set_network(NetworkSpec(loss=1.0).build(random.Random(5)))
+        proto.net = NetworkSpec(loss=1.0).build(random.Random(5))
         run_rounds(proto, 2, start=3)
         assert proto.net.attempts > 0
         assert proto.net.delivered == 0
@@ -127,7 +127,7 @@ class TestLatencyDeferral:
     def test_can_deferred_delivery_keeps_send_time_evidence(self):
         proto = build_can(scheme=HeartbeatScheme.VANILLA)
         run_rounds(proto, 1)  # clean round: evidence == PERIOD
-        proto.set_network(self.SLOW.build(np.random.default_rng(0)))
+        proto.net = self.SLOW.build(np.random.default_rng(0))
         proto.run_round(2 * PERIOD)  # sends defer to t=210
         assert proto._deferred
         for arrival, _, _, _, _, sent_at in proto._deferred:
@@ -147,7 +147,7 @@ class TestLatencyDeferral:
     def test_chord_deferred_delivery_keeps_send_time_evidence(self):
         ring, proto = build_chord()
         run_rounds(proto, 1)
-        proto.set_network(self.SLOW.build(np.random.default_rng(0)))
+        proto.net = self.SLOW.build(np.random.default_rng(0))
         proto.run_round(2 * PERIOD)
         assert proto._deferred
         proto.run_round(3 * PERIOD)
@@ -165,7 +165,7 @@ class TestLatencyDeferral:
         """Sub-period latency is invisible to round granularity."""
         quick = NetworkSpec(latency=LatencySpec(kind="constant", low=0.5))
         proto = build_can(scheme=HeartbeatScheme.VANILLA)
-        proto.set_network(quick.build(np.random.default_rng(0)))
+        proto.net = quick.build(np.random.default_rng(0))
         run_rounds(proto, 2)
         assert not proto._deferred
         assert proto.count_broken_links() == 0

@@ -107,7 +107,7 @@ def test_a_round_with_nobody_alive_runs_no_phase(cls):
     descriptor = get_substrate(ENGINES[cls][0])
     overlay = descriptor.make_overlay(ResourceSpace(gpu_slots=1))
     protocol = cls.build(
-        overlay, ProtocolConfig(scheme=HeartbeatScheme.ADAPTIVE)
+        overlay, ProtocolConfig(scheme=HeartbeatScheme.ADAPTIVE), None
     )
     tracer = Tracer("empty")
     wrap_phases(tracer, protocol)

@@ -41,6 +41,15 @@ class TestEnvironmentBasics:
         with pytest.raises(ValueError):
             env.run(until=1.0)
 
+    def test_run_until_nan_raises(self, env):
+        """``nan <= limit`` is False for every entry and ``now`` would become
+        NaN: nothing runs and the clock stays put."""
+        fired = []
+        env.schedule_callback(1.0, lambda: fired.append(env.now))
+        with pytest.raises(ValueError):
+            env.run(until=float("nan"))
+        assert env.now == 0.0 and fired == []
+
     def test_run_continues_after_until(self, env):
         log = []
 

@@ -36,13 +36,13 @@ class TestTimeSeries:
         assert len(ts) == 2
 
     def test_out_of_order_rejected(self):
-        ts = TimeSeries()
+        ts = TimeSeries("x")
         ts.record(5.0, 0.0)
         with pytest.raises(ValueError):
             ts.record(4.0, 0.0)
 
     def test_last(self):
-        ts = TimeSeries()
+        ts = TimeSeries("x")
         with pytest.raises(IndexError):
             ts.last()
         ts.record(1.0, 9.0)

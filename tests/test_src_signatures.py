@@ -29,13 +29,14 @@ Calls are bound to definitions by name, as in ``tests/test_src_surface.py``
   does not;
 * ``cls(...)`` in a classmethod reaches the constructors of the class and
   of every subclass;
-* a callable passed as an argument (``make_protocol=build_protocol``,
+* a callable passed as an argument (``make_protocol=Cls.build``,
   ``simulate(label, ChurnSimulation, config)``) is reached through every
   call of that parameter's or keyword's name (``descriptor.make_protocol
   (...)``, ``sim_class(config, tracer=...)``);
 * a call that reaches no definition but is handed a callable
   (``asyncio.to_thread(replay_trace, client, jobs, dilation=...)``) calls
-  it with the arguments after it;
+  it with the arguments after it, unless it is a type test
+  (``isinstance(x, Cls)``, ``issubclass(...)``), which calls nothing;
 * ``*args`` / ``**kwargs`` that a function forwards carry what its own
   callers put there (``cls(overlay, config, **kwargs)``); any other
   unpacked sequence passes every positional parameter from its place on.
@@ -303,16 +304,20 @@ class Invocation(NamedTuple):
     targets: List[Target]
 
 
+#: builtins that are handed a class to test against, and call nothing
+_TYPE_TESTS = frozenset({"isinstance", "issubclass"})
+
+
 def _invocations(tree: Tree) -> List[Invocation]:
     """Each call with the definitions it reaches.  A call that reaches none
     (``asyncio.to_thread``, ``functools.partial``) but is handed a callable
-    calls that callable with the arguments after it."""
+    calls that callable with the arguments after it; a type test does not."""
     binder = Binder(tree)
     out = []
     for call in tree.calls:
         args, keywords = call.node.args, call.node.keywords
         targets = binder.targets(call)
-        if not targets:
+        if not targets and _callee(call.node) not in _TYPE_TESTS:
             for i, arg in enumerate(args):
                 targets = binder.reference(arg)
                 if targets:
@@ -571,7 +576,8 @@ def test_the_census_binds_calls_by_each_rule():
     """Every defaulted parameter of the first snippet but ``unpassed`` and
     ``b`` is passed through one binding rule: a rule that stopped binding
     would flag its parameter, one that bound too widely would pass ``b``.
-    The second snippet holds one case per finding of the other two rules."""
+    The second snippet holds one case per finding of the other two rules,
+    and a type test, which calls no constructor."""
     tree = ast.parse(
         "class Base:\n"
         "    def __init__(self, a, by_position=1, by_keyword=2, forwarded=3, unpassed=4):\n"
@@ -627,15 +633,24 @@ def test_the_census_binds_calls_by_each_rule():
         "class Canvas:\n"
         "    def shade(self, level, label):\n"
         "        pass\n"
+        "class Sized:\n"
+        "    def __init__(self, n=0):\n"  # every construction overrides it
+        "        pass\n"
         "always(1, flag=True)\n"
         "always(2, True)\n"  # flag: one literal everywhere; x: two literals
         "unpacked(1, flag=True)\n"
         "unpacked(1, **options)\n"
         "Canvas().shade(+1, 'a')\n"  # +1 and 1 are one value ...
         "Canvas().shade(1, label='a')\n"  # ... a string is a label
+        "Sized(n=1)\n"
+        "Sized(2)\n"
+        "isinstance(x, Sized)\n"  # tests a type: constructs nothing
     )
     snippet = [("snippet.py", tree)]
-    assert overridden(snippet, lambda path: True) == [("snippet.py", "always", "flag")]
+    assert overridden(snippet, lambda path: True) == [
+        ("snippet.py", "always", "flag"),
+        ("snippet.py", "Sized.__init__", "n"),
+    ]
     assert one_valued(snippet, lambda path: True) == [
         ("snippet.py", "always", "flag"),
         ("snippet.py", "unpacked", "x"),
