@@ -72,13 +72,12 @@ class ProtocolNode:
         node_id: int,
         freshness_ttl: float,
         gap_registry: Set[int],
-        table: Optional[NeighborTable] = None,
     ):
         self.node_id = node_id
         #: protocol-level set mirroring gap_dirty flags (see the gap_dirty
         #: property)
         self._gap_registry = gap_registry
-        self.table = table if table is not None else NeighborTable(freshness_ttl)
+        self.table = NeighborTable(freshness_ttl)
         #: optional callable invoked with the new version on every bump;
         #: the array engine mirrors own_version into its row arrays here
         self._version_sink: Optional[Callable[[int], None]] = None

@@ -213,6 +213,11 @@ class NeighborTable:
             self._heard_shared = False
         self._snap_cache = None
 
+    def _editing(self, node_id: int, removal: bool) -> None:
+        """Hook: ``node_id``'s entry is about to be inserted, replaced or
+        (``removal``) dropped.  A table that keeps some freshness outside
+        ``_last_heard`` moves the entry's in here, before it is read."""
+
     def advance_freshness(self, node_id: int, evidence: Optional[float]) -> None:
         """Move a neighbor's liveness evidence forward (never backwards)."""
         if evidence is None or node_id not in self._records:
@@ -243,6 +248,7 @@ class NeighborTable:
         if current is None:
             if not heard and now - evidence > self.freshness_ttl:
                 return False  # too stale to (re-)introduce
+            self._editing(record.node_id, False)
             self._own_records()
             self._own_heard()
             self._records[record.node_id] = record
@@ -251,13 +257,15 @@ class NeighborTable:
             self.epoch += 1
             self._record_seq[record.node_id] = self.epoch
             return True
-        if evidence > self._last_heard.get(record.node_id, _NEG_INF):
-            self._own_heard()
-            self._last_heard[record.node_id] = evidence
         if current.version > record.version or (
             current.version == record.version and current == record
         ):
+            self.advance_freshness(record.node_id, evidence)
             return False
+        self._editing(record.node_id, False)
+        if evidence > self._last_heard.get(record.node_id, _NEG_INF):
+            self._own_heard()
+            self._last_heard[record.node_id] = evidence
         self._own_records()
         self._records[record.node_id] = record
         self._total_zones += max(len(record.zones), 1) - max(
@@ -291,6 +299,7 @@ class NeighborTable:
         record = self._records.get(node_id)
         if record is None:
             return False
+        self._editing(node_id, True)
         self._own_records()
         self._own_heard()
         del self._records[node_id]

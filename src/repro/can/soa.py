@@ -20,31 +20,21 @@ Design in brief:
   and never reused (node ids never recur), so a stale ``subj_row`` always
   points at a permanently-dead row.
 
-* :class:`ArrayNeighborTable` subclasses
-  :class:`~repro.can.neighbor.NeighborTable` and reroutes every freshness
-  access to the store's arrays; the structural side (records, epochs,
-  copy-on-write snapshots) keeps the parent's dict machinery.  Because the
-  whole protocol manipulates tables through this interface, the object
-  engine's code paths (joins, claims, gap repair) run unchanged — and
-  byte-identically — on array-backed state.
+* The store is *loaded*, never edited slot by slot
+  (:meth:`ArrayHeartbeatProtocol._move_to_arrays`, at the start of each
+  exchange on the ideal channel).  A load lays every slot out anew, tables
+  in sender order and entries in record order: the tables edited since the
+  last load are written from their entries, the others copied as blocks.
+  The store is always what one load of every table would leave.  On any
+  other channel the tables stay plain for the whole run.
 
-* :class:`ArrayHeartbeatProtocol` is the class CAN's substrate builds on
-  every channel.  On any channel but the ideal one it never leaves plain
-  :class:`~repro.can.neighbor.NeighborTable` state: loss, latency and
-  flaps need a verdict per delivery, which the inherited per-sender
-  exchange gives, and the class runs that exchange unchanged.
-
-* On the ideal channel the tables move into the store once, at the first
-  exchange.  Before it no kernel reads a slot, so the class holds plain
-  tables and runs the object engine's own joins, leaves, crashes and
-  ``adopt_overlay``: a bootstrap pays no slot upkeep per believed entry.
-  The move (:meth:`ArrayHeartbeatProtocol._move_to_arrays`) is one pass:
-  rows in ``nodes`` order, each table's slots in record order, one array
-  assignment per column, reverse slots matched by sorting the edges on
-  their unordered (owner, subject) pair, and every node's table swapped
-  for an :class:`ArrayNeighborTable` that takes the plain one over.
-  Joins after it allocate their slots one at a time
-  (:meth:`EdgeStore.alloc_slot`).
+* :class:`ArrayNeighborTable` keeps an entry's freshness in its slot.
+  Joins, leaves, crashes, claims and merges run the object engine's code:
+  a newcomer holds a plain table until the next load, and the parent's
+  ``upsert`` and ``remove`` call the ``_editing`` hook first, which moves
+  the entry's freshness from its slot into the parent's dict.  An entry is
+  only ever edited off the exchange's bulk advance (below), so the dict
+  reads what the slot would have.
 
 * :class:`ArrayHeartbeatProtocol` replaces the two per-round hot phases.
   The exchange phase computes, per round, the set of *exceptional* edges
@@ -55,7 +45,8 @@ Design in brief:
   the exchange see position-filtered values (``now`` iff the subject
   already took its turn), so mid-round snapshots match the object engine
   exactly.  The detection phase becomes one vectorised timeout scan that
-  falls back to the shared per-node path only for flagged owners.
+  falls back to the shared per-node path only for flagged owners and for
+  tables with entries outside their slots.
 
 * A *worklist* limits the per-sender loop to the senders whose inputs
   moved.  A turn reads the sender's table epoch, zones and take-over set,
@@ -65,8 +56,9 @@ Design in brief:
   memo and whose inputs stand still is *quiet*: the loop never visits it,
   its byte totals stay in a running sum, and its stored copies are written
   later (:meth:`_flush`) from freshness frozen as of its own turn.  No turn
-  between two turns that write freshness writes any, so one gather per
-  writing turn freezes every quiet sender before it.  A round whose
+  between two turns that write freshness writes any, and tables lie in
+  sender order, so one slice copy per writing turn freezes every quiet
+  sender before it.  A round whose
   worklist is empty (a *settled* round) is a bulk total, one frozen array
   and the bulk advance.
 
@@ -89,15 +81,15 @@ Equivalence is pinned by the seeded goldens in ``tests/can/hb_golden.py``
 hypothesis property test driving random churn through both engines, by
 ``tests/can/test_merge_kernel.py``, which runs the batched merge against
 the loop it replaces on identical array-backed state, and by
-``tests/can/test_store_move.py``, which holds the one-pass move against
-the slot-by-slot path.
+``tests/can/test_store_move.py``, which holds every load of a churn run
+against one load of every table.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Mapping
-from itertools import chain, count, repeat
+from itertools import chain, filterfalse, repeat
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -130,29 +122,39 @@ def _grown(arr: np.ndarray, new_cap: int, fill) -> np.ndarray:
     return out
 
 
-#: an empty store's slot and row capacities; each doubles when full
-SLOT_CAPACITY = 1024
+def _runs(pos: np.ndarray, linked: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each run's first position and one past its last, where ``linked[i]``
+    says position ``i + 1`` continues position ``i``'s run."""
+    if not len(pos):
+        return pos, pos
+    breaks = np.flatnonzero(~linked)
+    heads = pos[np.concatenate(([0], breaks + 1))]
+    tails = pos[np.concatenate((breaks, [len(pos) - 1]))] + 1
+    return heads, tails
+
+
+#: an empty store's row capacity; it doubles when full
 ROW_CAPACITY = 256
+
+_EMPTY_I = np.zeros(0, dtype=np.int64)
 
 
 class EdgeStore:
     """Shared slot arrays for every believed-table entry of one protocol."""
 
     def __init__(self):
-        # -- per-edge slots (owner believes subject) -------------------------
-        self.n_slots = 0  # high-water mark; freed slots are recycled
-        self._slot_cap = SLOT_CAPACITY
-        self.eh = np.full(SLOT_CAPACITY, _NEG_INF, dtype=np.float64)
+        # -- per-edge slots (owner believes subject), packed -----------------
+        self.n_slots = 0
+        self.eh = np.zeros(0, dtype=np.float64)
         # as wide as an index: the prescan gathers through all three, and
         # numpy gathers through an int32 index several times slower
-        self.owner_row = np.zeros(SLOT_CAPACITY, dtype=np.int64)
-        self.subj_row = np.full(SLOT_CAPACITY, -1, dtype=np.int64)
-        self.rev = np.full(SLOT_CAPACITY, -1, dtype=np.int64)
-        self.edge_version = np.zeros(SLOT_CAPACITY, dtype=np.int64)
-        self.active = np.zeros(SLOT_CAPACITY, dtype=bool)
-        self.free_slots: List[int] = []
-        #: live slots whose subject has no row (a record gossiped about a
-        #: node that already left); the merge kernel steps aside for them
+        self.owner_row = _EMPTY_I
+        self.subj_row = _EMPTY_I
+        self.rev = _EMPTY_I
+        self.edge_version = _EMPTY_I
+        #: slots whose subject has no row (a record gossiped about a node
+        #: that left before it was ever loaded); the merge kernel steps
+        #: aside for them
         self.rowless = 0
         # -- per-node rows (allocated monotonically, never reused) -----------
         self.n_rows = 0
@@ -163,26 +165,28 @@ class EdgeStore:
         #: scatters the sender's record positions in, gathers at each
         #: receiver's subject rows, and wipes it again
         self.col_of_row = np.full(ROW_CAPACITY, -1, dtype=np.int64)
+        #: node id -> row, departed nodes included (ids never recur)
         self.row_of: Dict[int, int] = {}
         self.node_of_row: List[int] = []
-        self.tables_by_row: List[Optional["ArrayNeighborTable"]] = []
+        #: rows whose table was edited since the last load: part of its
+        #: freshness sits in its ``_last_heard`` until the next one
+        self.edited: set = set()
         # -- round-local exchange state --------------------------------------
         #: slots whose freshness advances to ``round_now`` at exchange end
         self.adv_mask: Optional[np.ndarray] = None
         #: per-row position in this round's sender order
         self.pos_of_row: Optional[np.ndarray] = None
         #: per-slot sender position after which the slot reads as ``now``
-        #: (``_POS_MAX`` for slots outside the bulk advance); sized to the
-        #: full slot capacity so mid-round gathers never go out of range
+        #: (``_POS_MAX`` for slots outside the bulk advance)
         self.avail_pos: Optional[np.ndarray] = None
         #: position of the sender currently being processed
         self.cur_pos: int = -1
         self.round_now: float = 0.0
         #: bumped whenever a bulk write lands (snapshot caches key off it)
         self.heard_gen: int = 0
-        #: bumped on every write to a prescan-mask input (slot allocation,
-        #: edge/own version, liveness); the exchange kernel reuses its
-        #: whole prescan across rounds while this stands still
+        #: bumped on every write to a prescan-mask input (a load, an edited
+        #: table, an own version); the exchange kernel reuses its whole
+        #: prescan across rounds while this stands still
         self.struct_gen: int = 0
         #: rows whose table, version or liveness changed since the current
         #: exchange began — senders re-check this instead of rescanning
@@ -206,129 +210,89 @@ class EdgeStore:
         self.own_version[row] = 0
         self.row_of[node_id] = row
         self.node_of_row.append(node_id)
-        self.tables_by_row.append(None)
         self.struct_gen += 1
         self.mut_rows.add(row)
         return row
 
     def load_slots(
         self,
-        counts: List[int],
+        rows: np.ndarray,
+        old_starts: np.ndarray,
+        counts: np.ndarray,
         subj_rows: np.ndarray,
         versions: np.ndarray,
         heard: np.ndarray,
-    ) -> None:
-        """Give row ``r`` of a store without slots ``counts[r]`` consecutive
-        ones, rows in order, each written from the next entry of the three
-        columns (subject row -1: a subject with no row).
+    ) -> np.ndarray:
+        """Lay every slot out anew: ``counts[k]`` consecutive ones for the
+        table of row ``rows[k]``, tables in the order given; return where
+        each table's slots start (and, last, the slot count).
 
-        One array assignment per column, and the reverse slots matched by
-        sorting the edges on their unordered (owner, subject) pair, so that
-        an edge and its partner sort next to each other: what
-        :meth:`alloc_slot` would leave for the same entries, less the slot
-        numbering and the free list.  A subject that left before the load
-        has no row, so its slots count in :attr:`rowless`; slots allocated
-        before it left keep pointing at its dead row instead.
+        Where ``old_starts[k]`` is -1 the slots are written from the next
+        entries of the three columns (subject row -1: no row); elsewhere
+        they are copied from ``old_starts[k]`` on, a block per run.  Reverse
+        slots carry over between copied slots; the open ones are matched by
+        sorting on the unordered (owner, subject) pair, so an edge and its
+        partner sort next to each other.
         """
-        assert not self.n_slots, "slots are loaded into an empty store"
-        m, n = len(subj_rows), self.n_rows
-        self._reserve_slots(m)
-        self.n_slots = m
-        owner = self.owner_row[:m]
-        owner[:] = np.repeat(np.arange(n, dtype=np.int64), counts)
-        srow = self.subj_row[:m]
-        srow[:] = subj_rows
-        self.edge_version[:m] = versions
-        self.eh[:m] = heard
-        self.active[:m] = True
-        linked = np.flatnonzero(srow >= 0)
-        self.rowless = m - len(linked)
-        o, r = owner[linked], srow[linked]
-        # a table believes a subject once, so a pair is held at most twice
+        starts = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        m = int(starts[-1])
+        eh = np.empty(m, dtype=np.float64)
+        srow = np.empty(m, dtype=np.int64)
+        ver = np.empty(m, dtype=np.int64)
+        rev = np.full(m, -1, dtype=np.int64)
+        kept = old_starts >= 0
+        # copied tables, a block per run whose old slots are one run too
+        pos = np.flatnonzero(kept)
+        old = old_starts[pos]
+        heads, tails = _runs(
+            pos,
+            (pos[1:] == pos[:-1] + 1) & (old[1:] == old[:-1] + counts[pos[:-1]]),
+        )
+        new_of_old = np.full(self.n_slots + 1, -1, dtype=np.int64)
+        blocks = []
+        for a, b, c in zip(
+            starts[heads].tolist(), starts[tails].tolist(), old_starts[heads].tolist()
+        ):
+            d = c + b - a
+            eh[a:b] = self.eh[c:d]
+            srow[a:b] = self.subj_row[c:d]
+            ver[a:b] = self.edge_version[c:d]
+            new_of_old[c:d] = np.arange(a, b)
+            blocks.append((a, b, c, d))
+        # a copied slot keeps its partner if that was copied too (-1 reads
+        # the spare entry)
+        for a, b, c, d in blocks:
+            rev[a:b] = new_of_old[self.rev[c:d]]
+        # written tables, a block per run of them
+        pos = np.flatnonzero(~kept)
+        heads, tails = _runs(pos, pos[1:] == pos[:-1] + 1)
+        at = 0
+        for a, b in zip(starts[heads].tolist(), starts[tails].tolist()):
+            end = at + b - a
+            eh[a:b] = heard[at:end]
+            srow[a:b] = subj_rows[at:end]
+            ver[a:b] = versions[at:end]
+            at = end
+        owner = np.repeat(rows, counts)
+        # every other belief is matched: both ends of a new link are unpaired
+        # (a table believes a subject once, so a pair is held at most twice)
+        open_ = np.flatnonzero((rev < 0) & (srow >= 0))
+        o, r = owner[open_], srow[open_]
+        n = self.n_rows
         pair = np.minimum(o, r) * n + np.maximum(o, r)
         by_pair = np.argsort(pair)
         pair = pair[by_pair]
         first = np.flatnonzero(pair[1:] == pair[:-1])
-        a, b = linked[by_pair[first]], linked[by_pair[first + 1]]
-        self.rev[a] = b
-        self.rev[b] = a
+        a, b = open_[by_pair[first]], open_[by_pair[first + 1]]
+        rev[a] = b
+        rev[b] = a
+        self.eh, self.subj_row, self.edge_version = eh, srow, ver
+        self.owner_row, self.rev = owner, rev
+        self.n_slots = m
+        self.rowless = int(np.count_nonzero(srow < 0))
         self.struct_gen += 1
-
-    # -- slots ----------------------------------------------------------------
-    def alloc_slot(
-        self,
-        owner_row: int,
-        srow: int,
-        partner: int,
-        version: int,
-        heard: float,
-    ) -> int:
-        """A slot for ``owner_row`` believing the subject at row ``srow``
-        (-1: a subject with no row), fully written.
-
-        ``partner`` is the reverse edge's slot (-1: the belief is not
-        mutual); both ends get linked.
-        """
-        free = self.free_slots
-        if free:
-            s = free.pop()
-        else:
-            s = self.n_slots
-            if s >= self._slot_cap:
-                self._reserve_slots(s + 1)
-            self.n_slots = s + 1
-        if srow < 0:
-            self.rowless += 1
-        self.owner_row[s] = owner_row
-        self.subj_row[s] = srow
-        self.rev[s] = partner
-        if partner >= 0:
-            self.rev[partner] = s
-        self.edge_version[s] = version
-        self.eh[s] = heard
-        self.active[s] = True
-        self.struct_gen += 1
-        self.mut_rows.add(owner_row)
-        return s
-
-    def _reserve_slots(self, need: int) -> None:
-        """Double the slot arrays until ``need`` slots fit."""
-        new_cap = self._slot_cap
-        while new_cap < need:
-            new_cap *= 2
-        if new_cap == self._slot_cap:
-            return
-        self.eh = _grown(self.eh, new_cap, _NEG_INF)
-        self.owner_row = _grown(self.owner_row, new_cap, 0)
-        self.subj_row = _grown(self.subj_row, new_cap, -1)
-        self.rev = _grown(self.rev, new_cap, -1)
-        self.edge_version = _grown(self.edge_version, new_cap, 0)
-        self.active = _grown(self.active, new_cap, False)
-        if self.avail_pos is not None:
-            self.avail_pos = _grown(self.avail_pos, new_cap, _POS_MAX)
-        self._slot_cap = new_cap
-
-    def free_slot(self, s: int) -> None:
-        r = self.rev[s]
-        if r >= 0:
-            self.rev[r] = -1
-            self.rev[s] = -1
-        self.active[s] = False
-        self.eh[s] = _NEG_INF
-        if self.subj_row[s] < 0:
-            self.rowless -= 1
-        # a slot freed mid-exchange must not receive the end-of-round bulk
-        # write (or read as advanced) if it gets reused for a different edge
-        mask = self.adv_mask
-        if mask is not None and s < mask.shape[0]:
-            mask[s] = False
-        if self.avail_pos is not None:
-            self.avail_pos[s] = _POS_MAX
-        self.free_slots.append(s)
-        self.struct_gen += 1
-        row = int(self.owner_row[s])
-        self.mut_rows.add(row)
-        self.rekeyed.add(row)
+        return starts
 
     # -- exchange round state -------------------------------------------------
     def begin_exchange(
@@ -434,8 +398,13 @@ class ArrayNeighborTable(NeighborTable):
     """A believed table whose freshness lives in :class:`EdgeStore` arrays.
 
     Structural state (records, epochs, COW snapshots of the record dict)
-    reuses the parent; every last-heard access goes to the store.  The
-    parent's ``_last_heard`` dict stays empty.
+    reuses the parent, and so do inserts, updates and removals: the parent
+    calls :meth:`_editing` first, which moves the entry's freshness out of
+    its slot into the parent's ``_last_heard`` dict.  So a table holds each
+    entry's freshness in one of two places: the slot it was loaded into
+    (``_at``), or ``_last_heard`` for an entry edited since.  The next load
+    (:meth:`ArrayHeartbeatProtocol._move_to_arrays`) puts every entry back
+    into a slot.
     """
 
     def __init__(
@@ -449,20 +418,21 @@ class ArrayNeighborTable(NeighborTable):
         self._store = store
         self._node_id = node_id
         self._row = row
-        #: subject id -> slot, in insertion order (mirrors ``_records``)
-        self._slots: Dict[int, int] = {}
+        #: the first of the table's slots, in record order as loaded
+        self._base = 0
+        #: subject id -> its slot's offset from ``_base``, for the entries
+        #: not edited since the load (in record order)
+        self._at: Dict[int, int] = {}
         #: bumped on any per-slot freshness write or slot change here
         self._heard_gen = 0
         self._snap_key: Optional[Tuple] = None
-        #: cached ``np.fromiter(_slots.values())``; None after slot changes
+        #: cached slot vector; None after a load or an edit
         self._slots_vec: Optional[np.ndarray] = None
-        #: (slot vector, its subjects' rows)
-        self._rows_vec: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: what a batched merge reads of this table as a *sender*
         #: (``merge_source``), less the freshness: (epoch, ...)
         self._epoch_src: Optional[Tuple] = None
-        #: and as a *receiver* (``merge_view``); None after a slot, memo or
-        #: own-version change
+        #: and as a *receiver* (``merge_view``); None after a load, an edit,
+        #: a memo or an own-version change
         self._merge_view: Optional[Tuple] = None
         #: the owner's ``_non_abutting`` memo as parallel arrays (subject row,
         #: ``_MEMO - version``), for the one ``own_version`` they were
@@ -471,15 +441,15 @@ class ArrayNeighborTable(NeighborTable):
         self._memo_version = -1
         self._memo_rows = self._memo_vals = None
 
-    def take_over(self, plain: NeighborTable, first_slot: int) -> None:
-        """Become ``plain``, whose freshness the store now holds, record
-        ``i`` in slot ``first_slot + i`` (:meth:`EdgeStore.load_slots`).
+    def take_over(self, plain: NeighborTable) -> None:
+        """Become ``plain``, whose entries a load has just put into slots
+        (:meth:`loaded` follows).
 
         The record dict is taken over copy-on-write, as it stands: still
         shared where a snapshot of ``plain`` holds it.  The change sequence,
         epochs, grace zones, zone total and sorted ids carry over.
         """
-        records = self._records = plain._records
+        self._records = plain._records
         self._records_shared = plain._records_shared
         self._record_seq = plain._record_seq
         self.epoch = plain.epoch
@@ -488,176 +458,139 @@ class ArrayNeighborTable(NeighborTable):
         self._total_zones = plain._total_zones
         self._sorted_ids = plain._sorted_ids
         self._sorted_epoch = plain._sorted_epoch
-        self._slots = dict(zip(records, count(first_slot)))
+
+    def loaded(self, base: int) -> None:
+        """Every entry now sits in slot ``base + i``, record ``i`` of the
+        table's record order."""
+        self._base = base
+        self._at = dict(zip(self._records, range(len(self._records))))
+        self._last_heard = {}
+        self._heard_shared = False
+        self._heard_gen += 1
+        self._slots_vec = self._merge_view = None
+
+    def moved(self, base: int) -> None:
+        """The load left the table as it was, from slot ``base`` on."""
+        self._base = base
+        self._slots_vec = self._merge_view = None
+
+    def _editing(self, node_id: int, removal: bool) -> None:
+        i = self._at.pop(node_id, None)
+        store = self._store
+        if i is not None:
+            # an entry is edited only off the bulk advance: an update
+            # replaces a version older than its subject's, which the advance
+            # skips, and a removal drops the entry
+            self._last_heard[node_id] = float(store.eh[self._base + i])
+        row = self._row
+        store.edited.add(row)
+        store.mut_rows.add(row)
+        if removal:
+            store.rekeyed.add(row)
+        store.struct_gen += 1
+        self._heard_gen += 1
+        self._slots_vec = self._merge_view = None
 
     # -- freshness ------------------------------------------------------------
     def advance_freshness(self, node_id: int, evidence: Optional[float]) -> None:
+        i = self._at.get(node_id)
+        if i is None:
+            return super().advance_freshness(node_id, evidence)
         if evidence is None:
             return
-        s = self._slots.get(node_id)
-        if s is None:
-            return
+        s = self._base + i
         store = self._store
         if evidence > store.eh[s]:
             store.eh[s] = evidence
             self._heard_gen += 1
 
     def heard_from(self, record: BeliefRecord, now: float) -> bool:
-        current = self._records.get(record.node_id)
-        if current is None or record.version > current.version:
+        i = self._at.get(record.node_id)
+        if i is None:
+            return super().heard_from(record, now)
+        if record.version > self._records[record.node_id].version:
             return False
-        s = self._slots[record.node_id]
+        s = self._base + i
         store = self._store
         if now > store.eh[s]:
             store.eh[s] = now
             self._heard_gen += 1
         return True
 
-    # -- updates --------------------------------------------------------------
-    def upsert(
-        self,
-        record: BeliefRecord,
-        now: float,
-        heard: bool = False,
-        heard_at: Optional[float] = None,
-    ) -> bool:
-        evidence = now if heard else (heard_at if heard_at is not None else now)
-        nid = record.node_id
-        current = self._records.get(nid)
-        store = self._store
-        if current is None:
-            if not heard and now - evidence > self.freshness_ttl:
-                return False  # too stale to (re-)introduce
-            self._own_records()
-            self._records[nid] = record
-            row = store.row_of.get(nid, -1)
-            partner = None if row < 0 else store.tables_by_row[row]
-            self._slots[nid] = store.alloc_slot(
-                self._row,
-                row,
-                -1 if partner is None else partner._slots.get(self._node_id, -1),
-                record.version,
-                evidence,
-            )
-            self._heard_gen += 1
-            self._slots_vec = self._merge_view = None
-            self._total_zones += max(len(record.zones), 1)
-            self.epoch += 1
-            self._record_seq[nid] = self.epoch
-            return True
-        s = self._slots[nid]
-        if evidence > store.eh[s]:
-            store.eh[s] = evidence
-            self._heard_gen += 1
-        if current.version > record.version or (
-            current.version == record.version and current == record
-        ):
-            return False
-        self._own_records()
-        self._records[nid] = record
-        store.edge_version[s] = record.version
-        store.struct_gen += 1
-        store.mut_rows.add(self._row)
-        self._total_zones += max(len(record.zones), 1) - max(
-            len(current.zones), 1
-        )
-        self.epoch += 1
-        self._record_seq[nid] = self.epoch
-        return True
-
-    def remove(self, node_id: int, now: Optional[float] = None) -> bool:
-        record = self._records.get(node_id)
-        if record is None:
-            return False
-        self._own_records()
-        del self._records[node_id]
-        if now is not None:
-            self._recent_removals[node_id] = (record.zones, now)
-        store = self._store
-        store.free_slot(self._slots.pop(node_id))
-        self._heard_gen += 1
-        self._slots_vec = self._merge_view = None
-        self._record_seq.pop(node_id, None)
-        self._total_zones -= max(len(record.zones), 1)
-        self.epoch += 1
-        self.removals_epoch += 1
-        return True
-
-    def release(self) -> None:
-        """Free every slot (the owning node left the protocol)."""
-        store = self._store
-        for s in self._slots.values():
-            store.free_slot(s)
-        self._slots.clear()
-        self._heard_gen += 1
-        self._slots_vec = self._merge_view = None
-
     # -- reads ----------------------------------------------------------------
     def records_since(self, epoch: int) -> List[Tuple[BeliefRecord, float]]:
-        store = self._store
-        slots = self._slots
         records = self._records
-        if store.adv_mask is not None:
-            hv = store.heard_value
-            return [
-                (records[nid], hv(slots[nid]))
-                for nid, seq in self._record_seq.items()
-                if seq > epoch
-            ]
-        eh = store.eh
+        last_heard = self.last_heard
         return [
-            (records[nid], eh[slots[nid]])
+            (records[nid], last_heard(nid))
             for nid, seq in self._record_seq.items()
             if seq > epoch
         ]
 
     def last_heard(self, node_id: int) -> float:
-        s = self._slots.get(node_id)
-        if s is None:
-            return _NEG_INF
-        return float(self._store.heard_value(s))
+        i = self._at.get(node_id)
+        if i is None:
+            return self._last_heard.get(node_id, _NEG_INF)
+        return float(self._store.heard_value(self._base + i))
 
     # -- array views for the batched merge --------------------------------------
     def slot_vector(self) -> np.ndarray:
-        """The slots, in record order."""
+        """Per entry, in record order: its slot, or -1 for one edited since
+        the load."""
         vec = self._slots_vec
         if vec is None:
-            slots = self._slots
-            vec = self._slots_vec = np.fromiter(
-                slots.values(), dtype=np.int64, count=len(slots)
-            )
+            at, n = self._at, len(self._records)
+            if len(at) == n:  # every entry in its slot, in record order
+                vec = self._base + np.fromiter(at.values(), np.int64, n)
+            else:
+                held = np.fromiter(map(at.get, self._records, repeat(-1)), np.int64, n)
+                vec = np.where(held < 0, -1, held + self._base)
+            self._slots_vec = vec
         return vec
 
-    def slot_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(slots, their subjects' rows), in record order."""
-        vec = self.slot_vector()
-        cached = self._rows_vec
-        if cached is None or cached[0] is not vec:
-            cached = self._rows_vec = (vec, self._store.subj_row[vec])
-        return cached
+    def heard_array(self) -> np.ndarray:
+        """Every entry's raw freshness, in record order."""
+        vec, eh = self.slot_vector(), self._store.eh
+        if len(self._at) == len(vec):  # every entry in its slot
+            return eh[vec]
+        raw = np.fromiter(
+            map(self._last_heard.get, self._records, repeat(0.0)),
+            np.float64, len(vec),
+        )
+        held = vec >= 0
+        raw[held] = eh[vec[held]]
+        return raw
 
-    def merge_source(self, snap: TableSnapshot) -> Tuple:
+    def merge_source(self, snap: TableSnapshot) -> Optional[Tuple]:
         """The sender side of a batched merge of ``snap``, a snapshot just
         taken of this table, all in record order: (subject rows, the epoch
         each record last changed at, versions, what a memo of each version
         reads, frozen freshness).  The last three carry one spare entry —
         the merge matrix's spare column — newer than anything believed and
-        never heard."""
+        never heard.  None where a subject has no row."""
         by_epoch = self._epoch_src
         if by_epoch is None or by_epoch[0] != self.epoch:
-            vec, rows = self.slot_rows()
-            n = len(vec)
+            records = self._records
+            n = len(records)
+            rows = np.fromiter(
+                map(self._store.row_of.get, records, repeat(-1)), np.int64, n
+            )
             versions = np.empty(n + 1, dtype=np.int64)
-            versions[:n] = self._store.edge_version[vec]
+            versions[:n] = np.fromiter(
+                map(attrgetter("version"), records.values()), np.int64, n
+            )
             versions[n] = _POS_MAX
             by_epoch = self._epoch_src = (
                 self.epoch,
-                rows,
+                # a subject without a row cannot be found through the scratch
+                None if (rows < 0).any() else rows,
                 # ``_record_seq`` mirrors the record dict's insertion order
                 np.fromiter(self._record_seq.values(), dtype=np.int64, count=n),
                 versions,
                 _MEMO - versions,
             )
+        if by_epoch[1] is None:
+            return None
         heard = np.empty(len(by_epoch[1]) + 1)
         heard[:-1] = snap.heard.array()
         heard[-1] = _NEG_INF
@@ -671,18 +604,35 @@ class ArrayNeighborTable(NeighborTable):
         a record version memoised as not abutting; the owner's own row
         reads as its current version memoised (a merge skips that record).
         Memo entries come first: where a subject has both, the later store —
-        the believed slot — is the one that stays.
+        the believed entry — is the one that stays.  An entry edited since
+        the load has no slot and reads as unknown (``_UNKNOWN``): the merge
+        hands it to the per-record path, which finds it in the record dict.
         """
         if self._memo_version != own_version:
             # zones changed: every earlier verdict is about other zones
             self._memo_version = own_version
             self._memo_rows = np.array([self._row], dtype=np.int64)
             self._memo_vals = np.array([_MEMO - own_version], dtype=np.int64)
-        vec, rows = self.slot_rows()
-        rows = np.concatenate((self._memo_rows, rows))
-        view = self._merge_view = (
-            rows, np.concatenate((self._memo_vals, vec)), len(rows)
-        )
+            self._merge_view = None
+        view = self._merge_view
+        if view is None:
+            vec = self.slot_vector()
+            rows, vals = [self._memo_rows], [self._memo_vals]
+            lh = self._last_heard
+            if lh:
+                vec = vec[vec >= 0]
+                # the entries edited since the load (a subject with no row
+                # cannot be in a sender's table the merge reads)
+                edited = np.fromiter(
+                    map(self._store.row_of.get, lh, repeat(-1)), np.int64, len(lh)
+                )
+                edited = edited[edited >= 0]
+                rows.append(edited)
+                vals.append(np.full(len(edited), _UNKNOWN))
+            rows.append(self._store.subj_row[vec])
+            vals.append(vec)
+            rows = np.concatenate(rows)
+            view = self._merge_view = (rows, np.concatenate(vals), len(rows))
         return view
 
     def memoise(self, rows: np.ndarray, memo_values: np.ndarray) -> None:
@@ -691,8 +641,8 @@ class ArrayNeighborTable(NeighborTable):
         self._merge_view = None
 
     def stale_ids(self, now: float, timeout: float) -> List[int]:
-        stale = now - self._store.eh[self.slot_vector()] > timeout
-        return [nid for nid, late in zip(self._slots, stale.tolist()) if late]
+        stale = now - self.heard_array() > timeout
+        return [nid for nid, late in zip(self._records, stale.tolist()) if late]
 
     def snapshot(self) -> TableSnapshot:
         store = self._store
@@ -705,24 +655,19 @@ class ArrayNeighborTable(NeighborTable):
         snap = self._snap_cache
         if snap is not None and self._snap_key == key:
             return snap
-        vec = self.slot_vector()
-        if not len(vec):
+        records = self._records
+        if not records:
             heard = {}
         else:
-            # freeze the two mutable inputs now (eh advances in later
-            # rounds; avail_pos flips on mid-round slot frees) and defer
-            # the heard_value filter + dict build to first read.  avail_pos
-            # is _POS_MAX outside the bulk advance and sized to capacity,
-            # so the gather stays in bounds for mid-round slots.
+            # freeze the two mutable inputs now (eh advances in later rounds)
+            # and defer the heard_value filter + dict build to first read
             avail = store.avail_pos
-            heard = _LazyHeard(
-                self._records,
-                store.eh[vec],
-                None if avail is None else avail[vec],
-                store.cur_pos,
-                store.round_now,
-            )
-        snap = TableSnapshot(self._records, heard, self._total_zones)
+            raw, held = self.heard_array(), None
+            if avail is not None:
+                vec = self.slot_vector()
+                held = np.where(vec < 0, _POS_MAX, avail[vec])
+            heard = _LazyHeard(records, raw, held, store.cur_pos, store.round_now)
+        snap = TableSnapshot(records, heard, self._total_zones)
         # the record dict is shared with the snapshot (COW as the parent);
         # the heard mapping is freshly frozen, so never shared
         self._records_shared = True
@@ -738,10 +683,9 @@ class _Memo(NamedTuple):
     #: the rows of the full targets that were deliverable: the stored
     #: copies a quiet turn re-writes
     holder_rows: List[int]
-    #: the table the copies hold (None without holders) and its slots
+    #: the table the copies hold (None without holders)
     records: Optional[Dict[int, BeliefRecord]]
     total_zones: int
-    vec: Optional[np.ndarray]
     #: the turn's accounting: full bytes, full count, compact bytes, count
     totals: Tuple[int, int, int, int]
 
@@ -754,22 +698,26 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
     byte-identical seeded accounting); only the round's hot phases and a
     turn's full-table merges run as array kernels.
 
-    Lifecycle: until its first exchange on the ideal channel the protocol
-    *is* the object class — plain tables, the inherited join, leave, crash,
-    ``adopt_overlay``, exchange, merge and detection — and every override
-    that touches the store defers to it while :attr:`_in_store` is False.
-    On any other channel (fixed when the protocol is built) that is the
-    whole run.  On the ideal channel the first exchange moves every table
-    into :attr:`store` in one pass (:meth:`_move_to_arrays`); from then on a
-    node's rows and slots are kept up one by one.
+    Joins, leaves, crashes, ``adopt_overlay`` and every table edit run the
+    object class's code: a newcomer gets a plain table, and an edit moves
+    the entry's freshness out of its slot (:meth:`ArrayNeighborTable._editing`).
+    On the ideal channel each exchange starts by loading what changed into
+    :attr:`store` (:meth:`_move_to_arrays`); the first one loads every
+    table.  On any other channel (fixed when the protocol is built) the
+    tables stay plain for the whole run.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.store = EdgeStore()
-        #: False until the first exchange moves the plain tables into the
-        #: store (:meth:`_move_to_arrays`)
-        self._in_store = False
+        #: the sender order and topology version of the last load
+        self._loaded_order: List[int] = []
+        self._loaded_topology = -1
+        #: per order position of the last load, where its table's slots
+        #: start (one entry more: the slot count)
+        self._starts = np.zeros(1, dtype=np.int64)
+        #: the same per row (-1: no slots), a new array at every load
+        self._bases = np.zeros(0, dtype=np.int64)
         #: rows aligned with the cached ``_sorted_node_ids()`` list; a
         #: node's row never changes while it lives, so the gather is valid
         #: for exactly as long as the order list object itself
@@ -792,9 +740,10 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         #: turn deferred, which read :attr:`_seen` at its slots
         self._pending: Optional[np.ndarray] = None
         #: what every slot's owner read at its turn in the last round, as
-        #: (``eh`` before the bulk advance, the turn mask, that round's now):
-        #: a slot whose subject's turn came first read ``now``
-        self._seen: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
+        #: (``eh`` before the bulk advance, the turn mask, that round's now,
+        #: that round's :attr:`_bases`): a slot whose subject's turn came
+        #: first read ``now``
+        self._seen: Optional[Tuple[np.ndarray, np.ndarray, float, np.ndarray]] = None
         #: rounds whose worklist was empty, and sender turns taken quietly
         self.settled_rounds = 0
         self.quiet_turns = 0
@@ -802,30 +751,11 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         #: count — see :meth:`count_broken_links`
         self._broken_total: Optional[Tuple[Tuple[int, int], int]] = None
 
-    # -- node lifecycle -------------------------------------------------------
-    def _new_node(self, node_id: int) -> ProtocolNode:
-        if not self._in_store:
-            return super()._new_node(node_id)
-        store = self.store
-        row = store.alloc_row(node_id)
-        self._memo.append(None)
-        if row >= len(self._has_memo):
-            self._has_memo = _grown(self._has_memo, 2 * len(self._has_memo), False)
-        table = ArrayNeighborTable(
-            self.config.failure_timeout, store, node_id, row
-        )
-        store.tables_by_row[row] = table
-        node = ProtocolNode(
-            node_id, self.config.failure_timeout, self._gap_dirty_ids,
-            table=table,
-        )
-        node._version_sink = self._version_sink(table)
-        return node
-
-    def _version_sink(self, table: ArrayNeighborTable):
-        """What the table's owner calls on every version bump: mirror the
+    # -- the load -------------------------------------------------------------
+    def _version_sink(self, row: int):
+        """What a loaded node calls on every version bump: mirror the
         version into its row."""
-        store, row = self.store, table._row
+        store = self.store
 
         # resolve the array through the store on every call: alloc_row
         # reallocates own_version when the rows grow, and a closure holding
@@ -835,97 +765,162 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             _store.struct_gen += 1
             _store.mut_rows.add(_row)
             _store.rekeyed.add(_row)
-            table._merge_view = None  # it reads the owner at one version
 
         return sink
 
+    def _newcomers(self) -> List[int]:
+        """Members with no row yet: their tables are plain until the next
+        load."""
+        order = self._sorted_node_ids()
+        if order is self._loaded_order:
+            return []
+        row_of = self.store.row_of
+        return [nid for nid in order if nid not in row_of]
+
     def _move_to_arrays(self) -> None:
-        """Move every believed table into the store, in one pass.
+        """Load what changed since the last load into the store: a row per
+        newcomer, every table's slots laid out anew (:meth:`_relay`) when a
+        table was edited or the membership moved, every row's liveness when
+        the topology moved, and the memos of the nodes that left.
 
-        Until then the protocol holds the object class's plain tables and
-        runs its code on them: joins, leaves, crashes, ``adopt_overlay``.
-        No kernel reads a slot before the first exchange, which calls this,
-        and a bootstrap's joins would otherwise pay slot upkeep per entry.
-        Rows follow ``self.nodes`` and slots each table's record order
-        (:meth:`EdgeStore.load_slots`); every :class:`ProtocolNode` keeps
-        its identity and gets an :class:`ArrayNeighborTable` that takes its
-        plain table over (:meth:`ArrayNeighborTable.take_over`).
+        Each exchange calls this before its kernels read a slot; the first
+        loads every table.  The reads in between (detection, claims, gap
+        checks, the broken-link count) find an edited entry in its table's
+        dict.
         """
-        if self._in_store:
+        store = self.store
+        order = self._sorted_node_ids()
+        topology = self.overlay.topology_version
+        joined = order is not self._loaded_order
+        if not (joined or store.edited or topology != self._loaded_topology):
             return
-        self._in_store = True
-        nodes = self.nodes
-        ids = list(nodes)
-        n = len(ids)
-        store = self.store
-        for nid in ids:
-            store.alloc_row(nid)
-        store.own_version[:n] = [nodes[nid].own_version for nid in ids]
-        store.alive[:n] = list(map(self.overlay.is_alive, ids))
-        plain = [nodes[nid].table for nid in ids]
-        records = [old._records for old in plain]
-        counts = list(map(len, records))
-        m = sum(counts)
-        subjects = chain.from_iterable(records)
-        versions = map(
-            attrgetter("version"), chain.from_iterable(map(dict.values, records))
-        )
-        # a plain table's freshness dict holds its record dict's keys, in
-        # the same order: the two gain and lose an entry together
-        heard = chain.from_iterable(old._last_heard.values() for old in plain)
-        store.load_slots(
-            counts,
-            np.fromiter(map(store.row_of.get, subjects, repeat(-1)), np.int64, m),
-            np.fromiter(versions, np.int64, m),
-            np.fromiter(heard, np.float64, m),
-        )
-        start = 0
-        for row, (nid, old) in enumerate(zip(ids, plain)):
-            table = ArrayNeighborTable(old.freshness_ttl, store, nid, row)
-            table.take_over(old, start)
-            start += len(old)
-            store.tables_by_row[row] = table
-            node = nodes[nid]
-            node.table = table
-            node._version_sink = self._version_sink(table)
-        self._memo = [None] * n
-        if n > len(self._has_memo):
-            self._has_memo = np.zeros(2 * n, dtype=bool)
+        nodes, row_of = self.nodes, store.row_of
+        mut_rows, rekeyed = store.mut_rows, store.rekeyed
+        if joined:
+            for nid in self._loaded_order:
+                if nid not in nodes:
+                    # its copies go with the departure (the base purges them)
+                    row = row_of[nid]
+                    self._forget(row)
+                    store.alive[row] = False
+                    mut_rows.add(row)
+                    rekeyed.add(row)
+            for nid in order:
+                if nid not in row_of:
+                    node = nodes[nid]
+                    row = store.alloc_row(nid)
+                    store.own_version[row] = node.own_version
+                    node._version_sink = self._version_sink(row)
+                    store.edited.add(row)
+            n_rows = store.n_rows
+            self._memo.extend([None] * (n_rows - len(self._memo)))
+            if n_rows > len(self._has_memo):
+                self._has_memo = _grown(self._has_memo, 2 * n_rows, False)
+        if joined or store.edited:
+            self._relay(order)
+        store.edited.clear()
+        if topology != self._loaded_topology:
+            rows = np.fromiter(map(row_of.__getitem__, order), np.int64, len(order))
+            alive = np.fromiter(
+                map(self.overlay.is_alive, order), bool, len(order)
+            )
+            flipped = rows[store.alive[rows] != alive].tolist()
+            store.alive[rows] = alive
+            store.struct_gen += 1
+            mut_rows.update(flipped)
+            rekeyed.update(flipped)
+        self._loaded_order = order
+        self._loaded_topology = topology
 
-    def _drop_node(self, node_id: int) -> None:
-        if not self._in_store:
-            return super()._drop_node(node_id)
-        store = self.store
-        table = self.nodes[node_id].table
-        table.release()
-        row = store.row_of.pop(node_id)
-        store.alive[row] = False
-        store.struct_gen += 1
-        store.mut_rows.add(row)
-        store.rekeyed.add(row)
-        store.tables_by_row[row] = None
-        # its copies go with the departure (the base purges them)
-        self._forget(row)
-        super()._drop_node(node_id)
-
-    def fail(self, node_id: int, now: float) -> None:
-        super().fail(node_id, now)
-        if not self._in_store:
-            return
-        store = self.store
-        row = store.row_of[node_id]
-        store.alive[row] = False
-        store.struct_gen += 1
-        store.mut_rows.add(row)
-        store.rekeyed.add(row)
+    def _relay(self, order: List[int]) -> None:
+        """Lay every table's slots out anew in ``order``: the tables edited
+        since the last load (newcomers' included) from their entries, the
+        others copied.  An edited table's entries still in their slots are
+        gathered from the old columns; only the others are read one by one."""
+        store, nodes = self.store, self.nodes
+        n = len(order)
+        row_of = store.row_of
+        rows = np.fromiter(map(row_of.__getitem__, order), np.int64, n)
+        tables = [nodes[nid].table for nid in order]
+        counts = np.fromiter(map(len, tables), np.int64, n)
+        old_starts = np.full(store.n_rows, -1, dtype=np.int64)
+        old_starts[: len(self._bases)] = self._bases
+        old_starts[list(store.edited)] = -1
+        old_starts = old_starts[rows]
+        # per written entry: the old slot it sits in, or -1 for one whose
+        # columns are read from its table (a newcomer's, or one edited)
+        rewrite = old_starts < 0
+        written = [tables[k] for k in np.flatnonzero(rewrite).tolist()]
+        local, offsets, ids, recs, heard = [], [], [], [], []
+        for table in written:
+            records = table._records
+            if type(table) is NeighborTable:
+                # a newcomer's plain table: its freshness dict holds its
+                # record dict's keys, in the same order (the two gain and
+                # lose an entry together)
+                local.append(repeat(-1, len(records)))
+                offsets.append(0)
+                ids.append(records)
+                recs.append(records.values())
+                heard.append(table._last_heard.values())
+                continue
+            at = table._at
+            local.append(map(at.get, records, repeat(-1)))
+            offsets.append(table._base)
+            loose = list(filterfalse(at.__contains__, records))
+            ids.append(loose)
+            recs.append(map(records.__getitem__, loose))
+            heard.append(map(table._last_heard.__getitem__, loose))
+        # per written entry: the old slot it sits in, or -1 for one read
+        # from its table (a newcomer's, or one edited since the load)
+        src = np.fromiter(chain.from_iterable(local), np.int64, int(counts[rewrite].sum()))
+        held = src >= 0
+        src[held] += np.repeat(np.array(offsets, dtype=np.int64), counts[rewrite])[held]
+        k = len(src) - int(np.count_nonzero(held))
+        fills = (
+            np.fromiter(
+                map(store.row_of.get, chain.from_iterable(ids), repeat(-1)),
+                np.int64, k,
+            ),
+            np.fromiter(
+                map(attrgetter("version"), chain.from_iterable(recs)), np.int64, k
+            ),
+            np.fromiter(chain.from_iterable(heard), np.float64, k),
+        )
+        columns = []
+        for old, fill in zip((store.subj_row, store.edge_version, store.eh), fills):
+            column = np.empty(len(src), dtype=old.dtype)
+            column[held] = old[src[held]]
+            column[~held] = fill
+            columns.append(column)
+        starts = store.load_slots(rows, old_starts, counts, *columns)
+        bases = np.full(store.n_rows, -1, dtype=np.int64)
+        bases[rows] = starts[:-1]
+        self._bases = bases
+        self._starts = starts
+        moved = np.flatnonzero(starts[:-1] != old_starts).tolist()
+        for k, start, old in zip(
+            moved, starts[moved].tolist(), old_starts[moved].tolist()
+        ):
+            if old < 0:
+                table = tables[k]
+                if type(table) is NeighborTable:
+                    node = nodes[order[k]]
+                    node.table = ArrayNeighborTable(
+                        table.freshness_ttl, store, node.node_id, int(rows[k])
+                    )
+                    node.table.take_over(table)
+                    table = node.table
+                table.loaded(start)
+            else:
+                tables[k].moved(start)
 
     # -- the exchange kernel --------------------------------------------------
     def _exchange_heartbeats(self, now: float) -> None:
         if not self.net.is_identity:
             # per-delivery channel verdicts (loss draws, flap checks,
             # latency): the inherited exchange on the plain tables, which
-            # never move (the channel is fixed when the protocol is built)
-            assert not self._in_store, "the channel changed after the move"
+            # never load (the channel is fixed when the protocol is built)
             return super()._exchange_heartbeats(now)
         self._move_to_arrays()
         store = self.store
@@ -971,7 +966,7 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         #: read at its turn (None while no turn has written any)
         popped: List[int] = []
         frozen: Optional[np.ndarray] = None
-        upto, n = 0, turn.shape[0]
+        upto = 0
         #: a clean sender's full-table deliveries that need a merge,
         #: and from which sender-table epoch on (-1: all of it)
         merge_at: List[ProtocolNode] = []
@@ -995,7 +990,7 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             if suspect_l[row] or row in mut_rows:
                 # pre-round exceptional edges, or mutated mid-round by
                 # an earlier sender's merge: full object path
-                frozen = self._freeze_quiet(frozen, upto, i, rows_l, n)
+                frozen = self._freeze_quiet(frozen, upto, i)
                 upto = i + 1
                 self._exchange_one_sender(
                     sender, takeovers, vanilla, now, deliverable, None
@@ -1057,7 +1052,7 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                     delta = last is not None and last[1:] == key[1:]
                     merge_since.append(last[0] if delta else -1)
                 if merge_at:
-                    frozen = self._freeze_quiet(frozen, upto, i, rows_l, n)
+                    frozen = self._freeze_quiet(frozen, upto, i)
                     upto = i + 1
                     self._merge_live(sender, snap, merge_at, merge_since, now)
                     merge_at.clear()
@@ -1069,7 +1064,6 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
                     node_id, holder_rows,
                     None if snap is None else snap.records,
                     0 if snap is None else snap.total_zones,
-                    None if snap is None else table.slot_vector(),
                     totals,
                 )
                 self._has_memo[row] = True
@@ -1098,11 +1092,8 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         self.stats.record_bulk(MessageType.HEARTBEAT, comp_bytes, comp_count)
         # every quiet turn's stored copies are deferred: what they would
         # have frozen, per slot, and which rows they belong to
-        if frozen is None:
-            frozen = store.eh[:n].copy()
-        else:
-            frozen = self._freeze_quiet(frozen, upto, n_order, rows_l, n)
-        self._seen = (frozen, turn, now)
+        frozen = self._freeze_quiet(frozen, upto, n_order)
+        self._seen = (frozen, turn, now, self._bases)
         pending = self._has_memo[: store.n_rows].copy()
         pending[popped] = False
         self._pending = pending
@@ -1122,7 +1113,6 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             and cache[1] is order
         ):
             return cache[2:]
-        n = store.n_slots
         nrows = store.n_rows
         pos = np.full(nrows, _POS_MAX, dtype=np.int64)
         if self._order_rows_for is not order:
@@ -1134,16 +1124,15 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             )
             self._order_rows_for = order
         pos[self._order_rows] = np.arange(len(order), dtype=np.int64)
-        active = store.active[:n]
-        owner = store.owner_row[:n]
-        subj = store.subj_row[:n]
-        rev = store.rev[:n]
-        edge_ver = store.edge_version[:n]
+        owner = store.owner_row
+        subj = store.subj_row
+        rev = store.rev
+        edge_ver = store.edge_version
         alive = store.alive[:nrows]
         own_ver = store.own_version[:nrows]
         subj_ok = subj >= 0
         subj_idx = np.where(subj_ok, subj, 0)
-        live_edge = active & alive[owner] & subj_ok & alive[subj_idx]
+        live_edge = alive[owner] & subj_ok & alive[subj_idx]
         # X: sender-side slots whose reverse belief is missing or
         # version-stale — exactly the deliveries that can mutate the
         # receiver's table.  Their senders run the full object path.
@@ -1163,15 +1152,14 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
             & ~suspect[subj_idx]
             & (edge_ver == own_ver[subj_idx])
         )
-        avail = np.full(store.eh.shape[0], _POS_MAX, dtype=np.int64)
-        avail[:n] = np.where(adv, pos[subj_idx], _POS_MAX)
+        avail = np.where(adv, pos[subj_idx], _POS_MAX)
         self._prescan_cache = (
             store.struct_gen, order, pos, adv, avail,
             # plain lists: the senders loop reads these once per sender,
             # where a numpy scalar index costs several times a list one
             suspect.tolist(), alive.tolist(),
             # per slot: the subject's turn comes before the owner's
-            avail[:n] < pos[owner],
+            avail < pos[owner],
             np.flatnonzero(suspect).tolist(),
             pos.tolist(),
             self._order_rows.tolist(),
@@ -1203,15 +1191,16 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         """
         if (
             # plain tables (any channel but the ideal one) have no slots
-            not self._in_store
+            not self.net.is_identity
             # one row does not pay for setting the matrix up (compact and
             # adaptive senders, which have a take-over target or two)
             or sinces.count(-1) < 2
             # a subject without a row cannot be found through the scratch
             or self.store.rowless
+            or (source := sender.table.merge_source(snap)) is None
         ):
             return super()._merge_live(sender, snap, receivers, sinces, now)
-        srow, schanged, sver, smemo, sheard = sender.table.merge_source(snap)
+        srow, schanged, sver, smemo, sheard = source
         recs = list(snap.records.values())
         heard_at = sheard.tolist()
         #: (receiver, record) positions left to the per-record path
@@ -1272,11 +1261,13 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         """Merge a whole table (``merge_source``'s arrays) at each receiver;
         return the cells the arrays cannot decide, in row-major order."""
         store = self.store
-        views = [
-            receiver.table._merge_view
-            or receiver.table.merge_view(receiver.own_version)
-            for receiver in receivers
-        ]
+        views = []
+        for receiver in receivers:
+            table, version = receiver.table, receiver.own_version
+            view = table._merge_view
+            if view is None or table._memo_version != version:
+                view = table.merge_view(version)
+            views.append(view)
         k, m = len(receivers), len(srow)
         # what receiver j knows of sender record i.  A subject that is not in
         # the sender's table reads -1 in the scratch, which lands it in the
@@ -1311,29 +1302,18 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
 
     # -- quiet turns ----------------------------------------------------------
     def _freeze_quiet(
-        self,
-        frozen: Optional[np.ndarray],
-        lo: int,
-        hi: int,
-        rows_l: List[int],
-        n: int,
+        self, frozen: Optional[np.ndarray], lo: int, hi: int
     ) -> np.ndarray:
         """Record, before a turn that writes freshness, what the quiet
         senders at positions ``lo`` to ``hi - 1`` read at their turns: no
         turn since the last such one wrote any, so that is ``eh`` now.  The
-        first time in a round, that holds for every position before it."""
+        first time in a round, that holds for every position before it.
+        Their slots are one run: tables lie in sender order."""
         eh = self.store.eh
         if frozen is None:
-            return eh[:n].copy()
-        memos = self._memo
-        vecs = [
-            memo.vec
-            for memo in map(memos.__getitem__, rows_l[lo:hi])
-            if memo is not None and memo.vec is not None
-        ]
-        if vecs:
-            at = np.concatenate(vecs)
-            frozen[at] = eh[at]
+            return eh.copy()
+        a, b = self._starts[lo], self._starts[hi]
+        frozen[a:b] = eh[a:b]
         return frozen
 
     def _flush(self, row: int) -> None:
@@ -1346,12 +1326,14 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         records = memo.records
         if records is None:
             return
-        frozen, turn, now = self._seen
-        vec = memo.vec
+        # the row's slots in the round that froze them held these records
+        frozen, turn, now, bases = self._seen
+        a = int(bases[row])
+        b = a + len(records)
         copy = TableSnapshot(
             records,
             _LazyHeard(
-                records, np.where(turn[vec], now, frozen[vec]), None, -1, 0.0
+                records, np.where(turn[a:b], now, frozen[a:b]), None, -1, 0.0
             ),
             memo.total_zones,
         )
@@ -1388,24 +1370,21 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
 
     # -- the detection kernel -------------------------------------------------
     def _detect_failures(self, now: float) -> None:
-        if not self._in_store:
-            return super()._detect_failures(now)
+        """One vectorised timeout scan over the slots; the owners it flags,
+        and those whose tables hold entries outside their slots (edited since
+        the load, or plain), go to the shared per-node path."""
         store = self.store
         timeout = self.config.failure_timeout
-        n = store.n_slots
-        if not n:
-            return
-        stale = store.active[:n] & ((now - store.eh[:n]) > timeout)
-        if not stale.any():
-            return
-        # not np.unique: its first call in a process imports numpy.ma,
-        # milliseconds inside the first round that detects a failure
         node_of_row = store.node_of_row
-        flagged = sorted(
-            {node_of_row[r] for r in store.owner_row[:n][stale].tolist()}
-        )
+        flagged = set(self._newcomers())
+        flagged.update(node_of_row[r] for r in store.edited)
+        stale = (now - store.eh) > timeout
+        if stale.any():
+            # not np.unique: its first call in a process imports numpy.ma,
+            # milliseconds inside the first round that detects a failure
+            flagged.update(node_of_row[r] for r in store.owner_row[stale].tolist())
         overlay_alive = self.overlay.is_alive
-        for node_id in flagged:
+        for node_id in sorted(flagged):
             if not overlay_alive(node_id):
                 continue
             pnode = self.nodes.get(node_id)
@@ -1419,9 +1398,10 @@ class ArrayHeartbeatProtocol(HeartbeatProtocol):
         It reads who is a member and who is alive, the ground-truth
         neighborhoods, and which ids each table believes.  The overlay bumps
         ``topology_version`` on every join, crash and transfer; the store
-        bumps ``struct_gen`` on every row or slot allocated or freed.
+        bumps ``struct_gen`` on every load and every edit of a loaded table.
+        A plain table's edits bump neither: while one is left, it recounts.
         """
-        if not self._in_store:
+        if self._newcomers():
             return super().count_broken_links()
         key = (self.overlay.topology_version, self.store.struct_gen)
         cached = self._broken_total

@@ -100,11 +100,10 @@ def pinned_engine(engine: str):
         register_substrate(original)
 
 
-def small_store(slots: int = soa.SLOT_CAPACITY, rows: int = soa.ROW_CAPACITY):
-    """An empty :class:`~repro.can.soa.EdgeStore` of ``slots`` slots and
-    ``rows`` rows, so that a few joins grow its arrays."""
+def small_store(rows: int = soa.ROW_CAPACITY):
+    """An empty :class:`~repro.can.soa.EdgeStore` of ``rows`` rows, so that
+    a few joins grow its row arrays."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(soa, "SLOT_CAPACITY", slots)
         monkeypatch.setattr(soa, "ROW_CAPACITY", rows)
         return soa.EdgeStore()
 

@@ -50,7 +50,7 @@ def run_engine(
     if engine == "array":
         # tiny capacities so every example reallocates the store's arrays
         # (regression: closures must not hold pre-growth array objects)
-        proto.store = small_store(slots=4, rows=4)
+        proto.store = small_store(rows=4)
     if watch is not None:
         watch(proto)
     rng = np.random.default_rng(20110926)

@@ -56,7 +56,7 @@ def test_accounting_fingerprint_matches_golden(case, scheme, engine):
     assert type(sim.protocol) is ArrayHeartbeatProtocol
     if case == "lossy":
         # the tables never left the plain dicts the object class holds
-        assert not sim.protocol._in_store
+        assert not sim.protocol.store.n_rows
     else:
         # the goldens are traced and a tracer selects no code path: on the
         # ideal channel they take the settled streak, so they cover it too

@@ -164,29 +164,27 @@ def table_state(table):
         "grace": list(table._recent_removals.items()),
     }
     if isinstance(table, ArrayNeighborTable):
-        state["slots"] = list(table._slots.items())
+        state["slots"] = [(nid, table._base + i) for nid, i in table._at.items()]
         state["heard_gen"] = table._heard_gen
     return state
 
 
 def store_state(store):
     """The slot and row arrays, as far as they are in use."""
-    n, rows = store.n_slots, store.n_rows
+    rows = store.n_rows
     return {
         "slots": [
-            arr[:n].tolist()
+            arr.tolist()
             for arr in (
                 store.eh,
                 store.owner_row,
                 store.subj_row,
                 store.rev,
                 store.edge_version,
-                store.active,
             )
         ],
-        "free": list(store.free_slots),
         "rowless": store.rowless,
-        "capacity": store._slot_cap,
+        "edited": sorted(store.edited),
         "rows": (store.own_version[:rows].tolist(), store.alive[:rows].tolist()),
         "row_of": list(store.row_of.items()),
     }
@@ -340,8 +338,11 @@ def churn_run(engine, scheme, channel, seed, batched, coverage=None, leaves="fai
     return protocol_state(sim.protocol), trace
 
 
-@pytest.mark.parametrize("channel", sorted(CHANNELS))
-@pytest.mark.parametrize("engine", ENGINES)
+#: off the ideal channel both classes run the same code: the built one runs
+@pytest.mark.parametrize(
+    ("engine", "channel"),
+    [("array", "ideal"), ("array", "lossy"), ("object", "ideal")],
+)
 @settings(max_examples=6, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -354,11 +355,12 @@ def test_batched_join_equals_record_by_record(engine, channel, seed, scheme, lea
     assert got == want
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", ["array"])
 def test_splitters_hold_stale_versions_ghosts_and_departed_subjects(engine):
     """Under vanilla gossip over the lossy channel, the tables a join reads
     hold what only the geometric fallback decides: older versions, crashed
-    members (ghosts), and nodes that left or were claimed away."""
+    members (ghosts), and nodes that left or were claimed away.  Off the
+    ideal channel both classes run the same code: the built one runs."""
     coverage = Coverage()
     for seed, leaves in ((1, "fail"), (2, "graceful")):
         want = churn_run(
@@ -383,19 +385,18 @@ def test_both_classes_bootstrap_to_one_digest():
 # ------------------------------------------- every branch of the fan-out --
 def grown(engine, seed=3, nodes=14):
     """A 5-dim CAN of ``nodes`` joins on one class, and a point source; the
-    array class's tables are in its store from the first node on."""
+    array class loads its tables after the first node, so that the joins
+    edit a loaded table, as the joins after a first round do."""
     space = ResourceSpace(gpu_slots=0)
     proto = ENGINE_CLASSES[engine](
         CanOverlay(space), ProtocolConfig(scheme=HeartbeatScheme.ADAPTIVE, period=PERIOD)
     )
     if engine == "array":
-        proto.store = small_store(slots=4, rows=4)
+        proto.store = small_store(rows=4)
     rng = np.random.default_rng(seed)
     ids = itertools.count()
     proto.bootstrap(next(ids), space.clamp_point(rng.random(space.dims)))
     if engine == "array":
-        # into the store now, so that every join below takes the slot path
-        # the joins after a first round take
         proto._move_to_arrays()
     for _ in range(nodes - 1):
         proto.join(next(ids), space.clamp_point(rng.random(space.dims)), now=0.0)

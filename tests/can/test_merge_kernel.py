@@ -45,7 +45,7 @@ def build(kernel: bool, scheme=HeartbeatScheme.VANILLA, nodes=NODES):
     proto = ArrayHeartbeatProtocol(
         CanOverlay(space), ProtocolConfig(scheme=scheme, period=60.0)
     )
-    proto.store = small_store(slots=4, rows=4)
+    proto.store = small_store(rows=4)
     if not kernel:
         proto._merge_live = types.MethodType(HeartbeatProtocol._merge_live, proto)
     #: (receiver, subject, version) of every record that reached a relevance test
@@ -103,13 +103,31 @@ def tamper(proto, kind: str, a: int, b: int, now: float) -> None:
     elif kind == "bump":
         node.bump_version()  # everybody's record of this node is now old
     elif kind == "cool" and known is not None:
-        slot = table._slots[known]
-        store.eh[slot] = store.eh[slot] - 45.0 - (b % 3) * 60.0
-        table._heard_gen += 1
+        push_back(table, known, 45.0 + (b % 3) * 60.0)
     elif kind == "join":
         proto.join(*proto.newcomer(), now=now)
     elif kind == "fail" and len(alive) > 5:
         proto.fail(alive[b % len(alive)], now)
+
+
+def push_back(table, sid, by):
+    """Move a believed entry's raw freshness back by ``by`` seconds, in its
+    slot or, edited since the load (or in a newcomer's plain table), in the
+    table's dict."""
+    i = getattr(table, "_at", {}).get(sid)
+    if i is None:
+        table._last_heard[sid] -= by
+        table._snap_cache = None
+    else:
+        table._store.eh[table._base + i] -= by
+        table._heard_gen += 1
+
+
+def raw_heard(table, sid):
+    i = getattr(table, "_at", {}).get(sid)
+    if i is None:
+        return table._last_heard[sid]
+    return float(table._store.eh[table._base + i])
 
 
 def table_state(proto, node):
@@ -117,8 +135,8 @@ def table_state(proto, node):
     table = node.table
     return {
         "records": [(r.node_id, r.version, r.zones) for r in table.records()],
-        "eh": {sid: float(proto.store.eh[s]) for sid, s in table._slots.items()},
-        "heard_gen": table._heard_gen,
+        "eh": {sid: raw_heard(table, sid) for sid in table._records},
+        "heard_gen": getattr(table, "_heard_gen", None),
         "epochs": (table.epoch, table.removals_epoch),
         "memo": dict(node._non_abutting),
         "gap_dirty": node.gap_dirty,
@@ -222,9 +240,9 @@ class TestDirected:
             for i in range(4):
                 tamper(proto, "forget", i, i, 121.0)  # full re-merges follow
             sender = proto.nodes[2]
-            for sid, slot in sender.table._slots.items():
-                proto.store.eh[slot] = 30.0  # the sender heard long ago
-            sender.table._heard_gen += 1
+            for sid in sender.table.ids():
+                # the sender heard long ago
+                push_back(sender.table, sid, sender.table.last_heard(sid) - 30.0)
             proto.run_round(180.0)
         assert_same(*pair)
 
@@ -294,7 +312,12 @@ class TestDirected:
         pair = self.pair()
         for proto in pair:
             receiver, sender, _ = self.trio(proto)
-            leavers = sorted(set(proto.nodes) - {receiver.node_id, sender.node_id})[:2]
+            # two nodes that join and leave between two loads never get a row
+            leavers = []
+            for _ in range(2):
+                nid, point = proto.newcomer()
+                assert proto.join(nid, point, now=120.5)
+                leavers.append(nid)
             # versions nobody holds a verdict on, the receiver's the newer one
             for n, bumps in zip(leavers, (1, 3)):
                 for _ in range(bumps):
@@ -304,6 +327,7 @@ class TestDirected:
                 proto.graceful_leave(n, 121.0)
             sender.table.upsert(records[0], 122.0)
             receiver.table.upsert(records[1], 122.0)
+            proto._move_to_arrays()
             assert proto.store.rowless == 2
             proto.tested.clear()
             self.merge(proto, sender, receiver, 123.0)
@@ -313,20 +337,25 @@ class TestDirected:
 
 @pytest.mark.parametrize("scheme", list(HeartbeatScheme))
 def test_a_record_without_a_row_sends_the_turn_to_the_loop(scheme):
-    """Gossip about a node that left has no row to be found through."""
+    """Gossip about a node that left before any load has no row to be found
+    through."""
     pair = build(kernel=True, scheme=scheme), build(kernel=False, scheme=scheme)
     for proto in pair:
         proto.run_round(60.0)
-        leaver = 3
+        # a node that joins and leaves between two loads never gets a row
+        leaver, point = proto.newcomer()
+        assert proto.join(leaver, point, now=60.5)
         record = proto.nodes[leaver].own_record(proto.overlay)
         proto.graceful_leave(leaver, 61.0)
         holder = proto.nodes[pick(proto.overlay.alive_ids(), 1)]
         holder.table.upsert(record, 62.0)
+        proto._move_to_arrays()
         assert proto.store.rowless == 1
         proto.run_round(120.0)  # by the loop; vanilla gossips the record on
         assert proto.store.rowless >= 1
         for node in proto.nodes.values():
             node.table.remove(leaver)
+        proto._move_to_arrays()
         assert proto.store.rowless == 0
         proto.run_round(180.0)
     assert_same(*pair)

@@ -27,28 +27,27 @@ def rec(nid: int, version: int = 0) -> BeliefRecord:
 
 def make_table(store: EdgeStore, node_id: int) -> ArrayNeighborTable:
     row = store.alloc_row(node_id)
-    table = ArrayNeighborTable(150.0, store, node_id, row)
-    store.tables_by_row[row] = table
-    return table
+    return ArrayNeighborTable(150.0, store, node_id, row)
+
+
+def load(store: EdgeStore, *tables: ArrayNeighborTable) -> None:
+    """Load ``tables`` (every table the store holds) from their entries."""
+    records = [table._records for table in tables]
+    starts = store.load_slots(
+        np.array([table._row for table in tables], dtype=np.int64),
+        np.full(len(tables), -1, dtype=np.int64),
+        np.array([len(r) for r in records], dtype=np.int64),
+        np.array(
+            [store.row_of.get(n, -1) for r in records for n in r], dtype=np.int64
+        ),
+        np.array([rec.version for r in records for rec in r.values()], dtype=np.int64),
+        np.array([t.last_heard(n) for t in tables for n in t._records]),
+    )
+    for table, start in zip(tables, starts.tolist()):
+        table.loaded(start)
 
 
 class TestEdgeStore:
-    def test_slot_alloc_free_reuse(self):
-        store = small_store(slots=2)
-        # (owner row, subject row, partner slot, version, heard): rowless
-        # subjects, no partner
-        s0 = store.alloc_slot(0, -1, -1, 0, 5.0)
-        s1 = store.alloc_slot(0, -1, -1, 0, 5.0)
-        s2 = store.alloc_slot(0, -1, -1, 0, 5.0)  # forces a grow
-        assert len({s0, s1, s2}) == 3
-        assert store.active[s1] and store.eh[s1] == 5.0
-        assert store.rowless == 3
-        store.free_slot(s1)
-        assert not store.active[s1]
-        assert store.eh[s1] == _NEG_INF
-        assert store.rowless == 2
-        assert store.alloc_slot(1, -1, -1, 0, 5.0) == s1  # freed slot recycled
-
     def test_row_growth_and_monotonic_rows(self):
         store = small_store(rows=2)
         rows = [store.alloc_row(i) for i in range(5)]
@@ -61,17 +60,23 @@ class TestEdgeStore:
         a = make_table(store, 1)
         b = make_table(store, 2)
         a.upsert(rec(2), now=0.0)
-        sa = a._slots[2]
+        load(store, a, b)
+        sa = a._base + a._at[2]
         assert store.rev[sa] == -1  # b does not believe a yet
         b.upsert(rec(1), now=0.0)
-        sb = b._slots[1]
+        load(store, a, b)
+        sa, sb = a._base + a._at[2], b._base + b._at[1]
         assert store.rev[sa] == sb and store.rev[sb] == sa
         a.remove(2)
-        assert store.rev[sb] == -1  # freeing one side unlinks the other
+        load(store, a, b)
+        sb = b._base + b._at[1]
+        assert store.rev[sb] == -1  # dropping one side unlinks the other
+        assert store.n_slots == 1
 
 
 class TestArrayTableMatchesObjectTable:
-    """Differential: every override behaves like the dict implementation."""
+    """Differential: every override behaves like the dict implementation,
+    on entries in their slots and on entries edited since the load."""
 
     def pair(self):
         store = EdgeStore()
@@ -86,23 +91,30 @@ class TestArrayTableMatchesObjectTable:
         for table in (obj, arr):
             assert table.upsert(rec(1), now=0.0)
             assert table.upsert(rec(2, version=1), now=5.0, heard_at=2.0)
+            if table is arr:
+                load(arr._store, arr)
             assert not table.upsert(rec(2, version=0), now=6.0)  # older loses
             assert table.heard_from(rec(1), now=10.0)
             assert not table.heard_from(rec(3), now=10.0)  # unknown subject
             table.advance_freshness(1, 20.0)
             table.advance_freshness(1, 15.0)  # never backwards
+            assert table.upsert(rec(1, version=1), now=21.0, heard_at=12.0)
+            table.advance_freshness(1, 16.0)  # edited: in the dict now
+            table.advance_freshness(2, 17.0)
         assert obj.sorted_ids() == arr.sorted_ids()
         assert obj.epoch == arr.epoch
         assert obj.total_zones() == arr.total_zones()
         for nid in (1, 2, 3):
             assert obj.last_heard(nid) == arr.last_heard(nid)
         assert obj.stale_ids(200.0, 150.0) == arr.stale_ids(200.0, 150.0)
+        assert obj.records_since(0) == arr.records_since(0)
         for table in (obj, arr):
             assert table.remove(2, now=30.0)
             assert not table.remove(2)
         assert obj.sorted_ids() == arr.sorted_ids()
         assert obj.removals_epoch == arr.removals_epoch
         assert obj.grace_zones(31.0, 100.0) == arr.grace_zones(31.0, 100.0)
+        assert obj.snapshot().heard == arr.snapshot().heard
 
     def test_stale_gossip_cannot_insert(self):
         obj, arr = self.pair()
@@ -115,6 +127,8 @@ class TestArrayTableMatchesObjectTable:
         obj, arr = self.pair()
         for table in (obj, arr):
             table.upsert(rec(1), now=1.0)
+            if table is arr:
+                load(arr._store, arr)
             snap = table.snapshot()
             table.upsert(rec(2), now=2.0)
             assert table.heard_from(rec(1), 50.0)
@@ -178,7 +192,7 @@ class TestEngineRule:
         for r in range(1, 4):
             proto.run_round(60.0 * r)
         ideal = channel in IDEAL
-        assert proto._in_store is ideal
+        assert (proto.store.n_rows > 0) is ideal
         assert (proto.store.n_slots > 0) is ideal
 
 
@@ -224,16 +238,18 @@ class TestArrayGrowth:
         )
         # tiny capacities: every few joins reallocate the row/slot arrays,
         # so any closure holding a stale array diverges immediately
-        proto.store = small_store(slots=2, rows=2)
+        proto.store = small_store(rows=2)
         rng = np.random.default_rng(3)
         ids = itertools.count()
         proto.bootstrap(next(ids), space.clamp_point(rng.random(space.dims)))
-        # into the store now, so that the joins below grow it one at a time
+        # a load after every join, so that the joins grow it a row at a time
+        # and bump versions through sinks made before the growth
         proto._move_to_arrays()
         for _ in range(11):
             proto.join(
                 next(ids), space.clamp_point(rng.random(space.dims)), now=0.0
             )
+            proto._move_to_arrays()
         store = proto.store
         assert store.n_rows == 12  # grew well past the initial capacity
         assert any(n.own_version > 0 for n in proto.nodes.values())

@@ -3,21 +3,22 @@
 Until its first exchange :class:`ArrayHeartbeatProtocol` holds the object
 class's plain tables and runs the object class's code on them; the first
 exchange moves every table into the :class:`EdgeStore` in one pass
-(``_move_to_arrays``).  Two things hold that together:
+(``_move_to_arrays``), and every exchange after it loads what changed.
+Two things hold that together:
 
 * before the move the array class *is* the object class: a crash, a
   graceful leave, a join refused into a dead owner's zone, the broken-link
   count, belief routing and the invariant audit read the same on both, and
   the rounds after each send the same messages and emit the same events;
-* the bulk move leaves the store as the incremental path leaves it for the
-  same tables (one ``alloc_slot`` per entry, which every join after the
-  first round takes): per entry the subject's row, the version, the
-  freshness and the reverse slot, and the round after it runs the same.
+* every load leaves the store as one load of every table would, edge by
+  edge: the subject's row, the version, the freshness and the reverse
+  partner, however many tables changed since the last load, between the
+  exchanges or during them.
 """
 
 from __future__ import annotations
 
-import itertools
+import copy
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ import pytest
 from repro.can.heartbeat import HeartbeatScheme, ProtocolConfig
 from repro.can.neighbor import NeighborTable
 from repro.can.overlay import CanOverlay
-from repro.can.soa import ArrayHeartbeatProtocol, ArrayNeighborTable
+from repro.can.soa import ArrayHeartbeatProtocol, ArrayNeighborTable, EdgeStore
 from repro.can.space import ResourceSpace
 from repro.gridsim import ChurnConfig, ChurnSimulation
 from repro.obs.events import Tracer
@@ -120,7 +121,6 @@ def test_before_its_first_exchange_the_array_class_is_the_object_class(case, sch
         apply(sim, case)
         proto = sim.protocol
         if engine == "array":
-            assert not proto._in_store
             assert all(type(n.table) is NeighborTable for n in proto.nodes.values())
             assert not proto.store.n_rows
         before = reading(sim)
@@ -131,120 +131,162 @@ def test_before_its_first_exchange_the_array_class_is_the_object_class(case, sch
             proto.run_round(k * PERIOD)
             rounds.append(round_outcome(proto))
             if engine == "array":
-                assert proto._in_store
+                assert proto.store.n_rows
         sim.check_invariants()
         runs[engine] = (before, rounds, trace)
     assert runs["array"] == runs["object"]
     assert runs["array"][1][0]["count"]
 
 
-# ---------------------------------------------- the bulk move, oracle --
-def grown(
-    moved_first: bool, nodes: int, seed: int, departures: bool = False
-) -> ArrayHeartbeatProtocol:
-    """An 8-dim population of ``nodes`` joins on the array class, moved into
-    the store after the joins (one bulk move) or after the first node (so
-    every join takes the incremental slot path).  Join ``i`` lands at
-    ``now = i``, so freshness tells entries apart.  With ``departures`` the
-    busiest node leaves gracefully and the next busiest crashes after the
-    joins, before the bulk move."""
-    space = ResourceSpace(gpu_slots=1)
-    proto = ArrayHeartbeatProtocol(
-        CanOverlay(space),
-        ProtocolConfig(scheme=HeartbeatScheme.ADAPTIVE, period=PERIOD),
+# ------------------------------------------------- the load, oracle --
+def fresh_load(proto) -> EdgeStore:
+    """One load of every table from its entries, into a new store with the
+    protocol's rows: what the loads the protocol ran must have left."""
+    store, ours = EdgeStore(), proto.store
+    for nid in ours.node_of_row:
+        store.alloc_row(nid)
+    n = ours.n_rows
+    store.alive[:n] = ours.alive[:n]
+    store.own_version[:n] = ours.own_version[:n]
+    tables = [proto.nodes[nid].table for nid in sorted(proto.nodes)]
+    records = [table._records for table in tables]
+    store.load_slots(
+        np.array([table._row for table in tables], dtype=np.int64),
+        np.full(len(tables), -1, dtype=np.int64),
+        np.array([len(r) for r in records], dtype=np.int64),
+        np.array(
+            [store.row_of.get(sid, -1) for r in records for sid in r], dtype=np.int64
+        ),
+        np.array([rec.version for r in records for rec in r.values()], dtype=np.int64),
+        np.array([t.last_heard(n) for t in tables for n in t._records]),
     )
-    rng = np.random.default_rng(seed)
-    ids = itertools.count()
-    proto.bootstrap(next(ids), space.clamp_point(rng.random(space.dims)))
-    if moved_first:
-        proto._move_to_arrays()
-    for i in range(1, nodes):
-        proto.join(next(ids), space.clamp_point(rng.random(space.dims)), now=float(i))
-    if departures:
-        proto.graceful_leave(busiest(proto), now=float(nodes))
-        proto.fail(busiest(proto), now=float(nodes))
-    assert proto._in_store is moved_first
-    proto._move_to_arrays()
-    return proto
+    return store
 
 
-def entries(proto):
-    """Every table's entries as the store holds them, by node id: the
-    subject's row (as the id it belongs to), version, freshness and the
-    reverse slot's (owner, subject)."""
-    store = proto.store
+def edges(proto, store):
+    """Every believed entry as ``store`` holds it, by (owner, subject) id:
+    the subject's row (as the id it belongs to) and its liveness, the
+    version, the freshness and the reverse slot's (owner, subject).  Tables
+    lie in sender order, each in record order."""
     node_of = store.node_of_row
     out = {}
-    for nid, pnode in sorted(proto.nodes.items()):
-        table = pnode.table
+    slot = 0
+    for nid in sorted(proto.nodes):
+        table = proto.nodes[nid].table
         assert isinstance(table, ArrayNeighborTable)
-        assert list(table._slots) == list(table._records)
-        slots = table.slot_vector()
-        assert (store.owner_row[slots] == store.row_of[nid]).all()
-        assert store.active[slots].all()
-        partners = []
-        for s in slots.tolist():
-            r = int(store.rev[s])
-            partners.append(
-                None if r < 0
-                else (node_of[store.owner_row[r]], node_of[store.subj_row[r]])
+        for sid in table._records:
+            assert store.owner_row[slot] == store.row_of[nid]
+            row, rev = int(store.subj_row[slot]), int(store.rev[slot])
+            out[nid, sid] = (
+                None if row < 0 else (node_of[row], bool(store.alive[row])),
+                int(store.edge_version[slot]),
+                float(store.eh[slot]),
+                None if rev < 0
+                else (node_of[store.owner_row[rev]], node_of[store.subj_row[rev]]),
             )
-        out[nid] = {
-            "records": [(sid, rec.version) for sid, rec in table._records.items()],
-            "subjects": [
-                node_of[r] if r >= 0 else None for r in store.subj_row[slots].tolist()
-            ],
-            "versions": store.edge_version[slots].tolist(),
-            "heard": store.eh[slots].tolist(),
-            "partners": partners,
-            "own": (
-                int(store.own_version[store.row_of[nid]]),
-                bool(store.alive[store.row_of[nid]]),
-            ),
-            "seq": list(table._record_seq.items()),
-            "epochs": (table.epoch, table.removals_epoch, table._total_zones),
-        }
+            slot += 1
+    assert slot == store.n_slots
     return out
 
 
+def read_at_each_exchange(proto):
+    """Every table's entries (subject, version, freshness) as each exchange
+    of ``proto`` starts, appended to the list returned."""
+    reads = []
+    exchange = proto._exchange_heartbeats
+
+    def reading(now):
+        reads.append([
+            (nid, [
+                (sid, rec.version, float(node.table.last_heard(sid)))
+                for sid, rec in node.table._records.items()
+            ])
+            for nid, node in sorted(proto.nodes.items())
+        ])
+        exchange(now)
+
+    proto._exchange_heartbeats = reading
+    return reads
+
+
+def checked_loads(proto, seen):
+    """Hold every load ``proto`` runs against :func:`fresh_load`."""
+    load = proto._move_to_arrays
+
+    def checked():
+        load()
+        for table in (node.table for node in proto.nodes.values()):
+            assert len(table._at) == len(table) and not table._last_heard
+            assert table._base + len(table) <= proto.store.n_slots
+        got, want = edges(proto, proto.store), edges(proto, fresh_load(proto))
+        assert got == want
+        assert proto.store.rowless == fresh_load(proto).rowless
+        seen["loads"] += 1
+        seen["partners"] += sum(e[3] is not None for e in got.values())
+        seen["dead"] += sum(e[0] is not None and not e[0][1] for e in got.values())
+
+    proto._move_to_arrays = checked
+
+
+#: ``departures``: nodes leave gracefully, else they crash
 @pytest.mark.parametrize("departures", [False, True])
 @pytest.mark.parametrize("seed", [2, 5])
-def test_the_bulk_move_equals_the_incremental_path(seed, departures):
-    bulk, incremental = (
-        grown(first, 60, seed, departures) for first in (False, True)
-    )
-    got, want = entries(bulk), entries(incremental)
-    assert got == want
-    if departures:
-        # the crashed node is a member until its zone is claimed: a dead
-        # row on both paths, still believed
-        (crashed,) = (n for n in bulk.nodes if not bulk.overlay.is_alive(n))
-        assert got[crashed]["own"][1] is False
-        assert any(crashed in e["subjects"] for e in got.values())
-        # the leaver's hand-off reached every table that held it: no slot
-        # is left pointing at the dead row it has on the incremental path
-        (left,) = set(incremental.store.node_of_row) - set(incremental.nodes)
-        assert left not in bulk.store.row_of
-        assert not any(left in e["subjects"] for e in want.values())
-    # a mutual belief links both ways: the partner is (subject, owner)
-    assert all(
-        p == (subject, nid)
-        for nid, e in got.items()
-        for subject, p in zip(e["subjects"], e["partners"])
-        if p is not None
-    )
-    assert any(p is not None for e in got.values() for p in e["partners"])
-    assert bulk.store.rowless == incremental.store.rowless
-    # the bulk store is packed: its slots are the live ones of the other
-    assert not bulk.store.free_slots
-    assert bulk.store.n_slots == (
-        incremental.store.n_slots - len(incremental.store.free_slots)
-    )
-    assert len({h for e in got.values() for h in e["heard"]}) > 10
-    for proto in (bulk, incremental):
-        proto.run_round(PERIOD)
-    assert round_outcome(bulk) == round_outcome(incremental)
-    assert entries(bulk) == entries(incremental)
+def test_the_bulk_move_equals_the_incremental_path(seed, departures, monkeypatch):
+    """Every load of a dense churn run (joins, crashes or graceful leaves,
+    take-overs, repairs between the exchanges; merges, inserts and removals
+    during them) leaves what one load of every table would, per edge, with
+    the tables reading what the object class's read at every exchange; and
+    a full load in its place runs the next round the same."""
+    seen = {"loads": 0, "partners": 0, "dead": 0, "during": 0, "between": 0}
+    editing = ArrayNeighborTable._editing
+
+    def counted(table, node_id, removal):
+        seen["during" if table._store.adv_mask is not None else "between"] += 1
+        editing(table, node_id, removal)
+
+    monkeypatch.setattr(ArrayNeighborTable, "_editing", counted)
+    for scheme in (HeartbeatScheme.VANILLA, HeartbeatScheme.ADAPTIVE):
+        config = ChurnConfig(
+            initial_nodes=40,
+            gpu_slots=0,
+            scheme=scheme,
+            event_gap_mean=20.0,
+            leave_mode="graceful" if departures else "fail",
+            duration=10 * PERIOD,
+            seed=seed,
+        )
+        beliefs = {}
+        for engine in ("object", "array"):
+            with pinned_engine(engine):
+                sim = ChurnSimulation(config)
+            proto = sim.protocol
+            beliefs[engine] = read_at_each_exchange(proto)
+            if engine == "array":
+                checked_loads(proto, seen)
+            sim.run()
+            sim.check_invariants()
+        # what the tables hold, freshness included, as the object class
+        assert beliefs["array"] == beliefs["object"]
+        # the same tables, every one loaded afresh, run the next round alike
+        twin = copy.deepcopy(proto)
+        # the twin loads unchecked, unread
+        del twin._move_to_arrays, twin._exchange_heartbeats
+        twin.store.edited.update(
+            node.table._row for node in twin.nodes.values()
+            if isinstance(node.table, ArrayNeighborTable)
+        )
+        now = sim.env.now + config.heartbeat_period
+        for p in (proto, twin):
+            p.run_round(now)
+            p._move_to_arrays()
+        assert round_outcome(proto) == round_outcome(twin)
+        assert edges(proto, proto.store) == edges(twin, twin.store)
+        assert proto.events["joins"] > 40
+        assert proto.events["leaves" if departures else "claims"] > 0
+    assert seen["loads"] > 10 and seen["partners"]
+    assert seen["during"] and seen["between"]
+    # a crashed member is believed until it is timed out: loads hold it
+    assert bool(seen["dead"]) is not departures
 
 
 def test_the_move_takes_a_shared_record_dict_over_copy_on_write():

@@ -138,11 +138,11 @@ def run_chord(scheme, spec, ops):
     scheme=st.sampled_from(list(HeartbeatScheme)),
 )
 def test_engines_and_substrates_agree_under_adversity(ops, spec, scheme):
-    # CAN: the channel is fixed before the first round, so the tables move
+    # CAN: the channel is fixed before the first round, so the tables load
     # into the store iff it is the ideal one
     proto, failed = run_can(scheme, spec, ops)
     _check_network(proto)
-    assert proto._in_store is spec.identity
+    assert bool(proto.store.n_rows) is spec.identity
     assert set(proto._detected_failures) <= failed
 
     # Chord: same adversity, its own invariants must hold mid-flight

@@ -45,11 +45,6 @@ _RANGE_QUERY = (
     "matchmaking fallback find what is there?'), and a range-query "
     "capable_search is what would replace it"
 )
-_FRESHNESS = (
-    "a table's freshness read-out: the engine-equivalence and merge-kernel "
-    "tests compare it across NeighborTable and ArrayNeighborTable, which "
-    "store it differently (a dict, a store column)"
-)
 
 
 #: (module path relative to ``src/repro``, qualified name) -> why it stays
@@ -59,8 +54,6 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
     ("chord/range_query.py", "RangeQueryResult"): _RANGE_QUERY,
     ("chord/range_query.py", "box_key_intervals"): _RANGE_QUERY,
     ("chord/range_query.py", "range_query"): _RANGE_QUERY,
-    ("can/neighbor.py", "NeighborTable.last_heard"): _FRESHNESS,
-    ("can/soa.py", "ArrayNeighborTable.last_heard"): _FRESHNESS,
 }
 
 
