@@ -136,8 +136,6 @@ class FaultyGridSimulation(GridSimulation):
             placed=self._job_recovered,
             abandoned=self._job_abandoned,
         )
-        for node in self.grid_nodes.values():
-            self._wire_node(node)
         self._next_node_id = itertools.count(
             max(self.grid_nodes) + 1 if self.grid_nodes else 0
         )
@@ -182,7 +180,7 @@ class FaultyGridSimulation(GridSimulation):
         if not self.protocol.join(spec.node_id, coord, now=self.env.now, retry=False):
             return  # target region in limbo or unsplittable: joins are plentiful
         node = GridNode(spec, self.env)
-        self._wire_node(node)
+        self.lifecycle.attach(node)
         self.grid_nodes[spec.node_id] = node
         self._churn_counter.add("joins")
         if self.tracer is not None:

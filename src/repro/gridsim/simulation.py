@@ -33,13 +33,76 @@ from ..sim.rng import RngRegistry
 from ..workload.jobs import JobDistribution, generate_jobs
 from ..workload.nodes import NodeDistribution, generate_node_specs
 from .config import MatchmakingConfig
-from .recovery import RecoveryLoop
+from .recovery import RecoveryLoop, _no_edge
 from .results import MatchmakingResult
 
-__all__ = ["GridSimulation", "wire_grid"]
+__all__ = ["GridSimulation", "JobLifecycle", "wire_grid"]
 
 #: aggregation rounds run before the first job arrives
 AGGREGATION_WARMUP_ROUNDS = 5
+
+
+class JobLifecycle:
+    """A job's life on the grid, written once for every host.
+
+    :meth:`submitted` emits ``grid.job_submit``; the node callbacks
+    :meth:`attach` installs emit ``grid.job_start`` / ``grid.job_finish``
+    and feed the ``grid.wait_time`` / ``grid.turnaround`` sketches.  The
+    batch simulators and the live service run this one object; what
+    differs between hosts are callbacks, as on :class:`RecoveryLoop`:
+
+    * ``finished(node, job)`` — the job ran to completion (the simulator
+      drops it from its outstanding work, the service writes the ledger's
+      ``COMPLETED`` edge);
+    * ``started(node, job)`` — the job began executing (the service's
+      ``RUNNING`` edge).
+    """
+
+    def __init__(
+        self,
+        clock: Clock,
+        tracer,
+        metrics: Optional[MetricsRegistry],
+        *,
+        finished: Callable[[GridNode, Job], None],
+        started: Callable[[GridNode, Job], None] = _no_edge,
+    ):
+        self.clock, self.tracer = clock, tracer
+        self._finished, self._started = finished, started
+        #: streaming wait/turnaround distributions for the run manifest —
+        #: one O(1) insert per finished job
+        scope = (metrics or MetricsRegistry()).scope("grid")
+        self._wait_sketch = scope.quantile_sketch("wait_time")
+        self._turnaround_sketch = scope.quantile_sketch("turnaround")
+
+    def attach(self, node: GridNode) -> None:
+        """Route ``node``'s job starts and finishes through this lifecycle."""
+        node.on_job_started = self._on_started
+        node.on_job_finished = self._on_finished
+
+    def submitted(self, job: Job) -> None:
+        if self.tracer is not None:
+            self.tracer.emit(self.clock.now, "grid.job_submit", job=job.job_id)
+
+    def _on_started(self, node: GridNode, job: Job) -> None:
+        self._started(node, job)
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.clock.now, "grid.job_start", job=job.job_id, node=node.node_id
+            )
+
+    def _on_finished(self, node: GridNode, job: Job) -> None:
+        # A job finishes at most once (a lost incarnation never reaches
+        # _finish), so the sketch holds the same multiset as wait_times.
+        self._finished(node, job)
+        if job.wait_time is not None:
+            self._wait_sketch.insert(job.wait_time)
+        if job.turnaround is not None:
+            self._turnaround_sketch.insert(job.turnaround)
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.clock.now, "grid.job_finish", job=job.job_id, node=node.node_id
+            )
 
 
 def wire_grid(
@@ -63,11 +126,12 @@ def wire_grid(
     :class:`RecoveryLoop` with the host's ``edges``
     (``placed``, ``abandoned``, ...).
 
-    ``host`` supplies ``rngs``, ``space``, ``tracer`` and ``metrics`` and
-    gets ``overlay``, ``grid_nodes``, ``aggregation`` and ``matchmaker``,
-    plus ``recovery``, ``tracker`` and ``protocol`` with a heartbeat.  The
-    faulty grid and the live service differ after this call only in who
-    submits and in what a ledger edge is.
+    ``host`` supplies ``rngs``, ``space``, ``tracer``, ``metrics`` and the
+    ``lifecycle`` every node is attached to, and gets ``overlay``,
+    ``grid_nodes``, ``aggregation`` and ``matchmaker``, plus ``recovery``,
+    ``tracker`` and ``protocol`` with a heartbeat.  The faulty grid and the
+    live service differ after this call only in who submits and in what a
+    ledger edge is.
     """
     space, rngs = host.space, host.rngs
     virtual_rng = rngs.stream("virtual")
@@ -81,7 +145,8 @@ def wire_grid(
             # tiny band so it no longer spreads load.
             virtual *= 1e-6
         overlay.add_node(spec.node_id, space.node_coordinate(spec, virtual))
-        grid_nodes[spec.node_id] = GridNode(spec, clock)
+        grid_nodes[spec.node_id] = node = GridNode(spec, clock)
+        host.lifecycle.attach(node)
     aggregation = AggregationEngine(overlay, grid_nodes)
     if config.scheme == "central":
         matchmaker = CentralMatchmaker(grid_nodes)
@@ -135,8 +200,6 @@ class GridSimulation:
     ):
         self._prepare(config, node_dist, job_dist, tracer)
         wire_grid(self, self.specs, self.env, config)
-        for node in self.grid_nodes.values():
-            self._wire_node(node)
 
     def _prepare(
         self,
@@ -177,43 +240,13 @@ class GridSimulation:
         #: classify every job's state exactly
         self.unplaced_ids: set = set()
         self.abandoned_ids: set = set()
-        grid_metrics = self.metrics.scope("grid")
-        self._job_counter = grid_metrics.counter("jobs")
-        #: streaming wait/turnaround distributions for the run manifest —
-        #: one O(1) insert per finished job
-        self._wait_sketch = grid_metrics.quantile_sketch("wait_time")
-        self._turnaround_sketch = grid_metrics.quantile_sketch("turnaround")
+        self._job_counter = self.metrics.scope("grid").counter("jobs")
+        self.lifecycle = JobLifecycle(
+            self.env, tracer, self.metrics, finished=self._job_done
+        )
 
-    # -- wiring ------------------------------------------------------------------
-    def _wire_node(self, node: GridNode) -> None:
-        """Attach the job-lifecycle callbacks: span events + wait sketches."""
-        node.on_job_started = self._on_job_started
-        node.on_job_finished = self._on_job_finished
-
-    def _on_job_started(self, node: GridNode, job: Job) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.env.now,
-                "grid.job_start",
-                job=job.job_id,
-                node=node.node_id,
-            )
-
-    def _on_job_finished(self, node: GridNode, job: Job) -> None:
-        # A job finishes at most once (a lost incarnation never reaches
-        # _finish), so the sketch holds the same multiset as wait_times.
+    def _job_done(self, node: GridNode, job: Job) -> None:
         self._outstanding -= 1
-        if job.wait_time is not None:
-            self._wait_sketch.insert(job.wait_time)
-        if job.turnaround is not None:
-            self._turnaround_sketch.insert(job.turnaround)
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.env.now,
-                "grid.job_finish",
-                job=job.job_id,
-                node=node.node_id,
-            )
 
     # -- scheduled work ---------------------------------------------------------------
     def _next_arrival(self) -> None:
@@ -235,8 +268,7 @@ class GridSimulation:
         job = self.jobs[self._submitted]
         self._submitted += 1
         self._job_counter.add("submitted")
-        if self.tracer is not None:
-            self.tracer.emit(self.env.now, "grid.job_submit", job=job.job_id)
+        self.lifecycle.submitted(job)
         node = self.matchmaker.place(job)
         if node is None:
             self.unplaced_ids.add(job.job_id)
@@ -269,9 +301,11 @@ class GridSimulation:
             self._next_period(self._aggregate)
         self._next_arrival()
         self.env.run()
-        # a finished run holds no cycle through its nodes: freed by refcount
+        # a finished run holds no cycle through its nodes or its lifecycle's
+        # edge: freed by refcount
         for node in self.grid_nodes.values():
             node.on_job_started = node.on_job_finished = None
+        del self.lifecycle
 
         waits: List[float] = []
         turnarounds: List[float] = []

@@ -38,7 +38,7 @@ class EV:
     ``recovery.*``  failure-recovery milestones (detection)
     ``fault.*`` scripted fault injection (crash bursts, flash crowds)
     ``net.*``   network-channel verdicts (drops, late deliveries)
-    ``service.*``  live-gateway lifecycle and ledger status transitions
+    ``service.*``  live-gateway lifecycle, cancellations, restart orphans
     """
 
     # -- harness lifecycle
@@ -88,14 +88,11 @@ class EV:
     NET_DROP = "net.drop"            # src, dst (loss or flap)
     NET_DELIVER_LATE = "net.deliver_late"  # src, dst, sent_at (> period)
 
-    # -- live service (gateway + persistent ledger)
+    # -- live service (what the simulator has no counterpart for)
     SERVICE_START = "service.start"  # nodes, scheme, heartbeat_class, recovered
     SERVICE_STOP = "service.stop"
     SERVICE_LISTEN = "service.listen"  # host, port
-    SERVICE_SUBMIT = "service.submit"  # job
     SERVICE_CANCEL = "service.cancel"  # job
-    SERVICE_COMPLETE = "service.complete"  # job, node
-    SERVICE_JOB_STATUS = "service.job_status"  # job, frm, to, node?
     SERVICE_ORPHAN = "service.orphan"  # job, node, vanished (restart recovery)
 
 

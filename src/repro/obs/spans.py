@@ -158,20 +158,17 @@ class SpanBuilder:
         self._awaiting: Dict[Optional[int], List[int]] = {}
         self._handlers = {
             EV.GRID_JOB_SUBMIT: self._on_submit,
-            EV.SERVICE_SUBMIT: self._on_submit,
             EV.MM_PUSH: self._on_push,
             EV.MM_PLACED: self._on_placed,
             EV.MM_UNPLACED: self._on_unplaced,
             EV.GRID_JOB_START: self._on_start,
             EV.GRID_JOB_FINISH: self._on_finish,
-            EV.SERVICE_COMPLETE: self._on_finish,
             EV.GRID_JOB_UNPLACED: self._on_terminal_unplaced,
             EV.GRID_JOB_LOST: self._on_lost,
             EV.RECOVERY_DETECTED: self._on_detected,
             EV.GRID_JOB_RESUBMIT: self._on_resubmit,
             EV.GRID_JOB_ABANDONED: self._on_abandoned,
             EV.SERVICE_CANCEL: self._on_cancel,
-            EV.SERVICE_JOB_STATUS: self._on_job_status,
         }
 
     # -- ingestion ---------------------------------------------------------------
@@ -292,7 +289,10 @@ class SpanBuilder:
         state.matchmake.attrs.update(attrs)
         state.matchmake.close(t, "placed")
         state.matchmake = None
-        self._open_queue(state, t, fields.get("node"))
+        if state.queue is None and state.run is None:
+            node = fields.get("node")
+            attrs = {"node": node} if node is not None else None
+            state.queue = self._open(state, "queue", t, state.root, attrs)
 
     def _on_unplaced(self, t: float, fields: Dict[str, Any]) -> None:
         state = self._state(t, fields["job"])
@@ -301,11 +301,6 @@ class SpanBuilder:
                 state.matchmake.attrs["hops"] = fields["hops"]
             state.matchmake.close(t, "unplaced")
             state.matchmake = None
-
-    def _open_queue(self, state: _JobState, t: float, node: Any) -> None:
-        if state.queue is None and state.run is None:
-            attrs = {"node": node} if node is not None else None
-            state.queue = self._open(state, "queue", t, state.root, attrs)
 
     def _on_start(self, t: float, fields: Dict[str, Any]) -> None:
         state = self._state(t, fields["job"])
@@ -368,10 +363,6 @@ class SpanBuilder:
                 state.retry.attrs["attempt"] = fields["attempt"]
             state.retry.close(t, "resubmitted")
             state.retry = None
-        elif state.detect is not None:
-            # resubmitted before any detection event (e.g. claim-time fallback)
-            state.detect.close(t, "detected")
-            state.detect = None
 
     def _on_abandoned(self, t: float, fields: Dict[str, Any]) -> None:
         state = self._state(t, fields["job"])
@@ -380,32 +371,6 @@ class SpanBuilder:
     def _on_cancel(self, t: float, fields: Dict[str, Any]) -> None:
         state = self._state(t, fields["job"])
         self._terminal(state, t, "cancelled")
-
-    def _on_job_status(self, t: float, fields: Dict[str, Any]) -> None:
-        """Ledger transitions from the live service (no sim-level grid.* events)."""
-        to = fields.get("to")
-        job = fields.get("job")
-        if to is None or job is None:
-            return
-        state = self._state(t, job)
-        if to == "RUNNING":
-            self._on_start(t, {"job": job, **(
-                {"node": fields["node"]} if fields.get("node") is not None else {}
-            )})
-        elif to == "MATCHED":
-            if state.root.end is None:
-                self._open_queue(state, t, fields.get("node"))
-        elif to == "FAILED":
-            # the edge clears node_id; grid.job_lost (emitted first, by the
-            # shared crash path) already opened the node-attributed detect span
-            if state.detect is None:
-                self._on_lost(t, {"job": job, "node": fields.get("node")})
-        elif to == "COMPLETED":
-            self._on_finish(t, {"job": job})
-        elif to == "CANCELLED":
-            self._terminal(state, t, "cancelled")
-        elif to == "ABANDONED":
-            self._terminal(state, t, "abandoned")
 
     # -- queries -----------------------------------------------------------------
     def jobs(self) -> List[int]:

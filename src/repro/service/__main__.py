@@ -78,7 +78,7 @@ def _build_stack(args, loop: asyncio.AbstractEventLoop):
         seed=PRESETS[args.preset].seed,
         enabled=args.trace_dir is not None,
     )
-    ledger = open_ledger(args.db, tracer=recorder.tracer)
+    ledger = open_ledger(args.db)
     # a restarted service must resume *after* the ledger's persisted model
     # times — ledger timestamps stay monotonic across restarts
     origin = max((r.updated_at for r in ledger.records()), default=0.0)

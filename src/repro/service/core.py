@@ -17,10 +17,12 @@ use; :class:`GridService` only changes three things:
 * submissions arrive one at a time through :meth:`submit` instead of a
   pre-generated arrival chain.
 
-Crash recovery is not re-implemented here: the service hosts the same
-:class:`~repro.gridsim.recovery.RecoveryLoop` the faulty-grid simulation
-does (crash, detection, placement with retry, abandonment) and
-contributes only the ledger edges around it.  A *process* restart
+Neither the job lifecycle nor crash recovery is re-implemented here: the
+service hosts the same :class:`~repro.gridsim.simulation.JobLifecycle`
+(the ``grid.job_*`` events and the wait sketches) and
+:class:`~repro.gridsim.recovery.RecoveryLoop` (crash, detection,
+placement with retry, abandonment) the faulty-grid simulation does, and
+contributes only the ledger edges around them.  A *process* restart
 (:meth:`recover`, run at startup) treats every non-terminal ledger row
 the same way — a ``MATCHED``/``RUNNING`` job whose node vanished with the
 old process is "lost to a crash" whose detection is immediate.
@@ -34,7 +36,7 @@ from typing import Dict, List
 from ..can.heartbeat import HeartbeatScheme
 from ..can.space import ResourceSpace
 from ..gridsim.config import MatchmakingConfig
-from ..gridsim.simulation import AGGREGATION_WARMUP_ROUNDS, wire_grid
+from ..gridsim.simulation import AGGREGATION_WARMUP_ROUNDS, JobLifecycle, wire_grid
 from ..model.job import Job
 from ..model.node import GridNode
 from ..sim.clock import CallbackHandle, Clock
@@ -86,8 +88,12 @@ class GridService:
         #: live Job objects for every non-terminal ledger row
         self._jobs: Dict[int, Job] = {}
         self._periodic: List[CallbackHandle] = []
-        # the faulty grid's wiring; the recovery loop's callbacks are this
-        # host's ledger edges
+        # the faulty grid's wiring; the lifecycle's and the recovery loop's
+        # callbacks are this host's ledger edges
+        self.lifecycle = JobLifecycle(
+            clock, tracer, metrics,
+            started=self._job_started, finished=self._job_finished,
+        )
         wire_grid(
             self,
             generate_node_specs(
@@ -101,9 +107,6 @@ class GridService:
             abandoned=self._job_abandoned,
             retrying=self._job_retrying,
         )
-        for node in self.grid_nodes.values():
-            node.on_job_started = self._on_job_started
-            node.on_job_finished = self._on_job_finished
         if metrics is not None:
             scope = metrics.scope("service")
             self._job_counter = scope.counter("jobs")
@@ -219,10 +222,7 @@ class GridService:
         job.submit_time = self.clock.now
         if self._job_counter is not None:
             self._job_counter.add("submitted")
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.clock.now, "service.submit", job=record.job_id
-            )
+        self.lifecycle.submitted(job)
         self.recovery.attempt(job)
         self._sample_depth()
         return record.job_id
@@ -257,22 +257,15 @@ class GridService:
         self._jobs.pop(job_id, None)
         self.recovery.forget(job_id)
 
-    # -- node callbacks ----------------------------------------------------------
-    def _on_job_started(self, node: GridNode, job: Job) -> None:
+    # -- ledger edges of the job lifecycle ----------------------------------------
+    def _job_started(self, node: GridNode, job: Job) -> None:
         self._edge(job.job_id, JobStatus.RUNNING, node_id=node.node_id)
 
-    def _on_job_finished(self, node: GridNode, job: Job) -> None:
+    def _job_finished(self, node: GridNode, job: Job) -> None:
         self._edge(job.job_id, JobStatus.COMPLETED)
         self._forget(job.job_id)
         if self._job_counter is not None:
             self._job_counter.add("completed")
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.clock.now,
-                "service.complete",
-                job=job.job_id,
-                node=node.node_id,
-            )
         self._sample_depth()
 
     # -- failures ----------------------------------------------------------------

@@ -200,17 +200,14 @@ class JobLedger:
     All mutation goes through :meth:`submit` and :meth:`transition`.  Each
     takes the lock once and reads, checks and writes in one transaction,
     so the asyncio gateway's handlers and any helper thread share the
-    connection safely and a returned record is durable.  ``tracer``
-    (optional :class:`repro.obs.Tracer`) gets one ``service.job_status``
-    event per write, after its commit.
+    connection safely and a returned record is durable.
     """
 
-    def __init__(self, path: str, tracer):
+    def __init__(self, path: str):
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
         self.path = path
-        self.tracer = tracer
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.execute("PRAGMA journal_mode=WAL")
@@ -257,14 +254,6 @@ class JobLedger:
                 ),
             )
             self._audit(record, None)
-        if self.tracer is not None:
-            self.tracer.emit(
-                now,
-                "service.job_status",
-                job=job_id,
-                frm=None,
-                to=JobStatus.SUBMITTED.value,
-            )
         return record
 
     def transition(
@@ -303,15 +292,6 @@ class JobLedger:
                 ),
             )
             self._audit(updated, record.status)
-        if self.tracer is not None:
-            self.tracer.emit(
-                now,
-                "service.job_status",
-                job=job_id,
-                frm=record.status.value,
-                to=to.value,
-                **({} if updated.node_id is None else {"node": updated.node_id}),
-            )
         return updated
 
     def _audit(self, record: JobRecord, frm: Optional[JobStatus]) -> None:
@@ -402,6 +382,6 @@ class JobLedger:
         self.close()
 
 
-def open_ledger(path: Optional[str], tracer=None) -> JobLedger:
+def open_ledger(path: Optional[str]) -> JobLedger:
     """``path=None`` -> in-memory sqlite (lost on exit); else WAL at ``path``."""
-    return JobLedger(":memory:" if path is None else path, tracer=tracer)
+    return JobLedger(":memory:" if path is None else path)

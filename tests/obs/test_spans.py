@@ -108,21 +108,18 @@ class TestHandBuiltStreams:
         assert b.root(4).status == "abandoned"
 
     def test_two_crashes_keep_their_own_detection(self):
-        """The live service's stream: ``grid.job_lost`` names the node, the
-        ledger's FAILED edge (which clears ``node_id``) follows it.  Each
-        job's detect span must close on *its* node's detection, not on the
-        first detection of anything."""
+        """Two jobs lost on two nodes whose crashes are detected at
+        different times: each job's detect span must close on *its* node's
+        detection, not on the first detection of anything."""
         b = build_spans([
-            {"t": 0.0, "type": "service.submit", "job": 1},
-            {"t": 0.0, "type": "service.job_status", "job": 1, "frm": "SUBMITTED", "to": "MATCHED", "node": 7},
-            {"t": 0.0, "type": "service.submit", "job": 2},
-            {"t": 0.0, "type": "service.job_status", "job": 2, "frm": "SUBMITTED", "to": "MATCHED", "node": 9},
+            {"t": 0.0, "type": "grid.job_submit", "job": 1},
+            {"t": 0.0, "type": "mm.placed", "job": 1, "node": 7, "hops": 0},
+            {"t": 0.0, "type": "grid.job_submit", "job": 2},
+            {"t": 0.0, "type": "mm.placed", "job": 2, "node": 9, "hops": 0},
             {"t": 10.0, "type": "grid.crash", "node": 7, "jobs_lost": 1},
             {"t": 10.0, "type": "grid.job_lost", "job": 1, "node": 7},
-            {"t": 10.0, "type": "service.job_status", "job": 1, "frm": "MATCHED", "to": "FAILED"},
             {"t": 20.0, "type": "grid.crash", "node": 9, "jobs_lost": 1},
             {"t": 20.0, "type": "grid.job_lost", "job": 2, "node": 9},
-            {"t": 20.0, "type": "service.job_status", "job": 2, "frm": "MATCHED", "to": "FAILED"},
             {"t": 100.0, "type": "recovery.detected", "node": 7, "latency": 90.0, "jobs": 1},
             {"t": 100.0, "type": "grid.job_resubmit", "job": 1, "attempt": 1},
             {"t": 400.0, "type": "recovery.detected", "node": 9, "latency": 380.0, "jobs": 1},

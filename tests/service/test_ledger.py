@@ -50,9 +50,7 @@ PATHS = {
 def ledger(request, tmp_path):
     """Both CLI modes: ``--db`` omitted (":memory:") and a sqlite file."""
     path = request.param
-    led = JobLedger(
-        str(tmp_path / "ledger.sqlite") if path == "file" else path, tracer=None
-    )
+    led = JobLedger(str(tmp_path / "ledger.sqlite") if path == "file" else path)
     yield led
     led.close()
 
